@@ -367,15 +367,6 @@ fn transport_err(e: ClientError) -> tibpre_phr::PhrError {
 }
 
 impl RecordSource for RemoteStore {
-    fn get(&self, id: RecordId) -> tibpre_phr::Result<Arc<StoredRecord>> {
-        match self.phr_call(&Request::GetRecord { id })? {
-            Response::Record(record) => Ok(Arc::new(*record)),
-            _ => Err(tibpre_phr::PhrError::Storage(
-                "store node answered GetRecord with the wrong variant".into(),
-            )),
-        }
-    }
-
     fn list_for_patient(&self, patient: &Identity) -> tibpre_phr::Result<Vec<RecordId>> {
         let request = Request::ListRecords {
             patient: patient.clone(),
@@ -407,9 +398,6 @@ impl RecordSource for RemoteStore {
     }
 
     fn get_many(&self, ids: &[RecordId]) -> Vec<tibpre_phr::Result<Arc<StoredRecord>>> {
-        if ids.len() <= 1 {
-            return ids.iter().map(|id| self.get(*id)).collect();
-        }
         let requests: Vec<Request> = ids
             .iter()
             .map(|id| Request::GetRecord { id: *id })
@@ -434,20 +422,10 @@ impl RecordSource for RemoteStore {
         }
     }
 
-    fn log_disclosure(&self, id: RecordId, requester: &Identity, granted: bool) {
+    fn log_disclosures(&self, entries: &[(RecordId, Identity, bool)]) {
         // Best-effort: the proxy keeps its own durable audit trail, and a
         // disclosure must not fail because the store's trail was
-        // unreachable.
-        let _ = self.call(&Request::LogDisclosure {
-            id,
-            requester: requester.clone(),
-            granted,
-        });
-    }
-
-    fn log_disclosures(&self, entries: &[(RecordId, Identity, bool)]) {
-        // Best-effort like the single form, but one pipelined run instead
-        // of a round trip per entry.
+        // unreachable.  One pipelined run, not a round trip per entry.
         let requests: Vec<Request> = entries
             .iter()
             .map(|(id, requester, granted)| Request::LogDisclosure {

@@ -38,29 +38,24 @@ impl Delegatee {
     /// The prepared Miller loop for `H1(Decrypt2(c'₃))`, served from the
     /// cache when this exact `c'₃` has been opened before.
     fn prepared_mask(&self, ciphertext: &ReEncryptedCiphertext) -> Result<Arc<PreparedPairing>> {
-        let caching = tibpre_pairing::crypto_caches_enabled();
         let key: Box<[u8]> = ciphertext.encrypted_x.to_wire_bytes().into();
-        if caching {
-            if let Some(hit) = self
-                .mask_cache
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .get(&key)
-            {
-                return Ok(Arc::clone(hit));
-            }
+        if let Some(hit) = self
+            .mask_cache
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .get(&key)
+        {
+            return Ok(Arc::clone(hit));
         }
         let params = self.params();
         let x = bf::decrypt_gt(&self.private_key, &ciphertext.encrypted_x)?;
         let h1_of_x = params.hash_to_g1(H1_DOMAIN, &[&x.to_bytes()])?;
         let prepared = Arc::new(params.prepare(&h1_of_x));
-        if caching {
-            let mut cache = self.mask_cache.lock().unwrap_or_else(|p| p.into_inner());
-            if cache.len() >= MASK_CACHE_CAP {
-                cache.clear();
-            }
-            cache.insert(key, Arc::clone(&prepared));
+        let mut cache = self.mask_cache.lock().unwrap_or_else(|p| p.into_inner());
+        if cache.len() >= MASK_CACHE_CAP {
+            cache.clear();
         }
+        cache.insert(key, Arc::clone(&prepared));
         Ok(prepared)
     }
 

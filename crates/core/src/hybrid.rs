@@ -15,7 +15,7 @@
 
 use crate::delegatee::Delegatee;
 use crate::delegator::{Delegator, TypedCiphertext};
-use crate::proxy::{re_encrypt, ReEncryptedCiphertext};
+use crate::proxy::{re_encrypt_batch, ReEncryptedCiphertext};
 use crate::rekey::ReEncryptionKey;
 use crate::types::TypeTag;
 use crate::Result;
@@ -167,25 +167,21 @@ impl Delegator {
     }
 }
 
-/// Re-encrypts only the KEM header of a hybrid ciphertext (proxy operation).
+/// Re-encrypts only the KEM header of a hybrid ciphertext (proxy operation)
+/// — a run of one through [`re_encrypt_hybrid_batch`].
 pub fn re_encrypt_hybrid(
     ciphertext: &HybridCiphertext,
     rekey: &ReEncryptionKey,
 ) -> Result<ReEncryptedHybridCiphertext> {
-    Ok(ReEncryptedHybridCiphertext {
-        header: re_encrypt(&ciphertext.header, rekey)?,
-        body: ciphertext.body.clone(),
-    })
+    let mut converted = re_encrypt_hybrid_batch([ciphertext], rekey)?;
+    Ok(converted.pop().expect("one output per input"))
 }
 
-/// Re-encrypts the KEM headers of many hybrid ciphertexts with one key — the
-/// hybrid counterpart of [`crate::proxy::re_encrypt_batch`].
-///
-/// Every header's type is validated against the key before any conversion
-/// happens (a mixed batch fails atomically), and the key's one-time pairing
-/// precomputation is shared across the batch.  Bodies are forwarded
-/// untouched, so the proxy's per-record work stays independent of payload
-/// size.
+/// Re-encrypts the KEM headers of many hybrid ciphertexts with one key
+/// through [`re_encrypt_batch`], which validates every header's type before
+/// any conversion (a mixed run fails atomically) and shares the key's
+/// pairing precomputation across the run.  Bodies are forwarded untouched,
+/// so the proxy's per-record work stays independent of payload size.
 pub fn re_encrypt_hybrid_batch<'a, I>(
     ciphertexts: I,
     rekey: &ReEncryptionKey,
@@ -194,14 +190,10 @@ where
     I: IntoIterator<Item = &'a HybridCiphertext>,
 {
     let ciphertexts: Vec<&HybridCiphertext> = ciphertexts.into_iter().collect();
-    crate::proxy::validate_batch_types(ciphertexts.iter().map(|ct| &ct.header.type_tag), rekey)?;
-    // Convert all the headers through the shared batched path (one batched
-    // final exponentiation for the whole chunk), then re-attach the bodies.
-    let headers: Vec<&TypedCiphertext> = ciphertexts.iter().map(|ct| &ct.header).collect();
-    let converted = crate::proxy::re_encrypt_validated_batch(&headers, rekey);
+    let headers = re_encrypt_batch(ciphertexts.iter().map(|ct| &ct.header), rekey)?;
     Ok(ciphertexts
         .into_iter()
-        .zip(converted)
+        .zip(headers)
         .map(|(ciphertext, header)| ReEncryptedHybridCiphertext {
             header,
             body: ciphertext.body.clone(),
@@ -225,6 +217,7 @@ impl Delegatee {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proxy::re_encrypt;
     use crate::PreError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -49,7 +49,7 @@
 //! | [`types`] | [`TypeTag`] — the message categories (`t`) |
 //! | [`delegator`] | [`Delegator`], [`TypedCiphertext`] — `Encrypt1` / `Decrypt1` |
 //! | [`rekey`] | [`ReEncryptionKey`] — `Pextract` output |
-//! | [`proxy`] | [`Proxy`], [`ReEncryptedCiphertext`] — `Preenc` |
+//! | [`proxy`] | [`proxy::re_encrypt_batch`] — `Preenc`, the one conversion; [`Proxy`] (key table), [`ReEncryptedCiphertext`] |
 //! | [`delegatee`] | [`Delegatee`] — decryption of re-encrypted ciphertexts |
 //! | [`hybrid`] | KEM/DEM mode for byte payloads (PHR records) |
 //! | [`baseline`] | comparison schemes: identity-only PRE, per-type virtual identities, plain IBE |
@@ -87,8 +87,9 @@
 //! let rk = delegator
 //!     .make_reencryption_key(&cardiologist, kgc2.public_params(), &illness, &mut rng)
 //!     .unwrap();
-//! let proxy = Proxy::new("hospital-gateway");
-//! let transformed = proxy.re_encrypt(&ct, &rk).unwrap();
+//! let mut proxy = Proxy::new("hospital-gateway");
+//! proxy.install_key(rk);
+//! let transformed = proxy.re_encrypt_for(&ct, &alice, &cardiologist).unwrap();
 //!
 //! // The cardiologist decrypts with his own key — Alice stayed offline.
 //! assert_eq!(delegatee.decrypt_reencrypted(&transformed).unwrap(), m);

@@ -79,29 +79,8 @@ impl WireDecode for ReEncryptedCiphertext {
     }
 }
 
-/// Validates a batch's type tags against a re-encryption key *before* any
-/// pairing work, so a mixed batch fails atomically with no partial output.
-///
-/// This is the single validation the sequential batch APIs
-/// ([`re_encrypt_batch`], [`crate::hybrid::re_encrypt_hybrid_batch`]) and the
-/// parallel engine (`tibpre-engine`) all share; the returned error is the one
-/// for the lowest offending index, matching a sequential scan.
-pub fn validate_batch_types<'a, I>(type_tags: I, rekey: &ReEncryptionKey) -> Result<()>
-where
-    I: IntoIterator<Item = &'a TypeTag>,
-{
-    for tag in type_tags {
-        if tag != rekey.type_tag() {
-            return Err(PreError::TypeMismatch {
-                ciphertext_type: tag.display(),
-                key_type: rekey.type_tag().display(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// `Preenc(c, rk)`: converts one typed ciphertext with one re-encryption key.
+/// `Preenc(c, rk)`: converts one typed ciphertext with one re-encryption key
+/// — a run of one through [`re_encrypt_batch`].
 ///
 /// The proxy refuses to convert a ciphertext whose type does not match the
 /// key's type — and even a malicious proxy that skipped this check would only
@@ -110,68 +89,42 @@ pub fn re_encrypt(
     ciphertext: &TypedCiphertext,
     rekey: &ReEncryptionKey,
 ) -> Result<ReEncryptedCiphertext> {
-    if ciphertext.type_tag != *rekey.type_tag() {
+    let mut converted = re_encrypt_batch([ciphertext], rekey)?;
+    Ok(converted.pop().expect("one output per input"))
+}
+
+/// `Preenc` over a run of same-type ciphertexts with one key:
+/// `c'₁ = c₁`, `c'₂ = c₂ · ê(c₁, rk₂)`, `c'₃ = Encrypt2(X)` from the key.
+///
+/// This is the one place a `Preenc` pairing is computed.  Every ciphertext's
+/// type is checked against the key *before* any pairing work, so a mixed run
+/// fails atomically, with the error of the lowest offending index and no
+/// partial output.  Then each `c₁` takes one stored-line Miller loop against
+/// the key's shared tabulation (built on the key's first use), and one
+/// *batched* final exponentiation collapses the easy-part inversions into a
+/// single GCD.  The hybrid functions and the parallel engine's per-chunk jobs
+/// all convert through here.
+pub fn re_encrypt_batch<'a, I>(
+    ciphertexts: I,
+    rekey: &ReEncryptionKey,
+) -> Result<Vec<ReEncryptedCiphertext>>
+where
+    I: IntoIterator<Item = &'a TypedCiphertext>,
+{
+    let ciphertexts: Vec<&TypedCiphertext> = ciphertexts.into_iter().collect();
+    if let Some(odd) = ciphertexts
+        .iter()
+        .find(|ct| ct.type_tag != *rekey.type_tag())
+    {
         return Err(PreError::TypeMismatch {
-            ciphertext_type: ciphertext.type_tag.display(),
+            ciphertext_type: odd.type_tag.display(),
             key_type: rekey.type_tag().display(),
         });
     }
-    // c'2 = c2 · ê(c1, rk₂), through the Miller loop prepared for the fixed
-    // rk₂ (tabulated on the key's first use, then shared).
-    let adjustment = rekey.prepared_rk_point().pairing(&ciphertext.c1);
-    let c2 = ciphertext.c2.mul(&adjustment);
-    Ok(ReEncryptedCiphertext {
-        c1: ciphertext.c1.clone(),
-        c2,
-        encrypted_x: rekey.encrypted_x().clone(),
-        type_tag: ciphertext.type_tag.clone(),
-        delegatee: rekey.delegatee().clone(),
-    })
-}
-
-/// `Preenc` over a whole batch of same-type ciphertexts with one key.
-///
-/// The conversion is atomic with respect to validation: every ciphertext's
-/// type is checked against the key *before* any pairing work happens, so a
-/// mixed batch fails without partial output.  The key's Miller-loop
-/// tabulation (and the one-time pairing preparation it implies) is shared by
-/// the whole batch — per ciphertext only the stored lines are evaluated,
-/// which is what makes proxy-scale bursts cheap.  Results are bit-identical
-/// to calling [`re_encrypt`] one ciphertext at a time.
-///
-/// This function is single-threaded by design (it is the oracle the parallel
-/// paths are tested against); `tibpre-engine`'s `ReEncryptEngine` provides
-/// the drop-in multi-core variant with identical semantics and output.
-pub fn re_encrypt_batch(
-    ciphertexts: &[TypedCiphertext],
-    rekey: &ReEncryptionKey,
-) -> Result<Vec<ReEncryptedCiphertext>> {
-    validate_batch_types(ciphertexts.iter().map(|ct| &ct.type_tag), rekey)?;
-    let refs: Vec<&TypedCiphertext> = ciphertexts.iter().collect();
-    Ok(re_encrypt_validated_batch(&refs, rekey))
-}
-
-/// The shared batched conversion behind [`re_encrypt_batch`],
-/// [`crate::hybrid::re_encrypt_hybrid_batch`], and the parallel engine's
-/// per-chunk jobs: one stored-line Miller loop per ciphertext against the
-/// key's shared tabulation, then one *batched* final exponentiation whose
-/// easy-part inversions collapse into a single GCD — bit-identical to the
-/// per-item [`re_encrypt`] path, which stays alive as the oracle.
-///
-/// Callers **must** have validated the type tags with
-/// [`validate_batch_types`] already (the engine validates the whole batch
-/// once, before fanning chunks out); feeding an unvalidated mixed batch
-/// produces algebraic garbage rather than an error, exactly like relabelling
-/// a ciphertext to bypass [`re_encrypt`]'s check.
-pub fn re_encrypt_validated_batch(
-    ciphertexts: &[&TypedCiphertext],
-    rekey: &ReEncryptionKey,
-) -> Vec<ReEncryptedCiphertext> {
-    let prepared = rekey.prepared_rk_point();
     let c1s: Vec<&G1Affine> = ciphertexts.iter().map(|ct| &ct.c1).collect();
-    let adjustments = prepared.pairing_batch(&c1s);
-    ciphertexts
-        .iter()
+    let adjustments = rekey.prepared_rk_point().pairing_batch(&c1s);
+    Ok(ciphertexts
+        .into_iter()
         .zip(adjustments)
         .map(|(ciphertext, adjustment)| ReEncryptedCiphertext {
             c1: ciphertext.c1.clone(),
@@ -180,7 +133,7 @@ pub fn re_encrypt_validated_batch(
             type_tag: ciphertext.type_tag.clone(),
             delegatee: rekey.delegatee().clone(),
         })
-        .collect()
+        .collect())
 }
 
 /// A stateful proxy service holding re-encryption keys for many
@@ -262,35 +215,6 @@ impl Proxy {
         self.key_for(delegator, type_tag, delegatee).is_some()
     }
 
-    /// Stateless conversion with an explicit key (does not need the key to be installed).
-    pub fn re_encrypt(
-        &self,
-        ciphertext: &TypedCiphertext,
-        rekey: &ReEncryptionKey,
-    ) -> Result<ReEncryptedCiphertext> {
-        re_encrypt(ciphertext, rekey)
-    }
-
-    /// Converts a whole batch of same-type ciphertexts for the given
-    /// delegatee using one installed key (looked up from the first
-    /// ciphertext's type), amortising the key's pairing precomputation across
-    /// the batch.  An empty batch yields an empty result; a batch whose types
-    /// disagree fails atomically with no partial output.
-    pub fn reencrypt_batch(
-        &self,
-        ciphertexts: &[TypedCiphertext],
-        delegator: &Identity,
-        delegatee: &Identity,
-    ) -> Result<Vec<ReEncryptedCiphertext>> {
-        let Some(first) = ciphertexts.first() else {
-            return Ok(Vec::new());
-        };
-        let key = self
-            .key_for(delegator, &first.type_tag, delegatee)
-            .ok_or(PreError::NoMatchingKey)?;
-        re_encrypt_batch(ciphertexts, key)
-    }
-
     /// Converts a ciphertext for the given delegatee using an installed key.
     pub fn re_encrypt_for(
         &self,
@@ -299,12 +223,7 @@ impl Proxy {
         delegatee: &Identity,
     ) -> Result<ReEncryptedCiphertext> {
         let key = self
-            .keys
-            .get(&(
-                delegator.as_bytes().to_vec(),
-                ciphertext.type_tag.as_bytes().to_vec(),
-                delegatee.as_bytes().to_vec(),
-            ))
+            .key_for(delegator, &ciphertext.type_tag, delegatee)
             .ok_or(PreError::NoMatchingKey)?;
         re_encrypt(ciphertext, key)
     }
@@ -420,8 +339,10 @@ mod tests {
         assert_ne!(f.delegatee.decrypt_reencrypted(&transformed).unwrap(), m);
     }
 
+    /// The reference is the paper's `Preenc` equation evaluated with the
+    /// naive pairing, not a sibling code path.
     #[test]
-    fn batch_reencryption_is_bit_identical_to_per_item() {
+    fn batch_reencryption_satisfies_the_paper_equation() {
         let mut f = fixture();
         let t = TypeTag::new("illness-history");
         let rk = f
@@ -436,8 +357,12 @@ mod tests {
         let batch = re_encrypt_batch(&cts, &rk).unwrap();
         assert_eq!(batch.len(), cts.len());
         for ((got, ct), m) in batch.iter().zip(&cts).zip(&messages) {
-            let single = re_encrypt(ct, &rk).unwrap();
-            assert_eq!(got.to_bytes(), single.to_bytes());
+            // c'1 = c1, c'2 = c2 · ê(c1, rk2), c'3 = the key's Encrypt2(X).
+            assert_eq!(got.c1, ct.c1);
+            assert_eq!(got.c2, ct.c2.mul(&f.params.pairing(&ct.c1, rk.rk_point())));
+            assert_eq!(&got.encrypted_x, rk.encrypted_x());
+            assert_eq!(got.type_tag, t);
+            assert_eq!(got.delegatee, f.delegatee_id);
             assert_eq!(&f.delegatee.decrypt_reencrypted(got).unwrap(), m);
         }
         assert!(re_encrypt_batch(&[], &rk).unwrap().is_empty());

@@ -5,25 +5,24 @@
 //! state — after a re-encryption key's one-time pairing preparation, each
 //! ciphertext conversion only *reads* the key's stored line coefficients — so
 //! a burst of conversions is embarrassingly parallel.  This crate exploits
-//! that: [`ReEncryptEngine`] fans the batch conversion APIs of `tibpre-core`
-//! out over a pool of `std::thread` workers fed by a work-stealing job queue.
+//! that: [`ReEncryptEngine::re_encrypt_hybrid_batch`] fans
+//! [`tibpre_core::hybrid::re_encrypt_hybrid_batch`] out over a pool of
+//! `std::thread` workers fed by a work-stealing job queue, one chunk of the
+//! run per job.
 //!
-//! Three properties are preserved exactly from the sequential APIs, and the
+//! Three properties of the core function are preserved exactly, and the
 //! oracle tests assert them:
 //!
 //! * **Ordering** — output `i` is the conversion of input `i`, always.
-//! * **First-error semantics** — a failing batch returns the error the
-//!   sequential loop would have returned (the one at the lowest input index),
-//!   with no partial output.
-//! * **Bit-identical output** — the parallel path calls the *same* per-item
-//!   conversion functions, so results are byte-for-byte equal to
-//!   [`tibpre_core::proxy::re_encrypt_batch`] /
-//!   [`tibpre_core::hybrid::re_encrypt_hybrid_batch`].
+//! * **First-error semantics** — a failing run returns the error of the
+//!   lowest input index, with no partial output.
+//! * **Bit-identical output** — every chunk is converted by the core
+//!   function itself, so results are byte-for-byte equal to one call of it
+//!   over the whole run.
 //!
 //! An engine with one worker (the [`ReEncryptEngine::sequential`]
-//! constructor, or `TIBPRE_WORKERS=1`) never spawns a thread and simply runs
-//! the sequential batch path, so single-core deployments pay no
-//! synchronisation cost.
+//! constructor, or `TIBPRE_WORKERS=1`) never spawns a thread: it is that one
+//! call.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,48 +33,19 @@ mod queue;
 pub use pool::ReEncryptEngine;
 
 use tibpre_core::hybrid::{self, HybridCiphertext, ReEncryptedHybridCiphertext};
-use tibpre_core::proxy::{self, validate_batch_types, ReEncryptedCiphertext};
-use tibpre_core::{ReEncryptionKey, Result, TypedCiphertext};
+use tibpre_core::{ReEncryptionKey, Result};
 
 impl ReEncryptEngine {
-    /// `Preenc` over a batch of same-type ciphertexts with one key, fanned
-    /// out across the engine's workers.
-    ///
-    /// Semantics are identical to [`tibpre_core::proxy::re_encrypt_batch`]:
-    /// the whole batch is type-checked before any conversion happens, results
-    /// keep the input order, and the output is bit-identical to the
-    /// sequential path.  The key's Miller-loop tabulation is forced *before*
-    /// the fan-out, so the workers only ever read the shared table
-    /// (`ReEncryptionKey`'s cache is an `Arc<OnceLock>` — read-only once
-    /// initialised).
-    pub fn re_encrypt_batch(
-        &self,
-        ciphertexts: &[TypedCiphertext],
-        rekey: &ReEncryptionKey,
-    ) -> Result<Vec<ReEncryptedCiphertext>> {
-        if self.workers() <= 1 || ciphertexts.len() <= 1 {
-            return proxy::re_encrypt_batch(ciphertexts, rekey);
-        }
-        validate_batch_types(ciphertexts.iter().map(|ct| &ct.type_tag), rekey)?;
-        // One-time table build, done once on this thread rather than raced by
-        // every worker on first use.
-        let _ = rekey.prepared_rk_point();
-        // Each work-stealing job converts its whole chunk through the batched
-        // path, amortising one final-exponentiation easy-part inversion per
-        // chunk rather than paying one GCD per ciphertext.
-        Ok(self.par_map_chunks(ciphertexts.len(), |range| {
-            let refs: Vec<&TypedCiphertext> = ciphertexts[range].iter().collect();
-            proxy::re_encrypt_validated_batch(&refs, rekey)
-        }))
-    }
-
-    /// The hybrid counterpart of [`Self::re_encrypt_batch`]: converts the KEM
-    /// headers of many hybrid ciphertexts in parallel, forwarding the AEAD
-    /// bodies untouched.
+    /// Converts the KEM headers of many hybrid ciphertexts with one key,
+    /// fanned out across the engine's workers; the AEAD bodies are forwarded
+    /// untouched.
     ///
     /// Semantics are identical to
     /// [`tibpre_core::hybrid::re_encrypt_hybrid_batch`] (atomic up-front
-    /// validation, input ordering, bit-identical output).
+    /// validation, input ordering, bit-identical output).  The key's
+    /// Miller-loop tabulation is forced *before* the fan-out, so the workers
+    /// only ever read the shared table (`ReEncryptionKey`'s cache is an
+    /// `Arc<OnceLock>` — read-only once initialised).
     pub fn re_encrypt_hybrid_batch<'a, I>(
         &self,
         ciphertexts: I,
@@ -85,24 +55,25 @@ impl ReEncryptEngine {
         I: IntoIterator<Item = &'a HybridCiphertext>,
     {
         let ciphertexts: Vec<&HybridCiphertext> = ciphertexts.into_iter().collect();
-        if self.workers() <= 1 || ciphertexts.len() <= 1 {
+        // A run the key refuses takes the single call too: it fails there
+        // before any pairing work, with the lowest offending index's error.
+        if self.workers() <= 1
+            || ciphertexts.len() <= 1
+            || ciphertexts
+                .iter()
+                .any(|ct| ct.type_tag() != rekey.type_tag())
+        {
             return hybrid::re_encrypt_hybrid_batch(ciphertexts, rekey);
         }
-        validate_batch_types(ciphertexts.iter().map(|ct| &ct.header.type_tag), rekey)?;
+        // One-time table build, done once on this thread rather than raced by
+        // every worker on first use.
         let _ = rekey.prepared_rk_point();
-        // Headers of each chunk go through the shared batched conversion;
-        // bodies are re-attached untouched.
+        // Each work-stealing job converts its whole chunk in one call,
+        // amortising one final-exponentiation easy-part inversion per chunk
+        // rather than paying one GCD per ciphertext.
         Ok(self.par_map_chunks(ciphertexts.len(), |range| {
-            let chunk = &ciphertexts[range];
-            let headers: Vec<&TypedCiphertext> = chunk.iter().map(|ct| &ct.header).collect();
-            proxy::re_encrypt_validated_batch(&headers, rekey)
-                .into_iter()
-                .zip(chunk)
-                .map(|(header, ct)| ReEncryptedHybridCiphertext {
-                    header,
-                    body: ct.body.clone(),
-                })
-                .collect()
+            hybrid::re_encrypt_hybrid_batch(ciphertexts[range].iter().copied(), rekey)
+                .expect("every header's type was checked against the key above")
         }))
     }
 }
@@ -112,13 +83,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
     use tibpre_core::{Delegatee, Delegator, TypeTag};
     use tibpre_ibe::{Identity, Kgc};
     use tibpre_pairing::PairingParams;
 
     struct Fixture {
-        params: Arc<PairingParams>,
         delegator: Delegator,
         delegatee: Delegatee,
         rekey: ReEncryptionKey,
@@ -129,7 +98,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xE9);
         let params = PairingParams::insecure_toy();
         let kgc1 = Kgc::setup(params.clone(), "kgc1", &mut rng);
-        let kgc2 = Kgc::setup(params.clone(), "kgc2", &mut rng);
+        let kgc2 = Kgc::setup(params, "kgc2", &mut rng);
         let alice = Identity::new("alice");
         let bob = Identity::new("bob");
         let delegator = Delegator::new(kgc1.public_params().clone(), kgc1.extract(&alice));
@@ -137,7 +106,6 @@ mod tests {
             .make_reencryption_key(&bob, kgc2.public_params(), type_tag, &mut rng)
             .unwrap();
         Fixture {
-            params,
             delegator,
             delegatee: Delegatee::new(kgc2.extract(&bob)),
             rekey,
@@ -149,24 +117,20 @@ mod tests {
     fn engine_matches_sequential_batch_bitwise() {
         let t = TypeTag::new("illness-history");
         let mut f = fixture(&t);
-        let messages: Vec<_> = (0..13).map(|_| f.params.random_gt(&mut f.rng)).collect();
-        let cts: Vec<_> = messages
+        let payloads: Vec<Vec<u8>> = (0..13u8).map(|i| vec![i; 40]).collect();
+        let cts: Vec<_> = payloads
             .iter()
-            .map(|m| f.delegator.encrypt_typed(m, &t, &mut f.rng))
+            .map(|p| f.delegator.encrypt_bytes(p, b"aad", &t, &mut f.rng))
             .collect();
 
-        let sequential = proxy::re_encrypt_batch(&cts, &f.rekey).unwrap();
+        let sequential = hybrid::re_encrypt_hybrid_batch(&cts, &f.rekey).unwrap();
         for workers in [1, 2, 3, 4] {
             let engine = ReEncryptEngine::new(workers);
-            let parallel = engine.re_encrypt_batch(&cts, &f.rekey).unwrap();
+            let parallel = engine.re_encrypt_hybrid_batch(&cts, &f.rekey).unwrap();
             assert_eq!(parallel.len(), sequential.len());
             for (p, s) in parallel.iter().zip(&sequential) {
                 assert_eq!(p.to_bytes(), s.to_bytes(), "workers={workers}");
             }
-        }
-        // And the outputs actually decrypt.
-        for (m, ct) in messages.iter().zip(&sequential) {
-            assert_eq!(&f.delegatee.decrypt_reencrypted(ct).unwrap(), m);
         }
     }
 
@@ -193,15 +157,16 @@ mod tests {
     fn mixed_batch_fails_atomically_with_first_error() {
         let t = TypeTag::new("diet");
         let mut f = fixture(&t);
-        let m = f.params.random_gt(&mut f.rng);
-        let good = f.delegator.encrypt_typed(&m, &t, &mut f.rng);
+        let good = f.delegator.encrypt_bytes(b"m", b"aad", &t, &mut f.rng);
         let bad = f
             .delegator
-            .encrypt_typed(&m, &TypeTag::new("imaging"), &mut f.rng);
+            .encrypt_bytes(b"m", b"aad", &TypeTag::new("imaging"), &mut f.rng);
         let batch = vec![good.clone(), bad, good];
         let engine = ReEncryptEngine::new(4);
-        let sequential_err = proxy::re_encrypt_batch(&batch, &f.rekey).unwrap_err();
-        let parallel_err = engine.re_encrypt_batch(&batch, &f.rekey).unwrap_err();
+        let sequential_err = hybrid::re_encrypt_hybrid_batch(&batch, &f.rekey).unwrap_err();
+        let parallel_err = engine
+            .re_encrypt_hybrid_batch(&batch, &f.rekey)
+            .unwrap_err();
         assert_eq!(parallel_err, sequential_err);
     }
 
@@ -210,7 +175,6 @@ mod tests {
         let t = TypeTag::new("t");
         let f = fixture(&t);
         let engine = ReEncryptEngine::new(4);
-        assert!(engine.re_encrypt_batch(&[], &f.rekey).unwrap().is_empty());
         assert!(engine
             .re_encrypt_hybrid_batch(std::iter::empty(), &f.rekey)
             .unwrap()

@@ -1,7 +1,9 @@
 //! The worker pool: scoped `std::thread` workers over the work-stealing
-//! queue, with a generic ordered fallible map as the execution primitive.
+//! queue, behind two ordered maps — an infallible chunk map for batched
+//! conversion and a fallible index map for store recovery.
 
 use crate::queue::StealQueue;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -18,7 +20,7 @@ const MAX_WORKERS: usize = 256;
 /// `'static` bounds, no `unsafe`.  Spawning a thread costs a few tens of
 /// microseconds while one toy-level pairing costs hundreds, so per-batch
 /// spawning is lost in the noise for every batch size worth parallelising;
-/// batches below [`Self::parallel_threshold`] run sequentially anyway.
+/// batches below two items per worker run sequentially anyway.
 ///
 /// An engine is cheap to construct and freely shareable (`Sync`); a proxy
 /// typically holds one in an `Arc` and uses it for every request.
@@ -37,8 +39,8 @@ impl ReEncryptEngine {
         }
     }
 
-    /// The sequential engine: behaves exactly like calling the
-    /// `tibpre-core` batch APIs directly.
+    /// The sequential engine: behaves exactly like calling
+    /// `tibpre_core::hybrid::re_encrypt_hybrid_batch` directly.
     pub fn sequential() -> Self {
         Self::new(1)
     }
@@ -75,74 +77,33 @@ impl ReEncryptEngine {
     /// Batches smaller than this run on the calling thread even on a
     /// multi-worker engine: below two items per worker the fan-out cannot
     /// win.
-    pub fn parallel_threshold(&self) -> usize {
+    fn parallel_threshold(&self) -> usize {
         self.workers * 2
     }
 
-    /// Applies `f` to every item, in parallel across the engine's workers,
-    /// returning the results in input order.
-    ///
-    /// `f` receives `(index, &item)`.  If any application fails, the whole
-    /// map fails with the error of the **lowest failing input index** — the
-    /// error a sequential `for` loop would have surfaced — and every
-    /// already-computed result is discarded, so callers observe the same
-    /// all-or-nothing behaviour as the sequential batch APIs.
-    ///
-    /// A panic in `f` propagates to the caller after all workers have
+    /// The one scoped-worker scaffold both maps run on: seeds the steal
+    /// queue with `0..count`, runs `job` on every chunk across the engine's
+    /// workers, and returns the per-chunk outputs ordered by chunk start.  A
+    /// panic in `job` propagates to the caller after all workers have
     /// stopped.
-    pub fn try_par_map<T, U, E, F>(&self, items: &[T], f: F) -> Result<Vec<U>, E>
+    fn run_chunks<R, F>(&self, count: usize, job: F) -> Vec<R>
     where
-        T: Sync,
-        U: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<U, E> + Sync,
+        R: Send,
+        F: Fn(Range<usize>) -> R + Sync,
     {
-        if self.workers <= 1 || items.len() < self.parallel_threshold() {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-
         // Chunks are a few items each: large enough that queue traffic stays
         // negligible next to the pairing work, small enough that stealing can
         // even out any load imbalance.
-        let chunk_size = (items.len() / (self.workers * 4)).max(1);
-        let queue = StealQueue::seed(self.workers, items.len(), chunk_size);
-        // The lowest failing index seen so far, and its error.  `floor` is a
-        // monotonically decreasing copy of the index that workers poll to
-        // skip work that a sequential run would never have reached.
-        let floor = AtomicUsize::new(usize::MAX);
-        let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
-
-        let per_worker: Vec<Vec<(usize, U)>> = thread::scope(|scope| {
+        let chunk_size = (count / (self.workers * 4)).max(1);
+        let queue = StealQueue::seed(self.workers, count, chunk_size);
+        let mut produced: Vec<(usize, R)> = thread::scope(|scope| {
             let handles: Vec<_> = (0..self.workers)
                 .map(|me| {
-                    let queue = &queue;
-                    let floor = &floor;
-                    let first_error = &first_error;
-                    let f = &f;
+                    let (queue, job) = (&queue, &job);
                     scope.spawn(move || {
                         let mut produced = Vec::new();
-                        while let Some(job) = queue.next_job(me) {
-                            // Work entirely above a known failure can be
-                            // dropped: the sequential loop would have stopped
-                            // before it.  Work below the floor must still run
-                            // (it may contain an even earlier error).
-                            if job.start > floor.load(Ordering::Relaxed) {
-                                continue;
-                            }
-                            for i in job {
-                                match f(i, &items[i]) {
-                                    Ok(value) => produced.push((i, value)),
-                                    Err(e) => {
-                                        let mut slot =
-                                            first_error.lock().unwrap_or_else(|p| p.into_inner());
-                                        if slot.as_ref().is_none_or(|(j, _)| i < *j) {
-                                            *slot = Some((i, e));
-                                            floor.fetch_min(i, Ordering::Relaxed);
-                                        }
-                                        break;
-                                    }
-                                }
-                            }
+                        while let Some(range) = queue.next_job(me) {
+                            produced.push((range.start, job(range)));
                         }
                         produced
                     })
@@ -150,31 +111,23 @@ impl ReEncryptEngine {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
-
-        if let Some((_, e)) = first_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            return Err(e);
-        }
-        let mut slots: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-        for (i, value) in per_worker.into_iter().flatten() {
-            debug_assert!(slots[i].is_none(), "index {i} produced twice");
-            slots[i] = Some(value);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("every index was either produced or an error was returned"))
-            .collect())
+        produced.sort_unstable_by_key(|(start, _)| *start);
+        produced.into_iter().map(|(_, out)| out).collect()
     }
 
-    /// Index-driven variant of [`Self::try_par_map`]: maps `f` over
-    /// `0..count` without materialising an item slice first.  Used by
-    /// callers whose "items" are positions into some shared structure — a
-    /// snapshot's blob table, a store's shard array — rather than a `&[T]`.
+    /// Maps the fallible `f` over `0..count` in parallel across the engine's
+    /// workers, returning the results in index order.  Callers' "items" are
+    /// positions into some shared structure — a snapshot's blob table, a
+    /// store's shard array.
     ///
-    /// Below the parallel threshold it runs on the calling thread with zero
-    /// allocation beyond the result vector.
+    /// If any application fails, the whole map fails with the error of the
+    /// **lowest failing index** — the error a sequential `for` loop would
+    /// have surfaced — and every already-computed result is discarded.
+    /// Below the parallel threshold it *is* that sequential loop, on the
+    /// calling thread.
     pub fn try_par_map_indices<U, E, F>(&self, count: usize, f: F) -> Result<Vec<U>, E>
     where
         U: Send,
@@ -184,8 +137,38 @@ impl ReEncryptEngine {
         if self.workers <= 1 || count < self.parallel_threshold() {
             return (0..count).map(&f).collect();
         }
-        let indices: Vec<usize> = (0..count).collect();
-        self.try_par_map(&indices, |_, &i| f(i))
+        // The lowest failing index seen so far, and its error.  `floor` is a
+        // monotonically decreasing copy of the index that workers poll to
+        // skip work that a sequential run would never have reached.
+        let floor = AtomicUsize::new(usize::MAX);
+        let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
+        let chunks = self.run_chunks(count, |range| {
+            // Work entirely above a known failure can be dropped: the
+            // sequential loop would have stopped before it.  Work below the
+            // floor must still run (it may contain an even earlier error).
+            if range.start > floor.load(Ordering::Relaxed) {
+                return Vec::new();
+            }
+            let mut out = Vec::with_capacity(range.len());
+            for i in range {
+                match f(i) {
+                    Ok(value) => out.push(value),
+                    Err(e) => {
+                        let mut slot = first_error.lock().unwrap_or_else(|p| p.into_inner());
+                        if slot.as_ref().is_none_or(|(j, _)| i < *j) {
+                            *slot = Some((i, e));
+                            floor.fetch_min(i, Ordering::Relaxed);
+                        }
+                        break;
+                    }
+                }
+            }
+            out
+        });
+        match first_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
+            Some((_, e)) => Err(e),
+            None => Ok(chunks.into_iter().flatten().collect()),
+        }
     }
 
     /// Chunk-level infallible map: `f` converts one contiguous index range
@@ -197,70 +180,25 @@ impl ReEncryptEngine {
     /// `f` must return exactly `range.len()` outputs for the range it was
     /// given; results are reassembled in input order.  Below the parallel
     /// threshold the whole input is handed to `f` as a single chunk on the
-    /// calling thread (maximal amortisation, zero threads).  A panic in `f`
-    /// propagates to the caller after all workers have stopped.
+    /// calling thread (maximal amortisation, zero threads).
     pub fn par_map_chunks<U, F>(&self, count: usize, f: F) -> Vec<U>
     where
         U: Send,
-        F: Fn(std::ops::Range<usize>) -> Vec<U> + Sync,
+        F: Fn(Range<usize>) -> Vec<U> + Sync,
     {
+        let checked = |range: Range<usize>| {
+            let expected = range.len();
+            let out = f(range);
+            debug_assert_eq!(out.len(), expected, "chunk map must be length-preserving");
+            out
+        };
         if self.workers <= 1 || count < self.parallel_threshold() {
-            let out = f(0..count);
-            debug_assert_eq!(out.len(), count, "chunk map must be length-preserving");
-            return out;
+            return checked(0..count);
         }
-        let chunk_size = (count / (self.workers * 4)).max(1);
-        let queue = StealQueue::seed(self.workers, count, chunk_size);
-        let per_worker: Vec<Vec<(usize, Vec<U>)>> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers)
-                .map(|me| {
-                    let queue = &queue;
-                    let f = &f;
-                    scope.spawn(move || {
-                        let mut produced = Vec::new();
-                        while let Some(job) = queue.next_job(me) {
-                            let start = job.start;
-                            let expected = job.len();
-                            let out = f(job);
-                            debug_assert_eq!(
-                                out.len(),
-                                expected,
-                                "chunk map must be length-preserving"
-                            );
-                            produced.push((start, out));
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        let mut chunks: Vec<(usize, Vec<U>)> = per_worker.into_iter().flatten().collect();
-        chunks.sort_unstable_by_key(|(start, _)| *start);
-        let mut out = Vec::with_capacity(count);
-        for (start, mut chunk) in chunks {
-            debug_assert_eq!(start, out.len(), "chunks must tile the input exactly");
-            out.append(&mut chunk);
-        }
-        out
-    }
-
-    /// Infallible variant of [`Self::try_par_map`].
-    pub fn par_map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        let result: Result<Vec<U>, std::convert::Infallible> =
-            self.try_par_map(items, |i, t| Ok(f(i, t)));
-        match result {
-            Ok(values) => values,
-            Err(never) => match never {},
-        }
+        self.run_chunks(count, checked)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 }
 
@@ -319,44 +257,22 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        for workers in [1, 2, 4, 7] {
-            let engine = ReEncryptEngine::new(workers);
-            let out = engine.par_map(&items, |i, &x| {
-                assert_eq!(i as u64, x);
-                x * x
-            });
-            assert_eq!(out, items.iter().map(|x| x * x).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn try_par_map_returns_the_lowest_index_error() {
-        let items: Vec<u64> = (0..512).collect();
         let engine = ReEncryptEngine::new(4);
-        // Fail on every multiple of 97; the sequential loop would report 0...
-        // so make 0 succeed and the real first failure be 97.
-        let result: Result<Vec<u64>, u64> =
-            engine.try_par_map(
-                &items,
-                |_, &x| {
-                    if x != 0 && x % 97 == 0 {
-                        Err(x)
-                    } else {
-                        Ok(x)
-                    }
-                },
-            );
+        // Fail on every multiple of 97 except 0: the sequential loop would
+        // report 97, whichever worker reaches a later multiple first.
+        let result: Result<Vec<usize>, usize> =
+            engine.try_par_map_indices(512, |i| if i != 0 && i % 97 == 0 { Err(i) } else { Ok(i) });
         assert_eq!(result.unwrap_err(), 97);
     }
 
     #[test]
     fn try_par_map_empty_and_tiny_inputs() {
         let engine = ReEncryptEngine::new(4);
-        let empty: Vec<u32> = Vec::new();
-        assert_eq!(engine.par_map(&empty, |_, &x| x), empty);
-        assert_eq!(engine.par_map(&[41u32], |_, &x| x + 1), vec![42]);
+        let empty: Result<Vec<u32>, ()> = engine.try_par_map_indices(0, |_| Ok(7));
+        assert_eq!(empty.unwrap(), Vec::<u32>::new());
+        let one: Result<Vec<usize>, ()> = engine.try_par_map_indices(1, |i| Ok(i + 42));
+        assert_eq!(one.unwrap(), vec![42]);
     }
 
     #[test]
@@ -373,8 +289,6 @@ mod tests {
                 }
             });
             assert_eq!(err.unwrap_err(), 100, "workers {workers}");
-            let empty: Result<Vec<usize>, ()> = engine.try_par_map_indices(0, Ok);
-            assert_eq!(empty.unwrap(), Vec::<usize>::new());
         }
     }
 
@@ -394,14 +308,13 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        let items: Vec<u32> = (0..256).collect();
         let engine = ReEncryptEngine::new(4);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.par_map(&items, |_, &x| {
-                if x == 128 {
+            engine.par_map_chunks(256, |range| {
+                if range.contains(&128) {
                     panic!("boom");
                 }
-                x
+                range.collect()
             })
         }));
         assert!(caught.is_err());

@@ -55,7 +55,7 @@ pub use fp::{Fp, FpCtx};
 pub use fp2::Fp2;
 pub use gt::Gt;
 pub use pairing::{pairing, pairing_unreduced};
-pub use params::{crypto_caches_enabled, set_crypto_caches_enabled, PairingParams, SecurityLevel};
+pub use params::{PairingParams, SecurityLevel};
 pub use precomp::{multi_pairing, G1Precomp, PreparedPairing};
 pub use scalar::{Scalar, ScalarCtx};
 pub use wire::DecodeCtx;

@@ -23,7 +23,6 @@ use crate::Result;
 use rand::rngs::StdRng;
 use rand::{CryptoRng, RngCore, SeedableRng};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use tibpre_bigint::prime::{generate_cofactor_prime, generate_prime};
 use tibpre_bigint::Uint;
@@ -229,25 +228,18 @@ impl PairingParams {
 
     /// Whether a `G1` point with this exact canonical encoding has already
     /// passed the subgroup check.  See the `g1_validated` field docs.
-    /// Always misses while [`crypto_caches_enabled`] is off.
     pub fn g1_subgroup_memo_contains(&self, encoded: &[u8]) -> bool {
-        crypto_caches_enabled()
-            && self
-                .g1_validated
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .contains(encoded)
+        self.g1_validated
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .contains(encoded)
     }
 
     /// Records a canonical encoding that passed the subgroup check.  The memo
     /// is bounded: when full it is cleared rather than grown, trading hit
-    /// rate for a hard memory cap.  A no-op while [`crypto_caches_enabled`]
-    /// is off.
+    /// rate for a hard memory cap.
     pub fn g1_subgroup_memo_insert(&self, encoded: &[u8]) {
         const MEMO_CAP: usize = 8192;
-        if !crypto_caches_enabled() {
-            return;
-        }
         let mut memo = self.g1_validated.lock().unwrap_or_else(|p| p.into_inner());
         if memo.len() >= MEMO_CAP {
             memo.clear();
@@ -434,31 +426,6 @@ impl PairingParams {
     pub fn scalar_byte_len(&self) -> usize {
         self.scalar_ctx.byte_len()
     }
-}
-
-/// The process-wide kill switch for the bit-identical crypto caches (the
-/// `G1` subgroup-validation memo here and the delegatee's per-key mask
-/// cache).  Caches are on by default; the `TIBPRE_NO_CRYPTO_CACHE`
-/// environment variable (any value) disables them at startup, and
-/// [`set_crypto_caches_enabled`] flips the switch at runtime.  The caches
-/// never change any output — the switch exists so benchmarks can reproduce
-/// the uncached per-request cost path and so deployments can trade the
-/// bounded cache memory away.
-fn crypto_caches_disabled_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| AtomicBool::new(std::env::var_os("TIBPRE_NO_CRYPTO_CACHE").is_some()))
-}
-
-/// Whether the bit-identical crypto caches (the `G1` subgroup-validation
-/// memo and the delegatee's per-key mask cache) are active.
-pub fn crypto_caches_enabled() -> bool {
-    !crypto_caches_disabled_flag().load(Ordering::Relaxed)
-}
-
-/// Enables or disables the crypto caches process-wide.  Outputs are
-/// unaffected either way; only timing and memory change.
-pub fn set_crypto_caches_enabled(enabled: bool) {
-    crypto_caches_disabled_flag().store(!enabled, Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -7,10 +7,11 @@
 //! proxy only exposes the categories whose keys it holds (Theorem 1), which is
 //! exactly what experiment E6 measures.
 //!
-//! A proxy can optionally be given a [`ReEncryptEngine`] (see
-//! [`ProxyService::with_engine`]); multi-record disclosures then fan out
-//! across the engine's workers, with output bit-identical to the sequential
-//! path.
+//! Every disclosure — one record, a scheduler batch, a whole category — is
+//! one run through [`ProxyService::disclose_batch`]'s path: one record fetch,
+//! one conversion per re-encryption key, one audit commit.  The conversions
+//! run on the proxy's [`ReEncryptEngine`] ([`ProxyService::set_engine`]
+//! sizes its worker pool; the output is bit-identical at every size).
 //!
 //! A proxy can also be opened *durably* ([`ProxyService::open`]): installed
 //! re-encryption keys and the proxy's own audit log are then written to a
@@ -85,6 +86,19 @@ impl tibpre_wire::WireDecode for DisclosureBundle {
     }
 }
 
+/// What one item of a disclosure run owes the audit trails.
+#[derive(Clone, Copy, PartialEq)]
+enum Mark {
+    /// Nothing logged (the record fetch itself failed).
+    Silent,
+    /// Store-side log only (patient mismatch logs no proxy event).
+    StoreOnly,
+    /// Proxy audit denial + store-side log.
+    Denied,
+    /// Proxy audit success + store-side log.
+    Granted,
+}
+
 /// A proxy service bound to one record source — an in-process
 /// [`EncryptedPhrStore`](crate::EncryptedPhrStore) or a client for a remote
 /// store node (any [`RecordSource`]).
@@ -103,26 +117,14 @@ pub struct ProxyService {
 }
 
 impl ProxyService {
-    /// Creates a proxy service with no keys installed.  Conversions run
-    /// sequentially; use [`Self::with_engine`] (or [`Self::set_engine`]) for
-    /// a multi-threaded proxy.
+    /// Creates a proxy service with no keys installed.  Conversions run on
+    /// the calling thread until [`Self::set_engine`] says otherwise.
     pub fn new(name: impl AsRef<str>, store: Arc<dyn RecordSource>) -> Self {
-        Self::with_engine(name, store, ReEncryptEngine::sequential())
-    }
-
-    /// Creates a proxy service whose multi-record disclosures fan out over
-    /// the given engine's workers.  An engine with one worker behaves exactly
-    /// like [`Self::new`].
-    pub fn with_engine(
-        name: impl AsRef<str>,
-        store: Arc<dyn RecordSource>,
-        engine: ReEncryptEngine,
-    ) -> Self {
         ProxyService {
             name: name.as_ref().to_string(),
             store,
             proxy: Proxy::new(name.as_ref()),
-            engine,
+            engine: ReEncryptEngine::sequential(),
             audit: Mutex::new(AuditLog::new()),
             wal: None,
             _wal_lock: None,
@@ -216,11 +218,6 @@ impl ProxyService {
     /// Replaces the re-encryption engine (e.g. to resize the worker pool).
     pub fn set_engine(&mut self, engine: ReEncryptEngine) {
         self.engine = engine;
-    }
-
-    /// The engine multi-record disclosures run on.
-    pub fn engine(&self) -> &ReEncryptEngine {
-        &self.engine
     }
 
     /// The proxy's display name.
@@ -318,91 +315,81 @@ impl ProxyService {
     }
 
     /// Handles a disclosure request: looks up the record, re-encrypts its KEM
-    /// header with the matching key, and logs the outcome.
+    /// header with the matching key, and logs the outcome — a run of one
+    /// through [`Self::disclose_batch`].
     pub fn disclose(
         &self,
         patient: &Identity,
         record_id: RecordId,
         requester: &Identity,
     ) -> Result<DisclosureBundle> {
-        let stored = self.store.get(record_id)?;
-        if &stored.patient != patient {
-            self.store.log_disclosure(record_id, requester, false);
-            return Err(PhrError::RecordNotFound);
-        }
-        let key = match self
-            .proxy
-            .key_for(patient, &stored.category.type_tag(), requester)
-        {
-            Some(key) => key,
-            None => {
-                self.record_denial(record_id, requester);
-                return Err(PhrError::AccessDenied {
-                    category: stored.category.label(),
-                    requester: requester.display(),
-                });
-            }
-        };
-        let ciphertext = hybrid::re_encrypt_hybrid(&stored.ciphertext, key).map_err(|e| {
-            self.record_denial(record_id, requester);
-            PhrError::Pre(e)
-        })?;
-        self.record_success(record_id, requester);
-        Ok(DisclosureBundle {
-            id: stored.id,
-            patient: stored.patient.clone(),
-            category: stored.category.clone(),
-            title: stored.title.clone(),
-            ciphertext,
-        })
+        self.disclose_batch(&[(patient.clone(), record_id, requester.clone())])
+            .pop()
+            .expect("one result per item")
     }
 
     /// Handles a run of *independent* disclosure requests as one batch —
     /// the seam the server's cross-request scheduler feeds.  Per item the
     /// observable behaviour (result value, proxy audit events, store-side
-    /// log entries, and their order) is exactly that of calling
-    /// [`Self::disclose`] sequentially in input order; what the batch
-    /// buys is amortization:
+    /// log entries, and their order) does not depend on how requests are
+    /// cut into runs; what a longer run buys is amortization:
     ///
     /// * all records are fetched through one [`RecordSource::get_many`]
     ///   call (a remote store answers the whole run pipelined),
-    /// * conversions sharing a re-encryption key run through the engine's
-    ///   batched path (shared pairing precomputation, bit-identical
-    ///   output),
+    /// * conversions sharing a re-encryption key run as one engine call
+    ///   (shared pairing precomputation, batched final exponentiation),
     /// * the audit writes are group-committed: one WAL commit and one
-    ///   batched store-side log run for the whole batch.
+    ///   [`RecordSource::log_disclosures`] run for the whole batch.
     ///
     /// The result vector has exactly one entry per input, in input order.
     pub fn disclose_batch(
         &self,
         items: &[(Identity, RecordId, Identity)],
     ) -> Vec<Result<DisclosureBundle>> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        if items.len() == 1 {
-            let (patient, id, requester) = &items[0];
-            return vec![self.disclose(patient, *id, requester)];
-        }
+        let (marks, results) = self.resolve(items);
+        self.log_run(items, &marks);
+        results
+    }
+
+    /// Discloses every record of one category the requester is entitled to,
+    /// all or nothing: the same run as [`Self::disclose_batch`] over the
+    /// category's records, except that one refused record refuses the whole
+    /// request — the error is that of the first record that failed, and the
+    /// audit trails name that record only (nothing was disclosed, so the
+    /// others have nothing to log).
+    pub fn disclose_category(
+        &self,
+        patient: &Identity,
+        category: &Category,
+        requester: &Identity,
+    ) -> Result<Vec<DisclosureBundle>> {
+        let items: Vec<(Identity, RecordId, Identity)> = self
+            .store
+            .list_for_patient_category(patient, category)?
+            .into_iter()
+            .map(|id| (patient.clone(), id, requester.clone()))
+            .collect();
+        let (marks, results) = self.resolve(&items);
+        let logged = match marks.iter().position(|mark| *mark != Mark::Granted) {
+            Some(failed) => failed..failed + 1,
+            None => 0..items.len(),
+        };
+        self.log_run(&items[logged.clone()], &marks[logged]);
+        results.into_iter().collect()
+    }
+
+    /// Resolves a run of disclosure requests without logging anything: one
+    /// [`RecordSource::get_many`], then per item the patient check and the
+    /// key lookup, then one conversion per key.  Returns, per item in input
+    /// order, what it owes the audit trails and its result.
+    fn resolve(
+        &self,
+        items: &[(Identity, RecordId, Identity)],
+    ) -> (Vec<Mark>, Vec<Result<DisclosureBundle>>) {
         let ids: Vec<RecordId> = items.iter().map(|(_, id, _)| *id).collect();
         let fetched = self.store.get_many(&ids);
 
-        /// What each item owes the audit trails, mirroring the branches of
-        /// [`ProxyService::disclose`].
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            /// Nothing logged (the record fetch itself failed).
-            Silent,
-            /// Store-side log only (patient mismatch logs no proxy event).
-            StoreOnly,
-            /// Proxy audit denial + store-side log.
-            Denied,
-            /// Proxy audit success + store-side log.
-            Granted,
-        }
-
-        let mut results: Vec<Option<Result<DisclosureBundle>>> = vec![None; items.len()];
-        let mut marks = vec![Mark::Silent; items.len()];
+        let mut resolved: Vec<Option<(Mark, Result<DisclosureBundle>)>> = vec![None; items.len()];
         // Items that resolved a key, grouped for batched conversion.  The
         // same (patient, type, requester) triple resolves to the same key
         // object, so pointer identity is the group key.
@@ -413,13 +400,12 @@ impl ProxyService {
             let stored = match fetched {
                 Ok(stored) => stored,
                 Err(e) => {
-                    results[i] = Some(Err(e));
+                    resolved[i] = Some((Mark::Silent, Err(e)));
                     continue;
                 }
             };
             if &stored.patient != patient {
-                marks[i] = Mark::StoreOnly;
-                results[i] = Some(Err(PhrError::RecordNotFound));
+                resolved[i] = Some((Mark::StoreOnly, Err(PhrError::RecordNotFound)));
                 continue;
             }
             match self
@@ -431,194 +417,94 @@ impl ProxyService {
                     None => groups.push((key, vec![(i, stored)])),
                 },
                 None => {
-                    marks[i] = Mark::Denied;
-                    results[i] = Some(Err(PhrError::AccessDenied {
+                    let denial = PhrError::AccessDenied {
                         category: stored.category.label(),
                         requester: requester.display(),
-                    }));
+                    };
+                    resolved[i] = Some((Mark::Denied, Err(denial)));
                 }
             }
         }
 
         for (key, members) in groups {
-            // The batch APIs fail atomically on the first mismatched type;
-            // the per-item contract is a per-item error.  Screen mismatched
-            // headers onto the single-record path so only clean members
-            // share the batch call.
-            let (clean, mismatched): (Vec<_>, Vec<_>) = members
+            // The conversion refuses a run atomically on the first header
+            // whose type is not the key's, and the contract here is per
+            // item: such a header goes in as a run of its own (and is
+            // refused alone), the rest share one call.
+            let (clean, odd): (Vec<_>, Vec<_>) = members
                 .into_iter()
                 .partition(|(_, stored)| stored.ciphertext.type_tag() == key.type_tag());
-            let mut convert_one = |i: usize, stored: &StoredRecord| match hybrid::re_encrypt_hybrid(
-                &stored.ciphertext,
-                key,
-            ) {
-                Ok(ciphertext) => {
-                    marks[i] = Mark::Granted;
-                    results[i] = Some(Ok(DisclosureBundle {
-                        id: stored.id,
-                        patient: stored.patient.clone(),
-                        category: stored.category.clone(),
-                        title: stored.title.clone(),
-                        ciphertext,
-                    }));
-                }
-                Err(e) => {
-                    marks[i] = Mark::Denied;
-                    results[i] = Some(Err(PhrError::Pre(e)));
-                }
-            };
-            for (i, stored) in &mismatched {
-                convert_one(*i, stored);
-            }
-            if clean.is_empty() {
-                continue;
-            }
-            match self
-                .engine
-                .re_encrypt_hybrid_batch(clean.iter().map(|(_, s)| &s.ciphertext), key)
-            {
-                Ok(converted) => {
-                    for ((i, stored), ciphertext) in clean.iter().zip(converted) {
-                        marks[*i] = Mark::Granted;
-                        results[*i] = Some(Ok(DisclosureBundle {
-                            id: stored.id,
-                            patient: stored.patient.clone(),
-                            category: stored.category.clone(),
-                            title: stored.title.clone(),
-                            ciphertext,
-                        }));
+            for run in odd.into_iter().map(|member| vec![member]).chain([clean]) {
+                let headers = run.iter().map(|(_, stored)| &stored.ciphertext);
+                match self.engine.re_encrypt_hybrid_batch(headers, key) {
+                    Ok(converted) => {
+                        for ((i, stored), ciphertext) in run.iter().zip(converted) {
+                            let bundle = DisclosureBundle {
+                                id: stored.id,
+                                patient: stored.patient.clone(),
+                                category: stored.category.clone(),
+                                title: stored.title.clone(),
+                                ciphertext,
+                            };
+                            resolved[*i] = Some((Mark::Granted, Ok(bundle)));
+                        }
                     }
-                }
-                Err(_) => {
-                    // Screening should make a failing batch unreachable;
-                    // fall back to per-item conversion so the batch path
-                    // can never change observable semantics.
-                    for (i, stored) in &clean {
-                        convert_one(*i, stored);
+                    Err(e) => {
+                        for (i, _) in &run {
+                            resolved[*i] = Some((Mark::Denied, Err(PhrError::Pre(e.clone()))));
+                        }
                     }
                 }
             }
         }
 
-        // One audit pass in input order: a single audit lock, a single WAL
-        // group commit, and a single batched store-side log run, producing
-        // exactly the events a sequential run would have.
+        resolved
+            .into_iter()
+            .map(|item| item.expect("every item resolved to a result"))
+            .unzip()
+    }
+
+    /// Logs a resolved run — the only place disclosure events are written:
+    /// one pass in input order under a single audit lock, one WAL group
+    /// commit, and one store-side log run.
+    fn log_run(&self, items: &[(Identity, RecordId, Identity)], marks: &[Mark]) {
         let mut store_entries: Vec<(RecordId, Identity, bool)> = Vec::new();
-        {
-            let mut audit = self.audit.lock();
-            let mut frames = Vec::new();
-            let mut events = Vec::new();
-            for ((_, id, requester), mark) in items.iter().zip(&marks) {
-                match mark {
-                    Mark::Silent => {}
-                    Mark::StoreOnly => store_entries.push((*id, requester.clone(), false)),
-                    Mark::Denied | Mark::Granted => {
-                        let granted = *mark == Mark::Granted;
-                        let at = audit.tick();
-                        let event = if granted {
-                            AuditEvent::DisclosurePerformed {
-                                id: *id,
-                                requester: requester.clone(),
-                                at,
-                            }
-                        } else {
-                            AuditEvent::DisclosureDenied {
-                                id: *id,
-                                requester: requester.clone(),
-                                at,
-                            }
-                        };
-                        if self.wal.is_some() {
-                            frames.push(
-                                ProxyWalOp::Audit {
-                                    event: event.clone(),
-                                }
-                                .to_bytes(),
-                            );
+        let mut frames = Vec::new();
+        let mut events = Vec::new();
+        let mut audit = self.audit.lock();
+        for ((_, id, requester), mark) in items.iter().zip(marks) {
+            let granted = *mark == Mark::Granted;
+            if *mark != Mark::Silent {
+                store_entries.push((*id, requester.clone(), granted));
+            }
+            if matches!(mark, Mark::Denied | Mark::Granted) {
+                let (id, requester, at) = (*id, requester.clone(), audit.tick());
+                let event = if granted {
+                    AuditEvent::DisclosurePerformed { id, requester, at }
+                } else {
+                    AuditEvent::DisclosureDenied { id, requester, at }
+                };
+                if self.wal.is_some() {
+                    frames.push(
+                        ProxyWalOp::Audit {
+                            event: event.clone(),
                         }
-                        events.push(event);
-                        store_entries.push((*id, requester.clone(), granted));
-                    }
+                        .to_bytes(),
+                    );
                 }
-            }
-            if !frames.is_empty() {
-                self.persist(&frames);
-            }
-            for event in events {
-                audit.append(event);
+                events.push(event);
             }
         }
+        if !frames.is_empty() {
+            self.persist(&frames);
+        }
+        for event in events {
+            audit.append(event);
+        }
+        drop(audit);
         if !store_entries.is_empty() {
             self.store.log_disclosures(&store_entries);
         }
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch item resolved to a result"))
-            .collect()
-    }
-
-    /// Discloses every record of one category the requester is entitled to.
-    ///
-    /// Multi-record disclosure goes through the batched re-encryption path:
-    /// the re-encryption key is looked up once and its one-time pairing
-    /// precomputation is shared across every record's KEM header, so a
-    /// category dump costs far less than the same number of single-record
-    /// [`Self::disclose`] calls used to.  On a proxy built with
-    /// [`Self::with_engine`], the batch additionally fans out across the
-    /// engine's workers (the result is bit-identical either way).
-    pub fn disclose_category(
-        &self,
-        patient: &Identity,
-        category: &Category,
-        requester: &Identity,
-    ) -> Result<Vec<DisclosureBundle>> {
-        let ids = self.store.list_for_patient_category(patient, category)?;
-        if ids.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut records = Vec::with_capacity(ids.len());
-        for id in ids {
-            let stored = self.store.get(id)?;
-            if &stored.patient != patient {
-                self.store.log_disclosure(id, requester, false);
-                return Err(PhrError::RecordNotFound);
-            }
-            records.push(stored);
-        }
-        let Some(key) = self.proxy.key_for(patient, &category.type_tag(), requester) else {
-            self.record_denial(records[0].id, requester);
-            return Err(PhrError::AccessDenied {
-                category: category.label(),
-                requester: requester.display(),
-            });
-        };
-        let converted = self
-            .engine
-            .re_encrypt_hybrid_batch(records.iter().map(|r| &r.ciphertext), key)
-            .map_err(|e| {
-                // Attribute the denial to the record that made the batch
-                // fail: the batch APIs fail atomically on the first (lowest
-                // index) header whose type does not match the key.
-                let failed = records
-                    .iter()
-                    .find(|r| r.ciphertext.type_tag() != key.type_tag())
-                    .unwrap_or(&records[0]);
-                self.record_denial(failed.id, requester);
-                PhrError::Pre(e)
-            })?;
-        let mut bundles = Vec::with_capacity(records.len());
-        for (stored, ciphertext) in records.into_iter().zip(converted) {
-            self.record_success(stored.id, requester);
-            bundles.push(DisclosureBundle {
-                id: stored.id,
-                patient: stored.patient.clone(),
-                category: stored.category.clone(),
-                title: stored.title.clone(),
-                ciphertext,
-            });
-        }
-        Ok(bundles)
     }
 
     /// What a *corrupted* proxy could do: try to convert every record of the
@@ -704,44 +590,6 @@ impl ProxyService {
     /// A snapshot of the proxy's own audit trail.
     pub fn audit_snapshot(&self) -> Vec<AuditEvent> {
         self.audit.lock().events().to_vec()
-    }
-
-    fn record_success(&self, record_id: RecordId, requester: &Identity) {
-        let mut audit = self.audit.lock();
-        let at = audit.tick();
-        let event = AuditEvent::DisclosurePerformed {
-            id: record_id,
-            requester: requester.clone(),
-            at,
-        };
-        if self.wal.is_some() {
-            self.persist(&[ProxyWalOp::Audit {
-                event: event.clone(),
-            }
-            .to_bytes()]);
-        }
-        audit.append(event);
-        drop(audit);
-        self.store.log_disclosure(record_id, requester, true);
-    }
-
-    fn record_denial(&self, record_id: RecordId, requester: &Identity) {
-        let mut audit = self.audit.lock();
-        let at = audit.tick();
-        let event = AuditEvent::DisclosureDenied {
-            id: record_id,
-            requester: requester.clone(),
-            at,
-        };
-        if self.wal.is_some() {
-            self.persist(&[ProxyWalOp::Audit {
-                event: event.clone(),
-            }
-            .to_bytes()]);
-        }
-        audit.append(event);
-        drop(audit);
-        self.store.log_disclosure(record_id, requester, false);
     }
 }
 

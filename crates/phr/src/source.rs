@@ -20,10 +20,18 @@ use std::sync::Arc;
 use tibpre_ibe::Identity;
 
 /// Read (and audit-log) access to an encrypted record collection, local or
-/// remote.
+/// remote.  Reads and disclosure logging are run-shaped — one call, one
+/// remote round of pipelined frames — and the single-item forms are runs of
+/// one.
 pub trait RecordSource: Send + Sync {
+    /// Fetches a run of records by id, one result per input id in input
+    /// order.
+    fn get_many(&self, ids: &[RecordId]) -> Vec<Result<Arc<StoredRecord>>>;
+
     /// Fetches one record by id.
-    fn get(&self, id: RecordId) -> Result<Arc<StoredRecord>>;
+    fn get(&self, id: RecordId) -> Result<Arc<StoredRecord>> {
+        self.get_many(&[id]).pop().expect("one result per id")
+    }
 
     /// All record ids owned by `patient`, in insertion order.
     fn list_for_patient(&self, patient: &Identity) -> Result<Vec<RecordId>>;
@@ -35,25 +43,13 @@ pub trait RecordSource: Send + Sync {
         category: &Category,
     ) -> Result<Vec<RecordId>>;
 
-    /// Fetches a run of records by id, one result per input id in input
-    /// order.  The default loops over [`RecordSource::get`]; a remote
-    /// source overrides this to pipeline the whole run over one
-    /// connection instead of paying a round trip per id.
-    fn get_many(&self, ids: &[RecordId]) -> Vec<Result<Arc<StoredRecord>>> {
-        ids.iter().map(|id| self.get(*id)).collect()
-    }
+    /// Records a run of disclosure attempts in the source's audit trail, in
+    /// order (best-effort).
+    fn log_disclosures(&self, entries: &[(RecordId, Identity, bool)]);
 
-    /// Records a disclosure attempt in the source's audit trail
-    /// (best-effort).
-    fn log_disclosure(&self, id: RecordId, requester: &Identity, granted: bool);
-
-    /// Records a run of disclosure attempts (best-effort), the batched
-    /// form of [`RecordSource::log_disclosure`].  The default loops; a
-    /// remote source overrides this to pipeline the run.
-    fn log_disclosures(&self, entries: &[(RecordId, Identity, bool)]) {
-        for (id, requester, granted) in entries {
-            self.log_disclosure(*id, requester, *granted);
-        }
+    /// Records one disclosure attempt (best-effort).
+    fn log_disclosure(&self, id: RecordId, requester: &Identity, granted: bool) {
+        self.log_disclosures(&[(id, requester.clone(), granted)]);
     }
 
     /// Records a policy change in the source's audit trail (best-effort).
@@ -67,8 +63,10 @@ pub trait RecordSource: Send + Sync {
 }
 
 impl RecordSource for EncryptedPhrStore {
-    fn get(&self, id: RecordId) -> Result<Arc<StoredRecord>> {
-        EncryptedPhrStore::get(self, id)
+    fn get_many(&self, ids: &[RecordId]) -> Vec<Result<Arc<StoredRecord>>> {
+        ids.iter()
+            .map(|id| EncryptedPhrStore::get(self, *id))
+            .collect()
     }
 
     fn list_for_patient(&self, patient: &Identity) -> Result<Vec<RecordId>> {
@@ -85,8 +83,10 @@ impl RecordSource for EncryptedPhrStore {
         ))
     }
 
-    fn log_disclosure(&self, id: RecordId, requester: &Identity, granted: bool) {
-        EncryptedPhrStore::log_disclosure(self, id, requester, granted)
+    fn log_disclosures(&self, entries: &[(RecordId, Identity, bool)]) {
+        for (id, requester, granted) in entries {
+            EncryptedPhrStore::log_disclosure(self, *id, requester, *granted);
+        }
     }
 
     fn log_policy_change(

@@ -256,9 +256,8 @@ impl EncryptedPhrStore {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "phr-store".to_string());
 
-        let indices: Vec<usize> = (0..shards).collect();
         let engine = ReEncryptEngine::from_env();
-        let recovered: Vec<Shard> = engine.try_par_map(&indices, |_, &i| {
+        let recovered: Vec<Shard> = engine.try_par_map_indices(shards, |i| {
             Self::recover_shard(dir, i, &durability, &engine)
         })?;
 

@@ -154,7 +154,7 @@ fn print_usage() {
          \x20 --write-timeout-secs <n>     response write limit (default 10)\n\
          \x20 --max-frame <bytes>          request frame cap (default 8 MiB)\n\
          \x20 --batch-max <n>              max requests per scheduler batch, proxy role\n\
-         \x20                              (default 16; 1 disables the scheduler)\n\
+         \x20                              (default 16, at least 1)\n\
          \x20 --batch-window-us <us>       linger for a partially filled batch under\n\
          \x20                              load (default 200)\n\
          \n\

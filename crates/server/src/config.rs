@@ -40,10 +40,7 @@ pub struct NodeConfig {
     pub write_timeout: Duration,
     /// Maximum accepted frame size, both directions.
     pub max_frame: usize,
-    /// Maximum requests per scheduler batch (proxy role).  `1` disables
-    /// the cross-request batch scheduler entirely: every request is
-    /// handled inline on its connection thread, the pre-scheduler
-    /// behaviour.
+    /// Maximum requests per scheduler batch (proxy role, at least 1).
     pub batch_max: usize,
     /// How long a *partially* filled batch may linger waiting for more
     /// requests.  A request arriving at an idle scheduler always
@@ -263,9 +260,11 @@ mod tests {
         .unwrap();
         assert_eq!(config.batch_max, 64);
         assert_eq!(config.batch_window, Duration::from_micros(500));
-        // batch_max 1 is the scheduler-off configuration, 0 is nonsense.
+        // batch_max 1 is a size like any other (the proxy schedules batches
+        // of one), 0 is nonsense.
+        let proxy_of_one = ["--role", "proxy", "--store", "127.0.0.1:7071"];
         assert_eq!(
-            parse(&["--role", "kgc", "--batch-max", "1"])
+            parse(&[&proxy_of_one[..], &["--batch-max", "1"]].concat())
                 .unwrap()
                 .batch_max,
             1

@@ -10,14 +10,13 @@
 //! idle poll, and a pipelined peer whose next frame is already buffered
 //! never re-enters the poll at all.
 //!
-//! On a proxy booted with `--batch-max > 1`, pairing-heavy requests
-//! (`Disclose` / `DiscloseCategory`) are not handled on the connection
-//! thread: readers submit them to the batch scheduler, which drains up
-//! to `batch_max` requests per tick across *all* connections and executes
-//! them as one engine batch.  Cheap requests bypass the queue and are
-//! answered inline.  Per-connection response order is preserved either way,
-//! because each reader enqueues its response slot with the writer before
-//! submitting.
+//! On a proxy, pairing-heavy requests (`Disclose` / `DiscloseCategory`) are
+//! not handled on the connection thread: readers submit them to the batch
+//! scheduler, which drains up to `batch_max` requests per tick across *all*
+//! connections and executes them as one engine batch.  Cheap requests bypass
+//! the queue and are answered inline.  Per-connection response order is
+//! preserved either way, because each reader enqueues its response slot with
+//! the writer before submitting.
 //!
 //! Shutdown — via [`crate::signal`] or a `Shutdown` frame — stops the
 //! accept loop, lets every in-flight request finish (including entries
@@ -115,7 +114,7 @@ struct Shared {
     config: NodeConfig,
     ctx: DecodeCtx,
     shutdown: AtomicBool,
-    /// The cross-request batch scheduler (proxy role with `batch_max > 1`).
+    /// The cross-request batch scheduler (proxy role).
     scheduler: Option<Arc<Scheduler>>,
     /// Joined by the accept loop on drain, after the scheduler stops.
     sched_thread: parking_lot::Mutex<Option<JoinHandle<()>>>,
@@ -262,8 +261,8 @@ pub fn start(config: NodeConfig) -> Result<NodeHandle, ServerError> {
     let addr = listener.local_addr()?;
 
     // The scheduler only pays off where batches reach the pairing-heavy
-    // engine paths — the proxy role.  `--batch-max 1` turns it off.
-    let scheduler = (config.role == NodeRole::Proxy && config.batch_max > 1)
+    // engine paths — the proxy role.
+    let scheduler = (config.role == NodeRole::Proxy)
         .then(|| Scheduler::new(config.batch_max, config.batch_window));
 
     let shared = Arc::new(Shared {
@@ -588,11 +587,12 @@ fn read_loop(
                     }
                     true
                 }
-                Some(_) => {
-                    metrics::note_bypass();
+                scheduler => {
+                    if scheduler.is_some() {
+                        metrics::note_bypass();
+                    }
                     enqueue_response(tx, shared.service.handle(other))
                 }
-                None => enqueue_response(tx, shared.service.handle(other)),
             },
         };
         if !alive {

@@ -238,39 +238,39 @@ mod tests {
 
     #[test]
     fn batches_respect_batch_max_and_answer_everything() {
-        let sched = Scheduler::new(3, Duration::from_micros(200));
-        let slots: Vec<_> = (0..7).map(|_| ResponseSlot::empty()).collect();
-        for slot in &slots {
-            sched
-                .submit(BatchEntry {
-                    request: Request::Ping,
-                    slot: Arc::clone(slot),
-                })
-                .unwrap_or_else(|_| panic!("fresh scheduler rejected a submission"));
-        }
-        let runner = Arc::clone(&sched);
-        let handle = std::thread::spawn(move || {
-            runner.run(|requests| {
-                assert!(requests.len() <= 3, "batch exceeded batch_max");
-                requests
-                    .iter()
-                    .map(|_| Response::Count(requests.len() as u64))
-                    .collect()
+        // 1 is a size like any other: batches of one.
+        for batch_max in [1, 3] {
+            let sched = Scheduler::new(batch_max, Duration::from_micros(200));
+            let slots: Vec<_> = (0..7).map(|_| ResponseSlot::empty()).collect();
+            for slot in &slots {
+                sched
+                    .submit(BatchEntry {
+                        request: Request::Ping,
+                        slot: Arc::clone(slot),
+                    })
+                    .unwrap_or_else(|_| panic!("fresh scheduler rejected a submission"));
+            }
+            let runner = Arc::clone(&sched);
+            let handle = std::thread::spawn(move || {
+                runner.run(|requests| {
+                    assert!(requests.len() <= batch_max, "batch exceeded batch_max");
+                    requests
+                        .iter()
+                        .map(|_| Response::Count(requests.len() as u64))
+                        .collect()
+                });
             });
-        });
-        // Every slot is answered with its batch's size; sizes never exceed
-        // the cap and sum to the submission count.
-        let sizes: Vec<u64> = slots
-            .iter()
-            .map(|slot| match slot.wait_take() {
-                Response::Count(n) => n,
-                other => panic!("wrong response: {other:?}"),
-            })
-            .collect();
-        assert_eq!(sizes.iter().filter(|&&n| n == 0).count(), 0);
-        assert!(sizes.iter().all(|&n| n <= 3));
-        sched.stop();
-        handle.join().unwrap();
+            // Every slot is answered with its batch's size; sizes never
+            // exceed the cap.
+            for slot in &slots {
+                match slot.wait_take() {
+                    Response::Count(n) => assert!((1..=batch_max as u64).contains(&n)),
+                    other => panic!("wrong response: {other:?}"),
+                }
+            }
+            sched.stop();
+            handle.join().unwrap();
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Request dispatch for the three node roles.
 //!
-//! [`RoleService::handle`] is the single seam between the wire protocol and
-//! the in-process scheme objects: it maps each [`Request`] onto the
+//! [`RoleService::handle_batch`] is the single seam between the wire protocol
+//! and the in-process scheme objects: it maps each [`Request`] onto the
 //! [`Kgc`] / [`EncryptedPhrStore`] / [`ProxyService`] call it names, and
 //! maps every failure — including a panic in the handler — onto a
 //! [`Response::Error`], so a connection thread can never poison the node.
@@ -69,31 +69,24 @@ impl RoleService {
         self.replica().is_none_or(|control| control.writable())
     }
 
-    /// Handles one request.  Never panics: a panicking handler is reported
-    /// as [`RemoteError::Internal`] and the connection stays usable.
+    /// Handles one request: a batch of one through [`Self::handle_batch`].
     pub fn handle(&self, request: Request) -> Response {
-        let role = self.role();
-        catch_unwind(AssertUnwindSafe(|| self.dispatch(request))).unwrap_or_else(|_| {
-            Response::Error(RemoteError::Internal(format!(
-                "request handler panicked on the {} node",
-                role.name()
-            )))
-        })
+        self.handle_batch(vec![request])
+            .pop()
+            .expect("one response per request")
     }
 
-    /// Handles a scheduler batch of independent requests: exactly one
-    /// response per request, in request order.  On a proxy, `Disclose`
-    /// requests collapse into one
-    /// [`ProxyService::disclose_batch`] call (shared key lookups, batched
-    /// pairing work, group-committed audit writes); everything else
-    /// dispatches per item.  Never panics, like [`Self::handle`].
+    /// Handles a batch of independent requests: exactly one response per
+    /// request, in request order.  Never panics: a panicking handler is
+    /// reported as [`RemoteError::Internal`] on every request of the batch
+    /// and the connections stay usable.
     pub fn handle_batch(&self, requests: Vec<Request>) -> Vec<Response> {
         let role = self.role();
         let len = requests.len();
         catch_unwind(AssertUnwindSafe(|| self.dispatch_batch(requests))).unwrap_or_else(|_| {
             vec![
                 Response::Error(RemoteError::Internal(format!(
-                    "batch handler panicked on the {} node",
+                    "request handler panicked on the {} node",
                     role.name()
                 )));
                 len
@@ -101,19 +94,17 @@ impl RoleService {
         })
     }
 
+    /// On a proxy, the batch's `Disclose` requests collapse into one
+    /// [`ProxyService::disclose_batch`] call (one record fetch, batched
+    /// pairing work, group-committed audit writes) — the only place a
+    /// `Disclose` is served; everything else dispatches per item.
     fn dispatch_batch(&self, requests: Vec<Request>) -> Vec<Response> {
         let RoleService::Proxy(proxy) = self else {
             return requests.into_iter().map(|r| self.dispatch(r)).collect();
         };
-        /// Where each batch position gets its response from.
-        enum Plan {
-            /// The n-th entry of the collapsed `disclose_batch` call.
-            Disclose,
-            /// Dispatched individually.
-            Inline(Request),
-        }
         let mut items: Vec<(Identity, RecordId, Identity)> = Vec::new();
-        let mut plan: Vec<Plan> = Vec::with_capacity(requests.len());
+        // `None` marks a position answered by the collapsed call.
+        let mut inline: Vec<Option<Request>> = Vec::with_capacity(requests.len());
         for request in requests {
             match request {
                 Request::Disclose {
@@ -122,9 +113,9 @@ impl RoleService {
                     requester,
                 } => {
                     items.push((patient, id, requester));
-                    plan.push(Plan::Disclose);
+                    inline.push(None);
                 }
-                other => plan.push(Plan::Inline(other)),
+                other => inline.push(Some(other)),
             }
         }
         // The read guard spans only the collapsed call: inline entries may
@@ -135,16 +126,17 @@ impl RoleService {
             proxy.read().disclose_batch(&items)
         }
         .into_iter();
-        plan.into_iter()
+        inline
+            .into_iter()
             .map(|entry| match entry {
-                Plan::Disclose => match disclosed.next() {
+                Some(request) => self.dispatch(request),
+                None => match disclosed.next() {
                     Some(Ok(bundle)) => Response::Bundle(Box::new(bundle)),
                     Some(Err(e)) => Response::Error(RemoteError::from_phr(&e)),
                     None => Response::Error(RemoteError::Internal(
                         "disclose batch returned too few results".to_string(),
                     )),
                 },
-                Plan::Inline(request) => self.dispatch(request),
             })
             .collect()
     }
@@ -274,6 +266,8 @@ impl RoleService {
         }
     }
 
+    /// Everything a proxy serves except `Disclose`, which
+    /// [`Self::dispatch_batch`] has already collapsed.
     fn dispatch_proxy(proxy: &RwLock<ProxyService>, request: Request) -> Response {
         match request {
             Request::InstallKey { key } => {
@@ -291,14 +285,6 @@ impl RoleService {
                 grantee,
             } => Response::Bool(proxy.read().has_grant(&patient, &category, &grantee)),
             Request::KeyCount => Response::Count(proxy.read().key_count() as u64),
-            Request::Disclose {
-                patient,
-                id,
-                requester,
-            } => match proxy.read().disclose(&patient, id, &requester) {
-                Ok(bundle) => Response::Bundle(Box::new(bundle)),
-                Err(e) => Response::Error(RemoteError::from_phr(&e)),
-            },
             Request::DiscloseCategory {
                 patient,
                 category,

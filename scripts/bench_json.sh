@@ -18,7 +18,6 @@ benches=(
   e12_resident
   e13_server
   e15_multipairing
-  e16_coalesce
 )
 
 filter="${1:-}"

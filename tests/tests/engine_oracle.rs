@@ -1,7 +1,7 @@
 //! Engine-vs-sequential oracle: the multi-threaded `ReEncryptEngine` must be
-//! a pure speedup over the sequential batch APIs of `tibpre-core` — same
-//! ordering, same first-error, byte-identical ciphertexts — for every worker
-//! count and batch shape.
+//! a pure speedup over one `hybrid::re_encrypt_hybrid_batch` call of
+//! `tibpre-core` — same ordering, same first-error, byte-identical
+//! ciphertexts — for every worker count and batch shape.
 //!
 //! Uses the cached toy parameter set; each case converts a whole batch twice
 //! (sequentially and through the engine), so the case counts are modest.
@@ -9,14 +9,12 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
-use tibpre_core::{hybrid, proxy, Delegatee, Delegator, ReEncryptionKey, TypeTag};
+use tibpre_core::{hybrid, Delegatee, Delegator, PreError, ReEncryptionKey, TypeTag};
 use tibpre_engine::ReEncryptEngine;
 use tibpre_ibe::{Identity, Kgc};
 use tibpre_pairing::PairingParams;
 
 struct World {
-    params: Arc<PairingParams>,
     delegator: Delegator,
     delegatee: Delegatee,
     rekey: ReEncryptionKey,
@@ -28,7 +26,7 @@ fn world(seed: u64) -> World {
     let params = PairingParams::insecure_toy();
     let mut rng = StdRng::seed_from_u64(seed);
     let kgc1 = Kgc::setup(params.clone(), "kgc1", &mut rng);
-    let kgc2 = Kgc::setup(params.clone(), "kgc2", &mut rng);
+    let kgc2 = Kgc::setup(params, "kgc2", &mut rng);
     let alice = Identity::new("alice");
     let bob = Identity::new("bob");
     let delegator = Delegator::new(kgc1.public_params().clone(), kgc1.extract(&alice));
@@ -37,7 +35,6 @@ fn world(seed: u64) -> World {
         .make_reencryption_key(&bob, kgc2.public_params(), &type_tag, &mut rng)
         .expect("shared parameters");
     World {
-        params,
         delegator,
         delegatee: Delegatee::new(kgc2.extract(&bob)),
         rekey,
@@ -70,32 +67,8 @@ fn engine_from_env_matches_sequential() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Typed batches: for every worker count the engine output is
-    /// byte-identical to the sequential `proxy::re_encrypt_batch`, and the
-    /// results decrypt to the original messages.
-    #[test]
-    fn engine_batch_is_bit_identical(seed in any::<u64>(), len in 0usize..24, workers in 2usize..5) {
-        let mut w = world(seed);
-        let messages: Vec<_> = (0..len).map(|_| w.params.random_gt(&mut w.rng)).collect();
-        let batch: Vec<_> = messages
-            .iter()
-            .map(|m| w.delegator.encrypt_typed(m, &w.type_tag, &mut w.rng))
-            .collect();
-
-        let sequential = proxy::re_encrypt_batch(&batch, &w.rekey).unwrap();
-        let engine = ReEncryptEngine::new(workers);
-        let parallel = engine.re_encrypt_batch(&batch, &w.rekey).unwrap();
-
-        prop_assert_eq!(parallel.len(), sequential.len());
-        for (p, s) in parallel.iter().zip(&sequential) {
-            prop_assert_eq!(p.to_bytes(), s.to_bytes());
-        }
-        for (m, ct) in messages.iter().zip(&parallel) {
-            prop_assert_eq!(&w.delegatee.decrypt_reencrypted(ct).unwrap(), m);
-        }
-    }
-
-    /// Hybrid batches: same oracle over the KEM/DEM path the PHR proxy uses.
+    /// Hybrid batches: for every worker count the engine output equals the
+    /// sequential call's, and the results decrypt to the original payloads.
     #[test]
     fn engine_hybrid_batch_is_bit_identical(seed in any::<u64>(), len in 0usize..16, workers in 2usize..5) {
         let mut w = world(seed);
@@ -114,24 +87,35 @@ proptest! {
         }
     }
 
-    /// A batch with one foreign-type ciphertext fails atomically with the
-    /// same error (same offending type, no partial output) at every worker
-    /// count — the engine preserves the sequential first-error semantics.
+    /// A batch with foreign-type ciphertexts fails atomically with the error
+    /// of the lowest offending index (its type, not the last item's; no
+    /// partial output) at every worker count — the engine preserves the
+    /// sequential first-error semantics.
     #[test]
     fn engine_error_parity_on_mixed_batches(seed in any::<u64>(), len in 2usize..12, bad_at in 0usize..12, workers in 2usize..5) {
         let mut w = world(seed);
         let bad_at = bad_at % len;
-        let m = w.params.random_gt(&mut w.rng);
         let batch: Vec<_> = (0..len)
             .map(|i| {
-                let tag = if i == bad_at { TypeTag::new("diet") } else { w.type_tag.clone() };
-                w.delegator.encrypt_typed(&m, &tag, &mut w.rng)
+                let tag = if i == bad_at {
+                    TypeTag::new("diet")
+                } else if i == len - 1 {
+                    TypeTag::new("imaging")
+                } else {
+                    w.type_tag.clone()
+                };
+                w.delegator.encrypt_bytes(b"m", b"oracle", &tag, &mut w.rng)
             })
             .collect();
 
-        let sequential = proxy::re_encrypt_batch(&batch, &w.rekey).unwrap_err();
+        let sequential = hybrid::re_encrypt_hybrid_batch(&batch, &w.rekey).unwrap_err();
+        // `bad_at` is never above the trailing foreign item.
+        prop_assert!(matches!(
+            &sequential,
+            PreError::TypeMismatch { ciphertext_type, .. } if ciphertext_type == "diet"
+        ));
         let engine = ReEncryptEngine::new(workers);
-        let parallel = engine.re_encrypt_batch(&batch, &w.rekey).unwrap_err();
+        let parallel = engine.re_encrypt_hybrid_batch(&batch, &w.rekey).unwrap_err();
         prop_assert_eq!(parallel, sequential);
     }
 }

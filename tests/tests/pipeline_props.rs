@@ -1,7 +1,7 @@
 //! Properties of the pipelined node layer: per-connection response order,
-//! byte-identity against a sequential oracle, fault tolerance with the
-//! batch scheduler enabled, the buffered-frame fast path, and graceful
-//! drain of a non-empty scheduler queue.
+//! byte-identity against a sequential oracle at every batch size, fault
+//! tolerance of the scheduling node, the buffered-frame fast path, and
+//! graceful drain of a non-empty scheduler queue.
 //!
 //! All traffic runs through real TCP against in-process nodes at the toy
 //! level.  Disclosure is deterministic (no proxy-side randomness), so the
@@ -158,18 +158,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// N connections pipeline randomized request mixes concurrently through
-    /// one scheduler-enabled proxy, each flushing random-sized chunks.
-    /// Every connection's responses come back in its own request order and
-    /// byte-identical to the sequential oracle.
+    /// one proxy, each flushing random-sized chunks.  Every connection's
+    /// responses come back in its own request order and byte-identical to
+    /// the sequential oracle — whether the scheduler cuts batches of one or
+    /// of up to four (`batch_max` is a size, not a mode).
     #[test]
     fn pipelined_interleavings_preserve_order_and_match_the_oracle(
         seed in any::<u64>(),
+        wide in any::<bool>(),
         scripts in proptest::collection::vec(
             proptest::collection::vec(any::<u16>(), 1..10),
             2..4,
         ),
     ) {
-        let fixture = Fixture::boot(3, 2, 4, None);
+        let fixture = Fixture::boot(3, 2, if wide { 4 } else { 1 }, None);
         let sequences: Vec<Vec<Request>> = scripts
             .iter()
             .map(|script| {
@@ -279,7 +281,7 @@ fn buffered_back_to_back_frames_skip_the_idle_poll() {
     fixture.shut_down();
 }
 
-/// The fault suite with the scheduler enabled: a torn frame and a client
+/// The fault suite against the scheduling proxy: a torn frame and a client
 /// that vanishes mid-pipeline must leave the node able to serve the next
 /// connection correctly.
 #[test]
