@@ -1,0 +1,354 @@
+//! Limb kernels behind [`MontCtx`](crate::MontCtx) and
+//! [`WideAcc`](crate::WideAcc): every multiply, square, wide reduction and
+//! accumulation exists twice.
+//!
+//! * A **fixed-width** kernel, generic over `const N: usize`, whose loops
+//!   have compile-time trip counts over `[u64; N]` arrays — the compiler
+//!   unrolls them, keeps the running product in registers and drops every
+//!   bounds check.
+//! * A **runtime-width** loop over the first `n` limbs of the same buffers,
+//!   which serves every other modulus width (the scalar field's one- and
+//!   four-limb orders, custom parameters) and is the oracle the fixed
+//!   kernels are tested against, limb for limb.
+//!
+//! [`by_width!`] is the one place that maps a modulus width to a kernel:
+//! the widths listed there are those of the four security levels' field
+//! primes (192, 512, 1024 and 1536 bits).  The width is a property of the
+//! modulus, never a setting.
+//!
+//! All kernels expect operands `< m` (so limbs at and above the width are
+//! zero) and return canonical residues: `< m`, upper limbs zero.
+
+// Carry chains index several arrays by the same position; iterator zips
+// would hide which limb a carry leaves and which it enters.
+#![allow(clippy::needless_range_loop)]
+
+use crate::limb::{adc, mac};
+use crate::uint::{Uint, WIDE_LIMBS};
+
+/// Runs `$fixed` with the const `$N` bound to the width when `$n` is one of
+/// the field-prime widths, and `$runtime` for any other width.
+macro_rules! by_width {
+    ($n:expr, $N:ident => $fixed:expr, _ => $runtime:expr $(,)?) => {
+        match $n {
+            3 => {
+                const $N: usize = 3;
+                $fixed
+            }
+            8 => {
+                const $N: usize = 8;
+                $fixed
+            }
+            16 => {
+                const $N: usize = 16;
+                $fixed
+            }
+            24 => {
+                const $N: usize = 24;
+                $fixed
+            }
+            _ => $runtime,
+        }
+    };
+}
+pub(crate) use by_width;
+
+/// `a < b` for equal-length little-endian limb slices.
+#[inline(always)]
+pub(crate) fn lt(a: &[u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    for i in (0..a.len()).rev() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+    }
+    false
+}
+
+/// `a += b` over equal-length slices; returns the carry out.
+#[inline(always)]
+pub(crate) fn add_assign(a: &mut [u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        (*x, carry) = x.carrying_add(y, carry);
+    }
+    carry
+}
+
+/// `a -= b` over equal-length slices; returns the borrow out.
+#[inline(always)]
+pub(crate) fn sub_assign(a: &mut [u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        (*x, borrow) = x.borrowing_sub(y, borrow);
+    }
+    borrow
+}
+
+/// Brings `top·2^(64·len) + r` below `m` by repeated subtraction; the
+/// caller guarantees the value is a small multiple of `m` (at most
+/// `terms + 1` for a reduced sum of `terms` products, 2 for a product).
+#[inline(always)]
+fn canonicalise(r: &mut [u64], mut top: u64, m: &[u64]) {
+    while top != 0 || !lt(r, m) {
+        top -= u64::from(sub_assign(r, m));
+    }
+}
+
+/// The first `N` limbs of `x` as an array.
+#[inline(always)]
+fn head<const N: usize>(x: &Uint) -> &[u64; N] {
+    x.limbs[..N]
+        .try_into()
+        .expect("a dispatched width is below MAX_LIMBS")
+}
+
+/// A canonical `Uint` from the `N`-limb value `top·2^(64N) + r`, which is
+/// below a small multiple of `m`.
+#[inline(always)]
+fn finish<const N: usize>(r: [u64; N], top: u64, m: &[u64; N]) -> Uint {
+    let mut out = Uint::ZERO;
+    out.limbs[..N].copy_from_slice(&r);
+    canonicalise(&mut out.limbs[..N], top, m);
+    out
+}
+
+// ---------------------------------------------------------------------
+// Modular add / sub / neg: one n-limb implementation for every width.
+// ---------------------------------------------------------------------
+
+/// `a + b mod m` over `n` limbs.
+pub(crate) fn mod_add(a: &Uint, b: &Uint, m: &Uint, n: usize) -> Uint {
+    let mut out = Uint::ZERO;
+    let (r, m) = (&mut out.limbs[..n], &m.limbs[..n]);
+    let mut carry = false;
+    for ((o, &x), &y) in r.iter_mut().zip(&a.limbs[..n]).zip(&b.limbs[..n]) {
+        (*o, carry) = x.carrying_add(y, carry);
+    }
+    // a + b < 2m: one conditional subtraction.
+    if carry || !lt(r, m) {
+        sub_assign(r, m);
+    }
+    out
+}
+
+/// `a − b mod m` over `n` limbs.
+pub(crate) fn mod_sub(a: &Uint, b: &Uint, m: &Uint, n: usize) -> Uint {
+    let mut out = Uint::ZERO;
+    let r = &mut out.limbs[..n];
+    let mut borrow = false;
+    for ((o, &x), &y) in r.iter_mut().zip(&a.limbs[..n]).zip(&b.limbs[..n]) {
+        (*o, borrow) = x.borrowing_sub(y, borrow);
+    }
+    if borrow {
+        add_assign(r, &m.limbs[..n]);
+    }
+    out
+}
+
+/// `−a mod m` over `n` limbs.
+pub(crate) fn mod_neg(a: &Uint, m: &Uint, n: usize) -> Uint {
+    if a.limbs[..n].iter().all(|&l| l == 0) {
+        return Uint::ZERO;
+    }
+    mod_sub(m, a, m, n)
+}
+
+// ---------------------------------------------------------------------
+// Fixed-width kernels.
+// ---------------------------------------------------------------------
+
+/// CIOS Montgomery multiplication `a·b·R⁻¹ mod m`, `R = 2^(64N)`.
+///
+/// The running value `t` has `N + 2` limbs; the two above `t[N−1]` live in
+/// scalars so the array stays `[u64; N]`.
+pub(crate) fn mul_fixed<const N: usize>(a: &Uint, b: &Uint, m: &Uint, n0: u64) -> Uint {
+    let (a, b, m) = (head::<N>(a), head::<N>(b), head::<N>(m));
+    let mut t = [0u64; N];
+    let mut top = 0u64;
+    for i in 0..N {
+        // t += a · b[i]
+        let mut carry = 0;
+        for j in 0..N {
+            (t[j], carry) = mac(t[j], a[j], b[i], carry);
+        }
+        let (t_n, t_n1) = adc(top, carry, 0);
+        // t = (t + q·m) / 2^64 with q chosen to zero the low limb.
+        let q = t[0].wrapping_mul(n0);
+        let (_, mut carry) = mac(t[0], q, m[0], 0);
+        for j in 1..N {
+            (t[j - 1], carry) = mac(t[j], q, m[j], carry);
+        }
+        let (lo, hi) = adc(t_n, carry, 0);
+        t[N - 1] = lo;
+        top = t_n1 + hi;
+    }
+    finish(t, top, m)
+}
+
+/// Montgomery squaring `a²·R⁻¹ mod m`: the `N(N−1)/2` cross products are
+/// computed once and doubled, the `N` diagonal squares added, and the
+/// `W = 2N`-limb square is reduced by [`redc`].
+pub(crate) fn sqr_fixed<const N: usize, const W: usize>(a: &Uint, m: &Uint, n0: u64) -> Uint {
+    const { assert!(W == 2 * N) };
+    let (a, m) = (head::<N>(a), head::<N>(m));
+    let mut t = [0u64; W];
+    for i in 0..N {
+        let mut carry = 0;
+        for j in i + 1..N {
+            (t[i + j], carry) = mac(t[i + j], a[i], a[j], carry);
+        }
+        t[i + N] = carry;
+    }
+    // t ← 2·t + Σ a[i]²·2^(128i), two limbs per step.  The cross sum is
+    // below 2^(128N − 1), so doubling loses no bit.
+    let (mut msb, mut carry) = (0, 0);
+    for i in 0..N {
+        let (even, odd) = (t[2 * i], t[2 * i + 1]);
+        let (lo, hi) = mac((even << 1) | msb, a[i], a[i], carry);
+        t[2 * i] = lo;
+        (t[2 * i + 1], carry) = adc((odd << 1) | (even >> 63), hi, 0);
+        msb = odd >> 63;
+    }
+    debug_assert_eq!(carry, 0);
+    let (r, top) = redc(halves::<N>(&t), m, n0);
+    finish(r, top, m)
+}
+
+/// The low and high `N` limbs of a buffer of at least `2N`.
+#[inline(always)]
+fn halves<const N: usize>(t: &[u64]) -> (&[u64; N], &[u64; N]) {
+    let (low, high) = t[..2 * N].split_at(N);
+    (
+        low.try_into().expect("split at N"),
+        high.try_into().expect("2N − N limbs"),
+    )
+}
+
+/// Word-by-word Montgomery reduction of the `2N`-limb value `(low, high)`:
+/// `N` times, add the multiple of `m` that zeroes the lowest limb and drop
+/// that limb.  The running value lives in an `N`-limb window that slides up
+/// one limb per step, taking in the next limb of `high`.  Returns
+/// `(low, high)/R` as `N` limbs and a carry limb.
+#[inline(always)]
+fn redc<const N: usize>(
+    (low, high): (&[u64; N], &[u64; N]),
+    m: &[u64; N],
+    n0: u64,
+) -> ([u64; N], u64) {
+    let mut t = *low;
+    let mut carry_up = 0;
+    for i in 0..N {
+        let q = t[0].wrapping_mul(n0);
+        let (_, mut carry) = mac(t[0], q, m[0], 0);
+        for j in 1..N {
+            (t[j - 1], carry) = mac(t[j], q, m[j], carry);
+        }
+        // The row's carry lands on limb i + N, which enters the window now;
+        // what that addition carries out is due one limb higher, where the
+        // next row's carry lands too.
+        (t[N - 1], carry_up) = adc(high[i], carry, carry_up);
+    }
+    (t, carry_up)
+}
+
+/// Montgomery reduction `acc·R⁻¹ mod m` of an accumulated sum of products.
+pub(crate) fn reduce_fixed<const N: usize>(acc: &[u64; WIDE_LIMBS], m: &Uint, n0: u64) -> Uint {
+    let m = head::<N>(m);
+    debug_assert!(acc[2 * N + 1..].iter().all(|&l| l == 0));
+    let (r, carry) = redc(halves::<N>(acc), m, n0);
+    // The sum is below terms·m², so acc/R is below (terms + 1)·m: it spills
+    // into one limb above the N-limb result, never two.
+    finish(r, acc[2 * N] + carry, m)
+}
+
+/// `acc += a·b` (schoolbook, unreduced).
+pub(crate) fn accumulate_fixed<const N: usize>(acc: &mut [u64; WIDE_LIMBS], a: &Uint, b: &Uint) {
+    let (a, b) = (head::<N>(a), head::<N>(b));
+    let mut carry_up = 0;
+    for i in 0..N {
+        let mut carry = 0;
+        for j in 0..N {
+            (acc[i + j], carry) = mac(acc[i + j], a[j], b[i], carry);
+        }
+        (acc[i + N], carry_up) = adc(acc[i + N], carry, carry_up);
+    }
+    ripple(acc, 2 * N, carry_up);
+}
+
+/// Propagates `carry` into `acc[k..]` (the headroom limbs).
+#[inline(always)]
+fn ripple(acc: &mut [u64; WIDE_LIMBS], mut k: usize, mut carry: u64) {
+    while carry != 0 {
+        (acc[k], carry) = adc(acc[k], carry, 0);
+        k += 1;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Runtime-width loops: the same algorithms over `n` limbs of full-capacity
+// buffers.  Squaring at a runtime width is `mul_runtime(a, a)`.
+// ---------------------------------------------------------------------
+
+/// CIOS Montgomery multiplication over `n` limbs.
+pub(crate) fn mul_runtime(a: &Uint, b: &Uint, m: &Uint, n0: u64, n: usize) -> Uint {
+    let (al, bl, ml) = (&a.limbs[..n], &b.limbs[..n], &m.limbs[..n]);
+    // t has n + 2 significant limbs during the loop; n < MAX_LIMBS, so the
+    // top two fit in the capacity of a Uint plus one scalar.
+    let mut out = Uint::ZERO;
+    let t = &mut out.limbs;
+    let mut top = 0u64;
+    for &bi in bl {
+        let mut carry = 0;
+        for j in 0..n {
+            (t[j], carry) = mac(t[j], al[j], bi, carry);
+        }
+        let (t_n, t_n1) = adc(top, carry, 0);
+        let q = t[0].wrapping_mul(n0);
+        let (_, mut carry) = mac(t[0], q, ml[0], 0);
+        for j in 1..n {
+            (t[j - 1], carry) = mac(t[j], q, ml[j], carry);
+        }
+        let (lo, hi) = adc(t_n, carry, 0);
+        t[n - 1] = lo;
+        top = t_n1 + hi;
+    }
+    canonicalise(&mut t[..n], top, ml);
+    out
+}
+
+/// Montgomery reduction of an accumulated sum over `n` limbs.
+pub(crate) fn reduce_runtime(acc: &mut [u64; WIDE_LIMBS], m: &Uint, n0: u64, n: usize) -> Uint {
+    let ml = &m.limbs[..n];
+    let mut carry_up = 0;
+    for i in 0..n {
+        let q = acc[i].wrapping_mul(n0);
+        let mut carry = 0;
+        for j in 0..n {
+            (acc[i + j], carry) = mac(acc[i + j], q, ml[j], carry);
+        }
+        (acc[i + n], carry_up) = adc(acc[i + n], carry, carry_up);
+    }
+    debug_assert!(acc[2 * n + 1..].iter().all(|&l| l == 0));
+    let top = acc[2 * n] + carry_up;
+    let mut out = Uint::ZERO;
+    out.limbs[..n].copy_from_slice(&acc[n..2 * n]);
+    canonicalise(&mut out.limbs[..n], top, ml);
+    out
+}
+
+/// `acc += a·b` over `n` limbs of each operand.
+pub(crate) fn accumulate_runtime(acc: &mut [u64; WIDE_LIMBS], a: &Uint, b: &Uint, n: usize) {
+    let (al, bl) = (&a.limbs[..n], &b.limbs[..n]);
+    let mut carry_up = 0;
+    for i in 0..n {
+        let mut carry = 0;
+        for j in 0..n {
+            (acc[i + j], carry) = mac(acc[i + j], al[j], bl[i], carry);
+        }
+        (acc[i + n], carry_up) = adc(acc[i + n], carry, carry_up);
+    }
+    ripple(acc, 2 * n, carry_up);
+}

@@ -35,6 +35,7 @@
 
 pub mod encode;
 pub mod error;
+mod kernel;
 pub mod limb;
 pub mod mont;
 pub mod prime;

@@ -1,13 +1,29 @@
 //! Montgomery-form modular arithmetic context.
 //!
 //! A [`MontCtx`] is created once per modulus (field prime or group order) and
-//! then shared (typically behind an `Arc`) by every element of that ring.  All
-//! hot-path operations — CIOS multiplication, squaring, exponentiation — only
-//! iterate over the limbs actually occupied by the modulus, so a 512-bit prime
-//! pays nothing for the 1792-bit capacity of [`Uint`].
+//! then shared by every element of that ring.
+//!
+//! **What is width-bounded.**  The arithmetic of every operation —
+//! multiplication, squaring, wide reduction, addition, subtraction,
+//! negation, the final `>= m` test and conditional subtraction, the binary
+//! GCD — reads and writes exactly `nlimbs` limbs of its operands (plus the
+//! one or two carry limbs the algorithm needs).  Multiply, square and reduce
+//! additionally run as fixed-width kernels when `nlimbs` is one of the
+//! field-prime widths (3, 8, 16 and 24 limbs — the crate-private `kernel`
+//! module); every other width takes the runtime-width loops of the same
+//! module, which are also the oracle the fixed kernels are tested against.
+//!
+//! **What is not.**  Operands and results are [`Uint`]s, and a `Uint` is
+//! always [`MAX_LIMBS`] limbs of storage: each result is
+//! a 224-byte value whose upper limbs are zero-filled, and each move or
+//! copy of it moves all 28.  Setup ([`MontCtx::new`]), [`MontCtx::reduce`]
+//! (one 28-limb comparison, also the input check of an inversion) and
+//! `Uint::is_zero` tests use full-capacity `Uint` operations; none of them
+//! runs per multiplication.
 
 use crate::error::BigIntError;
-use crate::limb::{adc, inv_mod_u64, mac};
+use crate::kernel::{self, add_assign, by_width, lt, sub_assign};
+use crate::limb::inv_mod_u64;
 use crate::uint::{Uint, WideAcc, MAX_LIMBS};
 use crate::Result;
 
@@ -28,6 +44,8 @@ pub struct MontCtx {
     r1: Uint,
     /// `R^2 mod m` — used to convert into Montgomery form.
     r2: Uint,
+    /// `R^3 mod m` — restores Montgomery form after a plain inversion.
+    r3: Uint,
     /// `m - 2`, cached for Fermat inversion.
     m_minus_2: Uint,
 }
@@ -52,16 +70,16 @@ impl MontCtx {
         }
         let n0 = inv_mod_u64(m.limbs()[0]).wrapping_neg();
 
-        // R mod m via 64*nlimbs modular doublings of 1.
-        let mut r1 = Uint::ONE;
-        for _ in 0..(64 * nlimbs) {
-            r1 = r1.mod_double(m);
-        }
-        // R^2 mod m via another 64*nlimbs doublings.
-        let mut r2 = r1;
-        for _ in 0..(64 * nlimbs) {
-            r2 = r2.mod_double(m);
-        }
+        // x·R mod m via 64·nlimbs modular doublings of x.
+        let times_r = |mut x: Uint| {
+            for _ in 0..(64 * nlimbs) {
+                x = x.mod_double(m);
+            }
+            x
+        };
+        let r1 = times_r(Uint::ONE);
+        let r2 = times_r(r1);
+        let r3 = times_r(r2);
         let m_minus_2 = m.wrapping_sub(&Uint::from_u64(2));
         Ok(MontCtx {
             modulus: *m,
@@ -69,6 +87,7 @@ impl MontCtx {
             n0,
             r1,
             r2,
+            r3,
             m_minus_2,
         })
     }
@@ -112,54 +131,20 @@ impl MontCtx {
     ///
     /// Both inputs must be `< m`.
     pub fn mont_mul(&self, a: &Uint, b: &Uint) -> Uint {
-        let n = self.nlimbs;
-        let al = a.limbs();
-        let bl = b.limbs();
-        let ml = self.modulus.limbs();
-        // t has n + 2 significant slots during the loop.
-        let mut t = [0u64; MAX_LIMBS + 2];
-
-        for &bi in bl.iter().take(n) {
-            // t += a * b[i]
-            let mut carry = 0u64;
-            for j in 0..n {
-                let (lo, hi) = mac(t[j], al[j], bi, carry);
-                t[j] = lo;
-                carry = hi;
-            }
-            let (lo, hi) = adc(t[n], carry, 0);
-            t[n] = lo;
-            t[n + 1] = hi;
-
-            // m' = t[0] * n0 mod 2^64; t += m' * m; t >>= 64
-            let m_prime = t[0].wrapping_mul(self.n0);
-            let (_, mut carry) = mac(t[0], m_prime, ml[0], 0);
-            for j in 1..n {
-                let (lo, hi) = mac(t[j], m_prime, ml[j], carry);
-                t[j - 1] = lo;
-                carry = hi;
-            }
-            let (lo, hi) = adc(t[n], carry, 0);
-            t[n - 1] = lo;
-            t[n] = t[n + 1] + hi;
-            t[n + 1] = 0;
-        }
-
-        let mut out = Uint::ZERO;
-        out.limbs[..n].copy_from_slice(&t[..n]);
-        // The CIOS invariant guarantees the intermediate (including the carry
-        // limb t[n]) is < 2m; since nlimbs <= MAX_LIMBS - 1 the carry limb fits
-        // into the capacity, so a single conditional subtraction finishes the job.
-        out.limbs[n] = t[n];
-        if out >= self.modulus {
-            out = out.wrapping_sub(&self.modulus);
-        }
-        out
+        let (m, n0) = (&self.modulus, self.n0);
+        by_width!(self.nlimbs,
+            N => kernel::mul_fixed::<N>(a, b, m, n0),
+            _ => kernel::mul_runtime(a, b, m, n0, self.nlimbs),
+        )
     }
 
-    /// Montgomery squaring.
+    /// Montgomery squaring: `a²·R^{-1} mod m` for `a < m`.
     pub fn mont_sqr(&self, a: &Uint) -> Uint {
-        self.mont_mul(a, a)
+        let (m, n0) = (&self.modulus, self.n0);
+        by_width!(self.nlimbs,
+            N => kernel::sqr_fixed::<N, { 2 * N }>(a, m, n0),
+            _ => kernel::mul_runtime(a, a, m, n0, self.nlimbs),
+        )
     }
 
     /// Lazy-reduction sum of products: returns `(Σ aᵢ·bᵢ)·R^{-1} mod m`.
@@ -196,57 +181,37 @@ impl MontCtx {
     /// The input is `< terms·m²`, so the pre-subtraction result is
     /// `< (terms + 1)·m` — a short subtraction loop canonicalises it.
     pub fn mont_reduce_wide(&self, mut acc: WideAcc, terms: usize) -> Uint {
-        let n = self.nlimbs;
-        let ml = self.modulus.limbs();
-        let t = acc.limbs_mut();
-        for i in 0..n {
-            let m_prime = t[i].wrapping_mul(self.n0);
-            let (_, mut carry) = mac(t[i], m_prime, ml[0], 0);
-            for j in 1..n {
-                let (lo, hi) = mac(t[i + j], m_prime, ml[j], carry);
-                t[i + j] = lo;
-                carry = hi;
-            }
-            let mut k = i + n;
-            while carry != 0 {
-                let (lo, hi) = adc(t[k], carry, 0);
-                t[k] = lo;
-                carry = hi;
-                k += 1;
-            }
-        }
-        // acc / R now sits in t[n..]; it spans at most n + 1 limbs because
-        // the reduced value is < (terms + 1)·m and nlimbs ≤ MAX_LIMBS − 1.
-        debug_assert!(t[2 * n + 1..].iter().all(|&l| l == 0));
-        let mut out = Uint::ZERO;
-        out.limbs[..=n].copy_from_slice(&t[n..=2 * n]);
-        let mut subs = 0usize;
-        while out >= self.modulus {
-            out = out.wrapping_sub(&self.modulus);
-            subs += 1;
-            debug_assert!(subs <= terms + 1);
-        }
-        out
+        let (t, m, n0) = (acc.limbs_mut(), &self.modulus, self.n0);
+        // terms·m² < terms·R²: the headroom above the product width counts
+        // at most `terms`.
+        debug_assert!(t[2 * self.nlimbs] <= terms as u64);
+        by_width!(self.nlimbs,
+            N => kernel::reduce_fixed::<N>(t, m, n0),
+            _ => kernel::reduce_runtime(t, m, n0, self.nlimbs),
+        )
     }
 
     /// Modular addition of plain or Montgomery residues (both `< m`).
     pub fn add(&self, a: &Uint, b: &Uint) -> Uint {
-        a.mod_add(b, &self.modulus)
+        debug_assert!(a < &self.modulus && b < &self.modulus);
+        kernel::mod_add(a, b, &self.modulus, self.nlimbs)
     }
 
     /// Modular subtraction of plain or Montgomery residues (both `< m`).
     pub fn sub(&self, a: &Uint, b: &Uint) -> Uint {
-        a.mod_sub(b, &self.modulus)
+        debug_assert!(a < &self.modulus && b < &self.modulus);
+        kernel::mod_sub(a, b, &self.modulus, self.nlimbs)
     }
 
     /// Modular negation.
     pub fn neg(&self, a: &Uint) -> Uint {
-        a.mod_neg(&self.modulus)
+        debug_assert!(a < &self.modulus);
+        kernel::mod_neg(a, &self.modulus, self.nlimbs)
     }
 
     /// Modular doubling.
     pub fn double(&self, a: &Uint) -> Uint {
-        a.mod_double(&self.modulus)
+        self.add(a, a)
     }
 
     /// Montgomery exponentiation: `base^exp · R mod m` for a Montgomery-form base.
@@ -294,60 +259,28 @@ impl MontCtx {
     /// magnitude less limb traffic per GCD iteration, and inversion sits on
     /// the pairing's final-exponentiation path.
     pub fn inv_plain(&self, a: &Uint) -> Result<Uint> {
-        // Limb-bounded helpers over the first `n` limbs of a Uint buffer.
-        #[inline]
-        fn is_zero_n(x: &[u64], n: usize) -> bool {
-            x[..n].iter().all(|&l| l == 0)
-        }
-        #[inline]
-        fn shr1_n(x: &mut [u64], n: usize) {
+        fn shr1(x: &mut [u64]) {
+            let n = x.len();
             for i in 0..n - 1 {
                 x[i] = (x[i] >> 1) | (x[i + 1] << 63);
             }
             x[n - 1] >>= 1;
         }
-        /// `x += y` over `n` limbs; the caller guarantees no carry out.
-        #[inline]
-        fn add_assign_n(x: &mut [u64], y: &[u64], n: usize) {
-            let mut carry = 0u64;
-            for i in 0..n {
-                let (lo, hi) = adc(x[i], y[i], carry);
-                x[i] = lo;
-                carry = hi;
-            }
-            debug_assert_eq!(carry, 0);
-        }
-        /// `x -= y` over `n` limbs; the caller guarantees `x >= y`.
-        #[inline]
-        fn sub_assign_n(x: &mut [u64], y: &[u64], n: usize) {
-            let mut borrow = 0u64;
-            for i in 0..n {
-                let (diff, b1) = x[i].overflowing_sub(y[i]);
-                let (diff, b2) = diff.overflowing_sub(borrow);
-                x[i] = diff;
-                borrow = u64::from(b1) | u64::from(b2);
-            }
-            debug_assert_eq!(borrow, 0);
-        }
-        #[inline]
-        fn lt_n(x: &[u64], y: &[u64], n: usize) -> bool {
-            for i in (0..n).rev() {
-                if x[i] != y[i] {
-                    return x[i] < y[i];
-                }
-            }
-            false
-        }
         /// Halves `x`, adding the odd modulus first when `x` is odd.
-        #[inline]
-        fn halve_mod_n(x: &mut [u64], m: &[u64], n: usize) {
+        fn halve_mod(x: &mut [u64], m: &[u64]) {
             if x[0] & 1 == 1 {
-                add_assign_n(x, m, n);
+                add_assign(x, m);
             }
-            shr1_n(x, n);
+            shr1(x);
+        }
+        /// `x ← x − y (mod m)` for `x, y < 2m` kept non-negative.
+        fn sub_mod(x: &mut [u64], y: &[u64], m: &[u64]) {
+            if lt(x, y) {
+                add_assign(x, m);
+            }
+            sub_assign(x, y);
         }
 
-        let m = &self.modulus;
         let a = self.reduce(a);
         if a.is_zero() {
             return Err(BigIntError::NotInvertible);
@@ -355,87 +288,55 @@ impl MontCtx {
         // One spare limb absorbs the `x + m` carry before halving; the
         // MontCtx constructor guarantees it exists.
         let n = self.nlimbs + 1;
-        let ml = m.limbs();
-        let mut u = *a.limbs(); // invariant: x1 · a ≡ u (mod m)
-        let mut v = *ml; // invariant: x2 · a ≡ v (mod m)
-        let mut x1 = *Uint::ONE.limbs();
-        let mut x2 = [0u64; MAX_LIMBS];
-        while !is_zero_n(&u, n) {
+        let m = &self.modulus.limbs[..n];
+        let (mut u, mut v) = (a, self.modulus); // x1·a ≡ u, x2·a ≡ v (mod m)
+        let (mut x1, mut x2) = (Uint::ONE, Uint::ZERO);
+        let (u, v) = (&mut u.limbs[..n], &mut v.limbs[..n]);
+        let (x1, x2) = (&mut x1.limbs[..n], &mut x2.limbs[..n]);
+        while u.iter().any(|&l| l != 0) {
             while u[0] & 1 == 0 {
-                shr1_n(&mut u, n);
-                halve_mod_n(&mut x1, ml, n);
+                shr1(u);
+                halve_mod(x1, m);
             }
             while v[0] & 1 == 0 {
-                shr1_n(&mut v, n);
-                halve_mod_n(&mut x2, ml, n);
+                shr1(v);
+                halve_mod(x2, m);
             }
-            if lt_n(&u, &v, n) {
-                sub_assign_n(&mut v, &u, n);
-                // x2 <- x2 - x1 (mod m)
-                if lt_n(&x2, &x1, n) {
-                    add_assign_n(&mut x2, ml, n);
-                }
-                sub_assign_n(&mut x2, &x1, n);
+            if lt(u, v) {
+                sub_assign(v, u);
+                sub_mod(x2, x1, m);
             } else {
-                sub_assign_n(&mut u, &v, n);
-                if lt_n(&x1, &x2, n) {
-                    add_assign_n(&mut x1, ml, n);
-                }
-                sub_assign_n(&mut x1, &x2, n);
+                sub_assign(u, v);
+                sub_mod(x1, x2, m);
             }
         }
-        let v = Uint::from_limbs_le(&v[..n]).expect("n <= MAX_LIMBS");
-        if !v.is_one() {
+        if v[0] != 1 || v[1..].iter().any(|&l| l != 0) {
             return Err(BigIntError::NotInvertible);
         }
-        let mut out = Uint::from_limbs_le(&x2[..n]).expect("n <= MAX_LIMBS");
         // x2 stays < 2m through the loop; one conditional subtraction
         // canonicalises it.
-        if &out >= m {
-            out = out.wrapping_sub(m);
+        if !lt(x2, m) {
+            sub_assign(x2, m);
         }
-        Ok(out)
+        Uint::from_limbs_le(x2)
     }
 
     /// Inversion of a Montgomery-form value using the binary extended GCD.
     ///
-    /// `a_mont = a·R`, so `inv_plain` yields `a^{-1}·R^{-1}`; two extra
-    /// Montgomery multiplications by `R^2` restore the Montgomery form of the
-    /// inverse: `a^{-1}·R`.
+    /// `a_mont = a·R`, so `inv_plain` yields `a^{-1}·R^{-1}`; one Montgomery
+    /// multiplication by `R^3` restores the Montgomery form of the inverse:
+    /// `a^{-1}·R^{-1} · R^3 · R^{-1} = a^{-1}·R`.
     pub fn mont_inv(&self, a_mont: &Uint) -> Result<Uint> {
         if a_mont.is_zero() {
             return Err(BigIntError::NotInvertible);
         }
         let inv = self.inv_plain(a_mont)?; // (a R)^{-1} mod m = a^{-1} R^{-1}
-        let step = self.mont_mul(&inv, &self.r2); // a^{-1} R^{-1} · R^2 · R^{-1} = a^{-1}
-        Ok(self.mont_mul(&step, &self.r2)) // a^{-1} · R^2 · R^{-1} = a^{-1} R
-    }
-
-    /// Checks whether a plain residue is a quadratic residue modulo a prime
-    /// modulus, via Euler's criterion.
-    pub fn is_quadratic_residue(&self, a: &Uint) -> bool {
-        if a.is_zero() {
-            return true;
-        }
-        // a^((m-1)/2) == 1 ?
-        let exp = self.modulus.wrapping_sub(&Uint::ONE).shr1();
-        self.pow(a, &exp).is_one()
-    }
-
-    /// Square root modulo a prime `m ≡ 3 (mod 4)`: returns `a^((m+1)/4)`.
-    ///
-    /// The caller must check the result squares back to `a` (it will not when
-    /// `a` is a non-residue).  Returns an error if the modulus is not ≡ 3 mod 4.
-    pub fn sqrt_3mod4(&self, a: &Uint) -> Result<Uint> {
-        if self.modulus.limbs()[0] & 3 != 3 {
-            return Err(BigIntError::InvalidParameter(
-                "sqrt_3mod4 requires modulus ≡ 3 (mod 4)",
-            ));
-        }
-        let exp = self.modulus.wrapping_add(&Uint::ONE).shr(2);
-        Ok(self.pow(a, &exp))
+        Ok(self.mont_mul(&inv, &self.r3))
     }
 }
+
+#[cfg(test)]
+mod kernel_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -627,26 +528,6 @@ mod tests {
         let c = MontCtx::new(&Uint::from_u64(45)).unwrap();
         assert!(c.inv_plain(&Uint::from_u64(15)).is_err());
         assert!(c.inv_plain(&Uint::from_u64(7)).is_ok());
-    }
-
-    #[test]
-    fn quadratic_residue_detection() {
-        let c = ctx(1_000_003); // 1_000_003 ≡ 3 (mod 4)
-        let a = Uint::from_u64(4);
-        assert!(c.is_quadratic_residue(&a));
-        let sqrt = c.sqrt_3mod4(&a).unwrap();
-        let check = c.pow(&sqrt, &Uint::from_u64(2));
-        assert_eq!(check, a);
-        // A known non-residue: -1 mod p when p ≡ 3 (mod 4).
-        let minus_one = Uint::from_u64(1_000_002);
-        assert!(!c.is_quadratic_residue(&minus_one));
-    }
-
-    #[test]
-    fn sqrt_requires_3_mod_4() {
-        // 1_000_033 ≡ 1 (mod 4)
-        let c = ctx(1_000_033);
-        assert!(c.sqrt_3mod4(&Uint::from_u64(4)).is_err());
     }
 
     #[test]

@@ -1,0 +1,159 @@
+//! The kernels against their two oracles, at every dispatched width and a
+//! spread of others: the runtime-width loops (limb for limb) and the plain
+//! `Uint::mul_wide` / `Uint::rem_wide` definition of each operation.
+
+use super::*;
+use crate::random::{random_below, random_bits};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The widths `by_width!` sends to a fixed kernel, then widths it does not.
+const WIDTHS: [usize; 10] = [3, 8, 16, 24, 1, 2, 4, 5, 9, 27];
+
+/// Moduli of exactly `n` limbs: a random odd one, `2^(64n) − c` (top limb
+/// all ones, so sums carry out of limb `n − 1`) and `2^(64(n−1)) + c`
+/// (top limb 1, so values just below `m` have an empty top limb).
+fn moduli(n: usize, rng: &mut StdRng) -> Vec<Uint> {
+    let mut random = random_bits(rng, 64 * n);
+    random.set_bit(0);
+    random.set_bit(64 * (n - 1));
+    let mut out = vec![random];
+    let all_ones = Uint::ONE.shl(64 * n).wrapping_sub(&Uint::ONE);
+    for c in [1u64, 3, 59] {
+        out.push(all_ones.wrapping_sub(&Uint::from_u64(c - 1)));
+        let mut low_top = Uint::ONE.shl(64 * (n - 1)).wrapping_add(&Uint::from_u64(c));
+        low_top.set_bit(0); // n = 1: 1 + c is even
+        out.push(low_top);
+    }
+    out
+}
+
+/// Residues that stress the carries: both ends of the range, the longest
+/// all-ones value below `m`, and random ones.
+fn operands(m: &Uint, rng: &mut StdRng) -> Vec<Uint> {
+    let ones_below = Uint::ONE.shl(m.bits() - 1).wrapping_sub(&Uint::ONE);
+    vec![
+        Uint::ZERO,
+        Uint::ONE,
+        m.wrapping_sub(&Uint::ONE),
+        m.wrapping_sub(&Uint::from_u64(2)),
+        ones_below,
+        random_below(rng, m),
+        random_below(rng, m),
+    ]
+}
+
+fn for_each_context(mut check: impl FnMut(&MontCtx, &[Uint])) {
+    let mut rng = StdRng::seed_from_u64(0x6b65_726e);
+    for n in WIDTHS {
+        for m in moduli(n, &mut rng) {
+            let ctx = MontCtx::new(&m).expect("odd and below capacity");
+            assert_eq!(ctx.nlimbs(), n);
+            check(&ctx, &operands(&m, &mut rng));
+        }
+    }
+}
+
+/// `a·b mod m` by schoolbook product and long division.
+fn mul_mod(a: &Uint, b: &Uint, m: &Uint) -> Uint {
+    let (lo, hi) = a.mul_wide(b);
+    Uint::rem_wide(&lo, &hi, m).expect("m is non-zero")
+}
+
+/// A kernel result must be canonical and, multiplied back by `R`, must be
+/// the plain residue `expected`.
+fn assert_is_mont_form_of(ctx: &MontCtx, got: &Uint, expected: &Uint, what: &str) {
+    let (m, n) = (ctx.modulus(), ctx.nlimbs());
+    assert!(got < m, "{what}: not reduced (n = {n})");
+    assert!(
+        got.limbs()[n..].iter().all(|&l| l == 0),
+        "{what}: upper limbs"
+    );
+    assert_eq!(
+        &mul_mod(got, &ctx.r1, m),
+        expected,
+        "{what} (n = {n}, m = {m})"
+    );
+}
+
+#[test]
+fn multiply_and_square_match_the_runtime_loop_and_the_definition() {
+    for_each_context(|ctx, values| {
+        let (m, n) = (ctx.modulus(), ctx.nlimbs());
+        for a in values {
+            for b in values {
+                let got = ctx.mont_mul(a, b);
+                assert_eq!(got, kernel::mul_runtime(a, b, m, ctx.n0, n));
+                assert_is_mont_form_of(ctx, &got, &mul_mod(a, b, m), "mont_mul");
+            }
+            let got = ctx.mont_sqr(a);
+            assert_eq!(got, kernel::mul_runtime(a, a, m, ctx.n0, n));
+            assert_is_mont_form_of(ctx, &got, &mul_mod(a, a, m), "mont_sqr");
+        }
+    });
+}
+
+#[test]
+fn accumulate_and_wide_reduce_match_the_runtime_loop_and_the_definition() {
+    for_each_context(|ctx, values| {
+        let (m, n) = (ctx.modulus(), ctx.nlimbs());
+        let near = m.wrapping_sub(&Uint::ONE);
+        // One to four terms; the first list is terms·(m − 1)², the largest
+        // sum a caller may hand to the reducer.
+        let mut term_lists = vec![vec![(near, near); 4]];
+        term_lists.push(
+            values
+                .iter()
+                .zip(values.iter().rev())
+                .map(|(a, b)| (*a, *b))
+                .collect(),
+        );
+        term_lists.push(values.windows(2).map(|w| (w[1], w[0])).collect());
+        for list in &term_lists {
+            for terms in 1..=4 {
+                let mut dispatched = WideAcc::zero();
+                let mut runtime = WideAcc::zero();
+                let (mut lo, mut hi) = (Uint::ZERO, Uint::ZERO);
+                let mut sum = Uint::ZERO;
+                for (a, b) in &list[..terms] {
+                    dispatched.accumulate(a, b, n);
+                    kernel::accumulate_runtime(runtime.limbs_mut(), a, b, n);
+                    let (p_lo, p_hi) = a.mul_wide(b);
+                    let (s_lo, carry) = lo.overflowing_add(&p_lo);
+                    lo = s_lo;
+                    hi = hi
+                        .wrapping_add(&p_hi)
+                        .wrapping_add(&Uint::from_u64(carry.into()));
+                    sum = sum.mod_add(&mul_mod(a, b, m), m);
+                }
+                let wide = *dispatched.limbs_mut();
+                assert_eq!(wide, *runtime.limbs_mut(), "accumulate (n = {n})");
+                assert_eq!(wide[..MAX_LIMBS], lo.limbs()[..]);
+                assert_eq!(wide[MAX_LIMBS..2 * MAX_LIMBS], hi.limbs()[..]);
+                assert_eq!(wide[2 * MAX_LIMBS..], [0, 0]);
+
+                let got = ctx.mont_reduce_wide(dispatched, terms);
+                assert_eq!(
+                    got,
+                    kernel::reduce_runtime(runtime.limbs_mut(), m, ctx.n0, n)
+                );
+                assert_is_mont_form_of(ctx, &got, &sum, "mont_reduce_wide");
+            }
+        }
+    });
+}
+
+#[test]
+fn add_sub_neg_double_match_the_full_capacity_definition() {
+    for_each_context(|ctx, values| {
+        let m = ctx.modulus();
+        for a in values {
+            for b in values {
+                assert_eq!(ctx.add(a, b), a.mod_add(b, m));
+                assert_eq!(ctx.sub(a, b), a.mod_sub(b, m));
+            }
+            assert_eq!(ctx.neg(a), a.mod_neg(m));
+            assert_eq!(ctx.double(a), a.mod_double(m));
+        }
+    });
+}

@@ -1,6 +1,7 @@
 //! Fixed-capacity unsigned multi-precision integer.
 
 use crate::error::BigIntError;
+use crate::kernel::{self, by_width};
 use crate::limb::{adc, mac, sbb};
 use crate::Result;
 use core::cmp::Ordering;
@@ -475,24 +476,10 @@ impl WideAcc {
     pub fn accumulate(&mut self, a: &Uint, b: &Uint, n: usize) {
         debug_assert!(n < MAX_LIMBS);
         debug_assert!(a.limb_len() <= n && b.limb_len() <= n);
-        let al = &a.limbs;
-        let bl = &b.limbs;
-        for (i, &bi) in bl.iter().take(n).enumerate() {
-            let mut carry = 0u64;
-            for (j, &aj) in al.iter().take(n).enumerate() {
-                let (lo, hi) = mac(self.limbs[i + j], aj, bi, carry);
-                self.limbs[i + j] = lo;
-                carry = hi;
-            }
-            // Carry out of the product window rides up the headroom limbs.
-            let mut k = i + n;
-            while carry != 0 {
-                let (lo, hi) = adc(self.limbs[k], carry, 0);
-                self.limbs[k] = lo;
-                carry = hi;
-                k += 1;
-            }
-        }
+        by_width!(n,
+            N => kernel::accumulate_fixed::<N>(&mut self.limbs, a, b),
+            _ => kernel::accumulate_runtime(&mut self.limbs, a, b, n),
+        )
     }
 
     /// Whether nothing has been accumulated (or the sum is zero).

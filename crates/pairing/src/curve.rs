@@ -144,7 +144,7 @@ impl G1Affine {
             return G1Affine::identity(ctx);
         }
         // λ = (3x² + 1) / (2y)   (the curve coefficient a is 1)
-        let numerator = &self.x.square().mul_u64(3) + &Fp::one(ctx);
+        let numerator = &self.x.square().triple() + &Fp::one(ctx);
         let lambda = numerator.mul(&self.y.double().invert().expect("y != 0"));
         let x3 = &lambda.square() - &self.x.double();
         let y3 = &lambda.mul(&(&self.x - &x3)) - &self.y;
@@ -316,7 +316,7 @@ impl G1Projective {
         let y_sq = self.y.square();
         let s = self.x.mul(&y_sq).double().double();
         let z_sq = self.z.square();
-        let m = &self.x.square().mul_u64(3) + &z_sq.square();
+        let m = &self.x.square().triple() + &z_sq.square();
         let x3 = &m.square() - &s.double();
         let y3 = &m.mul(&(&s - &x3)) - &y_sq.square().double().double().double();
         let z3 = self.y.double().mul(&self.z);

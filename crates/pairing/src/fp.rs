@@ -1,26 +1,44 @@
 //! The prime field `F_p` underlying the curve.
 //!
-//! Elements store their value in Montgomery form together with a shared
-//! [`FpCtx`] handle; all arithmetic is delegated to the Montgomery context of
+//! An [`Fp`] is its Montgomery limbs and a plain pointer to the field's
+//! [`FpCtx`].  Contexts are interned — one per distinct prime, alive for
+//! the rest of the process — so the pointer is an un-counted `&'static`:
+//! creating, cloning and dropping an element touches no shared memory, and
+//! two elements belong to the same field exactly when their pointers are
+//! equal.  All arithmetic is delegated to the Montgomery context of
 //! `tibpre-bigint`.  Operator overloading is provided for references so the
 //! curve and pairing formulas read like the textbook equations.
 
 use crate::error::PairingError;
 use crate::Result;
 use rand::{CryptoRng, RngCore};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use tibpre_bigint::random::random_below;
-use tibpre_bigint::{MontCtx, Uint};
+use tibpre_bigint::{MontCtx, Uint, WideAcc};
 
 /// Shared context for a prime field `F_p` with `p ≡ 3 (mod 4)`.
-#[derive(Debug)]
 pub struct FpCtx {
     mont: MontCtx,
     byte_len: usize,
+    /// `(p + 1)/4`: the square-root exponent.
+    sqrt_exp: Uint,
+    /// `(p − 1)/2`: the Euler-criterion exponent.
+    euler_exp: Uint,
+    /// The interned handle to this very context, set once by [`FpCtx::new`];
+    /// it turns any borrow of the context back into the `'static` one.
+    interned: OnceLock<&'static Arc<FpCtx>>,
 }
 
+/// Every context [`FpCtx::new`] has built, one per distinct prime.  Entries
+/// are leaked on purpose: an `Fp` holds a `&'static FpCtx` instead of a
+/// reference count, so a context must outlive every element ever made.  The
+/// footprint is bounded by the number of distinct primes a process builds
+/// (one per security level it uses).
+static INTERNED: Mutex<Vec<&'static Arc<FpCtx>>> = Mutex::new(Vec::new());
+
 impl FpCtx {
-    /// Creates a field context for the prime `p`.
+    /// Returns the field context for the prime `p`, building and interning
+    /// it on the first call for that prime.
     ///
     /// The primality of `p` is the caller's responsibility (the parameter
     /// generator proves it); this constructor only validates the structural
@@ -31,9 +49,26 @@ impl FpCtx {
                 "field prime must be ≡ 3 (mod 4) so that i² = −1 is irreducible",
             ));
         }
-        let mont = MontCtx::new(p)?;
-        let byte_len = p.bits().div_ceil(8);
-        Ok(Arc::new(FpCtx { mont, byte_len }))
+        // The table is only ever pushed to, so it is valid even if a holder
+        // of the lock panicked.
+        let mut table = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(found) = table.iter().find(|ctx| ctx.modulus() == p) {
+            return Ok(Arc::clone(found));
+        }
+        let ctx = FpCtx {
+            mont: MontCtx::new(p)?,
+            byte_len: p.bits().div_ceil(8),
+            sqrt_exp: p.wrapping_add(&Uint::ONE).shr(2),
+            euler_exp: p.shr1(),
+            interned: OnceLock::new(),
+        };
+        let handle: &'static Arc<FpCtx> = Box::leak(Box::new(Arc::new(ctx)));
+        handle
+            .interned
+            .set(handle)
+            .expect("a fresh context has no handle yet");
+        table.push(handle);
+        Ok(Arc::clone(handle))
     }
 
     /// The field prime `p`.
@@ -45,20 +80,42 @@ impl FpCtx {
     pub fn byte_len(&self) -> usize {
         self.byte_len
     }
+
+    fn handle(&self) -> &'static Arc<FpCtx> {
+        self.interned
+            .get()
+            .expect("FpCtx::new interns every context it returns")
+    }
 }
 
-/// An element of `F_p` (Montgomery form internally).
+impl core::fmt::Debug for FpCtx {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("FpCtx")
+            .field("modulus", self.modulus())
+            .field("byte_len", &self.byte_len)
+            .finish()
+    }
+}
+
+/// An element of `F_p`: Montgomery limbs and the interned context.
 #[derive(Clone)]
 pub struct Fp {
-    ctx: Arc<FpCtx>,
+    ctx: &'static FpCtx,
     mont_repr: Uint,
 }
 
 impl Fp {
+    fn with_repr(&self, mont_repr: Uint) -> Fp {
+        Fp {
+            ctx: self.ctx,
+            mont_repr,
+        }
+    }
+
     /// The additive identity.
     pub fn zero(ctx: &Arc<FpCtx>) -> Self {
         Fp {
-            ctx: Arc::clone(ctx),
+            ctx: ctx.handle(),
             mont_repr: Uint::ZERO,
         }
     }
@@ -66,7 +123,7 @@ impl Fp {
     /// The multiplicative identity.
     pub fn one(ctx: &Arc<FpCtx>) -> Self {
         Fp {
-            ctx: Arc::clone(ctx),
+            ctx: ctx.handle(),
             mont_repr: ctx.mont.one_mont(),
         }
     }
@@ -75,7 +132,7 @@ impl Fp {
     pub fn from_uint(ctx: &Arc<FpCtx>, value: &Uint) -> Self {
         let reduced = ctx.mont.reduce(value);
         Fp {
-            ctx: Arc::clone(ctx),
+            ctx: ctx.handle(),
             mont_repr: ctx.mont.to_mont(&reduced),
         }
     }
@@ -98,7 +155,7 @@ impl Fp {
 
     /// The field context this element belongs to.
     pub fn ctx(&self) -> &Arc<FpCtx> {
-        &self.ctx
+        self.ctx.handle()
     }
 
     /// Returns `true` if this is the additive identity.
@@ -112,69 +169,66 @@ impl Fp {
     }
 
     fn assert_same_ctx(&self, other: &Fp) {
-        debug_assert!(
-            Arc::ptr_eq(&self.ctx, &other.ctx) || self.ctx.modulus() == other.ctx.modulus(),
-            "mixed field contexts"
-        );
+        debug_assert!(core::ptr::eq(self.ctx, other.ctx), "mixed field contexts");
     }
 
-    /// Field addition.
+    /// Field addition.  (The one-call wrappers from here to `square` are
+    /// `#[inline]`: a second call level costs ~5 % of a multiplication.)
+    #[inline]
     pub fn add(&self, other: &Fp) -> Fp {
         self.assert_same_ctx(other);
-        Fp {
-            ctx: Arc::clone(&self.ctx),
-            mont_repr: self.ctx.mont.add(&self.mont_repr, &other.mont_repr),
-        }
+        self.with_repr(self.ctx.mont.add(&self.mont_repr, &other.mont_repr))
     }
 
     /// Field subtraction.
+    #[inline]
     pub fn sub(&self, other: &Fp) -> Fp {
         self.assert_same_ctx(other);
-        Fp {
-            ctx: Arc::clone(&self.ctx),
-            mont_repr: self.ctx.mont.sub(&self.mont_repr, &other.mont_repr),
-        }
+        self.with_repr(self.ctx.mont.sub(&self.mont_repr, &other.mont_repr))
     }
 
     /// Field negation.
+    #[inline]
     pub fn neg(&self) -> Fp {
-        Fp {
-            ctx: Arc::clone(&self.ctx),
-            mont_repr: self.ctx.mont.neg(&self.mont_repr),
-        }
+        self.with_repr(self.ctx.mont.neg(&self.mont_repr))
     }
 
     /// Doubling (`2·self`).
+    #[inline]
     pub fn double(&self) -> Fp {
-        Fp {
-            ctx: Arc::clone(&self.ctx),
-            mont_repr: self.ctx.mont.double(&self.mont_repr),
-        }
+        self.with_repr(self.ctx.mont.double(&self.mont_repr))
+    }
+
+    /// `3·self` by two additions (multiplying by the constant would cost a
+    /// conversion into Montgomery form plus a full multiplication).
+    pub(crate) fn triple(&self) -> Fp {
+        &self.double() + self
     }
 
     /// Field multiplication.
+    #[inline]
     pub fn mul(&self, other: &Fp) -> Fp {
         self.assert_same_ctx(other);
-        Fp {
-            ctx: Arc::clone(&self.ctx),
-            mont_repr: self.ctx.mont.mont_mul(&self.mont_repr, &other.mont_repr),
-        }
+        self.with_repr(self.ctx.mont.mont_mul(&self.mont_repr, &other.mont_repr))
     }
 
     /// Squaring.
+    #[inline]
     pub fn square(&self) -> Fp {
-        Fp {
-            ctx: Arc::clone(&self.ctx),
-            mont_repr: self.ctx.mont.mont_sqr(&self.mont_repr),
-        }
+        self.with_repr(self.ctx.mont.mont_sqr(&self.mont_repr))
+    }
+
+    /// `acc += self·other`, unreduced.
+    fn accumulate_into(&self, other: &Fp, acc: &mut WideAcc) {
+        self.assert_same_ctx(other);
+        acc.accumulate(&self.mont_repr, &other.mont_repr, self.ctx.mont.nlimbs());
     }
 
     /// Lazy-reduction sum of products `Σ aᵢ·bᵢ`: each product is
-    /// accumulated into an unreduced double-width buffer and the whole sum
-    /// pays a *single* Montgomery reduction instead of one per term
-    /// ([`MontCtx::mont_mul_sum`]).  The result is bit-identical to the
-    /// strict `mul` + `add` chain — this is the hot-path primitive behind
-    /// `Fp2` products and the fused line evaluations.
+    /// accumulated into one unreduced double-width stack buffer and the
+    /// whole sum pays a *single* Montgomery reduction instead of one per
+    /// term.  The result is bit-identical to the strict `mul` + `add`
+    /// chain.
     ///
     /// Subtractions are expressed by negating one operand of a pair
     /// (negation is a cheap single subtraction): `a·b − c·d` is
@@ -184,29 +238,28 @@ impl Fp {
     /// Panics if `pairs` is empty (there is no context to borrow; callers
     /// always have at least one term).
     pub fn sum_of_products(pairs: &[(&Fp, &Fp)]) -> Fp {
-        let ctx = &pairs
+        let first = pairs
             .first()
             .expect("sum_of_products needs at least one term")
-            .0
-            .ctx;
-        let mut uint_pairs = Vec::with_capacity(pairs.len());
+            .0;
+        let mut acc = WideAcc::zero();
         for (a, b) in pairs {
-            a.assert_same_ctx(b);
-            debug_assert!(
-                Arc::ptr_eq(&a.ctx, ctx) || a.ctx.modulus() == ctx.modulus(),
-                "mixed field contexts"
-            );
-            uint_pairs.push((&a.mont_repr, &b.mont_repr));
+            first.assert_same_ctx(a);
+            a.accumulate_into(b, &mut acc);
         }
-        Fp {
-            ctx: Arc::clone(ctx),
-            mont_repr: ctx.mont.mont_mul_sum(&uint_pairs),
-        }
+        first.with_repr(first.ctx.mont.mont_reduce_wide(acc, pairs.len()))
     }
 
-    /// Multiplication by a small integer constant.
-    pub fn mul_u64(&self, k: u64) -> Fp {
-        self.mul(&Fp::from_u64(&self.ctx, k))
+    /// `a·b − c·d` with one reduction: `c` is negated on its limbs, so the
+    /// accumulator stays unsigned and no intermediate element is built.
+    pub(crate) fn mul_sub(a: &Fp, b: &Fp, c: &Fp, d: &Fp) -> Fp {
+        a.assert_same_ctx(c);
+        c.assert_same_ctx(d);
+        let mont = &a.ctx.mont;
+        let mut acc = WideAcc::zero();
+        a.accumulate_into(b, &mut acc);
+        acc.accumulate(&mont.neg(&c.mont_repr), &d.mont_repr, mont.nlimbs());
+        a.with_repr(mont.mont_reduce_wide(acc, 2))
     }
 
     /// Multiplicative inverse.  Fails for zero.
@@ -216,10 +269,7 @@ impl Fp {
             .mont
             .mont_inv(&self.mont_repr)
             .map_err(|_| PairingError::NotInvertible)?;
-        Ok(Fp {
-            ctx: Arc::clone(&self.ctx),
-            mont_repr: inv,
-        })
+        Ok(self.with_repr(inv))
     }
 
     /// Inverts every element of a slice at the cost of a *single* field
@@ -269,33 +319,19 @@ impl Fp {
 
     /// Exponentiation by an arbitrary integer exponent.
     pub fn pow(&self, exp: &Uint) -> Fp {
-        Fp {
-            ctx: Arc::clone(&self.ctx),
-            mont_repr: self.ctx.mont.mont_pow(&self.mont_repr, exp),
-        }
+        self.with_repr(self.ctx.mont.mont_pow(&self.mont_repr, exp))
     }
 
-    /// Euler-criterion quadratic-residue test.
+    /// Euler-criterion quadratic-residue test: `a^((p−1)/2) = 1` (or `a = 0`).
     pub fn is_square(&self) -> bool {
-        self.ctx.mont.is_quadratic_residue(&self.to_uint())
+        self.is_zero() || self.pow(&self.ctx.euler_exp).is_one()
     }
 
-    /// Square root for `p ≡ 3 (mod 4)`.  Returns `None` for non-residues.
+    /// Square root for `p ≡ 3 (mod 4)`: `a^((p+1)/4)`, checked by squaring
+    /// back.  Returns `None` for non-residues.
     pub fn sqrt(&self) -> Option<Fp> {
-        if self.is_zero() {
-            return Some(self.clone());
-        }
-        let candidate_plain = self
-            .ctx
-            .mont
-            .sqrt_3mod4(&self.to_uint())
-            .expect("FpCtx::new guarantees p ≡ 3 (mod 4)");
-        let candidate = Fp::from_uint(&self.ctx, &candidate_plain);
-        if candidate.square() == *self {
-            Some(candidate)
-        } else {
-            None
-        }
+        let candidate = self.pow(&self.ctx.sqrt_exp);
+        (candidate.square() == *self).then_some(candidate)
     }
 
     /// Parity of the plain representative, used to fix the sign of square
@@ -329,7 +365,7 @@ impl Fp {
 
 impl PartialEq for Fp {
     fn eq(&self, other: &Self) -> bool {
-        self.mont_repr == other.mont_repr && self.ctx.modulus() == other.ctx.modulus()
+        core::ptr::eq(self.ctx, other.ctx) && self.mont_repr == other.mont_repr
     }
 }
 
@@ -399,6 +435,80 @@ mod tests {
     }
 
     #[test]
+    fn elements_and_prepared_tables_do_not_count_references() {
+        use crate::params::{PairingParams, SecurityLevel};
+        use rand::SeedableRng;
+        // A prime of this test's own, so no concurrently running test clones
+        // or drops a handle to the same context.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x756e_636f_756e_7465);
+        let params = PairingParams::generate_custom(SecurityLevel::Toy, 64, 192, &mut rng).unwrap();
+        let before = Arc::strong_count(params.fp_ctx());
+        let elements: Vec<Fp> = (0..10_000)
+            .map(|v| Fp::from_u64(params.fp_ctx(), v))
+            .collect();
+        let prepared = params.prepare(params.generator());
+        assert_eq!(Arc::strong_count(params.fp_ctx()), before);
+        let sum = elements
+            .iter()
+            .fold(Fp::zero(params.fp_ctx()), |s, e| &s + e);
+        assert_eq!(sum, Fp::from_u64(params.fp_ctx(), 9_999 * 10_000 / 2));
+        drop((elements, prepared));
+        assert_eq!(Arc::strong_count(params.fp_ctx()), before);
+    }
+
+    #[test]
+    fn one_prime_is_one_interned_context() {
+        // 2^89 − 1 ≡ 3 (mod 4), prime, and used by no other test.
+        let p = Uint::from_u128((1u128 << 89) - 1);
+        let handles: Vec<Arc<FpCtx>> = (0..1_000).map(|_| FpCtx::new(&p).unwrap()).collect();
+        let entries = INTERNED
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|ctx| ctx.modulus() == &p)
+            .count();
+        assert_eq!(entries, 1);
+        assert!(handles.iter().all(|h| Arc::ptr_eq(h, &handles[0])));
+
+        // Elements made through two handles are one field's elements.
+        let a = Fp::from_u64(&handles[0], 0xDEAD_BEEF);
+        let b = Fp::from_u64(&handles[999], 0xDEAD_BEEF);
+        assert_eq!(a, b);
+        assert_eq!(a.to_bytes(), b.to_bytes());
+        assert_eq!(&a + &b, a.double());
+        assert_eq!(&a * &b, a.square());
+        assert!(Arc::ptr_eq(a.ctx(), b.ctx()));
+    }
+
+    #[test]
+    fn two_threads_sharing_cached_params_pair_like_one() {
+        use crate::params::PairingParams;
+        use rand::SeedableRng;
+        use std::sync::Barrier;
+        let params = PairingParams::insecure_toy();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7477_6f74);
+        let prepared = params.prepare(&params.random_g1(&mut rng));
+        let qs: Vec<_> = (0..8).map(|_| params.random_g1(&mut rng)).collect();
+        let alone: Vec<Vec<u8>> = qs.iter().map(|q| prepared.pairing(q).to_bytes()).collect();
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        qs.iter()
+                            .map(|q| prepared.pairing(q).to_bytes())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for worker in workers {
+                assert_eq!(worker.join().expect("worker panicked"), alone);
+            }
+        });
+    }
+
+    #[test]
     fn basic_arithmetic() {
         let c = ctx();
         let a = Fp::from_u64(&c, 1234567);
@@ -409,7 +519,6 @@ mod tests {
         assert_eq!(a.double(), &a + &a);
         assert_eq!(a.square(), &a * &a);
         assert_eq!(&a + &a.neg(), Fp::zero(&c));
-        assert_eq!(a.mul_u64(3), &(&a + &a) + &a);
     }
 
     #[test]

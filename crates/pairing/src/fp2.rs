@@ -109,20 +109,16 @@ impl Fp2 {
 
     /// Multiplication: `(a0 + a1 i)(b0 + b1 i) = (a0 b0 − a1 b1) + (a0 b1 + a1 b0) i`.
     ///
-    /// Lazy-reduction schoolbook: each output coefficient is one
-    /// [`Fp::sum_of_products`] call, so the four cross products carry
-    /// **once per coefficient** (two Montgomery reductions total) instead
-    /// of once per base-field multiplication.  Karatsuba does not compose
+    /// Lazy-reduction schoolbook: each output coefficient accumulates its
+    /// two cross products into one stack buffer and reduces it once (two
+    /// Montgomery reductions total) instead of once per base-field
+    /// multiplication.  Karatsuba does not compose
     /// with lazy reduction — its `(a0+a1)(b0+b1) − a0b0 − a1b1` cross term
     /// needs the *reduced* partial products — which is why the strict
     /// oracle [`Self::mul_strict`] keeps that shape.  Results are
     /// bit-identical to the oracle.
     pub fn mul(&self, other: &Fp2) -> Fp2 {
-        let neg_a1 = self.c1.neg();
-        Fp2 {
-            c0: Fp::sum_of_products(&[(&self.c0, &other.c0), (&neg_a1, &other.c1)]),
-            c1: Fp::sum_of_products(&[(&self.c0, &other.c1), (&self.c1, &other.c0)]),
-        }
+        self.mul_by_line(&other.c0, &other.c1)
     }
 
     /// Strict-reduction Karatsuba multiplication (3 base-field
@@ -163,9 +159,8 @@ impl Fp2 {
     /// prepared-pairing evaluation calls this once per stored line).
     /// Lazy-reduction schoolbook, exactly like [`Self::mul`].
     pub fn mul_by_line(&self, real: &Fp, y: &Fp) -> Fp2 {
-        let neg_a1 = self.c1.neg();
         Fp2 {
-            c0: Fp::sum_of_products(&[(&self.c0, real), (&neg_a1, y)]),
+            c0: Fp::mul_sub(&self.c0, real, &self.c1, y),
             c1: Fp::sum_of_products(&[(&self.c0, y), (&self.c1, real)]),
         }
     }

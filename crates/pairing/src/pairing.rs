@@ -83,8 +83,8 @@ impl MillerPoint {
     ///
     /// The caller must ensure `Y ≠ 0` (no 2-torsion).
     ///
-    /// Lazy reduction: `M = 3X² + Z⁴` and `Y' = M(S − X') − Y²·8Y²` are
-    /// each one [`Fp::sum_of_products`] — the constituent products carry
+    /// Lazy reduction: `M = X·3X + Z²·Z²` and `Y' = M(S − X') − Y²·8Y²`
+    /// each accumulate their two products into one stack buffer and reduce
     /// once per output instead of once per multiplication.  (The line
     /// itself stays strict: `M·(X + x_Q·Z²)` is a nested product whose
     /// inner factor must be reduced anyway, so there is nothing to defer.)
@@ -93,17 +93,11 @@ impl MillerPoint {
         let yy = self.y.square();
         let zz = self.z.square();
         let s = self.x.mul(&yy).double().double();
-        let m = Fp::sum_of_products(&[
-            (&self.x, &self.x),
-            (&self.x, &self.x),
-            (&self.x, &self.x),
-            (&zz, &zz),
-        ]);
+        let m = Fp::sum_of_products(&[(&self.x, &self.x.triple()), (&zz, &zz)]);
         let x3 = &m.square() - &s.double();
         let s_minus_x3 = &s - &x3;
         let yy8 = yy.double().double().double();
-        let neg_yy = yy.neg();
-        let y3 = Fp::sum_of_products(&[(&m, &s_minus_x3), (&neg_yy, &yy8)]);
+        let y3 = Fp::mul_sub(&m, &s_minus_x3, &yy, &yy8);
         let z3 = self.y.double().mul(&self.z);
 
         let two_yy = yy.double();
@@ -151,16 +145,13 @@ impl MillerPoint {
         }
         let hh = h.square();
         let v = self.x.mul(&hh);
-        let neg_h = h.neg();
-        let x3 = &Fp::sum_of_products(&[(&r, &r), (&neg_h, &hh)]) - &v.double();
+        let x3 = &Fp::mul_sub(&r, &r, &h, &hh) - &v.double();
         let v_minus_x3 = &v - &x3;
-        let neg_yh = self.y.mul(&h).neg();
-        let y3 = Fp::sum_of_products(&[(&r, &v_minus_x3), (&neg_yh, &hh)]);
+        let y3 = Fp::mul_sub(&r, &v_minus_x3, &self.y.mul(&h), &hh);
         let z3 = self.z.mul(&h);
 
         let x_sum = xq + p.x();
-        let neg_z3 = z3.neg();
-        let line_real = Fp::sum_of_products(&[(&r, &x_sum), (&neg_z3, p.y())]);
+        let line_real = Fp::mul_sub(&r, &x_sum, &z3, p.y());
         let line_imag = z3.mul(yq);
 
         self.x = x3;
@@ -183,7 +174,7 @@ impl MillerPoint {
         let yy = self.y.square();
         let zz = self.z.square();
         let s = self.x.mul(&yy).double().double();
-        let m = &self.x.square().mul_u64(3) + &zz.square();
+        let m = &self.x.square().triple() + &zz.square();
         let x3 = &m.square() - &s.double();
         let y3 = &m.mul(&(&s - &x3)) - &yy.square().double().double().double();
         let z3 = self.y.double().mul(&self.z);
@@ -513,7 +504,7 @@ pub(crate) fn miller_loop_affine(p: &G1Affine, q_point: &G1Affine, order: &Uint)
             if t.y().is_zero() {
                 t = G1Affine::identity(ctx);
             } else {
-                let lambda = (&t.x().square().mul_u64(3) + &one)
+                let lambda = (&t.x().square().triple() + &one)
                     .mul(&t.y().double().invert().expect("y ≠ 0 checked above"));
                 let line = line_at_distorted_q(&lambda, t.x(), t.y(), xq, yq);
                 f = f.mul(&line);
@@ -526,7 +517,7 @@ pub(crate) fn miller_loop_affine(p: &G1Affine, q_point: &G1Affine, order: &Uint)
                 if t.y() == &p.y().neg() {
                     t = G1Affine::identity(ctx);
                 } else {
-                    let lambda = (&t.x().square().mul_u64(3) + &one).mul(
+                    let lambda = (&t.x().square().triple() + &one).mul(
                         &t.y()
                             .double()
                             .invert()
