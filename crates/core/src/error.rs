@@ -6,7 +6,7 @@ use tibpre_pairing::PairingError;
 use tibpre_symmetric::SymmetricError;
 use tibpre_wire::DecodeError;
 
-/// Errors produced by the TIB-PRE scheme and its baselines.
+/// Errors produced by the TIB-PRE scheme.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PreError {
     /// An error bubbled up from the pairing substrate.
@@ -30,8 +30,6 @@ pub enum PreError {
     IncompatibleDomains,
     /// A ciphertext or key encoding was malformed.
     InvalidEncoding(&'static str),
-    /// A security-game constraint was violated (e.g. extracting the challenge identity).
-    GameConstraintViolated(&'static str),
 }
 
 impl fmt::Display for PreError {
@@ -57,9 +55,6 @@ impl fmt::Display for PreError {
                 )
             }
             PreError::InvalidEncoding(why) => write!(f, "invalid encoding: {why}"),
-            PreError::GameConstraintViolated(why) => {
-                write!(f, "security-game constraint violated: {why}")
-            }
         }
     }
 }

@@ -11,7 +11,7 @@
 //! `Encrypt1(k, …)` into something the delegatee can open, while the AEAD body
 //! is forwarded untouched.  Delegation therefore stays exactly as fine-grained
 //! as the underlying scheme, and the proxy's work is independent of the
-//! payload size (measured in experiment E7).
+//! payload size.
 
 use crate::delegatee::Delegatee;
 use crate::delegator::{Delegator, TypedCiphertext};

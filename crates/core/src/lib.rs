@@ -52,9 +52,6 @@
 //! | [`proxy`] | [`proxy::re_encrypt_batch`] — `Preenc`, the one conversion; [`Proxy`] (key table), [`ReEncryptedCiphertext`] |
 //! | [`delegatee`] | [`Delegatee`] — decryption of re-encrypted ciphertexts |
 //! | [`hybrid`] | KEM/DEM mode for byte payloads (PHR records) |
-//! | [`baseline`] | comparison schemes: identity-only PRE, per-type virtual identities, plain IBE |
-//! | [`game`] | executable IND-ID-DR-CPA security game (Section 4.2/4.3) |
-//! | [`sizes`] | key / ciphertext size accounting for the communication-cost experiment |
 //!
 //! ## Quick start
 //!
@@ -98,15 +95,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod baseline;
 pub mod delegatee;
 pub mod delegator;
 pub mod error;
-pub mod game;
 pub mod hybrid;
 pub mod proxy;
 pub mod rekey;
-pub mod sizes;
 pub mod types;
 
 pub use delegatee::Delegatee;

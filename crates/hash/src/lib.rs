@@ -9,8 +9,8 @@
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256 (constants derived from integer square /
 //!   cube roots at start-up, verified against published test vectors),
-//! * [`sha3`] — the Keccak-f\[1600\] permutation, SHA3-256 and the SHAKE-128 /
-//!   SHAKE-256 extendable-output functions,
+//! * [`sha3`] — the Keccak-f\[1600\] permutation and the SHAKE-256
+//!   extendable-output function that feeds the oracles,
 //! * [`hmac`] — HMAC-SHA-256,
 //! * [`kdf`] — an HKDF-style extract-and-expand construction over HMAC-SHA-256,
 //! * [`oracle`] — domain-separated helpers that the pairing / scheme layers use
@@ -48,4 +48,4 @@ pub use hmac::HmacSha256;
 pub use kdf::Hkdf;
 pub use oracle::DomainSeparatedHasher;
 pub use sha256::Sha256;
-pub use sha3::{Sha3_256, Shake128, Shake256};
+pub use sha3::Shake256;

@@ -1,4 +1,4 @@
-//! Keccak-f\[1600\], SHA3-256 and the SHAKE extendable-output functions.
+//! Keccak-f\[1600\] and the SHAKE-256 extendable-output function.
 //!
 //! The TIB-PRE random oracles (`H1`, `H2`) need variable-length uniform output
 //! — hashing onto a 512–1536-bit prime field and onto curve points — which is
@@ -13,13 +13,9 @@ use std::sync::OnceLock;
 const KECCAK_ROUNDS: usize = 24;
 const STATE_LANES: usize = 25;
 
-/// Rate in bytes of SHA3-256 and SHAKE-256 (capacity 512 bits).
-pub const RATE_256: usize = 136;
-/// Rate in bytes of SHAKE-128 (capacity 256 bits).
-pub const RATE_128: usize = 168;
+/// Rate in bytes of SHAKE-256 (capacity 512 bits).
+pub const RATE: usize = 136;
 
-/// Domain-separation byte for the SHA-3 fixed-output functions.
-const DOMAIN_SHA3: u8 = 0x06;
 /// Domain-separation byte for the SHAKE extendable-output functions.
 const DOMAIN_SHAKE: u8 = 0x1F;
 
@@ -110,24 +106,22 @@ pub fn keccak_f1600(state: &mut [u64; STATE_LANES]) {
     }
 }
 
-/// Generic Keccak sponge parameterised by rate and domain-separation byte.
+/// SHAKE-256 extendable-output function: the Keccak sponge at rate
+/// [`RATE`] with the SHAKE domain byte.
 #[derive(Clone)]
-struct Sponge {
+pub struct Shake256 {
     state: [u64; STATE_LANES],
-    rate: usize,
-    domain: u8,
     /// Bytes absorbed into the current block.
     absorb_offset: usize,
     /// `Some(offset)` once squeezing has started.
     squeeze_offset: Option<usize>,
 }
 
-impl Sponge {
-    fn new(rate: usize, domain: u8) -> Self {
-        Sponge {
+impl Shake256 {
+    /// Creates a fresh XOF.
+    pub fn new() -> Self {
+        Shake256 {
             state: [0u64; STATE_LANES],
-            rate,
-            domain,
             absorb_offset: 0,
             squeeze_offset: None,
         }
@@ -145,7 +139,8 @@ impl Sponge {
         (self.state[lane] >> shift) as u8
     }
 
-    fn absorb(&mut self, data: &[u8]) {
+    /// Absorbs more input.  Panics if called after squeezing started.
+    pub fn update(&mut self, data: &[u8]) {
         assert!(
             self.squeeze_offset.is_none(),
             "cannot absorb after squeezing has started"
@@ -153,7 +148,7 @@ impl Sponge {
         for &byte in data {
             self.xor_byte(self.absorb_offset, byte);
             self.absorb_offset += 1;
-            if self.absorb_offset == self.rate {
+            if self.absorb_offset == RATE {
                 keccak_f1600(&mut self.state);
                 self.absorb_offset = 0;
             }
@@ -163,19 +158,21 @@ impl Sponge {
     fn pad(&mut self) {
         // Multi-rate padding: domain byte at the current offset, 0x80 at the
         // last byte of the rate (they coincide when only one byte is free).
-        self.xor_byte(self.absorb_offset, self.domain);
-        self.xor_byte(self.rate - 1, 0x80);
+        self.xor_byte(self.absorb_offset, DOMAIN_SHAKE);
+        self.xor_byte(RATE - 1, 0x80);
         keccak_f1600(&mut self.state);
         self.squeeze_offset = Some(0);
     }
 
-    fn squeeze(&mut self, out: &mut [u8]) {
+    /// Squeezes `out.len()` bytes of output.  May be called repeatedly;
+    /// successive calls continue the output stream.
+    pub fn squeeze(&mut self, out: &mut [u8]) {
         if self.squeeze_offset.is_none() {
             self.pad();
         }
         let mut offset = self.squeeze_offset.expect("pad() sets the offset");
         for slot in out.iter_mut() {
-            if offset == self.rate {
+            if offset == RATE {
                 keccak_f1600(&mut self.state);
                 offset = 0;
             }
@@ -184,106 +181,27 @@ impl Sponge {
         }
         self.squeeze_offset = Some(offset);
     }
-}
 
-/// SHA3-256 fixed-output hash.
-#[derive(Clone)]
-pub struct Sha3_256 {
-    sponge: Sponge,
-}
-
-impl Sha3_256 {
-    /// Creates a fresh hasher.
-    pub fn new() -> Self {
-        Sha3_256 {
-            sponge: Sponge::new(RATE_256, DOMAIN_SHA3),
-        }
-    }
-
-    /// One-shot digest of `data`.
-    pub fn digest(data: &[u8]) -> [u8; 32] {
-        let mut h = Self::new();
-        h.update(data);
-        h.finalize()
-    }
-
-    /// Absorbs more input.
-    pub fn update(&mut self, data: &[u8]) {
-        self.sponge.absorb(data);
-    }
-
-    /// Finishes and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
-        let mut out = [0u8; 32];
-        self.sponge.squeeze(&mut out);
+    /// Squeezes `len` bytes into a fresh vector.
+    pub fn squeeze_vec(&mut self, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        self.squeeze(&mut out);
         out
     }
+
+    /// One-shot convenience: absorbs `data` and squeezes `len` bytes.
+    pub fn hash(data: &[u8], len: usize) -> Vec<u8> {
+        let mut xof = Self::new();
+        xof.update(data);
+        xof.squeeze_vec(len)
+    }
 }
 
-impl Default for Sha3_256 {
+impl Default for Shake256 {
     fn default() -> Self {
         Self::new()
     }
 }
-
-/// SHAKE-128 extendable-output function.
-#[derive(Clone)]
-pub struct Shake128 {
-    sponge: Sponge,
-}
-
-/// SHAKE-256 extendable-output function.
-#[derive(Clone)]
-pub struct Shake256 {
-    sponge: Sponge,
-}
-
-macro_rules! impl_shake {
-    ($name:ident, $rate:expr) => {
-        impl $name {
-            /// Creates a fresh XOF.
-            pub fn new() -> Self {
-                $name {
-                    sponge: Sponge::new($rate, DOMAIN_SHAKE),
-                }
-            }
-
-            /// Absorbs more input.  Panics if called after squeezing started.
-            pub fn update(&mut self, data: &[u8]) {
-                self.sponge.absorb(data);
-            }
-
-            /// Squeezes `out.len()` bytes of output.  May be called repeatedly;
-            /// successive calls continue the output stream.
-            pub fn squeeze(&mut self, out: &mut [u8]) {
-                self.sponge.squeeze(out);
-            }
-
-            /// Squeezes `len` bytes into a fresh vector.
-            pub fn squeeze_vec(&mut self, len: usize) -> Vec<u8> {
-                let mut out = vec![0u8; len];
-                self.squeeze(&mut out);
-                out
-            }
-
-            /// One-shot convenience: absorbs `data` and squeezes `len` bytes.
-            pub fn hash(data: &[u8], len: usize) -> Vec<u8> {
-                let mut xof = Self::new();
-                xof.update(data);
-                xof.squeeze_vec(len)
-            }
-        }
-
-        impl Default for $name {
-            fn default() -> Self {
-                Self::new()
-            }
-        }
-    };
-}
-
-impl_shake!(Shake128, RATE_128);
-impl_shake!(Shake256, RATE_256);
 
 #[cfg(test)]
 mod tests {
@@ -324,26 +242,45 @@ mod tests {
         assert_ne!(a, [0u64; 25]);
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
-    fn sha3_256_differs_from_inputs_and_is_stable() {
-        let d1 = Sha3_256::digest(b"");
-        let d2 = Sha3_256::digest(b"abc");
-        let d3 = Sha3_256::digest(b"abd");
-        assert_ne!(d1, d2);
-        assert_ne!(d2, d3);
-        assert_eq!(Sha3_256::digest(b"abc"), d2);
+    fn shake256_matches_published_vectors() {
+        // FIPS 202 / NIST CSRC example values: the empty message, "abc",
+        // and the 1600-bit message of 200 × 0xA3 (first and last 32 bytes
+        // of its 512-byte output, so the multi-block squeeze is pinned too).
+        assert_eq!(
+            hex(&Shake256::hash(b"", 64)),
+            "46b9dd2b0ba88d13233b3feb743eeb243fcd52ea62b81b82b50c27646ed5762f\
+             d75dc4ddd8c0f200cb05019d67b592f6fc821c49479ab48640292eacb3b7c4be"
+        );
+        assert_eq!(
+            hex(&Shake256::hash(b"abc", 32)),
+            "483366601360a8771c6863080cc4114d8db44530f8f1e1ee4f94ea37e78b5739"
+        );
+        let long = Shake256::hash(&[0xA3; 200], 512);
+        assert_eq!(
+            hex(&long[..32]),
+            "cd8a920ed141aa0407a22d59288652e9d9f1a7ee0c1e7c1ca699424da84a904d"
+        );
+        assert_eq!(
+            hex(&long[480..]),
+            "6a1a9d7846436e4dca5728b6f760eef0ca92bf0be5615e96959d767197a0beeb"
+        );
     }
 
     #[test]
     fn sha3_streaming_matches_one_shot() {
         let data: Vec<u8> = (0..2000u32).map(|i| (i % 241) as u8).collect();
-        let one_shot = Sha3_256::digest(&data);
+        let one_shot = Shake256::hash(&data, 32);
         for chunk in [1usize, 5, 135, 136, 137, 271, 500] {
-            let mut h = Sha3_256::new();
+            let mut h = Shake256::new();
             for c in data.chunks(chunk) {
                 h.update(c);
             }
-            assert_eq!(h.finalize(), one_shot, "chunk {chunk}");
+            assert_eq!(h.squeeze_vec(32), one_shot, "chunk {chunk}");
         }
     }
 
@@ -371,28 +308,15 @@ mod tests {
     }
 
     #[test]
-    fn shake128_and_shake256_differ() {
-        assert_ne!(Shake128::hash(b"x", 32), Shake256::hash(b"x", 32));
-    }
-
-    #[test]
-    fn shake_differs_from_sha3_on_same_input() {
-        // Different domain-separation bytes must give unrelated outputs.
-        let sha3 = Sha3_256::digest(b"domain");
-        let shake = Shake256::hash(b"domain", 32);
-        assert_ne!(sha3.to_vec(), shake);
-    }
-
-    #[test]
     fn rate_boundary_inputs() {
         // Inputs of exactly rate-1, rate and rate+1 bytes exercise the padding paths.
-        for len in [RATE_256 - 1, RATE_256, RATE_256 + 1, 2 * RATE_256] {
+        for len in [RATE - 1, RATE, RATE + 1, 2 * RATE] {
             let data = vec![0x3Cu8; len];
-            let a = Sha3_256::digest(&data);
-            let mut h = Sha3_256::new();
+            let a = Shake256::hash(&data, 32);
+            let mut h = Shake256::new();
             h.update(&data[..len / 2]);
             h.update(&data[len / 2..]);
-            assert_eq!(h.finalize(), a, "len {len}");
+            assert_eq!(h.squeeze_vec(32), a, "len {len}");
         }
     }
 
@@ -408,8 +332,8 @@ mod tests {
     #[test]
     fn avalanche_effect() {
         // Flipping one input bit flips roughly half the output bits.
-        let a = Sha3_256::digest(b"avalanche test vector 0");
-        let b = Sha3_256::digest(b"avalanche test vector 1");
+        let a = Shake256::hash(b"avalanche test vector 0", 32);
+        let b = Shake256::hash(b"avalanche test vector 1", 32);
         let differing: u32 = a
             .iter()
             .zip(b.iter())

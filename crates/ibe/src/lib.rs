@@ -4,16 +4,11 @@
 //! slightly modified form — the message space is the pairing target group and
 //! the mask is multiplicative (`c2 = m · ê(pk_id, pk)^r`) instead of the
 //! original XOR mask — because that modification is what makes the proxy
-//! re-encryption algebra work.  This crate implements **both** variants:
-//!
-//! * [`bf`] — the multiplicative ("modified") variant used as `Encrypt2` /
-//!   `Decrypt2` by the PRE scheme,
-//! * [`bf_xor`] — the original `BasicIdent` XOR variant over byte messages,
-//!   provided as a baseline and for completeness,
-//!
-//! together with the key-generation-centre abstraction ([`kgc::Kgc`]) that the
-//! paper's two domains (`KGC1` for the delegator, `KGC2` for the delegatee)
-//! instantiate over *shared* pairing parameters but independent master keys.
+//! re-encryption algebra work.  This crate implements that multiplicative
+//! variant ([`bf`], the scheme's `Encrypt2` / `Decrypt2`) together with the
+//! key-generation-centre abstraction ([`kgc::Kgc`]) that the paper's two
+//! domains (`KGC1` for the delegator, `KGC2` for the delegatee) instantiate
+//! over *shared* pairing parameters but independent master keys.
 //!
 //! # Example
 //!
@@ -41,13 +36,11 @@
 #![warn(missing_docs)]
 
 pub mod bf;
-pub mod bf_xor;
 pub mod error;
 pub mod identity;
 pub mod kgc;
 
 pub use bf::IbeCiphertext;
-pub use bf_xor::IbeXorCiphertext;
 pub use error::IbeError;
 pub use identity::Identity;
 pub use kgc::{IbePrivateKey, IbePublicParams, Kgc};

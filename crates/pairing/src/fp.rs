@@ -22,7 +22,7 @@ pub struct FpCtx {
     byte_len: usize,
     /// `(p + 1)/4`: the square-root exponent.
     sqrt_exp: Uint,
-    /// `(p − 1)/2`: the Euler-criterion exponent.
+    /// `(p − 1)/2`: the exponent of Euler's quadratic-residue test.
     euler_exp: Uint,
     /// The interned handle to this very context, set once by [`FpCtx::new`];
     /// it turns any borrow of the context back into the `'static` one.
@@ -322,7 +322,7 @@ impl Fp {
         self.with_repr(self.ctx.mont.mont_pow(&self.mont_repr, exp))
     }
 
-    /// Euler-criterion quadratic-residue test: `a^((p−1)/2) = 1` (or `a = 0`).
+    /// Euler's quadratic-residue test: `a^((p−1)/2) = 1` (or `a = 0`).
     pub fn is_square(&self) -> bool {
         self.is_zero() || self.pow(&self.ctx.euler_exp).is_one()
     }

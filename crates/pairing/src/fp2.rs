@@ -115,26 +115,10 @@ impl Fp2 {
     /// multiplication.  Karatsuba does not compose
     /// with lazy reduction — its `(a0+a1)(b0+b1) − a0b0 − a1b1` cross term
     /// needs the *reduced* partial products — which is why the strict
-    /// oracle [`Self::mul_strict`] keeps that shape.  Results are
+    /// oracle in the test suites keeps that shape.  Results are
     /// bit-identical to the oracle.
     pub fn mul(&self, other: &Fp2) -> Fp2 {
         self.mul_by_line(&other.c0, &other.c1)
-    }
-
-    /// Strict-reduction Karatsuba multiplication (3 base-field
-    /// multiplications, every product reduced immediately).  This is the
-    /// oracle the lazy [`Self::mul`] is tested bit-identical against; it
-    /// also documents the historical shape of the hot path.
-    pub fn mul_strict(&self, other: &Fp2) -> Fp2 {
-        let a0b0 = &self.c0 * &other.c0;
-        let a1b1 = &self.c1 * &other.c1;
-        let sum_a = &self.c0 + &self.c1;
-        let sum_b = &other.c0 + &other.c1;
-        let cross = &(&sum_a * &sum_b) - &(&a0b0 + &a1b1);
-        Fp2 {
-            c0: &a0b0 - &a1b1,
-            c1: cross,
-        }
     }
 
     /// Squaring: `(a0 + a1 i)² = (a0+a1)(a0−a1) + 2 a0 a1 i`.
@@ -162,20 +146,6 @@ impl Fp2 {
         Fp2 {
             c0: Fp::mul_sub(&self.c0, real, &self.c1, y),
             c1: Fp::sum_of_products(&[(&self.c0, y), (&self.c1, real)]),
-        }
-    }
-
-    /// Strict-reduction Karatsuba form of [`Self::mul_by_line`] — the
-    /// oracle the lazy path is tested bit-identical against.
-    pub fn mul_by_line_strict(&self, real: &Fp, y: &Fp) -> Fp2 {
-        let a0b0 = &self.c0 * real;
-        let a1b1 = &self.c1 * y;
-        let sum_a = &self.c0 + &self.c1;
-        let sum_b = real + y;
-        let cross = &(&sum_a * &sum_b) - &(&a0b0 + &a1b1);
-        Fp2 {
-            c0: &a0b0 - &a1b1,
-            c1: cross,
         }
     }
 
@@ -404,6 +374,16 @@ mod tests {
         }
     }
 
+    /// Strict-reduction Karatsuba multiplication (3 base-field
+    /// multiplications, every product reduced immediately): the oracle the
+    /// lazy [`Fp2::mul`] / [`Fp2::mul_by_line`] are bit-identical to.
+    fn mul_strict(a: &Fp2, b: &Fp2) -> Fp2 {
+        let a0b0 = &a.c0 * &b.c0;
+        let a1b1 = &a.c1 * &b.c1;
+        let cross = &(&(&a.c0 + &a.c1) * &(&b.c0 + &b.c1)) - &(&a0b0 + &a1b1);
+        Fp2::new(&a0b0 - &a1b1, cross)
+    }
+
     #[test]
     fn lazy_mul_is_bit_identical_to_strict_karatsuba() {
         let c = ctx();
@@ -424,12 +404,9 @@ mod tests {
         }
         for a in &cases {
             for b in &cases {
-                let lazy = a.mul(b);
-                let strict = a.mul_strict(b);
-                assert_eq!(lazy.to_bytes(), strict.to_bytes());
-                let lazy = a.mul_by_line(&b.c0, &b.c1);
-                let strict = a.mul_by_line_strict(&b.c0, &b.c1);
-                assert_eq!(lazy.to_bytes(), strict.to_bytes());
+                let strict = mul_strict(a, b);
+                assert_eq!(a.mul(b).to_bytes(), strict.to_bytes());
+                assert_eq!(a.mul_by_line(&b.c0, &b.c1).to_bytes(), strict.to_bytes());
             }
         }
     }

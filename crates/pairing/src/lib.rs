@@ -24,7 +24,7 @@
 //! * **Hashing** — `MapToPoint`-style hash-to-curve and hash-to-scalar oracles
 //!   in [`hash`], used by the IBE and PRE layers for `H1` and `H2`.
 //! * **Parameters** — [`PairingParams`] generation for several security
-//!   levels, with process-wide cached instances for tests and benches.
+//!   levels, with process-wide cached instances.
 //! * **Precomputation** — [`precomp`] provides fixed-base multiplication
 //!   tables ([`G1Precomp`]) and fixed-argument prepared pairings
 //!   ([`PreparedPairing`]); the parameter set caches both for `g`, and the

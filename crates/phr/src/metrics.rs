@@ -5,8 +5,8 @@
 //! decodes on the read path* (only on a cache miss).  These counters make
 //! the claim checkable: `crates/phr/src/durable.rs` bumps them inside
 //! `StoredRecord`'s `WireEncode` / `WireDecode` impls — the single choke
-//! point every full record encode and decode passes through — and the e12
-//! bench plus the CI gate test assert on the deltas.
+//! point every full record encode and decode passes through — and the
+//! `codec_gate` test asserts on the deltas.
 //!
 //! The counters are global to the process and monotonically increasing, so
 //! a test asserting an exact delta must not run concurrently with other

@@ -87,10 +87,10 @@ use tibpre_engine::ReEncryptEngine;
 use tibpre_ibe::Identity;
 use tibpre_pairing::{DecodeCtx, PairingParams};
 use tibpre_storage::{
-    codec, frame, segment, snapshot, ChunkOutcome, CommitNotifier, FsyncPolicy, ReplicationLog,
+    frame, segment, snapshot, ChunkOutcome, CommitNotifier, FsyncPolicy, ReplicationLog,
     SegmentedWal, StorageError,
 };
-use tibpre_wire::WireVersion;
+use tibpre_wire::{put_u32, Reader, WireVersion};
 
 /// Default shard count.  Sixteen stripes keep the per-shard contention
 /// negligible for any worker count this workspace's engine will realistically
@@ -307,7 +307,7 @@ impl EncryptedPhrStore {
             Ok(bytes) => {
                 let payload = frame::decode_single_frame(&bytes)
                     .ok_or(PhrError::CorruptedRecord("store meta file torn or corrupt"))?;
-                let mut r = codec::Reader::new(&payload);
+                let mut r = Reader::new(&payload);
                 if r.u32()? != META_VERSION {
                     return Err(PhrError::CorruptedRecord("unsupported store meta version"));
                 }
@@ -318,8 +318,8 @@ impl EncryptedPhrStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 let shards = durability.shard_count();
                 let mut payload = Vec::new();
-                codec::put_u32(&mut payload, META_VERSION);
-                codec::put_u32(&mut payload, shards as u32);
+                put_u32(&mut payload, META_VERSION);
+                put_u32(&mut payload, shards as u32);
                 let tmp = dir.join("store.meta.tmp");
                 // Meta determines the id→shard mapping forever, so it is
                 // made durable unconditionally (fsync file, rename, fsync
@@ -704,7 +704,7 @@ impl EncryptedPhrStore {
     /// Total encoded record-payload bytes resident across all shards — the
     /// store's record memory footprint (mapped snapshot blobs count at
     /// their on-disk size; pinned decoded structs report 0).  This is the
-    /// numerator of the bytes-per-record gate the e12 bench and CI check.
+    /// numerator of the bytes-per-record gate `codec_gate` checks.
     pub fn encoded_payload_bytes(&self) -> u64 {
         self.shards
             .iter()

@@ -1,9 +1,12 @@
-//! `tibpre-load` — the TIB-PRE load generator: decrypt-heavy disclosure
-//! traffic with Zipf patient popularity and grant/revoke churn, against a
-//! running kgc/store/proxy node set.
+//! `tibpre-load` — the TIB-PRE load smoke: disclosure traffic with
+//! grant/revoke churn against a running kgc/store/proxy node set, every
+//! disclosure opened client-side.  Exits 0 only if something was served
+//! and nothing failed.
 
+mod load;
+
+use load::{run_load, LoadConfig};
 use tibpre_client::level_from_name;
-use tibpre_server::load::{run_load, LoadConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,48 +24,22 @@ fn main() {
     };
 
     eprintln!(
-        "tibpre-load: {} clients x {} requests (pipeline {}), {} patients (zipf {}), \
-         churn every {}",
-        config.clients,
-        config.requests,
-        config.pipeline,
-        config.patients,
-        config.zipf_exponent,
-        config.churn_every,
+        "tibpre-load: {} clients x {} requests (pipeline {})",
+        config.clients, config.requests, config.pipeline,
     );
     match run_load(&config) {
         Ok(report) => {
-            let sched = match &report.sched {
-                Some(s) => format!(
-                    ",\"sched\":{{\"batches\":{},\"batched_requests\":{},\"bypass\":{},\
-                     \"queue_depth\":{},\"queue_peak\":{},\"hist\":{:?}}}",
-                    s.batches, s.batched_requests, s.bypass, s.queue_depth, s.queue_peak, s.hist,
-                ),
-                None => String::new(),
-            };
             println!(
                 "{{\"ok\":{},\"denied\":{},\"errors\":{},\"reordered\":{},\"churn_ops\":{},\
-                 \"elapsed_s\":{:.3},\"p50_us\":{},\"p99_us\":{},\"max_us\":{},\
-                 \"req_per_sec\":{:.1}{sched}}}",
+                 \"elapsed_s\":{:.3}}}",
                 report.ok,
                 report.denied,
                 report.errors,
                 report.reordered,
                 report.churn_ops,
                 report.elapsed.as_secs_f64(),
-                report.p50_us,
-                report.p99_us,
-                report.max_us,
-                report.req_per_sec,
             );
-            if let Some(s) = &report.sched {
-                eprintln!(
-                    "tibpre-load: scheduler {} batches over {} requests \
-                     ({} bypassed), batch-size histogram {:?}, queue peak {}",
-                    s.batches, s.batched_requests, s.bypass, s.hist, s.queue_peak,
-                );
-            }
-            if report.errors > 0 || report.reordered > 0 {
+            if report.ok == 0 || report.errors > 0 || report.reordered > 0 {
                 std::process::exit(1);
             }
         }
@@ -91,17 +68,6 @@ fn parse_args(args: &[String]) -> Result<LoadConfig, String> {
             }
             "--clients" => config.clients = parse_num(flag, &value)?,
             "--requests" => config.requests = parse_num(flag, &value)?,
-            "--patients" => config.patients = parse_num(flag, &value)?,
-            "--records-per-patient" => config.records_per_patient = parse_num(flag, &value)?,
-            "--zipf" => {
-                config.zipf_exponent = value.parse().map_err(|_| format!("bad {flag} {value}"))?;
-            }
-            "--churn-every" => config.churn_every = parse_num(flag, &value)?,
-            "--open-rate" => {
-                config.open_rate = Some(value.parse().map_err(|_| format!("bad {flag} {value}"))?);
-            }
-            "--payload" => config.payload_len = parse_num(flag, &value)?,
-            "--seed" => config.seed = parse_num(flag, &value)?,
             "--pipeline" => {
                 config.pipeline = parse_num(flag, &value)?;
                 if config.pipeline == 0 {
@@ -135,17 +101,13 @@ fn print_usage() {
          \x20 --proxy <host:port>          proxy node (default 127.0.0.1:7072)\n\
          \x20 --level <name>               toy|low80|medium112|high128 (default toy)\n\
          \x20 --clients <n>                concurrent clients (default 4)\n\
-         \x20 --requests <n>               total disclosure budget (default 400)\n\
-         \x20 --patients <n>               distinct patients (default 16)\n\
-         \x20 --records-per-patient <n>    uploaded per patient (default 4)\n\
-         \x20 --zipf <s>                   patient popularity skew (default 1.0)\n\
-         \x20 --churn-every <n>            revoke+regrant cadence, 0=off (default 25)\n\
-         \x20 --open-rate <r>              per-client req/s (default: closed loop)\n\
-         \x20 --payload <bytes>            record payload size (default 256)\n\
-         \x20 --seed <n>                   deterministic seed\n\
+         \x20 --requests <n>               total request budget (default 400)\n\
          \x20 --pipeline <k>               in-flight disclosures per client connection\n\
          \x20                              (default 1 = lockstep request/response)\n\
          \x20 --read-replicas <a,b,...>    round-robin reads across these replica\n\
-         \x20                              store nodes (writes stay on the primary)"
+         \x20                              store nodes (writes stay on the primary)\n\
+         \n\
+         16 patients x 4 records of 256 B, chosen uniformly; one patient's grant is\n\
+         revoked and re-installed every 25 requests."
     );
 }

@@ -51,7 +51,7 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// Defaults for one role: loopback ephemeral port, toy parameters (the
-    /// in-process test/bench configuration — production deployments pass
+    /// in-process test configuration — production deployments pass
     /// `--level`).
     pub fn new(role: NodeRole) -> Self {
         NodeConfig {

@@ -14,13 +14,13 @@
 //! The protocol (typed [`tibpre_client::Request`] /
 //! [`tibpre_client::Response`] frames under the versioned wire envelope)
 //! lives in `tibpre-client`; this crate adds the listener, per-role
-//! dispatch, graceful shutdown, and the `tibpre-load` load generator.
+//! dispatch and graceful shutdown.  A second binary, `tibpre-load`, smokes
+//! a running node set end to end; it exports nothing.
 
 #![deny(unsafe_code)] // signal.rs carves out its own file-scoped allow
 #![deny(missing_docs)]
 
 pub mod config;
-pub mod load;
 pub mod metrics;
 pub mod node;
 pub mod replica;
@@ -29,7 +29,6 @@ pub mod service;
 pub mod signal;
 
 pub use config::NodeConfig;
-pub use load::{run_load, LoadConfig, LoadReport};
 pub use node::{start, NodeHandle, ServerError};
 pub use replica::ReplicaControl;
 pub use service::RoleService;

@@ -17,7 +17,6 @@
 //!   memory maps,
 //! * [`mmap`] — a minimal read-only memory-map shim (the offline build has
 //!   no `memmap2`), so `TBS2` opens are page-fault-driven,
-//! * [`codec`] — the bounds-checked field codec used inside payloads,
 //! * [`crc`] — CRC-32/ISO-HDLC,
 //! * [`TempDir`] — a dependency-free temporary directory for the crash and
 //!   recovery test harnesses (this workspace is built offline and has no
@@ -34,7 +33,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod crc;
 pub mod frame;
 pub mod mmap;
@@ -186,9 +184,9 @@ static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// A uniquely-named temporary directory, removed on drop.
 ///
-/// The offline build has no `tempfile` crate; the recovery tests, the
-/// durability bench and the durable `store_concurrency` mode all need
-/// scratch directories, so this crate carries the ~30 lines itself.
+/// The offline build has no `tempfile` crate; the recovery tests and the
+/// durable `store_concurrency` mode need scratch directories, so this
+/// crate carries the ~30 lines itself.
 #[derive(Debug)]
 pub struct TempDir {
     path: PathBuf,

@@ -32,12 +32,13 @@
 
 use crate::frame;
 use crate::mmap::Mmap;
-use crate::{codec, StorageError};
+use crate::StorageError;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use tibpre_wire::{put_bytes, put_u32, put_u64, Reader};
 
 /// Magic bytes opening every monolithic snapshot file.
 const MAGIC: &[u8; 4] = b"TBS1";
@@ -72,7 +73,7 @@ pub fn write_snapshot(
     sync: bool,
 ) -> io::Result<()> {
     let mut body = Vec::with_capacity(8 + payload.len());
-    codec::put_u64(&mut body, wal_offset);
+    put_u64(&mut body, wal_offset);
     body.extend_from_slice(payload);
     let mut bytes = Vec::with_capacity(4 + frame::FRAME_HEADER_LEN + body.len());
     bytes.extend_from_slice(MAGIC);
@@ -128,7 +129,7 @@ pub fn load_snapshot(dir: &Path, base: &str, gen: u64) -> Result<Snapshot, Stora
     let body = frame::decode_single_frame(&bytes[4..]).ok_or(StorageError::Corrupt(
         "snapshot frame torn or checksum mismatch",
     ))?;
-    let mut reader = codec::Reader::new(&body);
+    let mut reader = Reader::new(&body);
     let wal_offset = reader.u64()?;
     let payload = body[8..].to_vec();
     Ok(Snapshot {
@@ -205,18 +206,18 @@ where
         let mut crc = crate::crc::Crc32::new();
         crc.update(blob.body);
         out.write_all(blob.body)?;
-        codec::put_u64(&mut entries, offset);
-        codec::put_u32(&mut entries, len);
-        codec::put_u32(&mut entries, crc.finish());
-        codec::put_bytes(&mut entries, &blob.index_meta);
+        put_u64(&mut entries, offset);
+        put_u32(&mut entries, len);
+        put_u32(&mut entries, crc.finish());
+        put_bytes(&mut entries, &blob.index_meta);
         offset += u64::from(len);
         count += 1;
     }
 
     let mut trailer = Vec::with_capacity(8 + 4 + meta.len() + 8 + entries.len());
-    codec::put_u64(&mut trailer, wal_offset);
-    codec::put_bytes(&mut trailer, meta);
-    codec::put_u64(&mut trailer, count);
+    put_u64(&mut trailer, wal_offset);
+    put_bytes(&mut trailer, meta);
+    put_u64(&mut trailer, count);
     trailer.extend_from_slice(&entries);
     let framed = frame::encode_frame(&trailer);
     out.write_all(&framed)?;
@@ -293,7 +294,7 @@ impl IndexedSnapshot {
         )?;
 
         let data_end = trailer_start as u64;
-        let mut r = codec::Reader::new(&trailer);
+        let mut r = Reader::new(&trailer);
         let wal_offset = r.u64()?;
         let meta = {
             let start = r.offset() + 4;

@@ -5,9 +5,9 @@
 //! tokens — is a tuple of group elements, so byte layout *is* the system's
 //! bandwidth and storage story.  This crate centralises that layout:
 //!
-//! * [`Reader`] / [`Writer`] — a bounds-checked, zero-copy cursor pair
-//!   (absorbing what used to be `tibpre_storage::codec`), with every
-//!   failure a [`DecodeError`] value carrying the offending offset.
+//! * [`Reader`] / [`Writer`] — a bounds-checked, zero-copy cursor pair,
+//!   with every failure a [`DecodeError`] value carrying the offending
+//!   offset.
 //! * [`WireVersion`] — the one-byte versioned envelope: `v0` is the
 //!   original uncompressed layout (and doubles as the reader for durable
 //!   data written before the envelope existed), `v1` is the compact

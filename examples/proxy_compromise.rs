@@ -18,9 +18,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use tibpre_core::baseline::identity_pre;
 use tibpre_core::Delegatee;
 use tibpre_examples::banner;
+use tibpre_examples::baseline::identity_pre;
 use tibpre_ibe::{Identity, Kgc};
 use tibpre_pairing::PairingParams;
 use tibpre_phr::{

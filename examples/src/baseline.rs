@@ -13,16 +13,13 @@
 //! 3. **Plain IBE, no delegation** (just `tibpre-ibe`): the delegator must be
 //!    online and decrypt every request himself.
 //!
-//! The benchmark harness (experiments E2, E3 and E6) quantifies these
-//! comparisons; the types here expose exactly the operations those experiments
-//! need.
+//! The `proxy_compromise` and `paper_tables` binaries quantify these
+//! comparisons; the types here expose exactly the operations they need.
 
-use crate::proxy::ReEncryptedCiphertext;
-use crate::types::TypeTag;
-use crate::{PreError, Result};
 use rand::{CryptoRng, RngCore};
 use std::collections::HashMap;
 use std::sync::Arc;
+use tibpre_core::{PreError, ReEncryptedCiphertext, Result, TypeTag};
 use tibpre_ibe::{bf, IbePrivateKey, IbePublicParams, Identity, Kgc, H1_DOMAIN};
 use tibpre_pairing::{Gt, PairingParams};
 
@@ -233,9 +230,9 @@ pub mod multikey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delegatee::Delegatee;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tibpre_core::Delegatee;
 
     fn domains() -> (Kgc, Kgc, Arc<PairingParams>, StdRng) {
         let mut rng = StdRng::seed_from_u64(101);

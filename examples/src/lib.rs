@@ -1,8 +1,14 @@
-//! Shared helpers for the TIB-PRE examples.
+//! Shared code for the TIB-PRE examples.
 //!
 //! Each example binary (`quickstart`, `phr_disclosure`, `proxy_compromise`,
-//! `travel_emergency`) is a standalone walk-through of the public API; this
-//! library target only hosts small shared formatting utilities.
+//! `travel_emergency`, `paper_tables`) is a standalone walk-through of the
+//! public API.  This library hosts what they share: small formatting
+//! utilities, the [`baseline`] schemes the paper argues against, and the
+//! [`sizes`] accounting behind the paper's storage claim — comparison
+//! material no production path calls, kept beside the binaries that print it.
+
+pub mod baseline;
+pub mod sizes;
 
 /// Prints a section banner so the example output is easy to follow.
 pub fn banner(title: &str) {

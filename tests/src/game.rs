@@ -14,16 +14,33 @@
 //! 3. an adversary that *does* hold the target private key (simulating a full
 //!    break) wins every time — i.e. the game actually measures something.
 
-use crate::delegator::{Delegator, TypedCiphertext};
-use crate::proxy::{re_encrypt, ReEncryptedCiphertext};
-use crate::rekey::ReEncryptionKey;
-use crate::types::TypeTag;
-use crate::{PreError, Result};
 use rand::{CryptoRng, RngCore};
 use std::collections::HashSet;
 use std::sync::Arc;
+use tibpre_core::proxy::re_encrypt;
+use tibpre_core::{
+    Delegator, PreError, ReEncryptedCiphertext, ReEncryptionKey, TypeTag, TypedCiphertext,
+};
 use tibpre_ibe::{IbePrivateKey, IbePublicParams, Identity, Kgc};
 use tibpre_pairing::{Gt, PairingParams};
+
+/// Why the challenger refused a query or a game could not be played.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GameError {
+    /// A query the model forbids (e.g. extracting the challenge identity).
+    ConstraintViolated(&'static str),
+    /// The scheme itself failed underneath an oracle.
+    Scheme(PreError),
+}
+
+impl From<PreError> for GameError {
+    fn from(e: PreError) -> Self {
+        GameError::Scheme(e)
+    }
+}
+
+/// Result alias of the game's oracles.
+pub type Result<T> = core::result::Result<T, GameError>;
 
 /// The challenger of the IND-ID-DR-CPA game.
 ///
@@ -84,7 +101,7 @@ impl Challenger {
     pub fn extract1(&mut self, id: &Identity) -> Result<IbePrivateKey> {
         if let Some(ch) = &self.challenge {
             if ch.identity == *id {
-                return Err(PreError::GameConstraintViolated(
+                return Err(GameError::ConstraintViolated(
                     "Extract1 on the challenge identity",
                 ));
             }
@@ -102,7 +119,7 @@ impl Challenger {
                 id.as_bytes().to_vec(),
                 ch.type_tag.as_bytes().to_vec(),
             )) {
-                return Err(PreError::GameConstraintViolated(
+                return Err(GameError::ConstraintViolated(
                     "Extract2 on a delegatee that received the challenge delegation",
                 ));
             }
@@ -129,14 +146,14 @@ impl Challenger {
                 && ch.type_tag == *type_tag
                 && self.extracted2.contains(delegatee_id.as_bytes())
             {
-                return Err(PreError::GameConstraintViolated(
+                return Err(GameError::ConstraintViolated(
                     "Pextract of the challenge (identity, type) towards an extracted delegatee",
                 ));
             }
         }
         // Constraint (c): a triple used in a Preenc† query may not be Pextract-ed.
         if self.preenc_queried.contains(&triple) {
-            return Err(PreError::GameConstraintViolated(
+            return Err(GameError::ConstraintViolated(
                 "Pextract on a triple already used in a Preenc query",
             ));
         }
@@ -147,7 +164,12 @@ impl Challenger {
         );
         // The challenger uses fresh internal randomness for the oracle answer.
         let mut rng = rand::rngs::OsRng;
-        delegator.make_reencryption_key(delegatee_id, self.kgc2.public_params(), type_tag, &mut rng)
+        Ok(delegator.make_reencryption_key(
+            delegatee_id,
+            self.kgc2.public_params(),
+            type_tag,
+            &mut rng,
+        )?)
     }
 
     /// `Preenc†` oracle: encrypts `m` under `(t, id)` and immediately
@@ -165,7 +187,7 @@ impl Challenger {
             type_tag.as_bytes().to_vec(),
         );
         if self.pextracted.contains(&triple) {
-            return Err(PreError::GameConstraintViolated(
+            return Err(GameError::ConstraintViolated(
                 "Preenc on a triple whose re-encryption key was already given out",
             ));
         }
@@ -182,7 +204,7 @@ impl Challenger {
             type_tag,
             &mut rng,
         )?;
-        re_encrypt(&ciphertext, &rekey)
+        Ok(re_encrypt(&ciphertext, &rekey)?)
     }
 
     /// Challenge phase: the adversary submits `(m0, m1, t*, id*)` and receives
@@ -196,12 +218,10 @@ impl Challenger {
         rng: &mut R,
     ) -> Result<TypedCiphertext> {
         if self.challenge.is_some() {
-            return Err(PreError::GameConstraintViolated(
-                "challenge requested twice",
-            ));
+            return Err(GameError::ConstraintViolated("challenge requested twice"));
         }
         if self.extracted1.contains(identity.as_bytes()) {
-            return Err(PreError::GameConstraintViolated(
+            return Err(GameError::ConstraintViolated(
                 "challenge identity was already extracted",
             ));
         }
@@ -212,7 +232,7 @@ impl Challenger {
                 && t == type_tag.as_bytes()
                 && self.extracted2.contains(dee)
             {
-                return Err(PreError::GameConstraintViolated(
+                return Err(GameError::ConstraintViolated(
                     "challenge (identity, type) was delegated to an extracted delegatee",
                 ));
             }
@@ -236,7 +256,7 @@ impl Challenger {
     pub fn adjudicate(&self, guess: bool) -> Result<bool> {
         match &self.challenge {
             Some(state) => Ok(state.bit == guess),
-            None => Err(PreError::GameConstraintViolated(
+            None => Err(GameError::ConstraintViolated(
                 "guess submitted before the challenge phase",
             )),
         }
@@ -413,7 +433,7 @@ mod tests {
         challenger.extract1(&target).unwrap();
         assert!(matches!(
             challenger.challenge(&m0, &m1, &t, &target, &mut rng),
-            Err(PreError::GameConstraintViolated(_))
+            Err(GameError::ConstraintViolated(_))
         ));
 
         // Fresh game: challenge first, then Extract1 on the challenge identity: refused.
@@ -423,12 +443,12 @@ mod tests {
             .unwrap();
         assert!(matches!(
             challenger.extract1(&target),
-            Err(PreError::GameConstraintViolated(_))
+            Err(GameError::ConstraintViolated(_))
         ));
         // A second challenge is refused too.
         assert!(matches!(
             challenger.challenge(&m0, &m1, &t, &target, &mut rng),
-            Err(PreError::GameConstraintViolated(_))
+            Err(GameError::ConstraintViolated(_))
         ));
     }
 
@@ -450,7 +470,7 @@ mod tests {
             .unwrap();
         assert!(matches!(
             challenger.extract2(&helper),
-            Err(PreError::GameConstraintViolated(_))
+            Err(GameError::ConstraintViolated(_))
         ));
 
         // Extract2(id') then Pextract(id*, id', t*) after the challenge: refused.
@@ -461,7 +481,7 @@ mod tests {
             .unwrap();
         assert!(matches!(
             challenger.pextract(&target, &helper, &t_star),
-            Err(PreError::GameConstraintViolated(_))
+            Err(GameError::ConstraintViolated(_))
         ));
         // ... and at challenge time, the combination is also caught.
         let mut challenger = Challenger::new(p.clone(), &mut rng);
@@ -469,7 +489,7 @@ mod tests {
         challenger.pextract(&target, &helper, &t_star).unwrap();
         assert!(matches!(
             challenger.challenge(&m0, &m1, &t_star, &target, &mut rng),
-            Err(PreError::GameConstraintViolated(_))
+            Err(GameError::ConstraintViolated(_))
         ));
     }
 
@@ -486,14 +506,14 @@ mod tests {
         challenger.preenc(&m, &t, &target, &helper).unwrap();
         assert!(matches!(
             challenger.pextract(&target, &helper, &t),
-            Err(PreError::GameConstraintViolated(_))
+            Err(GameError::ConstraintViolated(_))
         ));
 
         let mut challenger = Challenger::new(p, &mut rng);
         challenger.pextract(&target, &helper, &t).unwrap();
         assert!(matches!(
             challenger.preenc(&m, &t, &target, &helper),
-            Err(PreError::GameConstraintViolated(_))
+            Err(GameError::ConstraintViolated(_))
         ));
     }
 
@@ -503,7 +523,7 @@ mod tests {
         let challenger = Challenger::new(params(), &mut rng);
         assert!(matches!(
             challenger.adjudicate(true),
-            Err(PreError::GameConstraintViolated(_))
+            Err(GameError::ConstraintViolated(_))
         ));
     }
 }

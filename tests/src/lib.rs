@@ -3,9 +3,13 @@
 //! The actual tests live in the sibling `tests/` directory of this package and
 //! exercise scenarios that span several crates (multi-domain delegation,
 //! healthcare workflows, serialization, failure injection, security games).
-//! This library target carries one shared harness: [`FaultProxy`], the
+//! This library target carries the shared harnesses: [`FaultProxy`], the
 //! deterministic TCP fault injector the replication suite interposes
-//! between a primary store node and its read replicas.
+//! between a primary store node and its read replicas; [`game`], the
+//! executable IND-ID-DR-CPA security game; and [`test_levels`], the one
+//! switch that widens the oracle suites beyond the toy level.
+
+pub mod game;
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -13,6 +17,27 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use tibpre_pairing::{PairingParams, SecurityLevel};
+
+/// The parameter levels an oracle suite runs at: always `Toy`, plus every
+/// level named in `TIBPRE_TEST_LEVELS` (comma-separated `80`, `112`, `128`;
+/// `toy` is accepted and redundant).  The scheduled CI job sets it to `80`.
+///
+/// Panics on an unknown tag, so a typo cannot pass as a toy-only run.
+pub fn test_levels() -> Vec<Arc<PairingParams>> {
+    let spec = std::env::var("TIBPRE_TEST_LEVELS").unwrap_or_default();
+    let mut levels = vec![SecurityLevel::Toy];
+    for tag in spec.split(',').map(str::trim) {
+        match tag {
+            "" | "toy" => {}
+            "80" => levels.push(SecurityLevel::Low80),
+            "112" => levels.push(SecurityLevel::Medium112),
+            "128" => levels.push(SecurityLevel::High128),
+            other => panic!("unknown TIBPRE_TEST_LEVELS entry {other:?} (toy, 80, 112, 128)"),
+        }
+    }
+    levels.into_iter().map(PairingParams::cached).collect()
+}
 
 /// How often the proxy's pumps and accept loop re-check their flags.
 const POLL: Duration = Duration::from_millis(10);

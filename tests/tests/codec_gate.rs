@@ -1,5 +1,5 @@
 //! The wire-residency **codec gate** — CI-enforced counters for the claims
-//! the e12 work makes:
+//! the wire-resident store makes:
 //!
 //! * `put` on a durable store performs exactly **one** record encode (shared
 //!   by the WAL frame and the shard's resident bytes) and **zero** decodes;

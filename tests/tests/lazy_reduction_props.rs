@@ -10,12 +10,12 @@
 //! actually show: values at `p − k` for tiny `k`, all-ones limb patterns
 //! (maximum carry chains), zero, and one.
 //!
-//! Strict oracles stay alive in the API precisely for these tests:
-//! `Fp2::mul_strict`, `Fp2::mul_by_line_strict`, and the naive
-//! `PairingParams::pairing` (one Miller loop + one final exponentiation per
-//! pair).
+//! The strict oracles live here, not in the API: Karatsuba `Fp2`
+//! multiplication with every product reduced immediately ([`mul_strict`]),
+//! a reduce-every-step fold, and the naive `PairingParams::pairing` (one
+//! Miller loop + one final exponentiation per pair).
 //!
-//! The suite always runs at the toy level.  Setting `TIBPRE_BENCH_LEVELS`
+//! The suite always runs at the toy level.  Setting `TIBPRE_TEST_LEVELS`
 //! to a list containing `80` (as the scheduled CI job does) additionally
 //! runs every check at the paper-era 80-bit parameter level; `112` and
 //! `128` are honoured too for manual deep soaks.
@@ -26,22 +26,21 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use tibpre_bigint::Uint;
 use tibpre_pairing::{multi_pairing, Fp, Fp2, FpCtx, PairingParams, SecurityLevel};
+use tibpre_tests::test_levels as levels;
 
-/// The levels to exercise: always `Toy`; heavier levels opt-in through the
-/// same `TIBPRE_BENCH_LEVELS` environment variable the benchmarks use.
-fn levels() -> Vec<Arc<PairingParams>> {
-    let mut levels = vec![SecurityLevel::Toy];
-    if let Ok(spec) = std::env::var("TIBPRE_BENCH_LEVELS") {
-        for tag in spec.split(',') {
-            match tag.trim() {
-                "80" => levels.push(SecurityLevel::Low80),
-                "112" => levels.push(SecurityLevel::Medium112),
-                "128" => levels.push(SecurityLevel::High128),
-                _ => {}
-            }
-        }
-    }
-    levels.into_iter().map(PairingParams::cached).collect()
+/// Strict-reduction Karatsuba multiplication (3 base-field multiplications,
+/// every product reduced immediately) — the historical shape of the hot
+/// path and the oracle for the lazy `Fp2::mul` / `Fp2::mul_by_line`.
+fn mul_strict(a: &Fp2, b: &Fp2) -> Fp2 {
+    let a0b0 = &a.c0 * &b.c0;
+    let a1b1 = &a.c1 * &b.c1;
+    let cross = &(&(&a.c0 + &a.c1) * &(&b.c0 + &b.c1)) - &(&a0b0 + &a1b1);
+    Fp2::new(&a0b0 - &a1b1, cross)
+}
+
+/// [`mul_strict`] by a line value `real + y·i`.
+fn mul_by_line_strict(a: &Fp2, real: &Fp, y: &Fp) -> Fp2 {
+    mul_strict(a, &Fp2::new(real.clone(), y.clone()))
 }
 
 /// Adversarial `Fp` operands for a given context: the reduction-boundary
@@ -138,7 +137,7 @@ fn fp2_lazy_mul_matches_strict_on_corners_and_random() {
         }
         for a in &elements {
             for b in &elements {
-                assert_eq!(a.mul(b).to_bytes(), a.mul_strict(b).to_bytes());
+                assert_eq!(a.mul(b).to_bytes(), mul_strict(a, b).to_bytes());
             }
             // Squaring stays strict internally but must agree with lazy mul.
             assert_eq!(a.square().to_bytes(), a.mul(a).to_bytes());
@@ -149,7 +148,7 @@ fn fp2_lazy_mul_matches_strict_on_corners_and_random() {
             for (real, y) in corners.iter().zip(corners.iter().rev()) {
                 assert_eq!(
                     a.mul_by_line(real, y).to_bytes(),
-                    a.mul_by_line_strict(real, y).to_bytes()
+                    mul_by_line_strict(a, real, y).to_bytes()
                 );
             }
         }
@@ -198,7 +197,7 @@ proptest! {
     /// Random-operand property: lazy `sum_of_products` equals the strict
     /// reduce-after-every-step fold, with random signs (negation) mixed in.
     /// Proptest drives the toy level only — the corner tests above cover the
-    /// heavier levels under `TIBPRE_BENCH_LEVELS` without 64× repetition.
+    /// heavier levels under `TIBPRE_TEST_LEVELS` without 64× repetition.
     #[test]
     fn prop_sum_of_products_matches_strict(seed in any::<u64>(), len in 1usize..9) {
         let params = PairingParams::cached(SecurityLevel::Toy);
@@ -227,12 +226,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Fp2::random(ctx, &mut rng);
         let b = Fp2::random(ctx, &mut rng);
-        prop_assert_eq!(a.mul(&b).to_bytes(), a.mul_strict(&b).to_bytes());
+        prop_assert_eq!(a.mul(&b).to_bytes(), mul_strict(&a, &b).to_bytes());
         let real = Fp::random(ctx, &mut rng);
         let y = Fp::random(ctx, &mut rng);
         prop_assert_eq!(
             a.mul_by_line(&real, &y).to_bytes(),
-            a.mul_by_line_strict(&real, &y).to_bytes()
+            mul_by_line_strict(&a, &real, &y).to_bytes()
         );
     }
 }

@@ -7,35 +7,17 @@
 //! `PairingParams::pairing`, per-ciphertext algebra spelled out by hand) stay
 //! alive in the API precisely so these tests can cross-check against them.
 //!
-//! The suite always runs at the toy level.  Setting `TIBPRE_BENCH_LEVELS` to
+//! The suite always runs at the toy level.  Setting `TIBPRE_TEST_LEVELS` to
 //! a list containing `80` (as the scheduled CI job does) additionally runs
 //! every check at the paper-era 80-bit parameter level; `112` and `128` are
 //! honoured too for manual deep soaks.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use tibpre_core::{hybrid, proxy, Delegatee, Delegator, TypeTag};
 use tibpre_ibe::{bf, Identity, Kgc};
-use tibpre_pairing::{G1Precomp, PairingParams, SecurityLevel};
-
-/// The levels to exercise: always `Toy`; heavier levels opt-in through the
-/// same `TIBPRE_BENCH_LEVELS` environment variable the benchmarks use, so
-/// the scheduled 80-bit CI job reuses one switch.
-fn levels() -> Vec<Arc<PairingParams>> {
-    let mut levels = vec![SecurityLevel::Toy];
-    if let Ok(spec) = std::env::var("TIBPRE_BENCH_LEVELS") {
-        for tag in spec.split(',') {
-            match tag.trim() {
-                "80" => levels.push(SecurityLevel::Low80),
-                "112" => levels.push(SecurityLevel::Medium112),
-                "128" => levels.push(SecurityLevel::High128),
-                _ => {}
-            }
-        }
-    }
-    levels.into_iter().map(PairingParams::cached).collect()
-}
+use tibpre_pairing::G1Precomp;
+use tibpre_tests::test_levels as levels;
 
 #[test]
 fn fixed_base_tables_match_naive_scalar_multiplication() {

@@ -5,12 +5,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use tibpre_core::game::{
-    win_rate, Adversary, BlindAdversary, Challenger, KeyHoldingAdversary, OracleUsingAdversary,
-};
-use tibpre_core::{proxy, Delegatee, Delegator, PreError, TypeTag};
+use tibpre_core::{proxy, Delegatee, Delegator, TypeTag};
 use tibpre_ibe::{bf, Identity, Kgc, H1_DOMAIN};
 use tibpre_pairing::PairingParams;
+use tibpre_tests::game::{
+    win_rate, Adversary, BlindAdversary, Challenger, GameError, KeyHoldingAdversary,
+    OracleUsingAdversary,
+};
 
 fn setup() -> (Arc<PairingParams>, Kgc, Kgc, StdRng) {
     let mut rng = StdRng::seed_from_u64(0x5EC);
@@ -169,7 +170,7 @@ fn game_rejects_trivially_winning_query_patterns() {
             &mut self,
             challenger: &mut Challenger,
             rng: &mut R,
-        ) -> tibpre_core::Result<bool> {
+        ) -> tibpre_tests::game::Result<bool> {
             let params = Arc::clone(challenger.params());
             let target = Identity::new("target");
             let helper = Identity::new("helper");
@@ -181,13 +182,13 @@ fn game_rejects_trivially_winning_query_patterns() {
             // Attempt 1: extract the challenge identity directly.
             assert!(matches!(
                 challenger.extract1(&target),
-                Err(PreError::GameConstraintViolated(_))
+                Err(GameError::ConstraintViolated(_))
             ));
             // Attempt 2: pextract towards a helper, then extract the helper.
             let _rk = challenger.pextract(&target, &helper, &t)?;
             assert!(matches!(
                 challenger.extract2(&helper),
-                Err(PreError::GameConstraintViolated(_))
+                Err(GameError::ConstraintViolated(_))
             ));
             let _ = ct;
             Ok(rng.next_u32() & 1 == 1)

@@ -169,14 +169,6 @@ proptest! {
 
         let sk = w.kgc2.extract(&bob);
         check_wire_type(&sk, &w.ctx, cut, flip);
-
-        let xor_ct = tibpre_ibe::bf_xor::encrypt(
-            w.kgc2.public_params(),
-            &bob,
-            label.as_bytes(),
-            &mut w.rng,
-        );
-        check_wire_type(&xor_ct, &w.ctx, cut, flip);
     }
 
     /// Hybrid objects and the durable formats built on top of them.
