@@ -3,59 +3,83 @@
 use crate::proxy::ReEncryptedCiphertext;
 use crate::{PreError, Result};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use tibpre_ibe::{bf, IbePrivateKey, Identity, H1_DOMAIN};
-use tibpre_pairing::{G1Affine, Gt, PairingParams, PreparedPairing};
+use tibpre_pairing::{Gt, PairingParams, PreparedPairing};
 use tibpre_wire::WireEncode;
 
 /// The delegatee: holds a private key extracted by *their own* KGC (the
 /// paper's `KGC2`) and can open ciphertexts a proxy re-encrypted for them.
 pub struct Delegatee {
     private_key: IbePrivateKey,
-    /// `c'₃ ↦ prepared Miller loop for H1(Decrypt2(c'₃))`, keyed by the
-    /// exact wire bytes of `c'₃`.  Every ciphertext re-encrypted under one
-    /// re-encryption key carries the *same* `c'₃ = Encrypt2(X, id_j)`, so a
-    /// delegatee opening a run of disclosures pays the IBE decryption, the
-    /// hash-to-curve, and the Miller-loop tabulation once per key instead of
-    /// once per record.  Identical bytes decrypt to the identical `X`, and
-    /// the prepared pairing is bit-identical to the direct one, so the cache
-    /// cannot change any output.  Bounded: cleared when full.
-    mask_cache: Mutex<HashMap<Box<[u8]>, Arc<PreparedPairing>>>,
+    mask_cache: Mutex<MaskCache>,
 }
 
 /// Cached prepared masks per delegatee (distinct re-encryption keys seen).
 const MASK_CACHE_CAP: usize = 256;
+
+/// `c'₃ ↦ prepared Miller loop for H1(Decrypt2(c'₃))`, keyed by the exact
+/// wire bytes of `c'₃`.  Every ciphertext re-encrypted under one
+/// re-encryption key carries the *same* `c'₃ = Encrypt2(X, id_j)`, so a
+/// delegatee opening a run of disclosures pays the IBE decryption, the
+/// hash-to-curve, and the Miller-loop tabulation once per key instead of
+/// once per record.  Identical bytes decrypt to the identical `X`, and the
+/// prepared pairing is bit-identical to the direct one, so the cache cannot
+/// change any output.
+///
+/// Bounded by two generations of at most `MASK_CACHE_CAP / 2` entries: a
+/// full `young` becomes `old` and the previous `old` is dropped, and a hit
+/// in `old` is promoted.  A mask in use is therefore never evicted by the
+/// arrival of others, however many.
+#[derive(Default)]
+struct MaskCache {
+    young: HashMap<Box<[u8]>, Arc<PreparedPairing>>,
+    old: HashMap<Box<[u8]>, Arc<PreparedPairing>>,
+}
+
+impl MaskCache {
+    fn get(&mut self, key: &[u8]) -> Option<Arc<PreparedPairing>> {
+        if let Some(hit) = self.young.get(key) {
+            return Some(Arc::clone(hit));
+        }
+        let (key, hit) = self.old.remove_entry(key)?;
+        self.insert(key, Arc::clone(&hit));
+        Some(hit)
+    }
+
+    fn insert(&mut self, key: Box<[u8]>, mask: Arc<PreparedPairing>) {
+        if self.young.len() >= MASK_CACHE_CAP / 2 {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.young.insert(key, mask);
+    }
+}
 
 impl Delegatee {
     /// Binds a delegatee to their extracted private key.
     pub fn new(private_key: IbePrivateKey) -> Self {
         Delegatee {
             private_key,
-            mask_cache: Mutex::new(HashMap::new()),
+            mask_cache: Mutex::default(),
         }
+    }
+
+    fn mask_cache(&self) -> MutexGuard<'_, MaskCache> {
+        self.mask_cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// The prepared Miller loop for `H1(Decrypt2(c'₃))`, served from the
     /// cache when this exact `c'₃` has been opened before.
     fn prepared_mask(&self, ciphertext: &ReEncryptedCiphertext) -> Result<Arc<PreparedPairing>> {
         let key: Box<[u8]> = ciphertext.encrypted_x.to_wire_bytes().into();
-        if let Some(hit) = self
-            .mask_cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            return Ok(Arc::clone(hit));
+        if let Some(hit) = self.mask_cache().get(&key) {
+            return Ok(hit);
         }
         let params = self.params();
         let x = bf::decrypt_gt(&self.private_key, &ciphertext.encrypted_x)?;
         let h1_of_x = params.hash_to_g1(H1_DOMAIN, &[&x.to_bytes()])?;
         let prepared = Arc::new(params.prepare(&h1_of_x));
-        let mut cache = self.mask_cache.lock().unwrap_or_else(|p| p.into_inner());
-        if cache.len() >= MASK_CACHE_CAP {
-            cache.clear();
-        }
-        cache.insert(key, Arc::clone(&prepared));
+        self.mask_cache().insert(key, Arc::clone(&prepared));
         Ok(prepared)
     }
 
@@ -85,43 +109,6 @@ impl Delegatee {
             .c2
             .div(&mask)
             .map_err(|_| PreError::InvalidEncoding("degenerate re-encryption mask"))
-    }
-
-    /// Decrypts a whole batch of re-encrypted ciphertexts, batching the mask
-    /// pairings: one Miller loop per ciphertext, then a single batched final
-    /// exponentiation (the per-element easy-part inversions collapse into one
-    /// GCD).  Element-wise bit-identical to [`Self::decrypt_reencrypted`].
-    ///
-    /// The first (lowest-index) ciphertext whose `X` recovery or hash fails
-    /// aborts the whole batch before any pairing work, mirroring a
-    /// sequential scan.
-    pub fn decrypt_reencrypted_batch(
-        &self,
-        ciphertexts: &[ReEncryptedCiphertext],
-    ) -> Result<Vec<Gt>> {
-        let params = self.params();
-        let mut h1s = Vec::with_capacity(ciphertexts.len());
-        for ct in ciphertexts {
-            // Keep the batch path on the direct pairing (it is the oracle
-            // the cached path is tested against), but share the recovered
-            // `H1(X)` via the same per-key preparation.
-            h1s.push(self.prepared_mask(ct)?.point().clone());
-        }
-        let pairs: Vec<(&G1Affine, &G1Affine)> = ciphertexts
-            .iter()
-            .zip(h1s.iter())
-            .map(|(ct, h1)| (&ct.c1, h1))
-            .collect();
-        let masks = params.pairing_batch(&pairs);
-        ciphertexts
-            .iter()
-            .zip(masks)
-            .map(|(ct, mask)| {
-                ct.c2
-                    .div(&mask)
-                    .map_err(|_| PreError::InvalidEncoding("degenerate re-encryption mask"))
-            })
-            .collect()
     }
 }
 
@@ -175,39 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_decryption_matches_per_item() {
-        let mut rng = StdRng::seed_from_u64(83);
-        let params = PairingParams::insecure_toy();
-        let kgc1 = Kgc::setup(params.clone(), "kgc1", &mut rng);
-        let kgc2 = Kgc::setup(params.clone(), "kgc2", &mut rng);
-        let delegator = Delegator::new(
-            kgc1.public_params().clone(),
-            kgc1.extract(&Identity::new("alice")),
-        );
-        let bob = Identity::new("bob");
-        let delegatee = Delegatee::new(kgc2.extract(&bob));
-        let t = TypeTag::new("t");
-        let rk = delegator
-            .make_reencryption_key(&bob, kgc2.public_params(), &t, &mut rng)
-            .unwrap();
-        let messages: Vec<Gt> = (0..4).map(|_| params.random_gt(&mut rng)).collect();
-        let transformed: Vec<_> = messages
-            .iter()
-            .map(|m| re_encrypt(&delegator.encrypt_typed(m, &t, &mut rng), &rk).unwrap())
-            .collect();
-        let batch = delegatee.decrypt_reencrypted_batch(&transformed).unwrap();
-        assert_eq!(batch.len(), messages.len());
-        for ((got, ct), m) in batch.iter().zip(&transformed).zip(&messages) {
-            assert_eq!(got, m);
-            assert_eq!(
-                got.to_bytes(),
-                delegatee.decrypt_reencrypted(ct).unwrap().to_bytes()
-            );
-        }
-        assert!(delegatee.decrypt_reencrypted_batch(&[]).unwrap().is_empty());
-    }
-
-    #[test]
     fn repeated_opens_hit_the_mask_cache_and_stay_bit_identical() {
         let mut rng = StdRng::seed_from_u64(84);
         let params = PairingParams::insecure_toy();
@@ -236,6 +190,54 @@ mod tests {
             cold.decrypt_reencrypted(&ct).unwrap().to_bytes()
         );
         assert_eq!(first, m);
+    }
+
+    /// A delegatee and `n` re-encrypted ciphertexts with pairwise distinct
+    /// `c'₃` — what disclosures under `n` different grants look like to
+    /// the mask cache.
+    fn distinct_grants(n: usize) -> (Delegatee, Vec<ReEncryptedCiphertext>) {
+        let mut rng = StdRng::seed_from_u64(85);
+        let params = PairingParams::insecure_toy();
+        let kgc2 = Kgc::setup(params.clone(), "kgc2", &mut rng);
+        let bob = Identity::new("bob");
+        let grants = (0..n)
+            .map(|_| ReEncryptedCiphertext {
+                c1: params.random_g1(&mut rng),
+                c2: params.random_gt(&mut rng),
+                encrypted_x: bf::encrypt_gt(
+                    kgc2.public_params(),
+                    &bob,
+                    &params.random_gt(&mut rng),
+                    &mut rng,
+                ),
+                type_tag: TypeTag::new("t"),
+                delegatee: bob.clone(),
+            })
+            .collect();
+        (Delegatee::new(kgc2.extract(&bob)), grants)
+    }
+
+    #[test]
+    fn mask_cache_stays_within_its_bound() {
+        let (delegatee, grants) = distinct_grants(300);
+        for grant in &grants {
+            delegatee.prepared_mask(grant).unwrap();
+            let cache = delegatee.mask_cache();
+            assert!(cache.young.len() <= MASK_CACHE_CAP / 2);
+            assert!(cache.young.len() + cache.old.len() <= MASK_CACHE_CAP);
+        }
+    }
+
+    #[test]
+    fn a_mask_in_use_survives_any_number_of_other_grants() {
+        let (delegatee, grants) = distinct_grants(301);
+        let (hot, others) = grants.split_first().unwrap();
+        let mask = delegatee.prepared_mask(hot).unwrap();
+        for other in others {
+            delegatee.prepared_mask(other).unwrap();
+            let served = delegatee.prepared_mask(hot).unwrap();
+            assert!(Arc::ptr_eq(&mask, &served), "the hot mask was rebuilt");
+        }
     }
 
     #[test]

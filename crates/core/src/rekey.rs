@@ -10,7 +10,7 @@ use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writ
 /// Lazily-built pairing precomputation for one re-encryption key, shared
 /// across clones (a proxy clones keys freely; the Miller-loop table must not
 /// be rebuilt per copy).
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct RekeyCache {
     prepared_rk: OnceLock<Arc<PreparedPairing>>,
 }
@@ -20,7 +20,7 @@ struct RekeyCache {
 /// The key is bound to one (delegator, delegatee, type) triple.  Holding it,
 /// the proxy can convert the delegator's ciphertexts *of that type only*; by
 /// Theorem 1 of the paper it learns nothing that helps with any other type.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct ReEncryptionKey {
     delegator: Identity,
     delegatee: Identity,
@@ -49,6 +49,18 @@ impl PartialEq for ReEncryptionKey {
 }
 
 impl Eq for ReEncryptionKey {}
+
+impl core::fmt::Debug for ReEncryptionKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // Never print `rk₂`, nor the table prepared from it.
+        f.debug_struct("ReEncryptionKey")
+            .field("delegator", &self.delegator)
+            .field("delegatee", &self.delegatee)
+            .field("type_tag", &self.type_tag)
+            .field("prepared", &self.cache.prepared_rk.get().is_some())
+            .finish_non_exhaustive()
+    }
+}
 
 impl ReEncryptionKey {
     /// Assembles a re-encryption key from its parts (called by
@@ -219,6 +231,21 @@ mod tests {
             )
             .unwrap();
         (rk, params)
+    }
+
+    #[test]
+    fn debug_does_not_leak_the_rekey_point() {
+        let (rk, _) = make_rekey();
+        let secret = [rk.rk_point().x(), rk.rk_point().y()].map(|c| c.to_uint().to_hex());
+        // Before and after the table derived from the key exists.
+        for prepared in [false, true] {
+            let dbg = format!("{rk:?}");
+            assert!(dbg.contains("alice") && dbg.contains("bob"));
+            assert!(dbg.contains("illness-history"));
+            assert!(dbg.contains(&format!("prepared: {prepared}")));
+            assert!(secret.iter().all(|hex| !dbg.contains(hex)), "{dbg}");
+            rk.prepared_rk_point();
+        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl tibpre_wire::WireDecode for IbePublicParams {
 }
 
 /// Lazily-built precomputation for one private key, shared across clones.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct KeyCache {
     /// Prepared Miller loop for `sk_id` — the fixed argument of the
     /// decryption pairing `ê(sk_id, c1)`.
@@ -139,7 +139,7 @@ struct KeyCache {
 }
 
 /// The private key extracted for an identity: `sk_id = pk_id^α = H1(id)^α`.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct IbePrivateKey {
     identity: Identity,
     key: G1Affine,
@@ -230,6 +230,17 @@ impl PartialEq for IbePrivateKey {
 }
 
 impl Eq for IbePrivateKey {}
+
+impl core::fmt::Debug for IbePrivateKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // Never print `sk_id`, nor the table prepared from it.
+        f.debug_struct("IbePrivateKey")
+            .field("identity", &self.identity)
+            .field("kgc_label", &self.kgc_label)
+            .field("prepared", &self.cache.prepared.get().is_some())
+            .finish_non_exhaustive()
+    }
+}
 
 impl tibpre_wire::WireEncode for IbePrivateKey {
     /// Transport form of the full key material:
@@ -356,6 +367,21 @@ mod tests {
         let expect = pp.pairing().generator().mul_scalar(kgc.master_key());
         assert_eq!(pp.kgc_public_key(), &expect);
         assert_eq!(pp.label(), "test-kgc");
+    }
+
+    #[test]
+    fn debug_does_not_leak_the_private_key() {
+        let (kgc, _) = setup();
+        let sk = kgc.extract(&Identity::new("alice"));
+        let secret = [sk.key().x(), sk.key().y()].map(|c| c.to_uint().to_hex());
+        // Before and after the table derived from the key exists.
+        for prepared in [false, true] {
+            let dbg = format!("{sk:?}");
+            assert!(dbg.contains("alice") && dbg.contains("test-kgc"));
+            assert!(dbg.contains(&format!("prepared: {prepared}")));
+            assert!(secret.iter().all(|hex| !dbg.contains(hex)), "{dbg}");
+            sk.prepared_key();
+        }
     }
 
     #[test]

@@ -81,6 +81,12 @@ impl FpCtx {
         self.byte_len
     }
 
+    /// Limbs one element occupies *at rest*: the rule is that registers
+    /// ([`Fp`]) are `MAX_LIMBS` wide and anything kept is `nlimbs` wide.
+    pub(crate) fn nlimbs(&self) -> usize {
+        self.mont.nlimbs()
+    }
+
     fn handle(&self) -> &'static Arc<FpCtx> {
         self.interned
             .get()
@@ -156,6 +162,22 @@ impl Fp {
     /// The field context this element belongs to.
     pub fn ctx(&self) -> &Arc<FpCtx> {
         self.ctx.handle()
+    }
+
+    /// Appends the element's `nlimbs` Montgomery limbs to `out` — the packed
+    /// form precomputed tables keep (see [`crate::precomp`]); the limbs
+    /// above `nlimbs` are zero in every reduced element and are not stored.
+    pub(crate) fn pack_into(&self, out: &mut Vec<u64>) {
+        out.extend_from_slice(&self.mont_repr.limbs()[..self.ctx.nlimbs()]);
+    }
+
+    /// Reads back an element stored by [`Self::pack_into`].
+    pub(crate) fn unpack(ctx: &Arc<FpCtx>, limbs: &[u64]) -> Fp {
+        debug_assert_eq!(limbs.len(), ctx.nlimbs());
+        Fp {
+            ctx: ctx.handle(),
+            mont_repr: Uint::from_limbs_le(limbs).expect("a packed element is nlimbs wide"),
+        }
     }
 
     /// Returns `true` if this is the additive identity.

@@ -27,25 +27,43 @@
 //! naive path.  The naive paths ([`G1Affine::mul_scalar`],
 //! [`crate::params::PairingParams::pairing`]) stay alive as test oracles.
 //!
+//! # Layout at rest
+//!
+//! Registers ([`Fp`], [`G1Affine`]) are `MAX_LIMBS` wide; anything *kept* is
+//! `nlimbs` wide.  Both tables are one `Box<[u64]>` of rows, two field
+//! elements per row (`a ‖ b` for a line, `x ‖ y` for a table point), each
+//! exactly the modulus' `nlimbs` Montgomery limbs and read back into
+//! registers only while used: `lines · 2 · nlimbs · 8 + steps` bytes per
+//! prepared loop (≈ 27 KiB at the 80-bit level, 8 limbs) and
+//! `windows · 15 · 2 · nlimbs · 8` per fixed-base table (75 KiB).  A node
+//! holds one table per grant; the workload that builds, drops and rebuilds
+//! hundreds of them, and whose `peak_rss_mb` is mostly these bytes:
+//!
+//! ```console
+//! cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+//!   --workload disclose_cold_churn_80 --seed 1 --seconds 2 --trace 0
+//! ```
+//!
 //! # Thread safety
 //!
 //! Both table types are **immutable after construction** — evaluation only
-//! reads the stored windows / line coefficients — so a table behind an `Arc`
-//! can be shared by any number of threads without locking.  This is the
+//! reads the stored rows, through a cursor of its own — so a table behind an
+//! `Arc` can be shared by any number of threads without locking.  This is the
 //! contract the multi-threaded re-encryption engine (`tibpre-engine`) relies
 //! on: it forces a key's lazy preparation *once*, on the dispatching thread,
 //! then lets every worker evaluate the shared table concurrently.
 
 use crate::curve::{batch_to_affine, G1Affine, G1Projective};
-use crate::fp::Fp;
+use crate::fp::{Fp, FpCtx};
 use crate::fp2::Fp2;
 use crate::gt::Gt;
 use crate::pairing::{
     final_exponentiation_batch, final_exponentiation_with_digits, wnaf_digits, MillerPoint,
-    RawAddStep,
+    RawAddStep, RawLine,
 };
 use crate::params::PairingParams;
 use crate::scalar::Scalar;
+use core::slice::ChunksExact;
 use std::sync::Arc;
 use tibpre_bigint::Uint;
 
@@ -54,21 +72,31 @@ const WINDOW: usize = 4;
 /// Non-zero digits per window: `2^WINDOW − 1`.
 const TABLE_LEN: usize = (1 << WINDOW) - 1;
 
+/// Splits a packed row into its two `nlimbs`-wide field elements.
+fn unpack_row(ctx: &Arc<FpCtx>, row: &[u64]) -> (Fp, Fp) {
+    let (first, second) = row.split_at(row.len() / 2);
+    (Fp::unpack(ctx, first), Fp::unpack(ctx, second))
+}
+
 /// A fixed-base multiplication table for one point `P`.
 ///
-/// `table[w][j] = (j + 1) · 2^{4w} · P` in affine coordinates, for every
-/// 4-bit window `w` of a scalar up to [`Self::max_bits`] bits.  A scalar
-/// multiplication then reduces to at most one mixed addition per window —
-/// no doublings — which is several times faster than the generic windowed
-/// ladder for the scalar sizes the scheme uses.
+/// Row `w·15 + j − 1` holds `j · 2^{4w} · P` in affine coordinates (`x ‖ y`,
+/// packed), for every non-zero digit `j` of every 4-bit window `w` of a
+/// scalar up to [`Self::max_bits`] bits.  A scalar multiplication then
+/// reduces to at most one mixed addition per window — no doublings — which
+/// is several times faster than the generic windowed ladder for the scalar
+/// sizes the scheme uses.
 ///
 /// Building the table costs one doubling/addition per entry plus a single
 /// batched inversion to normalise everything to affine; it pays for itself
 /// after a handful of multiplications by the same base.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct G1Precomp {
     point: G1Affine,
-    table: Vec<Vec<G1Affine>>,
+    /// Empty when some multiple is the identity, which a row cannot express
+    /// (the identity base, or one of small order): those bases take the
+    /// generic ladder.
+    rows: Box<[u64]>,
     max_bits: usize,
 }
 
@@ -95,11 +123,17 @@ impl G1Precomp {
             // Next window's base is 2^WINDOW·base = 2 · (8·base).
             base = entries[start + 7].double();
         }
-        let affine = batch_to_affine(&entries);
-        let table = affine.chunks(TABLE_LEN).map(<[G1Affine]>::to_vec).collect();
+        let mut rows = Vec::new();
+        if !entries.iter().any(G1Projective::is_identity) {
+            rows.reserve_exact(entries.len() * 2 * point.ctx().nlimbs());
+            for entry in batch_to_affine(&entries) {
+                entry.x().pack_into(&mut rows);
+                entry.y().pack_into(&mut rows);
+            }
+        }
         G1Precomp {
             point: point.clone(),
-            table,
+            rows: rows.into_boxed_slice(),
             max_bits: windows * WINDOW,
         }
     }
@@ -115,25 +149,33 @@ impl G1Precomp {
         self.max_bits
     }
 
+    /// Bytes the table keeps on the heap.
+    fn resident_bytes(&self) -> usize {
+        core::mem::size_of_val(&*self.rows)
+    }
+
     /// Fixed-base scalar multiplication `k·P` via the table.
     ///
     /// Produces the exact same group element as the naive
     /// [`G1Affine::mul_uint`] (the oracle-equivalence suite asserts
     /// bit-identical encodings).
     pub fn mul_uint(&self, k: &Uint) -> G1Affine {
-        if k.bits() > self.max_bits {
-            // Out-of-range scalar (never produced by Z_q arithmetic): take
-            // the generic ladder rather than mis-computing.
+        if self.rows.is_empty() || k.bits() > self.max_bits {
+            // No table, or an out-of-range scalar (never produced by Z_q
+            // arithmetic): take the generic ladder rather than mis-computing.
             return self.point.mul_uint(k);
         }
-        let mut acc = G1Projective::identity(self.point.ctx());
-        for (w, entries) in self.table.iter().enumerate() {
+        let ctx = self.point.ctx();
+        let row_len = 2 * ctx.nlimbs();
+        let mut acc = G1Projective::identity(ctx);
+        for (w, window) in self.rows.chunks_exact(TABLE_LEN * row_len).enumerate() {
             let mut digit = 0usize;
             for b in (0..WINDOW).rev() {
                 digit = (digit << 1) | usize::from(k.bit(w * WINDOW + b));
             }
             if digit != 0 {
-                acc = acc.add_affine(&entries[digit - 1]);
+                let (x, y) = unpack_row(ctx, &window[(digit - 1) * row_len..digit * row_len]);
+                acc = acc.add_affine(&G1Affine::new_unchecked(x, y));
             }
         }
         acc.to_affine()
@@ -145,40 +187,20 @@ impl G1Precomp {
     }
 }
 
-/// A Miller-loop line with the fixed argument baked in, normalised so the
-/// `y_Q` coefficient is one: `ℓ(φ(Q)) = (a + b·x_Q) + y_Q·i`.
-#[derive(Clone, Debug)]
-struct PreparedLine {
-    a: Fp,
-    b: Fp,
-}
-
-impl PreparedLine {
-    /// Folds `f · ℓ(φ(Q))` in one sparse multiplication: evaluating the line
-    /// costs a single base-field multiplication (`b·x_Q`), and the product
-    /// avoids materialising the line as a temporary `Fp2`.
-    fn mul_into(&self, f: &Fp2, xq: &Fp, yq: &Fp) -> Fp2 {
-        f.mul_by_line(&(&self.a + &self.b.mul(xq)), yq)
+impl core::fmt::Debug for G1Precomp {
+    /// Shape only: a table of a secret base must not print it.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("G1Precomp")
+            .field("max_bits", &self.max_bits)
+            .field("resident_bytes", &self.resident_bytes())
+            .finish_non_exhaustive()
     }
 }
 
-/// One digit of the prepared Miller loop: the tangent line of the doubling
-/// step, plus the chord line of the addition step when the NAF digit is
-/// non-zero (`+1` adds `P`, `−1` adds `−P`; the `f_{−1}` factor a
-/// subtraction formally contributes is a vertical, which denominator
-/// elimination drops).
-///
-/// Either line may be absent — exactly where the loop multiplies no line:
-/// zero digits, vertical tangents/chords (eliminated by the final
-/// exponentiation), and steps where the running point has reached the
-/// identity.  In particular the *last* addition step of any prime-order input
-/// lands on `±P` and produces a vertical chord, so `add = None` there is the
-/// normal case, not an anomaly.
-#[derive(Clone, Debug)]
-struct PreparedStep {
-    dbl: Option<PreparedLine>,
-    add: Option<PreparedLine>,
-}
+/// Step flag bits: the step stores the tangent line of its doubling, the
+/// chord line of its addition.
+const HAS_DBL: u8 = 1;
+const HAS_ADD: u8 = 2;
 
 /// A pairing with one argument fixed and its Miller loop pre-tabulated.
 ///
@@ -197,10 +219,23 @@ struct PreparedStep {
 /// addition chains (and the degenerate vertical/identity cases, stored here
 /// as line-less steps) change the unreduced Miller value only by `F_p^*`
 /// factors, which the final exponentiation kills.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct PreparedPairing {
     point: G1Affine,
-    steps: Vec<PreparedStep>,
+    /// One flag byte per digit of the loop: the tangent line of the doubling
+    /// step ([`HAS_DBL`]), plus the chord line of the addition step when the
+    /// NAF digit is non-zero ([`HAS_ADD`]; `+1` adds `P`, `−1` adds `−P`).
+    ///
+    /// Either line may be absent — exactly where the loop multiplies no
+    /// line: zero digits, vertical tangents/chords (eliminated by the final
+    /// exponentiation), and steps where the running point has reached the
+    /// identity.  In particular the *last* addition step of any prime-order
+    /// input lands on `±P` and produces a vertical chord, so a step without
+    /// its addition line there is the normal case, not an anomaly.
+    steps: Box<[u8]>,
+    /// One row `a ‖ b` per stored line, in loop order, normalised so the
+    /// `y_Q` coefficient is one: `ℓ(φ(Q)) = (a + b·x_Q) + y_Q·i`.
+    rows: Box<[u64]>,
     /// The cofactor's wNAF recoding, shared with the parameter set.
     cofactor_digits: Arc<Vec<i8>>,
 }
@@ -215,7 +250,8 @@ impl PreparedPairing {
             // evaluates to the same thing.
             return PreparedPairing {
                 point: point.clone(),
-                steps: Vec::new(),
+                steps: Box::default(),
+                rows: Box::default(),
                 cofactor_digits,
             };
         }
@@ -232,61 +268,55 @@ impl PreparedPairing {
         );
         let neg_point = point.neg();
         let mut t = MillerPoint::from_affine(point);
-        let mut raw: Vec<(Option<_>, Option<_>)> = Vec::with_capacity(digits.len());
+        let mut steps: Vec<u8> = Vec::with_capacity(digits.len());
+        let mut raw: Vec<RawLine> = Vec::with_capacity(2 * digits.len());
         for &digit in digits.iter().rev().skip(1) {
-            let mut dbl = None;
-            let mut add = None;
+            let mut flags = 0;
             if !t.is_identity() {
                 if t.y_is_zero() {
                     // Vertical tangent (2-torsion): no line to store.
                     t = MillerPoint::identity(point);
                 } else {
-                    dbl = Some(t.double_step_coeffs());
+                    raw.push(t.double_step_coeffs());
+                    flags |= HAS_DBL;
                 }
             }
             if digit != 0 && !t.is_identity() {
                 let addend = if digit > 0 { point } else { &neg_point };
-                match t.add_step_coeffs(addend) {
-                    RawAddStep::Line(line) => add = Some(*line),
-                    RawAddStep::Tangent if t.y_is_zero() => {
-                        t = MillerPoint::identity(point);
+                let line = match t.add_step_coeffs(addend) {
+                    RawAddStep::Line(line) => Some(*line),
+                    RawAddStep::Tangent if t.y_is_zero() => None,
+                    RawAddStep::Tangent => Some(t.double_step_coeffs()),
+                    RawAddStep::Vertical => None,
+                };
+                match line {
+                    Some(line) => {
+                        raw.push(line);
+                        flags |= HAS_ADD;
                     }
-                    RawAddStep::Tangent => add = Some(t.double_step_coeffs()),
-                    RawAddStep::Vertical => t = MillerPoint::identity(point),
+                    None => t = MillerPoint::identity(point),
                 }
             }
-            raw.push((dbl, add));
+            steps.push(flags);
         }
 
         // Normalise every stored line so its y_Q coefficient is 1, with one
         // batched inversion for the whole loop.  Whenever a line *is* stored,
         // its denominator `cy` (`Z'·Z²` for tangents, `Z'` for chords) is
         // non-zero, because the producing step left a non-identity point.
-        let cys: Vec<Fp> = raw
-            .iter()
-            .flat_map(|(d, a)| d.iter().chain(a.iter()).map(|l| l.cy.clone()))
-            .collect();
+        let cys: Vec<Fp> = raw.iter().map(|line| line.cy.clone()).collect();
         let cy_invs =
             Fp::batch_invert(&cys).expect("stored Miller lines have non-zero denominators");
-        let mut inv_iter = cy_invs.into_iter();
-        let mut normalise = |line: &crate::pairing::RawLine| {
-            let inv = inv_iter.next().expect("one inverse per stored line");
-            PreparedLine {
-                a: line.c0.mul(&inv),
-                b: line.cx.mul(&inv),
-            }
-        };
-        let steps = raw
-            .iter()
-            .map(|(d, a)| PreparedStep {
-                dbl: d.as_ref().map(&mut normalise),
-                add: a.as_ref().map(&mut normalise),
-            })
-            .collect();
+        let mut rows = Vec::with_capacity(raw.len() * 2 * point.ctx().nlimbs());
+        for (line, inv) in raw.iter().zip(&cy_invs) {
+            line.c0.mul(inv).pack_into(&mut rows);
+            line.cx.mul(inv).pack_into(&mut rows);
+        }
 
         PreparedPairing {
             point: point.clone(),
-            steps,
+            steps: steps.into_boxed_slice(),
+            rows: rows.into_boxed_slice(),
             cofactor_digits,
         }
     }
@@ -294,6 +324,16 @@ impl PreparedPairing {
     /// The fixed pairing argument.
     pub fn point(&self) -> &G1Affine {
         &self.point
+    }
+
+    /// Bytes the table keeps on the heap.
+    fn resident_bytes(&self) -> usize {
+        core::mem::size_of_val(&*self.rows) + self.steps.len()
+    }
+
+    /// A cursor over the stored lines, in loop order.
+    fn line_rows(&self) -> ChunksExact<'_, u64> {
+        self.rows.chunks_exact(2 * self.point.ctx().nlimbs())
     }
 
     /// The unreduced Miller value `f_{q,P}(φ(Q))`, up to `F_p^*` factors
@@ -305,17 +345,10 @@ impl PreparedPairing {
         if q.is_identity() {
             return Fp2::one(ctx);
         }
-        let xq = q.x();
-        let yq = q.y();
+        let mut rows = self.line_rows();
         let mut f = Fp2::one(ctx);
-        for step in &self.steps {
-            f = f.square();
-            if let Some(dbl) = &step.dbl {
-                f = dbl.mul_into(&f, xq, yq);
-            }
-            if let Some(add) = &step.add {
-                f = add.mul_into(&f, xq, yq);
-            }
+        for &flags in self.steps.iter() {
+            f = fold_step(f.square(), flags, &mut rows, q);
         }
         f
     }
@@ -351,16 +384,44 @@ impl PreparedPairing {
     }
 }
 
+impl core::fmt::Debug for PreparedPairing {
+    /// Shape only: the table of a private or re-encryption key is as secret
+    /// as the key, so neither the point nor a limb is printed.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("PreparedPairing")
+            .field("steps", &self.steps.len())
+            .field("lines", &self.line_rows().len())
+            .field("resident_bytes", &self.resident_bytes())
+            .finish_non_exhaustive()
+    }
+}
+
+/// Folds the lines one step stores into `f`, advancing the table's cursor:
+/// each is one sparse multiplication `f · ((a + b·x_Q) + y_Q·i)` — evaluating
+/// the line costs a single base-field multiplication (`b·x_Q`), and the
+/// product avoids materialising the line as a temporary `Fp2`.  Tangent and
+/// chord lines fold alike, so only their number is read from the flags.
+fn fold_step(mut f: Fp2, flags: u8, rows: &mut ChunksExact<'_, u64>, q: &G1Affine) -> Fp2 {
+    for _ in 0..flags.count_ones() {
+        let row = rows.next().expect("one row per flagged line");
+        let (a, b) = unpack_row(q.ctx(), row);
+        f = f.mul_by_line(&(&a + &b.mul(q.x())), q.y());
+    }
+    f
+}
+
 /// The product of pairings `∏ᵢ ê(Pᵢ, Qᵢ)` over prepared first arguments, in
 /// one shared Miller loop and **one** final exponentiation.
 ///
 /// Every prepared table built from the same parameter set replays the same
 /// NAF of the group order, so all the non-degenerate tables have the same
 /// step count and the loops run in lockstep: per step the shared accumulator
-/// is squared *once* and every pair folds in its stored lines.  Squaring
-/// distributes over products, so after the loop the accumulator is exactly
-/// `∏ᵢ fᵢ`; the final exponentiation is a power map and hence multiplicative,
-/// so the reduced result is bit-identical to multiplying the `k` individual
+/// is squared *once* and every pair folds in the lines its table stores for
+/// that step, each table read through a row cursor of its own (a table with
+/// line-less steps simply advances more slowly).  Squaring distributes over
+/// products, so after the loop the accumulator is exactly `∏ᵢ fᵢ`; the final
+/// exponentiation is a power map and hence multiplicative, so the reduced
+/// result is bit-identical to multiplying the `k` individual
 /// [`PreparedPairing::pairing`] outputs in [`Gt`].
 ///
 /// Pairs whose fixed argument or `Qᵢ` is the identity contribute a factor `1`
@@ -393,17 +454,15 @@ pub fn multi_pairing(pairs: &[(&PreparedPairing, &G1Affine)]) -> Option<Gt> {
         "prepared tables from one parameter set share a step count"
     );
 
+    let mut cursors: Vec<_> = lockstep
+        .iter()
+        .map(|(prep, q)| (&prep.steps, prep.line_rows(), *q))
+        .collect();
     let mut f = Fp2::one(ctx);
     for i in 0..len {
         f = f.square();
-        for (prep, q) in &lockstep {
-            let step = &prep.steps[i];
-            if let Some(dbl) = &step.dbl {
-                f = dbl.mul_into(&f, q.x(), q.y());
-            }
-            if let Some(add) = &step.add {
-                f = add.mul_into(&f, q.x(), q.y());
-            }
+        for (steps, rows, q) in &mut cursors {
+            f = fold_step(f, steps[i], rows, q);
         }
     }
     for (prep, q) in &stragglers {
@@ -457,7 +516,91 @@ mod tests {
         let pp = PairingParams::insecure_toy();
         let id = pp.g1_identity();
         let table = G1Precomp::new(&id, pp.q().bits());
+        assert_eq!(table.resident_bytes(), 0);
+        assert!(table.mul_uint(&Uint::ZERO).is_identity());
         assert!(table.mul_uint(&Uint::from_u64(12345)).is_identity());
+        let huge = pp.q().shl(7);
+        assert!(huge.bits() > table.max_bits());
+        assert!(table.mul_uint(&huge).is_identity());
+    }
+
+    #[test]
+    fn fixed_base_table_for_a_small_order_base() {
+        // 2·(0, 0) is the identity, which a packed row cannot express: the
+        // base keeps no table and multiplies through the generic ladder.
+        let pp = PairingParams::insecure_toy();
+        let two_torsion = G1Affine::new(Fp::zero(pp.fp_ctx()), Fp::zero(pp.fp_ctx())).unwrap();
+        let table = G1Precomp::new(&two_torsion, pp.q().bits());
+        assert_eq!(table.resident_bytes(), 0);
+        for k in [0u64, 1, 2, 3, 0xFFFF] {
+            let k = Uint::from_u64(k);
+            assert_eq!(table.mul_uint(&k), two_torsion.mul_uint(&k));
+        }
+    }
+
+    /// The toy set and one 8-limb set (the 80-bit level's shape).
+    fn toy_and_eight_limb_params() -> [Arc<PairingParams>; 2] {
+        use crate::params::SecurityLevel;
+        let eight = PairingParams::generate_custom(SecurityLevel::Low80, 160, 512, &mut rng())
+            .expect("parameter generation");
+        assert_eq!(eight.fp_ctx().nlimbs(), 8);
+        [PairingParams::insecure_toy(), eight]
+    }
+
+    #[test]
+    fn tables_at_rest_weigh_what_the_layout_says() {
+        let mut r = rng();
+        for pp in toy_and_eight_limb_params() {
+            let nlimbs = pp.fp_ctx().nlimbs();
+            let fixed = pp.random_g1(&mut r);
+
+            let prepared = PreparedPairing::new(&pp, &fixed);
+            let steps = prepared.steps.len();
+            let lines: usize = prepared.steps.iter().map(|f| f.count_ones() as usize).sum();
+            assert_eq!(steps, wnaf_digits(pp.q(), 2).len() - 1);
+            assert_eq!(prepared.line_rows().len(), lines);
+            assert_eq!(prepared.resident_bytes(), lines * 2 * nlimbs * 8 + steps);
+
+            let table = G1Precomp::new(&fixed, pp.q().bits());
+            let windows = pp.q().bits().div_ceil(WINDOW);
+            assert_eq!(table.resident_bytes(), windows * 15 * 2 * nlimbs * 8);
+
+            if nlimbs == 8 {
+                // Against entries as wide as the registers (two `Fp` per
+                // line or table point; 64 of an `Fp`'s 232 bytes are limbs
+                // the 8-limb field uses): under 0.3 of them.
+                let fp = core::mem::size_of::<Fp>();
+                assert!(10 * prepared.resident_bytes() <= 3 * lines * 2 * fp);
+                assert!(10 * table.resident_bytes() <= 3 * windows * 15 * 2 * fp);
+                // What README's table quotes for the 80-bit level.
+                assert!((26..=28).contains(&(prepared.resident_bytes() / 1024)));
+                assert!((75..=78).contains(&(table.resident_bytes() / 1024)));
+            }
+        }
+    }
+
+    #[test]
+    fn packed_rows_round_trip_every_coefficient() {
+        let mut r = rng();
+        for pp in toy_and_eight_limb_params() {
+            let ctx = pp.fp_ctx();
+            let p_minus_1 = Fp::from_uint(ctx, &ctx.modulus().wrapping_sub(&Uint::ONE));
+            let mut values = vec![Fp::zero(ctx), Fp::one(ctx), p_minus_1];
+            values.extend((0..32).map(|_| Fp::random(ctx, &mut r)));
+            let mut packed = Vec::new();
+            for v in &values {
+                v.pack_into(&mut packed);
+            }
+            assert_eq!(packed.len(), values.len() * ctx.nlimbs());
+            for (v, limbs) in values.iter().zip(packed.chunks_exact(ctx.nlimbs())) {
+                assert_eq!(&Fp::unpack(ctx, limbs), v);
+            }
+            // A table hands back exactly the points it was built from.
+            let base = pp.random_g1(&mut r);
+            let table = G1Precomp::new(&base, pp.q().bits());
+            let (x, y) = unpack_row(ctx, &table.rows[..2 * ctx.nlimbs()]);
+            assert_eq!(G1Affine::new(x, y).unwrap(), base);
+        }
     }
 
     #[test]
@@ -501,6 +644,21 @@ mod tests {
             prepared.pairing(pp.generator()),
             pp.pairing(&two_torsion, pp.generator())
         );
+        // Every step is there and none stores a line, so beside a full table
+        // in the lockstep walk its cursor never moves.
+        assert!(!prepared.steps.is_empty() && prepared.rows.is_empty());
+        let mut r = rng();
+        let (q1, q2) = (pp.random_g1(&mut r), pp.random_g1(&mut r));
+        let full = pp.prepared_generator();
+        for pairs in [
+            [(&prepared, &q1), (&*full, &q2)],
+            [(&*full, &q2), (&prepared, &q1)],
+        ] {
+            assert_eq!(
+                multi_pairing(&pairs).expect("non-empty batch"),
+                prepared.pairing(&q1).mul(&full.pairing(&q2))
+            );
+        }
     }
 
     #[test]
@@ -574,6 +732,16 @@ mod tests {
             let q = pp.random_g1(&mut r);
             let prepared = PreparedPairing::new(&pp, &fixed);
             assert_eq!(prepared.pairing(&q), pp.pairing(&fixed, &q));
+            // `q·fixed` is not the identity, so this table stores the last
+            // chord a subgroup table leaves out: in the lockstep walk its
+            // cursor runs ahead of the full table's.
+            let full = pp.prepared_generator();
+            assert!(prepared.line_rows().len() > full.line_rows().len());
+            let q2 = pp.random_g1(&mut r);
+            assert_eq!(
+                multi_pairing(&[(&*full, &q2), (&prepared, &q)]).expect("non-empty batch"),
+                full.pairing(&q2).mul(&prepared.pairing(&q))
+            );
         }
     }
 }
