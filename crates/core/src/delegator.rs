@@ -27,19 +27,6 @@ pub struct TypedCiphertext {
 }
 
 impl TypedCiphertext {
-    /// Serializes under the default versioned envelope
-    /// (`c1 ‖ c2 ‖ type_len(u32 BE) ‖ type`, group elements compressed in
-    /// `v1`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_wire_bytes()
-    }
-
-    /// Parses the serialization produced by [`Self::to_bytes`], rejecting
-    /// unknown versions and trailing bytes.
-    pub fn from_bytes(params: &Arc<PairingParams>, bytes: &[u8]) -> Result<Self> {
-        Ok(Self::from_wire_bytes(bytes, &DecodeCtx::from(params))?)
-    }
-
     /// Bare (envelope-less) serialized length under the given wire version.
     pub fn serialized_len_versioned(
         params: &PairingParams,
@@ -62,6 +49,7 @@ impl TypedCiphertext {
 }
 
 impl WireEncode for TypedCiphertext {
+    /// `c1 ‖ c2 ‖ type_len(u32 BE) ‖ type`.
     fn encode(&self, w: &mut Writer) {
         self.c1.encode(w);
         self.c2.encode(w);
@@ -313,19 +301,19 @@ mod tests {
         let t = TypeTag::new("illness-history");
         let m = params.random_gt(&mut rng);
         let ct = delegator.encrypt_typed(&m, &t, &mut rng);
-        let bytes = ct.to_bytes();
+        let bytes = ct.to_wire_bytes();
         assert_eq!(
             bytes.len(),
             TypedCiphertext::serialized_len(&params, t.as_bytes().len())
         );
-        let parsed = TypedCiphertext::from_bytes(&params, &bytes).unwrap();
+        let parsed = TypedCiphertext::from_wire_bytes(&bytes, &DecodeCtx::from(&params)).unwrap();
         assert_eq!(parsed, ct);
         assert_eq!(delegator.decrypt_typed(&parsed).unwrap(), m);
         // Corrupted encodings are rejected.
-        assert!(TypedCiphertext::from_bytes(&params, &bytes[..10]).is_err());
+        assert!(TypedCiphertext::from_wire_bytes(&bytes[..10], &DecodeCtx::from(&params)).is_err());
         let mut longer = bytes.clone();
         longer.push(0);
-        assert!(TypedCiphertext::from_bytes(&params, &longer).is_err());
+        assert!(TypedCiphertext::from_wire_bytes(&longer, &DecodeCtx::from(&params)).is_err());
     }
 
     #[test]

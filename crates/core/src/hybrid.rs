@@ -20,8 +20,7 @@ use crate::rekey::ReEncryptionKey;
 use crate::types::TypeTag;
 use crate::Result;
 use rand::{CryptoRng, RngCore};
-use std::sync::Arc;
-use tibpre_pairing::{DecodeCtx, Gt, PairingParams};
+use tibpre_pairing::{DecodeCtx, Gt};
 use tibpre_symmetric::{AeadCiphertext, AeadKey};
 use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 
@@ -63,28 +62,14 @@ impl HybridCiphertext {
     /// Total serialized size in bytes (envelope + header + body) under the
     /// default wire version, for the size experiments.
     pub fn serialized_len(&self) -> usize {
-        self.to_bytes().len()
-    }
-
-    /// Serializes under the default versioned envelope
-    /// (`header_len(u32 BE) ‖ header ‖ body`).
-    ///
-    /// The KEM header is length-prefixed so the hybrid format stays
-    /// parseable field by field; the AEAD body carries its own length
-    /// field.  This is the encoding the durable PHR store logs and
-    /// snapshots records with.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_wire_bytes()
-    }
-
-    /// Parses the serialization produced by [`Self::to_bytes`], rejecting
-    /// unknown versions and trailing bytes.
-    pub fn from_bytes(params: &Arc<PairingParams>, bytes: &[u8]) -> Result<Self> {
-        Ok(Self::from_wire_bytes(bytes, &DecodeCtx::from(params))?)
+        self.to_wire_bytes().len()
     }
 }
 
 impl WireEncode for HybridCiphertext {
+    /// `header_len(u32 BE) ‖ header ‖ body`: the KEM header is
+    /// length-prefixed so the format stays parseable field by field; the
+    /// AEAD body carries its own length field.
     fn encode(&self, w: &mut Writer) {
         w.put_nested(|w| self.header.encode(w));
         self.body.encode(w);
@@ -123,20 +108,6 @@ impl WireDecode for ReEncryptedHybridCiphertext {
         hr.finish()?;
         let body = AeadCiphertext::decode(r, &())?;
         Ok(ReEncryptedHybridCiphertext { header, body })
-    }
-}
-
-impl ReEncryptedHybridCiphertext {
-    /// Serializes under the default versioned envelope (re-encrypted KEM
-    /// header, length-prefixed, then the untouched AEAD body).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_wire_bytes()
-    }
-
-    /// Parses the serialization produced by [`Self::to_bytes`], rejecting
-    /// unknown versions and trailing bytes.
-    pub fn from_bytes(params: &Arc<PairingParams>, bytes: &[u8]) -> Result<Self> {
-        Ok(Self::from_wire_bytes(bytes, &DecodeCtx::from(params))?)
     }
 }
 
@@ -349,35 +320,39 @@ mod tests {
         for len in [0usize, 1, 257, 4096] {
             let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
             let ct = f.delegator.encrypt_bytes(&payload, b"aad", &t, &mut f.rng);
-            let bytes = ct.to_bytes();
+            let bytes = ct.to_wire_bytes();
             assert_eq!(bytes.len(), ct.serialized_len(), "len {len}");
-            let parsed = HybridCiphertext::from_bytes(&params, &bytes).unwrap();
+            let parsed =
+                HybridCiphertext::from_wire_bytes(&bytes, &DecodeCtx::from(&params)).unwrap();
             assert_eq!(parsed, ct, "len {len}");
-            assert_eq!(parsed.to_bytes(), bytes, "len {len}");
+            assert_eq!(parsed.to_wire_bytes(), bytes, "len {len}");
             // The parsed copy still decrypts.
             assert_eq!(f.delegator.decrypt_bytes(&parsed, b"aad").unwrap(), payload);
         }
 
         let ct = f.delegator.encrypt_bytes(b"payload", b"", &t, &mut f.rng);
-        let bytes = ct.to_bytes();
+        let bytes = ct.to_wire_bytes();
         // Every strict prefix is rejected: the header is length-prefixed and
         // the AEAD body's internal length field must consume the rest exactly.
         for cut in 0..bytes.len() {
             assert!(
-                HybridCiphertext::from_bytes(&params, &bytes[..cut]).is_err(),
+                HybridCiphertext::from_wire_bytes(&bytes[..cut], &DecodeCtx::from(&params))
+                    .is_err(),
                 "cut {cut}"
             );
         }
         // Extension is rejected too.
         let mut longer = bytes.clone();
         longer.push(0);
-        assert!(HybridCiphertext::from_bytes(&params, &longer).is_err());
+        assert!(HybridCiphertext::from_wire_bytes(&longer, &DecodeCtx::from(&params)).is_err());
         // A corrupted header-length field (just after the envelope byte)
         // never panics, whatever it claims.
         for claimed in [0u32, 1, (bytes.len() as u32) - 5, u32::MAX] {
             let mut corrupted = bytes.clone();
             corrupted[1..5].copy_from_slice(&claimed.to_be_bytes());
-            assert!(HybridCiphertext::from_bytes(&params, &corrupted).is_err());
+            assert!(
+                HybridCiphertext::from_wire_bytes(&corrupted, &DecodeCtx::from(&params)).is_err()
+            );
         }
     }
 
@@ -399,7 +374,7 @@ mod tests {
         assert_eq!(batch.len(), cts.len());
         for (got, ct) in batch.iter().zip(&cts) {
             let single = re_encrypt_hybrid(ct, &rk).unwrap();
-            assert_eq!(got.to_bytes(), single.to_bytes());
+            assert_eq!(got.to_wire_bytes(), single.to_wire_bytes());
         }
     }
 

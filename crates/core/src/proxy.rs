@@ -5,9 +5,8 @@ use crate::rekey::ReEncryptionKey;
 use crate::types::TypeTag;
 use crate::{PreError, Result};
 use std::collections::HashMap;
-use std::sync::Arc;
 use tibpre_ibe::{bf::IbeCiphertext, Identity};
-use tibpre_pairing::{wire as pairing_wire, DecodeCtx, G1Affine, Gt, PairingParams};
+use tibpre_pairing::{wire as pairing_wire, DecodeCtx, G1Affine, Gt};
 use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 
 /// A re-encrypted ciphertext `(c1, c2·ê(c1, rk₂), Encrypt2(X, id_j))`.
@@ -31,22 +30,8 @@ pub struct ReEncryptedCiphertext {
     pub delegatee: Identity,
 }
 
-impl ReEncryptedCiphertext {
-    /// Serializes under the default versioned envelope:
-    /// `c1 ‖ c2 ‖ encrypted_x ‖ type_len ‖ type ‖ delegatee_len ‖ delegatee`
-    /// (group elements compressed in `v1`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_wire_bytes()
-    }
-
-    /// Parses the serialization produced by [`Self::to_bytes`], rejecting
-    /// unknown versions and trailing bytes.
-    pub fn from_bytes(params: &Arc<PairingParams>, bytes: &[u8]) -> Result<Self> {
-        Ok(Self::from_wire_bytes(bytes, &DecodeCtx::from(params))?)
-    }
-}
-
 impl WireEncode for ReEncryptedCiphertext {
+    /// `c1 ‖ c2 ‖ encrypted_x ‖ type_len ‖ type ‖ delegatee_len ‖ delegatee`.
     fn encode(&self, w: &mut Writer) {
         self.c1.encode(w);
         self.c2.encode(w);
@@ -250,7 +235,9 @@ mod tests {
     use crate::delegator::Delegator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
     use tibpre_ibe::Kgc;
+    use tibpre_pairing::PairingParams;
 
     struct Fixture {
         params: Arc<PairingParams>,
@@ -431,14 +418,15 @@ mod tests {
             .make_reencryption_key(&f.delegatee_id, &f.kgc2_pp, &t, &mut f.rng)
             .unwrap();
         let transformed = re_encrypt(&ct, &rk).unwrap();
-        let bytes = transformed.to_bytes();
-        let parsed = ReEncryptedCiphertext::from_bytes(&f.params, &bytes).unwrap();
+        let ctx = DecodeCtx::from(&f.params);
+        let bytes = transformed.to_wire_bytes();
+        let parsed = ReEncryptedCiphertext::from_wire_bytes(&bytes, &ctx).unwrap();
         assert_eq!(parsed, transformed);
         assert_eq!(f.delegatee.decrypt_reencrypted(&parsed).unwrap(), m);
-        assert!(ReEncryptedCiphertext::from_bytes(&f.params, &bytes[..12]).is_err());
+        assert!(ReEncryptedCiphertext::from_wire_bytes(&bytes[..12], &ctx).is_err());
         let mut longer = bytes;
         longer.push(7);
-        assert!(ReEncryptedCiphertext::from_bytes(&f.params, &longer).is_err());
+        assert!(ReEncryptedCiphertext::from_wire_bytes(&longer, &ctx).is_err());
     }
 
     #[test]

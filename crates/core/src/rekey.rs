@@ -1,7 +1,6 @@
 //! Re-encryption keys (`Pextract` output).
 
 use crate::types::TypeTag;
-use crate::Result;
 use std::sync::{Arc, OnceLock};
 use tibpre_ibe::{bf::IbeCiphertext, Identity};
 use tibpre_pairing::{wire as pairing_wire, DecodeCtx, G1Affine, PairingParams, PreparedPairing};
@@ -131,19 +130,6 @@ impl ReEncryptionKey {
         &self.encrypted_x
     }
 
-    /// Serializes under the default versioned envelope:
-    /// `del_len ‖ delegator ‖ dee_len ‖ delegatee ‖ type_len ‖ type ‖
-    /// rk_point ‖ encrypted_x` (group elements compressed in `v1`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_wire_bytes()
-    }
-
-    /// Parses the serialization produced by [`Self::to_bytes`], rejecting
-    /// unknown versions and trailing bytes.
-    pub fn from_bytes(params: &Arc<PairingParams>, bytes: &[u8]) -> Result<Self> {
-        Ok(Self::from_wire_bytes(bytes, &DecodeCtx::from(params))?)
-    }
-
     /// Bare (envelope-less) serialized length under the given wire version.
     pub fn serialized_len_versioned(&self, params: &PairingParams, version: WireVersion) -> usize {
         let strings = 12
@@ -172,6 +158,8 @@ impl ReEncryptionKey {
 }
 
 impl WireEncode for ReEncryptionKey {
+    /// `delegator ‖ delegatee ‖ type ‖ rk_point ‖ encrypted_x` (strings
+    /// length-prefixed).
     fn encode(&self, w: &mut Writer) {
         w.put_bytes(self.delegator.as_bytes());
         w.put_bytes(self.delegatee.as_bytes());
@@ -261,22 +249,23 @@ mod tests {
     #[test]
     fn serialization_round_trip() {
         let (rk, params) = make_rekey();
-        let bytes = rk.to_bytes();
+        let bytes = rk.to_wire_bytes();
         assert_eq!(bytes.len(), rk.serialized_len(&params));
-        let parsed = ReEncryptionKey::from_bytes(&params, &bytes).unwrap();
+        let parsed = ReEncryptionKey::from_wire_bytes(&bytes, &DecodeCtx::from(&params)).unwrap();
         assert_eq!(parsed, rk);
     }
 
     #[test]
     fn malformed_encodings_rejected() {
         let (rk, params) = make_rekey();
-        let bytes = rk.to_bytes();
-        assert!(ReEncryptionKey::from_bytes(&params, &bytes[..3]).is_err());
-        assert!(ReEncryptionKey::from_bytes(&params, &bytes[..bytes.len() - 1]).is_err());
+        let ctx = DecodeCtx::from(&params);
+        let bytes = rk.to_wire_bytes();
+        assert!(ReEncryptionKey::from_wire_bytes(&bytes[..3], &ctx).is_err());
+        assert!(ReEncryptionKey::from_wire_bytes(&bytes[..bytes.len() - 1], &ctx).is_err());
         let mut longer = bytes.clone();
         longer.push(0);
-        assert!(ReEncryptionKey::from_bytes(&params, &longer).is_err());
-        assert!(ReEncryptionKey::from_bytes(&params, &[]).is_err());
+        assert!(ReEncryptionKey::from_wire_bytes(&longer, &ctx).is_err());
+        assert!(ReEncryptionKey::from_wire_bytes(&[], &ctx).is_err());
     }
 
     #[test]

@@ -86,6 +86,7 @@ mod tests {
     use tibpre_core::{Delegatee, Delegator, TypeTag};
     use tibpre_ibe::{Identity, Kgc};
     use tibpre_pairing::PairingParams;
+    use tibpre_wire::WireEncode;
 
     struct Fixture {
         delegator: Delegator,
@@ -129,7 +130,7 @@ mod tests {
             let parallel = engine.re_encrypt_hybrid_batch(&cts, &f.rekey).unwrap();
             assert_eq!(parallel.len(), sequential.len());
             for (p, s) in parallel.iter().zip(&sequential) {
-                assert_eq!(p.to_bytes(), s.to_bytes(), "workers={workers}");
+                assert_eq!(p.to_wire_bytes(), s.to_wire_bytes(), "workers={workers}");
             }
         }
     }

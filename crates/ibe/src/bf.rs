@@ -16,7 +16,6 @@ use crate::identity::Identity;
 use crate::kgc::{IbePrivateKey, IbePublicParams};
 use crate::{IbeError, Result};
 use rand::{CryptoRng, RngCore};
-use std::sync::Arc;
 use tibpre_pairing::{wire, DecodeCtx, G1Affine, Gt, PairingParams};
 use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writer};
 
@@ -30,18 +29,6 @@ pub struct IbeCiphertext {
 }
 
 impl IbeCiphertext {
-    /// Serializes under the default versioned envelope (`c1 ‖ c2`, with
-    /// compressed group elements in `v1`).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_wire_bytes()
-    }
-
-    /// Parses the serialization produced by [`Self::to_bytes`], rejecting
-    /// unknown versions and trailing bytes.
-    pub fn from_bytes(params: &Arc<PairingParams>, bytes: &[u8]) -> Result<Self> {
-        Ok(Self::from_wire_bytes(bytes, &DecodeCtx::from(params))?)
-    }
-
     /// Bare (envelope-less) serialized length under the given wire version.
     pub fn serialized_len_versioned(params: &PairingParams, version: WireVersion) -> usize {
         match version {
@@ -188,16 +175,17 @@ mod tests {
         let sk = kgc.extract(&id);
         let m = pp.pairing().random_gt(&mut rng);
         let ct = encrypt_gt(&pp, &id, &m, &mut rng);
-        let bytes = ct.to_bytes();
+        let ctx = DecodeCtx::from(pp.pairing());
+        let bytes = ct.to_wire_bytes();
         assert_eq!(bytes.len(), IbeCiphertext::serialized_len(pp.pairing()));
-        let parsed = IbeCiphertext::from_bytes(pp.pairing(), &bytes).unwrap();
+        let parsed = IbeCiphertext::from_wire_bytes(&bytes, &ctx).unwrap();
         assert_eq!(parsed, ct);
         assert_eq!(decrypt_gt(&sk, &parsed).unwrap(), m);
         // Corrupted encodings are rejected or fail to decrypt to m.
-        assert!(IbeCiphertext::from_bytes(pp.pairing(), &bytes[..10]).is_err());
+        assert!(IbeCiphertext::from_wire_bytes(&bytes[..10], &ctx).is_err());
         let mut truncated = bytes.clone();
         truncated.pop();
-        assert!(IbeCiphertext::from_bytes(pp.pairing(), &truncated).is_err());
+        assert!(IbeCiphertext::from_wire_bytes(&truncated, &ctx).is_err());
     }
 
     #[test]

@@ -16,9 +16,8 @@
 
 use crate::category::Category;
 use crate::record::RecordId;
-use crate::Result;
 use tibpre_ibe::Identity;
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writer};
+use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 
 /// Wire tags of the [`AuditEvent`] variants (stable on-disk format).
 mod tag {
@@ -106,24 +105,21 @@ impl AuditEvent {
         }
     }
 
-    /// Serializes the event for the durable audit trail (a tag byte followed
-    /// by length-prefixed fields).  Audit events carry no group elements, so
-    /// the body is identical in every wire version; the bare form is emitted
-    /// because events are always nested inside a length-prefixed WAL or
-    /// snapshot field that carries the version.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        tibpre_wire::encode_bare(self, WireVersion::V0)
-    }
-
-    /// Parses the serialization produced by [`Self::to_bytes`].  Every error
-    /// is a value ([`crate::PhrError::Decode`]), never a panic — recovery
-    /// treats an undecodable event like a checksum failure.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Ok(tibpre_wire::decode_bare(bytes, WireVersion::V0, &())?)
+    /// The record the event concerns (`None` for policy changes).
+    pub(crate) fn record_id(&self) -> Option<RecordId> {
+        match self {
+            AuditEvent::RecordStored { id, .. }
+            | AuditEvent::RecordDeleted { id, .. }
+            | AuditEvent::DisclosurePerformed { id, .. }
+            | AuditEvent::DisclosureDenied { id, .. } => Some(*id),
+            AuditEvent::AccessGranted { .. } | AuditEvent::AccessRevoked { .. } => None,
+        }
     }
 }
 
 impl WireEncode for AuditEvent {
+    /// A tag byte, then length-prefixed fields — identical in every wire
+    /// version (events carry no group elements).
     fn encode(&self, w: &mut Writer) {
         match self {
             AuditEvent::RecordStored {
@@ -284,13 +280,7 @@ impl AuditLog {
     pub fn events_for_record(&self, id: RecordId) -> Vec<&AuditEvent> {
         self.events
             .iter()
-            .filter(|e| match e {
-                AuditEvent::RecordStored { id: rid, .. }
-                | AuditEvent::RecordDeleted { id: rid, .. }
-                | AuditEvent::DisclosurePerformed { id: rid, .. }
-                | AuditEvent::DisclosureDenied { id: rid, .. } => *rid == id,
-                _ => false,
-            })
+            .filter(|e| e.record_id() == Some(id))
             .collect()
     }
 

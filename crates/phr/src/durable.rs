@@ -25,18 +25,19 @@
 //! the invariant `tests/tests/recovery_props.rs` checks at every byte
 //! boundary.
 //!
-//! Every frame payload starts with the one-byte wire-format envelope (see
-//! `tibpre-wire`); frames written before the envelope existed decode
-//! through the bare-legacy `v0` path, so mixed-generation logs replay
-//! seamlessly.  Record ciphertexts go through the workspace's single
-//! `WireEncode`/`WireDecode` codec ([`HybridCiphertext`]'s impl); no
-//! second serialization of any cryptographic object is introduced here.
+//! Every frame payload is a v1 envelope (see `tibpre-wire`): the live paths
+//! — replay after a snapshot, replica apply — accept nothing else.  Frames
+//! written in older formats are read once, at open, by `crate::legacy`,
+//! which rewrites them as v1.  Record ciphertexts go through the
+//! workspace's single `WireEncode`/`WireDecode` codec
+//! ([`HybridCiphertext`]'s impl); no second serialization of any
+//! cryptographic object is introduced here.
 
 use crate::audit::AuditEvent;
 use crate::category::Category;
 use crate::record::RecordId;
 use crate::store::StoredRecord;
-use crate::Result;
+use crate::{PhrError, Result};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -203,8 +204,9 @@ fn decode_nested_event(r: &mut Reader<'_>) -> core::result::Result<AuditEvent, D
 
 impl WalOp {
     /// Encodes a `Put` frame payload directly from a borrowed record — the
-    /// hot-path twin of `WalOp::Put { .. }.to_bytes()` that skips cloning
-    /// the record (and its whole ciphertext body) just to serialize it.
+    /// hot-path twin of `WalOp::Put { .. }.to_wire_bytes()` that skips
+    /// cloning the record (and its whole ciphertext body) just to
+    /// serialize it.
     pub fn encode_put(record: &StoredRecord, at: u64) -> Vec<u8> {
         let version = WireVersion::DEFAULT;
         let mut w = Writer::with_version(version);
@@ -217,7 +219,7 @@ impl WalOp {
 
     /// Encodes an `Audit` frame payload directly from a borrowed event —
     /// the audit-path twin of [`Self::encode_put`], skipping the event
-    /// clone `WalOp::Audit { .. }.to_bytes()` would require.
+    /// clone `WalOp::Audit { .. }.to_wire_bytes()` would require.
     pub fn encode_audit(event: &AuditEvent) -> Vec<u8> {
         let version = WireVersion::DEFAULT;
         let mut w = Writer::with_version(version);
@@ -225,23 +227,6 @@ impl WalOp {
         w.put_u8(op_tag::AUDIT);
         w.put_nested(|w| event.encode(w));
         w.into_bytes()
-    }
-
-    /// Serializes the operation into one versioned frame payload.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_wire_bytes()
-    }
-
-    /// Parses a frame payload, accepting both the versioned envelope and
-    /// the bare legacy (pre-envelope) layout — no legacy first byte
-    /// collides with an envelope tag, so one-byte sniffing is unambiguous.
-    /// All errors are values, never panics.
-    pub fn from_bytes(params: &Arc<PairingParams>, bytes: &[u8]) -> Result<Self> {
-        let ctx = DecodeCtx::from(params);
-        match bytes.first() {
-            Some(&b) if WireVersion::is_envelope_tag(b) => Ok(Self::from_wire_bytes(bytes, &ctx)?),
-            _ => Ok(tibpre_wire::decode_bare(bytes, WireVersion::V0, &ctx)?),
-        }
     }
 }
 
@@ -293,20 +278,12 @@ impl WireDecode for WalOp {
     }
 }
 
-/// The wire version and record-body offset inside a `Put` WAL frame
-/// payload: envelope frames prefix the record with `version ‖ op ‖ at`
-/// (10 bytes), bare legacy frames with `op ‖ at` (9).  Keeping the
-/// arithmetic here, next to the encoders it mirrors, is what lets the
-/// store retain a validated frame's own buffer as a record's resident
-/// bytes — the WAL appends and the shard keeps *the same allocation*.
-pub(crate) fn wal_put_body_layout(payload: &[u8]) -> (WireVersion, usize) {
-    match payload.first() {
-        Some(&b) if WireVersion::is_envelope_tag(b) => {
-            (WireVersion::from_tag(b).expect("checked above"), 10)
-        }
-        _ => (WireVersion::V0, 9),
-    }
-}
+/// The record-body offset inside a v1 `Put` frame payload, which prefixes
+/// the record with `version ‖ op ‖ at`.  Keeping it here, next to the
+/// encoder it mirrors, is what lets the store retain a validated frame's
+/// own buffer as a record's resident bytes — the WAL appends and the shard
+/// keeps *the same allocation*.
+pub(crate) const PUT_BODY_START: usize = 10;
 
 /// Serializes a shard's audit trail into the `meta` region of an indexed
 /// (`TBS2`) snapshot: one envelope byte, then the counted, length-prefixed
@@ -325,17 +302,12 @@ pub(crate) fn encode_audit_meta(audit: &[Arc<AuditEvent>]) -> Vec<u8> {
 
 /// Parses the audit trail written by [`encode_audit_meta`].
 pub(crate) fn decode_audit_meta(meta: &[u8]) -> Result<Vec<AuditEvent>> {
-    let mut r = match meta.first() {
-        Some(&b) if WireVersion::is_envelope_tag(b) => {
-            let version = WireVersion::from_tag(b).expect("checked above");
-            Reader::with_version(&meta[1..], version)
-        }
-        _ => {
-            return Err(crate::PhrError::CorruptedRecord(
-                "snapshot audit metadata lacks a wire envelope",
-            ))
-        }
-    };
+    if meta.first() != Some(&WireVersion::DEFAULT.tag()) {
+        return Err(PhrError::CorruptedRecord(
+            "snapshot audit metadata lacks the v1 envelope",
+        ));
+    }
+    let mut r = Reader::new(&meta[1..]);
     let event_count = r.u64()? as usize;
     let mut audit = Vec::with_capacity(event_count.min(1024));
     for _ in 0..event_count {
@@ -343,110 +315,6 @@ pub(crate) fn decode_audit_meta(meta: &[u8]) -> Result<Vec<AuditEvent>> {
     }
     r.finish()?;
     Ok(audit)
-}
-
-/// Parses a legacy monolithic (`TBS1`) snapshot payload into *wire-resident*
-/// records: each record is still fully decoded once — recovery validates
-/// everything it accepts — but what is retained is the validated encoded
-/// slice plus its parsed header; the decoded struct is dropped.  Accepts the
-/// same envelope/bare layouts as [`decode_shard_state`].
-pub(crate) fn decode_shard_state_resident(
-    params: &Arc<PairingParams>,
-    payload: &[u8],
-) -> Result<(Vec<crate::resident::EncodedRecord>, Vec<AuditEvent>)> {
-    use crate::resident::{EncodedRecord, RecordHeader};
-    let ctx = DecodeCtx::from(params);
-    let mut r = match payload.first() {
-        Some(&b) if WireVersion::is_envelope_tag(b) => {
-            let version = WireVersion::from_tag(b).expect("checked above");
-            Reader::with_version(&payload[1..], version)
-        }
-        _ => Reader::with_version(payload, WireVersion::V0),
-    };
-    let version = r.version();
-    let record_count = r.u64()? as usize;
-    let mut records = Vec::with_capacity(record_count.min(1024));
-    for _ in 0..record_count {
-        let slice = r.bytes()?;
-        let mut field = Reader::with_version(slice, version);
-        let record = StoredRecord::decode(&mut field, &ctx)?;
-        field.finish()?;
-        let header = RecordHeader {
-            id: record.id,
-            patient: record.patient,
-            category: record.category,
-        };
-        records.push(EncodedRecord::from_owned(slice.into(), 0, version, header));
-    }
-    let event_count = r.u64()? as usize;
-    let mut audit = Vec::with_capacity(event_count.min(1024));
-    for _ in 0..event_count {
-        audit.push(decode_nested_event(&mut r)?);
-    }
-    r.finish()?;
-    Ok((records, audit))
-}
-
-/// Serializes one shard's full state (records in id order, then the audit
-/// segment) into a versioned monolithic (`TBS1`) snapshot payload: one
-/// envelope byte, then the counted, length-prefixed records and events.
-/// The store now writes indexed (`TBS2`) snapshots; this encoder is kept
-/// for tests that fabricate legacy-format stores.
-#[cfg(test)]
-pub(crate) fn encode_shard_state<'a>(
-    records: impl ExactSizeIterator<Item = &'a StoredRecord>,
-    audit: &[AuditEvent],
-) -> Vec<u8> {
-    let version = WireVersion::DEFAULT;
-    let mut w = Writer::with_version(version);
-    w.put_u8(version.tag());
-    w.put_u64(records.len() as u64);
-    for record in records {
-        w.put_nested(|w| record.encode(w));
-    }
-    w.put_u64(audit.len() as u64);
-    for event in audit {
-        w.put_nested(|w| event.encode(w));
-    }
-    w.into_bytes()
-}
-
-/// Parses a snapshot payload back into `(records, audit)`.  Accepts both
-/// the versioned envelope and the bare legacy layout (which opens with the
-/// high byte of a `u64` record count — never an envelope tag).  Recovery
-/// uses [`decode_shard_state_resident`]; this decoded-struct twin remains
-/// as the test oracle the resident form is checked against.
-#[cfg(test)]
-pub(crate) fn decode_shard_state(
-    params: &Arc<PairingParams>,
-    payload: &[u8],
-) -> Result<(Vec<StoredRecord>, Vec<AuditEvent>)> {
-    let ctx = DecodeCtx::from(params);
-    let mut r = match payload.first() {
-        Some(&b) if WireVersion::is_envelope_tag(b) => {
-            let version = WireVersion::from_tag(b).expect("checked above");
-            Reader::with_version(&payload[1..], version)
-        }
-        _ => Reader::with_version(payload, WireVersion::V0),
-    };
-    let record_count = r.u64()? as usize;
-    // Guard the pre-allocation against a corrupt count; the loop below
-    // naturally fails on a short buffer either way.
-    let mut records = Vec::with_capacity(record_count.min(1024));
-    for _ in 0..record_count {
-        let version = r.version();
-        let mut field = Reader::with_version(r.bytes()?, version);
-        let record = StoredRecord::decode(&mut field, &ctx)?;
-        field.finish()?;
-        records.push(record);
-    }
-    let event_count = r.u64()? as usize;
-    let mut audit = Vec::with_capacity(event_count.min(1024));
-    for _ in 0..event_count {
-        audit.push(decode_nested_event(&mut r)?);
-    }
-    r.finish()?;
-    Ok((records, audit))
 }
 
 /// Wire tags of the proxy WAL frames (stable on-disk format).
@@ -470,9 +338,8 @@ pub enum ProxyWalOp {
     },
     /// A re-encryption key was installed.
     InstallKey {
-        /// The installed key (serialized with the existing
-        /// [`ReEncryptionKey::to_bytes`] wire format; boxed because a key
-        /// dwarfs the other variants).
+        /// The installed key (serialized with [`ReEncryptionKey`]'s wire
+        /// format; boxed because a key dwarfs the other variants).
         key: Box<ReEncryptionKey>,
     },
     /// A re-encryption key was revoked.
@@ -496,21 +363,6 @@ impl ProxyWalOp {
         w.put_u8(proxy_tag::INSTALL_KEY);
         w.put_nested(|w| key.encode(w));
         w.into_bytes()
-    }
-
-    /// Serializes the operation into one versioned frame payload.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_wire_bytes()
-    }
-
-    /// Parses a frame payload, accepting both the versioned envelope and
-    /// the bare legacy layout.  All errors are values, never panics.
-    pub fn from_bytes(params: &Arc<PairingParams>, bytes: &[u8]) -> Result<Self> {
-        let ctx = DecodeCtx::from(params);
-        match bytes.first() {
-            Some(&b) if WireVersion::is_envelope_tag(b) => Ok(Self::from_wire_bytes(bytes, &ctx)?),
-            _ => Ok(tibpre_wire::decode_bare(bytes, WireVersion::V0, &ctx)?),
-        }
     }
 }
 
@@ -625,12 +477,61 @@ pub(crate) fn shard_base(index: usize) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tibpre_core::{Delegator, TypeTag};
     use tibpre_ibe::Kgc;
+
+    /// Serializes one shard's full state (records in id order, then the
+    /// audit segment) into a monolithic (`TBS1`) snapshot payload: one
+    /// envelope byte, then the counted, length-prefixed records and events.
+    /// Only `crate::legacy` reads this layout; tests fabricate it here.
+    pub(crate) fn encode_shard_state<'a>(
+        records: impl ExactSizeIterator<Item = &'a StoredRecord>,
+        audit: &[AuditEvent],
+    ) -> Vec<u8> {
+        let version = WireVersion::DEFAULT;
+        let mut w = Writer::with_version(version);
+        w.put_u8(version.tag());
+        w.put_u64(records.len() as u64);
+        for record in records {
+            w.put_nested(|w| record.encode(w));
+        }
+        w.put_u64(audit.len() as u64);
+        for event in audit {
+            w.put_nested(|w| event.encode(w));
+        }
+        w.into_bytes()
+    }
+
+    /// Parses a `TBS1` payload back into decoded `(records, audit)` — the
+    /// decoded-struct oracle `crate::legacy::shard_state` is checked
+    /// against.  Accepts the envelope and the bare legacy layout (which
+    /// opens with the high byte of a `u64` record count).
+    fn decode_shard_state(
+        params: &Arc<PairingParams>,
+        payload: &[u8],
+    ) -> Result<(Vec<StoredRecord>, Vec<AuditEvent>)> {
+        let ctx = DecodeCtx::from(params);
+        let mut r = match payload.first().and_then(|&b| WireVersion::from_tag(b)) {
+            Some(version) => Reader::with_version(&payload[1..], version),
+            None => Reader::with_version(payload, WireVersion::V0),
+        };
+        let mut records = Vec::new();
+        for _ in 0..r.u64()? {
+            let mut field = Reader::with_version(r.bytes()?, r.version());
+            records.push(StoredRecord::decode(&mut field, &ctx)?);
+            field.finish()?;
+        }
+        let mut audit = Vec::new();
+        for _ in 0..r.u64()? {
+            audit.push(decode_nested_event(&mut r)?);
+        }
+        r.finish()?;
+        Ok((records, audit))
+    }
 
     fn sample_record(seed: u64, id: u64) -> (Arc<PairingParams>, StoredRecord) {
         let params = PairingParams::insecure_toy();
@@ -673,22 +574,23 @@ mod tests {
                 },
             },
         ];
+        let ctx = DecodeCtx::from(&params);
         for op in ops {
-            let bytes = op.to_bytes();
-            assert_eq!(WalOp::from_bytes(&params, &bytes).unwrap(), op);
+            let bytes = op.to_wire_bytes();
+            assert_eq!(WalOp::from_wire_bytes(&bytes, &ctx).unwrap(), op);
             // Every strict prefix fails cleanly.
             for cut in 0..bytes.len() {
                 assert!(
-                    WalOp::from_bytes(&params, &bytes[..cut]).is_err(),
+                    WalOp::from_wire_bytes(&bytes[..cut], &ctx).is_err(),
                     "cut {cut}"
                 );
             }
             // Trailing garbage fails cleanly.
             let mut longer = bytes.clone();
             longer.push(0);
-            assert!(WalOp::from_bytes(&params, &longer).is_err());
+            assert!(WalOp::from_wire_bytes(&longer, &ctx).is_err());
         }
-        assert!(WalOp::from_bytes(&params, &[99]).is_err());
+        assert!(WalOp::from_wire_bytes(&[99], &ctx).is_err());
     }
 
     #[test]
@@ -740,7 +642,7 @@ mod tests {
                 record: Box::new(record),
                 at: 9
             }
-            .to_bytes()
+            .to_wire_bytes()
         );
         let key = delegator
             .make_reencryption_key(
@@ -752,7 +654,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             ProxyWalOp::encode_install(&key),
-            ProxyWalOp::InstallKey { key: Box::new(key) }.to_bytes()
+            ProxyWalOp::InstallKey { key: Box::new(key) }.to_wire_bytes()
         );
     }
 
@@ -760,26 +662,31 @@ mod tests {
     fn put_body_layout_recovers_the_bare_record_encoding() {
         let (params, record) = sample_record(31, 6);
         let framed = WalOp::encode_put(&record, 17);
-        let (version, body_start) = wal_put_body_layout(&framed);
-        assert_eq!(version, WireVersion::DEFAULT);
+        assert_eq!(framed[0], WireVersion::DEFAULT.tag());
         assert_eq!(
-            &framed[body_start..],
+            &framed[PUT_BODY_START..],
             &tibpre_wire::encode_bare(&record, WireVersion::DEFAULT)[..],
             "the frame suffix IS the bare record encoding"
         );
-        // A bare legacy frame: op ‖ at ‖ record, all at v0.
+        // A bare legacy frame (op ‖ at ‖ record, all at v0) is read once,
+        // at open, into the v1 frame whose suffix is the v1 record.
         let mut legacy = Writer::with_version(WireVersion::V0);
-        legacy.put_u8(2); // any non-envelope first byte
+        legacy.put_u8(op_tag::PUT);
         legacy.put_u64(17);
         record.encode(&mut legacy);
-        let legacy = legacy.into_bytes();
-        let (version, body_start) = wal_put_body_layout(&legacy);
-        assert_eq!(version, WireVersion::V0);
+        let mut migrated = false;
+        let ctx = DecodeCtx::from(&params);
+        let (op, v1) =
+            crate::legacy::read_frame::<WalOp>(legacy.into_bytes(), &ctx, &mut migrated).unwrap();
+        assert!(migrated);
+        assert_eq!(v1, framed);
         assert_eq!(
-            &legacy[body_start..],
-            &tibpre_wire::encode_bare(&record, WireVersion::V0)[..]
+            op,
+            WalOp::Put {
+                record: Box::new(record),
+                at: 17
+            }
         );
-        let _ = params;
     }
 
     #[test]
@@ -794,7 +701,7 @@ mod tests {
             WalOp::Audit {
                 event: event.clone()
             }
-            .to_bytes()
+            .to_wire_bytes()
         );
 
         let audit = vec![
@@ -831,11 +738,11 @@ mod tests {
         let records = [record, record2];
         let payload = encode_shard_state(records.iter(), &audit);
         let (oracle_records, oracle_audit) = decode_shard_state(&params, &payload).unwrap();
-        let (resident, resident_audit) = decode_shard_state_resident(&params, &payload).unwrap();
-        assert_eq!(resident_audit, oracle_audit);
-        assert_eq!(resident.len(), oracle_records.len());
         let ctx = DecodeCtx::from(&params);
-        for (enc, oracle) in resident.iter().zip(&oracle_records) {
+        let (resident, resident_audit) = crate::legacy::shard_state(&ctx, &payload).unwrap();
+        assert!(resident_audit.iter().map(|e| e.as_ref()).eq(&oracle_audit));
+        assert_eq!(resident.len(), oracle_records.len());
+        for (enc, oracle) in resident.values().zip(&oracle_records) {
             assert_eq!(enc.header.id, oracle.id);
             assert_eq!(enc.header.patient, oracle.patient);
             assert_eq!(enc.header.category, oracle.category);
@@ -843,7 +750,7 @@ mod tests {
         }
         for cut in [0, 1, 7, payload.len() / 2, payload.len() - 1] {
             assert!(
-                decode_shard_state_resident(&params, &payload[..cut]).is_err(),
+                crate::legacy::shard_state(&ctx, &payload[..cut]).is_err(),
                 "cut {cut}"
             );
         }

@@ -31,7 +31,7 @@
 //!
 //! // Before the trip: Alice mirrors her emergency data to a US store and
 //! // provisions access for the US emergency service through a local proxy.
-//! let us_store = Arc::new(EncryptedPhrStore::new("us-mirror"));
+//! let us_store = Arc::new(EncryptedPhrStore::in_memory_with_params("us-mirror", params.clone()));
 //! let mut us_proxy = ProxyService::new("us-proxy", us_store.clone());
 //! let mut alice = Patient::new("alice@phr.example", &dutch_kgc);
 //! let record = HealthRecord::new(
@@ -142,7 +142,10 @@ mod tests {
         let patient_kgc = Kgc::setup(params.clone(), "nl-patients", &mut rng);
         let us_kgc = Kgc::setup(params.clone(), "us-providers", &mut rng);
 
-        let us_store = Arc::new(EncryptedPhrStore::new("us-hospital-db"));
+        let us_store = Arc::new(EncryptedPhrStore::in_memory_with_params(
+            "us-hospital-db",
+            params.clone(),
+        ));
         let mut us_proxy = ProxyService::new("us-proxy", us_store.clone());
 
         let mut alice = Patient::new("alice@nl.example", &patient_kgc);
@@ -216,7 +219,10 @@ mod tests {
         let params = PairingParams::insecure_toy();
         let patient_kgc = Kgc::setup(params.clone(), "patients", &mut rng);
         let provider_kgc = Kgc::setup(params.clone(), "providers", &mut rng);
-        let store = Arc::new(EncryptedPhrStore::new("db"));
+        let store = Arc::new(EncryptedPhrStore::in_memory_with_params(
+            "db",
+            params.clone(),
+        ));
         let mut proxy = ProxyService::new("proxy", store);
         let mut alice = Patient::new("alice", &patient_kgc);
         let team = Identity::new("er");

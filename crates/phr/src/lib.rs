@@ -55,7 +55,7 @@
 //! let provider_kgc = Kgc::setup(params.clone(), "providers", &mut rng);
 //!
 //! // Alice, her encrypted store, and one proxy for her illness history.
-//! let store = Arc::new(EncryptedPhrStore::new("phr-db"));
+//! let store = Arc::new(EncryptedPhrStore::in_memory_with_params("phr-db", params));
 //! let mut alice = Patient::new("alice@phr.example", &patient_kgc);
 //! let mut proxy = ProxyService::new("hospital-proxy", store.clone());
 //!
@@ -97,6 +97,7 @@ pub mod category;
 pub mod durable;
 pub mod emergency;
 pub mod error;
+pub(crate) mod legacy;
 pub mod metrics;
 pub mod patient;
 pub mod policy;

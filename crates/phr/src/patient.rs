@@ -179,8 +179,8 @@ mod tests {
         let params = PairingParams::insecure_toy();
         Fixture {
             patient_kgc: Kgc::setup(params.clone(), "patients", &mut rng),
-            provider_kgc: Kgc::setup(params, "providers", &mut rng),
-            store: Arc::new(EncryptedPhrStore::new("db")),
+            provider_kgc: Kgc::setup(params.clone(), "providers", &mut rng),
+            store: Arc::new(EncryptedPhrStore::in_memory_with_params("db", params)),
             rng,
         }
     }

@@ -71,8 +71,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(161);
         let params = PairingParams::insecure_toy();
         let patient_kgc = Kgc::setup(params.clone(), "patients", &mut rng);
-        let provider_kgc = Kgc::setup(params, "providers", &mut rng);
-        let store = Arc::new(EncryptedPhrStore::new("db"));
+        let provider_kgc = Kgc::setup(params.clone(), "providers", &mut rng);
+        let store = Arc::new(EncryptedPhrStore::in_memory_with_params("db", params));
         let mut proxy = ProxyService::new("proxy", store.clone());
         let mut alice = Patient::new("alice", &patient_kgc);
         let doctor = Identity::new("doctor");

@@ -21,6 +21,7 @@
 use crate::audit::{AuditEvent, AuditLog};
 use crate::category::Category;
 use crate::durable::{self, Durability, ProxyWalOp};
+use crate::legacy;
 use crate::record::RecordId;
 use crate::source::RecordSource;
 use crate::store::StoredRecord;
@@ -31,7 +32,9 @@ use std::sync::Arc;
 use tibpre_core::{hybrid, Proxy, ReEncryptedHybridCiphertext, ReEncryptionKey};
 use tibpre_engine::ReEncryptEngine;
 use tibpre_ibe::Identity;
+use tibpre_pairing::DecodeCtx;
 use tibpre_storage::WalWriter;
+use tibpre_wire::WireEncode;
 
 /// A re-encrypted record on its way to a healthcare provider.
 #[derive(Debug, Clone)]
@@ -136,7 +139,9 @@ impl ProxyService {
     /// `dir/proxy-<name>.wal` and replayed here, so a restarted proxy still
     /// holds exactly the grants the patients installed.  The log is
     /// truncated at the first torn or corrupt frame, like every WAL in this
-    /// workspace.
+    /// workspace.  A log holding frames in an older format is read through
+    /// the private `legacy` module and rewritten as v1 frames, in order,
+    /// before this returns.
     ///
     /// Store-side audit entries are *not* replayed from this log — the store
     /// has its own durable trail ([`crate::EncryptedPhrStore::open`]); replaying
@@ -154,20 +159,24 @@ impl ProxyService {
         // frames this one is appending and interleave writes.
         let lock = tibpre_storage::DirLock::acquire(&path.with_extension("wal.lock"))?;
         let scan = WalWriter::recover(&path, 0)?;
+        let ctx = DecodeCtx::from(durability.params());
 
         let mut proxy = Proxy::new(name.as_ref());
         let mut audit = AuditLog::new();
-        for payload in &scan.frames {
+        let mut legacy = false;
+        let mut frames = Vec::with_capacity(scan.frames.len());
+        for payload in scan.frames {
             // A checksummed frame that fails to decode is not storage
             // corruption — it means wrong pairing parameters or an unknown
             // format tag.  Fail the open rather than truncate intact data
             // (same policy as the store's recovery path).
-            let op = ProxyWalOp::from_bytes(durability.params(), payload).map_err(|_| {
+            let (op, frame) = legacy::read_frame(payload, &ctx, &mut legacy).map_err(|_| {
                 PhrError::CorruptedRecord(
                     "CRC-valid proxy WAL frame failed to decode; check pairing \
                      parameters and binary version — refusing to truncate intact data",
                 )
             })?;
+            frames.push(frame);
             match op {
                 ProxyWalOp::Audit { event } => audit.replay(event),
                 ProxyWalOp::InstallKey { key } => {
@@ -183,8 +192,14 @@ impl ProxyService {
             }
         }
         // Every frame decoded (a failure returned above), so the valid
-        // prefix ends where the scanner stopped.
-        let wal = WalWriter::open(&path, scan.valid_len, durability.fsync_policy())?;
+        // prefix ends where the scanner stopped — or, after a legacy log is
+        // rewritten as v1, at the end of the new file.
+        let valid_len = if legacy {
+            legacy::rewrite_log(dir, &path, &frames)?
+        } else {
+            scan.valid_len
+        };
+        let wal = WalWriter::open(&path, valid_len, durability.fsync_policy())?;
 
         Ok(ProxyService {
             name: name.as_ref().to_string(),
@@ -247,7 +262,7 @@ impl ProxyService {
             let audit_frame = ProxyWalOp::Audit {
                 event: event.clone(),
             }
-            .to_bytes();
+            .to_wire_bytes();
             self.persist(&[install, audit_frame]);
         }
         audit.append(event);
@@ -283,11 +298,11 @@ impl ProxyService {
                     category: category.clone(),
                     grantee: grantee.clone(),
                 }
-                .to_bytes(),
+                .to_wire_bytes(),
                 ProxyWalOp::Audit {
                     event: event.clone(),
                 }
-                .to_bytes(),
+                .to_wire_bytes(),
             ]);
         }
         audit.append(event);
@@ -489,7 +504,7 @@ impl ProxyService {
                         ProxyWalOp::Audit {
                             event: event.clone(),
                         }
-                        .to_bytes(),
+                        .to_wire_bytes(),
                     );
                 }
                 events.push(event);
@@ -533,7 +548,7 @@ impl ProxyService {
     /// let patient_kgc = Kgc::setup(params.clone(), "patients", &mut rng);
     /// let provider_kgc = Kgc::setup(params.clone(), "providers", &mut rng);
     ///
-    /// let store = Arc::new(EncryptedPhrStore::new("db"));
+    /// let store = Arc::new(EncryptedPhrStore::in_memory_with_params("db", params));
     /// let mut alice = Patient::new("alice@phr.example", &patient_kgc);
     /// let mut diet_proxy = ProxyService::new("diet-proxy", store.clone());
     ///

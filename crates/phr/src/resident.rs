@@ -11,17 +11,15 @@
 //!   ciphertext.  `StoredRecord`'s wire layout deliberately puts these
 //!   fields first (see `durable.rs`) so indexes rebuild from a few dozen
 //!   bytes per record.
-//! * [`EncodedRecord`] — encoded record bytes plus their parsed header.  The
-//!   bytes are either owned (`Arc<[u8]>`, shared with the WAL frame that
-//!   persisted them — zero re-encode on `put`) or a blob of a memory-mapped
-//!   indexed snapshot (paged in on first read, CRC-checked on every read).
-//! * [`RecordBody`] — what a shard slot holds: an [`EncodedRecord`], or a
-//!   pinned decoded struct for plain in-memory stores that have no pairing
-//!   parameters to decode with.
-//! * [`DecodedCache`] — a small per-shard LRU of hot decoded records, so
-//!   repeated reads of the same record cost one pointer clone instead of a
-//!   ciphertext decode.  Capacity comes from `TIBPRE_RECORD_CACHE`
-//!   (records per shard; `0` disables caching).
+//! * [`EncodedRecord`] — what a shard slot holds: the record's v1 encoding
+//!   plus its parsed header.  The bytes are either owned (`Arc<[u8]>`,
+//!   shared with the WAL frame that persisted them — zero re-encode on
+//!   `put`) or a blob of a memory-mapped indexed snapshot (paged in on
+//!   first read, CRC-checked on every read).  Every resident body is v1:
+//!   legacy bytes are converted once, at open, by `crate::legacy`.
+//! * [`DecodedCache`] — a small per-shard LRU of hot decoded records
+//!   ([`DEFAULT_CACHE_PER_SHARD`] of them), so repeated reads of the same
+//!   record cost one pointer clone instead of a ciphertext decode.
 
 use crate::category::Category;
 use crate::record::RecordId;
@@ -32,9 +30,9 @@ use std::sync::Arc;
 use tibpre_ibe::Identity;
 use tibpre_pairing::DecodeCtx;
 use tibpre_storage::{IndexedSnapshot, StorageError};
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writer};
+use tibpre_wire::{DecodeError, Reader, WireDecode, WireVersion, Writer};
 
-/// Default decoded-record LRU capacity per shard.
+/// Decoded-record LRU capacity per shard.
 pub(crate) const DEFAULT_CACHE_PER_SHARD: usize = 64;
 
 /// The index-bearing prefix of a record's wire encoding: everything the
@@ -72,36 +70,36 @@ impl RecordHeader {
             category: Category::from_label(label),
         })
     }
-
-    /// Encodes the header fields — byte-identical to the prefix
-    /// `StoredRecord`'s encoding emits for the same record.
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_u64(self.id.0);
-        w.put_bytes(self.patient.as_bytes());
-        w.put_bytes(self.category.label().as_bytes());
-    }
 }
 
-/// Encodes a snapshot blob's trailer-resident index metadata: the record's
-/// wire version, then its header.  This is what lets a mapped snapshot
-/// rebuild every index at open time without faulting one data page.
-pub(crate) fn encode_index_meta(version: WireVersion, header: &RecordHeader) -> Vec<u8> {
-    let mut w = Writer::with_version(version);
-    w.put_u8(version.tag());
-    header.encode_into(&mut w);
+/// Encodes a snapshot blob's trailer-resident index metadata: the v1 tag,
+/// then the header fields — byte-identical to the prefix `StoredRecord`'s
+/// encoding emits.  This is what lets a mapped snapshot rebuild every index
+/// at open time without faulting one data page.
+pub(crate) fn encode_index_meta(header: &RecordHeader) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u8(WireVersion::DEFAULT.tag());
+    w.put_u64(header.id.0);
+    w.put_bytes(header.patient.as_bytes());
+    w.put_bytes(header.category.label().as_bytes());
     w.into_bytes()
 }
 
-/// Parses the metadata produced by [`encode_index_meta`].
-pub(crate) fn decode_index_meta(meta: &[u8]) -> Result<(WireVersion, RecordHeader)> {
+/// Parses the metadata produced by [`encode_index_meta`]; any tag but v1's
+/// is refused.
+pub(crate) fn decode_index_meta(meta: &[u8]) -> Result<RecordHeader> {
     let mut r = Reader::new(meta);
-    let at = r.offset();
     let tag = r.u8()?;
-    let version = WireVersion::from_tag(tag)
-        .ok_or_else(|| PhrError::Decode(DecodeError::invalid_tag(at, "index-meta version", tag)))?;
+    if tag != WireVersion::DEFAULT.tag() {
+        return Err(PhrError::Decode(DecodeError::invalid_tag(
+            0,
+            "index-meta version",
+            tag,
+        )));
+    }
     let header = RecordHeader::read_from(&mut r)?;
     r.finish()?;
-    Ok((version, header))
+    Ok(header)
 }
 
 /// Where an encoded record's bytes live.
@@ -119,27 +117,21 @@ enum BlobBytes {
     },
 }
 
-/// One record held as validated wire bytes plus its parsed [`RecordHeader`].
+/// One record held as validated v1 wire bytes plus its parsed
+/// [`RecordHeader`].
 #[derive(Debug)]
 pub(crate) struct EncodedRecord {
     bytes: BlobBytes,
     /// Offset of the bare record encoding inside `bytes` (a WAL `Put` frame
     /// carries an envelope/op/timestamp prefix; snapshot blobs start at 0).
     body_start: usize,
-    version: WireVersion,
     /// The parsed index fields.
     pub header: RecordHeader,
 }
 
 impl EncodedRecord {
-    /// Wraps owned bytes whose record body starts at `body_start` and is
-    /// encoded under `version`.
-    pub fn from_owned(
-        bytes: Arc<[u8]>,
-        body_start: usize,
-        version: WireVersion,
-        header: RecordHeader,
-    ) -> Self {
+    /// Wraps owned bytes whose v1 record body starts at `body_start`.
+    pub fn from_owned(bytes: Arc<[u8]>, body_start: usize, header: RecordHeader) -> Self {
         // The handed header must be the one the body's prefix encodes —
         // everything that never decodes the body (indexes, ownership
         // checks, snapshot index metadata) trusts this.
@@ -152,30 +144,18 @@ impl EncodedRecord {
         EncodedRecord {
             bytes: BlobBytes::Owned(bytes),
             body_start,
-            version,
             header,
         }
     }
 
     /// Wraps blob `index` of a mapped snapshot (blobs are bare record
     /// bodies, so the body starts at 0).
-    pub fn from_mapped(
-        snap: Arc<IndexedSnapshot>,
-        index: usize,
-        version: WireVersion,
-        header: RecordHeader,
-    ) -> Self {
+    pub fn from_mapped(snap: Arc<IndexedSnapshot>, index: usize, header: RecordHeader) -> Self {
         EncodedRecord {
             bytes: BlobBytes::Mapped { snap, index },
             body_start: 0,
-            version,
             header,
         }
-    }
-
-    /// The wire version the body is encoded under.
-    pub fn version(&self) -> WireVersion {
-        self.version
     }
 
     /// The bare encoded record body.  For mapped bytes this faults the pages
@@ -206,67 +186,10 @@ impl EncodedRecord {
 
     /// Decodes the full record (the lazy half of `get`).
     pub fn decode(&self, ctx: &DecodeCtx) -> Result<StoredRecord> {
-        let body = self.body()?;
-        let mut r = Reader::with_version(body, self.version);
+        let mut r = Reader::new(self.body()?);
         let record = StoredRecord::decode(&mut r, ctx)?;
         r.finish()?;
         Ok(record)
-    }
-
-    /// Re-encodes the body at [`WireVersion::DEFAULT`] if it is resident in
-    /// an older version — the in-place migration step snapshots run so a
-    /// legacy store converges onto the current format.  A no-op (no decode,
-    /// no copy) when the body is already current.
-    pub fn upgrade_to_default(&mut self, ctx: &DecodeCtx) -> Result<()> {
-        if self.version == WireVersion::DEFAULT {
-            return Ok(());
-        }
-        let record = self.decode(ctx)?;
-        let mut w = Writer::with_version(WireVersion::DEFAULT);
-        record.encode(&mut w);
-        self.bytes = BlobBytes::Owned(w.into_bytes().into());
-        self.body_start = 0;
-        self.version = WireVersion::DEFAULT;
-        Ok(())
-    }
-}
-
-/// What one shard slot holds.
-#[derive(Debug)]
-pub(crate) enum RecordBody {
-    /// Encoded bytes, decoded lazily (durable stores, and in-memory stores
-    /// constructed with pairing parameters).
-    Encoded(EncodedRecord),
-    /// A decoded struct pinned in memory.  Plain in-memory stores have no
-    /// pairing parameters, and a ciphertext cannot be decoded without them
-    /// (`Fp` elements carry only their field context) — so those stores
-    /// keep the struct itself, shared by `Arc` with every reader.
-    Pinned(Arc<StoredRecord>),
-}
-
-impl RecordBody {
-    /// The owning patient, served from the header without decoding.
-    pub fn patient(&self) -> &Identity {
-        match self {
-            RecordBody::Encoded(enc) => &enc.header.patient,
-            RecordBody::Pinned(rec) => &rec.patient,
-        }
-    }
-
-    /// The record category, served from the header without decoding.
-    pub fn category(&self) -> &Category {
-        match self {
-            RecordBody::Encoded(enc) => &enc.header.category,
-            RecordBody::Pinned(rec) => &rec.category,
-        }
-    }
-
-    /// Resident encoded size (0 for pinned decoded structs).
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            RecordBody::Encoded(enc) => enc.encoded_len(),
-            RecordBody::Pinned(_) => 0,
-        }
     }
 }
 
@@ -275,37 +198,16 @@ impl RecordBody {
 ///
 /// Capacity is per shard and small by design — the cache exists to make
 /// *repeated* reads of a hot record cost an `Arc` clone, not to hold the
-/// working set; capacity × shards records is the store's decoded-memory
-/// ceiling.  Eviction scans for the least-recent entry, O(capacity), which
-/// at the default of 64 is noise next to one ciphertext decode.
-#[derive(Debug)]
+/// working set; [`DEFAULT_CACHE_PER_SHARD`] × shards records is the store's
+/// decoded-memory ceiling.  Eviction scans for the least-recent entry,
+/// O(capacity), which at 64 is noise next to one ciphertext decode.
+#[derive(Debug, Default)]
 pub(crate) struct DecodedCache {
-    cap: usize,
     tick: u64,
     map: HashMap<RecordId, (u64, Arc<StoredRecord>)>,
 }
 
 impl DecodedCache {
-    /// A cache holding at most `cap` records (`0` disables caching).
-    pub fn with_capacity(cap: usize) -> Self {
-        DecodedCache {
-            cap,
-            tick: 0,
-            map: HashMap::with_capacity(cap.min(1024)),
-        }
-    }
-
-    /// Capacity from `TIBPRE_RECORD_CACHE` (records per shard), defaulting
-    /// to [`DEFAULT_CACHE_PER_SHARD`]; unparsable values fall back to the
-    /// default — a typo degrades performance, not correctness.
-    pub fn from_env() -> Self {
-        let cap = std::env::var("TIBPRE_RECORD_CACHE")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_CACHE_PER_SHARD);
-        Self::with_capacity(cap)
-    }
-
     /// The cached record, freshened to most-recently-used.
     pub fn get(&mut self, id: RecordId) -> Option<Arc<StoredRecord>> {
         let (at, record) = self.map.get_mut(&id)?;
@@ -317,10 +219,7 @@ impl DecodedCache {
     /// Inserts (or freshens) a record, evicting the least-recently-used
     /// entry when full.
     pub fn insert(&mut self, id: RecordId, record: Arc<StoredRecord>) {
-        if self.cap == 0 {
-            return;
-        }
-        if self.map.len() >= self.cap && !self.map.contains_key(&id) {
+        if self.map.len() >= DEFAULT_CACHE_PER_SHARD && !self.map.contains_key(&id) {
             if let Some(&victim) = self
                 .map
                 .iter()
@@ -344,12 +243,6 @@ impl DecodedCache {
     #[cfg(test)]
     pub fn len(&self) -> usize {
         self.map.len()
-    }
-}
-
-impl Default for DecodedCache {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -401,10 +294,11 @@ mod tests {
         let header2 = RecordHeader::peek(&body[..header_len]).unwrap();
         assert_eq!(header2.id, record.id);
 
-        // Round trip through the snapshot index-meta form.
-        let meta = encode_index_meta(WireVersion::DEFAULT, &header);
-        let (version, parsed) = decode_index_meta(&meta).unwrap();
-        assert_eq!(version, WireVersion::DEFAULT);
+        // Round trip through the snapshot index-meta form, which is the
+        // body's own header prefix behind the v1 tag.
+        let meta = encode_index_meta(&header);
+        assert_eq!(&meta[1..], &body[..header_len]);
+        let parsed = decode_index_meta(&meta).unwrap();
         assert_eq!(parsed.id, header.id);
         assert_eq!(parsed.patient, header.patient);
         assert_eq!(parsed.category, header.category);
@@ -412,6 +306,12 @@ mod tests {
             assert!(decode_index_meta(&meta[..cut]).is_err(), "cut {cut}");
         }
         assert!(decode_index_meta(&[0x42]).is_err(), "not a version tag");
+        let mut v0_tagged = meta.clone();
+        v0_tagged[0] = WireVersion::V0.tag();
+        assert!(
+            decode_index_meta(&v0_tagged).is_err(),
+            "only v1 is resident"
+        );
         let _ = params;
     }
 
@@ -420,21 +320,18 @@ mod tests {
         let (params, record) = sample_record(9);
         let ctx = DecodeCtx::from(&params);
         let v0 = tibpre_wire::encode_bare(&record, WireVersion::V0);
-        let header = RecordHeader::peek(&v0).unwrap();
-        let mut enc =
-            EncodedRecord::from_owned(v0.clone().into(), 0, WireVersion::V0, header.clone());
-        assert_eq!(enc.encoded_len(), v0.len());
-        assert_eq!(enc.decode(&ctx).unwrap(), record);
-
-        enc.upgrade_to_default(&ctx).unwrap();
-        assert_eq!(enc.version(), WireVersion::DEFAULT);
-        // v1 compresses the group-element portion, so the upgrade shrinks.
+        let v1 = tibpre_wire::encode_bare(&record, WireVersion::V1);
+        // A v0 body is read once, by the legacy converter, into v1
+        // resident bytes — which v1 compression makes smaller.
+        let enc = crate::legacy::upgrade_record(&v0, WireVersion::V0, &ctx).unwrap();
+        assert_eq!(enc.body().unwrap(), &v1[..]);
         assert!(enc.encoded_len() < v0.len());
         assert_eq!(enc.decode(&ctx).unwrap(), record);
-        // Upgrading an already-current body is a no-op.
-        let len = enc.encoded_len();
-        enc.upgrade_to_default(&ctx).unwrap();
-        assert_eq!(enc.encoded_len(), len);
+        assert_eq!(enc.header.id, record.id);
+        assert_eq!(enc.header.patient, record.patient);
+        // Converting an already-current body reproduces it byte for byte.
+        let again = crate::legacy::upgrade_record(&v1, WireVersion::V1, &ctx).unwrap();
+        assert_eq!(again.body().unwrap(), &v1[..]);
     }
 
     #[test]
@@ -446,7 +343,7 @@ mod tests {
         // An owned body behind a nonzero prefix reports the body length.
         let mut framed = vec![0u8; 3];
         framed.extend_from_slice(&body);
-        let enc = EncodedRecord::from_owned(framed.into(), 3, WireVersion::DEFAULT, header.clone());
+        let enc = EncodedRecord::from_owned(framed.into(), 3, header.clone());
         assert_eq!(enc.encoded_len(), body.len());
 
         // The mapped arms are built directly because the public constructor
@@ -475,7 +372,6 @@ mod tests {
                 index: 0,
             },
             body_start: 2,
-            version: WireVersion::DEFAULT,
             header: header.clone(),
         };
         assert_eq!(mapped.encoded_len(), body.len() - 2);
@@ -488,7 +384,6 @@ mod tests {
                 index: 0,
             },
             body_start: body.len() + 10,
-            version: WireVersion::DEFAULT,
             header: header.clone(),
         };
         assert_eq!(beyond.encoded_len(), 0);
@@ -499,7 +394,6 @@ mod tests {
         let stale = EncodedRecord {
             bytes: BlobBytes::Mapped { snap, index: 7 },
             body_start: 4,
-            version: WireVersion::DEFAULT,
             header,
         };
         assert_eq!(stale.encoded_len(), 0);
@@ -507,31 +401,25 @@ mod tests {
     }
 
     #[test]
-    fn lru_cache_evicts_the_least_recent_and_respects_zero_capacity() {
-        let mut cache = DecodedCache::with_capacity(2);
-        let (_, r1) = sample_record(1);
-        let (_, r2) = sample_record(2);
-        let (_, r3) = sample_record(3);
-        let (r1, r2, r3) = (Arc::new(r1), Arc::new(r2), Arc::new(r3));
-
-        cache.insert(RecordId(1), r1.clone());
-        cache.insert(RecordId(2), r2.clone());
+    fn lru_cache_evicts_the_least_recent() {
+        let mut cache = DecodedCache::default();
+        let (_, record) = sample_record(1);
+        let record = Arc::new(record);
+        for id in 1..=DEFAULT_CACHE_PER_SHARD as u64 {
+            cache.insert(RecordId(id), record.clone());
+        }
         // Touch 1, making 2 the eviction victim.
-        assert!(Arc::ptr_eq(&cache.get(RecordId(1)).unwrap(), &r1));
-        cache.insert(RecordId(3), r3.clone());
-        assert_eq!(cache.len(), 2);
+        assert!(Arc::ptr_eq(&cache.get(RecordId(1)).unwrap(), &record));
+        cache.insert(RecordId(1000), record.clone());
+        assert_eq!(cache.len(), DEFAULT_CACHE_PER_SHARD);
         assert!(cache.get(RecordId(2)).is_none());
         assert!(cache.get(RecordId(1)).is_some());
-        assert!(cache.get(RecordId(3)).is_some());
+        assert!(cache.get(RecordId(1000)).is_some());
         // Re-inserting a resident id freshens without evicting.
-        cache.insert(RecordId(1), r1.clone());
-        assert_eq!(cache.len(), 2);
+        cache.insert(RecordId(1), record.clone());
+        assert_eq!(cache.len(), DEFAULT_CACHE_PER_SHARD);
         cache.remove(RecordId(1));
         assert!(cache.get(RecordId(1)).is_none());
-
-        let mut off = DecodedCache::with_capacity(0);
-        off.insert(RecordId(1), r1);
-        assert!(off.get(RecordId(1)).is_none());
-        assert_eq!(off.len(), 0);
+        assert_eq!(cache.len(), DEFAULT_CACHE_PER_SHARD - 1);
     }
 }

@@ -35,7 +35,7 @@
 //!   validate + memcpy + CRC and zero extra codec round trips
 //!   ([`crate::metrics`] counts them),
 //! * `get` decodes lazily, returning `Arc<StoredRecord>`s through a small
-//!   per-shard LRU of hot records (`TIBPRE_RECORD_CACHE` records per shard),
+//!   per-shard LRU of hot records,
 //! * the `by_patient` / category indexes and delete's ownership check run
 //!   on lightweight headers parsed from the encoding's prefix — never a
 //!   full decode,
@@ -43,17 +43,15 @@
 //!   **memory-mapped** snapshot file: reopening is O(index), and a record's
 //!   pages fault in only when it is first read (CRC-checked at that moment).
 //!
-//! Plain in-memory stores ([`EncryptedPhrStore::new`]) have no pairing
-//! parameters and therefore cannot decode ciphertexts lazily; they pin the
-//! decoded struct instead (shared by `Arc` with every reader).  An
-//! in-memory store built with
-//! [`EncryptedPhrStore::in_memory_with_params`] keeps records encoded.
+//! Every resident body is the v1 encoding, in-memory and durable stores
+//! alike; every store therefore holds the pairing parameters it decodes
+//! with.
 //!
 //! # Durability
 //!
-//! A store is either **in-memory** ([`EncryptedPhrStore::new`] /
-//! [`EncryptedPhrStore::in_memory`]) — exactly the pre-durability store, no
-//! hidden I/O — or **durable** ([`EncryptedPhrStore::open`]): each shard
+//! A store is either **in-memory**
+//! ([`EncryptedPhrStore::in_memory_with_params`]) — no hidden I/O — or
+//! **durable** ([`EncryptedPhrStore::open`]): each shard
 //! additionally owns a write-ahead log segment and a generational snapshot
 //! series in the store directory (see [`crate::durable`] for the frame
 //! contents and [`tibpre_storage`] for the envelope).  Every mutation is
@@ -62,7 +60,9 @@
 //! durability introduces no extra synchronization and no cross-shard locks.
 //! `open` replays `newest valid snapshot + WAL tail` per shard — in parallel
 //! across shards on a [`ReEncryptEngine`] — truncating each log at the first
-//! torn or corrupt frame.
+//! torn or corrupt frame.  Bytes in an older format are read there, once, by
+//! the private `legacy` module, and `open` re-persists the store as v1
+//! before returning.
 //!
 //! Durable writes are **fail-stop**: an I/O error while appending to a WAL
 //! panics rather than silently continuing with a log that no longer matches
@@ -74,8 +74,9 @@ use crate::category::Category;
 use crate::durable::{
     self, Durability, ShardLog, StoreDurability, WalOp, SNAPSHOT_GENERATIONS_KEPT,
 };
+use crate::legacy;
 use crate::record::RecordId;
-use crate::resident::{DecodedCache, EncodedRecord, RecordBody, RecordHeader};
+use crate::resident::{DecodedCache, EncodedRecord, RecordHeader};
 use crate::{PhrError, Result};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -88,9 +89,9 @@ use tibpre_ibe::Identity;
 use tibpre_pairing::{DecodeCtx, PairingParams};
 use tibpre_storage::{
     frame, segment, snapshot, ChunkOutcome, CommitNotifier, FsyncPolicy, ReplicationLog,
-    SegmentedWal, StorageError,
+    SegmentedWal,
 };
-use tibpre_wire::{put_u32, Reader, WireVersion};
+use tibpre_wire::{put_u32, Reader, WireDecode, WireEncode, WireVersion};
 
 /// Default shard count.  Sixteen stripes keep the per-shard contention
 /// negligible for any worker count this workspace's engine will realistically
@@ -115,7 +116,7 @@ pub struct StoredRecord {
 
 /// What snapshot recovery hands back per shard: the resident record map and
 /// the audit trail.
-type RecoveredShardState = (BTreeMap<RecordId, RecordBody>, Vec<Arc<AuditEvent>>);
+pub(crate) type RecoveredShardState = (BTreeMap<RecordId, EncodedRecord>, Vec<Arc<AuditEvent>>);
 
 /// One lock stripe: the records whose id hashes here (as wire-resident
 /// bodies), the per-patient index restricted to those records, this stripe's
@@ -123,7 +124,7 @@ type RecoveredShardState = (BTreeMap<RecordId, RecordBody>, Vec<Arc<AuditEvent>>
 /// its write-ahead log handle.
 #[derive(Default)]
 struct Shard {
-    records: BTreeMap<RecordId, RecordBody>,
+    records: BTreeMap<RecordId, EncodedRecord>,
     by_patient: HashMap<Vec<u8>, BTreeSet<RecordId>>,
     audit: Vec<Arc<AuditEvent>>,
     log: Option<ShardLog>,
@@ -133,17 +134,95 @@ struct Shard {
 }
 
 impl Shard {
-    /// Rebuilds the per-patient index from the record headers (used after
-    /// recovery; the index is derived state and is not persisted).  No
-    /// record is decoded — the header carries the patient.
-    fn rebuild_index(&mut self) {
+    /// Replaces the shard's records and audit trail with a snapshot's and
+    /// rebuilds the per-patient index (derived state, never persisted) from
+    /// the record headers — no record is decoded.
+    fn load(&mut self, (records, audit): RecoveredShardState) {
+        self.records = records;
+        self.audit = audit;
+        *self.cache.get_mut() = DecodedCache::default();
         self.by_patient.clear();
-        for (&id, body) in &self.records {
+        for (&id, enc) in &self.records {
             self.by_patient
-                .entry(body.patient().as_bytes().to_vec())
+                .entry(enc.header.patient.as_bytes().to_vec())
                 .or_default()
                 .insert(id);
         }
+    }
+
+    /// Inserts a resident record and indexes it under its patient.
+    fn insert(&mut self, enc: EncodedRecord) {
+        let id = enc.header.id;
+        self.by_patient
+            .entry(enc.header.patient.as_bytes().to_vec())
+            .or_default()
+            .insert(id);
+        self.records.insert(id, enc);
+    }
+
+    /// Removes a record from the map, the index and the read cache.
+    fn remove(&mut self, id: RecordId) {
+        if let Some(enc) = self.records.remove(&id) {
+            if let Some(set) = self.by_patient.get_mut(enc.header.patient.as_bytes()) {
+                set.remove(&id);
+            }
+        }
+        self.cache.get_mut().remove(id);
+    }
+
+    /// Applies one WAL op — the one replay step crash recovery and replica
+    /// apply share, maintaining the index as it goes.  `frame` is the op's
+    /// v1 payload; a `Put` keeps it as the record's resident bytes.
+    /// Returns the record id and timestamp the op carries, for the store's
+    /// id allocator and clock.
+    fn apply(&mut self, op: WalOp, frame: Vec<u8>) -> (u64, u64) {
+        let event = match op {
+            WalOp::Put { record, at } => {
+                let StoredRecord {
+                    id,
+                    patient,
+                    category,
+                    ..
+                } = *record;
+                let header = RecordHeader {
+                    id,
+                    patient: patient.clone(),
+                    category: category.clone(),
+                };
+                self.insert(EncodedRecord::from_owned(
+                    frame.into(),
+                    durable::PUT_BODY_START,
+                    header,
+                ));
+                AuditEvent::RecordStored {
+                    id,
+                    patient,
+                    category,
+                    at,
+                }
+            }
+            WalOp::Delete { id, at } => {
+                self.remove(id);
+                AuditEvent::RecordDeleted { id, at }
+            }
+            WalOp::Audit { event } => event,
+        };
+        let folded = (event.record_id().map_or(0, |id| id.0), event.at());
+        self.audit.push(Arc::new(event));
+        folded
+    }
+
+    /// The highest record id and timestamp the shard's state mentions —
+    /// audit events included, so ids of since-deleted records (which still
+    /// appear in the trail) are never reissued.
+    fn high_water(&self) -> (u64, u64) {
+        let mut id = self.records.keys().next_back().map_or(0, |id| id.0);
+        let mut at = 0;
+        for event in &self.audit {
+            id = id.max(event.record_id().map_or(0, |id| id.0));
+            at = at.max(event.at());
+        }
+        (id, at)
     }
 }
 
@@ -155,10 +234,8 @@ pub struct EncryptedPhrStore {
     next_id: AtomicU64,
     clock: AtomicU64,
     durability: Option<StoreDurability>,
-    /// Pairing parameters for lazily decoding resident record bytes.  Always
-    /// present on durable stores; `None` only on plain in-memory stores,
-    /// which pin decoded structs instead.
-    params: Option<Arc<PairingParams>>,
+    /// The pairing parameters resident record bytes are decoded with.
+    ctx: DecodeCtx,
     /// Bumped after every durable commit (and every replicated apply) —
     /// the subscription point replication shipping loops block on.
     notifier: Arc<CommitNotifier>,
@@ -171,49 +248,29 @@ const META_FILE: &str = "store.meta";
 const META_VERSION: u32 = 1;
 
 impl EncryptedPhrStore {
-    /// Creates an empty in-memory store with [`DEFAULT_SHARDS`] lock stripes.
-    pub fn new(name: impl AsRef<str>) -> Self {
-        Self::with_shards(name, DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty in-memory store — an explicit alias of [`Self::new`]
-    /// for symmetry with [`Self::open`].
-    pub fn in_memory(name: impl AsRef<str>) -> Self {
-        Self::new(name)
-    }
-
-    /// Creates an empty in-memory store that keeps records *wire-resident*
-    /// (encoded bytes, decoded lazily through the per-shard LRU) — the
-    /// memory-frugal mode for large working sets.  [`Self::new`] needs no
-    /// parameters but pins decoded structs instead.
+    /// Creates an empty in-memory store with [`DEFAULT_SHARDS`] lock
+    /// stripes, keeping records *wire-resident* (encoded bytes, decoded
+    /// lazily with `params` through the per-shard LRU).
     pub fn in_memory_with_params(name: impl AsRef<str>, params: Arc<PairingParams>) -> Self {
         Self::with_shards_and_params(name, DEFAULT_SHARDS, params)
     }
 
-    /// Creates an empty in-memory store with an explicit shard count
-    /// (clamped to ≥ 1).  `with_shards(name, 1)` degenerates to the
-    /// single-lock store this type used to be.
-    pub fn with_shards(name: impl AsRef<str>, shards: usize) -> Self {
+    /// [`Self::in_memory_with_params`] with an explicit shard count (clamped
+    /// to ≥ 1).
+    pub fn with_shards_and_params(
+        name: impl AsRef<str>,
+        shards: usize,
+        params: Arc<PairingParams>,
+    ) -> Self {
         EncryptedPhrStore {
             name: name.as_ref().to_string(),
             shards: (0..shards.max(1)).map(|_| RwLock::default()).collect(),
             next_id: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             durability: None,
-            params: None,
+            ctx: DecodeCtx::from(&params),
             notifier: Arc::new(CommitNotifier::new()),
         }
-    }
-
-    /// [`Self::in_memory_with_params`] with an explicit shard count.
-    pub fn with_shards_and_params(
-        name: impl AsRef<str>,
-        shards: usize,
-        params: Arc<PairingParams>,
-    ) -> Self {
-        let mut store = Self::with_shards(name, shards);
-        store.params = Some(params);
-        store
     }
 
     /// Opens (or creates) a durable store in directory `dir`, recovering any
@@ -229,10 +286,11 @@ impl EncryptedPhrStore {
     ///
     /// Indexed (`TBS2`) snapshots are served through a memory map: the open
     /// validates and parses only the trailer — O(index), not O(data) — and
-    /// record bytes fault in when first read.  Legacy monolithic (`TBS1`)
-    /// snapshots still load eagerly; the records they carry become resident
-    /// encoded bytes all the same, and the next snapshot rewrites them in
-    /// the indexed layout.
+    /// record bytes fault in when first read.  A store written in an older
+    /// format (monolithic `TBS1` snapshots, v0 or pre-envelope WAL frames)
+    /// is read through the private `legacy` module and migrated before this
+    /// returns: two forced snapshots re-persist it as v1 and let segment GC
+    /// delete the legacy log.
     ///
     /// Recovery never panics on corrupt input: a damaged snapshot generation
     /// falls back to the previous generation (or a full log replay), and a
@@ -257,34 +315,21 @@ impl EncryptedPhrStore {
             .unwrap_or_else(|| "phr-store".to_string());
 
         let engine = ReEncryptEngine::from_env();
-        let recovered: Vec<Shard> = engine.try_par_map_indices(shards, |i| {
+        let recovered: Vec<(Shard, bool)> = engine.try_par_map_indices(shards, |i| {
             Self::recover_shard(dir, i, &durability, &engine)
         })?;
+        let migrate = recovered.iter().any(|(_, legacy)| *legacy);
+        let (next_id, clock) = recovered
+            .iter()
+            .map(|(shard, _)| shard.high_water())
+            .fold((0, 0), |(i, c), (id, at)| (i.max(id), c.max(at)));
 
-        // The id allocator and the logical clock resume above everything the
-        // log has ever seen — including ids of since-deleted records, which
-        // still appear in audit events and must never be reissued.
-        let mut next_id = 0u64;
-        let mut clock = 0u64;
-        for shard in &recovered {
-            if let Some((&id, _)) = shard.records.iter().next_back() {
-                next_id = next_id.max(id.0);
-            }
-            for event in &shard.audit {
-                clock = clock.max(event.at());
-                match event.as_ref() {
-                    AuditEvent::RecordStored { id, .. }
-                    | AuditEvent::RecordDeleted { id, .. }
-                    | AuditEvent::DisclosurePerformed { id, .. }
-                    | AuditEvent::DisclosureDenied { id, .. } => next_id = next_id.max(id.0),
-                    _ => {}
-                }
-            }
-        }
-
-        Ok(EncryptedPhrStore {
+        let store = EncryptedPhrStore {
             name,
-            shards: recovered.into_iter().map(RwLock::new).collect(),
+            shards: recovered
+                .into_iter()
+                .map(|(shard, _)| RwLock::new(shard))
+                .collect(),
             next_id: AtomicU64::new(next_id),
             clock: AtomicU64::new(clock),
             durability: Some(StoreDurability {
@@ -293,9 +338,18 @@ impl EncryptedPhrStore {
                 snapshot_every: durability.snapshot_cadence(),
                 lock,
             }),
-            params: Some(durability.params().clone()),
+            ctx: DecodeCtx::from(durability.params()),
             notifier: Arc::new(CommitNotifier::new()),
-        })
+        };
+        if migrate {
+            // The first snapshot rotates every WAL past its legacy frames
+            // and writes TBS2; the second makes that rotation the oldest
+            // kept offset, so segment GC deletes the legacy segments and
+            // pruning retires every TBS1 generation.
+            store.force_snapshot()?;
+            store.force_snapshot()?;
+        }
+        Ok(store)
     }
 
     /// Reads the persisted shard count, or persists the configured one on
@@ -320,19 +374,11 @@ impl EncryptedPhrStore {
                 let mut payload = Vec::new();
                 put_u32(&mut payload, META_VERSION);
                 put_u32(&mut payload, shards as u32);
-                let tmp = dir.join("store.meta.tmp");
                 // Meta determines the id→shard mapping forever, so it is
-                // made durable unconditionally (fsync file, rename, fsync
-                // dir) — losing it to a power cut and silently recreating it
-                // with a different shard count would orphan every record.
-                {
-                    use std::io::Write;
-                    let mut file = std::fs::File::create(&tmp)?;
-                    file.write_all(&frame::encode_frame(&payload))?;
-                    file.sync_data()?;
-                }
-                std::fs::rename(&tmp, &path)?;
-                std::fs::File::open(dir)?.sync_all()?;
+                // made durable unconditionally — losing it to a power cut and
+                // silently recreating it with a different shard count would
+                // orphan every record.
+                tibpre_storage::replace_file(dir, &path, &frame::encode_frame(&payload))?;
                 Ok(shards)
             }
             Err(e) => Err(e.into()),
@@ -344,12 +390,14 @@ impl EncryptedPhrStore {
     /// offset, truncated at the first torn or corrupt frame.  Only the tail
     /// behind the chosen snapshot is read from disk — earlier WAL segments
     /// are skipped entirely (and may already have been garbage-collected).
+    /// The flag reports whether any legacy artifact was read.
     fn recover_shard(
         dir: &Path,
         index: usize,
         durability: &Durability,
         engine: &ReEncryptEngine,
-    ) -> Result<Shard> {
+    ) -> Result<(Shard, bool)> {
+        let ctx = DecodeCtx::from(durability.params());
         let base = durable::shard_base(index);
         let segments = match segment::list_segments(dir, &base) {
             Ok(segments) => segments,
@@ -358,8 +406,10 @@ impl EncryptedPhrStore {
         };
         let wal_floor = segments.first().map(|s| s.start).unwrap_or(0);
         let wal_end = segments.last().map(|s| s.end()).unwrap_or(0);
+        let in_range = |offset: u64| (wal_floor..=wal_end).contains(&offset);
 
         let mut shard = Shard::default();
+        let mut legacy = false;
         let mut start = 0u64;
         let mut gen = 0u64;
         let mut have_state = false;
@@ -368,58 +418,48 @@ impl EncryptedPhrStore {
             if have_state {
                 // A later (older-generation) pass only harvests the offset
                 // for the GC map; the trailer-level peek validates enough.
-                let Ok(offset) = snapshot::peek_wal_offset(dir, &base, candidate) else {
-                    continue; // checksum/torn: ignored, pruning retires it
+                let offset = match snapshot::peek_wal_offset(dir, &base, candidate) {
+                    Ok(offset) => offset,
+                    Err(_) => match legacy::snapshot_offset(dir, &base, candidate) {
+                        Some(offset) => {
+                            legacy = true;
+                            offset
+                        }
+                        None => continue, // checksum/torn: pruning retires it
+                    },
                 };
-                if offset > wal_end || offset < wal_floor {
-                    continue; // references log bytes that no longer exist
-                }
-                snap_offsets.insert(candidate, offset);
-                continue;
-            }
-            // The indexed (TBS2) layout — what this version writes — is
-            // tried first; a magic mismatch falls through to the legacy
-            // monolithic (TBS1) loader.  Any validation or decode failure
-            // falls back to an older generation, per the recovery contract.
-            match snapshot::load_indexed(dir, &base, candidate) {
-                Ok(snap) => {
-                    let offset = snap.wal_offset();
-                    if offset > wal_end || offset < wal_floor {
-                        continue;
-                    }
-                    let Ok((records, audit)) = Self::state_from_indexed(engine, snap) else {
-                        continue; // trailer decodes, metadata does not
-                    };
-                    shard.records = records;
-                    shard.audit = audit;
-                    start = offset;
-                    gen = candidate;
-                    have_state = true;
+                if in_range(offset) {
                     snap_offsets.insert(candidate, offset);
                 }
+                continue;
+            }
+            // The indexed (TBS2) layout is tried first; anything else goes to
+            // the legacy (TBS1) loader.  Any validation or decode failure
+            // falls back to an older generation, per the recovery contract.
+            let (offset, state) = match snapshot::load_indexed(dir, &base, candidate) {
+                Ok(snap) => {
+                    let offset = snap.wal_offset();
+                    let Ok(state) = Self::state_from_indexed(engine, snap) else {
+                        continue; // trailer decodes, metadata does not
+                    };
+                    (offset, state)
+                }
                 Err(_) => {
-                    let Ok(snap) = snapshot::load_snapshot(dir, &base, candidate) else {
+                    let Ok(loaded) = legacy::load_snapshot(&ctx, dir, &base, candidate) else {
                         continue; // neither layout: fall back a generation
                     };
-                    if snap.wal_offset > wal_end || snap.wal_offset < wal_floor {
-                        continue;
-                    }
-                    let Ok((records, audit)) =
-                        durable::decode_shard_state_resident(durability.params(), &snap.payload)
-                    else {
-                        continue; // CRC-valid but undecodable: same fallback
-                    };
-                    shard.records = records
-                        .into_iter()
-                        .map(|enc| (enc.header.id, RecordBody::Encoded(enc)))
-                        .collect();
-                    shard.audit = audit.into_iter().map(Arc::new).collect();
-                    start = snap.wal_offset;
-                    gen = candidate;
-                    have_state = true;
-                    snap_offsets.insert(candidate, snap.wal_offset);
+                    legacy = true;
+                    loaded
                 }
+            };
+            if !in_range(offset) {
+                continue; // references log bytes that no longer exist
             }
+            shard.load(state);
+            start = offset;
+            gen = candidate;
+            have_state = true;
+            snap_offsets.insert(candidate, offset);
         }
 
         // A WAL whose prefix was garbage-collected can only be opened
@@ -437,58 +477,24 @@ impl EncryptedPhrStore {
         }
 
         let scan = segment::recover(dir, &base, start)?;
-        let valid_len = scan.valid_len;
         for payload in scan.frames {
             // A frame that passes its checksum but fails to *decode* is not
             // storage corruption (the CRC vouches for the bytes) — it means
             // the wrong pairing parameters or an unknown format tag.
             // Truncating would destroy intact data, so refuse to open.
-            let op = WalOp::from_bytes(durability.params(), &payload).map_err(|_| {
+            let (op, frame) = legacy::read_frame(payload, &ctx, &mut legacy).map_err(|_| {
                 PhrError::CorruptedRecord(
                     "CRC-valid WAL frame failed to decode; check pairing parameters \
                      and binary version — refusing to truncate intact data",
                 )
             })?;
-            match op {
-                WalOp::Put { record, at } => {
-                    // The decode above validated the frame; what the shard
-                    // retains is the frame's own buffer (the record body is
-                    // a well-known suffix of a Put frame).  The decoded
-                    // struct is dissolved into the header and audit event.
-                    let (version, body_start) = durable::wal_put_body_layout(&payload);
-                    let record = *record;
-                    let header = RecordHeader {
-                        id: record.id,
-                        patient: record.patient.clone(),
-                        category: record.category.clone(),
-                    };
-                    shard.audit.push(Arc::new(AuditEvent::RecordStored {
-                        id: record.id,
-                        patient: record.patient,
-                        category: record.category,
-                        at,
-                    }));
-                    let enc =
-                        EncodedRecord::from_owned(payload.into(), body_start, version, header);
-                    shard
-                        .records
-                        .insert(enc.header.id, RecordBody::Encoded(enc));
-                }
-                WalOp::Delete { id, at } => {
-                    shard.records.remove(&id);
-                    shard
-                        .audit
-                        .push(Arc::new(AuditEvent::RecordDeleted { id, at }));
-                }
-                WalOp::Audit { event } => shard.audit.push(Arc::new(event)),
-            }
+            shard.apply(op, frame);
         }
-        shard.rebuild_index();
 
         // The truncation boundary is the scanner's: every frame decoded (a
         // failure returned above), so the valid prefix ends where the scan
         // stopped.
-        let wal = SegmentedWal::open(dir, &base, valid_len, durability.fsync_policy())?;
+        let wal = SegmentedWal::open(dir, &base, scan.valid_len, durability.fsync_policy())?;
         shard.log = Some(ShardLog {
             wal,
             base,
@@ -496,7 +502,7 @@ impl EncryptedPhrStore {
             ops_since_snapshot: 0,
             snap_offsets,
         });
-        Ok(shard)
+        Ok((shard, legacy))
     }
 
     /// Turns a mapped indexed snapshot into shard state: the audit trail
@@ -510,18 +516,17 @@ impl EncryptedPhrStore {
     ) -> Result<RecoveredShardState> {
         let audit = durable::decode_audit_meta(snap.meta())?;
         let snap = Arc::new(snap);
-        let parsed: Vec<(WireVersion, RecordHeader)> =
-            engine.try_par_map_indices(snap.blob_count(), |i| {
-                let meta = snap.index_meta(i).ok_or(PhrError::CorruptedRecord(
-                    "snapshot blob index out of range",
-                ))?;
-                crate::resident::decode_index_meta(meta)
-            })?;
+        let parsed: Vec<RecordHeader> = engine.try_par_map_indices(snap.blob_count(), |i| {
+            let meta = snap.index_meta(i).ok_or(PhrError::CorruptedRecord(
+                "snapshot blob index out of range",
+            ))?;
+            crate::resident::decode_index_meta(meta)
+        })?;
         let mut records = BTreeMap::new();
-        for (i, (version, header)) in parsed.into_iter().enumerate() {
+        for (i, header) in parsed.into_iter().enumerate() {
             let id = header.id;
-            let enc = EncodedRecord::from_mapped(snap.clone(), i, version, header);
-            if records.insert(id, RecordBody::Encoded(enc)).is_some() {
+            let enc = EncodedRecord::from_mapped(snap.clone(), i, header);
+            if records.insert(id, enc).is_some() {
                 return Err(PhrError::CorruptedRecord(
                     "duplicate record id in snapshot index",
                 ));
@@ -530,20 +535,12 @@ impl EncryptedPhrStore {
         Ok((records, audit.into_iter().map(Arc::new).collect()))
     }
 
-    /// The decode context for lazily decoding resident record bytes.
-    fn decode_ctx(&self) -> Result<DecodeCtx> {
-        let params = self.params.as_ref().ok_or(PhrError::CorruptedRecord(
-            "store holds encoded records but no pairing parameters",
-        ))?;
-        Ok(DecodeCtx::from(params))
-    }
-
     /// Appends one operation to a shard's WAL (no-op on in-memory stores;
     /// the caller avoids even constructing the op in that case).  Runs under
     /// the shard's write lock.
     fn log_op(&self, shard: &mut Shard, op: &WalOp) {
         if self.durability.is_some() && shard.log.is_some() {
-            self.log_encoded(shard, &op.to_bytes());
+            self.log_encoded(shard, &op.to_wire_bytes());
         }
     }
 
@@ -591,16 +588,6 @@ impl EncryptedPhrStore {
             .durability
             .as_ref()
             .expect("snapshotting a durable store");
-        // Upgrade pass: a record still resident in an older wire version
-        // (recovered from a legacy store) is re-encoded at the current
-        // default, so snapshots converge the store onto one format.  A
-        // no-op for every already-current record — the common case.
-        let ctx = self.decode_ctx()?;
-        for body in shard.records.values_mut() {
-            if let RecordBody::Encoded(enc) = body {
-                enc.upgrade_to_default(&ctx)?;
-            }
-        }
         let meta = durable::encode_audit_meta(&shard.audit);
         let log = shard.log.as_mut().expect("snapshotting a durable shard");
         // Rotate so the snapshot's offset lands on a segment boundary —
@@ -617,17 +604,14 @@ impl EncryptedPhrStore {
             log.gen,
             wal_offset,
             &meta,
-            shard.records.values().map(|body| match body {
-                // A mapped body is read (and CRC-checked) here; a corrupt
-                // blob fails the snapshot instead of being re-persisted
-                // under a fresh checksum.
-                RecordBody::Encoded(enc) => Ok(snapshot::IndexedBlob {
+            // A mapped body is read (and CRC-checked) here; a corrupt blob
+            // fails the snapshot instead of being re-persisted under a fresh
+            // checksum.
+            shard.records.values().map(|enc| {
+                Ok(snapshot::IndexedBlob {
                     body: enc.body()?,
-                    index_meta: crate::resident::encode_index_meta(enc.version(), &enc.header),
-                }),
-                RecordBody::Pinned(_) => Err(StorageError::Corrupt(
-                    "durable shard holds a decoded-only record",
-                )),
+                    index_meta: crate::resident::encode_index_meta(&enc.header),
+                })
             }),
             !matches!(d.fsync, FsyncPolicy::Never),
         )?;
@@ -703,8 +687,8 @@ impl EncryptedPhrStore {
 
     /// Total encoded record-payload bytes resident across all shards — the
     /// store's record memory footprint (mapped snapshot blobs count at
-    /// their on-disk size; pinned decoded structs report 0).  This is the
-    /// numerator of the bytes-per-record gate `codec_gate` checks.
+    /// their on-disk size).  This is the numerator of the bytes-per-record
+    /// gate `codec_gate` checks.
     pub fn encoded_payload_bytes(&self) -> u64 {
         self.shards
             .iter()
@@ -713,7 +697,7 @@ impl EncryptedPhrStore {
                     .read()
                     .records
                     .values()
-                    .map(|body| body.encoded_len() as u64)
+                    .map(|enc| enc.encoded_len() as u64)
                     .sum::<u64>()
             })
             .sum()
@@ -773,37 +757,21 @@ impl EncryptedPhrStore {
         };
         let mut shard = self.shard_for_id(id).write();
         let at = self.tick();
-        let body = if self.is_durable() {
-            // Encoded from the borrowed record: no clone of the ciphertext
-            // body on the write path — and the frame buffer the WAL just
-            // appended becomes the record's resident bytes.
-            let frame = WalOp::encode_put(record.as_ref(), at);
+        // Encoded from the borrowed record: no clone of the ciphertext body
+        // on the write path — and the frame buffer the WAL appends becomes
+        // the record's resident bytes.
+        let frame = WalOp::encode_put(record.as_ref(), at);
+        if self.is_durable() {
             self.log_encoded(&mut shard, &frame);
-            let (version, body_start) = durable::wal_put_body_layout(&frame);
-            RecordBody::Encoded(EncodedRecord::from_owned(
-                frame.into(),
-                body_start,
-                version,
-                header,
-            ))
-        } else if self.params.is_some() {
-            let version = WireVersion::DEFAULT;
-            let bytes = tibpre_wire::encode_bare(record.as_ref(), version);
-            RecordBody::Encoded(EncodedRecord::from_owned(bytes.into(), 0, version, header))
-        } else {
-            RecordBody::Pinned(record.clone())
-        };
-        if matches!(body, RecordBody::Encoded(_)) {
-            // The caller just handed us the decoded struct; cache it so the
-            // common read-after-write needs no decode.
-            shard.cache.get_mut().insert(id, record.clone());
         }
-        shard.records.insert(id, body);
-        shard
-            .by_patient
-            .entry(patient.as_bytes().to_vec())
-            .or_default()
-            .insert(id);
+        shard.insert(EncodedRecord::from_owned(
+            frame.into(),
+            durable::PUT_BODY_START,
+            header,
+        ));
+        // The caller just handed us the decoded struct; cache it so the
+        // common read-after-write needs no decode.
+        shard.cache.get_mut().insert(id, record);
         shard.audit.push(Arc::new(AuditEvent::RecordStored {
             id,
             patient: patient.clone(),
@@ -822,40 +790,34 @@ impl EncryptedPhrStore {
     /// pages on first touch) and the result is cached.
     pub fn get(&self, id: RecordId) -> Result<Arc<StoredRecord>> {
         let shard = self.shard_for_id(id).read();
-        match shard.records.get(&id) {
-            None => Err(PhrError::RecordNotFound),
-            Some(RecordBody::Pinned(record)) => Ok(record.clone()),
-            Some(RecordBody::Encoded(enc)) => {
-                let mut cache = shard.cache.lock();
-                if let Some(hit) = cache.get(id) {
-                    return Ok(hit);
-                }
-                let record = Arc::new(enc.decode(&self.decode_ctx()?)?);
-                cache.insert(id, record.clone());
-                Ok(record)
-            }
+        let enc = shard.records.get(&id).ok_or(PhrError::RecordNotFound)?;
+        let mut cache = shard.cache.lock();
+        if let Some(hit) = cache.get(id) {
+            return Ok(hit);
         }
+        let record = Arc::new(enc.decode(&self.ctx)?);
+        cache.insert(id, record.clone());
+        Ok(record)
     }
 
     /// Deletes a record.  Only the owning patient may delete.  The check
     /// runs on the record's header — no decode.
     pub fn delete(&self, id: RecordId, requester: &Identity) -> Result<()> {
         let mut shard = self.shard_for_id(id).write();
-        let body = shard.records.get(&id).ok_or(PhrError::RecordNotFound)?;
-        if body.patient() != requester {
+        let header = &shard
+            .records
+            .get(&id)
+            .ok_or(PhrError::RecordNotFound)?
+            .header;
+        if &header.patient != requester {
             return Err(PhrError::AccessDenied {
-                category: body.category().label(),
+                category: header.category.label(),
                 requester: requester.display(),
             });
         }
-        let patient_key = body.patient().as_bytes().to_vec();
         let at = self.tick();
         self.log_op(&mut shard, &WalOp::Delete { id, at });
-        shard.records.remove(&id);
-        shard.cache.get_mut().remove(id);
-        if let Some(set) = shard.by_patient.get_mut(&patient_key) {
-            set.remove(&id);
-        }
+        shard.remove(id);
         shard
             .audit
             .push(Arc::new(AuditEvent::RecordDeleted { id, at }));
@@ -903,7 +865,7 @@ impl EncryptedPhrStore {
                                 shard
                                     .records
                                     .get(id)
-                                    .map(|body| body.category() == category)
+                                    .map(|enc| &enc.header.category == category)
                                     .unwrap_or(false)
                             })
                             .copied()
@@ -1104,67 +1066,25 @@ impl EncryptedPhrStore {
         Ok(None)
     }
 
-    /// Applies one replicated WAL frame payload to a shard — the
-    /// replica-side twin of crash recovery's replay loop, incremental
-    /// instead of batch.  Frames must arrive in per-shard log order; that
-    /// ordering is exactly what makes the revocation invariant hold, since
-    /// one patient's grants and revocations all live on one shard.
+    /// Applies one replicated WAL frame payload to a shard — the same
+    /// replay step crash recovery runs, incremental instead of batch.
+    /// Frames must arrive in per-shard log order; that ordering is exactly
+    /// what makes the revocation invariant hold, since one patient's grants
+    /// and revocations all live on one shard.  Only v1 frames are accepted:
+    /// a primary re-persists legacy bytes at open, so anything else from a
+    /// peer is refused with [`PhrError::CorruptedRecord`].
     pub fn apply_replication_frame(&self, shard_index: usize, payload: &[u8]) -> Result<()> {
-        let params = self.params.as_ref().ok_or(PhrError::CorruptedRecord(
-            "replica store has no pairing parameters",
-        ))?;
-        let op = WalOp::from_bytes(params, payload)?;
+        if payload.first() != Some(&WireVersion::DEFAULT.tag()) {
+            return Err(PhrError::CorruptedRecord("replicated WAL frame is not v1"));
+        }
+        let op = WalOp::from_wire_bytes(payload, &self.ctx)?;
         let shard = self
             .shards
             .get(shard_index)
             .ok_or(PhrError::CorruptedRecord("shard index out of range"))?;
-        let mut shard = shard.write();
-        match op {
-            WalOp::Put { record, at } => {
-                let (version, body_start) = durable::wal_put_body_layout(payload);
-                let record = *record;
-                let id = record.id;
-                let header = RecordHeader {
-                    id,
-                    patient: record.patient.clone(),
-                    category: record.category.clone(),
-                };
-                shard.audit.push(Arc::new(AuditEvent::RecordStored {
-                    id,
-                    patient: record.patient.clone(),
-                    category: record.category,
-                    at,
-                }));
-                let enc =
-                    EncodedRecord::from_owned(payload.to_vec().into(), body_start, version, header);
-                shard
-                    .by_patient
-                    .entry(record.patient.as_bytes().to_vec())
-                    .or_default()
-                    .insert(id);
-                shard.records.insert(id, RecordBody::Encoded(enc));
-                self.next_id.fetch_max(id.0, Ordering::Relaxed);
-                self.clock.fetch_max(at, Ordering::Relaxed);
-            }
-            WalOp::Delete { id, at } => {
-                if let Some(body) = shard.records.remove(&id) {
-                    let key = body.patient().as_bytes().to_vec();
-                    if let Some(set) = shard.by_patient.get_mut(&key) {
-                        set.remove(&id);
-                    }
-                }
-                shard.cache.get_mut().remove(id);
-                shard
-                    .audit
-                    .push(Arc::new(AuditEvent::RecordDeleted { id, at }));
-                self.clock.fetch_max(at, Ordering::Relaxed);
-            }
-            WalOp::Audit { event } => {
-                self.clock.fetch_max(event.at(), Ordering::Relaxed);
-                shard.audit.push(Arc::new(event));
-            }
-        }
-        drop(shard);
+        let (id, at) = shard.write().apply(op, payload.to_vec());
+        self.next_id.fetch_max(id, Ordering::Relaxed);
+        self.clock.fetch_max(at, Ordering::Relaxed);
         self.notifier.notify();
         Ok(())
     }
@@ -1174,74 +1094,34 @@ impl EncryptedPhrStore {
     /// and returns the snapshot's WAL offset — where the replica resumes
     /// applying chunks.  Works on in-memory replicas: the bytes are
     /// materialized under the snapshot's canonical name in a scratch
-    /// directory so the existing loaders (memory-mapped `TBS2` first,
-    /// legacy `TBS1` fallback) read them unchanged; the mapping outlives
-    /// the unlinked scratch file.
+    /// directory so the memory-mapped `TBS2` loader reads them unchanged;
+    /// the mapping outlives the unlinked scratch file.  Anything but a valid
+    /// `TBS2` generation is refused with [`PhrError::CorruptedRecord`].
     pub fn install_replica_snapshot(
         &self,
         shard_index: usize,
         gen: u64,
         bytes: &[u8],
     ) -> Result<u64> {
-        let params = self.params.as_ref().ok_or(PhrError::CorruptedRecord(
-            "replica store has no pairing parameters",
-        ))?;
-        let shard_lock = self
+        let shard = self
             .shards
             .get(shard_index)
             .ok_or(PhrError::CorruptedRecord("shard index out of range"))?;
         let base = durable::shard_base(shard_index);
         let scratch = tibpre_storage::TempDir::new("replica-snap")?;
         std::fs::write(snapshot::snapshot_path(scratch.path(), &base, gen), bytes)?;
-        let (records, audit, offset): (BTreeMap<RecordId, RecordBody>, _, u64) =
-            match snapshot::load_indexed(scratch.path(), &base, gen) {
-                Ok(snap) => {
-                    let offset = snap.wal_offset();
-                    let engine = ReEncryptEngine::from_env();
-                    let (records, audit) = Self::state_from_indexed(&engine, snap)?;
-                    (records, audit, offset)
-                }
-                Err(_) => {
-                    let snap =
-                        snapshot::load_snapshot(scratch.path(), &base, gen).map_err(|_| {
-                            PhrError::CorruptedRecord(
-                                "shipped snapshot failed to validate in either layout",
-                            )
-                        })?;
-                    let (records, audit) =
-                        durable::decode_shard_state_resident(params, &snap.payload)?;
-                    (
-                        records
-                            .into_iter()
-                            .map(|enc| (enc.header.id, RecordBody::Encoded(enc)))
-                            .collect(),
-                        audit.into_iter().map(Arc::new).collect(),
-                        snap.wal_offset,
-                    )
-                }
-            };
-        let mut shard = shard_lock.write();
-        shard.records = records;
-        shard.audit = audit;
-        *shard.cache.get_mut() = DecodedCache::from_env();
-        shard.rebuild_index();
+        let snap = snapshot::load_indexed(scratch.path(), &base, gen).map_err(|_| {
+            PhrError::CorruptedRecord("shipped snapshot is not a valid TBS2 generation")
+        })?;
+        let offset = snap.wal_offset();
+        let state = Self::state_from_indexed(&ReEncryptEngine::from_env(), snap)?;
+        let mut shard = shard.write();
+        shard.load(state);
         // Resume the id allocator and logical clock above everything the
         // snapshot carries, exactly as `open` does after recovery.
-        if let Some((&id, _)) = shard.records.iter().next_back() {
-            self.next_id.fetch_max(id.0, Ordering::Relaxed);
-        }
-        for event in &shard.audit {
-            self.clock.fetch_max(event.at(), Ordering::Relaxed);
-            match event.as_ref() {
-                AuditEvent::RecordStored { id, .. }
-                | AuditEvent::RecordDeleted { id, .. }
-                | AuditEvent::DisclosurePerformed { id, .. }
-                | AuditEvent::DisclosureDenied { id, .. } => {
-                    self.next_id.fetch_max(id.0, Ordering::Relaxed);
-                }
-                _ => {}
-            }
-        }
+        let (id, at) = shard.high_water();
+        self.next_id.fetch_max(id, Ordering::Relaxed);
+        self.clock.fetch_max(at, Ordering::Relaxed);
         drop(shard);
         self.notifier.notify();
         Ok(offset)
@@ -1283,7 +1163,7 @@ mod tests {
     #[test]
     fn put_get_list_delete() {
         let mut rng = StdRng::seed_from_u64(131);
-        let store = EncryptedPhrStore::new("db");
+        let store = EncryptedPhrStore::in_memory_with_params("db", toy_params());
         let alice = Identity::new("alice");
         let bob = Identity::new("bob");
         let ct = sample_ciphertext(&mut rng);
@@ -1324,7 +1204,7 @@ mod tests {
     #[test]
     fn audit_trail_records_everything() {
         let mut rng = StdRng::seed_from_u64(132);
-        let store = EncryptedPhrStore::new("db");
+        let store = EncryptedPhrStore::in_memory_with_params("db", toy_params());
         let alice = Identity::new("alice");
         let doctor = Identity::new("doctor");
         let ct = sample_ciphertext(&mut rng);
@@ -1352,7 +1232,7 @@ mod tests {
     #[test]
     fn single_shard_store_still_works() {
         let mut rng = StdRng::seed_from_u64(134);
-        let store = EncryptedPhrStore::with_shards("db", 1);
+        let store = EncryptedPhrStore::with_shards_and_params("db", 1, toy_params());
         assert_eq!(store.shard_count(), 1);
         let alice = Identity::new("alice");
         let ct = sample_ciphertext(&mut rng);
@@ -1368,7 +1248,7 @@ mod tests {
     #[test]
     fn records_spread_across_shards() {
         let mut rng = StdRng::seed_from_u64(135);
-        let store = EncryptedPhrStore::new("db");
+        let store = EncryptedPhrStore::in_memory_with_params("db", toy_params());
         let alice = Identity::new("alice");
         let ct = sample_ciphertext(&mut rng);
         let ids: Vec<_> = (0..64)
@@ -1404,35 +1284,52 @@ mod tests {
         let b = store.get(id).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second read must hit the cache");
         assert_eq!(a.title, "r");
-
-        // The plain store pins decoded structs: zero resident encoded bytes,
-        // and reads share the pinned instance.
-        let plain = EncryptedPhrStore::new("ram");
-        let ct = sample_ciphertext(&mut rng);
-        let id = plain.put(&alice, &Category::Emergency, "r", ct);
-        assert_eq!(plain.encoded_payload_bytes(), 0);
-        let p1 = plain.get(id).unwrap();
-        let p2 = plain.get(id).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2));
     }
 
     #[test]
     fn encoded_in_memory_store_matches_the_pinned_oracle() {
+        // The oracle pins the decoded structs the store was handed.
         let mut rng = StdRng::seed_from_u64(151);
         let encoded = EncryptedPhrStore::with_shards_and_params("enc", 4, toy_params());
-        let oracle = EncryptedPhrStore::with_shards("plain", 4);
+        let mut oracle = BTreeMap::new();
         let alice = Identity::new("alice");
         let bob = Identity::new("bob");
         let ct = sample_ciphertext(&mut rng);
         for i in 0..10 {
             let patient = if i % 2 == 0 { &alice } else { &bob };
-            let a = encoded.put(patient, &Category::LabResults, &format!("r{i}"), ct.clone());
-            let b = oracle.put(patient, &Category::LabResults, &format!("r{i}"), ct.clone());
-            assert_eq!(a, b);
+            let (category, title) = (Category::LabResults, format!("r{i}"));
+            let id = encoded.put(patient, &category, &title, ct.clone());
+            let patient = patient.clone();
+            let ciphertext = ct.clone();
+            oracle.insert(
+                id,
+                StoredRecord {
+                    id,
+                    patient,
+                    category,
+                    title,
+                    ciphertext,
+                },
+            );
         }
         encoded.delete(RecordId(3), &alice).unwrap();
-        oracle.delete(RecordId(3), &alice).unwrap();
-        assert_stores_equal(&encoded, &oracle, &[alice, bob]);
+        oracle.remove(&RecordId(3));
+        // Drop the caches `put` primed, so every read decodes resident bytes.
+        for shard in encoded.shards.iter() {
+            *shard.write().cache.get_mut() = DecodedCache::default();
+        }
+        assert_eq!(encoded.record_count(), oracle.len());
+        for patient in [&alice, &bob] {
+            let ids: Vec<RecordId> = oracle
+                .values()
+                .filter(|r| &r.patient == patient)
+                .map(|r| r.id)
+                .collect();
+            assert_eq!(encoded.list_for_patient(patient), ids);
+        }
+        for (id, want) in &oracle {
+            assert_eq!(*encoded.get(*id).unwrap(), *want);
+        }
     }
 
     fn toy_params() -> std::sync::Arc<PairingParams> {
@@ -1504,7 +1401,7 @@ mod tests {
         assert!(audit[6].at() > audit[5].at());
 
         // The recovered store equals an in-memory oracle fed the same ops.
-        let oracle = EncryptedPhrStore::with_shards("oracle", 4);
+        let oracle = EncryptedPhrStore::with_shards_and_params("oracle", 4, toy_params());
         let o1 = oracle.put(&alice, &Category::Emergency, "r1", ct.clone());
         let o2 = oracle.put(&alice, &Category::LabResults, "r2", ct.clone());
         oracle.put(&bob, &Category::Medication, "r3", ct.clone());
@@ -1755,9 +1652,14 @@ mod tests {
         let newest = tibpre_storage::snapshot::load_indexed(&dir, "shard-00", 1).unwrap();
         let wal_offset = newest.wal_offset();
         drop(newest);
-        let payload = durable::encode_shard_state(records.iter().take(4), &audit[..4]);
-        tibpre_storage::snapshot::write_snapshot(&dir, "shard-00", 1, wal_offset, &payload, false)
-            .unwrap();
+        let mut body = wal_offset.to_be_bytes().to_vec();
+        body.extend(durable::tests::encode_shard_state(
+            records.iter().take(4),
+            &audit[..4],
+        ));
+        let mut tbs1 = b"TBS1".to_vec();
+        tbs1.extend(frame::encode_frame(&body));
+        std::fs::write(snapshot::snapshot_path(&dir, "shard-00", 1), tbs1).unwrap();
 
         let store = EncryptedPhrStore::open(&dir, durability()).unwrap();
         assert_eq!(store.record_count(), 6);
@@ -1890,8 +1792,35 @@ mod tests {
     }
 
     #[test]
+    fn replica_path_accepts_only_v1_frames_and_tbs2_snapshots() {
+        // Legacy bytes are read only at open, never from a peer: a v0 store's
+        // TBS1 snapshot and its bare pre-envelope WAL frames are refused.
+        let fixture =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/v0-store/store");
+        let replica = EncryptedPhrStore::with_shards_and_params("replica", 2, toy_params());
+        let tbs1 = std::fs::read(fixture.join("shard-00.0000000000000001.snap")).unwrap();
+        assert_eq!(&tbs1[..4], b"TBS1");
+        assert!(matches!(
+            replica.install_replica_snapshot(0, 1, &tbs1),
+            Err(PhrError::CorruptedRecord(_))
+        ));
+        let wal = std::fs::read(fixture.join("shard-00.wal")).unwrap();
+        let frames = frame::scan(&wal, 0).frames;
+        assert!(!frames.is_empty());
+        for payload in &frames {
+            assert!(!WireVersion::is_envelope_tag(payload[0]), "a bare v0 frame");
+            assert!(matches!(
+                replica.apply_replication_frame(0, payload),
+                Err(PhrError::CorruptedRecord(_))
+            ));
+        }
+        assert_eq!(replica.record_count(), 0);
+        assert!(replica.audit_snapshot().is_empty());
+    }
+
+    #[test]
     fn in_memory_alias_and_accessors() {
-        let store = EncryptedPhrStore::in_memory("ram");
+        let store = EncryptedPhrStore::in_memory_with_params("ram", toy_params());
         assert!(!store.is_durable());
         assert!(store.storage_dir().is_none());
         // Durable no-ops on the in-memory store.
@@ -1902,7 +1831,8 @@ mod tests {
     #[test]
     fn concurrent_access_is_safe() {
         let mut rng = StdRng::seed_from_u64(133);
-        let store = std::sync::Arc::new(EncryptedPhrStore::new("db"));
+        let store =
+            std::sync::Arc::new(EncryptedPhrStore::in_memory_with_params("db", toy_params()));
         let ct = sample_ciphertext(&mut rng);
         let mut handles = Vec::new();
         for thread_id in 0..4u64 {

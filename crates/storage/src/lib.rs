@@ -12,9 +12,9 @@
 //! * [`wal`] — the append-only segment writer with group-commit flushing and
 //!   a configurable [`FsyncPolicy`],
 //! * [`snapshot`] — atomically-written, generational full-state snapshots
-//!   with automatic fallback to older generations, in two layouts: the
-//!   monolithic `TBS1` form and the indexed `TBS2` form served through
-//!   memory maps,
+//!   in the indexed `TBS2` layout served through memory maps (plus a loader
+//!   for the legacy monolithic `TBS1` layout), with fallback to older
+//!   generations,
 //! * [`mmap`] — a minimal read-only memory-map shim (the offline build has
 //!   no `memmap2`), so `TBS2` opens are page-fault-driven,
 //! * [`crc`] — CRC-32/ISO-HDLC,
@@ -165,6 +165,21 @@ impl DirLock {
     }
 }
 
+/// Replaces the file at `path` (inside `dir`) with `bytes` durably: write a
+/// temp file beside it, fsync it, rename it over `path`, fsync `dir` — a
+/// crash leaves the old contents or the new ones, never a mix, and never
+/// loses the rename.
+pub fn replace_file(dir: &Path, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    use std::io::Write;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_data()?;
+    std::fs::rename(&tmp, path)?;
+    std::fs::File::open(dir)?.sync_all()
+}
+
 impl std::error::Error for StorageError {}
 
 impl From<io::Error> for StorageError {
@@ -230,6 +245,17 @@ pub(crate) fn test_dir(tag: &str) -> TempDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn replace_file_swaps_whole_contents() {
+        let dir = test_dir("replace-file");
+        let path = dir.path().join("log");
+        replace_file(dir.path(), &path, b"first, longer contents").unwrap();
+        replace_file(dir.path(), &path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        let names: Vec<_> = std::fs::read_dir(dir.path()).unwrap().collect();
+        assert_eq!(names.len(), 1, "no temp file left behind");
+    }
 
     #[test]
     fn fsync_policy_parsing() {

@@ -2,11 +2,11 @@
 //! atomically, so recovery replays `snapshot + WAL tail` instead of the whole
 //! log.  Two layouts share one generation series:
 //!
-//! * **`TBS1` (monolithic)** — `MAGIC ‖ frame(wal_offset(u64 BE) ‖ payload)`:
-//!   the same CRC-framed envelope as the WAL, so one checksum covers the
-//!   offset and the entire payload, and any truncation or bit-flip makes the
-//!   whole file invalid.  Loading is O(data): the file is read and checksummed
-//!   in full.
+//! * **`TBS1` (monolithic, legacy)** — `MAGIC ‖ frame(wal_offset(u64 BE) ‖
+//!   payload)`: one CRC frame over the offset and the entire payload, so any
+//!   truncation or bit-flip makes the whole file invalid.  No longer
+//!   written; [`load_snapshot`] reads it (in full) for the one caller that
+//!   migrates old stores.
 //! * **`TBS2` (indexed)** — `MAGIC ‖ blob data ‖ frame(trailer) ‖
 //!   trailer_frame_len(u64 BE)`: raw blobs concatenated up front, described by
 //!   a CRC-framed trailer of `(offset, len, crc, index_meta)` entries plus one
@@ -26,9 +26,10 @@
 //! Writes go to a temporary file which is fsynced and then renamed over the
 //! final name (with a directory fsync), so a crash mid-write leaves either
 //! the old generation set or the new one — never a half-written file under a
-//! live name.  Each write uses a fresh generation number; [`load_newest`]
-//! walks generations newest-first and skips invalid files, which is what
-//! makes "fall back to the previous snapshot + longer log replay" automatic.
+//! live name.  Each write uses a fresh generation number, and a reader
+//! walking [`list_generations`] newest-first skips invalid files — which is
+//! what makes "fall back to the previous snapshot + longer log replay"
+//! automatic.
 
 use crate::frame;
 use crate::mmap::Mmap;
@@ -62,43 +63,6 @@ pub fn snapshot_path(dir: &Path, base: &str, gen: u64) -> PathBuf {
     dir.join(format!("{base}.{gen:016x}.snap"))
 }
 
-/// Writes one snapshot generation atomically (`tmp` + fsync + rename + dir
-/// fsync).  `sync` may be disabled to match a caller's `Never` fsync policy.
-pub fn write_snapshot(
-    dir: &Path,
-    base: &str,
-    gen: u64,
-    wal_offset: u64,
-    payload: &[u8],
-    sync: bool,
-) -> io::Result<()> {
-    let mut body = Vec::with_capacity(8 + payload.len());
-    put_u64(&mut body, wal_offset);
-    body.extend_from_slice(payload);
-    let mut bytes = Vec::with_capacity(4 + frame::FRAME_HEADER_LEN + body.len());
-    bytes.extend_from_slice(MAGIC);
-    frame::append_frame(&mut bytes, &body);
-
-    let tmp = dir.join(format!("{base}.snap.tmp"));
-    {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(&bytes)?;
-        if sync {
-            file.sync_data()?;
-        }
-    }
-    fs::rename(&tmp, snapshot_path(dir, base, gen))?;
-    if sync {
-        // Make the rename itself durable.
-        File::open(dir)?.sync_all()?;
-    }
-    Ok(())
-}
-
 /// Lists the existing generation numbers of a snapshot series, newest first.
 pub fn list_generations(dir: &Path, base: &str) -> io::Result<Vec<u64>> {
     let mut gens = Vec::new();
@@ -119,14 +83,17 @@ pub fn list_generations(dir: &Path, base: &str) -> io::Result<Vec<u64>> {
     Ok(gens)
 }
 
-/// Loads and validates one snapshot generation.
+/// Loads and validates one monolithic (`TBS1`) generation.  The magic is
+/// checked before anything else is read.
 pub fn load_snapshot(dir: &Path, base: &str, gen: u64) -> Result<Snapshot, StorageError> {
-    let mut bytes = Vec::new();
-    File::open(snapshot_path(dir, base, gen))?.read_to_end(&mut bytes)?;
-    if bytes.len() < 4 || &bytes[..4] != MAGIC {
+    let mut file = File::open(snapshot_path(dir, base, gen))?;
+    let mut magic = [0u8; 4];
+    if file.read_exact(&mut magic).is_err() || &magic != MAGIC {
         return Err(StorageError::Corrupt("snapshot magic mismatch"));
     }
-    let body = frame::decode_single_frame(&bytes[4..]).ok_or(StorageError::Corrupt(
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    let body = frame::decode_single_frame(&bytes).ok_or(StorageError::Corrupt(
         "snapshot frame torn or checksum mismatch",
     ))?;
     let mut reader = Reader::new(&body);
@@ -137,21 +104,6 @@ pub fn load_snapshot(dir: &Path, base: &str, gen: u64) -> Result<Snapshot, Stora
         wal_offset,
         payload,
     })
-}
-
-/// Loads the newest *valid* snapshot of a series, skipping corrupt or torn
-/// generations (the fallback path).  Returns `None` when no generation is
-/// loadable — the caller then replays the full WAL.  Also returns how many
-/// newer generations had to be skipped, so callers can surface the fallback.
-pub fn load_newest(dir: &Path, base: &str) -> io::Result<(Option<Snapshot>, usize)> {
-    let mut skipped = 0;
-    for gen in list_generations(dir, base)? {
-        match load_snapshot(dir, base, gen) {
-            Ok(snapshot) => return Ok((Some(snapshot), skipped)),
-            Err(_) => skipped += 1,
-        }
-    }
-    Ok((None, skipped))
 }
 
 /// One blob handed to [`write_indexed_snapshot`].
@@ -418,20 +370,11 @@ pub fn load_indexed(dir: &Path, base: &str, gen: u64) -> Result<IndexedSnapshot,
     IndexedSnapshot::from_map(Mmap::map_path(&snapshot_path(dir, base, gen))?, gen)
 }
 
-/// Reads one generation's `wal_offset` with whatever validation its layout
-/// requires (`TBS1`: full-file CRC; `TBS2`: trailer CRC), dispatching on the
-/// magic.  Used by recovery to bound WAL trimming against *older* kept
+/// Reads an indexed (`TBS2`) generation's `wal_offset`, validating its
+/// trailer CRC.  Used by recovery to bound WAL trimming against *older* kept
 /// generations without decoding their payloads.
 pub fn peek_wal_offset(dir: &Path, base: &str, gen: u64) -> Result<u64, StorageError> {
-    let mut magic = [0u8; 4];
-    File::open(snapshot_path(dir, base, gen))?.read_exact(&mut magic)?;
-    if &magic == MAGIC {
-        load_snapshot(dir, base, gen).map(|s| s.wal_offset)
-    } else if &magic == MAGIC_INDEXED {
-        load_indexed(dir, base, gen).map(|s| s.wal_offset())
-    } else {
-        Err(StorageError::Corrupt("snapshot magic mismatch"))
-    }
+    load_indexed(dir, base, gen).map(|s| s.wal_offset())
 }
 
 /// Removes all but the newest `keep` generations of a series.  Keeping two
@@ -450,21 +393,29 @@ mod tests {
     use super::*;
     use crate::test_dir;
 
+    /// Writes a legacy monolithic generation by hand:
+    /// `TBS1 ‖ frame(wal_offset ‖ payload)`.
+    fn write_tbs1(dir: &Path, base: &str, gen: u64, wal_offset: u64, payload: &[u8]) {
+        let mut body = wal_offset.to_be_bytes().to_vec();
+        body.extend_from_slice(payload);
+        let mut bytes = MAGIC.to_vec();
+        frame::append_frame(&mut bytes, &body);
+        fs::write(snapshot_path(dir, base, gen), bytes).unwrap();
+    }
+
     #[test]
     fn write_load_round_trip_and_generations() {
         let dir = test_dir("snap-round-trip");
-        write_snapshot(dir.path(), "shard-00", 1, 100, b"state-1", true).unwrap();
-        write_snapshot(dir.path(), "shard-00", 2, 250, b"state-2", false).unwrap();
+        write_tbs1(dir.path(), "shard-00", 1, 100, b"state-1");
+        write_tbs1(dir.path(), "shard-00", 2, 250, b"state-2");
         // A second series in the same directory does not interfere.
-        write_snapshot(dir.path(), "shard-01", 9, 7, b"other", false).unwrap();
+        write_tbs1(dir.path(), "shard-01", 9, 7, b"other");
 
         assert_eq!(
             list_generations(dir.path(), "shard-00").unwrap(),
             vec![2, 1]
         );
-        let (newest, skipped) = load_newest(dir.path(), "shard-00").unwrap();
-        let newest = newest.unwrap();
-        assert_eq!(skipped, 0);
+        let newest = load_snapshot(dir.path(), "shard-00", 2).unwrap();
         assert_eq!((newest.gen, newest.wal_offset), (2, 250));
         assert_eq!(newest.payload, b"state-2");
     }
@@ -472,36 +423,38 @@ mod tests {
     #[test]
     fn corrupt_newest_falls_back_to_previous() {
         let dir = test_dir("snap-fallback");
-        write_snapshot(dir.path(), "s", 1, 10, b"old", true).unwrap();
-        write_snapshot(dir.path(), "s", 2, 20, b"new", true).unwrap();
-        // Flip one payload bit of the newest generation.
+        write_indexed(dir.path(), "s", 1, 10, b"old", &[(b"blob", b"h")]);
+        write_indexed(dir.path(), "s", 2, 20, b"new", &[(b"blob", b"h")]);
+        // Flip one trailer bit of the newest generation.
         let path = snapshot_path(dir.path(), "s", 2);
         let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
+        let last = bytes.len() - 9;
         bytes[last] ^= 0x04;
         std::fs::write(&path, &bytes).unwrap();
 
-        assert!(load_snapshot(dir.path(), "s", 2).is_err());
-        let (newest, skipped) = load_newest(dir.path(), "s").unwrap();
-        let newest = newest.unwrap();
-        assert_eq!(skipped, 1);
-        assert_eq!((newest.gen, newest.wal_offset), (1, 10));
-        assert_eq!(newest.payload, b"old");
+        // Walking the generations newest-first skips the damaged one.
+        let valid: Vec<u64> = list_generations(dir.path(), "s")
+            .unwrap()
+            .into_iter()
+            .filter(|&gen| load_indexed(dir.path(), "s", gen).is_ok())
+            .collect();
+        assert_eq!(valid, vec![1]);
+        let older = load_indexed(dir.path(), "s", 1).unwrap();
+        assert_eq!((older.wal_offset(), older.meta()), (10, &b"old"[..]));
 
         // Truncating the older one too leaves nothing valid.
         let path = snapshot_path(dir.path(), "s", 1);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let (none, skipped) = load_newest(dir.path(), "s").unwrap();
-        assert!(none.is_none());
-        assert_eq!(skipped, 2);
+        assert!(load_indexed(dir.path(), "s", 1).is_err());
+        assert!(peek_wal_offset(dir.path(), "s", 2).is_err());
     }
 
     #[test]
     fn prune_keeps_the_newest_generations() {
         let dir = test_dir("snap-prune");
         for gen in 1..=5 {
-            write_snapshot(dir.path(), "s", gen, gen * 10, b"x", false).unwrap();
+            write_indexed(dir.path(), "s", gen, gen * 10, b"x", &[]);
         }
         prune(dir.path(), "s", 2).unwrap();
         assert_eq!(list_generations(dir.path(), "s").unwrap(), vec![5, 4]);
@@ -558,14 +511,19 @@ mod tests {
         assert!(snap.index_meta(3).is_none());
         assert!(snap.blob(3).is_err());
 
-        // Both layouts share the generation series and the wal-offset peek.
-        write_snapshot(dir.path(), "shard-00", 2, 50, b"old-monolithic", true).unwrap();
+        // Both layouts share the generation series; the peek reads TBS2,
+        // the legacy loader TBS1.
+        write_tbs1(dir.path(), "shard-00", 2, 50, b"old-monolithic");
         assert_eq!(
             list_generations(dir.path(), "shard-00").unwrap(),
             vec![3, 2]
         );
         assert_eq!(peek_wal_offset(dir.path(), "shard-00", 3).unwrap(), 777);
-        assert_eq!(peek_wal_offset(dir.path(), "shard-00", 2).unwrap(), 50);
+        assert_eq!(
+            load_snapshot(dir.path(), "shard-00", 2).unwrap().wal_offset,
+            50
+        );
+        assert!(peek_wal_offset(dir.path(), "shard-00", 2).is_err());
     }
 
     #[test]
@@ -683,15 +641,12 @@ mod tests {
     #[test]
     fn monolithic_loader_rejects_indexed_files_and_vice_versa() {
         let dir = test_dir("snap-cross-layout");
-        write_snapshot(dir.path(), "s", 1, 10, b"mono", true).unwrap();
+        write_tbs1(dir.path(), "s", 1, 10, b"mono");
         write_indexed(dir.path(), "s", 2, 20, b"idx", &[]);
         assert!(load_snapshot(dir.path(), "s", 2).is_err());
         assert!(load_indexed(dir.path(), "s", 1).is_err());
-        // load_newest is the TBS1-only legacy walk: it skips the indexed
-        // generation and falls back to the monolithic one.
-        let (newest, skipped) = load_newest(dir.path(), "s").unwrap();
-        assert_eq!(newest.unwrap().gen, 1);
-        assert_eq!(skipped, 1);
+        assert_eq!(load_snapshot(dir.path(), "s", 1).unwrap().payload, b"mono");
+        assert_eq!(load_indexed(dir.path(), "s", 2).unwrap().meta(), b"idx");
     }
 
     #[test]
@@ -701,8 +656,9 @@ mod tests {
         assert!(load_snapshot(dir.path(), "s", 1).is_err());
         std::fs::write(snapshot_path(dir.path(), "s", 2), b"NOPE-not-a-snapshot").unwrap();
         assert!(load_snapshot(dir.path(), "s", 2).is_err());
-        let (none, skipped) = load_newest(dir.path(), "s").unwrap();
-        assert!(none.is_none());
-        assert_eq!(skipped, 2);
+        for gen in [1, 2] {
+            assert!(load_indexed(dir.path(), "s", gen).is_err());
+            assert!(peek_wal_offset(dir.path(), "s", gen).is_err());
+        }
     }
 }

@@ -132,23 +132,6 @@ impl AeadCiphertext {
     pub fn serialized_len(&self) -> usize {
         NONCE_LEN + 8 + self.body.len() + TAG_LEN
     }
-
-    /// Serializes as `nonce || body_len(u64 BE) || body || tag`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.serialized_len());
-        out.extend_from_slice(&self.nonce);
-        out.extend_from_slice(&(self.body.len() as u64).to_be_bytes());
-        out.extend_from_slice(&self.body);
-        out.extend_from_slice(&self.tag);
-        out
-    }
-
-    /// Parses the serialization produced by [`Self::to_bytes`], rejecting
-    /// trailing bytes (delegates to the wire codec).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        tibpre_wire::decode_bare(bytes, tibpre_wire::WireVersion::V0, &())
-            .map_err(|_| SymmetricError::MalformedCiphertext("undecodable AEAD ciphertext"))
-    }
 }
 
 impl tibpre_wire::WireEncode for AeadCiphertext {
@@ -193,9 +176,15 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use tibpre_wire::{decode_bare, encode_bare, DecodeError, WireVersion};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    /// The bare body decode, rejecting trailing bytes.
+    fn parse(bytes: &[u8]) -> core::result::Result<AeadCiphertext, DecodeError> {
+        decode_bare(bytes, WireVersion::DEFAULT, &())
     }
 
     #[test]
@@ -261,25 +250,25 @@ mod tests {
         let mut r = rng();
         let key = AeadKey::random(&mut r);
         let ct = key.seal(&mut r, b"serialize me", b"hdr");
-        let bytes = ct.to_bytes();
+        let bytes = encode_bare(&ct, WireVersion::DEFAULT);
         assert_eq!(bytes.len(), ct.serialized_len());
-        let parsed = AeadCiphertext::from_bytes(&bytes).unwrap();
+        let parsed = parse(&bytes).unwrap();
         assert_eq!(parsed, ct);
         assert_eq!(key.open(&parsed, b"hdr").unwrap(), b"serialize me");
     }
 
     #[test]
     fn malformed_serializations_rejected() {
-        assert!(AeadCiphertext::from_bytes(&[]).is_err());
-        assert!(AeadCiphertext::from_bytes(&[0u8; 10]).is_err());
+        assert!(parse(&[]).is_err());
+        assert!(parse(&[0u8; 10]).is_err());
         let mut r = rng();
         let key = AeadKey::random(&mut r);
-        let mut bytes = key.seal(&mut r, b"x", b"").to_bytes();
+        let mut bytes = encode_bare(&key.seal(&mut r, b"x", b""), WireVersion::DEFAULT);
         bytes.push(0); // trailing garbage
-        assert!(AeadCiphertext::from_bytes(&bytes).is_err());
+        assert!(parse(&bytes).is_err());
         bytes.pop();
         bytes.truncate(bytes.len() - 1); // truncated tag
-        assert!(AeadCiphertext::from_bytes(&bytes).is_err());
+        assert!(parse(&bytes).is_err());
     }
 
     #[test]

@@ -28,7 +28,10 @@ fn main() {
     banner("Domains and infrastructure");
     let patient_kgc = Kgc::setup(params.clone(), "national-phr-kgc", &mut rng);
     let provider_kgc = Kgc::setup(params.clone(), "care-provider-kgc", &mut rng);
-    let store = Arc::new(EncryptedPhrStore::new("outsourced-phr-store"));
+    let store = Arc::new(EncryptedPhrStore::in_memory_with_params(
+        "outsourced-phr-store",
+        params.clone(),
+    ));
     let mut hospital_proxy = ProxyService::new("hospital-proxy", store.clone());
     let mut wellness_proxy = ProxyService::new("wellness-proxy", store.clone());
     println!("store: {store:?}");

@@ -53,7 +53,10 @@ fn main() {
 
     // ---------------------------------------------------------------- TIB-PRE
     banner("Type-and-identity-based PRE (this paper)");
-    let store = Arc::new(EncryptedPhrStore::new("phr-store"));
+    let store = Arc::new(EncryptedPhrStore::in_memory_with_params(
+        "phr-store",
+        params.clone(),
+    ));
     let mut alice = Patient::new("alice@phr.example", &patient_kgc);
     // One proxy per category, as the paper suggests.
     let mut proxies: Vec<ProxyService> = categories

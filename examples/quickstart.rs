@@ -16,6 +16,7 @@ use tibpre_core::{proxy, Delegatee, Delegator, TypeTag};
 use tibpre_examples::banner;
 use tibpre_ibe::{Identity, Kgc};
 use tibpre_pairing::{PairingParams, SecurityLevel};
+use tibpre_wire::WireEncode;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2008);
@@ -50,7 +51,7 @@ fn main() {
     println!("encrypted one message of type '{illness}' and one of type '{diet}'");
     println!(
         "typed ciphertext size: {} bytes",
-        ct_illness.to_bytes().len()
+        ct_illness.to_wire_bytes().len()
     );
     assert_eq!(
         delegator.decrypt_typed(&ct_illness).unwrap(),
@@ -68,7 +69,7 @@ fn main() {
         rk.delegatee(),
         rk.type_tag()
     );
-    println!("re-encryption key size: {} bytes", rk.to_bytes().len());
+    println!("re-encryption key size: {} bytes", rk.to_wire_bytes().len());
 
     banner("Preenc: the proxy converts the illness-history ciphertext");
     let transformed = proxy::re_encrypt(&ct_illness, &rk).expect("types match");

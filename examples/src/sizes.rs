@@ -227,7 +227,7 @@ mod tests {
             ct.to_wire_bytes_versioned(WireVersion::V1).len()
         );
         // The default serialization is v1.
-        assert_eq!(report.v1.typed_ciphertext, ct.to_bytes().len());
+        assert_eq!(report.v1.typed_ciphertext, ct.to_wire_bytes().len());
         assert_eq!(
             report.v1.typed_ciphertext,
             TypedCiphertext::serialized_len(&params, 0)
@@ -250,7 +250,10 @@ mod tests {
             report.v1.reencryption_key + strings,
             rk.to_wire_bytes_versioned(WireVersion::V1).len()
         );
-        assert_eq!(report.v1.reencryption_key + strings, rk.to_bytes().len());
+        assert_eq!(
+            report.v1.reencryption_key + strings,
+            rk.to_wire_bytes().len()
+        );
 
         // Hybrid overhead: serialized size minus payload length.
         let payload = vec![0u8; 257];

@@ -41,7 +41,10 @@ fn main() {
     println!("Alice's KGC (NL) and the US provider KGC share public parameters only.");
 
     banner("Before the trip");
-    let us_store = Arc::new(EncryptedPhrStore::new("us-hospital-store"));
+    let us_store = Arc::new(EncryptedPhrStore::in_memory_with_params(
+        "us-hospital-store",
+        params.clone(),
+    ));
     let mut us_proxy = ProxyService::new("us-hospital-proxy", us_store.clone());
     let mut alice = Patient::new("alice@nl-phr.example", &dutch_kgc);
 

@@ -6,10 +6,13 @@
 //! This library target carries the shared harnesses: [`FaultProxy`], the
 //! deterministic TCP fault injector the replication suite interposes
 //! between a primary store node and its read replicas; [`game`], the
-//! executable IND-ID-DR-CPA security game; and [`test_levels`], the one
-//! switch that widens the oracle suites beyond the toy level.
+//! executable IND-ID-DR-CPA security game; [`model`], the decoded-record
+//! model of the PHR store the resident-store properties compare against;
+//! and [`test_levels`], the one switch that widens the oracle suites beyond
+//! the toy level.
 
 pub mod game;
+pub mod model;
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -7,7 +7,8 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use tibpre_core::{hybrid, proxy, Delegatee, Delegator, Proxy, TypeTag};
 use tibpre_ibe::{Identity, Kgc};
-use tibpre_pairing::PairingParams;
+use tibpre_pairing::{DecodeCtx, PairingParams};
+use tibpre_wire::{WireDecode, WireEncode};
 
 struct World {
     params: Arc<PairingParams>,
@@ -182,11 +183,15 @@ fn hybrid_mode_end_to_end_with_serialization() {
         .unwrap();
 
     // Exercise the wire formats of the header on the way.
-    let header_bytes = ct.header.to_bytes();
-    let parsed_header = tibpre_core::TypedCiphertext::from_bytes(&w.params, &header_bytes).unwrap();
+    let header_bytes = ct.header.to_wire_bytes();
+    let parsed_header =
+        tibpre_core::TypedCiphertext::from_wire_bytes(&header_bytes, &DecodeCtx::from(&w.params))
+            .unwrap();
     assert_eq!(parsed_header, ct.header);
-    let rk_bytes = rk.to_bytes();
-    let parsed_rk = tibpre_core::ReEncryptionKey::from_bytes(&w.params, &rk_bytes).unwrap();
+    let rk_bytes = rk.to_wire_bytes();
+    let parsed_rk =
+        tibpre_core::ReEncryptionKey::from_wire_bytes(&rk_bytes, &DecodeCtx::from(&w.params))
+            .unwrap();
 
     let transformed = hybrid::re_encrypt_hybrid(&ct, &parsed_rk).unwrap();
     assert_eq!(

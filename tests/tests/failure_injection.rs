@@ -9,13 +9,14 @@ use tibpre_core::{
     proxy, Delegatee, Delegator, PreError, ReEncryptionKey, TypeTag, TypedCiphertext,
 };
 use tibpre_ibe::{bf::IbeCiphertext, Identity, Kgc};
-use tibpre_pairing::{G1Affine, Gt, PairingParams};
+use tibpre_pairing::{DecodeCtx, G1Affine, Gt, PairingParams};
 use tibpre_phr::{
     category::Category, durable::Durability, patient::Patient, provider::HealthcareProvider,
     proxy_service::ProxyService, record::HealthRecord, store::EncryptedPhrStore, FsyncPolicy,
     PhrError,
 };
 use tibpre_storage::{snapshot, TempDir};
+use tibpre_wire::{WireDecode, WireEncode};
 
 fn setup() -> (Arc<PairingParams>, Kgc, Kgc, StdRng) {
     let mut rng = StdRng::seed_from_u64(0xFA11);
@@ -38,25 +39,36 @@ fn truncated_and_garbled_wire_formats_are_rejected() {
         .unwrap();
     let transformed = proxy::re_encrypt(&ct, &rk).unwrap();
 
-    let ct_bytes = ct.to_bytes();
-    let rk_bytes = rk.to_bytes();
-    let re_bytes = transformed.to_bytes();
-    let ibe_bytes = rk.encrypted_x().to_bytes();
+    let ct_bytes = ct.to_wire_bytes();
+    let rk_bytes = rk.to_wire_bytes();
+    let re_bytes = transformed.to_wire_bytes();
+    let ibe_bytes = rk.encrypted_x().to_wire_bytes();
 
     for cut in [0usize, 1, 5, 10] {
         if cut < ct_bytes.len() {
-            assert!(TypedCiphertext::from_bytes(&params, &ct_bytes[..cut]).is_err());
-        }
-        if cut < rk_bytes.len() {
-            assert!(ReEncryptionKey::from_bytes(&params, &rk_bytes[..cut]).is_err());
-        }
-        if cut < re_bytes.len() {
             assert!(
-                tibpre_core::ReEncryptedCiphertext::from_bytes(&params, &re_bytes[..cut]).is_err()
+                TypedCiphertext::from_wire_bytes(&ct_bytes[..cut], &DecodeCtx::from(&params))
+                    .is_err()
             );
         }
+        if cut < rk_bytes.len() {
+            assert!(
+                ReEncryptionKey::from_wire_bytes(&rk_bytes[..cut], &DecodeCtx::from(&params))
+                    .is_err()
+            );
+        }
+        if cut < re_bytes.len() {
+            assert!(tibpre_core::ReEncryptedCiphertext::from_wire_bytes(
+                &re_bytes[..cut],
+                &DecodeCtx::from(&params)
+            )
+            .is_err());
+        }
         if cut < ibe_bytes.len() {
-            assert!(IbeCiphertext::from_bytes(&params, &ibe_bytes[..cut]).is_err());
+            assert!(
+                IbeCiphertext::from_wire_bytes(&ibe_bytes[..cut], &DecodeCtx::from(&params))
+                    .is_err()
+            );
         }
     }
 
@@ -65,7 +77,7 @@ fn truncated_and_garbled_wire_formats_are_rejected() {
     let mut bad_point = ct_bytes.clone();
     bad_point[5] ^= 0xFF;
     bad_point[6] ^= 0xA5;
-    assert!(TypedCiphertext::from_bytes(&params, &bad_point).is_err());
+    assert!(TypedCiphertext::from_wire_bytes(&bad_point, &DecodeCtx::from(&params)).is_err());
 }
 
 #[test]
@@ -88,10 +100,10 @@ fn ciphertexts_with_out_of_subgroup_points_are_rejected() {
         }
     };
     let rogue_enc = tibpre_wire::encode_bare(&rogue, tibpre_wire::WireVersion::V1);
-    let mut bytes = ct.to_bytes();
+    let mut bytes = ct.to_wire_bytes();
     bytes[1..1 + rogue_enc.len()].copy_from_slice(&rogue_enc);
     assert!(matches!(
-        TypedCiphertext::from_bytes(&params, &bytes),
+        TypedCiphertext::from_wire_bytes(&bytes, &DecodeCtx::from(&params)).map_err(PreError::from),
         Err(PreError::Decode(_)) | Err(PreError::Pairing(_))
     ));
 }
@@ -376,7 +388,10 @@ fn phr_store_cross_patient_and_revocation_failures() {
     let params = PairingParams::insecure_toy();
     let patient_kgc = Kgc::setup(params.clone(), "patients", &mut rng);
     let provider_kgc = Kgc::setup(params.clone(), "providers", &mut rng);
-    let store = Arc::new(EncryptedPhrStore::new("db"));
+    let store = Arc::new(EncryptedPhrStore::in_memory_with_params(
+        "db",
+        params.clone(),
+    ));
     let mut proxy_service = ProxyService::new("proxy", store.clone());
 
     let mut alice = Patient::new("alice", &patient_kgc);

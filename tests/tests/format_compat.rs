@@ -26,7 +26,7 @@ use tibpre_phr::category::Category;
 use tibpre_phr::durable::Durability;
 use tibpre_phr::proxy_service::ProxyService;
 use tibpre_phr::store::EncryptedPhrStore;
-use tibpre_phr::FsyncPolicy;
+use tibpre_phr::{FsyncPolicy, PhrError};
 use tibpre_storage::TempDir;
 
 /// Recursively copies the committed fixture into a scratch directory (the
@@ -287,4 +287,215 @@ fn v0_and_v1_artifacts_interconvert() {
     assert_eq!(from_v1, ct);
     assert_eq!(from_v0.to_wire_bytes_versioned(WireVersion::V1), v1);
     assert_eq!(from_v1.to_wire_bytes_versioned(WireVersion::V0), v0);
+}
+
+/// The fixture's payloads by (patient, title), re-derived from the
+/// generator's seeds (see `examples/gen_v0_fixture.rs`), with the delegator
+/// that decrypts each.  Record 3 ("diet") was deleted at the end of the
+/// generator's run, so it appears only in recovered prefixes.
+struct FixturePlaintexts {
+    alice: Delegator,
+    bob: Delegator,
+}
+
+impl FixturePlaintexts {
+    fn new(w: &FixtureWorld) -> Self {
+        let mut rng = StdRng::seed_from_u64(4242);
+        let patient_kgc = Kgc::setup(w.params.clone(), "patients", &mut rng);
+        let keys = |id: &Identity| {
+            Delegator::new(patient_kgc.public_params().clone(), patient_kgc.extract(id))
+        };
+        FixturePlaintexts {
+            alice: keys(&w.alice),
+            bob: keys(&w.bob),
+        }
+    }
+
+    /// Asserts `record` decrypts to the fixture plaintext of its title.
+    fn assert_intact(&self, w: &FixtureWorld, record: &tibpre_phr::store::StoredRecord) {
+        let (keys, expected): (&Delegator, &[u8]) =
+            match (record.patient == w.alice, record.title.as_str()) {
+                (true, "blood-type") => (&self.alice, b"O-; allergies: penicillin"),
+                (true, "2007") => (&self.alice, b"angioplasty"),
+                (true, "diet") => (&self.alice, b"low sodium"),
+                (true, "implant") => (&self.alice, b"pacemaker model X"),
+                (false, "blood-type") => (&self.bob, b"AB+"),
+                (false, "lipids") => (&self.bob, b"ldl 130"),
+                other => panic!("record {} is not a fixture record: {other:?}", record.id),
+            };
+        let aad = format!(
+            "{}|{}|{}",
+            record.patient.display(),
+            record.category.label(),
+            record.title
+        );
+        assert_eq!(
+            keys.decrypt_bytes(&record.ciphertext, aad.as_bytes())
+                .unwrap(),
+            expected
+        );
+    }
+}
+
+/// Every record and audit event of a store, for whole-store comparisons.
+fn contents(
+    w: &FixtureWorld,
+    store: &EncryptedPhrStore,
+) -> (
+    Vec<Arc<tibpre_phr::store::StoredRecord>>,
+    Vec<Arc<AuditEvent>>,
+) {
+    let mut ids = store.list_for_patient(&w.alice);
+    ids.extend(store.list_for_patient(&w.bob));
+    ids.sort();
+    let records = ids.into_iter().map(|id| store.get(id).unwrap()).collect();
+    (records, store.audit_snapshot())
+}
+
+/// Asserts every frame of a log file opens with the v1 envelope tag.
+fn assert_v1_frames(path: &Path) {
+    let bytes = std::fs::read(path).unwrap();
+    let scan = tibpre_storage::frame::scan(&bytes, 0);
+    assert_eq!(
+        scan.valid_len,
+        bytes.len() as u64,
+        "{} has a torn tail",
+        path.display()
+    );
+    for payload in &scan.frames {
+        assert_eq!(payload[0], 0xE1, "legacy frame left in {}", path.display());
+    }
+}
+
+#[test]
+fn open_alone_migrates_store_and_proxy_to_v1() {
+    let w = FixtureWorld::new("compat-open-migrates");
+    let store = Arc::new(EncryptedPhrStore::open(&w.store_dir, w.durability()).unwrap());
+    let proxy = ProxyService::open(
+        "fixture-proxy",
+        store.clone(),
+        &w.proxy_dir,
+        &w.durability(),
+    )
+    .unwrap();
+    w.assert_fixture_contents(&store);
+    let before = contents(&w, &store);
+    let grants = proxy.key_count();
+
+    // No force_snapshot call: the opens alone left nothing legacy behind.
+    for base in ["shard-00", "shard-01"] {
+        let gens = tibpre_storage::snapshot::list_generations(&w.store_dir, base).unwrap();
+        assert!(!gens.is_empty());
+        for gen in gens {
+            let path = tibpre_storage::snapshot::snapshot_path(&w.store_dir, base, gen);
+            assert_eq!(
+                &std::fs::read(&path).unwrap()[..4],
+                b"TBS2",
+                "{}",
+                path.display()
+            );
+        }
+        for segment in tibpre_storage::segment::list_segments(&w.store_dir, base).unwrap() {
+            assert_v1_frames(&segment.path);
+        }
+    }
+    let proxy_wal = tibpre_phr::durable::proxy_wal_path(&w.proxy_dir, "fixture-proxy");
+    assert_v1_frames(&proxy_wal);
+    assert!(std::fs::metadata(&proxy_wal).unwrap().len() > 0);
+
+    // A reopen of the migrated files serves identical contents.
+    drop(proxy);
+    drop(store);
+    let store = Arc::new(EncryptedPhrStore::open(&w.store_dir, w.durability()).unwrap());
+    let proxy = ProxyService::open(
+        "fixture-proxy",
+        store.clone(),
+        &w.proxy_dir,
+        &w.durability(),
+    )
+    .unwrap();
+    w.assert_fixture_contents(&store);
+    assert_eq!(contents(&w, &store), before);
+    assert_eq!(proxy.key_count(), grants);
+    assert!(proxy.has_grant(&w.alice, &Category::Emergency, &w.doctor));
+    assert!(!proxy.has_grant(&w.alice, &Category::IllnessHistory, &w.doctor));
+}
+
+#[test]
+fn crash_between_the_two_migration_snapshots_loses_nothing() {
+    // A migrated copy's first TBS2 generation per shard, dropped beside the
+    // untouched fixture files: the state a crash between the two
+    // migration snapshots leaves.
+    let migrated = FixtureWorld::new("compat-crash-src");
+    drop(EncryptedPhrStore::open(&migrated.store_dir, migrated.durability()).unwrap());
+    let w = FixtureWorld::new("compat-crash");
+    for base in ["shard-00", "shard-01"] {
+        let gens = tibpre_storage::snapshot::list_generations(&migrated.store_dir, base).unwrap();
+        let first = *gens.last().unwrap();
+        std::fs::copy(
+            tibpre_storage::snapshot::snapshot_path(&migrated.store_dir, base, first),
+            tibpre_storage::snapshot::snapshot_path(&w.store_dir, base, first),
+        )
+        .unwrap();
+    }
+    let store = EncryptedPhrStore::open(&w.store_dir, w.durability()).unwrap();
+    w.assert_fixture_contents(&store);
+    drop(store);
+    let store = EncryptedPhrStore::open(&w.store_dir, w.durability()).unwrap();
+    w.assert_fixture_contents(&store);
+}
+
+#[test]
+fn hostile_legacy_bytes_never_panic_or_serve_wrong_plaintext() {
+    let w = FixtureWorld::new("compat-hostile");
+    let plaintexts = FixturePlaintexts::new(&w);
+    let full_audit = {
+        let store = EncryptedPhrStore::open(&w.store_dir, w.durability()).unwrap();
+        store.audit_snapshot()
+    };
+    let store_files = fixture_dir().join("store");
+    let reset = || {
+        std::fs::remove_dir_all(&w.store_dir).unwrap();
+        copy_dir(&store_files, &w.store_dir);
+    };
+    // Either a typed refusal or a recovered prefix whose every record
+    // decrypts to the fixture plaintext and whose every event is one the
+    // intact fixture logged.
+    let check = |what: &str| match EncryptedPhrStore::open(&w.store_dir, w.durability()) {
+        Err(PhrError::CorruptedRecord(_)) | Err(PhrError::Storage(_)) => {}
+        Err(other) => panic!("{what}: unexpected open error {other:?}"),
+        Ok(store) => {
+            let (records, audit) = contents(&w, &store);
+            for record in &records {
+                plaintexts.assert_intact(&w, record);
+            }
+            for event in &audit {
+                assert!(
+                    full_audit.contains(event),
+                    "{what}: invented event {event:?}"
+                );
+            }
+        }
+    };
+
+    let wal = std::fs::read(store_files.join("shard-00.wal")).unwrap();
+    for cut in 0..=wal.len() {
+        reset();
+        std::fs::write(w.store_dir.join("shard-00.wal"), &wal[..cut]).unwrap();
+        check(&format!("WAL cut at {cut}"));
+    }
+    for name in [
+        "shard-00.0000000000000001.snap",
+        "shard-01.0000000000000001.snap",
+        "shard-01.0000000000000002.snap",
+    ] {
+        let snap = std::fs::read(store_files.join(name)).unwrap();
+        for at in (0..snap.len()).step_by(13).chain([snap.len() - 1]) {
+            reset();
+            let mut bytes = snap.clone();
+            bytes[at] ^= 1 << (at % 8);
+            std::fs::write(w.store_dir.join(name), &bytes).unwrap();
+            check(&format!("{name} bit flip at {at}"));
+        }
+    }
 }

@@ -32,7 +32,10 @@ fn clinic(seed: u64) -> Clinic {
     Clinic {
         patient_kgc,
         provider_kgc,
-        store: Arc::new(EncryptedPhrStore::new("regional-phr-store")),
+        store: Arc::new(EncryptedPhrStore::in_memory_with_params(
+            "regional-phr-store",
+            params,
+        )),
         rng,
     }
 }

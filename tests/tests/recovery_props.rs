@@ -31,6 +31,7 @@ use tibpre_phr::record::{HealthRecord, RecordId};
 use tibpre_phr::store::EncryptedPhrStore;
 use tibpre_phr::{FsyncPolicy, PhrError};
 use tibpre_storage::TempDir;
+use tibpre_wire::WireEncode;
 
 /// Shared fixture: toy parameters, one reusable ciphertext, small identity
 /// and category pools.
@@ -119,7 +120,7 @@ fn apply_op(store: &EncryptedPhrStore, h: &Harness, state: &mut OpState, word: u
 /// fed the identical op stream.  Ids and logical timestamps are assigned by
 /// deterministic counters, so the oracle is comparable field by field.
 fn oracle_after(h: &Harness, words: &[u32], k: usize) -> EncryptedPhrStore {
-    let store = EncryptedPhrStore::with_shards("oracle", 1);
+    let store = EncryptedPhrStore::with_shards_and_params("oracle", 1, h.params.clone());
     let mut state = OpState::default();
     for &word in &words[..k] {
         apply_op(&store, h, &mut state, word);
@@ -148,8 +149,8 @@ fn assert_equals_oracle(recovered: &EncryptedPhrStore, oracle: &EncryptedPhrStor
             assert_eq!(got, want);
             // Byte-identical, not merely structurally equal.
             assert_eq!(
-                got.ciphertext.to_bytes(),
-                want.ciphertext.to_bytes(),
+                got.ciphertext.to_wire_bytes(),
+                want.ciphertext.to_wire_bytes(),
                 "record {id} ciphertext bytes diverged"
             );
         }
@@ -452,7 +453,7 @@ fn large_wal_recovery_time_is_bounded() {
     assert!(store.record_count() > 0);
     assert_eq!(store.audit_snapshot().len(), {
         // Every op that wrote a frame produced exactly one audit event.
-        let oracle = EncryptedPhrStore::with_shards("oracle", 4);
+        let oracle = EncryptedPhrStore::with_shards_and_params("oracle", 4, h.params.clone());
         let mut state = OpState::default();
         for i in 0..ops {
             let word = (i as u32).wrapping_mul(0x9E37_79B9) ^ 0x5EED;

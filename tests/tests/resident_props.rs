@@ -4,9 +4,10 @@
 //! invisible representation change, and these properties pin exactly that:
 //!
 //! * an in-memory wire-resident store is observably identical to the
-//!   decoded-struct ("pinned") oracle under random put/get/delete
-//!   interleavings — gets included, so the LRU's hit/evict/invalidate
-//!   behaviour is exercised inside the equivalence, not around it;
+//!   decoded-struct ("pinned") oracle — the test-side `StoreModel` — under
+//!   random put/get/delete interleavings — gets included, so the LRU's
+//!   hit/evict/invalidate behaviour is exercised inside the equivalence,
+//!   not around it;
 //! * a durable store recovered across restarts and snapshot boundaries —
 //!   serving a mix of mapped snapshot blobs and WAL-tail frames — still
 //!   equals the oracle, before and after post-recovery writes;
@@ -28,6 +29,8 @@ use tibpre_phr::record::RecordId;
 use tibpre_phr::store::EncryptedPhrStore;
 use tibpre_phr::{FsyncPolicy, PhrError};
 use tibpre_storage::{snapshot, TempDir};
+use tibpre_tests::model::{StoreModel, StoreOracle};
+use tibpre_wire::WireEncode;
 
 struct Harness {
     params: Arc<PairingParams>,
@@ -72,7 +75,7 @@ struct OpState {
 /// and — for gets — the full decoded record.
 fn apply_both(
     resident: &EncryptedPhrStore,
-    oracle: &EncryptedPhrStore,
+    oracle: &impl StoreOracle,
     h: &Harness,
     state: &mut OpState,
     word: u32,
@@ -149,7 +152,7 @@ fn apply_both(
 
 /// Full observable equality: counts, per-patient and per-category indexes,
 /// byte-identical records, identical merged audit trail.
-fn assert_equals_oracle(resident: &EncryptedPhrStore, oracle: &EncryptedPhrStore, h: &Harness) {
+fn assert_equals_oracle(resident: &EncryptedPhrStore, oracle: &impl StoreOracle, h: &Harness) {
     assert_eq!(resident.record_count(), oracle.record_count());
     assert_eq!(resident.audit_snapshot(), oracle.audit_snapshot());
     for patient in &h.patients {
@@ -166,8 +169,8 @@ fn assert_equals_oracle(resident: &EncryptedPhrStore, oracle: &EncryptedPhrStore
             let want = oracle.get(id).unwrap();
             assert_eq!(*got, *want);
             assert_eq!(
-                got.ciphertext.to_bytes(),
-                want.ciphertext.to_bytes(),
+                got.ciphertext.to_wire_bytes(),
+                want.ciphertext.to_wire_bytes(),
                 "record {id} ciphertext bytes diverged"
             );
         }
@@ -190,7 +193,7 @@ proptest! {
         let h = harness(seed);
         let resident =
             EncryptedPhrStore::with_shards_and_params("resident", shards, h.params.clone());
-        let oracle = EncryptedPhrStore::with_shards("oracle", shards);
+        let oracle = StoreModel::default();
         let mut state = OpState::default();
         for &word in &words {
             apply_both(&resident, &oracle, &h, &mut state, word);
@@ -218,7 +221,7 @@ proptest! {
                 .fsync(FsyncPolicy::Never)
                 .snapshot_every(cadence)
         };
-        let oracle = EncryptedPhrStore::with_shards("oracle", 2);
+        let oracle = EncryptedPhrStore::with_shards_and_params("oracle", 2, h.params.clone());
         let mut state = OpState::default();
         {
             let store = EncryptedPhrStore::open(&dir, durability()).unwrap();
@@ -259,7 +262,7 @@ proptest! {
                 .fsync(FsyncPolicy::Never)
                 .snapshot_every(3)
         };
-        let oracle = EncryptedPhrStore::with_shards("oracle", 1);
+        let oracle = EncryptedPhrStore::with_shards_and_params("oracle", 1, h.params.clone());
         let mut state = OpState::default();
         {
             let store = EncryptedPhrStore::open(&dir, durability()).unwrap();

@@ -11,7 +11,8 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use tibpre_core::{proxy, Delegator, ReEncryptedCiphertext, TypeTag, TypedCiphertext};
 use tibpre_ibe::{bf, bf::IbeCiphertext, Identity, Kgc};
-use tibpre_pairing::PairingParams;
+use tibpre_pairing::{DecodeCtx, PairingParams};
+use tibpre_wire::{WireDecode, WireEncode};
 
 struct World {
     params: Arc<PairingParams>,
@@ -47,18 +48,18 @@ proptest! {
         let mut w = world(seed);
         let m = w.params.random_gt(&mut w.rng);
         let ct = bf::encrypt_gt(w.kgc2.public_params(), &Identity::new(&id), &m, &mut w.rng);
-        let bytes = ct.to_bytes();
+        let bytes = ct.to_wire_bytes();
         prop_assert_eq!(bytes.len(), IbeCiphertext::serialized_len(&w.params));
-        let parsed = IbeCiphertext::from_bytes(&w.params, &bytes).unwrap();
+        let parsed = IbeCiphertext::from_wire_bytes(&bytes, &DecodeCtx::from(&w.params)).unwrap();
         prop_assert_eq!(&parsed, &ct);
-        prop_assert_eq!(parsed.to_bytes(), bytes.clone());
+        prop_assert_eq!(parsed.to_wire_bytes(), bytes.clone());
         // Truncation at an arbitrary point is rejected.
         let cut = cut % bytes.len();
-        prop_assert!(IbeCiphertext::from_bytes(&w.params, &bytes[..cut]).is_err());
+        prop_assert!(IbeCiphertext::from_wire_bytes(&bytes[..cut], &DecodeCtx::from(&w.params)).is_err());
         // Extension is rejected.
         let mut longer = bytes;
         longer.push(0);
-        prop_assert!(IbeCiphertext::from_bytes(&w.params, &longer).is_err());
+        prop_assert!(IbeCiphertext::from_wire_bytes(&longer, &DecodeCtx::from(&w.params)).is_err());
     }
 
     /// `TypedCiphertext` round-trips for arbitrary type tags; truncations and
@@ -69,18 +70,18 @@ proptest! {
         let t = TypeTag::new(&label);
         let m = w.params.random_gt(&mut w.rng);
         let ct = w.delegator.encrypt_typed(&m, &t, &mut w.rng);
-        let bytes = ct.to_bytes();
+        let bytes = ct.to_wire_bytes();
         prop_assert_eq!(
             bytes.len(),
             TypedCiphertext::serialized_len(&w.params, t.as_bytes().len())
         );
-        let parsed = TypedCiphertext::from_bytes(&w.params, &bytes).unwrap();
+        let parsed = TypedCiphertext::from_wire_bytes(&bytes, &DecodeCtx::from(&w.params)).unwrap();
         prop_assert_eq!(&parsed, &ct);
-        prop_assert_eq!(parsed.to_bytes(), bytes.clone());
+        prop_assert_eq!(parsed.to_wire_bytes(), bytes.clone());
         // Any strict prefix must fail: the trailing type tag is
         // length-prefixed, so the total length is always checked.
         let cut = cut % bytes.len();
-        prop_assert!(TypedCiphertext::from_bytes(&w.params, &bytes[..cut]).is_err());
+        prop_assert!(TypedCiphertext::from_wire_bytes(&bytes[..cut], &DecodeCtx::from(&w.params)).is_err());
         // Corrupting the type-length field (without changing the buffer
         // length) must fail, for both larger and smaller claimed lengths.
         // The type tag is the trailing field, so its length prefix sits
@@ -90,7 +91,7 @@ proptest! {
         for corrupted_len in [claimed.wrapping_add(1), claimed.wrapping_sub(1), u32::MAX] {
             let mut corrupted = bytes.clone();
             corrupted[len_offset..len_offset + 4].copy_from_slice(&corrupted_len.to_be_bytes());
-            prop_assert!(TypedCiphertext::from_bytes(&w.params, &corrupted).is_err());
+            prop_assert!(TypedCiphertext::from_wire_bytes(&corrupted, &DecodeCtx::from(&w.params)).is_err());
         }
     }
 
@@ -113,13 +114,13 @@ proptest! {
             .make_reencryption_key(&bob, w.kgc2.public_params(), &t, &mut w.rng)
             .unwrap();
         let transformed = proxy::re_encrypt(&ct, &rekey).unwrap();
-        let bytes = transformed.to_bytes();
-        let parsed = ReEncryptedCiphertext::from_bytes(&w.params, &bytes).unwrap();
+        let bytes = transformed.to_wire_bytes();
+        let parsed = ReEncryptedCiphertext::from_wire_bytes(&bytes, &DecodeCtx::from(&w.params)).unwrap();
         prop_assert_eq!(&parsed, &transformed);
-        prop_assert_eq!(parsed.to_bytes(), bytes.clone());
+        prop_assert_eq!(parsed.to_wire_bytes(), bytes.clone());
         // Any strict prefix must fail.
         let cut = cut % bytes.len();
-        prop_assert!(ReEncryptedCiphertext::from_bytes(&w.params, &bytes[..cut]).is_err());
+        prop_assert!(ReEncryptedCiphertext::from_wire_bytes(&bytes[..cut], &DecodeCtx::from(&w.params)).is_err());
         // Corrupt the first length field (the type tag's): parsing must not
         // succeed, because the trailing-bytes check catches any shift.  The
         // two string fields trail the encoding, so locate them from the end.
@@ -129,7 +130,7 @@ proptest! {
         for corrupted_len in [claimed + 1, u32::MAX] {
             let mut corrupted = bytes.clone();
             corrupted[len_offset..len_offset + 4].copy_from_slice(&corrupted_len.to_be_bytes());
-            prop_assert!(ReEncryptedCiphertext::from_bytes(&w.params, &corrupted).is_err());
+            prop_assert!(ReEncryptedCiphertext::from_wire_bytes(&corrupted, &DecodeCtx::from(&w.params)).is_err());
         }
         // Corrupt the second length field (the delegatee's) the same way.
         let claimed = bob.as_bytes().len() as u32;
@@ -137,7 +138,7 @@ proptest! {
             let mut corrupted = bytes.clone();
             corrupted[second_offset..second_offset + 4]
                 .copy_from_slice(&corrupted_len.to_be_bytes());
-            prop_assert!(ReEncryptedCiphertext::from_bytes(&w.params, &corrupted).is_err());
+            prop_assert!(ReEncryptedCiphertext::from_wire_bytes(&corrupted, &DecodeCtx::from(&w.params)).is_err());
         }
     }
 }

@@ -36,7 +36,14 @@ fn store_under_test(shards: usize) -> (Arc<EncryptedPhrStore>, Option<TempDir>) 
             .expect("open durable store");
         (Arc::new(store), Some(tmp))
     } else {
-        (Arc::new(EncryptedPhrStore::with_shards("db", shards)), None)
+        (
+            Arc::new(EncryptedPhrStore::with_shards_and_params(
+                "db",
+                shards,
+                PairingParams::insecure_toy(),
+            )),
+            None,
+        )
     }
 }
 

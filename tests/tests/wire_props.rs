@@ -329,8 +329,8 @@ fn nested_fields_inherit_the_container_version() {
         v0.len()
     );
     // Both decode back to the same op.
-    let a = WalOp::from_bytes(&w.params, &v0).unwrap();
-    let b = WalOp::from_bytes(&w.params, &v1).unwrap();
+    let a = WalOp::from_wire_bytes(&v0, &DecodeCtx::from(&w.params)).unwrap();
+    let b = WalOp::from_wire_bytes(&v1, &DecodeCtx::from(&w.params)).unwrap();
     assert_eq!(a, b);
 
     // A writer at v0 produces the legacy bare layout for the hybrid too.
