@@ -1,11 +1,12 @@
 //! Limb kernels behind [`MontCtx`](crate::MontCtx) and
 //! [`WideAcc`](crate::WideAcc): every multiply, square, wide reduction and
-//! accumulation exists twice.
+//! accumulation exists twice, and one exponentiation walk runs over either.
 //!
 //! * A **fixed-width** kernel, generic over `const N: usize`, whose loops
 //!   have compile-time trip counts over `[u64; N]` arrays — the compiler
 //!   unrolls them, keeps the running product in registers and drops every
-//!   bounds check.
+//!   bounds check.  Exponentiation calls the same multiply and square
+//!   (`mul_core`, `sqr_core`) on arrays, never widening to a `Uint`.
 //! * A **runtime-width** loop over the first `n` limbs of the same buffers,
 //!   which serves every other modulus width (the scalar field's one- and
 //!   four-limb orders, custom parameters) and is the oracle the fixed
@@ -105,13 +106,19 @@ fn head<const N: usize>(x: &Uint) -> &[u64; N] {
         .expect("a dispatched width is below MAX_LIMBS")
 }
 
-/// A canonical `Uint` from the `N`-limb value `top·2^(64N) + r`, which is
+/// The canonical residue of the `N`-limb value `top·2^(64N) + r`, which is
 /// below a small multiple of `m`.
 #[inline(always)]
-fn finish<const N: usize>(r: [u64; N], top: u64, m: &[u64; N]) -> Uint {
+fn finish<const N: usize>(mut r: [u64; N], top: u64, m: &[u64; N]) -> [u64; N] {
+    canonicalise(&mut r, top, m);
+    r
+}
+
+/// `r` as a `Uint`, upper limbs zero.
+#[inline(always)]
+fn widen<const N: usize>(r: [u64; N]) -> Uint {
     let mut out = Uint::ZERO;
     out.limbs[..N].copy_from_slice(&r);
-    canonicalise(&mut out.limbs[..N], top, m);
     out
 }
 
@@ -161,11 +168,20 @@ pub(crate) fn mod_neg(a: &Uint, m: &Uint, n: usize) -> Uint {
 // ---------------------------------------------------------------------
 
 /// CIOS Montgomery multiplication `a·b·R⁻¹ mod m`, `R = 2^(64N)`.
-///
-/// The running value `t` has `N + 2` limbs; the two above `t[N−1]` live in
-/// scalars so the array stays `[u64; N]`.
 pub(crate) fn mul_fixed<const N: usize>(a: &Uint, b: &Uint, m: &Uint, n0: u64) -> Uint {
-    let (a, b, m) = (head::<N>(a), head::<N>(b), head::<N>(m));
+    widen(mul_core(head::<N>(a), head::<N>(b), head::<N>(m), n0))
+}
+
+/// Montgomery squaring `a²·R⁻¹ mod m`.
+pub(crate) fn sqr_fixed<const N: usize, const W: usize>(a: &Uint, m: &Uint, n0: u64) -> Uint {
+    widen(sqr_core::<N, W>(head::<N>(a), head::<N>(m), n0))
+}
+
+/// The CIOS multiplication over arrays.  The running value `t` has `N + 2`
+/// limbs; the two above `t[N−1]` live in scalars so the array stays
+/// `[u64; N]`.
+#[inline(always)]
+fn mul_core<const N: usize>(a: &[u64; N], b: &[u64; N], m: &[u64; N], n0: u64) -> [u64; N] {
     let mut t = [0u64; N];
     let mut top = 0u64;
     for i in 0..N {
@@ -188,12 +204,12 @@ pub(crate) fn mul_fixed<const N: usize>(a: &Uint, b: &Uint, m: &Uint, n0: u64) -
     finish(t, top, m)
 }
 
-/// Montgomery squaring `a²·R⁻¹ mod m`: the `N(N−1)/2` cross products are
-/// computed once and doubled, the `N` diagonal squares added, and the
-/// `W = 2N`-limb square is reduced by [`redc`].
-pub(crate) fn sqr_fixed<const N: usize, const W: usize>(a: &Uint, m: &Uint, n0: u64) -> Uint {
+/// The squaring over arrays: the `N(N−1)/2` cross products are computed
+/// once and doubled, the `N` diagonal squares added, and the `W = 2N`-limb
+/// square is reduced by [`redc`].
+#[inline(always)]
+fn sqr_core<const N: usize, const W: usize>(a: &[u64; N], m: &[u64; N], n0: u64) -> [u64; N] {
     const { assert!(W == 2 * N) };
-    let (a, m) = (head::<N>(a), head::<N>(m));
     let mut t = [0u64; W];
     for i in 0..N {
         let mut carry = 0;
@@ -261,7 +277,7 @@ pub(crate) fn reduce_fixed<const N: usize>(acc: &[u64; WIDE_LIMBS], m: &Uint, n0
     let (r, carry) = redc(halves::<N>(acc), m, n0);
     // The sum is below terms·m², so acc/R is below (terms + 1)·m: it spills
     // into one limb above the N-limb result, never two.
-    finish(r, acc[2 * N] + carry, m)
+    widen(finish(r, acc[2 * N] + carry, m))
 }
 
 /// `acc += a·b` (schoolbook, unreduced).
@@ -285,6 +301,61 @@ fn ripple(acc: &mut [u64; WIDE_LIMBS], mut k: usize, mut carry: u64) {
         (acc[k], carry) = adc(acc[k], carry, 0);
         k += 1;
     }
+}
+
+const WINDOW: usize = 5; // most exponent bits one table multiplication consumes
+
+/// `x^e·R mod m` for a Montgomery-form `x < m`: [`sliding_window`] on arrays.
+pub(crate) fn pow_fixed<const N: usize, const W: usize>(
+    x: &Uint,
+    e: &Uint,
+    m: &Uint,
+    n0: u64,
+) -> Option<Uint> {
+    let m = head::<N>(m);
+    let sqr = |a: &[u64; N]| sqr_core::<N, W>(a, m, n0);
+    sliding_window(*head::<N>(x), e, sqr, |a, b| mul_core(a, b, m, n0)).map(widen)
+}
+
+/// Left-to-right sliding-window `x^e` (`None` for `e = 0`): a squaring per
+/// bit, and per window of ≤ [`WINDOW`] bits from set bit to set bit one
+/// multiplication by an odd power of `x` — one per ~6 bits, not per 2.
+#[inline(always)]
+pub(crate) fn sliding_window<T: Copy>(
+    x: T,
+    e: &Uint,
+    sqr: impl Fn(&T) -> T,
+    mul: impl Fn(&T, &T) -> T,
+) -> Option<T> {
+    // odd[k] = x^(2k + 1).
+    let x2 = sqr(&x);
+    let mut odd = [x; 1 << (WINDOW - 1)];
+    for k in 1..odd.len() {
+        odd[k] = mul(&odd[k - 1], &x2);
+    }
+    let (mut acc, mut top) = (None, e.bits());
+    while top > 0 {
+        if !e.bit(top - 1) {
+            acc = acc.map(|a| sqr(&a));
+            top -= 1;
+            continue;
+        }
+        // The window runs from the set bit `top − 1` down to the lowest set
+        // bit `low ≥ top − WINDOW`; its value is odd, `2·index + 1`.
+        let mut low = top.saturating_sub(WINDOW);
+        while !e.bit(low) {
+            low += 1;
+        }
+        let index = (low + 1..top)
+            .rev()
+            .fold(0, |v, i| (v << 1) | usize::from(e.bit(i)));
+        acc = Some(match acc {
+            None => odd[index],
+            Some(a) => mul(&(low..top).fold(a, |a, _| sqr(&a)), &odd[index]),
+        });
+        top = low;
+    }
+    acc
 }
 
 // ---------------------------------------------------------------------

@@ -7,7 +7,7 @@
 //! * plain ring arithmetic (addition, subtraction, schoolbook multiplication,
 //!   binary long division, shifts, bit access),
 //! * [`MontCtx`], a Montgomery-form modular context with CIOS multiplication,
-//!   exponentiation and both Fermat and binary-extended-GCD inversion,
+//!   sliding-window exponentiation and binary-extended-GCD inversion,
 //! * [`prime`], Miller–Rabin primality testing and random prime generation,
 //! * hex / big-endian byte encoding and random sampling helpers.
 //!

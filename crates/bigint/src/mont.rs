@@ -4,22 +4,24 @@
 //! then shared by every element of that ring.
 //!
 //! **What is width-bounded.**  The arithmetic of every operation —
-//! multiplication, squaring, wide reduction, addition, subtraction,
-//! negation, the final `>= m` test and conditional subtraction, the binary
-//! GCD — reads and writes exactly `nlimbs` limbs of its operands (plus the
-//! one or two carry limbs the algorithm needs).  Multiply, square and reduce
-//! additionally run as fixed-width kernels when `nlimbs` is one of the
-//! field-prime widths (3, 8, 16 and 24 limbs — the crate-private `kernel`
-//! module); every other width takes the runtime-width loops of the same
-//! module, which are also the oracle the fixed kernels are tested against.
+//! multiplication, squaring, exponentiation, wide reduction, addition,
+//! subtraction, negation, the final `>= m` test and conditional
+//! subtraction, the binary GCD — reads and writes exactly `nlimbs` limbs of
+//! its operands (plus the one or two carry limbs the algorithm needs).
+//! Multiply, square, exponentiate and reduce additionally run as
+//! fixed-width kernels when `nlimbs` is one of the field-prime widths (3,
+//! 8, 16 and 24 limbs — the crate-private `kernel` module); every other
+//! width takes the runtime-width loops of the same module, which are also
+//! the oracle the fixed kernels are tested against.
 //!
 //! **What is not.**  Operands and results are [`Uint`]s, and a `Uint` is
 //! always [`MAX_LIMBS`] limbs of storage: each result is
 //! a 224-byte value whose upper limbs are zero-filled, and each move or
-//! copy of it moves all 28.  Setup ([`MontCtx::new`]), [`MontCtx::reduce`]
-//! (one 28-limb comparison, also the input check of an inversion) and
-//! `Uint::is_zero` tests use full-capacity `Uint` operations; none of them
-//! runs per multiplication.
+//! copy of it moves all 28 — except inside [`MontCtx::mont_pow`], whose
+//! window walk (every square root) runs on `nlimbs`-wide registers.  Setup
+//! ([`MontCtx::new`]), [`MontCtx::reduce`] (one 28-limb comparison, also
+//! the input check of an inversion) and `Uint::is_zero` tests use
+//! full-capacity `Uint` operations; none of them runs per multiplication.
 
 use crate::error::BigIntError;
 use crate::kernel::{self, add_assign, by_width, lt, sub_assign};
@@ -46,8 +48,6 @@ pub struct MontCtx {
     r2: Uint,
     /// `R^3 mod m` — restores Montgomery form after a plain inversion.
     r3: Uint,
-    /// `m - 2`, cached for Fermat inversion.
-    m_minus_2: Uint,
 }
 
 impl MontCtx {
@@ -80,7 +80,6 @@ impl MontCtx {
         let r1 = times_r(Uint::ONE);
         let r2 = times_r(r1);
         let r3 = times_r(r2);
-        let m_minus_2 = m.wrapping_sub(&Uint::from_u64(2));
         Ok(MontCtx {
             modulus: *m,
             nlimbs,
@@ -88,7 +87,6 @@ impl MontCtx {
             r1,
             r2,
             r3,
-            m_minus_2,
         })
     }
 
@@ -214,39 +212,19 @@ impl MontCtx {
         self.add(a, a)
     }
 
-    /// Montgomery exponentiation: `base^exp · R mod m` for a Montgomery-form base.
+    /// Montgomery exponentiation: `base^exp · R mod m` for a Montgomery-form
+    /// base (`< m`).
     ///
-    /// Square-and-multiply from the most significant bit of `exp`.
+    /// Sliding windows of up to five bits over 16 odd powers of the base; at
+    /// a field-prime width, one dispatch and `nlimbs`-wide registers.
     pub fn mont_pow(&self, base_mont: &Uint, exp: &Uint) -> Uint {
-        let bits = exp.bits();
-        if bits == 0 {
-            return self.r1;
-        }
-        let mut acc = self.r1;
-        for i in (0..bits).rev() {
-            acc = self.mont_sqr(&acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, base_mont);
-            }
-        }
-        acc
-    }
-
-    /// Plain modular exponentiation on plain residues: `base^exp mod m`.
-    pub fn pow(&self, base: &Uint, exp: &Uint) -> Uint {
-        let base_m = self.to_mont(&self.reduce(base));
-        let out = self.mont_pow(&base_m, exp);
-        self.from_mont(&out)
-    }
-
-    /// Inversion of a Montgomery-form value via Fermat's little theorem.
-    ///
-    /// Only valid when the modulus is prime.  Returns an error for zero.
-    pub fn mont_inv_fermat(&self, a_mont: &Uint) -> Result<Uint> {
-        if a_mont.is_zero() {
-            return Err(BigIntError::NotInvertible);
-        }
-        Ok(self.mont_pow(a_mont, &self.m_minus_2))
+        let (m, n0) = (&self.modulus, self.n0);
+        let sqr = |a: &Uint| self.mont_sqr(a);
+        by_width!(self.nlimbs,
+            N => kernel::pow_fixed::<N, { 2 * N }>(base_mont, exp, m, n0),
+            _ => kernel::sliding_window(*base_mont, exp, sqr, |a, b| self.mont_mul(a, b)),
+        )
+        .unwrap_or(self.r1)
     }
 
     /// Inversion of a *plain* residue using the binary extended-GCD algorithm
@@ -346,6 +324,20 @@ mod tests {
         MontCtx::new(&Uint::from_u64(m)).unwrap()
     }
 
+    /// `base^exp mod m` on plain residues.
+    fn pow(c: &MontCtx, base: &Uint, exp: &Uint) -> Uint {
+        c.from_mont(&c.mont_pow(&c.to_mont(&c.reduce(base)), exp))
+    }
+
+    /// Inversion of a Montgomery-form value via Fermat's little theorem
+    /// (prime moduli only): the oracle for the binary-GCD `mont_inv`.
+    fn mont_inv_fermat(c: &MontCtx, a_mont: &Uint) -> Result<Uint> {
+        if a_mont.is_zero() {
+            return Err(BigIntError::NotInvertible);
+        }
+        Ok(c.mont_pow(a_mont, &c.modulus.wrapping_sub(&Uint::from_u64(2))))
+    }
+
     #[test]
     fn rejects_bad_moduli() {
         assert!(MontCtx::new(&Uint::ZERO).is_err());
@@ -409,16 +401,16 @@ mod tests {
         let c = ctx(1_000_003);
         let base = Uint::from_u64(12345);
         let exp = Uint::from_u64(67);
-        let got = c.pow(&base, &exp);
+        let got = pow(&c, &base, &exp);
         let mut expect = 1u128;
         for _ in 0..67 {
             expect = expect * 12345 % 1_000_003;
         }
         assert_eq!(got, Uint::from_u64(expect as u64));
         // Edge cases.
-        assert!(c.pow(&base, &Uint::ZERO).is_one());
-        assert_eq!(c.pow(&base, &Uint::ONE), base);
-        assert!(c.pow(&Uint::ZERO, &Uint::ZERO).is_one());
+        assert!(pow(&c, &base, &Uint::ZERO).is_one());
+        assert_eq!(pow(&c, &base, &Uint::ONE), base);
+        assert!(pow(&c, &Uint::ZERO, &Uint::ZERO).is_one());
     }
 
     #[test]
@@ -427,7 +419,7 @@ mod tests {
         let c = ctx(p);
         for v in [1u64, 2, 3, 0xDEAD_BEEF, p - 1, p / 2] {
             let vm = c.to_mont(&Uint::from_u64(v));
-            let inv_f = c.mont_inv_fermat(&vm).unwrap();
+            let inv_f = mont_inv_fermat(&c, &vm).unwrap();
             let inv_b = c.mont_inv(&vm).unwrap();
             assert_eq!(inv_f, inv_b, "disagree for {v}");
             let prod = c.from_mont(&c.mont_mul(&vm, &inv_f));
@@ -439,7 +431,7 @@ mod tests {
     fn inversion_of_zero_fails() {
         let c = ctx(1_000_003);
         assert!(c.mont_inv(&Uint::ZERO).is_err());
-        assert!(c.mont_inv_fermat(&Uint::ZERO).is_err());
+        assert!(mont_inv_fermat(&c, &Uint::ZERO).is_err());
         assert!(c.inv_plain(&Uint::ZERO).is_err());
     }
 

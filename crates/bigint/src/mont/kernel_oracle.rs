@@ -1,6 +1,8 @@
 //! The kernels against their two oracles, at every dispatched width and a
 //! spread of others: the runtime-width loops (limb for limb) and the plain
-//! `Uint::mul_wide` / `Uint::rem_wide` definition of each operation.
+//! `Uint::mul_wide` / `Uint::rem_wide` definition of each operation.  The
+//! windowed exponentiation has a third: the binary square-and-multiply
+//! ladder it replaced.
 
 use super::*;
 use crate::random::{random_below, random_bits};
@@ -141,6 +143,78 @@ fn accumulate_and_wide_reduce_match_the_runtime_loop_and_the_definition() {
             }
         }
     });
+}
+
+/// `x^e·R mod m` by square-and-multiply from the top bit of `e`, one
+/// dispatched `mont_sqr`/`mont_mul` per step.
+fn pow_ladder(ctx: &MontCtx, x: &Uint, e: &Uint) -> Uint {
+    let mut acc = ctx.r1;
+    for i in (0..e.bits()).rev() {
+        acc = ctx.mont_sqr(&acc);
+        if e.bit(i) {
+            acc = ctx.mont_mul(&acc, x);
+        }
+    }
+    acc
+}
+
+/// Exponents that stress the window walk: 0, 1, 2; `2^k − 1` and `2^k`
+/// around the window length and a limb boundary; runs of 4, 5 and 6 zeros
+/// between single set bits and between 5-bit blocks, at every offset
+/// against the 5-bit windows; the all-ones exponent of the full width; and
+/// the field exponents `(m + 1)/4`, `(m − 1)/2` and `m − 2`.
+fn exponents(m: &Uint) -> Vec<Uint> {
+    let mut out = vec![Uint::ZERO, Uint::ONE, Uint::from_u64(2)];
+    for k in [3, 4, 5, 6, 7, 63, 64, 65] {
+        let power = Uint::ONE.shl(k);
+        out.push(power.wrapping_sub(&Uint::ONE));
+        out.push(power);
+    }
+    for run in 4..=6 {
+        for (block, block_len) in [(0b1u64, 1), (0b10111, 5)] {
+            for offset in 0..6 {
+                let mut e = Uint::ZERO;
+                let mut at = offset;
+                while at + block_len <= 120 {
+                    e = e.wrapping_add(&Uint::from_u64(block).shl(at));
+                    at += block_len + run;
+                }
+                out.push(e);
+            }
+        }
+    }
+    let full = 64 * m.limb_len();
+    out.push(Uint::ONE.shl(full).wrapping_sub(&Uint::ONE));
+    out.push(m.wrapping_add(&Uint::ONE).shr(2));
+    out.push(m.shr1());
+    out.push(m.wrapping_sub(&Uint::from_u64(2)));
+    out
+}
+
+#[test]
+fn windowed_pow_matches_the_binary_ladder_and_the_runtime_walk() {
+    let mut rng = StdRng::seed_from_u64(0x7769_6e64);
+    for n in [3, 8, 16, 24, 1, 2, 4, 5, 9] {
+        // A random modulus and one whose top limb is all ones.
+        for m in moduli(n, &mut rng).into_iter().take(2) {
+            let ctx = MontCtx::new(&m).expect("odd and below capacity");
+            let bases = [Uint::ZERO, Uint::ONE, ctx.r1, random_below(&mut rng, &m)];
+            for e in exponents(&m) {
+                for x in &bases {
+                    let got = ctx.mont_pow(x, &e);
+                    let what = format!("n = {n}, m = {m}, e = {e}, x = {x}");
+                    assert_eq!(got, pow_ladder(&ctx, x, &e), "{what}");
+                    let runtime = kernel::sliding_window(
+                        *x,
+                        &e,
+                        |a| kernel::mul_runtime(a, a, &m, ctx.n0, n),
+                        |a, b| kernel::mul_runtime(a, b, &m, ctx.n0, n),
+                    );
+                    assert_eq!(got, runtime.unwrap_or(ctx.r1), "{what}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

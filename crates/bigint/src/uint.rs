@@ -279,12 +279,6 @@ impl Uint {
         out
     }
 
-    /// Shift left by one bit (doubling), reporting whether the top bit was lost.
-    pub fn overflowing_shl1(&self) -> (Uint, bool) {
-        let overflow = self.bit(MAX_BITS - 1);
-        (self.shl(1), overflow)
-    }
-
     /// Shift right by one bit (halving).
     pub fn shr1(&self) -> Uint {
         self.shr(1)

@@ -6,7 +6,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use tibpre_ibe::{bf, IbePrivateKey, Identity, H1_DOMAIN};
 use tibpre_pairing::{Gt, PairingParams, PreparedPairing};
-use tibpre_wire::WireEncode;
 
 /// The delegatee: holds a private key extracted by *their own* KGC (the
 /// paper's `KGC2`) and can open ciphertexts a proxy re-encrypted for them.
@@ -19,7 +18,7 @@ pub struct Delegatee {
 const MASK_CACHE_CAP: usize = 256;
 
 /// `c'₃ ↦ prepared Miller loop for H1(Decrypt2(c'₃))`, keyed by the exact
-/// wire bytes of `c'₃`.  Every ciphertext re-encrypted under one
+/// wire bytes `c'₃` arrives as.  Every ciphertext re-encrypted under one
 /// re-encryption key carries the *same* `c'₃ = Encrypt2(X, id_j)`, so a
 /// delegatee opening a run of disclosures pays the IBE decryption, the
 /// hash-to-curve, and the Miller-loop tabulation once per key instead of
@@ -70,16 +69,19 @@ impl Delegatee {
 
     /// The prepared Miller loop for `H1(Decrypt2(c'₃))`, served from the
     /// cache when this exact `c'₃` has been opened before.
+    ///
+    /// A hit is not validated again: its bytes equal a validated `c'₃`.
     fn prepared_mask(&self, ciphertext: &ReEncryptedCiphertext) -> Result<Arc<PreparedPairing>> {
-        let key: Box<[u8]> = ciphertext.encrypted_x.to_wire_bytes().into();
-        if let Some(hit) = self.mask_cache().get(&key) {
+        let key = ciphertext.encrypted_x.as_bytes();
+        if let Some(hit) = self.mask_cache().get(key) {
             return Ok(hit);
         }
+        let encrypted_x = ciphertext.encrypted_x.to_ciphertext()?;
         let params = self.params();
-        let x = bf::decrypt_gt(&self.private_key, &ciphertext.encrypted_x)?;
+        let x = bf::decrypt_gt(&self.private_key, &encrypted_x)?;
         let h1_of_x = params.hash_to_g1(H1_DOMAIN, &[&x.to_bytes()])?;
         let prepared = Arc::new(params.prepare(&h1_of_x));
-        self.mask_cache().insert(key, Arc::clone(&prepared));
+        self.mask_cache().insert(key.into(), Arc::clone(&prepared));
         Ok(prepared)
     }
 
@@ -126,7 +128,8 @@ mod tests {
     use crate::types::TypeTag;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tibpre_ibe::Kgc;
+    use tibpre_ibe::{EncodedIbeCiphertext, Kgc};
+    use tibpre_pairing::DecodeCtx;
 
     #[test]
     fn tampered_reencrypted_ciphertexts_do_not_decrypt_to_m() {
@@ -204,11 +207,14 @@ mod tests {
             .map(|_| ReEncryptedCiphertext {
                 c1: params.random_g1(&mut rng),
                 c2: params.random_gt(&mut rng),
-                encrypted_x: bf::encrypt_gt(
-                    kgc2.public_params(),
-                    &bob,
-                    &params.random_gt(&mut rng),
-                    &mut rng,
+                encrypted_x: EncodedIbeCiphertext::new(
+                    &bf::encrypt_gt(
+                        kgc2.public_params(),
+                        &bob,
+                        &params.random_gt(&mut rng),
+                        &mut rng,
+                    ),
+                    &DecodeCtx::from(&params),
                 ),
                 type_tag: TypeTag::new("t"),
                 delegatee: bob.clone(),

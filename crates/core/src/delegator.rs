@@ -10,7 +10,7 @@ use tibpre_ibe::{bf, IbePrivateKey, IbePublicParams, Identity, H1_DOMAIN};
 use tibpre_pairing::{
     wire as pairing_wire, DecodeCtx, G1Affine, G1Precomp, Gt, PairingParams, Scalar,
 };
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writer};
+use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 
 /// A typed ciphertext `(c1, c2, c3) = (g^r, m · ê(pk_id, pk₁)^{r·H2(sk‖t)}, t)`.
 ///
@@ -27,24 +27,10 @@ pub struct TypedCiphertext {
 }
 
 impl TypedCiphertext {
-    /// Bare (envelope-less) serialized length under the given wire version.
-    pub fn serialized_len_versioned(
-        params: &PairingParams,
-        type_len: usize,
-        version: WireVersion,
-    ) -> usize {
-        match version {
-            WireVersion::V0 => params.g1_byte_len() + params.gt_byte_len() + 4 + type_len,
-            WireVersion::V1 => {
-                params.g1_compressed_byte_len() + params.gt_compressed_byte_len() + 4 + type_len
-            }
-        }
-    }
-
     /// Total standalone serialized length (envelope byte included) under the
     /// default wire version.
     pub fn serialized_len(params: &PairingParams, type_len: usize) -> usize {
-        1 + Self::serialized_len_versioned(params, type_len, WireVersion::DEFAULT)
+        1 + params.g1_compressed_byte_len() + params.gt_compressed_byte_len() + 4 + type_len
     }
 }
 

@@ -5,7 +5,7 @@ use crate::rekey::ReEncryptionKey;
 use crate::types::TypeTag;
 use crate::{PreError, Result};
 use std::collections::HashMap;
-use tibpre_ibe::{bf::IbeCiphertext, Identity};
+use tibpre_ibe::{EncodedIbeCiphertext, Identity};
 use tibpre_pairing::{wire as pairing_wire, DecodeCtx, G1Affine, Gt};
 use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 
@@ -20,8 +20,8 @@ pub struct ReEncryptedCiphertext {
     pub c1: G1Affine,
     /// `c'2 = m · ê(g^r, H1(X))`.
     pub c2: Gt,
-    /// `c'3 = Encrypt2(X, id_j)`.
-    pub encrypted_x: IbeCiphertext,
+    /// `c'3 = Encrypt2(X, id_j)`: the key's bytes, validated on first use.
+    pub encrypted_x: EncodedIbeCiphertext,
     /// The message type, carried along for bookkeeping (the delegatee does not
     /// need it for decryption).
     pub type_tag: TypeTag,
@@ -46,12 +46,13 @@ impl WireDecode for ReEncryptedCiphertext {
 
     /// Validates `c1` against the curve and the prime-order subgroup
     /// (slightly stricter than the legacy parser, which skipped the
-    /// subgroup check here); `c2` is range/torus-validated only.
+    /// subgroup check here); `c2` is range/torus-validated only; `c'3` is
+    /// only framed — the delegatee validates it on a mask-cache miss.
     fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
         let c1 =
             pairing_wire::decode_g1_in_subgroup(r, ctx, "c1 outside the prime-order subgroup")?;
         let c2 = Gt::decode(r, ctx.fp_ctx())?;
-        let encrypted_x = IbeCiphertext::decode(r, ctx)?;
+        let encrypted_x = EncodedIbeCiphertext::decode(r, ctx)?;
         let type_tag = TypeTag::from_bytes(r.bytes()?.to_vec());
         let delegatee = Identity::from_bytes(r.bytes()?.to_vec());
         Ok(ReEncryptedCiphertext {

@@ -2,9 +2,9 @@
 
 use crate::types::TypeTag;
 use std::sync::{Arc, OnceLock};
-use tibpre_ibe::{bf::IbeCiphertext, Identity};
+use tibpre_ibe::{EncodedIbeCiphertext, IbeCiphertext, Identity};
 use tibpre_pairing::{wire as pairing_wire, DecodeCtx, G1Affine, PairingParams, PreparedPairing};
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writer};
+use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
 
 /// Lazily-built pairing precomputation for one re-encryption key, shared
 /// across clones (a proxy clones keys freely; the Miller-loop table must not
@@ -27,8 +27,8 @@ pub struct ReEncryptionKey {
     /// `rk₂ = sk_i^{−H2(sk_i ‖ t)} · H1(X)`.
     rk_point: G1Affine,
     /// `rk₃ = Encrypt2(X, id_j)` — the random element `X` encrypted to the
-    /// delegatee under the delegatee's KGC.
-    encrypted_x: IbeCiphertext,
+    /// delegatee under the delegatee's KGC; validated, encoded once.
+    encrypted_x: EncodedIbeCiphertext,
     /// The shared pairing parameters, carried so the proxy can re-encrypt
     /// without a separate parameter handle.
     params: Arc<PairingParams>,
@@ -77,7 +77,7 @@ impl ReEncryptionKey {
             delegatee,
             type_tag,
             rk_point,
-            encrypted_x,
+            encrypted_x: EncodedIbeCiphertext::new(&encrypted_x, &DecodeCtx::from(&params)),
             params,
             cache: Arc::default(),
         }
@@ -125,35 +125,19 @@ impl ReEncryptionKey {
         )
     }
 
-    /// The encrypted random element `rk₃ = Encrypt2(X, id_j)`.
-    pub fn encrypted_x(&self) -> &IbeCiphertext {
+    /// The encrypted random element `rk₃`, as every conversion carries it.
+    pub fn encrypted_x(&self) -> &EncodedIbeCiphertext {
         &self.encrypted_x
-    }
-
-    /// Bare (envelope-less) serialized length under the given wire version.
-    pub fn serialized_len_versioned(&self, params: &PairingParams, version: WireVersion) -> usize {
-        let strings = 12
-            + self.delegator.as_bytes().len()
-            + self.delegatee.as_bytes().len()
-            + self.type_tag.as_bytes().len();
-        match version {
-            WireVersion::V0 => {
-                strings
-                    + params.g1_byte_len()
-                    + IbeCiphertext::serialized_len_versioned(params, WireVersion::V0)
-            }
-            WireVersion::V1 => {
-                strings
-                    + params.g1_compressed_byte_len()
-                    + IbeCiphertext::serialized_len_versioned(params, WireVersion::V1)
-            }
-        }
     }
 
     /// Total standalone serialized length (envelope byte included) under
     /// the default wire version — bookkeeping for the size experiment.
     pub fn serialized_len(&self, params: &PairingParams) -> usize {
-        1 + self.serialized_len_versioned(params, WireVersion::DEFAULT)
+        let strings = 12
+            + self.delegator.as_bytes().len()
+            + self.delegatee.as_bytes().len()
+            + self.type_tag.as_bytes().len();
+        1 + strings + params.g1_compressed_byte_len() + self.encrypted_x.as_bytes().len()
     }
 }
 
@@ -174,14 +158,14 @@ impl WireDecode for ReEncryptionKey {
 
     /// Validates `rk₂` against the curve and the prime-order subgroup
     /// (an out-of-subgroup key point could leak information through the
-    /// proxy's pairings).
+    /// proxy's pairings), and `rk₃` fully.
     fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
         let delegator = Identity::from_bytes(r.bytes()?.to_vec());
         let delegatee = Identity::from_bytes(r.bytes()?.to_vec());
         let type_tag = TypeTag::from_bytes(r.bytes()?.to_vec());
         let rk_point =
             pairing_wire::decode_g1_in_subgroup(r, ctx, "rk point outside the subgroup")?;
-        let encrypted_x = IbeCiphertext::decode(r, ctx)?;
+        let encrypted_x = EncodedIbeCiphertext::new(&IbeCiphertext::decode(r, ctx)?, ctx);
         Ok(ReEncryptionKey {
             delegator,
             delegatee,

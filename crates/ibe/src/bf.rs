@@ -16,8 +16,11 @@ use crate::identity::Identity;
 use crate::kgc::{IbePrivateKey, IbePublicParams};
 use crate::{IbeError, Result};
 use rand::{CryptoRng, RngCore};
+use std::sync::Arc;
 use tibpre_pairing::{wire, DecodeCtx, G1Affine, Gt, PairingParams};
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writer};
+use tibpre_wire::{
+    decode_bare, encode_bare, DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writer,
+};
 
 /// A Boneh–Franklin ciphertext `(c1, c2) = (g^r, m · ê(pk_id, pk)^r)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -29,18 +32,85 @@ pub struct IbeCiphertext {
 }
 
 impl IbeCiphertext {
-    /// Bare (envelope-less) serialized length under the given wire version.
-    pub fn serialized_len_versioned(params: &PairingParams, version: WireVersion) -> usize {
-        match version {
-            WireVersion::V0 => params.g1_byte_len() + params.gt_byte_len(),
-            WireVersion::V1 => params.g1_compressed_byte_len() + params.gt_compressed_byte_len(),
-        }
-    }
-
     /// Total standalone serialized length (envelope byte included) under the
     /// default wire version.
     pub fn serialized_len(params: &PairingParams) -> usize {
-        1 + Self::serialized_len_versioned(params, WireVersion::DEFAULT)
+        1 + params.g1_compressed_byte_len() + params.gt_compressed_byte_len()
+    }
+}
+
+/// An [`IbeCiphertext`] kept as its default-version wire bytes: a
+/// re-encrypted ciphertext's `c'₃`, which the proxy copies and the mask
+/// cache is keyed by.  Decoding only frames the two elements, so it is
+/// **unvalidated** until [`Self::to_ciphertext`] succeeds.  Equality is
+/// equality of the bytes.
+#[derive(Clone)]
+pub struct EncodedIbeCiphertext {
+    bytes: Arc<[u8]>,
+    /// The parameters the bytes are opened under.
+    ctx: DecodeCtx,
+}
+
+impl EncodedIbeCiphertext {
+    /// The canonical encoding of `ciphertext`.
+    pub fn new(ciphertext: &IbeCiphertext, ctx: &DecodeCtx) -> Self {
+        let bytes = encode_bare(ciphertext, WireVersion::DEFAULT).into();
+        let ctx = ctx.clone();
+        EncodedIbeCiphertext { bytes, ctx }
+    }
+
+    /// The bare default-version encoding.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Decodes the bytes with [`IbeCiphertext`]'s full boundary validation.
+    pub fn to_ciphertext(&self) -> core::result::Result<IbeCiphertext, DecodeError> {
+        decode_bare(&self.bytes, WireVersion::DEFAULT, &self.ctx)
+    }
+}
+
+impl PartialEq for EncodedIbeCiphertext {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for EncodedIbeCiphertext {}
+
+impl core::fmt::Debug for EncodedIbeCiphertext {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "EncodedIbeCiphertext({:02x?})", &self.bytes[..])
+    }
+}
+
+impl WireEncode for EncodedIbeCiphertext {
+    /// The bytes, or under another version (which no production path
+    /// writes) the ciphertext they encode; panics if they do not decode.
+    fn encode(&self, w: &mut Writer) {
+        if w.version() == WireVersion::DEFAULT {
+            w.put_slice(&self.bytes);
+        } else {
+            self.to_ciphertext()
+                .expect("only validated c'3 bytes are re-encoded")
+                .encode(w);
+        }
+    }
+}
+
+impl WireDecode for EncodedIbeCiphertext {
+    type Ctx = DecodeCtx;
+
+    /// Frames the two elements by their tags (other versions: decodes).
+    fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
+        if r.version() != WireVersion::DEFAULT {
+            return Ok(Self::new(&IbeCiphertext::decode(r, ctx)?, ctx));
+        }
+        let start = r.offset();
+        wire::skip_g1(r, ctx.fp_ctx())?;
+        wire::skip_gt(r, ctx.fp_ctx())?;
+        let (bytes, ctx) = (r.window(start).into(), ctx.clone());
+        Ok(EncodedIbeCiphertext { bytes, ctx })
     }
 }
 
@@ -186,6 +256,47 @@ mod tests {
         let mut truncated = bytes.clone();
         truncated.pop();
         assert!(IbeCiphertext::from_wire_bytes(&truncated, &ctx).is_err());
+    }
+
+    #[test]
+    fn encoded_ciphertexts_frame_lazily_and_validate_on_demand() {
+        let (kgc, pp, mut rng) = setup();
+        let id = Identity::new("alice");
+        let m = pp.pairing().random_gt(&mut rng);
+        let ct = encrypt_gt(&pp, &id, &m, &mut rng);
+        let ctx = DecodeCtx::from(pp.pairing());
+        let encoded = EncodedIbeCiphertext::new(&ct, &ctx);
+        assert_eq!(encoded.as_bytes(), &ct.to_wire_bytes()[1..]);
+        assert_eq!(encoded.to_ciphertext().unwrap(), ct);
+        for version in [WireVersion::V0, WireVersion::V1] {
+            let bytes = encode_bare(&encoded, version);
+            assert_eq!(bytes, encode_bare(&ct, version));
+            let decoded: EncodedIbeCiphertext = decode_bare(&bytes, version, &ctx).unwrap();
+            assert_eq!(decoded, encoded);
+        }
+        for cut in 0..encoded.as_bytes().len() {
+            let prefix = &encoded.as_bytes()[..cut];
+            assert!(decode_bare::<EncodedIbeCiphertext>(prefix, WireVersion::V1, &ctx).is_err());
+        }
+
+        // An x with no curve point is framed like any other, and refused
+        // when opened.
+        let mut off_curve = encoded.as_bytes().to_vec();
+        let flen = pp.pairing().fp_ctx().byte_len();
+        let lazy = (0..=u8::MAX)
+            .find_map(|b| {
+                off_curve[flen] = b;
+                let framed: EncodedIbeCiphertext =
+                    decode_bare(&off_curve, WireVersion::V1, &ctx).unwrap();
+                framed.to_ciphertext().is_err().then_some(framed)
+            })
+            .expect("about half of all x have no point");
+        assert_ne!(lazy, encoded);
+        let sk = kgc.extract(&id);
+        assert_eq!(
+            decrypt_gt(&sk, &encoded.to_ciphertext().unwrap()).unwrap(),
+            m
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod error;
 pub mod identity;
 pub mod kgc;
 
-pub use bf::IbeCiphertext;
+pub use bf::{EncodedIbeCiphertext, IbeCiphertext};
 pub use error::IbeError;
 pub use identity::Identity;
 pub use kgc::{IbePrivateKey, IbePublicParams, Kgc};

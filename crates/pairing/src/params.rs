@@ -23,7 +23,7 @@ use crate::Result;
 use rand::rngs::StdRng;
 use rand::{CryptoRng, RngCore, SeedableRng};
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use tibpre_bigint::prime::{generate_cofactor_prime, generate_prime};
 use tibpre_bigint::Uint;
 
@@ -108,14 +108,40 @@ pub struct PairingParams {
     /// Canonical encodings of `G1` points already proven to lie in the
     /// prime-order subgroup.  The subgroup check (`q·P = O`) costs a full
     /// scalar multiplication, and real traffic re-presents the same few hot
-    /// points over and over (a record's `c1` on every disclosure, a key's
-    /// `encrypted_x` header in every bundle), so the wire boundary memoises
+    /// points over and over (a record's `c1` on every disclosure, at the
+    /// proxy and again in the bundle), so the wire boundary memoises
     /// *successful* checks by their exact canonical bytes.  Identical bytes
     /// decode to the identical point, so a hit can never admit a point a
-    /// fresh check would reject; failures are never inserted.  Capped and
-    /// cleared when full, so an adversary feeding distinct valid points can
-    /// waste the memo but not grow it.
-    g1_validated: Mutex<HashSet<Box<[u8]>>>,
+    /// fresh check would reject; failures are never inserted.
+    g1_validated: Mutex<SubgroupMemo>,
+}
+
+const MEMO_CAP: usize = 8192; // encodings the subgroup memo holds at most
+
+/// Two generations of at most `MEMO_CAP / 2` encodings: a full `young`
+/// becomes `old`, dropping the previous `old`, and a hit in `old` is
+/// promoted — so a point in use survives any number of fresh ones.
+#[derive(Debug, Default)]
+struct SubgroupMemo {
+    young: HashSet<Box<[u8]>>,
+    old: HashSet<Box<[u8]>>,
+}
+
+impl SubgroupMemo {
+    fn contains(&mut self, encoded: &[u8]) -> bool {
+        if self.young.contains(encoded) {
+            return true;
+        }
+        let promoted = self.old.take(encoded);
+        promoted.map(|encoded| self.insert(encoded)).is_some()
+    }
+
+    fn insert(&mut self, encoded: Box<[u8]>) {
+        if self.young.len() >= MEMO_CAP / 2 {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.young.insert(encoded);
+    }
 }
 
 impl PairingParams {
@@ -174,7 +200,7 @@ impl PairingParams {
             generator_precomp: OnceLock::new(),
             prepared_generator: OnceLock::new(),
             cofactor_digits: OnceLock::new(),
-            g1_validated: Mutex::new(HashSet::new()),
+            g1_validated: Mutex::default(),
         }))
     }
 
@@ -206,11 +232,6 @@ impl PairingParams {
         Self::cached(SecurityLevel::Toy)
     }
 
-    /// Cached parameters at the paper-era default (~80-bit) level.
-    pub fn default_80() -> Arc<Self> {
-        Self::cached(SecurityLevel::Low80)
-    }
-
     /// The security level this set was generated for.
     pub fn level(&self) -> SecurityLevel {
         self.level
@@ -229,22 +250,18 @@ impl PairingParams {
     /// Whether a `G1` point with this exact canonical encoding has already
     /// passed the subgroup check.  See the `g1_validated` field docs.
     pub fn g1_subgroup_memo_contains(&self, encoded: &[u8]) -> bool {
-        self.g1_validated
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .contains(encoded)
+        self.g1_memo().contains(encoded)
     }
 
     /// Records a canonical encoding that passed the subgroup check.  The memo
-    /// is bounded: when full it is cleared rather than grown, trading hit
-    /// rate for a hard memory cap.
+    /// is bounded at `MEMO_CAP` (8 192) encodings in two generations; see
+    /// the `g1_validated` field docs.
     pub fn g1_subgroup_memo_insert(&self, encoded: &[u8]) {
-        const MEMO_CAP: usize = 8192;
-        let mut memo = self.g1_validated.lock().unwrap_or_else(|p| p.into_inner());
-        if memo.len() >= MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(encoded.into());
+        self.g1_memo().insert(encoded.into());
+    }
+
+    fn g1_memo(&self) -> MutexGuard<'_, SubgroupMemo> {
+        self.g1_validated.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// The cofactor `h = (p + 1)/q`.
@@ -402,19 +419,9 @@ impl PairingParams {
         hash_to_scalar(&self.scalar_ctx, domain, fields)
     }
 
-    /// Byte length of a serialized (uncompressed, `v0`) curve point.
-    pub fn g1_byte_len(&self) -> usize {
-        1 + 2 * self.fp_ctx.byte_len()
-    }
-
     /// Byte length of a compressed (`v1`) non-identity curve point.
     pub fn g1_compressed_byte_len(&self) -> usize {
         1 + self.fp_ctx.byte_len()
-    }
-
-    /// Byte length of a serialized (uncompressed, `v0`) target-group element.
-    pub fn gt_byte_len(&self) -> usize {
-        2 * self.fp_ctx.byte_len()
     }
 
     /// Byte length of a compressed (`v1`) target-group subgroup element.
@@ -558,6 +565,26 @@ mod tests {
     }
 
     #[test]
+    fn subgroup_memo_is_bounded_and_never_evicts_a_point_in_use() {
+        let mut memo = SubgroupMemo::default();
+        let hot: &[u8] = b"a point in use";
+        memo.insert(hot.into());
+        for i in 0..=MEMO_CAP as u32 {
+            memo.insert(i.to_be_bytes().into());
+            assert!(memo.young.len() <= MEMO_CAP / 2);
+            assert!(memo.young.len() + memo.old.len() <= MEMO_CAP);
+            assert!(memo.contains(hot), "evicted after {} fresh inserts", i + 1);
+        }
+        // Nobody looking it up: the same flood does evict it.
+        let mut memo = SubgroupMemo::default();
+        memo.insert(hot.into());
+        for i in 0..=MEMO_CAP as u32 {
+            memo.insert(i.to_be_bytes().into());
+        }
+        assert!(!memo.contains(hot));
+    }
+
+    #[test]
     fn cached_parameters_are_shared() {
         let a = PairingParams::insecure_toy();
         let b = PairingParams::insecure_toy();
@@ -576,8 +603,10 @@ mod tests {
     fn byte_lengths_are_consistent() {
         let pp = params();
         let mut r = rng();
-        assert_eq!(pp.random_g1(&mut r).to_bytes().len(), pp.g1_byte_len());
-        assert_eq!(pp.random_gt(&mut r).to_bytes().len(), pp.gt_byte_len());
+        let g1 = pp.random_g1(&mut r);
+        assert_eq!(g1.to_bytes_compressed().len(), pp.g1_compressed_byte_len());
+        let gt = tibpre_wire::encode_bare(&pp.random_gt(&mut r), tibpre_wire::WireVersion::V1);
+        assert_eq!(gt.len(), pp.gt_compressed_byte_len());
         assert_eq!(
             pp.random_scalar(&mut r).to_bytes().len(),
             pp.scalar_byte_len()

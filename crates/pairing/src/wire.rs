@@ -20,8 +20,10 @@
 //! Decoding validates **canonical range** (every field element `< p`) and
 //! **curve membership** for `G1` points — compressed points are
 //! additionally canonical by construction, since only `x` and a sign bit
-//! are transmitted.  Two checks are deliberately *not* performed here and
-//! are documented per call site:
+//! are transmitted.  A re-encrypted ciphertext's `c'₃` is only framed
+//! ([`skip_g1`], [`skip_gt`]) and decoded on a delegatee's mask-cache miss.
+//! Two checks are deliberately *not* performed here and are documented per
+//! call site:
 //!
 //! * `G1` **subgroup** membership (`q·P = O`) costs a scalar
 //!   multiplication; the scheme types that accept attacker-controlled
@@ -107,7 +109,7 @@ pub fn decode_g1_in_subgroup(
     let point = G1Affine::decode(r, ctx.fp_ctx())?;
     // The scalar multiplication `q·P` dominates hot-path decoding, and the
     // same few points recur constantly (a record's `c1` on every disclosure,
-    // a key's IBE header in every bundle), so successful checks are memoised
+    // at the proxy and again in the bundle), so successful checks are memoised
     // process-wide by the exact canonical encoding.  Identical bytes decode
     // to the identical point, so a hit is as strong as a fresh check.
     let encoded = r.window(start);
@@ -119,6 +121,29 @@ pub fn decode_g1_in_subgroup(
     }
     ctx.params().g1_subgroup_memo_insert(encoded);
     Ok(point)
+}
+
+/// Advances `r` over one encoded `G1` point, checking only its tag.
+pub fn skip_g1(r: &mut Reader<'_>, ctx: &FpCtx) -> Result<(), DecodeError> {
+    let start = r.offset();
+    let len = match r.u8()? {
+        0x00 => 0,
+        0x02 | 0x03 => ctx.byte_len(),
+        0x04 => 2 * ctx.byte_len(),
+        other => return Err(DecodeError::invalid_tag(start, "G1 point", other)),
+    };
+    r.skip(len)
+}
+
+/// [`skip_g1`] for a `Gt` element in the `v1` layout.
+pub fn skip_gt(r: &mut Reader<'_>, ctx: &FpCtx) -> Result<(), DecodeError> {
+    let start = r.offset();
+    let len = match r.u8()? {
+        gt_tag::EVEN | gt_tag::ODD => ctx.byte_len(),
+        gt_tag::FULL => 2 * ctx.byte_len(),
+        other => return Err(DecodeError::invalid_tag(start, "Gt element", other)),
+    };
+    r.skip(len)
 }
 
 impl WireEncode for Fp {
@@ -395,7 +420,7 @@ mod tests {
         }
 
         // The memo is bounded: flooding it with distinct encodings evicts
-        // old entries (wholesale clear at the cap) instead of growing
+        // old entries (two generations, see `params.rs`) instead of growing
         // without bound.
         pp.g1_subgroup_memo_insert(b"first");
         for i in 0u32..10_000 {
@@ -573,6 +598,44 @@ mod tests {
         let last = enc.len() - 1;
         enc[last] ^= 1;
         let _ = decode_bare::<Gt>(&enc, WireVersion::V1, &ctx); // must not panic
+    }
+
+    #[test]
+    fn skipping_an_element_consumes_exactly_what_decoding_does() {
+        let pp = params();
+        let mut r = rng();
+        let ctx = pp.fp_ctx().clone();
+        // G1 tags are self-describing, so both versions frame alike; Gt is
+        // framed in the v1 layout only.
+        let g1s = [WireVersion::V0, WireVersion::V1]
+            .map(|v| [pp.random_g1(&mut r), pp.g1_identity()].map(|p| encode_bare(&p, v)));
+        let off_torus = Gt::from_fp2_unchecked(Fp2::random(&ctx, &mut r));
+        let gts = [pp.random_gt(&mut r), off_torus].map(|g| encode_bare(&g, WireVersion::V1));
+        let framed = g1s.concat().into_iter().map(|b| (b, true));
+        for (bytes, is_g1) in framed.chain(gts.into_iter().map(|b| (b, false))) {
+            let skip = |bytes: &[u8]| {
+                let mut rd = Reader::new(bytes);
+                match is_g1 {
+                    true => skip_g1(&mut rd, &ctx),
+                    false => skip_gt(&mut rd, &ctx),
+                }
+                .and_then(|()| rd.finish())
+            };
+            skip(&bytes).unwrap();
+            for cut in 0..bytes.len() {
+                assert!(skip(&bytes[..cut]).is_err());
+            }
+        }
+        // An unknown tag is refused with the decoder's error.
+        let mut bad = encode_bare(&pp.random_g1(&mut r), WireVersion::V1);
+        bad[0] = 0x07;
+        let err = skip_g1(&mut Reader::new(&bad), &ctx).unwrap_err();
+        assert_eq!(
+            err,
+            decode_bare::<G1Affine>(&bad, WireVersion::V1, &ctx).unwrap_err()
+        );
+        bad[0] = 0x00; // the G1 identity tag is no Gt tag
+        assert!(skip_gt(&mut Reader::new(&bad), &ctx).is_err());
     }
 
     #[test]

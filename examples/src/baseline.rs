@@ -20,8 +20,10 @@ use rand::{CryptoRng, RngCore};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tibpre_core::{PreError, ReEncryptedCiphertext, Result, TypeTag};
-use tibpre_ibe::{bf, IbePrivateKey, IbePublicParams, Identity, Kgc, H1_DOMAIN};
-use tibpre_pairing::{Gt, PairingParams};
+use tibpre_ibe::{
+    bf, EncodedIbeCiphertext, IbePrivateKey, IbePublicParams, Identity, Kgc, H1_DOMAIN,
+};
+use tibpre_pairing::{DecodeCtx, Gt, PairingParams};
 
 /// Identity-based proxy re-encryption **without** types (Green–Ateniese style).
 pub mod identity_pre {
@@ -33,7 +35,7 @@ pub mod identity_pre {
         delegator: Identity,
         delegatee: Identity,
         rk_point: tibpre_pairing::G1Affine,
-        encrypted_x: bf::IbeCiphertext,
+        encrypted_x: EncodedIbeCiphertext,
         params: Arc<PairingParams>,
     }
 
@@ -111,7 +113,7 @@ pub mod identity_pre {
                 delegator: self.identity().clone(),
                 delegatee: delegatee.clone(),
                 rk_point,
-                encrypted_x,
+                encrypted_x: EncodedIbeCiphertext::new(&encrypted_x, &DecodeCtx::from(params)),
                 params: Arc::clone(params),
             })
         }

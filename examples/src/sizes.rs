@@ -10,10 +10,19 @@
 //! version**: `v0` is the original uncompressed layout, `v1` (the default)
 //! compresses every group element to one coordinate plus a sign bit —
 //! roughly halving the group-element portion of ciphertexts, re-encryption
-//! keys and WAL frames.
+//! keys and WAL frames.  Every figure is the length of a real object's
+//! encoding, so the table cannot drift from the codec.
 
-use tibpre_pairing::{PairingParams, SecurityLevel};
-use tibpre_wire::WireVersion;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
+use tibpre_core::{
+    proxy, Delegator, HybridCiphertext, ReEncryptedCiphertext, ReEncryptionKey, TypeTag,
+    TypedCiphertext,
+};
+use tibpre_ibe::{bf, IbeCiphertext, Identity, Kgc};
+use tibpre_pairing::{G1Affine, Gt, PairingParams, SecurityLevel};
+use tibpre_wire::{encode_bare, WireEncode, WireVersion};
 
 /// Byte sizes of the scheme's transmitted objects under one wire version.
 ///
@@ -42,33 +51,58 @@ pub struct WireSizes {
     pub hybrid_overhead: usize,
 }
 
+/// One of each sized object, with empty identity and type strings so that
+/// only their length prefixes count.
+struct Samples {
+    private_key: Vec<u8>,
+    g1: G1Affine,
+    gt: Gt,
+    typed: TypedCiphertext,
+    ibe: IbeCiphertext,
+    rekey: ReEncryptionKey,
+    reencrypted: ReEncryptedCiphertext,
+    hybrid: HybridCiphertext,
+}
+
+impl Samples {
+    fn new(params: &Arc<PairingParams>) -> Self {
+        let mut rng = StdRng::seed_from_u64(5);
+        let kgc1 = Kgc::setup(params.clone(), "kgc1", &mut rng);
+        let kgc2 = Kgc::setup(params.clone(), "kgc2", &mut rng);
+        let nobody = Identity::from_bytes(Vec::new());
+        let private_key = kgc1.extract(&nobody);
+        let delegator = Delegator::new(kgc1.public_params().clone(), private_key.clone());
+        let t = TypeTag::from_bytes(Vec::new());
+        let m = params.random_gt(&mut rng);
+        let typed = delegator.encrypt_typed(&m, &t, &mut rng);
+        let rekey = delegator
+            .make_reencryption_key(&nobody, kgc2.public_params(), &t, &mut rng)
+            .expect("both domains share the parameters");
+        Samples {
+            private_key: private_key.to_bytes(),
+            g1: params.random_g1(&mut rng),
+            gt: m.clone(),
+            ibe: bf::encrypt_gt(kgc2.public_params(), &nobody, &m, &mut rng),
+            reencrypted: proxy::re_encrypt(&typed, &rekey).expect("the key's type"),
+            typed,
+            rekey,
+            hybrid: delegator.encrypt_bytes(&[], b"", &t, &mut rng),
+        }
+    }
+}
+
 impl WireSizes {
-    /// Computes the table for one parameter set and wire version.
-    pub fn for_params(params: &PairingParams, version: WireVersion) -> Self {
-        let (g1, gt) = match version {
-            WireVersion::V0 => (params.g1_byte_len(), params.gt_byte_len()),
-            WireVersion::V1 => (
-                params.g1_compressed_byte_len(),
-                params.gt_compressed_byte_len(),
-            ),
-        };
-        // Bare bodies; the envelope byte is added once per standalone object.
-        let ibe_body = g1 + gt;
-        let typed_body = g1 + gt + 4;
-        let rekey_body = 12 + g1 + ibe_body;
-        let reencrypted_body = g1 + gt + ibe_body + 8;
-        // AEAD overhead: 12-byte nonce + 8-byte length + 32-byte tag; the
-        // hybrid format adds a 4-byte header length prefix.
-        let hybrid_overhead = 1 + 4 + typed_body + 12 + 8 + 32;
+    /// Measures the samples under one wire version.
+    fn measure(s: &Samples, version: WireVersion) -> Self {
         WireSizes {
             version,
-            g1_element: g1,
-            gt_element: gt,
-            typed_ciphertext: 1 + typed_body,
-            ibe_ciphertext: 1 + ibe_body,
-            reencryption_key: 1 + rekey_body,
-            reencrypted_ciphertext: 1 + reencrypted_body,
-            hybrid_overhead,
+            g1_element: encode_bare(&s.g1, version).len(),
+            gt_element: encode_bare(&s.gt, version).len(),
+            typed_ciphertext: s.typed.to_wire_bytes_versioned(version).len(),
+            ibe_ciphertext: s.ibe.to_wire_bytes_versioned(version).len(),
+            reencryption_key: s.rekey.to_wire_bytes_versioned(version).len(),
+            reencrypted_ciphertext: s.reencrypted.to_wire_bytes_versioned(version).len(),
+            hybrid_overhead: s.hybrid.to_wire_bytes_versioned(version).len(),
         }
     }
 }
@@ -93,13 +127,14 @@ pub struct SizeReport {
 
 impl SizeReport {
     /// Computes the report for one parameter set.
-    pub fn for_params(params: &PairingParams) -> Self {
+    pub fn for_params(params: &Arc<PairingParams>) -> Self {
+        let samples = Samples::new(params);
         SizeReport {
             level: params.level(),
             scalar: params.scalar_byte_len(),
-            private_key: params.g1_byte_len(),
-            v0: WireSizes::for_params(params, WireVersion::V0),
-            v1: WireSizes::for_params(params, WireVersion::V1),
+            private_key: samples.private_key.len(),
+            v0: WireSizes::measure(&samples, WireVersion::V0),
+            v1: WireSizes::measure(&samples, WireVersion::V1),
         }
     }
 
@@ -193,12 +228,6 @@ impl core::fmt::Display for SizeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tibpre_core::{Delegator, TypeTag, TypedCiphertext};
-    use tibpre_ibe::{bf::IbeCiphertext, Identity, Kgc};
-    use tibpre_pairing::PairingParams;
-    use tibpre_wire::WireEncode;
 
     #[test]
     fn report_matches_actual_serializations() {

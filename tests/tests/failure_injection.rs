@@ -5,18 +5,24 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use tibpre_bigint::Uint;
 use tibpre_core::{
     proxy, Delegatee, Delegator, PreError, ReEncryptionKey, TypeTag, TypedCiphertext,
 };
-use tibpre_ibe::{bf::IbeCiphertext, Identity, Kgc};
+use tibpre_ibe::{EncodedIbeCiphertext, IbeCiphertext, Identity, Kgc};
 use tibpre_pairing::{DecodeCtx, G1Affine, Gt, PairingParams};
 use tibpre_phr::{
-    category::Category, durable::Durability, patient::Patient, provider::HealthcareProvider,
-    proxy_service::ProxyService, record::HealthRecord, store::EncryptedPhrStore, FsyncPolicy,
-    PhrError,
+    category::Category,
+    durable::Durability,
+    patient::Patient,
+    provider::HealthcareProvider,
+    proxy_service::{DisclosureBundle, ProxyService},
+    record::HealthRecord,
+    store::EncryptedPhrStore,
+    FsyncPolicy, PhrError,
 };
 use tibpre_storage::{snapshot, TempDir};
-use tibpre_wire::{WireDecode, WireEncode};
+use tibpre_wire::{decode_bare, encode_bare, WireDecode, WireEncode, WireVersion};
 
 fn setup() -> (Arc<PairingParams>, Kgc, Kgc, StdRng) {
     let mut rng = StdRng::seed_from_u64(0xFA11);
@@ -163,13 +169,158 @@ fn tampering_with_reencrypted_components_breaks_decryption() {
     bad.c2 = bad.c2.mul(params.gt_generator());
     assert_ne!(delegatee.decrypt_reencrypted(&bad).unwrap(), m);
 
-    // Tamper with the encapsulated X (swap c1/c2 of the inner IBE ciphertext).
-    let mut bad = good.clone();
-    bad.encrypted_x = IbeCiphertext {
+    // Tamper with the encapsulated X (swap c1 of the inner IBE ciphertext
+    // for the generator), as the bytes a peer would send.
+    let forged = IbeCiphertext {
         c1: params.generator().clone(),
-        c2: bad.encrypted_x.c2.clone(),
+        c2: good.encrypted_x.to_ciphertext().unwrap().c2,
     };
+    let mut bad = good.clone();
+    bad.encrypted_x = decode_bare(
+        &encode_bare(&forged, WireVersion::V1),
+        WireVersion::V1,
+        &DecodeCtx::from(&params),
+    )
+    .unwrap();
     assert_ne!(delegatee.decrypt_reencrypted(&bad).unwrap(), m);
+}
+
+/// A granted disclosure, the provider it is for, and the decode context.
+fn disclosed_bundle() -> (DisclosureBundle, Kgc, Identity, DecodeCtx) {
+    let mut rng = StdRng::seed_from_u64(0xC3);
+    let params = PairingParams::insecure_toy();
+    let patient_kgc = Kgc::setup(params.clone(), "patients", &mut rng);
+    let provider_kgc = Kgc::setup(params.clone(), "providers", &mut rng);
+    let store = Arc::new(EncryptedPhrStore::in_memory_with_params(
+        "db",
+        params.clone(),
+    ));
+    let mut proxy_service = ProxyService::new("proxy", store.clone());
+    let mut alice = Patient::new("alice", &patient_kgc);
+    let doctor = Identity::new("doctor");
+    let record = HealthRecord::new(
+        alice.identity().clone(),
+        Category::LabResults,
+        "ferritin",
+        b"ferritin 80 ng/mL".to_vec(),
+    );
+    let id = alice.store_record(&store, &record, &mut rng).unwrap();
+    alice
+        .grant_access(
+            Category::LabResults,
+            &doctor,
+            provider_kgc.public_params(),
+            &mut proxy_service,
+            &mut rng,
+        )
+        .unwrap();
+    let bundle = proxy_service
+        .disclose(alice.identity(), id, &doctor)
+        .unwrap();
+    (bundle, provider_kgc, doctor, DecodeCtx::from(&params))
+}
+
+/// `c'₃` is only framed when a bundle is decoded, so it must be validated
+/// where it is first used: a malformed one decodes, and every provider —
+/// cold, or warm on the honest `c'₃` — refuses to open it before any
+/// pairing runs.
+#[test]
+fn a_malformed_c3_decodes_but_never_opens() {
+    let (bundle, provider_kgc, doctor, ctx) = disclosed_bundle();
+    let params = ctx.params().clone();
+    let bytes = bundle.to_wire_bytes();
+    let decoded = DisclosureBundle::from_wire_bytes(&bytes, &ctx).unwrap();
+    assert_eq!(
+        decoded.to_wire_bytes(),
+        bytes,
+        "decode → encode is the identity"
+    );
+
+    let warm = HealthcareProvider::new(provider_kgc.extract(&doctor));
+    assert_eq!(warm.open(&decoded).unwrap().body, b"ferritin 80 ng/mL");
+
+    let honest = bundle
+        .ciphertext
+        .header
+        .encrypted_x
+        .to_ciphertext()
+        .unwrap();
+    let honest_g1 = encode_bare(&honest.c1, WireVersion::V1);
+    let honest_gt = encode_bare(&honest.c2, WireVersion::V1);
+    let flen = params.fp_ctx().byte_len();
+    let off_curve = (1u64..)
+        .map(|x| {
+            let mut enc = vec![0x02; 1 + flen];
+            enc[1..].copy_from_slice(&Uint::from_u64(x).to_be_bytes(flen).unwrap());
+            enc
+        })
+        .find(|enc| decode_bare::<G1Affine>(enc, WireVersion::V1, params.fp_ctx()).is_err())
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(0xC4);
+    let outside_subgroup = loop {
+        let candidate = tibpre_pairing::curve::random_curve_point(params.fp_ctx(), &mut rng);
+        if !candidate.is_in_subgroup(params.q()) {
+            break encode_bare(&candidate, WireVersion::V1);
+        }
+    };
+    // A torus member in the uncompressed fallback layout.
+    let mut full_gt = vec![0x04];
+    full_gt.extend(honest.c2.as_fp2().c0.to_bytes());
+    full_gt.extend(honest.c2.as_fp2().c1.to_bytes());
+
+    for (what, c3) in [
+        ("off-curve x", [off_curve, honest_gt.clone()]),
+        ("point outside the subgroup", [outside_subgroup, honest_gt]),
+        ("non-canonical Gt tag", [honest_g1, full_gt]),
+    ]
+    .map(|(what, parts)| (what, parts.concat()))
+    {
+        let mut tampered = bundle.clone();
+        tampered.ciphertext.header.encrypted_x = decode_bare(&c3, WireVersion::V1, &ctx)
+            .unwrap_or_else(|e| panic!("{what}: framing must not validate: {e}"));
+        let decoded = DisclosureBundle::from_wire_bytes(&tampered.to_wire_bytes(), &ctx)
+            .unwrap_or_else(|e| panic!("{what}: bundle decode must be lazy: {e}"));
+        let cold = HealthcareProvider::new(provider_kgc.extract(&doctor));
+        for provider in [&cold, &warm] {
+            assert!(
+                matches!(
+                    provider.open(&decoded),
+                    Err(PhrError::Pre(PreError::Decode(_)))
+                ),
+                "{what}"
+            );
+        }
+    }
+
+    // One flipped byte is another cache key: a warm provider misses,
+    // validates, and gets no plaintext either.
+    let c3 = bundle.ciphertext.header.encrypted_x.as_bytes();
+    for at in [0, 1, flen, 1 + flen, 2 + flen, c3.len() - 1] {
+        let mut flipped = c3.to_vec();
+        flipped[at] ^= 0x01;
+        let mut tampered = bundle.clone();
+        tampered.ciphertext.header.encrypted_x =
+            decode_bare(&flipped, WireVersion::V1, &ctx).unwrap();
+        assert!(warm.open(&tampered).is_err(), "flip at {at}");
+    }
+    assert_eq!(warm.open(&decoded).unwrap().body, b"ferritin 80 ng/mL");
+}
+
+/// Framing `c'₃` still requires all of its bytes.
+#[test]
+fn a_bundle_truncated_inside_c3_fails_to_decode() {
+    let (bundle, _, _, ctx) = disclosed_bundle();
+    let bytes = bundle.to_wire_bytes();
+    let c3 = bundle.ciphertext.header.encrypted_x.as_bytes();
+    let start = bytes
+        .windows(c3.len())
+        .position(|w| w == c3)
+        .expect("the bundle carries c'3 verbatim");
+    for cut in start..start + c3.len() {
+        assert!(DisclosureBundle::from_wire_bytes(&bytes[..cut], &ctx).is_err());
+        let prefix = &c3[..cut - start];
+        assert!(decode_bare::<EncodedIbeCiphertext>(prefix, WireVersion::V1, &ctx).is_err());
+    }
 }
 
 #[test]

@@ -95,7 +95,7 @@ fn collusion_exposes_only_the_delegated_type() {
     // --- What the colluding pair computes ---
     // Bob decrypts X from the re-encryption key, hashes it to the curve, and
     // subtracts it from the proxy's rk point:
-    let x = bf::decrypt_gt(&bob_key, rk.encrypted_x()).unwrap();
+    let x = bf::decrypt_gt(&bob_key, &rk.encrypted_x().to_ciphertext().unwrap()).unwrap();
     let h1_of_x = params.hash_to_g1(H1_DOMAIN, &[&x.to_bytes()]).unwrap();
     let virtual_key_neg = rk.rk_point().sub(&h1_of_x); // = sk^{-H2(sk‖t)}
 
