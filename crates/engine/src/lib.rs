@@ -7,8 +7,8 @@
 //! a burst of conversions is embarrassingly parallel.  This crate exploits
 //! that: [`ReEncryptEngine::re_encrypt_hybrid_batch`] fans
 //! [`tibpre_core::hybrid::re_encrypt_hybrid_batch`] out over a pool of
-//! `std::thread` workers fed by a work-stealing job queue, one chunk of the
-//! run per job.
+//! `std::thread` workers, each claiming the next chunk of the run from one
+//! shared cursor whenever it finishes one.
 //!
 //! Three properties of the core function are preserved exactly, and the
 //! oracle tests assert them:
@@ -28,7 +28,6 @@
 #![deny(missing_docs)]
 
 mod pool;
-mod queue;
 
 pub use pool::ReEncryptEngine;
 
@@ -68,9 +67,9 @@ impl ReEncryptEngine {
         // One-time table build, done once on this thread rather than raced by
         // every worker on first use.
         let _ = rekey.prepared_rk_point();
-        // Each work-stealing job converts its whole chunk in one call,
-        // amortising one final-exponentiation easy-part inversion per chunk
-        // rather than paying one GCD per ciphertext.
+        // Each chunk is converted in one call, amortising one
+        // final-exponentiation easy-part inversion per chunk rather than
+        // paying one GCD per ciphertext.
         Ok(self.par_map_chunks(ciphertexts.len(), |range| {
             hybrid::re_encrypt_hybrid_batch(ciphertexts[range].iter().copied(), rekey)
                 .expect("every header's type was checked against the key above")

@@ -1,8 +1,7 @@
-//! The worker pool: scoped `std::thread` workers over the work-stealing
-//! queue, behind two ordered maps — an infallible chunk map for batched
-//! conversion and a fallible index map for store recovery.
+//! The worker pool: scoped `std::thread` workers claiming chunks from one
+//! shared cursor, behind two ordered maps — an infallible chunk map for
+//! batched conversion and a fallible index map for store recovery.
 
-use crate::queue::StealQueue;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -81,31 +80,35 @@ impl ReEncryptEngine {
         self.workers * 2
     }
 
-    /// The one scoped-worker scaffold both maps run on: seeds the steal
-    /// queue with `0..count`, runs `job` on every chunk across the engine's
-    /// workers, and returns the per-chunk outputs ordered by chunk start.  A
-    /// panic in `job` propagates to the caller after all workers have
-    /// stopped.
+    /// The one scoped-worker scaffold both maps run on: splits `0..count`
+    /// into chunks, runs `job` on every chunk across the engine's workers,
+    /// and returns the per-chunk outputs ordered by chunk start.  A panic in
+    /// `job` propagates to the caller after all workers have stopped.
     fn run_chunks<R, F>(&self, count: usize, job: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Range<usize>) -> R + Sync,
     {
-        // Chunks are a few items each: large enough that queue traffic stays
-        // negligible next to the pairing work, small enough that stealing can
-        // even out any load imbalance.
+        // Chunks are a few items each: large enough that claiming one stays
+        // negligible next to the pairing work, small enough that a worker
+        // that falls behind (preempted, or handed slower items) leaves the
+        // rest of the batch to whichever worker is free.
         let chunk_size = (count / (self.workers * 4)).max(1);
-        let queue = StealQueue::seed(self.workers, count, chunk_size);
+        let cursor = AtomicUsize::new(0);
         let mut produced: Vec<(usize, R)> = thread::scope(|scope| {
             let handles: Vec<_> = (0..self.workers)
-                .map(|me| {
-                    let (queue, job) = (&queue, &job);
+                .map(|_| {
+                    let (cursor, job) = (&cursor, &job);
                     scope.spawn(move || {
                         let mut produced = Vec::new();
-                        while let Some(range) = queue.next_job(me) {
-                            produced.push((range.start, job(range)));
+                        loop {
+                            let start = cursor.fetch_add(chunk_size, Ordering::Relaxed);
+                            if start >= count {
+                                break produced;
+                            }
+                            let range = start..count.min(start + chunk_size);
+                            produced.push((start, job(range)));
                         }
-                        produced
                     })
                 })
                 .collect();
@@ -174,8 +177,8 @@ impl ReEncryptEngine {
     /// Chunk-level infallible map: `f` converts one contiguous index range
     /// into the corresponding output vector, letting callers amortise
     /// per-chunk work across every item of a job — the re-encryption engine
-    /// uses this to run one *batched* final exponentiation per work-stealing
-    /// job instead of one per ciphertext.
+    /// uses this to run one *batched* final exponentiation per chunk instead
+    /// of one per ciphertext.
     ///
     /// `f` must return exactly `range.len()` outputs for the range it was
     /// given; results are reassembled in input order.  Below the parallel

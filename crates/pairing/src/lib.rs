@@ -18,17 +18,19 @@
 //!   `ê(P, Q) = e(P, φ(Q))` non-degenerate on `G × G` (a "Type 1" /
 //!   symmetric pairing, exactly the object the paper works with).
 //! * **Pairing** — Miller's algorithm in the BKLS form (denominator
-//!   elimination thanks to the even embedding degree) followed by the final
-//!   exponentiation `(p² − 1)/q`; the result lives in the order-`q`
-//!   subgroup [`Gt`] of `F_{p²}^*`.
+//!   elimination thanks to the even embedding degree), run once per fixed
+//!   argument into a [`PreparedPairing`] table, followed by the batched
+//!   final exponentiation `(p² − 1)/q` in [`pairing`]; the result lives in
+//!   the order-`q` subgroup [`Gt`] of `F_{p²}^*`.
 //! * **Hashing** — `MapToPoint`-style hash-to-curve and hash-to-scalar oracles
 //!   in [`hash`], used by the IBE and PRE layers for `H1` and `H2`.
 //! * **Parameters** — [`PairingParams`] generation for several security
 //!   levels, with process-wide cached instances.
 //! * **Precomputation** — [`precomp`] provides fixed-base multiplication
 //!   tables ([`G1Precomp`]) and fixed-argument prepared pairings
-//!   ([`PreparedPairing`]); the parameter set caches both for `g`, and the
-//!   scheme layers cache them for `pk`, private keys, and re-encryption keys.
+//!   ([`PreparedPairing`]); the parameter set caches the table for `g`, and
+//!   the scheme layers cache both for `pk`, private keys, and re-encryption
+//!   keys.
 //!
 //! The scheme layers treat this crate the way they would treat `arkworks` or
 //! `pbc`: as the group-and-pairing provider.  See `DESIGN.md` for why this
@@ -54,7 +56,6 @@ pub use error::PairingError;
 pub use fp::{Fp, FpCtx};
 pub use fp2::Fp2;
 pub use gt::Gt;
-pub use pairing::{pairing, pairing_unreduced};
 pub use params::{PairingParams, SecurityLevel};
 pub use precomp::{multi_pairing, G1Precomp, PreparedPairing};
 pub use scalar::{Scalar, ScalarCtx};

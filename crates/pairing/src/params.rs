@@ -10,13 +10,9 @@
 use crate::curve::{random_curve_point, G1Affine};
 use crate::error::PairingError;
 use crate::fp::FpCtx;
-use crate::fp2::Fp2;
 use crate::gt::Gt;
 use crate::hash::{hash_to_curve, hash_to_scalar};
-use crate::pairing::{
-    final_exponentiation, final_exponentiation_batch, final_exponentiation_with_digits,
-    miller_loop, wnaf_digits, WNAF_WINDOW,
-};
+use crate::pairing::{wnaf_digits, WNAF_WINDOW};
 use crate::precomp::{G1Precomp, PreparedPairing};
 use crate::scalar::{Scalar, ScalarCtx};
 use crate::Result;
@@ -100,11 +96,9 @@ pub struct PairingParams {
     /// Fixed-base table for `g`, built lazily on first use and shared by
     /// every holder of these parameters.
     generator_precomp: OnceLock<Arc<G1Precomp>>,
-    /// Prepared Miller loop for `g`, built lazily on first use.
-    prepared_generator: OnceLock<Arc<PreparedPairing>>,
     /// The cofactor recoded into wNAF digits for the final exponentiation —
     /// fixed per parameter set, recoded once.
-    cofactor_digits: OnceLock<Arc<Vec<i8>>>,
+    cofactor_digits: Arc<Vec<i8>>,
     /// Canonical encodings of `G1` points already proven to lie in the
     /// prime-order subgroup.  The subgroup check (`q·P = O`) costs a full
     /// scalar multiplication, and real traffic re-presents the same few hot
@@ -178,10 +172,12 @@ impl PairingParams {
         };
         debug_assert!(generator.is_in_subgroup(&q));
 
-        // Target-group generator ê(g, g); non-degeneracy of the distortion-map
-        // pairing guarantees it is not 1 — checked anyway.
-        let unreduced = miller_loop(&generator, &generator, &q);
-        let gt_generator = Gt::from_fp2_unchecked(final_exponentiation(&unreduced, &cofactor)?);
+        // Target-group generator ê(g, g), from a table dropped right after;
+        // non-degeneracy of the distortion-map pairing guarantees it is not
+        // 1 — checked anyway.
+        let cofactor_digits = Arc::new(wnaf_digits(&cofactor, WNAF_WINDOW));
+        let gt_generator = PreparedPairing::tabulate(&generator, &q, Arc::clone(&cofactor_digits))
+            .pairing(&generator);
         if gt_generator.is_one() {
             return Err(PairingError::ParameterGeneration(
                 "degenerate pairing for the chosen generator",
@@ -198,8 +194,7 @@ impl PairingParams {
             generator,
             gt_generator,
             generator_precomp: OnceLock::new(),
-            prepared_generator: OnceLock::new(),
-            cofactor_digits: OnceLock::new(),
+            cofactor_digits,
             g1_validated: Mutex::default(),
         }))
     }
@@ -299,60 +294,18 @@ impl PairingParams {
         Gt::one(&self.fp_ctx)
     }
 
-    /// Computes the symmetric pairing `ê(a, b) = e(a, φ(b))`.
-    ///
-    /// This is the *naive* path — a full Miller loop per call — retained both
-    /// for arbitrary argument pairs and as the oracle the precomputed path is
-    /// tested against.  When one argument is fixed across many calls, prepare
-    /// it once with [`Self::prepare`] (or use the cached
-    /// [`Self::prepared_generator`]) instead.
+    /// Computes the symmetric pairing `ê(a, b) = e(a, φ(b))` by preparing
+    /// `a` for this one call: `self.prepare(a).pairing(b)`.  When one
+    /// argument is fixed across many calls, prepare it once with
+    /// [`Self::prepare`] instead.
     pub fn pairing(&self, a: &G1Affine, b: &G1Affine) -> Gt {
-        let unreduced = miller_loop(a, b, &self.q);
-        let reduced = final_exponentiation_with_digits(&unreduced, &self.cofactor_wnaf())
-            .expect("Miller values are never zero for points on the curve");
-        Gt::from_fp2_unchecked(reduced)
+        self.prepare(a).pairing(b)
     }
 
-    /// The product of pairings `∏ᵢ ê(Pᵢ, Qᵢ)` over prepared first arguments —
-    /// one lockstep Miller loop sharing a single accumulator squaring per
-    /// step, and **one** final exponentiation for the whole product.
-    ///
-    /// Bit-identical to multiplying the individual
-    /// [`PreparedPairing::pairing`] results in [`Gt`]; an empty batch is the
-    /// identity.  See [`crate::precomp::multi_pairing`] for the underlying
-    /// free function and the full equivalence argument.
-    pub fn multi_pairing(&self, pairs: &[(&PreparedPairing, &G1Affine)]) -> Gt {
-        crate::precomp::multi_pairing(pairs).unwrap_or_else(|| Gt::one(&self.fp_ctx))
-    }
-
-    /// Reduced pairings `ê(aᵢ, bᵢ)` for a batch of unrelated argument pairs:
-    /// one naive Miller loop each, then a *batched* final exponentiation
-    /// whose per-element easy-part inversions collapse into a single
-    /// extended GCD (Montgomery's trick).
-    ///
-    /// Element-wise bit-identical to `k` independent [`Self::pairing`] calls.
-    /// When the *same* first argument recurs across the batch, prefer
-    /// [`PreparedPairing::pairing_batch`], which also reuses the stored
-    /// Miller lines.
-    pub fn pairing_batch(&self, pairs: &[(&G1Affine, &G1Affine)]) -> Vec<Gt> {
-        let fs: Vec<Fp2> = pairs
-            .iter()
-            .map(|(a, b)| miller_loop(a, b, &self.q))
-            .collect();
-        final_exponentiation_batch(&fs, &self.cofactor_wnaf())
-            .expect("Miller values are never zero for points on the curve")
-            .into_iter()
-            .map(Gt::from_fp2_unchecked)
-            .collect()
-    }
-
-    /// The cofactor's cached wNAF recoding (shared by the naive and prepared
-    /// final exponentiations).
+    /// The cofactor's wNAF recoding, shared by every prepared table of
+    /// this parameter set.
     pub(crate) fn cofactor_wnaf(&self) -> Arc<Vec<i8>> {
-        Arc::clone(
-            self.cofactor_digits
-                .get_or_init(|| Arc::new(wnaf_digits(&self.cofactor, WNAF_WINDOW))),
-        )
+        Arc::clone(&self.cofactor_digits)
     }
 
     /// Tabulates the Miller loop for a fixed pairing argument; subsequent
@@ -360,15 +313,6 @@ impl PairingParams {
     /// evaluate the stored lines.  See [`PreparedPairing`].
     pub fn prepare(&self, point: &G1Affine) -> PreparedPairing {
         PreparedPairing::new(self, point)
-    }
-
-    /// The prepared Miller loop for the generator `g`, built on first use and
-    /// cached for the lifetime of the parameter set.
-    pub fn prepared_generator(&self) -> Arc<PreparedPairing> {
-        Arc::clone(
-            self.prepared_generator
-                .get_or_init(|| Arc::new(PreparedPairing::new(self, &self.generator))),
-        )
     }
 
     /// The fixed-base multiplication table for the generator `g`, built on
@@ -519,26 +463,27 @@ mod tests {
 
     #[test]
     fn params_multi_pairing_and_batch_match_naive_products() {
+        use crate::precomp::multi_pairing;
         let pp = params();
         let mut r = rng();
         let fixed: Vec<G1Affine> = (0..3).map(|_| pp.random_g1(&mut r)).collect();
         let qs: Vec<G1Affine> = (0..3).map(|_| pp.random_g1(&mut r)).collect();
         let prepared: Vec<_> = fixed.iter().map(|p| pp.prepare(p)).collect();
         let pairs: Vec<_> = prepared.iter().zip(qs.iter()).collect();
-        let product = pp.multi_pairing(&pairs);
+        let product = multi_pairing(&pairs).expect("non-empty batch");
         let naive = fixed
             .iter()
             .zip(qs.iter())
             .fold(pp.gt_identity(), |acc, (p, q)| acc.mul(&pp.pairing(p, q)));
         assert_eq!(product.to_bytes(), naive.to_bytes());
-        assert!(pp.multi_pairing(&[]).is_one());
+        assert!(multi_pairing(&[]).is_none());
 
-        let arg_pairs: Vec<(&G1Affine, &G1Affine)> = fixed.iter().zip(qs.iter()).collect();
-        let batch = pp.pairing_batch(&arg_pairs);
-        for (got, (a, b)) in batch.iter().zip(arg_pairs.iter()) {
-            assert_eq!(got.to_bytes(), pp.pairing(a, b).to_bytes());
+        let q_refs: Vec<&G1Affine> = qs.iter().collect();
+        let batch = prepared[0].pairing_batch(&q_refs);
+        for (got, b) in batch.iter().zip(&qs) {
+            assert_eq!(got.to_bytes(), pp.pairing(&fixed[0], b).to_bytes());
         }
-        assert!(pp.pairing_batch(&[]).is_empty());
+        assert!(prepared[0].pairing_batch(&[]).is_empty());
     }
 
     #[test]

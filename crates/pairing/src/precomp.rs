@@ -20,12 +20,15 @@
 //!   exercised by the test-suite), preparing `P` accelerates pairings with
 //!   `P` in *either* position.
 //!
-//! Every stored line is normalised to `ℓ(φ(Q)) = (a + b·x_Q) + y_Q·i` by
-//! dividing out the `y_Q` coefficient (a batch inversion at preparation
-//! time); the dropped `F_p^*` factor is annihilated by the final
-//! exponentiation, so the *reduced* pairing value is bit-identical to the
-//! naive path.  The naive paths ([`G1Affine::mul_scalar`],
-//! [`crate::params::PairingParams::pairing`]) stay alive as test oracles.
+//! [`PreparedPairing`] is the crate's one Miller loop: every pairing,
+//! [`crate::params::PairingParams::pairing`] included, tabulates one
+//! argument and folds the lines at the other.  Every stored line is
+//! normalised to `ℓ(φ(Q)) = (a + b·x_Q) + y_Q·i` by dividing out the `y_Q`
+//! coefficient (a batch inversion at preparation time); the dropped `F_p^*`
+//! factor is annihilated by the final exponentiation.  The generic ladder
+//! [`G1Affine::mul_scalar`] stays as the fixed-base tables' oracle, and an
+//! affine Miller loop in the test package (`tibpre_tests::oracle`) as the
+//! prepared pairing's.
 //!
 //! # Layout at rest
 //!
@@ -57,10 +60,7 @@ use crate::curve::{batch_to_affine, G1Affine, G1Projective};
 use crate::fp::{Fp, FpCtx};
 use crate::fp2::Fp2;
 use crate::gt::Gt;
-use crate::pairing::{
-    final_exponentiation_batch, final_exponentiation_with_digits, wnaf_digits, MillerPoint,
-    RawAddStep, RawLine,
-};
+use crate::pairing::{final_exponentiation_batch, wnaf_digits};
 use crate::params::PairingParams;
 use crate::scalar::Scalar;
 use core::slice::ChunksExact;
@@ -214,11 +214,10 @@ const HAS_ADD: u8 = 2;
 /// `φ(Q)` (two base-field multiplications per line), and applies the final
 /// exponentiation.
 ///
-/// The *reduced* result is bit-identical to
-/// [`crate::params::PairingParams::pairing`] for every input: different
-/// addition chains (and the degenerate vertical/identity cases, stored here
-/// as line-less steps) change the unreduced Miller value only by `F_p^*`
-/// factors, which the final exponentiation kills.
+/// The *reduced* result is the textbook pairing for every input: a chain
+/// other than the binary one (and the degenerate vertical/identity cases,
+/// stored here as line-less steps) changes the unreduced Miller value only
+/// by `F_p^*` factors, which the final exponentiation kills.
 #[derive(Clone)]
 pub struct PreparedPairing {
     point: G1Affine,
@@ -244,10 +243,15 @@ impl PreparedPairing {
     /// Runs the Miller loop for `point` (as the fixed argument) once and
     /// stores the per-step line coefficients.
     pub fn new(params: &PairingParams, point: &G1Affine) -> Self {
-        let cofactor_digits = params.cofactor_wnaf();
+        Self::tabulate(point, params.q(), params.cofactor_wnaf())
+    }
+
+    /// [`Self::new`] from the group order `q` and the cofactor's wNAF
+    /// recoding — what parameter generation has before a
+    /// [`PairingParams`] exists.
+    pub(crate) fn tabulate(point: &G1Affine, q: &Uint, cofactor_digits: Arc<Vec<i8>>) -> Self {
         if point.is_identity() {
-            // The generic loop returns 1 immediately; an empty step table
-            // evaluates to the same thing.
+            // ê(O, Q) = 1, which an empty step table evaluates to.
             return PreparedPairing {
                 point: point.clone(),
                 steps: Box::default(),
@@ -256,11 +260,11 @@ impl PreparedPairing {
             };
         }
 
-        // Replay the Miller loop over the NAF digits of the order, collecting
-        // raw line coefficients.  The degenerate-case handling mirrors
-        // `crate::pairing::miller_loop` (the regression tests cross-check the
-        // reduced outputs of the two loops).
-        let digits = wnaf_digits(params.q(), 2);
+        // Run the Miller loop over the NAF digits of the order, collecting
+        // raw line coefficients.  The degenerate cases (2-torsion, T = ±P,
+        // the identity) are handled as the textbook loop handles them; the
+        // test package's affine oracle checks the reduced outputs.
+        let digits = wnaf_digits(q, 2);
         debug_assert_eq!(
             digits.last(),
             Some(&1),
@@ -273,7 +277,7 @@ impl PreparedPairing {
         for &digit in digits.iter().rev().skip(1) {
             let mut flags = 0;
             if !t.is_identity() {
-                if t.y_is_zero() {
+                if t.y.is_zero() {
                     // Vertical tangent (2-torsion): no line to store.
                     t = MillerPoint::identity(point);
                 } else {
@@ -284,10 +288,10 @@ impl PreparedPairing {
             if digit != 0 && !t.is_identity() {
                 let addend = if digit > 0 { point } else { &neg_point };
                 let line = match t.add_step_coeffs(addend) {
-                    RawAddStep::Line(line) => Some(*line),
-                    RawAddStep::Tangent if t.y_is_zero() => None,
-                    RawAddStep::Tangent => Some(t.double_step_coeffs()),
-                    RawAddStep::Vertical => None,
+                    Chord::Line(line) => Some(*line),
+                    Chord::Tangent if t.y.is_zero() => None,
+                    Chord::Tangent => Some(t.double_step_coeffs()),
+                    Chord::Vertical => None,
                 };
                 match line {
                     Some(line) => {
@@ -336,10 +340,9 @@ impl PreparedPairing {
         self.rows.chunks_exact(2 * self.point.ctx().nlimbs())
     }
 
-    /// The unreduced Miller value `f_{q,P}(φ(Q))`, up to `F_p^*` factors
-    /// (exactly like [`crate::pairing::miller_loop`], whose output differs by
-    /// the normalisation scaling; the two agree after the final
-    /// exponentiation).
+    /// The unreduced Miller value `f_{q,P}(φ(Q))`, up to the `F_p^*` factors
+    /// of the projective scaling and the line normalisation, which the final
+    /// exponentiation kills.
     pub fn miller_loop(&self, q: &G1Affine) -> Fp2 {
         let ctx = self.point.ctx();
         if q.is_identity() {
@@ -353,14 +356,10 @@ impl PreparedPairing {
         f
     }
 
-    /// The reduced pairing `ê(P, Q)` against the fixed argument —
-    /// bit-identical to [`crate::params::PairingParams::pairing`] on the same
-    /// inputs (in either argument order, by symmetry).
+    /// The reduced pairing `ê(P, Q)` against the fixed argument (in either
+    /// argument order, by symmetry): a [`Self::pairing_batch`] of one.
     pub fn pairing(&self, q: &G1Affine) -> Gt {
-        let unreduced = self.miller_loop(q);
-        let reduced = final_exponentiation_with_digits(&unreduced, &self.cofactor_digits)
-            .expect("Miller values are never zero for points on the curve");
-        Gt::from_fp2_unchecked(reduced)
+        self.pairing_batch(&[q]).remove(0)
     }
 
     /// Reduced pairings `ê(P, Qᵢ)` for a whole batch of second arguments.
@@ -372,15 +371,11 @@ impl PreparedPairing {
     /// still per-element, so the win is the amortised inversion, not the
     /// whole final exponentiation.
     ///
-    /// Element-wise bit-identical to `k` independent [`Self::pairing`] calls
+    /// Element-wise bit-identical to `k` batches of one, [`Self::pairing`]
     /// (canonical representatives of equal field elements are unique).
     pub fn pairing_batch(&self, qs: &[&G1Affine]) -> Vec<Gt> {
         let fs: Vec<Fp2> = qs.iter().map(|q| self.miller_loop(q)).collect();
-        final_exponentiation_batch(&fs, &self.cofactor_digits)
-            .expect("Miller values are never zero for points on the curve")
-            .into_iter()
-            .map(Gt::from_fp2_unchecked)
-            .collect()
+        reduce(&fs, &self.cofactor_digits)
     }
 }
 
@@ -394,6 +389,146 @@ impl core::fmt::Debug for PreparedPairing {
             .field("resident_bytes", &self.resident_bytes())
             .finish_non_exhaustive()
     }
+}
+
+/// The running Miller-loop point `T` in Jacobian coordinates: the affine
+/// point is `(X/Z², Y/Z³)`, and `Z = 0` encodes the group identity.
+///
+/// Both steps return their line as *coefficients* in the second argument,
+/// `ℓ(φ(Q)) = (c0 + cx·x_Q) + (cy·y_Q)·i`, so the loop runs once per fixed
+/// argument, in [`PreparedPairing::tabulate`].  No step inverts: each line
+/// is the affine one scaled by an element of `F_p^*`, which the final
+/// exponentiation annihilates (BKLS/GHS denominator elimination, applied
+/// once more to the projective scaling).
+struct MillerPoint {
+    x: Fp,
+    y: Fp,
+    z: Fp,
+}
+
+impl MillerPoint {
+    fn from_affine(p: &G1Affine) -> Self {
+        MillerPoint {
+            x: p.x().clone(),
+            y: p.y().clone(),
+            z: Fp::one(p.ctx()),
+        }
+    }
+
+    fn identity(template: &G1Affine) -> Self {
+        let ctx = template.ctx();
+        MillerPoint {
+            x: Fp::one(ctx),
+            y: Fp::one(ctx),
+            z: Fp::zero(ctx),
+        }
+    }
+
+    fn is_identity(&self) -> bool {
+        self.z.is_zero()
+    }
+
+    /// Doubling (curve coefficient `a = 1`): `S = 4XY²`, `M = 3X² + Z⁴`,
+    /// `X' = M² − 2S`, `Y' = M(S − X') − 8Y⁴`, `Z' = 2YZ`.  The tangent at
+    /// `T` at `φ(Q)`, scaled by `2YZ³ ∈ F_p^*`, has the coefficients
+    /// `c0 = M·X − 2Y²`, `cx = M·Z²`, `cy = Z'·Z²`.
+    ///
+    /// The caller must ensure `Y ≠ 0` (no 2-torsion).
+    fn double_step_coeffs(&mut self) -> RawLine {
+        debug_assert!(!self.is_identity() && !self.y.is_zero());
+        let yy = self.y.square();
+        let zz = self.z.square();
+        let s = self.x.mul(&yy).double().double();
+        let m = &self.x.square().triple() + &zz.square();
+        let x3 = &m.square() - &s.double();
+        let y3 = &m.mul(&(&s - &x3)) - &yy.square().double().double().double();
+        let z3 = self.y.double().mul(&self.z);
+
+        let c0 = &m.mul(&self.x) - &yy.double();
+        let cx = m.mul(&zz);
+        let cy = z3.mul(&zz);
+
+        self.x = x3;
+        self.y = y3;
+        self.z = z3;
+        RawLine { c0, cx, cy }
+    }
+
+    /// Mixed addition `T ← T + P` (`P` affine): `U₂ = x_P·Z²`, `S₂ = y_P·Z³`,
+    /// `H = U₂ − X`, `r = S₂ − Y`, `X' = r² − H³ − 2XH²`,
+    /// `Y' = r(XH² − X') − YH³`, `Z' = ZH`.  The chord through `T` and `P`
+    /// has slope `r/Z'`; at `φ(Q)`, scaled by `Z' ∈ F_p^*`, its coefficients
+    /// are `c0 = r·x_P − Z'·y_P`, `cx = r`, `cy = Z'`.
+    ///
+    /// The degenerate cases fall out of the intermediates (`H = 0 ⇔
+    /// x_T = x_P`, and then `r = 0 ⇔ T = P`): they are reported instead of a
+    /// line, and `T` is left untouched.
+    fn add_step_coeffs(&mut self, p: &G1Affine) -> Chord {
+        debug_assert!(!self.is_identity());
+        let zz = self.z.square();
+        let u2 = p.x().mul(&zz);
+        let s2 = p.y().mul(&zz.mul(&self.z));
+        let h = &u2 - &self.x;
+        let r = &s2 - &self.y;
+        if h.is_zero() {
+            return if r.is_zero() {
+                Chord::Tangent
+            } else {
+                Chord::Vertical
+            };
+        }
+        let hh = h.square();
+        let hhh = hh.mul(&h);
+        let v = self.x.mul(&hh);
+        let x3 = &(&r.square() - &hhh) - &v.double();
+        let y3 = &r.mul(&(&v - &x3)) - &self.y.mul(&hhh);
+        let z3 = self.z.mul(&h);
+
+        let c0 = &r.mul(p.x()) - &z3.mul(p.y());
+        let cy = z3.clone();
+
+        self.x = x3;
+        self.y = y3;
+        self.z = z3;
+        Chord::Line(Box::new(RawLine { c0, cx: r, cy }))
+    }
+}
+
+/// A Miller-loop line with the second argument left symbolic:
+/// `ℓ(φ(Q)) = (c0 + cx·x_Q) + (cy·y_Q)·i`.
+///
+/// All three coefficients depend only on the first pairing argument, which is
+/// what makes fixed-argument precomputation possible.  On the non-degenerate
+/// path `cy = Z'·Z²` (doubling) or `cy = Z'` (addition) is never zero, so the
+/// table normalises the line to `cy = 1` — a division by an `F_p^*` constant
+/// that the final exponentiation annihilates.
+struct RawLine {
+    c0: Fp,
+    cx: Fp,
+    cy: Fp,
+}
+
+/// Outcome of [`MillerPoint::add_step_coeffs`].
+enum Chord {
+    /// Generic case: `T` was updated and the chord coefficients are returned
+    /// (boxed — clippy's `large_enum_variant`).
+    Line(Box<RawLine>),
+    /// `T = P`: the chord degenerates to the tangent at `T` (the caller
+    /// doubles instead).  Unreachable for prime-order inputs.
+    Tangent,
+    /// `T = −P`: the chord is the vertical `X − x_P ∈ F_p`, eliminated by the
+    /// final exponentiation (the caller sets `T` to the identity).
+    Vertical,
+}
+
+/// The reduced pairings of Miller values: [`final_exponentiation_batch`],
+/// wrapped in [`Gt`].
+fn reduce(fs: &[Fp2], cofactor_digits: &[i8]) -> Vec<Gt> {
+    final_exponentiation_batch(fs, cofactor_digits)
+        .expect("Miller values are never zero for points on the curve")
+        .into_iter()
+        .map(Gt::from_fp2_unchecked)
+        .collect()
 }
 
 /// Folds the lines one step stores into `f`, advancing the table's cursor:
@@ -425,53 +560,36 @@ fn fold_step(mut f: Fp2, flags: u8, rows: &mut ChunksExact<'_, u64>, q: &G1Affin
 /// [`PreparedPairing::pairing`] outputs in [`Gt`].
 ///
 /// Pairs whose fixed argument or `Qᵢ` is the identity contribute a factor `1`
-/// and are skipped.  A table with a step count different from the rest (only
-/// possible by mixing parameter sets, which the field contexts reject
-/// anyway) falls back to its own Miller loop, folded into the product before
-/// the final exponentiation.
+/// and are skipped.
 ///
 /// Returns `None` for an empty slice — there is no field context to build
-/// the identity in; [`crate::params::PairingParams::multi_pairing`] supplies
-/// it.
+/// the identity in.
+///
+/// # Panics
+///
+/// If two non-degenerate tables differ in step count, which only tables of
+/// two different parameter sets (two different fields) can.
 pub fn multi_pairing(pairs: &[(&PreparedPairing, &G1Affine)]) -> Option<Gt> {
     let (first, _) = pairs.first()?;
-    let ctx = first.point.ctx();
     // Degenerate pairs (identity on either side) pair to 1: skip them.
-    let active: Vec<&(&PreparedPairing, &G1Affine)> = pairs
+    let mut cursors: Vec<_> = pairs
         .iter()
         .filter(|(prep, q)| !prep.steps.is_empty() && !q.is_identity())
-        .collect();
-    let len = active
-        .iter()
-        .map(|(prep, _)| prep.steps.len())
-        .max()
-        .unwrap_or(0);
-    let (lockstep, stragglers): (Vec<_>, Vec<_>) = active
-        .into_iter()
-        .partition(|(prep, _)| prep.steps.len() == len);
-    debug_assert!(
-        stragglers.is_empty(),
-        "prepared tables from one parameter set share a step count"
-    );
-
-    let mut cursors: Vec<_> = lockstep
-        .iter()
         .map(|(prep, q)| (&prep.steps, prep.line_rows(), *q))
         .collect();
-    let mut f = Fp2::one(ctx);
+    let len = cursors.first().map_or(0, |(steps, _, _)| steps.len());
+    assert!(
+        cursors.iter().all(|(steps, _, _)| steps.len() == len),
+        "multi_pairing over prepared tables of different parameter sets"
+    );
+    let mut f = Fp2::one(first.point.ctx());
     for i in 0..len {
         f = f.square();
         for (steps, rows, q) in &mut cursors {
             f = fold_step(f, steps[i], rows, q);
         }
     }
-    for (prep, q) in &stragglers {
-        f = f.mul(&prep.miller_loop(q));
-    }
-
-    let reduced = final_exponentiation_with_digits(&f, &first.cofactor_digits)
-        .expect("Miller values are never zero for points on the curve");
-    Some(Gt::from_fp2_unchecked(reduced))
+    Some(reduce(&[f], &first.cofactor_digits).remove(0))
 }
 
 #[cfg(test)]
@@ -603,6 +721,15 @@ mod tests {
         }
     }
 
+    /// `f^{(p²−1)/q} = (f^{p−1})^h` by plain `Fp2::pow`: the reduction the
+    /// tests here check the prepared one against.  (The Miller values
+    /// themselves are checked against the affine oracle in the test
+    /// package's `precomp_oracle`.)
+    fn reduce_by_pow(pp: &PairingParams, f: &Fp2) -> Gt {
+        let p_minus_1 = pp.p().wrapping_sub(&Uint::ONE);
+        Gt::from_fp2_unchecked(f.pow(&p_minus_1).pow(pp.cofactor()))
+    }
+
     #[test]
     fn prepared_pairing_matches_naive_pairing() {
         let pp = PairingParams::insecure_toy();
@@ -614,20 +741,13 @@ mod tests {
             for _ in 0..3 {
                 let q = pp.random_g1(&mut r);
                 let fast = prepared.pairing(&q);
-                assert_eq!(fast, pp.pairing(&fixed, &q));
-                // Symmetry: preparing the "second" argument is the same thing.
+                assert_eq!(fast, reduce_by_pow(&pp, &prepared.miller_loop(&q)));
+                // Symmetry: the table of the "second" argument agrees.
                 assert_eq!(fast, pp.pairing(&q, &fixed));
-                assert_eq!(fast.to_bytes(), pp.pairing(&fixed, &q).to_bytes());
+                assert_eq!(fast.to_bytes(), pp.prepare(&q).pairing(&fixed).to_bytes());
             }
             assert!(prepared.pairing(&pp.g1_identity()).is_one());
         }
-    }
-
-    #[test]
-    fn prepared_generator_reproduces_gt_generator() {
-        let pp = PairingParams::insecure_toy();
-        let prepared = PreparedPairing::new(&pp, pp.generator());
-        assert_eq!(&prepared.pairing(pp.generator()), pp.gt_generator());
     }
 
     #[test]
@@ -637,22 +757,22 @@ mod tests {
         let prepared = PreparedPairing::new(&pp, &pp.g1_identity());
         assert!(prepared.pairing(pp.generator()).is_one());
         // 2-torsion point (0, 0): the vertical tangent becomes a line-less
-        // step, exactly as the generic loop drops it.
+        // step, exactly as the textbook loop drops it.
         let two_torsion = G1Affine::new(Fp::zero(pp.fp_ctx()), Fp::zero(pp.fp_ctx())).unwrap();
         let prepared = PreparedPairing::new(&pp, &two_torsion);
         assert_eq!(
             prepared.pairing(pp.generator()),
-            pp.pairing(&two_torsion, pp.generator())
+            reduce_by_pow(&pp, &prepared.miller_loop(pp.generator()))
         );
         // Every step is there and none stores a line, so beside a full table
         // in the lockstep walk its cursor never moves.
         assert!(!prepared.steps.is_empty() && prepared.rows.is_empty());
         let mut r = rng();
         let (q1, q2) = (pp.random_g1(&mut r), pp.random_g1(&mut r));
-        let full = pp.prepared_generator();
+        let full = pp.prepare(pp.generator());
         for pairs in [
-            [(&prepared, &q1), (&*full, &q2)],
-            [(&*full, &q2), (&prepared, &q1)],
+            [(&prepared, &q1), (&full, &q2)],
+            [(&full, &q2), (&prepared, &q1)],
         ] {
             assert_eq!(
                 multi_pairing(&pairs).expect("non-empty batch"),
@@ -682,6 +802,18 @@ mod tests {
         }
         // Empty batch: no context to build 1 in.
         assert!(multi_pairing(&[]).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "different parameter sets")]
+    fn multi_pairing_refuses_tables_of_two_parameter_sets() {
+        use crate::params::SecurityLevel;
+        let toy = PairingParams::insecure_toy();
+        let other = PairingParams::generate_custom(SecurityLevel::Toy, 48, 128, &mut rng())
+            .expect("parameter generation");
+        let a = toy.prepare(toy.generator());
+        let b = other.prepare(other.generator());
+        multi_pairing(&[(&a, toy.generator()), (&b, other.generator())]);
     }
 
     #[test]
@@ -731,15 +863,18 @@ mod tests {
             let fixed = random_curve_point(pp.fp_ctx(), &mut r);
             let q = pp.random_g1(&mut r);
             let prepared = PreparedPairing::new(&pp, &fixed);
-            assert_eq!(prepared.pairing(&q), pp.pairing(&fixed, &q));
+            assert_eq!(
+                prepared.pairing(&q),
+                reduce_by_pow(&pp, &prepared.miller_loop(&q))
+            );
             // `q·fixed` is not the identity, so this table stores the last
             // chord a subgroup table leaves out: in the lockstep walk its
             // cursor runs ahead of the full table's.
-            let full = pp.prepared_generator();
+            let full = pp.prepare(pp.generator());
             assert!(prepared.line_rows().len() > full.line_rows().len());
             let q2 = pp.random_g1(&mut r);
             assert_eq!(
-                multi_pairing(&[(&*full, &q2), (&prepared, &q)]).expect("non-empty batch"),
+                multi_pairing(&[(&full, &q2), (&prepared, &q)]).expect("non-empty batch"),
                 full.pairing(&q2).mul(&prepared.pairing(&q))
             );
         }

@@ -8,11 +8,12 @@
 //! between a primary store node and its read replicas; [`game`], the
 //! executable IND-ID-DR-CPA security game; [`model`], the decoded-record
 //! model of the PHR store the resident-store properties compare against;
-//! and [`test_levels`], the one switch that widens the oracle suites beyond
-//! the toy level.
+//! [`oracle`], the reference pairing; and [`test_levels`], the one switch
+//! that widens the oracle suites beyond the toy level.
 
 pub mod game;
 pub mod model;
+pub mod oracle;
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

@@ -3,9 +3,11 @@
 //! Every precomputed fast path — fixed-base multiplication tables, prepared
 //! (fixed-argument) pairings, cached scheme-layer tables, and batched
 //! re-encryption — must produce **bit-identical** results to the naive path
-//! it replaces.  The naive paths (`G1Affine::mul_scalar`,
-//! `PairingParams::pairing`, per-ciphertext algebra spelled out by hand) stay
-//! alive in the API precisely so these tests can cross-check against them.
+//! it replaces.  The naive paths are the generic ladder
+//! `G1Affine::mul_scalar`, the affine reference pairing
+//! `tibpre_tests::oracle::pairing` (which shares no line with the prepared
+//! Miller loop or the final exponentiation), and per-ciphertext algebra
+//! spelled out by hand.
 //!
 //! The suite always runs at the toy level.  Setting `TIBPRE_TEST_LEVELS` to
 //! a list containing `80` (as the scheduled CI job does) additionally runs
@@ -16,7 +18,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tibpre_core::{hybrid, proxy, Delegatee, Delegator, TypeTag};
 use tibpre_ibe::{bf, Identity, Kgc};
-use tibpre_pairing::G1Precomp;
+use tibpre_pairing::curve::random_curve_point;
+use tibpre_pairing::{Fp, G1Affine, G1Precomp};
+use tibpre_tests::oracle;
 use tibpre_tests::test_levels as levels;
 
 #[test]
@@ -59,7 +63,7 @@ fn prepared_pairings_match_naive_pairings() {
             for _ in 0..3 {
                 let other = params.random_g1(&mut rng);
                 let fast = prepared.pairing(&other);
-                let naive = params.pairing(&fixed, &other);
+                let naive = oracle::pairing(&params, &fixed, &other);
                 assert_eq!(fast, naive);
                 assert_eq!(
                     fast.to_bytes(),
@@ -67,15 +71,81 @@ fn prepared_pairings_match_naive_pairings() {
                     "encodings must match bit for bit"
                 );
                 // Symmetry: the prepared argument may sit in either slot.
-                assert_eq!(fast, params.pairing(&other, &fixed));
+                assert_eq!(fast, oracle::pairing(&params, &other, &fixed));
             }
             assert!(prepared.pairing(&params.g1_identity()).is_one());
         }
-        // The cached prepared generator reproduces ê(g, g).
+        // The prepared generator reproduces ê(g, g).
         assert_eq!(
-            &params.prepared_generator().pairing(params.generator()),
+            &params
+                .prepare(params.generator())
+                .pairing(params.generator()),
             params.gt_generator()
         );
+    }
+}
+
+#[test]
+fn identity_arguments_pair_to_one() {
+    for params in levels() {
+        let id = params.g1_identity();
+        let g = params.generator();
+        for (a, b) in [(&id, g), (g, &id), (&id, &id)] {
+            assert!(oracle::pairing(&params, a, b).is_one());
+            assert!(params.prepare(a).pairing(b).is_one());
+        }
+    }
+}
+
+#[test]
+fn same_point_pairings_match_the_oracle() {
+    // The distortion map keeps ê(P, P) ≠ 1.
+    for params in levels() {
+        let mut rng = StdRng::seed_from_u64(0xFB08);
+        let g = params.generator();
+        assert_eq!(&oracle::pairing(&params, g, g), params.gt_generator());
+        for point in [g.clone(), params.random_g1(&mut rng)] {
+            let fast = params.prepare(&point).pairing(&point);
+            assert_eq!(fast, oracle::pairing(&params, &point, &point));
+            assert!(!fast.is_one(), "pairing must stay non-degenerate");
+        }
+    }
+}
+
+#[test]
+fn two_torsion_arguments_match_the_oracle() {
+    // (0, 0) drives the vertical-tangent branch on either side.
+    for params in levels() {
+        let mut rng = StdRng::seed_from_u64(0xFB09);
+        let two_torsion = G1Affine::new(Fp::zero(params.fp_ctx()), Fp::zero(params.fp_ctx()))
+            .expect("(0, 0) lies on y² = x³ + x");
+        for other in [params.generator().clone(), params.random_g1(&mut rng)] {
+            assert_eq!(
+                params.prepare(&two_torsion).pairing(&other),
+                oracle::pairing(&params, &two_torsion, &other)
+            );
+            assert_eq!(
+                params.prepare(&other).pairing(&two_torsion),
+                oracle::pairing(&params, &other, &two_torsion)
+            );
+        }
+    }
+}
+
+#[test]
+fn non_subgroup_arguments_match_the_oracle() {
+    // Points outside the prime-order subgroup, where the 2-torsion and
+    // T = ±P special cases can actually fire, in either slot.
+    for params in levels() {
+        let mut rng = StdRng::seed_from_u64(0xFB0A);
+        for _ in 0..3 {
+            let a = random_curve_point(params.fp_ctx(), &mut rng);
+            let b = random_curve_point(params.fp_ctx(), &mut rng);
+            let g = params.random_g1(&mut rng);
+            for (x, y) in [(&a, &b), (&a, &g), (&g, &a)] {
+                assert_eq!(params.prepare(x).pairing(y), oracle::pairing(&params, x, y));
+            }
+        }
     }
 }
 
@@ -95,13 +165,13 @@ fn ibe_encryption_matches_naive_algebra() {
         // Naive algebra, spelled out with the oracle primitives.
         let pk_id = pp.identity_public_key(&id);
         let naive_c1 = params.generator().mul_scalar(&r);
-        let naive_shared = params.pairing(&pk_id, pp.kgc_public_key()).pow_scalar(&r);
+        let naive_shared = oracle::pairing(&params, &pk_id, pp.kgc_public_key()).pow_scalar(&r);
         assert_eq!(ct.c1.to_bytes(), naive_c1.to_bytes());
         assert_eq!(ct.c2.to_bytes(), m.mul(&naive_shared).to_bytes());
 
         // Precomputed decryption equals the naive mask removal.
         let fast = bf::decrypt_gt(&sk, &ct).unwrap();
-        let naive_mask = params.pairing(sk.key(), &ct.c1);
+        let naive_mask = oracle::pairing(&params, sk.key(), &ct.c1);
         assert_eq!(fast, ct.c2.div(&naive_mask).unwrap());
         assert_eq!(fast, m);
     }
@@ -122,8 +192,7 @@ fn typed_encryption_matches_naive_algebra() {
         // Naive Encrypt1: c1 = g^r, c2 = m · ê(pk_id, pk)^{r·H2(sk‖t)}.
         let pk_id = kgc.public_params().identity_public_key(&alice);
         let exponent = r.mul(&delegator.type_exponent(&t));
-        let naive_mask = params
-            .pairing(&pk_id, kgc.public_params().kgc_public_key())
+        let naive_mask = oracle::pairing(&params, &pk_id, kgc.public_params().kgc_public_key())
             .pow_scalar(&exponent);
         assert_eq!(
             ct.c1.to_bytes(),
@@ -132,8 +201,7 @@ fn typed_encryption_matches_naive_algebra() {
         assert_eq!(ct.c2.to_bytes(), m.mul(&naive_mask).to_bytes());
 
         // Precomputed Decrypt1 equals the naive mask removal and round-trips.
-        let naive_mask = params
-            .pairing(delegator.private_key().key(), &ct.c1)
+        let naive_mask = oracle::pairing(&params, delegator.private_key().key(), &ct.c1)
             .pow_scalar(&delegator.type_exponent(&t));
         assert_eq!(
             delegator.decrypt_typed(&ct).unwrap(),
@@ -168,7 +236,7 @@ fn reencrypt_batch_matches_naive_per_ciphertext_conversion() {
         assert_eq!(batch.len(), ciphertexts.len());
         for ((ct, converted), m) in ciphertexts.iter().zip(&batch).zip(&messages) {
             // The naive Preenc algebra: c'2 = c2 · ê(c1, rk₂).
-            let adjustment = params.pairing(&ct.c1, rekey.rk_point());
+            let adjustment = oracle::pairing(&params, &ct.c1, rekey.rk_point());
             assert_eq!(converted.c2.to_bytes(), ct.c2.mul(&adjustment).to_bytes());
             assert_eq!(converted.c1.to_bytes(), ct.c1.to_bytes());
             // Single-ciphertext conversion produces the identical result.
