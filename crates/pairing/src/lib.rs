@@ -51,6 +51,15 @@ pub mod precomp;
 pub mod scalar;
 pub mod wire;
 
+// The affine reference pairing of the test package, compiled into the unit
+// tests as well so they cross-check the Miller loop against the same single
+// oracle.  It names this crate by its package name.
+#[cfg(test)]
+extern crate self as tibpre_pairing;
+#[cfg(test)]
+#[path = "../../../tests/src/oracle.rs"]
+mod oracle;
+
 pub use curve::{G1Affine, G1Projective};
 pub use error::PairingError;
 pub use fp::{Fp, FpCtx};

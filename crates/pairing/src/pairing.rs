@@ -155,7 +155,8 @@ mod tests {
     // The pairing itself (bilinearity, non-degeneracy, symmetry, degenerate
     // inputs) is tested in `params.rs`, `precomp.rs` and, against the
     // independent affine oracle, in the test package's `precomp_oracle`.
-    // Here the final exponentiation is checked against a plain `Fp2::pow`.
+    // Here the final exponentiation is checked against a plain `Fp2::pow`,
+    // and the Miller loop against that same oracle on random subgroup pairs.
     use super::*;
     use crate::fp::FpCtx;
     use crate::params::PairingParams;
@@ -180,6 +181,25 @@ mod tests {
         let one = Fp2::one(&c);
         let out = final_exponentiation(&one, &Uint::from_u64(123456)).unwrap();
         assert!(out.is_one());
+    }
+
+    /// The one Miller loop — inversion-free Jacobian steps over the NAF of
+    /// `q`, tabulated, then the batched final exponentiation — must equal
+    /// the affine textbook loop reduced by plain `Fp2::pow`.
+    #[test]
+    fn projective_miller_loop_matches_affine_oracle() {
+        let pp = PairingParams::insecure_toy();
+        let mut rng = StdRng::seed_from_u64(0x4A43);
+        for _ in 0..5 {
+            let a = pp.random_g1(&mut rng);
+            let b = pp.random_g1(&mut rng);
+            let projective = pp.prepare(&a).pairing(&b);
+            assert_eq!(projective, crate::oracle::pairing(&pp, &a, &b));
+            assert!(!projective.is_one(), "pairing must stay non-degenerate");
+        }
+        // Same-point input (the distortion map keeps ê(P, P) ≠ 1).
+        let g = pp.generator();
+        assert_eq!(pp.prepare(g).pairing(g), crate::oracle::pairing(&pp, g, g));
     }
 
     /// The batched easy part (one shared GCD inversion) must give every

@@ -750,6 +750,20 @@ mod tests {
         }
     }
 
+    /// `ê(g, g)` is computed at parameter generation from a crate-private
+    /// table; the public constructor and the affine oracle must both give
+    /// the same element.
+    #[test]
+    fn prepared_generator_reproduces_gt_generator() {
+        let pp = PairingParams::insecure_toy();
+        let prepared = PreparedPairing::new(&pp, pp.generator());
+        assert_eq!(&prepared.pairing(pp.generator()), pp.gt_generator());
+        assert_eq!(
+            &crate::oracle::pairing(&pp, pp.generator(), pp.generator()),
+            pp.gt_generator()
+        );
+    }
+
     #[test]
     fn degenerate_fixed_arguments_match_the_generic_loop() {
         let pp = PairingParams::insecure_toy();

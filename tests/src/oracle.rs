@@ -10,6 +10,9 @@
 //! because the reduced pairing is a well-defined field element: the chains
 //! and scalings only change the unreduced value by `F_p^*` factors, which
 //! the final exponentiation annihilates.
+//!
+//! `tibpre-pairing` compiles this same file into its unit tests, so it may
+//! name only `tibpre_pairing` and `tibpre_bigint`.
 
 use tibpre_bigint::Uint;
 use tibpre_pairing::{Fp, Fp2, G1Affine, Gt, PairingParams};
