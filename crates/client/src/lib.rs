@@ -15,6 +15,10 @@
 //!   [`tibpre_phr::RecordSource`], which is how a *proxy node* reads the
 //!   records it re-encrypts without holding them.
 //!
+//! Each message kind is declared once in [`protocol`] — its tag, variant
+//! and fields — and the enums, their wire codecs and `kind()` names are
+//! derived from that declaration.
+//!
 //! The protocol types live here (not in `tibpre-wire`) because they carry
 //! scheme-level payloads — ciphertexts, re-encryption keys, disclosure
 //! bundles — and the wire crate sits *below* those layers.  The server crate

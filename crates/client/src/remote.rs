@@ -352,10 +352,7 @@ impl RemoteStore {
     }
 
     fn phr_call(&self, request: &Request) -> tibpre_phr::Result<Response> {
-        self.call(request).map_err(|e| match e {
-            ClientError::Remote(remote) => remote.into_phr(),
-            other => tibpre_phr::PhrError::Storage(other.to_string()),
-        })
+        self.call(request).map_err(transport_err)
     }
 }
 

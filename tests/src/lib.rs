@@ -5,12 +5,14 @@
 //! healthcare workflows, serialization, failure injection, security games).
 //! This library target carries the shared harnesses: [`FaultProxy`], the
 //! deterministic TCP fault injector the replication suite interposes
-//! between a primary store node and its read replicas; [`game`], the
+//! between a primary store node and its read replicas; [`fixture`], one
+//! seeded world of scheme artifacts for the digest suites; [`game`], the
 //! executable IND-ID-DR-CPA security game; [`model`], the decoded-record
 //! model of the PHR store the resident-store properties compare against;
 //! [`oracle`], the reference pairing; and [`test_levels`], the one switch
 //! that widens the oracle suites beyond the toy level.
 
+pub mod fixture;
 pub mod game;
 pub mod model;
 pub mod oracle;
