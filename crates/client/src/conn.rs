@@ -106,7 +106,6 @@ pub struct Connection {
     writer: BufWriter<TcpStream>,
     ctx: DecodeCtx,
     max_frame: usize,
-    in_flight: usize,
 }
 
 impl Connection {
@@ -127,7 +126,6 @@ impl Connection {
             writer,
             ctx: DecodeCtx::from(params),
             max_frame: config.max_frame,
-            in_flight: 0,
         })
     }
 
@@ -147,7 +145,6 @@ impl Connection {
     /// response is owed: balance every `send` with a [`Self::receive`].
     pub fn send(&mut self, request: &Request) -> Result<()> {
         write_frame(&mut self.writer, &request.to_wire_bytes(), self.max_frame)?;
-        self.in_flight += 1;
         Ok(())
     }
 
@@ -164,13 +161,7 @@ impl Connection {
     pub fn receive(&mut self) -> Result<Response> {
         let payload =
             read_frame(&mut self.reader, self.max_frame)?.ok_or(ClientError::Disconnected)?;
-        self.in_flight = self.in_flight.saturating_sub(1);
         Ok(Response::from_wire_bytes(&payload, &self.ctx)?)
-    }
-
-    /// Responses sent (or queued) but not yet received.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
     }
 
     /// Sends a whole burst pipelined — all requests in one flush, then all

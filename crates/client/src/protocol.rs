@@ -16,12 +16,15 @@
 //! [`Response::Pong`] so a mismatch is caught by the first health check
 //! rather than by a point failing subgroup validation mid-workflow.
 //!
-//! Each message kind is declared once, in a `message!` invocation: its tag,
-//! its variant and its fields.  The enum, `WireEncode`, `WireDecode` and
-//! `kind()` all derive from that declaration.  A body is the fields in
-//! order, each written by its type's codec: scheme values nested (a `u32`
-//! length, then their bare body), `Vec<u8>` as a blob, any other `Vec` as a
-//! `u64` count checked against the bytes left before anything is reserved.
+//! Each message kind is declared once, in a [`tibpre_wire::message!`]
+//! invocation: its tag, its variant and its fields.  The enum, `WireEncode`,
+//! `WireDecode` and `kind()` all derive from that declaration.  A body is the
+//! fields in order, each written by its type's codec (see
+//! [`tibpre_wire::Field`]): scheme values nested (a `u32` length, then their
+//! bare body), `Vec<u8>` as a blob, any other `Vec` as a `u64` count checked
+//! against the bytes left before anything is reserved.  Each field type's
+//! codec lives in the crate that owns the type; the table below holds this
+//! crate's own.
 
 use std::sync::Arc;
 use tibpre_core::{HybridCiphertext, ReEncryptionKey};
@@ -30,7 +33,7 @@ use tibpre_pairing::{DecodeCtx, PairingParams, SecurityLevel};
 use tibpre_phr::proxy_service::DisclosureBundle;
 use tibpre_phr::store::StoredRecord;
 use tibpre_phr::{AuditEvent, Category, PhrError, RecordId};
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
+use tibpre_wire::{DecodeError, WireDecode, WireEncode};
 
 /// The three service roles a node can run as.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,101 +92,7 @@ pub fn params_for_level(level: SecurityLevel) -> Arc<PairingParams> {
     PairingParams::cached(level)
 }
 
-/// How one field of a message travels.  `C` is its message's decode context:
-/// [`DecodeCtx`], or `()` for [`RemoteError`] and [`SchedStatsReport`].
-trait Field<C>: Sized {
-    fn put(&self, w: &mut Writer);
-    fn read(r: &mut Reader<'_>, ctx: &C) -> Result<Self, DecodeError>;
-}
-
-/// Declares one protocol message: an enum whose variants carry their tag
-/// (`tag => Variant { fields }` or `tag => Variant(name: Type)`), or a
-/// struct whose fields travel in order with no tag.  Its `fields` form
-/// gives the codec of a self-contained field type: how a value `v` is
-/// written to `w`, and how one is read from `r`.
-macro_rules! message {
-    (
-        $(#[$attr:meta])*
-        pub enum $name:ident: $what:literal, $ctx:ty {
-            $(
-                $(#[$vattr:meta])*
-                $tag:literal => $variant:ident
-                    $({ $($(#[$fattr:meta])* $field:ident: $fty:ty,)* })?
-                    $(($arg:ident: $aty:ty))?
-            ),* $(,)?
-        }
-    ) => {
-        $(#[$attr])*
-        pub enum $name {
-            $($(#[$vattr])* $variant $({ $($(#[$fattr])* $field: $fty,)* })? $(($aty))?,)*
-        }
-
-        impl $name {
-            /// The variant's short name, for logs and error messages (a
-            /// `Debug` rendering would dump whole ciphertexts).
-            pub fn kind(&self) -> &'static str {
-                match self { $(Self::$variant { .. } => stringify!($variant),)* }
-            }
-        }
-
-        impl WireEncode for $name {
-            fn encode(&self, w: &mut Writer) {
-                match self {
-                    $(Self::$variant { $($($field,)*)? $(0: $arg)? } => {
-                        w.put_u8($tag);
-                        $($(Field::<$ctx>::put($field, w);)*)?
-                        $(Field::<$ctx>::put($arg, w);)?
-                    })*
-                }
-            }
-        }
-
-        impl WireDecode for $name {
-            type Ctx = $ctx;
-
-            fn decode(r: &mut Reader<'_>, ctx: &$ctx) -> Result<Self, DecodeError> {
-                let offset = r.offset();
-                Ok(match r.u8()? {
-                    $($tag => Self::$variant {
-                        $($($field: Field::read(r, ctx)?,)*)?
-                        $(0: <$aty as Field<$ctx>>::read(r, ctx)?)?
-                    },)*
-                    tag => return Err(DecodeError::invalid_tag(offset, $what, tag)),
-                })
-            }
-        }
-    };
-    (
-        $(#[$attr:meta])*
-        pub struct $name:ident {
-            $($(#[$fattr:meta])* pub $field:ident: $fty:ty,)*
-        }
-    ) => {
-        $(#[$attr])*
-        pub struct $name {
-            $($(#[$fattr])* pub $field: $fty,)*
-        }
-
-        impl WireEncode for $name {
-            fn encode(&self, w: &mut Writer) { $(Field::<()>::put(&self.$field, w);)* }
-        }
-
-        impl WireDecode for $name {
-            type Ctx = ();
-            fn decode(r: &mut Reader<'_>, ctx: &()) -> Result<Self, DecodeError> {
-                Ok(Self { $($field: Field::read(r, ctx)?,)* })
-            }
-        }
-    };
-    (fields { $($ty:ty: |$w:ident, $v:ident| $put:expr, |$r:ident| $read:expr;)* }) => {
-        $(impl<C> Field<C> for $ty {
-            fn put(&self, $w: &mut Writer) { let $v = self; $put; }
-            fn read($r: &mut Reader<'_>, _: &C) -> Result<Self, DecodeError> { $read }
-        })*
-    };
-}
-
-message! {
+tibpre_wire::message! {
     /// One request frame, client → node.
     #[derive(Debug, Clone)]
     pub enum Request: "request", DecodeCtx {
@@ -317,7 +226,7 @@ message! {
     }
 }
 
-message! {
+tibpre_wire::message! {
     /// A failure a node reports back to the client, as a value — never by
     /// dropping the connection.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -400,13 +309,13 @@ impl core::fmt::Display for RemoteError {
     }
 }
 
-message! {
+tibpre_wire::message! {
     /// Process-global batch-scheduler counters, answered by `SchedStats`:
     /// cumulative since node start, and zeros on a node without a scheduler.
     /// The histogram buckets batch sizes as `1, 2, 3–4, 5–8, 9–16, 17–32,
     /// 33–64, 65+` (index 0 through 7).
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
-    pub struct SchedStatsReport {
+    pub struct SchedStatsReport: () {
         /// Batches executed by the scheduler.
         pub batches: u64,
         /// Requests that went through scheduler batches.
@@ -422,7 +331,7 @@ message! {
     }
 }
 
-message! {
+tibpre_wire::message! {
     /// One response frame, node → client.
     #[derive(Debug, Clone)]
     pub enum Response: "response", DecodeCtx {
@@ -494,106 +403,15 @@ message! {
     }
 }
 
-/// Reads a nested scheme value at the reader's version.
-fn read_nested<T: WireDecode>(r: &mut Reader<'_>, ctx: &T::Ctx) -> Result<T, DecodeError> {
-    let version = r.version();
-    tibpre_wire::decode_bare(r.bytes()?, version, ctx)
-}
-
-message! {
+tibpre_wire::message! {
     fields {
-        u64: |w, v| w.put_u64(*v), |r| r.u64();
-        RecordId: |w, v| w.put_u64(v.0), |r| Ok(RecordId(r.u64()?));
-        // A flag (a `bool`, or an `Option`'s presence) is one byte, 0 or 1.
-        bool: |w, v| w.put_u8(u8::from(*v)), |r| match (r.offset(), r.u8()?) {
-            (_, tag @ (0 | 1)) => Ok(tag == 1),
-            (offset, tag) => Err(DecodeError::invalid_tag(offset, "flag", tag)),
-        };
-        String: |w, v| w.put_bytes(v.as_bytes()), |r| r.string();
-        Identity: |w, v| w.put_bytes(v.as_bytes()), |r| Ok(Identity::from_bytes(r.bytes()?));
-        Category: |w, v| w.put_bytes(v.label().as_bytes()),
-            |r| Ok(Category::from_label(&r.string()?));
-        // Raw bytes: a blob, not a counted `Vec`.
-        Vec<u8>: |w, v| w.put_bytes(v), |r| Ok(r.bytes()?.to_vec());
         NodeRole: |w, v| w.put_u8(ROLES[*v as usize].1), |r| {
             let (offset, tag) = (r.offset(), r.u8()?);
             let role = ROLES.iter().find(|role| role.1 == tag).map(|role| role.0);
             role.ok_or_else(|| DecodeError::invalid_tag(offset, "node role", tag))
         };
-        AuditEvent: |w, v| w.put_nested(|w| v.encode(w)), |r| read_nested(r, &());
         RemoteError: |w, v| v.encode(w), |r| Self::decode(r, &());
         SchedStatsReport: |w, v| v.encode(w), |r| Self::decode(r, &());
-        [u64; 8]: |w, v| v.iter().for_each(|x| w.put_u64(*x)), |r| {
-            let mut values = [0; 8];
-            for x in &mut values { *x = r.u64()?; }
-            Ok(values)
-        };
-    }
-}
-
-impl Field<DecodeCtx> for DisclosureBundle {
-    fn put(&self, w: &mut Writer) {
-        w.put_nested(|w| self.encode(w));
-    }
-    fn read(r: &mut Reader<'_>, ctx: &DecodeCtx) -> Result<Self, DecodeError> {
-        read_nested(r, ctx)
-    }
-}
-
-impl<T: WireEncode + WireDecode> Field<T::Ctx> for Box<T> {
-    fn put(&self, w: &mut Writer) {
-        w.put_nested(|w| (**self).encode(w));
-    }
-    fn read(r: &mut Reader<'_>, ctx: &T::Ctx) -> Result<Self, DecodeError> {
-        Ok(Box::new(read_nested(r, ctx)?))
-    }
-}
-
-impl<C, T: Field<C>> Field<C> for Option<T> {
-    fn put(&self, w: &mut Writer) {
-        Field::<C>::put(&self.is_some(), w);
-        self.iter().for_each(|value| value.put(w));
-    }
-    fn read(r: &mut Reader<'_>, ctx: &C) -> Result<Self, DecodeError> {
-        let present = <bool as Field<C>>::read(r, ctx)?;
-        present.then(|| T::read(r, ctx)).transpose()
-    }
-}
-
-/// An element of a counted `Vec`, with its least encoded size (a nested
-/// value's is its `u32` length).
-trait Elem {
-    const MIN_LEN: usize = 4;
-}
-
-impl Elem for u64 {
-    const MIN_LEN: usize = 8;
-}
-
-impl Elem for RecordId {
-    const MIN_LEN: usize = 8;
-}
-
-impl Elem for DisclosureBundle {}
-impl Elem for AuditEvent {}
-
-impl<C, T: Elem + Field<C>> Field<C> for Vec<T> {
-    fn put(&self, w: &mut Writer) {
-        w.put_u64(self.len() as u64);
-        self.iter().for_each(|value| value.put(w));
-    }
-
-    /// The count, and the memory reserved for it, are bounded by the bytes
-    /// that remain: a hostile count can neither outrun nor outgrow the input.
-    fn read(r: &mut Reader<'_>, ctx: &C) -> Result<Self, DecodeError> {
-        let offset = r.offset();
-        let count = r.u64()?;
-        if count > (r.remaining() / T::MIN_LEN) as u64 {
-            return Err(DecodeError::invalid(offset, "element count exceeds input"));
-        }
-        let mut values = Vec::with_capacity((count as usize).min(r.remaining() / size_of::<T>()));
-        (0..count).try_for_each(|_| T::read(r, ctx).map(|value| values.push(value)))?;
-        Ok(values)
     }
 }
 
@@ -604,7 +422,7 @@ mod tests {
     use rand::SeedableRng;
     use tibpre_core::{Delegator, TypeTag};
     use tibpre_ibe::Kgc;
-    use tibpre_wire::WireVersion;
+    use tibpre_wire::{WireVersion, Writer};
 
     fn round_trip_request(req: &Request, ctx: &DecodeCtx) -> Request {
         let bytes = req.to_wire_bytes();

@@ -2,10 +2,9 @@
 
 use crate::proxy::ReEncryptedCiphertext;
 use crate::{PreError, Result};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use tibpre_ibe::{bf, IbePrivateKey, Identity, H1_DOMAIN};
-use tibpre_pairing::{Gt, PairingParams, PreparedPairing};
+use tibpre_pairing::{Generations, Gt, PairingParams, PreparedPairing};
 
 /// The delegatee: holds a private key extracted by *their own* KGC (the
 /// paper's `KGC2`) and can open ciphertexts a proxy re-encrypted for them.
@@ -26,33 +25,9 @@ const MASK_CACHE_CAP: usize = 256;
 /// prepared pairing is bit-identical to the direct one, so the cache cannot
 /// change any output.
 ///
-/// Bounded by two generations of at most `MASK_CACHE_CAP / 2` entries: a
-/// full `young` becomes `old` and the previous `old` is dropped, and a hit
-/// in `old` is promoted.  A mask in use is therefore never evicted by the
+/// Bounded by [`Generations`]: a mask in use is never evicted by the
 /// arrival of others, however many.
-#[derive(Default)]
-struct MaskCache {
-    young: HashMap<Box<[u8]>, Arc<PreparedPairing>>,
-    old: HashMap<Box<[u8]>, Arc<PreparedPairing>>,
-}
-
-impl MaskCache {
-    fn get(&mut self, key: &[u8]) -> Option<Arc<PreparedPairing>> {
-        if let Some(hit) = self.young.get(key) {
-            return Some(Arc::clone(hit));
-        }
-        let (key, hit) = self.old.remove_entry(key)?;
-        self.insert(key, Arc::clone(&hit));
-        Some(hit)
-    }
-
-    fn insert(&mut self, key: Box<[u8]>, mask: Arc<PreparedPairing>) {
-        if self.young.len() >= MASK_CACHE_CAP / 2 {
-            self.old = std::mem::take(&mut self.young);
-        }
-        self.young.insert(key, mask);
-    }
-}
+type MaskCache = Generations<Box<[u8]>, Arc<PreparedPairing>, MASK_CACHE_CAP>;
 
 impl Delegatee {
     /// Binds a delegatee to their extracted private key.
@@ -228,9 +203,7 @@ mod tests {
         let (delegatee, grants) = distinct_grants(300);
         for grant in &grants {
             delegatee.prepared_mask(grant).unwrap();
-            let cache = delegatee.mask_cache();
-            assert!(cache.young.len() <= MASK_CACHE_CAP / 2);
-            assert!(cache.young.len() + cache.old.len() <= MASK_CACHE_CAP);
+            assert!(delegatee.mask_cache().len() <= MASK_CACHE_CAP);
         }
     }
 

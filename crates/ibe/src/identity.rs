@@ -37,6 +37,12 @@ impl Identity {
     }
 }
 
+tibpre_wire::message! {
+    fields {
+        Identity: |w, v| w.put_bytes(v.as_bytes()), |r| Ok(Identity::from_bytes(r.bytes()?));
+    }
+}
+
 impl fmt::Debug for Identity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Identity({})", self.display())

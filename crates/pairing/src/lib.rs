@@ -43,6 +43,7 @@ pub mod curve;
 pub mod error;
 pub mod fp;
 pub mod fp2;
+pub mod generations;
 pub mod gt;
 pub mod hash;
 pub mod pairing;
@@ -55,6 +56,7 @@ pub use curve::{G1Affine, G1Projective};
 pub use error::PairingError;
 pub use fp::{Fp, FpCtx};
 pub use fp2::Fp2;
+pub use generations::Generations;
 pub use gt::Gt;
 pub use params::{PairingParams, SecurityLevel};
 pub use precomp::{multi_pairing, G1Precomp, PreparedPairing};

@@ -10,6 +10,7 @@
 use crate::curve::{random_curve_point, G1Affine};
 use crate::error::PairingError;
 use crate::fp::FpCtx;
+use crate::generations::Generations;
 use crate::gt::Gt;
 use crate::hash::{hash_to_curve, hash_to_scalar};
 use crate::pairing::{wnaf_digits, WNAF_WINDOW};
@@ -18,7 +19,6 @@ use crate::scalar::{Scalar, ScalarCtx};
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{CryptoRng, RngCore, SeedableRng};
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use tibpre_bigint::prime::{generate_cofactor_prime, generate_prime};
 use tibpre_bigint::Uint;
@@ -112,31 +112,8 @@ pub struct PairingParams {
 
 const MEMO_CAP: usize = 8192; // encodings the subgroup memo holds at most
 
-/// Two generations of at most `MEMO_CAP / 2` encodings: a full `young`
-/// becomes `old`, dropping the previous `old`, and a hit in `old` is
-/// promoted — so a point in use survives any number of fresh ones.
-#[derive(Debug, Default)]
-struct SubgroupMemo {
-    young: HashSet<Box<[u8]>>,
-    old: HashSet<Box<[u8]>>,
-}
-
-impl SubgroupMemo {
-    fn contains(&mut self, encoded: &[u8]) -> bool {
-        if self.young.contains(encoded) {
-            return true;
-        }
-        let promoted = self.old.take(encoded);
-        promoted.map(|encoded| self.insert(encoded)).is_some()
-    }
-
-    fn insert(&mut self, encoded: Box<[u8]>) {
-        if self.young.len() >= MEMO_CAP / 2 {
-            self.old = std::mem::take(&mut self.young);
-        }
-        self.young.insert(encoded);
-    }
-}
+/// The validated encodings, as a set.
+type SubgroupMemo = Generations<Box<[u8]>, (), MEMO_CAP>;
 
 impl PairingParams {
     /// Generates a fresh parameter set at the given security level.
@@ -245,14 +222,14 @@ impl PairingParams {
     /// Whether a `G1` point with this exact canonical encoding has already
     /// passed the subgroup check.  See the `g1_validated` field docs.
     pub fn g1_subgroup_memo_contains(&self, encoded: &[u8]) -> bool {
-        self.g1_memo().contains(encoded)
+        self.g1_memo().get(encoded).is_some()
     }
 
     /// Records a canonical encoding that passed the subgroup check.  The memo
     /// is bounded at `MEMO_CAP` (8 192) encodings in two generations; see
     /// the `g1_validated` field docs.
     pub fn g1_subgroup_memo_insert(&self, encoded: &[u8]) {
-        self.g1_memo().insert(encoded.into());
+        self.g1_memo().insert(encoded.into(), ());
     }
 
     fn g1_memo(&self) -> MutexGuard<'_, SubgroupMemo> {
@@ -513,20 +490,23 @@ mod tests {
     fn subgroup_memo_is_bounded_and_never_evicts_a_point_in_use() {
         let mut memo = SubgroupMemo::default();
         let hot: &[u8] = b"a point in use";
-        memo.insert(hot.into());
+        memo.insert(hot.into(), ());
         for i in 0..=MEMO_CAP as u32 {
-            memo.insert(i.to_be_bytes().into());
-            assert!(memo.young.len() <= MEMO_CAP / 2);
-            assert!(memo.young.len() + memo.old.len() <= MEMO_CAP);
-            assert!(memo.contains(hot), "evicted after {} fresh inserts", i + 1);
+            memo.insert(i.to_be_bytes().into(), ());
+            assert!(memo.len() <= MEMO_CAP);
+            assert!(
+                memo.get(hot).is_some(),
+                "evicted after {} fresh inserts",
+                i + 1
+            );
         }
         // Nobody looking it up: the same flood does evict it.
         let mut memo = SubgroupMemo::default();
-        memo.insert(hot.into());
+        memo.insert(hot.into(), ());
         for i in 0..=MEMO_CAP as u32 {
-            memo.insert(i.to_be_bytes().into());
+            memo.insert(i.to_be_bytes().into(), ());
         }
-        assert!(!memo.contains(hot));
+        assert!(memo.get(hot).is_none());
     }
 
     #[test]

@@ -11,86 +11,96 @@
 //! `audit_snapshot` — so one store-wide, strictly ordered trail survives the
 //! lock striping.
 //!
+//! Each event kind is declared once, tag and fields, with
+//! [`tibpre_wire::message!`]; its codec derives from that declaration, and
+//! an event inside a WAL frame, a snapshot's metadata or a response is
+//! nested (a `u32` length, then the event).
+//!
 //! [`ProxyService`]: crate::proxy_service::ProxyService
 //! [`EncryptedPhrStore`]: crate::store::EncryptedPhrStore
 
 use crate::category::Category;
 use crate::record::RecordId;
 use tibpre_ibe::Identity;
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
+use tibpre_wire::{Codec, DecodeError, Elem, Field, Nested, Reader, Writer};
 
-/// Wire tags of the [`AuditEvent`] variants (stable on-disk format).
-mod tag {
-    pub const RECORD_STORED: u8 = 1;
-    pub const RECORD_DELETED: u8 = 2;
-    pub const ACCESS_GRANTED: u8 = 3;
-    pub const ACCESS_REVOKED: u8 = 4;
-    pub const DISCLOSURE_PERFORMED: u8 = 5;
-    pub const DISCLOSURE_DENIED: u8 = 6;
+tibpre_wire::message! {
+    /// One entry of the audit trail.  A tag byte, then the fields in order —
+    /// identical in every wire version (events carry no group elements).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum AuditEvent: "audit event", () {
+        /// An encrypted record was stored.
+        1 => RecordStored {
+            /// Identifier assigned by the store.
+            id: RecordId,
+            /// Owning patient.
+            patient: Identity,
+            /// Category of the record.
+            category: Category,
+            /// Logical timestamp.
+            at: u64,
+        },
+        /// An encrypted record was deleted by its owner.
+        2 => RecordDeleted {
+            /// Identifier of the deleted record.
+            id: RecordId,
+            /// Logical timestamp.
+            at: u64,
+        },
+        /// A re-encryption key was installed at a proxy.
+        3 => AccessGranted {
+            /// The patient who delegated.
+            patient: Identity,
+            /// The category that was delegated.
+            category: Category,
+            /// The grantee (delegatee).
+            grantee: Identity,
+            /// Logical timestamp.
+            at: u64,
+        },
+        /// A re-encryption key was removed from a proxy.
+        4 => AccessRevoked {
+            /// The patient who revoked.
+            patient: Identity,
+            /// The category that was revoked.
+            category: Category,
+            /// The grantee whose access was revoked.
+            grantee: Identity,
+            /// Logical timestamp.
+            at: u64,
+        },
+        /// A record was re-encrypted and handed to a requester.
+        5 => DisclosurePerformed {
+            /// The record that was disclosed.
+            id: RecordId,
+            /// The requesting identity.
+            requester: Identity,
+            /// Logical timestamp.
+            at: u64,
+        },
+        /// A disclosure request was refused (no matching re-encryption key).
+        6 => DisclosureDenied {
+            /// The record that was requested.
+            id: RecordId,
+            /// The requesting identity.
+            requester: Identity,
+            /// Logical timestamp.
+            at: u64,
+        },
+    }
 }
 
-/// One entry of the audit trail.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AuditEvent {
-    /// An encrypted record was stored.
-    RecordStored {
-        /// Identifier assigned by the store.
-        id: RecordId,
-        /// Owning patient.
-        patient: Identity,
-        /// Category of the record.
-        category: Category,
-        /// Logical timestamp.
-        at: u64,
-    },
-    /// An encrypted record was deleted by its owner.
-    RecordDeleted {
-        /// Identifier of the deleted record.
-        id: RecordId,
-        /// Logical timestamp.
-        at: u64,
-    },
-    /// A re-encryption key was installed at a proxy.
-    AccessGranted {
-        /// The patient who delegated.
-        patient: Identity,
-        /// The category that was delegated.
-        category: Category,
-        /// The grantee (delegatee).
-        grantee: Identity,
-        /// Logical timestamp.
-        at: u64,
-    },
-    /// A re-encryption key was removed from a proxy.
-    AccessRevoked {
-        /// The patient who revoked.
-        patient: Identity,
-        /// The category that was revoked.
-        category: Category,
-        /// The grantee whose access was revoked.
-        grantee: Identity,
-        /// Logical timestamp.
-        at: u64,
-    },
-    /// A record was re-encrypted and handed to a requester.
-    DisclosurePerformed {
-        /// The record that was disclosed.
-        id: RecordId,
-        /// The requesting identity.
-        requester: Identity,
-        /// Logical timestamp.
-        at: u64,
-    },
-    /// A disclosure request was refused (no matching re-encryption key).
-    DisclosureDenied {
-        /// The record that was requested.
-        id: RecordId,
-        /// The requesting identity.
-        requester: Identity,
-        /// Logical timestamp.
-        at: u64,
-    },
+/// An event inside another message (a WAL op, a response) is nested.
+impl<C> Field<C> for AuditEvent {
+    fn put(&self, w: &mut Writer) {
+        Nested::put(self, w);
+    }
+    fn read(r: &mut Reader<'_>, _: &C) -> Result<Self, DecodeError> {
+        Nested::read(r, &())
+    }
 }
+
+impl Elem for AuditEvent {}
 
 impl AuditEvent {
     /// The logical timestamp of the event.
@@ -114,118 +124,6 @@ impl AuditEvent {
             | AuditEvent::DisclosureDenied { id, .. } => Some(*id),
             AuditEvent::AccessGranted { .. } | AuditEvent::AccessRevoked { .. } => None,
         }
-    }
-}
-
-impl WireEncode for AuditEvent {
-    /// A tag byte, then length-prefixed fields — identical in every wire
-    /// version (events carry no group elements).
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AuditEvent::RecordStored {
-                id,
-                patient,
-                category,
-                at,
-            } => {
-                w.put_u8(tag::RECORD_STORED);
-                w.put_u64(id.0);
-                w.put_bytes(patient.as_bytes());
-                w.put_bytes(category.label().as_bytes());
-                w.put_u64(*at);
-            }
-            AuditEvent::RecordDeleted { id, at } => {
-                w.put_u8(tag::RECORD_DELETED);
-                w.put_u64(id.0);
-                w.put_u64(*at);
-            }
-            AuditEvent::AccessGranted {
-                patient,
-                category,
-                grantee,
-                at,
-            }
-            | AuditEvent::AccessRevoked {
-                patient,
-                category,
-                grantee,
-                at,
-            } => {
-                w.put_u8(if matches!(self, AuditEvent::AccessGranted { .. }) {
-                    tag::ACCESS_GRANTED
-                } else {
-                    tag::ACCESS_REVOKED
-                });
-                w.put_bytes(patient.as_bytes());
-                w.put_bytes(category.label().as_bytes());
-                w.put_bytes(grantee.as_bytes());
-                w.put_u64(*at);
-            }
-            AuditEvent::DisclosurePerformed { id, requester, at }
-            | AuditEvent::DisclosureDenied { id, requester, at } => {
-                w.put_u8(if matches!(self, AuditEvent::DisclosurePerformed { .. }) {
-                    tag::DISCLOSURE_PERFORMED
-                } else {
-                    tag::DISCLOSURE_DENIED
-                });
-                w.put_u64(id.0);
-                w.put_bytes(requester.as_bytes());
-                w.put_u64(*at);
-            }
-        }
-    }
-}
-
-impl WireDecode for AuditEvent {
-    type Ctx = ();
-
-    fn decode(r: &mut Reader<'_>, _ctx: &()) -> core::result::Result<Self, DecodeError> {
-        let start = r.offset();
-        let event = match r.u8()? {
-            tag::RECORD_STORED => AuditEvent::RecordStored {
-                id: RecordId(r.u64()?),
-                patient: Identity::from_bytes(r.bytes()?.to_vec()),
-                category: Category::from_label(&r.string()?),
-                at: r.u64()?,
-            },
-            tag::RECORD_DELETED => AuditEvent::RecordDeleted {
-                id: RecordId(r.u64()?),
-                at: r.u64()?,
-            },
-            t @ (tag::ACCESS_GRANTED | tag::ACCESS_REVOKED) => {
-                let patient = Identity::from_bytes(r.bytes()?.to_vec());
-                let category = Category::from_label(&r.string()?);
-                let grantee = Identity::from_bytes(r.bytes()?.to_vec());
-                let at = r.u64()?;
-                if t == tag::ACCESS_GRANTED {
-                    AuditEvent::AccessGranted {
-                        patient,
-                        category,
-                        grantee,
-                        at,
-                    }
-                } else {
-                    AuditEvent::AccessRevoked {
-                        patient,
-                        category,
-                        grantee,
-                        at,
-                    }
-                }
-            }
-            t @ (tag::DISCLOSURE_PERFORMED | tag::DISCLOSURE_DENIED) => {
-                let id = RecordId(r.u64()?);
-                let requester = Identity::from_bytes(r.bytes()?.to_vec());
-                let at = r.u64()?;
-                if t == tag::DISCLOSURE_PERFORMED {
-                    AuditEvent::DisclosurePerformed { id, requester, at }
-                } else {
-                    AuditEvent::DisclosureDenied { id, requester, at }
-                }
-            }
-            other => return Err(DecodeError::invalid_tag(start, "audit event", other)),
-        };
-        Ok(event)
     }
 }
 
@@ -275,24 +173,6 @@ impl AuditLog {
     pub fn events(&self) -> &[AuditEvent] {
         &self.events
     }
-
-    /// Events concerning one record.
-    pub fn events_for_record(&self, id: RecordId) -> Vec<&AuditEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.record_id() == Some(id))
-            .collect()
-    }
-
-    /// Count of disclosures performed for one requester.
-    pub fn disclosures_to(&self, requester: &Identity) -> usize {
-        self.events
-            .iter()
-            .filter(|e| {
-                matches!(e, AuditEvent::DisclosurePerformed { requester: r, .. } if r == requester)
-            })
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -327,53 +207,6 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert!(!log.is_empty());
         assert!(at1 < at2 && at2 < at3);
-        assert_eq!(log.events_for_record(RecordId(1)).len(), 2);
-        assert_eq!(log.events_for_record(RecordId(2)).len(), 1);
-        assert_eq!(log.disclosures_to(&doctor), 1);
-        assert_eq!(log.disclosures_to(&alice), 0);
         assert_eq!(log.events()[0].at(), at1);
-    }
-
-    #[test]
-    fn disclosures_to_counts_only_performed_disclosures_per_requester() {
-        let mut log = AuditLog::new();
-        let doctor = Identity::new("doctor");
-        let nurse = Identity::new("nurse");
-        // Empty log: everyone is at zero.
-        assert_eq!(log.disclosures_to(&doctor), 0);
-
-        for id in 1..=3 {
-            let at = log.tick();
-            log.append(AuditEvent::DisclosurePerformed {
-                id: RecordId(id),
-                requester: doctor.clone(),
-                at,
-            });
-        }
-        let at = log.tick();
-        log.append(AuditEvent::DisclosurePerformed {
-            id: RecordId(9),
-            requester: nurse.clone(),
-            at,
-        });
-        // Denials and grants mentioning the doctor must NOT count.
-        let at = log.tick();
-        log.append(AuditEvent::DisclosureDenied {
-            id: RecordId(4),
-            requester: doctor.clone(),
-            at,
-        });
-        let at = log.tick();
-        log.append(AuditEvent::AccessGranted {
-            patient: Identity::new("alice"),
-            category: Category::Emergency,
-            grantee: doctor.clone(),
-            at,
-        });
-
-        assert_eq!(log.disclosures_to(&doctor), 3);
-        assert_eq!(log.disclosures_to(&nurse), 1);
-        assert_eq!(log.disclosures_to(&Identity::new("stranger")), 0);
-        assert_eq!(log.len(), 6);
     }
 }

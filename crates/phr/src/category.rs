@@ -29,6 +29,12 @@ pub enum Category {
     Custom(String),
 }
 
+tibpre_wire::message! {
+    fields {
+        Category: |w, v| w.put_bytes(v.label().as_bytes()), |r| Ok(Category::from_label(&r.string()?));
+    }
+}
+
 impl Category {
     /// The canonical label used as the scheme's type tag.
     pub fn label(&self) -> String {

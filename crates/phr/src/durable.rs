@@ -4,48 +4,46 @@
 //! The paper's storage server keeps encrypted records and audit trails
 //! *long-term*; this module makes a restart a supported scenario.  Every
 //! mutation of a durable [`EncryptedPhrStore`](crate::store::EncryptedPhrStore)
-//! is first appended to the
-//! owning shard's write-ahead log as one self-contained frame (see
-//! [`tibpre_storage::frame`] for the envelope), then applied in memory —
-//! both under the shard's existing write lock, so durability adds no new
+//! is first appended to the owning shard's write-ahead log as one
+//! self-contained frame (see [`tibpre_storage::frame`] for the envelope),
+//! then applied in memory by the same step crash recovery and replicas run
+//! — both under the shard's existing write lock, so durability adds no new
 //! synchronization.  Periodically a shard serializes its full state into a
 //! generational snapshot so recovery replays `snapshot + WAL tail` instead
 //! of the whole history.
 //!
-//! Three frame kinds exist, mirroring the store's mutations one-to-one:
-//!
-//! * `Put` — a full [`StoredRecord`] plus the audit timestamp of its
-//!   `RecordStored` event,
-//! * `Delete` — a record id plus the audit timestamp of `RecordDeleted`,
-//! * `Audit` — a bare [`AuditEvent`] (disclosure and policy-change entries).
-//!
-//! Each frame replays to exactly the state transition the original call
-//! made, so a store recovered from a prefix of the log equals the store that
-//! would have existed had the process stopped cleanly after that prefix —
-//! the invariant `tests/tests/recovery_props.rs` checks at every byte
-//! boundary.
+//! The frame kinds, [`WalOp`] for a store and [`ProxyWalOp`] for a proxy,
+//! are each declared once with [`tibpre_wire::message!`]: tags, fields and
+//! field order live in the declaration, and both codec directions derive
+//! from it.  Each frame replays to exactly the state transition the original
+//! call made, so a store recovered from a prefix of the log equals the store
+//! that would have existed had the process stopped cleanly after that
+//! prefix — the invariant `tests/tests/recovery_props.rs` checks at every
+//! byte boundary; `tests/tests/disk_frames.rs` pins the bytes.
 //!
 //! Every frame payload is a v1 envelope (see `tibpre-wire`): the live paths
 //! — replay after a snapshot, replica apply — accept nothing else.  Frames
 //! written in older formats are read once, at open, by `crate::legacy`,
 //! which rewrites them as v1.  Record ciphertexts go through the
-//! workspace's single `WireEncode`/`WireDecode` codec
-//! ([`HybridCiphertext`]'s impl); no second serialization of any
-//! cryptographic object is introduced here.
+//! workspace's single `WireEncode`/`WireDecode` codec; no second
+//! serialization of any cryptographic object is introduced here.
 
 use crate::audit::AuditEvent;
 use crate::category::Category;
 use crate::record::RecordId;
+use crate::resident::RecordHeader;
 use crate::store::StoredRecord;
 use crate::{PhrError, Result};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
-use tibpre_core::{HybridCiphertext, ReEncryptionKey};
+use tibpre_core::ReEncryptionKey;
 use tibpre_ibe::Identity;
 use tibpre_pairing::{DecodeCtx, PairingParams};
 use tibpre_storage::{segment, FsyncPolicy, SegmentedWal};
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writer};
+use tibpre_wire::{
+    Codec, DecodeError, Field, Inline, Nested, Reader, WireDecode, WireEncode, WireVersion, Writer,
+};
 
 /// Default number of logged operations between two snapshots of one shard.
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 256;
@@ -123,53 +121,47 @@ impl Durability {
     }
 }
 
-/// Wire tags of the WAL operation frames (stable on-disk format).
-mod op_tag {
-    pub const PUT: u8 = 1;
-    pub const DELETE: u8 = 2;
-    pub const AUDIT: u8 = 3;
-}
-
-/// One logged store mutation — the unit of atomicity of the WAL.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalOp {
-    /// A record was stored (carries the `RecordStored` audit timestamp).
-    Put {
-        /// The record exactly as it entered the store (boxed: a full record
-        /// dwarfs the other variants).
-        record: Box<StoredRecord>,
-        /// The logical timestamp of the accompanying audit event.
-        at: u64,
-    },
-    /// A record was deleted (carries the `RecordDeleted` audit timestamp).
-    Delete {
-        /// The deleted record's id.
-        id: RecordId,
-        /// The logical timestamp of the accompanying audit event.
-        at: u64,
-    },
-    /// A bare audit append (disclosures, policy changes).
-    Audit {
-        /// The appended event.
-        event: AuditEvent,
-    },
+tibpre_wire::message! {
+    /// One logged store mutation — the unit of atomicity of the WAL.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum WalOp: "WAL op", DecodeCtx {
+        /// A record was stored (carries the `RecordStored` audit timestamp).
+        1 => Put {
+            /// The logical timestamp of the accompanying audit event.
+            at: u64,
+            /// The record exactly as it entered the store (boxed: a full record
+            /// dwarfs the other variants), written in place: a v1 frame's
+            /// bytes from [`PUT_BODY_START`] on are the bare record.
+            record: Box<StoredRecord> as Inline,
+        },
+        /// A record was deleted (carries the `RecordDeleted` audit timestamp).
+        2 => Delete {
+            /// The logical timestamp of the accompanying audit event.
+            at: u64,
+            /// The deleted record's id.
+            id: RecordId,
+        },
+        /// A bare audit append (disclosures, policy changes).
+        3 => Audit {
+            /// The appended event.
+            event: AuditEvent,
+        },
+    }
 }
 
 impl WireEncode for StoredRecord {
-    /// `id ‖ patient ‖ category ‖ title ‖ ciphertext_len ‖ ciphertext`
-    /// (the ciphertext nested bare, inheriting the container's version).
+    /// The `RecordHeader` prefix `id ‖ patient ‖ category`, then the title
+    /// and the ciphertext nested bare (inheriting the container's version).
     ///
     /// The index fields come *first*, before the title and the (dominant)
-    /// ciphertext: `crate::resident::RecordHeader::peek` parses exactly
-    /// this prefix to rebuild indexes without decoding records — the two
-    /// layouts must stay in sync.
+    /// ciphertext, so a header parse of the prefix rebuilds indexes without
+    /// decoding records.  This codec is hand-written only to count: it is
+    /// the choke point of [`crate::metrics`].
     fn encode(&self, w: &mut Writer) {
         crate::metrics::note_record_encode();
-        w.put_u64(self.id.0);
-        w.put_bytes(self.patient.as_bytes());
-        w.put_bytes(self.category.label().as_bytes());
+        RecordHeader::put_fields(w, &self.id, &self.patient, &self.category);
         w.put_bytes(self.title.as_bytes());
-        w.put_nested(|w| self.ciphertext.encode(w));
+        Nested::put(&self.ciphertext, w);
     }
 }
 
@@ -178,103 +170,27 @@ impl WireDecode for StoredRecord {
 
     fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
         crate::metrics::note_record_decode();
-        let id = RecordId(r.u64()?);
-        let patient = Identity::from_bytes(r.bytes()?.to_vec());
-        let category = Category::from_label(&r.string()?);
-        let title = r.string()?;
-        let ciphertext_bytes = r.bytes()?;
-        let mut cr = Reader::with_version(ciphertext_bytes, r.version());
-        let ciphertext = HybridCiphertext::decode(&mut cr, ctx)?;
-        cr.finish()?;
+        let RecordHeader {
+            id,
+            patient,
+            category,
+        } = RecordHeader::decode(r, &())?;
         Ok(StoredRecord {
             id,
             patient,
             category,
-            title,
-            ciphertext,
+            title: r.string()?,
+            ciphertext: Nested::read(r, ctx)?,
         })
     }
 }
 
-/// Decodes a nested, length-prefixed audit event at the reader's version.
-fn decode_nested_event(r: &mut Reader<'_>) -> core::result::Result<AuditEvent, DecodeError> {
-    let version = r.version();
-    tibpre_wire::decode_bare(r.bytes()?, version, &())
-}
-
 impl WalOp {
-    /// Encodes a `Put` frame payload directly from a borrowed record — the
-    /// hot-path twin of `WalOp::Put { .. }.to_wire_bytes()` that skips
-    /// cloning the record (and its whole ciphertext body) just to
-    /// serialize it.
+    /// `WalOp::Put { .. }.to_wire_bytes()` for a borrowed record (cloned;
+    /// the store's own writes encode the op they apply).
     pub fn encode_put(record: &StoredRecord, at: u64) -> Vec<u8> {
-        let version = WireVersion::DEFAULT;
-        let mut w = Writer::with_version(version);
-        w.put_u8(version.tag());
-        w.put_u8(op_tag::PUT);
-        w.put_u64(at);
-        record.encode(&mut w);
-        w.into_bytes()
-    }
-
-    /// Encodes an `Audit` frame payload directly from a borrowed event —
-    /// the audit-path twin of [`Self::encode_put`], skipping the event
-    /// clone `WalOp::Audit { .. }.to_wire_bytes()` would require.
-    pub fn encode_audit(event: &AuditEvent) -> Vec<u8> {
-        let version = WireVersion::DEFAULT;
-        let mut w = Writer::with_version(version);
-        w.put_u8(version.tag());
-        w.put_u8(op_tag::AUDIT);
-        w.put_nested(|w| event.encode(w));
-        w.into_bytes()
-    }
-}
-
-impl WireEncode for WalOp {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            WalOp::Put { record, at } => {
-                w.put_u8(op_tag::PUT);
-                w.put_u64(*at);
-                record.encode(w);
-            }
-            WalOp::Delete { id, at } => {
-                w.put_u8(op_tag::DELETE);
-                w.put_u64(*at);
-                w.put_u64(id.0);
-            }
-            WalOp::Audit { event } => {
-                w.put_u8(op_tag::AUDIT);
-                w.put_nested(|w| event.encode(w));
-            }
-        }
-    }
-}
-
-impl WireDecode for WalOp {
-    type Ctx = DecodeCtx;
-
-    fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
-        let start = r.offset();
-        let op = match r.u8()? {
-            op_tag::PUT => {
-                let at = r.u64()?;
-                let record = Box::new(StoredRecord::decode(r, ctx)?);
-                WalOp::Put { record, at }
-            }
-            op_tag::DELETE => {
-                let at = r.u64()?;
-                WalOp::Delete {
-                    id: RecordId(r.u64()?),
-                    at,
-                }
-            }
-            op_tag::AUDIT => WalOp::Audit {
-                event: decode_nested_event(r)?,
-            },
-            other => return Err(DecodeError::invalid_tag(start, "WAL op", other)),
-        };
-        Ok(op)
+        let record = Box::new(record.clone());
+        WalOp::Put { record, at }.to_wire_bytes()
     }
 }
 
@@ -288,15 +204,14 @@ pub(crate) const PUT_BODY_START: usize = 10;
 /// Serializes a shard's audit trail into the `meta` region of an indexed
 /// (`TBS2`) snapshot: one envelope byte, then the counted, length-prefixed
 /// events.  Records do *not* appear here — they live in the snapshot's
-/// blob region, indexed by `crate::resident::encode_index_meta` entries.
+/// blob region, indexed by each record's `RecordHeader` as index metadata.
 pub(crate) fn encode_audit_meta(audit: &[Arc<AuditEvent>]) -> Vec<u8> {
-    let version = WireVersion::DEFAULT;
-    let mut w = Writer::with_version(version);
-    w.put_u8(version.tag());
+    let mut w = Writer::new();
+    w.put_u8(WireVersion::DEFAULT.tag());
     w.put_u64(audit.len() as u64);
-    for event in audit {
-        w.put_nested(|w| event.encode(w));
-    }
+    audit
+        .iter()
+        .for_each(|event| Nested::put(event.as_ref(), &mut w));
     w.into_bytes()
 }
 
@@ -311,110 +226,40 @@ pub(crate) fn decode_audit_meta(meta: &[u8]) -> Result<Vec<AuditEvent>> {
     let event_count = r.u64()? as usize;
     let mut audit = Vec::with_capacity(event_count.min(1024));
     for _ in 0..event_count {
-        audit.push(decode_nested_event(&mut r)?);
+        audit.push(AuditEvent::read(&mut r, &())?);
     }
     r.finish()?;
     Ok(audit)
 }
 
-/// Wire tags of the proxy WAL frames (stable on-disk format).
-mod proxy_tag {
-    pub const AUDIT: u8 = 1;
-    pub const INSTALL_KEY: u8 = 2;
-    pub const REVOKE_KEY: u8 = 3;
-}
-
-/// One logged proxy mutation: audit appends plus the re-encryption-key
-/// install/revoke history, so a restarted proxy still holds exactly the
-/// grants the patients installed (the paper's proxy is the long-lived party
-/// *entrusted* with those keys — losing them on restart would force every
-/// patient to re-delegate).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProxyWalOp {
-    /// An entry of the proxy's own audit log.
-    Audit {
-        /// The appended event.
-        event: AuditEvent,
-    },
-    /// A re-encryption key was installed.
-    InstallKey {
-        /// The installed key (serialized with [`ReEncryptionKey`]'s wire
-        /// format; boxed because a key dwarfs the other variants).
-        key: Box<ReEncryptionKey>,
-    },
-    /// A re-encryption key was revoked.
-    RevokeKey {
-        /// The delegating patient.
-        patient: Identity,
-        /// The revoked category.
-        category: Category,
-        /// The grantee whose key is removed.
-        grantee: Identity,
-    },
-}
-
-impl ProxyWalOp {
-    /// Encodes an `InstallKey` frame payload directly from a borrowed key —
-    /// skips cloning the key (pairing tables included) just to serialize it.
-    pub fn encode_install(key: &ReEncryptionKey) -> Vec<u8> {
-        let version = WireVersion::DEFAULT;
-        let mut w = Writer::with_version(version);
-        w.put_u8(version.tag());
-        w.put_u8(proxy_tag::INSTALL_KEY);
-        w.put_nested(|w| key.encode(w));
-        w.into_bytes()
-    }
-}
-
-impl WireEncode for ProxyWalOp {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ProxyWalOp::Audit { event } => {
-                w.put_u8(proxy_tag::AUDIT);
-                w.put_nested(|w| event.encode(w));
-            }
-            ProxyWalOp::InstallKey { key } => {
-                w.put_u8(proxy_tag::INSTALL_KEY);
-                w.put_nested(|w| key.encode(w));
-            }
-            ProxyWalOp::RevokeKey {
-                patient,
-                category,
-                grantee,
-            } => {
-                w.put_u8(proxy_tag::REVOKE_KEY);
-                w.put_bytes(patient.as_bytes());
-                w.put_bytes(category.label().as_bytes());
-                w.put_bytes(grantee.as_bytes());
-            }
-        }
-    }
-}
-
-impl WireDecode for ProxyWalOp {
-    type Ctx = DecodeCtx;
-
-    fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
-        let start = r.offset();
-        let op = match r.u8()? {
-            proxy_tag::AUDIT => ProxyWalOp::Audit {
-                event: decode_nested_event(r)?,
-            },
-            proxy_tag::INSTALL_KEY => {
-                let version = r.version();
-                let mut kr = Reader::with_version(r.bytes()?, version);
-                let key = Box::new(ReEncryptionKey::decode(&mut kr, ctx)?);
-                kr.finish()?;
-                ProxyWalOp::InstallKey { key }
-            }
-            proxy_tag::REVOKE_KEY => ProxyWalOp::RevokeKey {
-                patient: Identity::from_bytes(r.bytes()?.to_vec()),
-                category: Category::from_label(&r.string()?),
-                grantee: Identity::from_bytes(r.bytes()?.to_vec()),
-            },
-            other => return Err(DecodeError::invalid_tag(start, "proxy WAL op", other)),
-        };
-        Ok(op)
+tibpre_wire::message! {
+    /// One logged proxy mutation: audit appends plus the re-encryption-key
+    /// install/revoke history, so a restarted proxy still holds exactly the
+    /// grants the patients installed (the paper's proxy is the long-lived party
+    /// *entrusted* with those keys — losing them on restart would force every
+    /// patient to re-delegate).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ProxyWalOp: "proxy WAL op", DecodeCtx {
+        /// An entry of the proxy's own audit log.
+        1 => Audit {
+            /// The appended event.
+            event: AuditEvent,
+        },
+        /// A re-encryption key was installed.
+        2 => InstallKey {
+            /// The installed key (serialized with [`ReEncryptionKey`]'s wire
+            /// format; boxed because a key dwarfs the other variants).
+            key: Box<ReEncryptionKey>,
+        },
+        /// A re-encryption key was revoked.
+        3 => RevokeKey {
+            /// The delegating patient.
+            patient: Identity,
+            /// The revoked category.
+            category: Category,
+            /// The grantee whose key is removed.
+            grantee: Identity,
+        },
     }
 }
 
@@ -527,7 +372,7 @@ pub(crate) mod tests {
         }
         let mut audit = Vec::new();
         for _ in 0..r.u64()? {
-            audit.push(decode_nested_event(&mut r)?);
+            audit.push(AuditEvent::read(&mut r, &())?);
         }
         r.finish()?;
         Ok((records, audit))
@@ -652,8 +497,13 @@ pub(crate) mod tests {
                 &mut rng,
             )
             .unwrap();
+        // The layout the deleted borrowed twin wrote: `v1 ‖ 2 ‖ nested key`.
+        let mut install = Writer::new();
+        install.put_u8(WireVersion::DEFAULT.tag());
+        install.put_u8(2);
+        install.put_nested(|w| key.encode(w));
         assert_eq!(
-            ProxyWalOp::encode_install(&key),
+            install.into_bytes(),
             ProxyWalOp::InstallKey { key: Box::new(key) }.to_wire_bytes()
         );
     }
@@ -671,7 +521,7 @@ pub(crate) mod tests {
         // A bare legacy frame (op ‖ at ‖ record, all at v0) is read once,
         // at open, into the v1 frame whose suffix is the v1 record.
         let mut legacy = Writer::with_version(WireVersion::V0);
-        legacy.put_u8(op_tag::PUT);
+        legacy.put_u8(1); // Put
         legacy.put_u64(17);
         record.encode(&mut legacy);
         let mut migrated = false;
@@ -696,8 +546,13 @@ pub(crate) mod tests {
             requester: Identity::new("doctor"),
             at: 44,
         };
+        // The layout the deleted borrowed twin wrote: `v1 ‖ 3 ‖ nested event`.
+        let mut frame = Writer::new();
+        frame.put_u8(WireVersion::DEFAULT.tag());
+        frame.put_u8(3);
+        frame.put_nested(|w| event.encode(w));
         assert_eq!(
-            WalOp::encode_audit(&event),
+            frame.into_bytes(),
             WalOp::Audit {
                 event: event.clone()
             }

@@ -77,11 +77,6 @@ impl DisclosurePolicy {
             .collect()
     }
 
-    /// The categories that have at least one active grant.
-    pub fn shared_categories(&self) -> Vec<Category> {
-        self.grants.keys().cloned().collect()
-    }
-
     /// The grantees of one category.
     pub fn grantees_of(&self, category: &Category) -> Vec<Identity> {
         self.grants
@@ -118,7 +113,6 @@ mod tests {
         assert!(!policy.is_granted(&Category::IllnessHistory, &dietician));
         assert!(!policy.is_granted(&Category::Emergency, &doctor));
         assert_eq!(policy.grant_count(), 2);
-        assert_eq!(policy.shared_categories().len(), 2);
         assert_eq!(
             policy.grantees_of(&Category::FoodStatistics),
             vec![dietician.clone()]
@@ -128,7 +122,6 @@ mod tests {
         assert!(!policy.remove_grant(&Category::IllnessHistory, &doctor, "hospital-proxy"));
         assert!(!policy.is_granted(&Category::IllnessHistory, &doctor));
         assert_eq!(policy.grant_count(), 1);
-        assert_eq!(policy.shared_categories(), vec![Category::FoodStatistics]);
     }
 
     #[test]
@@ -184,7 +177,6 @@ mod tests {
         // Removing the last grantee empties the category completely…
         assert!(policy.remove_grant(&Category::IllnessHistory, &nurse, "proxy"));
         assert!(policy.grantees_of(&Category::IllnessHistory).is_empty());
-        assert!(policy.shared_categories().is_empty());
         // …and a category that never had grants reads the same way.
         assert!(policy.grantees_of(&Category::Emergency).is_empty());
     }

@@ -34,60 +34,38 @@ use tibpre_engine::ReEncryptEngine;
 use tibpre_ibe::Identity;
 use tibpre_pairing::DecodeCtx;
 use tibpre_storage::WalWriter;
-use tibpre_wire::WireEncode;
+use tibpre_wire::{Codec, DecodeError, Elem, Field, Nested, Reader, WireEncode, Writer};
 
-/// A re-encrypted record on its way to a healthcare provider.
-#[derive(Debug, Clone)]
-pub struct DisclosureBundle {
-    /// The record identifier.
-    pub id: RecordId,
-    /// The owning patient.
-    pub patient: Identity,
-    /// The record category.
-    pub category: Category,
-    /// The non-secret title (needed to reconstruct the AEAD associated data).
-    pub title: String,
-    /// The re-encrypted hybrid ciphertext.
-    pub ciphertext: ReEncryptedHybridCiphertext,
-}
-
-impl tibpre_wire::WireEncode for DisclosureBundle {
-    /// `id ‖ patient ‖ category ‖ title ‖ ciphertext_len ‖ ciphertext` —
-    /// the same field order as a stored record, with the re-encrypted
-    /// ciphertext nested bare (inheriting the container's version).
-    fn encode(&self, w: &mut tibpre_wire::Writer) {
-        w.put_u64(self.id.0);
-        w.put_bytes(self.patient.as_bytes());
-        w.put_bytes(self.category.label().as_bytes());
-        w.put_bytes(self.title.as_bytes());
-        w.put_nested(|w| self.ciphertext.encode(w));
+tibpre_wire::message! {
+    /// A re-encrypted record on its way to a healthcare provider, in a stored
+    /// record's field order with the re-encrypted ciphertext nested bare
+    /// (inheriting the container's version).
+    #[derive(Debug, Clone)]
+    pub struct DisclosureBundle: DecodeCtx {
+        /// The record identifier.
+        pub id: RecordId,
+        /// The owning patient.
+        pub patient: Identity,
+        /// The record category.
+        pub category: Category,
+        /// The non-secret title (needed to reconstruct the AEAD associated data).
+        pub title: String,
+        /// The re-encrypted hybrid ciphertext.
+        pub ciphertext: ReEncryptedHybridCiphertext as Nested,
     }
 }
 
-impl tibpre_wire::WireDecode for DisclosureBundle {
-    type Ctx = tibpre_pairing::DecodeCtx;
-
-    fn decode(
-        r: &mut tibpre_wire::Reader<'_>,
-        ctx: &Self::Ctx,
-    ) -> core::result::Result<Self, tibpre_wire::DecodeError> {
-        let id = RecordId(r.u64()?);
-        let patient = Identity::from_bytes(r.bytes()?.to_vec());
-        let category = Category::from_label(&r.string()?);
-        let title = r.string()?;
-        let ciphertext_bytes = r.bytes()?;
-        let mut cr = tibpre_wire::Reader::with_version(ciphertext_bytes, r.version());
-        let ciphertext = ReEncryptedHybridCiphertext::decode(&mut cr, ctx)?;
-        cr.finish()?;
-        Ok(DisclosureBundle {
-            id,
-            patient,
-            category,
-            title,
-            ciphertext,
-        })
+/// A bundle inside a response is nested.
+impl Field<DecodeCtx> for DisclosureBundle {
+    fn put(&self, w: &mut Writer) {
+        Nested::put(self, w);
+    }
+    fn read(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
+        Nested::read(r, ctx)
     }
 }
+
+impl Elem for DisclosureBundle {}
 
 /// What one item of a disclosure run owes the audit trails.
 #[derive(Clone, Copy, PartialEq)]
@@ -245,9 +223,12 @@ impl ProxyService {
         let patient = key.delegator().clone();
         let grantee = key.delegatee().clone();
         let category = Category::from_label(&key.type_tag().display());
-        // Encoded from the borrowed key: no clone of the key (or its pairing
-        // tables) on the grant path.
-        let persisted_key = self.wal.is_some().then(|| ProxyWalOp::encode_install(&key));
+        // A clone shares the key's pairing table (`Arc`), so logging it
+        // copies only the key material.
+        let persisted_key = self.wal.is_some().then(|| {
+            let key = Box::new(key.clone());
+            ProxyWalOp::InstallKey { key }.to_wire_bytes()
+        });
         self.proxy.install_key(key);
         let mut audit = self.audit.lock();
         let at = audit.tick();

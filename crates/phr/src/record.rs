@@ -8,6 +8,16 @@ use tibpre_ibe::Identity;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordId(pub u64);
 
+tibpre_wire::message! {
+    fields {
+        RecordId: |w, v| w.put_u64(v.0), |r| Ok(RecordId(r.u64()?));
+    }
+}
+
+impl tibpre_wire::Elem for RecordId {
+    const MIN_LEN: usize = 8;
+}
+
 impl fmt::Display for RecordId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "record-{}", self.0)

@@ -30,76 +30,39 @@ use std::sync::Arc;
 use tibpre_ibe::Identity;
 use tibpre_pairing::DecodeCtx;
 use tibpre_storage::{IndexedSnapshot, StorageError};
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireVersion, Writer};
+use tibpre_wire::{DecodeError, Reader, WireDecode, WireVersion};
 
 /// Decoded-record LRU capacity per shard.
 pub(crate) const DEFAULT_CACHE_PER_SHARD: usize = 64;
 
-/// The index-bearing prefix of a record's wire encoding: everything the
-/// store's `by_patient` / category filters and audit bookkeeping need,
-/// without the title or the ciphertext.
-#[derive(Debug, Clone)]
-pub(crate) struct RecordHeader {
-    /// Identifier assigned by the store.
-    pub id: RecordId,
-    /// The owning patient.
-    pub patient: Identity,
-    /// The record category.
-    pub category: Category,
-}
-
-impl RecordHeader {
-    /// Parses a header off the front of an encoded record body.  Stops after
-    /// the category — the title and ciphertext fields are never touched, so
-    /// this is O(header), not O(record).
-    pub fn peek(body: &[u8]) -> core::result::Result<Self, DecodeError> {
-        Self::read_from(&mut Reader::new(body))
-    }
-
-    /// Reader-cursor form of [`Self::peek`] for callers that continue
-    /// parsing after the header.
-    pub fn read_from(r: &mut Reader<'_>) -> core::result::Result<Self, DecodeError> {
-        let id = RecordId(r.u64()?);
-        let patient = Identity::from_bytes(r.bytes()?.to_vec());
-        let at = r.offset();
-        let label = core::str::from_utf8(r.bytes()?)
-            .map_err(|_| DecodeError::invalid(at, "UTF-8 category label"))?;
-        Ok(RecordHeader {
-            id,
-            patient,
-            category: Category::from_label(label),
-        })
+tibpre_wire::message! {
+    /// The index-bearing prefix of a record's wire encoding: everything the
+    /// store's `by_patient` / category filters and audit bookkeeping need,
+    /// without the title or the ciphertext.  `StoredRecord`'s codec writes
+    /// and reads its prefix through this declaration, and the header's v1
+    /// envelope is a snapshot blob's trailer-resident index metadata — what
+    /// lets a mapped snapshot rebuild every index at open time without
+    /// faulting one data page.
+    #[derive(Debug, Clone)]
+    pub(crate) struct RecordHeader: () {
+        /// Identifier assigned by the store.
+        pub id: RecordId,
+        /// The owning patient.
+        pub patient: Identity,
+        /// The record category.
+        pub category: Category,
     }
 }
 
-/// Encodes a snapshot blob's trailer-resident index metadata: the v1 tag,
-/// then the header fields — byte-identical to the prefix `StoredRecord`'s
-/// encoding emits.  This is what lets a mapped snapshot rebuild every index
-/// at open time without faulting one data page.
-pub(crate) fn encode_index_meta(header: &RecordHeader) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(WireVersion::DEFAULT.tag());
-    w.put_u64(header.id.0);
-    w.put_bytes(header.patient.as_bytes());
-    w.put_bytes(header.category.label().as_bytes());
-    w.into_bytes()
-}
-
-/// Parses the metadata produced by [`encode_index_meta`]; any tag but v1's
-/// is refused.
+/// Parses a snapshot blob's index metadata (see [`RecordHeader`]); any
+/// envelope but v1's is refused.
 pub(crate) fn decode_index_meta(meta: &[u8]) -> Result<RecordHeader> {
-    let mut r = Reader::new(meta);
-    let tag = r.u8()?;
-    if tag != WireVersion::DEFAULT.tag() {
-        return Err(PhrError::Decode(DecodeError::invalid_tag(
-            0,
-            "index-meta version",
-            tag,
-        )));
+    match meta.first() {
+        Some(&tag) if tag != WireVersion::DEFAULT.tag() => Err(PhrError::Decode(
+            DecodeError::invalid_tag(0, "index-meta version", tag),
+        )),
+        _ => Ok(RecordHeader::from_wire_bytes(meta, &())?),
     }
-    let header = RecordHeader::read_from(&mut r)?;
-    r.finish()?;
-    Ok(header)
 }
 
 /// Where an encoded record's bytes live.
@@ -136,9 +99,8 @@ impl EncodedRecord {
         // everything that never decodes the body (indexes, ownership
         // checks, snapshot index metadata) trusts this.
         debug_assert!(
-            RecordHeader::peek(&bytes[body_start..])
-                .map(|p| p.id == header.id && p.patient == header.patient)
-                .unwrap_or(false),
+            RecordHeader::decode(&mut Reader::new(&bytes[body_start..]), &())
+                .is_ok_and(|p| p.id == header.id && p.patient == header.patient),
             "encoded body disagrees with its header"
         );
         EncodedRecord {
@@ -254,6 +216,7 @@ mod tests {
     use tibpre_core::{Delegator, TypeTag};
     use tibpre_ibe::Kgc;
     use tibpre_pairing::PairingParams;
+    use tibpre_wire::WireEncode;
 
     fn sample_record(id: u64) -> (Arc<PairingParams>, StoredRecord) {
         let params = PairingParams::insecure_toy();
@@ -280,7 +243,7 @@ mod tests {
     fn header_peek_matches_the_full_decode_and_skips_the_tail() {
         let (params, record) = sample_record(7);
         let body = tibpre_wire::encode_bare(&record, WireVersion::DEFAULT);
-        let header = RecordHeader::peek(&body).unwrap();
+        let header = RecordHeader::decode(&mut Reader::new(&body), &()).unwrap();
         assert_eq!(header.id, record.id);
         assert_eq!(header.patient, record.patient);
         assert_eq!(header.category, record.category);
@@ -288,15 +251,15 @@ mod tests {
         // The peek parses only the prefix: chopping the body right after
         // the category still yields the same header.
         let mut r = Reader::new(&body);
-        RecordHeader::read_from(&mut r).unwrap();
+        RecordHeader::decode(&mut r, &()).unwrap();
         let header_len = r.offset();
         assert!(header_len < body.len() / 4, "header dwarfed by the body");
-        let header2 = RecordHeader::peek(&body[..header_len]).unwrap();
+        let header2 = RecordHeader::decode(&mut Reader::new(&body[..header_len]), &()).unwrap();
         assert_eq!(header2.id, record.id);
 
         // Round trip through the snapshot index-meta form, which is the
         // body's own header prefix behind the v1 tag.
-        let meta = encode_index_meta(&header);
+        let meta = header.to_wire_bytes();
         assert_eq!(&meta[1..], &body[..header_len]);
         let parsed = decode_index_meta(&meta).unwrap();
         assert_eq!(parsed.id, header.id);
@@ -338,7 +301,7 @@ mod tests {
     fn encoded_len_saturates_instead_of_underflowing() {
         let (_, record) = sample_record(11);
         let body = tibpre_wire::encode_bare(&record, WireVersion::DEFAULT);
-        let header = RecordHeader::peek(&body).unwrap();
+        let header = RecordHeader::decode(&mut Reader::new(&body), &()).unwrap();
 
         // An owned body behind a nonzero prefix reports the body length.
         let mut framed = vec![0u8; 3];

@@ -170,36 +170,36 @@ impl Shard {
         self.cache.get_mut().remove(id);
     }
 
-    /// Applies one WAL op — the one replay step crash recovery and replica
-    /// apply share, maintaining the index as it goes.  `frame` is the op's
-    /// v1 payload; a `Put` keeps it as the record's resident bytes.
+    /// Applies one WAL op — the one step a live write, crash recovery and
+    /// replica apply share, maintaining the index as it goes.  `frame` is
+    /// the op's v1 payload (a live write on an in-memory store encodes only
+    /// a `Put`'s); a `Put` keeps it as the record's resident bytes, and a
+    /// live `Put` (`cache`) also primes the read cache with its record.
     /// Returns the record id and timestamp the op carries, for the store's
     /// id allocator and clock.
-    fn apply(&mut self, op: WalOp, frame: Vec<u8>) -> (u64, u64) {
+    fn apply(&mut self, op: WalOp, frame: Vec<u8>, cache: bool) -> (u64, u64) {
         let event = match op {
             WalOp::Put { record, at } => {
-                let StoredRecord {
-                    id,
-                    patient,
-                    category,
-                    ..
-                } = *record;
                 let header = RecordHeader {
-                    id,
-                    patient: patient.clone(),
-                    category: category.clone(),
+                    id: record.id,
+                    patient: record.patient.clone(),
+                    category: record.category.clone(),
+                };
+                let event = AuditEvent::RecordStored {
+                    id: record.id,
+                    patient: header.patient.clone(),
+                    category: header.category.clone(),
+                    at,
                 };
                 self.insert(EncodedRecord::from_owned(
                     frame.into(),
                     durable::PUT_BODY_START,
                     header,
                 ));
-                AuditEvent::RecordStored {
-                    id,
-                    patient,
-                    category,
-                    at,
+                if cache {
+                    self.cache.get_mut().insert(record.id, Arc::from(record));
                 }
+                event
             }
             WalOp::Delete { id, at } => {
                 self.remove(id);
@@ -488,7 +488,7 @@ impl EncryptedPhrStore {
                      and binary version — refusing to truncate intact data",
                 )
             })?;
-            shard.apply(op, frame);
+            shard.apply(op, frame, false);
         }
 
         // The truncation boundary is the scanner's: every frame decoded (a
@@ -535,18 +535,23 @@ impl EncryptedPhrStore {
         Ok((records, audit.into_iter().map(Arc::new).collect()))
     }
 
-    /// Appends one operation to a shard's WAL (no-op on in-memory stores;
-    /// the caller avoids even constructing the op in that case).  Runs under
-    /// the shard's write lock.
-    fn log_op(&self, shard: &mut Shard, op: &WalOp) {
-        if self.durability.is_some() && shard.log.is_some() {
-            self.log_encoded(shard, &op.to_wire_bytes());
-        }
+    /// The one write step of `put`, `delete` and the audit appends, run
+    /// under the shard's write lock: encodes `op` once, appends the frame to
+    /// the shard's WAL when the store is durable, then applies it exactly
+    /// as recovery and replicas do.  An in-memory store encodes only a
+    /// `Put`, whose frame becomes the record's resident bytes.
+    fn commit(&self, shard: &mut Shard, op: WalOp) {
+        let frame = if self.is_durable() || matches!(op, WalOp::Put { .. }) {
+            op.to_wire_bytes()
+        } else {
+            Vec::new()
+        };
+        self.log_encoded(shard, &frame);
+        shard.apply(op, frame, true);
     }
 
-    /// Appends one already-encoded frame payload to a shard's WAL — the
-    /// hot-path entry ([`WalOp::encode_put`] feeds it without cloning the
-    /// record).  Fail-stop: an I/O failure here panics, see the
+    /// Appends one encoded frame payload to a shard's WAL (no-op on
+    /// in-memory stores).  Fail-stop: an I/O failure here panics, see the
     /// [module docs](self).
     fn log_encoded(&self, shard: &mut Shard, payload: &[u8]) {
         let Some(d) = self.durability.as_ref() else {
@@ -610,7 +615,7 @@ impl EncryptedPhrStore {
             shard.records.values().map(|enc| {
                 Ok(snapshot::IndexedBlob {
                     body: enc.body()?,
-                    index_meta: crate::resident::encode_index_meta(&enc.header),
+                    index_meta: enc.header.to_wire_bytes(),
                 })
             }),
             !matches!(d.fsync, FsyncPolicy::Never),
@@ -640,11 +645,6 @@ impl EncryptedPhrStore {
     /// Whether this store persists to disk.
     pub fn is_durable(&self) -> bool {
         self.durability.is_some()
-    }
-
-    /// The durable store's directory (`None` for in-memory stores).
-    pub fn storage_dir(&self) -> Option<&Path> {
-        self.durability.as_ref().map(|d| d.dir.as_path())
     }
 
     /// Forces every shard's WAL to stable storage regardless of the fsync
@@ -743,41 +743,16 @@ impl EncryptedPhrStore {
         ciphertext: HybridCiphertext,
     ) -> RecordId {
         let id = RecordId(self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
-        let record = Arc::new(StoredRecord {
+        let record = Box::new(StoredRecord {
             id,
             patient: patient.clone(),
             category: category.clone(),
             title: title.to_string(),
             ciphertext,
         });
-        let header = RecordHeader {
-            id,
-            patient: patient.clone(),
-            category: category.clone(),
-        };
         let mut shard = self.shard_for_id(id).write();
         let at = self.tick();
-        // Encoded from the borrowed record: no clone of the ciphertext body
-        // on the write path — and the frame buffer the WAL appends becomes
-        // the record's resident bytes.
-        let frame = WalOp::encode_put(record.as_ref(), at);
-        if self.is_durable() {
-            self.log_encoded(&mut shard, &frame);
-        }
-        shard.insert(EncodedRecord::from_owned(
-            frame.into(),
-            durable::PUT_BODY_START,
-            header,
-        ));
-        // The caller just handed us the decoded struct; cache it so the
-        // common read-after-write needs no decode.
-        shard.cache.get_mut().insert(id, record);
-        shard.audit.push(Arc::new(AuditEvent::RecordStored {
-            id,
-            patient: patient.clone(),
-            category: category.clone(),
-            at,
-        }));
+        self.commit(&mut shard, WalOp::Put { at, record });
         id
     }
 
@@ -816,11 +791,7 @@ impl EncryptedPhrStore {
             });
         }
         let at = self.tick();
-        self.log_op(&mut shard, &WalOp::Delete { id, at });
-        shard.remove(id);
-        shard
-            .audit
-            .push(Arc::new(AuditEvent::RecordDeleted { id, at }));
+        self.commit(&mut shard, WalOp::Delete { at, id });
         Ok(())
     }
 
@@ -906,24 +877,13 @@ impl EncryptedPhrStore {
     pub fn log_disclosure(&self, id: RecordId, requester: &Identity, granted: bool) {
         let mut shard = self.shard_for_id(id).write();
         let at = self.tick();
-        let event = Arc::new(if granted {
-            AuditEvent::DisclosurePerformed {
-                id,
-                requester: requester.clone(),
-                at,
-            }
+        let requester = requester.clone();
+        let event = if granted {
+            AuditEvent::DisclosurePerformed { id, requester, at }
         } else {
-            AuditEvent::DisclosureDenied {
-                id,
-                requester: requester.clone(),
-                at,
-            }
-        });
-        if self.is_durable() && shard.log.is_some() {
-            // Encoded from the borrowed event: no clone for the log.
-            self.log_encoded(&mut shard, &WalOp::encode_audit(event.as_ref()));
-        }
-        shard.audit.push(event);
+            AuditEvent::DisclosureDenied { id, requester, at }
+        };
+        self.commit(&mut shard, WalOp::Audit { event });
     }
 
     /// Records a grant / revoke event in the store's audit trail.  The event
@@ -937,25 +897,23 @@ impl EncryptedPhrStore {
     ) {
         let mut shard = self.shard_for_patient(patient).write();
         let at = self.tick();
-        let event = Arc::new(if granted {
+        let (patient, category, grantee) = (patient.clone(), category.clone(), grantee.clone());
+        let event = if granted {
             AuditEvent::AccessGranted {
-                patient: patient.clone(),
-                category: category.clone(),
-                grantee: grantee.clone(),
+                patient,
+                category,
+                grantee,
                 at,
             }
         } else {
             AuditEvent::AccessRevoked {
-                patient: patient.clone(),
-                category: category.clone(),
-                grantee: grantee.clone(),
+                patient,
+                category,
+                grantee,
                 at,
             }
-        });
-        if self.is_durable() && shard.log.is_some() {
-            self.log_encoded(&mut shard, &WalOp::encode_audit(event.as_ref()));
-        }
-        shard.audit.push(event);
+        };
+        self.commit(&mut shard, WalOp::Audit { event });
     }
 
     /// A snapshot of the audit trail: every shard's segment, merged into one
@@ -1082,7 +1040,7 @@ impl EncryptedPhrStore {
             .shards
             .get(shard_index)
             .ok_or(PhrError::CorruptedRecord("shard index out of range"))?;
-        let (id, at) = shard.write().apply(op, payload.to_vec());
+        let (id, at) = shard.write().apply(op, payload.to_vec(), false);
         self.next_id.fetch_max(id, Ordering::Relaxed);
         self.clock.fetch_max(at, Ordering::Relaxed);
         self.notifier.notify();
@@ -1822,7 +1780,6 @@ mod tests {
     fn in_memory_alias_and_accessors() {
         let store = EncryptedPhrStore::in_memory_with_params("ram", toy_params());
         assert!(!store.is_durable());
-        assert!(store.storage_dir().is_none());
         // Durable no-ops on the in-memory store.
         store.sync().unwrap();
         store.force_snapshot().unwrap();

@@ -382,14 +382,15 @@ fn wait_first_byte(stream: &TcpStream, shared: &Shared) -> io::Result<Option<u8>
     }
 }
 
-/// Frames and writes one response.  Oversized *responses* are legitimate (a
-/// category disclosure can exceed the request cap), so the frame cap is not
-/// applied on the way out; clients size their own `max_frame` accordingly.
-fn respond(stream: &mut TcpStream, response: &Response) -> io::Result<()> {
-    let payload = response.to_wire_bytes();
+/// Frames and writes one message: a node's response, or a replica's request
+/// to its primary.  Oversized *responses* are legitimate (a category
+/// disclosure can exceed the request cap), so the frame cap is not applied
+/// on the way out; clients size their own `max_frame` accordingly.
+pub(crate) fn send_frame(stream: &mut TcpStream, message: &impl WireEncode) -> io::Result<()> {
+    let payload = message.to_wire_bytes();
     let mut out = Vec::with_capacity(payload.len() + 4);
     write_frame(&mut out, &payload, usize::MAX)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "unframeable response"))?;
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "unframeable message"))?;
     stream.write_all(&out)
 }
 
@@ -618,7 +619,7 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
     let store = match shared.service.store() {
         Some(store) => Arc::clone(store),
         None => {
-            let _ = respond(
+            let _ = send_frame(
                 &mut stream,
                 &Response::Error(RemoteError::WrongRole(
                     "replication is served by the store role".to_string(),
@@ -630,7 +631,7 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
     if !store.is_durable() {
         // An in-memory store has no WAL to ship; refusing here beats a
         // subscriber silently tailing an empty log forever.
-        let _ = respond(
+        let _ = send_frame(
             &mut stream,
             &Response::Error(RemoteError::BadRequest(
                 "replication needs a durable primary (boot it with --data-dir)".to_string(),
@@ -648,7 +649,7 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
         applied
     };
     if from.len() != shards {
-        let _ = respond(
+        let _ = send_frame(
             &mut stream,
             &Response::Error(RemoteError::BadRequest(format!(
                 "subscription carries {} shard offsets but the store has {shards} shards",
@@ -657,7 +658,7 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
         );
         return Ok(());
     }
-    respond(
+    send_frame(
         &mut stream,
         &Response::ReplicaStatus {
             positions: committed,
@@ -678,7 +679,7 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
                 match store.replication_chunk(shard, *pos, CHUNK_MAX) {
                     Ok(ChunkOutcome::Bytes(bytes)) => {
                         let len = bytes.len() as u64;
-                        respond(
+                        send_frame(
                             &mut stream,
                             &Response::SegmentChunk {
                                 shard: shard as u64,
@@ -694,7 +695,7 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
                         // The peer claims more log than this store has
                         // committed — it is following the wrong primary (or
                         // a demoted one).  Refuse rather than guess.
-                        let _ = respond(
+                        let _ = send_frame(
                             &mut stream,
                             &Response::Error(RemoteError::BadRequest(format!(
                                 "shard {shard}: subscriber offset {} is ahead of this store",
@@ -709,7 +710,7 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
                         // byte stream from its WAL offset.
                         match store.replication_snapshot(shard) {
                             Ok(Some((gen, offset, bytes))) => {
-                                respond(
+                                send_frame(
                                     &mut stream,
                                     &Response::SnapshotGeneration {
                                         shard: shard as u64,
@@ -722,7 +723,7 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
                                 sent_any = true;
                             }
                             Ok(None) => {
-                                let _ = respond(
+                                let _ = send_frame(
                                     &mut stream,
                                     &Response::Error(RemoteError::Internal(format!(
                                         "shard {shard}: log prefix gone but no snapshot exists"
@@ -731,7 +732,7 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
                                 return Ok(());
                             }
                             Err(e) => {
-                                let _ = respond(
+                                let _ = send_frame(
                                     &mut stream,
                                     &Response::Error(RemoteError::from_phr(&e)),
                                 );
@@ -740,7 +741,8 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
                         }
                     }
                     Err(e) => {
-                        let _ = respond(&mut stream, &Response::Error(RemoteError::from_phr(&e)));
+                        let _ =
+                            send_frame(&mut stream, &Response::Error(RemoteError::from_phr(&e)));
                         return Ok(());
                     }
                 }
@@ -755,7 +757,7 @@ fn serve_replication(mut stream: TcpStream, shared: &Shared, applied: Vec<u64>) 
         // peer can tell a quiet primary from a dead one.
         epoch = notifier.wait_beyond(epoch, COMMIT_WAIT);
         if last_heartbeat.elapsed() >= HEARTBEAT_EVERY {
-            respond(
+            send_frame(
                 &mut stream,
                 &Response::ReplicaStatus {
                     positions: from.clone(),

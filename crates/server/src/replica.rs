@@ -26,7 +26,7 @@
 //!    idempotent: a frame is either fully applied (and never requested
 //!    again) or not applied at all.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -35,7 +35,7 @@ use tibpre_client::{Request, Response};
 use tibpre_pairing::DecodeCtx;
 use tibpre_phr::EncryptedPhrStore;
 use tibpre_storage::frame;
-use tibpre_wire::{read_frame, write_frame, WireDecode, WireEncode};
+use tibpre_wire::{read_frame, WireDecode};
 
 /// Upper bound on a replication frame the replica will accept.  Snapshot
 /// generations ship as one frame, so this is deliberately far above the
@@ -138,15 +138,6 @@ impl ReplicaControl {
     }
 }
 
-/// Frames and writes one request onto a raw stream.
-fn send_request(stream: &mut TcpStream, request: &Request) -> io::Result<()> {
-    let payload = request.to_wire_bytes();
-    let mut out = Vec::with_capacity(payload.len() + 4);
-    write_frame(&mut out, &payload, usize::MAX)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "unframeable request"))?;
-    stream.write_all(&out)
-}
-
 /// Reads one pushed frame, polling `stop` while idle.  Returns `Ok(None)`
 /// when asked to stop or when the primary has been silent too long.
 fn read_pushed(
@@ -200,13 +191,13 @@ pub fn subscribe(
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    send_request(&mut stream, &Request::SubscribeReplication { applied })?;
+    crate::node::send_frame(&mut stream, &Request::SubscribeReplication { applied })?;
     match read_pushed(&mut stream, ctx, &|| false)? {
         Some(Response::ReplicaStatus { positions, .. }) => Ok((stream, positions)),
         Some(Response::Error(e)) => Err(io::Error::other(format!("primary refused: {e}"))),
         Some(other) => Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("expected ReplicaStatus, got {}", response_kind(&other)),
+            format!("expected ReplicaStatus, got {}", other.kind()),
         )),
         None => Err(io::ErrorKind::TimedOut.into()),
     }
@@ -226,16 +217,6 @@ pub fn subscribe_with_retry(
             Err(e) if Instant::now() >= deadline => return Err(e),
             Err(_) => std::thread::sleep(RECONNECT_BACKOFF),
         }
-    }
-}
-
-fn response_kind(response: &Response) -> &'static str {
-    match response {
-        Response::ReplicaStatus { .. } => "ReplicaStatus",
-        Response::SnapshotGeneration { .. } => "SnapshotGeneration",
-        Response::SegmentChunk { .. } => "SegmentChunk",
-        Response::Error(_) => "Error",
-        _ => "a non-replication response",
     }
 }
 
@@ -339,7 +320,7 @@ fn drain_stream(
             other => {
                 return TailEnd::Resync(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("unexpected push frame: {}", response_kind(&other)),
+                    format!("unexpected push frame: {}", other.kind()),
                 ))
             }
         }

@@ -106,12 +106,6 @@ pub fn list_segments(dir: &Path, base: &str) -> io::Result<Vec<SegmentInfo>> {
     Ok(segments)
 }
 
-/// Logical offset one past the last byte present on disk (0 for a series
-/// with no segments).
-pub fn available_end(dir: &Path, base: &str) -> io::Result<u64> {
-    Ok(list_segments(dir, base)?.last().map_or(0, SegmentInfo::end))
-}
-
 /// The result of scanning a segmented WAL for frames.
 #[derive(Debug)]
 pub struct SegmentedWalScan {
@@ -240,11 +234,6 @@ impl SegmentedWal {
         &self.base
     }
 
-    /// The active segment's path.
-    pub fn active_path(&self) -> &Path {
-        self.active.path()
-    }
-
     /// Logical offset after the last committed frame.
     pub fn logical_len(&self) -> u64 {
         self.active_start + self.active.committed_len()
@@ -331,7 +320,6 @@ mod tests {
         wal.append(b"one");
         wal.append(b"two");
         wal.commit().unwrap();
-        assert_eq!(wal.active_path(), first_segment_path(dir.path(), "s"));
         drop(wal);
         let scan = recover(dir.path(), "s", 0).unwrap();
         assert_eq!(scan.frames, vec![b"one".to_vec(), b"two".to_vec()]);
@@ -479,6 +467,5 @@ mod tests {
         assert!(scan.frames.is_empty());
         assert_eq!(scan.valid_len, 0);
         assert!(scan.defect.is_none());
-        assert_eq!(available_end(dir.path(), "nope").unwrap(), 0);
     }
 }

@@ -16,6 +16,9 @@
 //!   the workspace implements.  `encode`/`decode` handle the bare,
 //!   version-aware body; `to_wire_bytes`/`from_wire_bytes` wrap it in the
 //!   envelope and reject trailing bytes.
+//! * [`message!`] — one declaration per message type: its tags, variants
+//!   and fields, from which the type and both codec directions derive, each
+//!   field written by its type's [`Field`] codec.
 //! * [`framing`] — length-prefixed stream frames (`len (u32 BE) ‖ envelope`),
 //!   the form the node protocol carries these messages in over TCP, with a
 //!   maximum-size guard enforced before any allocation.
@@ -32,11 +35,13 @@
 mod error;
 pub mod framing;
 mod io;
+mod message;
 mod version;
 
 pub use error::{DecodeError, DecodeErrorKind};
 pub use framing::{read_frame, write_frame, write_frames, FrameError, DEFAULT_MAX_FRAME};
 pub use io::{put_bytes, put_u32, put_u64, Reader, Writer};
+pub use message::{Codec, Elem, Field, Inline, Nested};
 pub use version::WireVersion;
 
 /// A type with a canonical, version-aware wire encoding.
