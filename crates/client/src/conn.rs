@@ -99,7 +99,7 @@ impl Default for ClientConfig {
 ///   packages the common burst shape.
 ///
 /// Responses are matched to requests purely by order — the invariant the
-/// server's scheduler preserves per connection.  Additional concurrency
+/// server preserves per connection.  Additional concurrency
 /// comes from opening more connections (see [`crate::RemoteStore`]'s pool).
 pub struct Connection {
     reader: BufReader<TcpStream>,

@@ -221,7 +221,7 @@ tibpre_wire::message! {
         41 => ReplicationStatus,
         /// (Store) Promote a replica so it accepts writes (no-op on a primary).
         42 => Promote,
-        /// Batch-scheduler counters (every role answers; zeros without one).
+        /// Disclosure-run counters (every role answers).
         43 => SchedStats,
     }
 }
@@ -310,23 +310,26 @@ impl core::fmt::Display for RemoteError {
 }
 
 tibpre_wire::message! {
-    /// Process-global batch-scheduler counters, answered by `SchedStats`:
-    /// cumulative since node start, and zeros on a node without a scheduler.
-    /// The histogram buckets batch sizes as `1, 2, 3–4, 5–8, 9–16, 17–32,
-    /// 33–64, 65+` (index 0 through 7).
+    /// Process-global disclosure-run counters, answered by `SchedStats`:
+    /// cumulative since node start.  A proxy cuts each connection's
+    /// pipelined backlog into runs (consecutive `Disclose` requests, at most
+    /// `batch_max` long; a `DiscloseCategory` is a run of one); the run
+    /// counters stay zero on the other roles.  The histogram buckets run
+    /// lengths as `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+` (index 0
+    /// through 7).
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct SchedStatsReport: () {
-        /// Batches executed by the scheduler.
+        /// Disclosure runs executed.
         pub batches: u64,
-        /// Requests that went through scheduler batches.
+        /// Requests executed inside disclosure runs.
         pub batched_requests: u64,
-        /// Requests answered inline, bypassing the scheduler queue.
+        /// Proxy requests executed outside a disclosure run.
         pub bypass: u64,
-        /// Current submission-queue depth (sampled).
+        /// Requests read from connections and not yet answered (sampled).
         pub queue_depth: u64,
-        /// Highest submission-queue depth observed.
+        /// Highest `queue_depth` observed.
         pub queue_peak: u64,
-        /// Batch-size histogram (buckets documented above).
+        /// Run-length histogram (buckets documented above).
         pub hist: [u64; 8],
     }
 }
@@ -398,7 +401,7 @@ tibpre_wire::message! {
             /// The raw log bytes (never empty).
             bytes: Vec<u8>,
         },
-        /// Batch-scheduler counters, answering `SchedStats`.
+        /// Disclosure-run counters, answering `SchedStats`.
         18 => SchedStats(report: SchedStatsReport),
     }
 }

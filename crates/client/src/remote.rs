@@ -243,7 +243,7 @@ impl ProxyClient {
 
     /// Issues one disclosure per `(patient, id, requester)` triple as a
     /// single pipelined run: every request is written before the first
-    /// response is read, so the node's batch scheduler can coalesce them.
+    /// response is read, so the node executes them as one run.
     /// Responses come back in request order; per-item policy denials are
     /// values in the returned vector, while a transport failure aborts the
     /// whole run (the connection is no longer usable mid-pipeline).
@@ -270,8 +270,8 @@ impl ProxyClient {
             .collect()
     }
 
-    /// The node's batch-scheduler counters (process-global; zeros on a node
-    /// that never ran a scheduler).
+    /// The node's disclosure-run counters (process-global; the run counts
+    /// are zero on a node that is not a proxy).
     pub fn sched_stats(&mut self) -> Result<SchedStatsReport> {
         match self.conn.call(&Request::SchedStats)? {
             Response::SchedStats(report) => Ok(report),

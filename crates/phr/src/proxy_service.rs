@@ -7,7 +7,7 @@
 //! proxy only exposes the categories whose keys it holds (Theorem 1), which is
 //! exactly what experiment E6 measures.
 //!
-//! Every disclosure — one record, a scheduler batch, a whole category — is
+//! Every disclosure — one record, a node's run, a whole category — is
 //! one run through [`ProxyService::disclose_batch`]'s path: one record fetch,
 //! one conversion per re-encryption key, one audit commit.  The conversions
 //! run on the proxy's [`ReEncryptEngine`] ([`ProxyService::set_engine`]
@@ -305,11 +305,6 @@ impl ProxyService {
         self.proxy.has_key(patient, &category.type_tag(), grantee)
     }
 
-    /// The keys a compromise of this proxy would expose (used by experiment E6).
-    pub fn leaked_keys_on_compromise(&self) -> Vec<ReEncryptionKey> {
-        self.proxy.installed_keys().cloned().collect()
-    }
-
     /// Handles a disclosure request: looks up the record, re-encrypts its KEM
     /// header with the matching key, and logs the outcome — a run of one
     /// through [`Self::disclose_batch`].
@@ -325,10 +320,11 @@ impl ProxyService {
     }
 
     /// Handles a run of *independent* disclosure requests as one batch —
-    /// the seam the server's cross-request scheduler feeds.  Per item the
-    /// observable behaviour (result value, proxy audit events, store-side
-    /// log entries, and their order) does not depend on how requests are
-    /// cut into runs; what a longer run buys is amortization:
+    /// the seam a node's connection feeds with each pipelined run of
+    /// `Disclose` requests.  Per item the observable behaviour (result
+    /// value, proxy audit events, store-side log entries, and their order)
+    /// does not depend on how requests are cut into runs; what a longer run
+    /// buys is amortization:
     ///
     /// * all records are fetched through one [`RecordSource::get_many`]
     ///   call (a remote store answers the whole run pipelined),

@@ -49,8 +49,8 @@ pub struct LoadConfig {
     /// Total requests across all clients (closed-loop budget).
     pub requests: u64,
     /// Pipeline depth per client connection: each client keeps up to this
-    /// many disclosures in flight on its one socket, which is what feeds
-    /// the proxy's cross-request batch scheduler.  `1` is lockstep
+    /// many disclosures in flight on its one socket, which the proxy
+    /// executes as one `disclose_batch` run.  `1` is lockstep
     /// request/response.  Ignored by replica-read traffic.
     pub pipeline: usize,
     /// Read-replica store addresses.  When non-empty the traffic becomes

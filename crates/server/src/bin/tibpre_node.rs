@@ -100,7 +100,7 @@ fn run_admin(args: &[String]) -> Option<i32> {
             }
         });
     }
-    // `--status`: scheduler counters first (every role answers those), then
+    // `--status`: run counters first (every role answers those), then
     // the store-only replication view.
     let sched = match conn.call(&Request::SchedStats) {
         Ok(Response::SchedStats(s)) => format!(
@@ -118,8 +118,8 @@ fn run_admin(args: &[String]) -> Option<i32> {
             println!("{{\"writable\":{writable},\"positions\":{positions:?},\"sched\":{sched}}}");
             0
         }
-        // A kgc/proxy node has no replication view; its status is the
-        // scheduler counters alone.
+        // A kgc/proxy node has no replication view; its status is the run
+        // counters alone.
         Err(ClientError::Remote(_)) => {
             println!("{{\"sched\":{sched}}}");
             0
@@ -153,14 +153,12 @@ fn print_usage() {
          \x20 --read-timeout-secs <n>      in-frame read limit (default 10)\n\
          \x20 --write-timeout-secs <n>     response write limit (default 10)\n\
          \x20 --max-frame <bytes>          request frame cap (default 8 MiB)\n\
-         \x20 --batch-max <n>              max requests per scheduler batch, proxy role\n\
+         \x20 --batch-max <n>              max Disclose requests per run, proxy role\n\
          \x20                              (default 16, at least 1)\n\
-         \x20 --batch-window-us <us>       linger for a partially filled batch under\n\
-         \x20                              load (default 200)\n\
          \n\
          admin verbs (connect to a running node and exit):\n\
          \x20 --status <host:port>         print replication positions, write gate, and\n\
-         \x20                              batch-scheduler counters as JSON\n\
+         \x20                              disclosure-run counters as JSON\n\
          \x20 --promote <host:port>        open a replica's write gate (primary lost)"
     );
 }

@@ -40,13 +40,9 @@ pub struct NodeConfig {
     pub write_timeout: Duration,
     /// Maximum accepted frame size, both directions.
     pub max_frame: usize,
-    /// Maximum requests per scheduler batch (proxy role, at least 1).
+    /// Maximum `Disclose` requests per run: one `disclose_batch` call
+    /// (proxy role, at least 1).
     pub batch_max: usize,
-    /// How long a *partially* filled batch may linger waiting for more
-    /// requests.  A request arriving at an idle scheduler always
-    /// dispatches immediately, so this bounds added latency under load
-    /// only.
-    pub batch_window: Duration,
 }
 
 impl NodeConfig {
@@ -69,7 +65,6 @@ impl NodeConfig {
             write_timeout: Duration::from_secs(10),
             max_frame: DEFAULT_MAX_FRAME,
             batch_max: 16,
-            batch_window: Duration::from_micros(200),
         }
     }
 
@@ -149,13 +144,6 @@ impl NodeConfig {
                     if config.batch_max == 0 {
                         return Err("--batch-max must be at least 1".to_string());
                     }
-                }
-                "--batch-window-us" => {
-                    config.batch_window = Duration::from_micros(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad --batch-window-us {value}"))?,
-                    );
                 }
                 other => return Err(format!("unknown flag {other}")),
             }
@@ -254,15 +242,19 @@ mod tests {
             "127.0.0.1:7071",
             "--batch-max",
             "64",
-            "--batch-window-us",
-            "500",
         ])
         .unwrap();
         assert_eq!(config.batch_max, 64);
-        assert_eq!(config.batch_window, Duration::from_micros(500));
-        // batch_max 1 is a size like any other (the proxy schedules batches
-        // of one), 0 is nonsense.
+        // Runs are cut from what one connection sent, so there is no
+        // linger window to configure.
         let proxy_of_one = ["--role", "proxy", "--store", "127.0.0.1:7071"];
+        assert!(
+            parse(&[&proxy_of_one[..], &["--batch-window-us", "500"]].concat())
+                .unwrap_err()
+                .contains("unknown flag")
+        );
+        // batch_max 1 is a size like any other (the proxy cuts runs of
+        // one), 0 is nonsense.
         assert_eq!(
             parse(&[&proxy_of_one[..], &["--batch-max", "1"]].concat())
                 .unwrap()

@@ -13,9 +13,12 @@
 //!
 //! The protocol (typed [`tibpre_client::Request`] /
 //! [`tibpre_client::Response`] frames under the versioned wire envelope)
-//! lives in `tibpre-client`; this crate adds the listener, per-role
-//! dispatch and graceful shutdown.  A second binary, `tibpre-load`, smokes
-//! a running node set end to end; it exports nothing.
+//! lives in `tibpre-client`; this crate adds the listener, one thread per
+//! connection that executes the connection's pipelined requests in request
+//! order (a proxy serves each run of consecutive `Disclose` requests as one
+//! batch; see [`node`]), per-role dispatch and graceful shutdown.  A second
+//! binary, `tibpre-load`, smokes a running node set end to end; it exports
+//! nothing.
 
 #![deny(unsafe_code)] // signal.rs carves out its own file-scoped allow
 #![deny(missing_docs)]
@@ -24,7 +27,6 @@ pub mod config;
 pub mod metrics;
 pub mod node;
 pub mod replica;
-mod scheduler;
 pub mod service;
 pub mod signal;
 

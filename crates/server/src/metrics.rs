@@ -1,10 +1,14 @@
-//! Process-global scheduler counters, in the mold of the PHR crate's
+//! Process-global disclosure-run counters, in the mold of the PHR crate's
 //! engine metrics: relaxed atomics the hot path bumps for free, snapshotted
 //! on demand by the `SchedStats` protocol request.
 //!
-//! The counters are process-global rather than per-node: a deployment runs
-//! one node per process, and the in-process multi-node test topologies only
-//! ever run one *scheduler* (the proxy's), so the aggregate stays readable.
+//! A proxy's connection threads feed the run counters (`batches`,
+//! `batched_requests`, the histogram) and `bypass`; every connection
+//! feeds the backlog depth (`queue_depth`, `queue_peak`: requests read and
+//! not yet answered).  The counters are process-global rather than
+//! per-node: a deployment runs one node per process, and the in-process
+//! multi-node test topologies only ever run one proxy, so the aggregate
+//! stays readable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use tibpre_client::SchedStatsReport;
@@ -18,7 +22,7 @@ static QUEUE_PEAK: AtomicU64 = AtomicU64::new(0);
 const HIST_BUCKETS: usize = 8;
 static HIST: [AtomicU64; HIST_BUCKETS] = [const { AtomicU64::new(0) }; HIST_BUCKETS];
 
-/// The histogram bucket for a batch of `size` requests: buckets cover
+/// The histogram bucket for a run of `size` requests: buckets cover
 /// `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+` (matching the documentation
 /// on [`SchedStatsReport`]).
 fn bucket(size: usize) -> usize {
@@ -29,26 +33,31 @@ fn bucket(size: usize) -> usize {
     }
 }
 
-/// Records one executed scheduler batch of `size` requests.
-pub(crate) fn note_batch(size: usize) {
+/// Records one executed run of `size` disclosure requests.
+pub(crate) fn note_run(size: usize) {
     BATCHES.fetch_add(1, Ordering::Relaxed);
     BATCHED_REQUESTS.fetch_add(size as u64, Ordering::Relaxed);
     HIST[bucket(size)].fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one request answered inline, bypassing the scheduler queue.
+/// Records one proxy request executed outside a disclosure run.
 pub(crate) fn note_bypass() {
     BYPASS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records the submission-queue depth observed after an enqueue or drain.
-pub(crate) fn note_queue_depth(depth: usize) {
-    let depth = depth as u64;
-    QUEUE_DEPTH.store(depth, Ordering::Relaxed);
+/// Records `frames` requests read from a connection, not yet answered.
+pub(crate) fn note_read(frames: usize) {
+    let frames = frames as u64;
+    let depth = QUEUE_DEPTH.fetch_add(frames, Ordering::Relaxed) + frames;
     QUEUE_PEAK.fetch_max(depth, Ordering::Relaxed);
 }
 
-/// A snapshot of the scheduler counters, in the shape the `SchedStats`
+/// Records `frames` requests answered (or dropped with their connection).
+pub(crate) fn note_answered(frames: usize) {
+    QUEUE_DEPTH.fetch_sub(frames as u64, Ordering::Relaxed);
+}
+
+/// A snapshot of the run counters, in the shape the `SchedStats`
 /// protocol request answers with.
 pub fn sched_snapshot() -> SchedStatsReport {
     let mut hist = [0u64; HIST_BUCKETS];
@@ -92,10 +101,11 @@ mod tests {
         // Process-global state: assert on deltas, not absolutes, so this
         // test composes with everything else in the binary.
         let before = sched_snapshot();
-        note_batch(4);
+        note_run(4);
         note_bypass();
-        note_queue_depth(9);
+        note_read(9);
         let after = sched_snapshot();
+        note_answered(9);
         assert_eq!(after.batches, before.batches + 1);
         assert_eq!(after.batched_requests, before.batched_requests + 4);
         assert_eq!(after.bypass, before.bypass + 1);

@@ -1,4 +1,7 @@
-//! The read-replica runtime: bootstrap, tail, reconnect, promote.
+//! Replication, both halves: the primary's push stream
+//! (`serve_replication`, which a store connection becomes on
+//! `SubscribeReplication`) and the read-replica runtime — bootstrap, tail,
+//! reconnect, promote.
 //!
 //! A store node started with `--replica-of <addr>` keeps an **in-memory**
 //! [`EncryptedPhrStore`] that mirrors a durable primary by replaying the
@@ -26,24 +29,26 @@
 //!    idempotent: a frame is either fully applied (and never requested
 //!    again) or not applied at all.
 
-use std::io::{self, Read};
+use crate::node::wait_readable;
+use crate::service::RoleService;
+use std::io::{self, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tibpre_client::{Request, Response};
+use tibpre_client::{RemoteError, Request, Response};
 use tibpre_pairing::DecodeCtx;
 use tibpre_phr::EncryptedPhrStore;
-use tibpre_storage::frame;
-use tibpre_wire::{read_frame, WireDecode};
+use tibpre_storage::{frame, ChunkOutcome};
+use tibpre_wire::{read_frame, write_frame, WireDecode, WireEncode};
 
 /// Upper bound on a replication frame the replica will accept.  Snapshot
 /// generations ship as one frame, so this is deliberately far above the
 /// request-path default.
 pub const MAX_REPLICATION_FRAME: usize = 1 << 30;
 
-/// How long the tail thread waits for the first byte of the next pushed
-/// frame before re-checking the stop flag.
+/// How long the tail thread waits for the next pushed frame before
+/// re-checking the stop flag.
 const TAIL_POLL: Duration = Duration::from_millis(100);
 
 /// No frame (the primary heartbeats about once a second) for this long
@@ -139,39 +144,19 @@ impl ReplicaControl {
 }
 
 /// Reads one pushed frame, polling `stop` while idle.  Returns `Ok(None)`
-/// when asked to stop or when the primary has been silent too long.
+/// when asked to stop; a primary silent too long is a `TimedOut` error.
 fn read_pushed(
-    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
     ctx: &DecodeCtx,
     stop: &dyn Fn() -> bool,
 ) -> io::Result<Option<Response>> {
-    stream.set_read_timeout(Some(TAIL_POLL))?;
     let deadline = Instant::now() + SILENCE_LIMIT;
-    let mut first = [0u8; 1];
-    loop {
-        match stream.read(&mut first) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(_) => break,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop() {
-                    return Ok(None);
-                }
-                if Instant::now() >= deadline {
-                    return Err(io::ErrorKind::TimedOut.into());
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    // A frame has started; allow a generous window for the rest of it
+    // Once a frame has started, the rest of it gets a generous window
     // (snapshot generations can be large).
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    let first_buf = [first[0]];
-    let mut chained = (&first_buf[..]).chain(&mut *stream);
-    let payload = match read_frame(&mut chained, MAX_REPLICATION_FRAME) {
+    if !wait_readable(reader, TAIL_POLL, Duration::from_secs(60), deadline, stop)? {
+        return Ok(None);
+    }
+    let payload = match read_frame(reader, MAX_REPLICATION_FRAME) {
         Ok(Some(payload)) => payload,
         Ok(None) => return Err(io::ErrorKind::UnexpectedEof.into()),
         Err(e) => return Err(io::Error::other(format!("replication frame: {e}"))),
@@ -181,19 +166,32 @@ fn read_pushed(
     Ok(Some(response))
 }
 
+/// Frames and writes one message: a replica's subscription, or a frame the
+/// primary pushes.  Outbound frames are uncapped (a snapshot generation
+/// ships as one frame); the replica caps what it reads.
+fn send_frame(stream: &mut TcpStream, message: &impl WireEncode) -> io::Result<()> {
+    let payload = message.to_wire_bytes();
+    let mut out = Vec::with_capacity(payload.len() + 4);
+    write_frame(&mut out, &payload, usize::MAX)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "unframeable message"))?;
+    stream.write_all(&out)
+}
+
 /// Connects to the primary and subscribes from the given applied offsets.
-/// Returns the live stream plus the primary's first status frame.
+/// Returns the live stream (with whatever the primary pushed behind its
+/// first status frame already buffered) plus that status frame's positions.
 pub fn subscribe(
     addr: &str,
     ctx: &DecodeCtx,
     applied: Vec<u64>,
-) -> io::Result<(TcpStream, Vec<u64>)> {
+) -> io::Result<(BufReader<TcpStream>, Vec<u64>)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    crate::node::send_frame(&mut stream, &Request::SubscribeReplication { applied })?;
-    match read_pushed(&mut stream, ctx, &|| false)? {
-        Some(Response::ReplicaStatus { positions, .. }) => Ok((stream, positions)),
+    send_frame(&mut stream, &Request::SubscribeReplication { applied })?;
+    let mut reader = BufReader::new(stream);
+    match read_pushed(&mut reader, ctx, &|| false)? {
+        Some(Response::ReplicaStatus { positions, .. }) => Ok((reader, positions)),
         Some(Response::Error(e)) => Err(io::Error::other(format!("primary refused: {e}"))),
         Some(other) => Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -210,7 +208,7 @@ pub fn subscribe_with_retry(
     ctx: &DecodeCtx,
     applied: Vec<u64>,
     deadline: Instant,
-) -> io::Result<(TcpStream, Vec<u64>)> {
+) -> io::Result<(BufReader<TcpStream>, Vec<u64>)> {
     loop {
         match subscribe(addr, ctx, applied.clone()) {
             Ok(found) => return Ok(found),
@@ -230,7 +228,7 @@ enum TailEnd {
 
 /// Consumes pushed frames on one subscription until defect or stop.
 fn drain_stream(
-    mut stream: TcpStream,
+    mut stream: BufReader<TcpStream>,
     store: &EncryptedPhrStore,
     control: &ReplicaControl,
     ctx: &DecodeCtx,
@@ -334,7 +332,7 @@ pub fn run_tail(
     store: Arc<EncryptedPhrStore>,
     control: Arc<ReplicaControl>,
     ctx: DecodeCtx,
-    first_stream: TcpStream,
+    first_stream: BufReader<TcpStream>,
 ) {
     let mut stream = Some(first_stream);
     // Consecutive subscription attempts that ended without applying a
@@ -375,6 +373,164 @@ pub fn run_tail(
             }
         }
     }
+}
+
+/// Maximum raw WAL bytes shipped in one `SegmentChunk` frame.
+const CHUNK_MAX: usize = 256 * 1024;
+
+/// How often an idle replication stream sends a `ReplicaStatus` heartbeat.
+const HEARTBEAT_EVERY: Duration = Duration::from_secs(1);
+
+/// How long the push loop blocks on the commit notifier per wait (bounds
+/// how late it notices shutdown).
+const COMMIT_WAIT: Duration = Duration::from_millis(100);
+
+/// Ends a subscription with one error frame (best effort: the stream
+/// closes right after it either way).
+fn refuse(stream: &mut TcpStream, error: RemoteError) -> io::Result<()> {
+    let _ = send_frame(stream, &Response::Error(error));
+    Ok(())
+}
+
+/// The server half of a replication subscription: stream committed WAL
+/// bytes (and snapshot generations for garbage-collected prefixes) to the
+/// peer until it disconnects or `stop` holds (the node drains).
+pub(crate) fn serve_replication(
+    mut stream: TcpStream,
+    service: &RoleService,
+    stop: &dyn Fn() -> bool,
+    applied: Vec<u64>,
+) -> io::Result<()> {
+    let Some(store) = service.store() else {
+        return refuse(
+            &mut stream,
+            RemoteError::WrongRole("replication is served by the store role".to_string()),
+        );
+    };
+    if !store.is_durable() {
+        // An in-memory store has no WAL to ship; refusing here beats a
+        // subscriber silently tailing an empty log forever.
+        return refuse(
+            &mut stream,
+            RemoteError::BadRequest(
+                "replication needs a durable primary (boot it with --data-dir)".to_string(),
+            ),
+        );
+    }
+    let committed = store.replication_positions();
+    let shards = committed.len();
+    // An empty vector is the fresh-replica handshake: the status frame
+    // below tells the peer the shard count, and streaming starts at zero.
+    let mut from = if applied.is_empty() {
+        vec![0; shards]
+    } else {
+        applied
+    };
+    if from.len() != shards {
+        return refuse(
+            &mut stream,
+            RemoteError::BadRequest(format!(
+                "subscription carries {} shard offsets but the store has {shards} shards",
+                from.len()
+            )),
+        );
+    }
+    send_frame(
+        &mut stream,
+        &Response::ReplicaStatus {
+            positions: committed,
+            writable: service.writable(),
+        },
+    )?;
+
+    let notifier = store.commit_notifier();
+    let mut epoch = notifier.epoch();
+    let mut last_heartbeat = Instant::now();
+    while !stop() {
+        let mut sent_any = false;
+        for (shard, pos) in from.iter_mut().enumerate() {
+            loop {
+                if stop() {
+                    return Ok(());
+                }
+                match store.replication_chunk(shard, *pos, CHUNK_MAX) {
+                    Ok(ChunkOutcome::Bytes(bytes)) => {
+                        let len = bytes.len() as u64;
+                        send_frame(
+                            &mut stream,
+                            &Response::SegmentChunk {
+                                shard: shard as u64,
+                                start: *pos,
+                                bytes,
+                            },
+                        )?;
+                        *pos += len;
+                        sent_any = true;
+                    }
+                    Ok(ChunkOutcome::CaughtUp) => break,
+                    Ok(ChunkOutcome::Ahead) => {
+                        // The peer claims more log than this store has
+                        // committed — it is following the wrong primary (or
+                        // a demoted one).  Refuse rather than guess.
+                        return refuse(
+                            &mut stream,
+                            RemoteError::BadRequest(format!(
+                                "shard {shard}: subscriber offset {} is ahead of this store",
+                                *pos
+                            )),
+                        );
+                    }
+                    // The requested offset was garbage-collected; ship the
+                    // newest snapshot generation and resume the byte stream
+                    // from its WAL offset.
+                    Ok(ChunkOutcome::Gone) => match store.replication_snapshot(shard) {
+                        Ok(Some((gen, offset, bytes))) => {
+                            send_frame(
+                                &mut stream,
+                                &Response::SnapshotGeneration {
+                                    shard: shard as u64,
+                                    gen,
+                                    wal_offset: offset,
+                                    bytes,
+                                },
+                            )?;
+                            *pos = offset;
+                            sent_any = true;
+                        }
+                        Ok(None) => {
+                            return refuse(
+                                &mut stream,
+                                RemoteError::Internal(format!(
+                                    "shard {shard}: log prefix gone but no snapshot exists"
+                                )),
+                            );
+                        }
+                        Err(e) => return refuse(&mut stream, RemoteError::from_phr(&e)),
+                    },
+                    Err(e) => return refuse(&mut stream, RemoteError::from_phr(&e)),
+                }
+            }
+        }
+        if sent_any {
+            last_heartbeat = Instant::now();
+            continue;
+        }
+        // Fully caught up: block until the next commit (or a short timeout
+        // so shutdown is noticed), heartbeating about once a second so the
+        // peer can tell a quiet primary from a dead one.
+        epoch = notifier.wait_beyond(epoch, COMMIT_WAIT);
+        if last_heartbeat.elapsed() >= HEARTBEAT_EVERY {
+            send_frame(
+                &mut stream,
+                &Response::ReplicaStatus {
+                    positions: from.clone(),
+                    writable: service.writable(),
+                },
+            )?;
+            last_heartbeat = Instant::now();
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! Request dispatch for the three node roles.
 //!
-//! [`RoleService::handle_batch`] is the single seam between the wire protocol
-//! and the in-process scheme objects: it maps each [`Request`] onto the
-//! [`Kgc`] / [`EncryptedPhrStore`] / [`ProxyService`] call it names, and
+//! [`RoleService::handle_run`] is the single seam between the wire protocol
+//! and the in-process scheme objects: it maps one run of a connection's
+//! backlog — consecutive `Disclose` requests, or one other request — onto
+//! the [`Kgc`] / [`EncryptedPhrStore`] / [`ProxyService`] call it names, and
 //! maps every failure — including a panic in the handler — onto a
 //! [`Response::Error`], so a connection thread can never poison the node.
 
@@ -69,21 +70,16 @@ impl RoleService {
         self.replica().is_none_or(|control| control.writable())
     }
 
-    /// Handles one request: a batch of one through [`Self::handle_batch`].
-    pub fn handle(&self, request: Request) -> Response {
-        self.handle_batch(vec![request])
-            .pop()
-            .expect("one response per request")
-    }
-
-    /// Handles a batch of independent requests: exactly one response per
-    /// request, in request order.  Never panics: a panicking handler is
-    /// reported as [`RemoteError::Internal`] on every request of the batch
-    /// and the connections stay usable.
-    pub fn handle_batch(&self, requests: Vec<Request>) -> Vec<Response> {
+    /// Executes one run of a connection's backlog: consecutive `Disclose`
+    /// requests (one [`ProxyService::disclose_batch`] call on a proxy), or a
+    /// single other request.  Exactly one response per request, in request
+    /// order.  Never panics: a panicking handler is reported as
+    /// [`RemoteError::Internal`] on every request of the run and the
+    /// connection stays usable.
+    pub fn handle_run(&self, run: Vec<Request>) -> Vec<Response> {
         let role = self.role();
-        let len = requests.len();
-        catch_unwind(AssertUnwindSafe(|| self.dispatch_batch(requests))).unwrap_or_else(|_| {
+        let len = run.len();
+        catch_unwind(AssertUnwindSafe(|| self.dispatch_run(run))).unwrap_or_else(|_| {
             vec![
                 Response::Error(RemoteError::Internal(format!(
                     "request handler panicked on the {} node",
@@ -94,57 +90,49 @@ impl RoleService {
         })
     }
 
-    /// On a proxy, the batch's `Disclose` requests collapse into one
-    /// [`ProxyService::disclose_batch`] call (one record fetch, batched
-    /// pairing work, group-committed audit writes) — the only place a
-    /// `Disclose` is served; everything else dispatches per item.
-    fn dispatch_batch(&self, requests: Vec<Request>) -> Vec<Response> {
-        let RoleService::Proxy(proxy) = self else {
-            return requests.into_iter().map(|r| self.dispatch(r)).collect();
-        };
-        let mut items: Vec<(Identity, RecordId, Identity)> = Vec::new();
-        // `None` marks a position answered by the collapsed call.
-        let mut inline: Vec<Option<Request>> = Vec::with_capacity(requests.len());
-        for request in requests {
-            match request {
+    fn dispatch_run(&self, run: Vec<Request>) -> Vec<Response> {
+        if let RoleService::Proxy(proxy) = self {
+            match run.first() {
+                Some(Request::Disclose { .. }) => return Self::disclose_run(proxy, run),
+                Some(Request::DiscloseCategory { .. }) => metrics::note_run(1),
+                _ => metrics::note_bypass(),
+            }
+        }
+        run.into_iter().map(|r| self.dispatch(r)).collect()
+    }
+
+    /// A run of `Disclose` requests is one [`ProxyService::disclose_batch`]
+    /// call (one record fetch, batched pairing work, group-committed audit
+    /// writes) — the only place a `Disclose` is served.
+    fn disclose_run(proxy: &RwLock<ProxyService>, run: Vec<Request>) -> Vec<Response> {
+        metrics::note_run(run.len());
+        let items: Vec<(Identity, RecordId, Identity)> = run
+            .into_iter()
+            .map(|request| match request {
                 Request::Disclose {
                     patient,
                     id,
                     requester,
-                } => {
-                    items.push((patient, id, requester));
-                    inline.push(None);
-                }
-                other => inline.push(Some(other)),
-            }
-        }
-        // The read guard spans only the collapsed call: inline entries may
-        // need the write side (and dispatch takes its own locks).
-        let mut disclosed = if items.is_empty() {
-            Vec::new()
-        } else {
-            proxy.read().disclose_batch(&items)
-        }
-        .into_iter();
-        inline
+                } => (patient, id, requester),
+                other => unreachable!("a {} request inside a Disclose run", other.kind()),
+            })
+            .collect();
+        let disclosed = proxy.read().disclose_batch(&items);
+        // A short answer would desynchronise the connection; inside
+        // `handle_run` this panic answers `Internal` for the whole run.
+        assert_eq!(disclosed.len(), items.len(), "one result per disclosure");
+        disclosed
             .into_iter()
-            .map(|entry| match entry {
-                Some(request) => self.dispatch(request),
-                None => match disclosed.next() {
-                    Some(Ok(bundle)) => Response::Bundle(Box::new(bundle)),
-                    Some(Err(e)) => Response::Error(RemoteError::from_phr(&e)),
-                    None => Response::Error(RemoteError::Internal(
-                        "disclose batch returned too few results".to_string(),
-                    )),
-                },
+            .map(|disclosed| match disclosed {
+                Ok(bundle) => Response::Bundle(Box::new(bundle)),
+                Err(e) => Response::Error(RemoteError::from_phr(&e)),
             })
             .collect()
     }
 
     fn dispatch(&self, request: Request) -> Response {
-        // Scheduler counters are answered by every role (a node without a
-        // scheduler reports zeros), so the request is handled before the
-        // role match.
+        // The run counters are answered by every role (only a proxy cuts
+        // runs), so the request is handled before the role match.
         if matches!(request, Request::SchedStats) {
             return Response::SchedStats(metrics::sched_snapshot());
         }
@@ -267,7 +255,7 @@ impl RoleService {
     }
 
     /// Everything a proxy serves except `Disclose`, which
-    /// [`Self::dispatch_batch`] has already collapsed.
+    /// [`Self::disclose_run`] serves.
     fn dispatch_proxy(proxy: &RwLock<ProxyService>, request: Request) -> Response {
         match request {
             Request::InstallKey { key } => {

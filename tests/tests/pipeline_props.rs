@@ -424,3 +424,85 @@ fn shutdown_answers_queued_scheduler_entries_before_closing() {
         handle.wait();
     }
 }
+
+/// Request order survives a revocation pipelined between disclosures: the
+/// connection executes its requests in the order it sent them, so the
+/// first `Disclose` sees the grant, the `RevokeKey` after it takes effect
+/// before the second, and the re-installed key serves the third — at every
+/// run length the proxy may cut.
+#[test]
+fn a_pipelined_revocation_takes_effect_in_request_order() {
+    for batch_max in [1, 4, 16] {
+        let fixture = Fixture::boot(1, 1, batch_max, None);
+        let patient = fixture.patients[0].clone();
+        let provider = fixture.provider.clone();
+        let category = Category::LabResults;
+
+        // Install a key the test holds, so re-installing it restores the
+        // exact state the sequence started from.
+        let config = ClientConfig::default();
+        let mut kgc_client = KgcClient::connect(fixture.kgc.addr(), &fixture.params, &config)
+            .expect("kgc connection");
+        let domain = kgc_client.public_params().unwrap();
+        let delegator = Delegator::new(domain.clone(), kgc_client.extract(&patient).unwrap());
+        let mut rng = StdRng::seed_from_u64(0x0e0d_e125);
+        let key = delegator
+            .make_reencryption_key(&provider, &domain, &category.type_tag(), &mut rng)
+            .unwrap();
+        let mut proxy_client = ProxyClient::connect(fixture.proxy.addr(), &fixture.params, &config)
+            .expect("proxy connection");
+        proxy_client.install_key(key.clone()).unwrap();
+
+        let disclose = Request::Disclose {
+            patient: patient.clone(),
+            id: fixture.records[0][0],
+            requester: provider.clone(),
+        };
+        let requests = vec![
+            disclose.clone(),
+            Request::RevokeKey {
+                patient: patient.clone(),
+                category: category.clone(),
+                grantee: provider.clone(),
+            },
+            disclose.clone(),
+            Request::HasGrant {
+                patient: patient.clone(),
+                category: category.clone(),
+                grantee: provider.clone(),
+            },
+            Request::InstallKey { key: Box::new(key) },
+            disclose,
+        ];
+        let oracle = sequential_oracle(&fixture, &requests);
+
+        let mut conn = fixture.proxy_conn();
+        let responses = conn.call_pipelined(&requests).expect("pipelined call");
+        assert_eq!(responses.len(), requests.len(), "batch_max {batch_max}");
+        assert!(
+            matches!(responses[0], Response::Bundle(_)),
+            "batch_max {batch_max}: the disclosure before the revocation got {:?}",
+            responses[0]
+        );
+        assert!(matches!(responses[1], Response::Bool(true)));
+        assert!(
+            matches!(
+                responses[2],
+                Response::Error(tibpre_client::RemoteError::AccessDenied { .. })
+            ),
+            "batch_max {batch_max}: the disclosure after the revocation got {:?}",
+            responses[2]
+        );
+        assert!(matches!(responses[3], Response::Bool(false)));
+        assert!(matches!(responses[4], Response::Ok));
+        assert!(matches!(responses[5], Response::Bundle(_)));
+        for (i, (response, want)) in responses.iter().zip(&oracle).enumerate() {
+            assert_eq!(
+                &response.to_wire_bytes(),
+                want,
+                "batch_max {batch_max}: response {i} diverged from the sequential oracle"
+            );
+        }
+        fixture.shut_down();
+    }
+}
