@@ -5,7 +5,7 @@
 use crate::conn::{ClientConfig, ClientError, Connection, Result};
 use crate::protocol::{RemoteError, Request, Response, SchedStatsReport};
 use parking_lot::Mutex;
-use std::net::ToSocketAddrs;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tibpre_core::{HybridCiphertext, ReEncryptionKey};
@@ -316,10 +316,16 @@ impl ProxyClient {
 ///
 /// Holds a small connection pool (requests are strictly serial per
 /// connection) handed out round-robin, so concurrent disclosure handlers on
-/// the proxy don't serialize on one socket.
+/// the proxy don't serialize on one socket.  A connection whose call failed
+/// short of a decoded response may have responses still in flight, so it is
+/// dropped, and its slot reconnects on next use; a [`ClientError::Remote`]
+/// leaves the stream in step and keeps it.
 pub struct RemoteStore {
-    pool: Vec<Mutex<Connection>>,
+    pool: Vec<Mutex<Option<Connection>>>,
     next: AtomicUsize,
+    addrs: Vec<SocketAddr>,
+    params: Arc<PairingParams>,
+    config: ClientConfig,
 }
 
 impl RemoteStore {
@@ -331,24 +337,45 @@ impl RemoteStore {
         connections: usize,
     ) -> Result<Self> {
         let pool = (0..connections.max(1))
-            .map(|_| Ok(Mutex::new(Connection::connect(addr, params, config)?)))
+            .map(|_| Ok(Mutex::new(Some(Connection::connect(addr, params, config)?))))
             .collect::<Result<Vec<_>>>()?;
         Ok(RemoteStore {
             pool,
             next: AtomicUsize::new(0),
+            addrs: addr.to_socket_addrs()?.collect(),
+            params: Arc::clone(params),
+            config: config.clone(),
         })
     }
 
-    fn call(&self, request: &Request) -> Result<Response> {
+    /// Runs `f` on the next pooled connection, reconnecting a dropped one
+    /// first and dropping it again if `f` leaves it out of step.
+    fn with_connection<T>(&self, f: impl FnOnce(&mut Connection) -> Result<T>) -> Result<T> {
         let i = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.len();
-        self.pool[i].lock().call(request)
+        let mut slot = self.pool[i].lock();
+        let conn = match &mut *slot {
+            Some(conn) => conn,
+            None => slot.insert(Connection::connect(
+                &self.addrs[..],
+                &self.params,
+                &self.config,
+            )?),
+        };
+        let result = f(conn);
+        if matches!(&result, Err(e) if !matches!(e, ClientError::Remote(_))) {
+            *slot = None;
+        }
+        result
+    }
+
+    fn call(&self, request: &Request) -> Result<Response> {
+        self.with_connection(|conn| conn.call(request))
     }
 
     /// Sends a run of requests down ONE pooled connection pipelined: all
     /// frames in one flush, all responses read back in order.
     fn call_pipelined(&self, requests: &[Request]) -> Result<Vec<Response>> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.len();
-        self.pool[i].lock().call_pipelined(requests)
+        self.with_connection(|conn| conn.call_pipelined(requests))
     }
 
     fn phr_call(&self, request: &Request) -> tibpre_phr::Result<Response> {

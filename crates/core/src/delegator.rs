@@ -7,23 +7,25 @@ use crate::{PreError, Result, H2_DOMAIN};
 use rand::{CryptoRng, RngCore};
 use std::sync::{Arc, OnceLock};
 use tibpre_ibe::{bf, IbePrivateKey, IbePublicParams, Identity, H1_DOMAIN};
-use tibpre_pairing::{
-    wire as pairing_wire, DecodeCtx, G1Affine, G1Precomp, Gt, PairingParams, Scalar,
-};
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
+use tibpre_pairing::{DecodeCtx, G1Affine, G1Precomp, Gt, PairingParams, Scalar};
 
-/// A typed ciphertext `(c1, c2, c3) = (g^r, m · ê(pk_id, pk₁)^{r·H2(sk‖t)}, t)`.
-///
-/// Only the delegator himself can produce (or directly decrypt) these
-/// ciphertexts, because the exponent involves his private key.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TypedCiphertext {
-    /// `c1 = g^r`.
-    pub c1: G1Affine,
-    /// `c2 = m · ê(pk_id, pk₁)^{r·H2(sk_id ‖ t)}`.
-    pub c2: Gt,
-    /// `c3 = t`, the message type (sent in the clear, as in the paper).
-    pub type_tag: TypeTag,
+tibpre_wire::message! {
+    /// A typed ciphertext `(c1, c2, c3) = (g^r, m · ê(pk_id, pk₁)^{r·H2(sk‖t)}, t)`.
+    ///
+    /// Only the delegator himself can produce (or directly decrypt) these
+    /// ciphertexts, because the exponent involves his private key.  Decoding
+    /// validates `c1` against the curve and the prime-order subgroup; `c2` is
+    /// range/torus-validated only (the mask never needs the full subgroup
+    /// check — see the pairing crate's wire docs).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct TypedCiphertext: DecodeCtx {
+        /// `c1 = g^r`.
+        pub c1: G1Affine,
+        /// `c2 = m · ê(pk_id, pk₁)^{r·H2(sk_id ‖ t)}`.
+        pub c2: Gt,
+        /// `c3 = t`, the message type (sent in the clear, as in the paper).
+        pub type_tag: TypeTag,
+    }
 }
 
 impl TypedCiphertext {
@@ -31,30 +33,6 @@ impl TypedCiphertext {
     /// default wire version.
     pub fn serialized_len(params: &PairingParams, type_len: usize) -> usize {
         1 + params.g1_compressed_byte_len() + params.gt_compressed_byte_len() + 4 + type_len
-    }
-}
-
-impl WireEncode for TypedCiphertext {
-    /// `c1 ‖ c2 ‖ type_len(u32 BE) ‖ type`.
-    fn encode(&self, w: &mut Writer) {
-        self.c1.encode(w);
-        self.c2.encode(w);
-        w.put_bytes(self.type_tag.as_bytes());
-    }
-}
-
-impl WireDecode for TypedCiphertext {
-    type Ctx = DecodeCtx;
-
-    /// Validates `c1` against the curve and the prime-order subgroup; `c2`
-    /// is range/torus-validated only (the mask never needs the full
-    /// subgroup check — see the pairing crate's wire docs).
-    fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
-        let c1 =
-            pairing_wire::decode_g1_in_subgroup(r, ctx, "c1 outside the prime-order subgroup")?;
-        let c2 = Gt::decode(r, ctx.fp_ctx())?;
-        let type_tag = TypeTag::from_bytes(r.bytes()?.to_vec());
-        Ok(TypedCiphertext { c1, c2, type_tag })
     }
 }
 
@@ -227,6 +205,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tibpre_ibe::Kgc;
+    use tibpre_wire::{WireDecode, WireEncode};
 
     fn setup() -> (Delegator, Arc<PairingParams>, StdRng) {
         let mut rng = StdRng::seed_from_u64(51);

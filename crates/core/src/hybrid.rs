@@ -22,27 +22,33 @@ use crate::Result;
 use rand::{CryptoRng, RngCore};
 use tibpre_pairing::{DecodeCtx, Gt};
 use tibpre_symmetric::{AeadCiphertext, AeadKey};
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
+use tibpre_wire::{Nested, WireEncode};
 
 /// Context string binding derived AEAD keys to this construction.
 const KEM_CONTEXT: &str = "tibpre-hybrid-kem-v1";
 
-/// A hybrid ciphertext: typed KEM header plus AEAD-encrypted payload.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HybridCiphertext {
-    /// `Encrypt1(k, t, id)` — the encapsulated key, still under the delegator's identity.
-    pub header: TypedCiphertext,
-    /// The AEAD-encrypted payload under the key derived from `k`.
-    pub body: AeadCiphertext,
+tibpre_wire::message! {
+    /// A hybrid ciphertext: typed KEM header plus AEAD-encrypted payload.
+    /// The KEM header is nested (length-prefixed) so the format stays
+    /// parseable field by field; the AEAD body carries its own length field.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct HybridCiphertext: DecodeCtx {
+        /// `Encrypt1(k, t, id)` — the encapsulated key, still under the delegator's identity.
+        pub header: TypedCiphertext as Nested,
+        /// The AEAD-encrypted payload under the key derived from `k`.
+        pub body: AeadCiphertext,
+    }
 }
 
-/// A hybrid ciphertext whose header has been re-encrypted for a delegatee.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReEncryptedHybridCiphertext {
-    /// The re-encrypted KEM header.
-    pub header: ReEncryptedCiphertext,
-    /// The AEAD body, forwarded by the proxy untouched.
-    pub body: AeadCiphertext,
+tibpre_wire::message! {
+    /// A hybrid ciphertext whose header has been re-encrypted for a delegatee.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ReEncryptedHybridCiphertext: DecodeCtx {
+        /// The re-encrypted KEM header.
+        pub header: ReEncryptedCiphertext as Nested,
+        /// The AEAD body, forwarded by the proxy untouched.
+        pub body: AeadCiphertext,
+    }
 }
 
 fn dem_key(k: &Gt, type_tag: &TypeTag) -> AeadKey {
@@ -63,51 +69,6 @@ impl HybridCiphertext {
     /// default wire version, for the size experiments.
     pub fn serialized_len(&self) -> usize {
         self.to_wire_bytes().len()
-    }
-}
-
-impl WireEncode for HybridCiphertext {
-    /// `header_len(u32 BE) ‖ header ‖ body`: the KEM header is
-    /// length-prefixed so the format stays parseable field by field; the
-    /// AEAD body carries its own length field.
-    fn encode(&self, w: &mut Writer) {
-        w.put_nested(|w| self.header.encode(w));
-        self.body.encode(w);
-    }
-}
-
-impl WireDecode for HybridCiphertext {
-    type Ctx = DecodeCtx;
-
-    fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
-        // The header is length-prefixed; decode it from its own cursor (at
-        // the container's version) and require it to be consumed exactly.
-        let header_bytes = r.bytes()?;
-        let mut hr = Reader::with_version(header_bytes, r.version());
-        let header = TypedCiphertext::decode(&mut hr, ctx)?;
-        hr.finish()?;
-        let body = AeadCiphertext::decode(r, &())?;
-        Ok(HybridCiphertext { header, body })
-    }
-}
-
-impl WireEncode for ReEncryptedHybridCiphertext {
-    fn encode(&self, w: &mut Writer) {
-        w.put_nested(|w| self.header.encode(w));
-        self.body.encode(w);
-    }
-}
-
-impl WireDecode for ReEncryptedHybridCiphertext {
-    type Ctx = DecodeCtx;
-
-    fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
-        let header_bytes = r.bytes()?;
-        let mut hr = Reader::with_version(header_bytes, r.version());
-        let header = ReEncryptedCiphertext::decode(&mut hr, ctx)?;
-        hr.finish()?;
-        let body = AeadCiphertext::decode(r, &())?;
-        Ok(ReEncryptedHybridCiphertext { header, body })
     }
 }
 
@@ -194,6 +155,7 @@ mod tests {
     use rand::SeedableRng;
     use tibpre_ibe::{Identity, Kgc};
     use tibpre_pairing::PairingParams;
+    use tibpre_wire::{WireDecode, WireEncode};
 
     struct Fixture {
         delegator: Delegator,

@@ -53,6 +53,18 @@
 //! | [`delegatee`] | [`Delegatee`] — decryption of re-encrypted ciphertexts |
 //! | [`hybrid`] | KEM/DEM mode for byte payloads (PHR records) |
 //!
+//! ## Wire form
+//!
+//! Each ciphertext and key here is declared once with
+//! [`tibpre_wire::message!`]: its wire order is its field order, and each
+//! field travels by its type's codec.  A `G1` field (`c₁`, `rk₂`) is always
+//! subgroup-checked on decode and a `Gt` field range/torus-checked (the
+//! field codecs of `tibpre_pairing::wire`); a [`TypeTag`] is a
+//! length-prefixed blob; a hybrid ciphertext nests its header and writes
+//! its AEAD body in place.  A re-encryption key's `rk₃` is fully validated
+//! on decode and then kept as bytes, while a re-encrypted ciphertext's
+//! `c'₃` is only framed until a delegatee opens it.
+//!
 //! ## Quick start
 //!
 //! ```

@@ -6,62 +6,31 @@ use crate::types::TypeTag;
 use crate::{PreError, Result};
 use std::collections::HashMap;
 use tibpre_ibe::{EncodedIbeCiphertext, Identity};
-use tibpre_pairing::{wire as pairing_wire, DecodeCtx, G1Affine, Gt};
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
+use tibpre_pairing::{DecodeCtx, G1Affine, Gt};
 
-/// A re-encrypted ciphertext `(c1, c2·ê(c1, rk₂), Encrypt2(X, id_j))`.
-///
-/// After `Preenc` the mask has collapsed to `ê(g^r, H1(X))`: the ciphertext no
-/// longer depends on the delegator's key at all, only on the random `X` that is
-/// itself encrypted to the delegatee.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReEncryptedCiphertext {
-    /// `c'1 = c1 = g^r`.
-    pub c1: G1Affine,
-    /// `c'2 = m · ê(g^r, H1(X))`.
-    pub c2: Gt,
-    /// `c'3 = Encrypt2(X, id_j)`: the key's bytes, validated on first use.
-    pub encrypted_x: EncodedIbeCiphertext,
-    /// The message type, carried along for bookkeeping (the delegatee does not
-    /// need it for decryption).
-    pub type_tag: TypeTag,
-    /// The intended delegatee (bookkeeping; the ciphertext only opens under
-    /// this identity's key anyway).
-    pub delegatee: Identity,
-}
-
-impl WireEncode for ReEncryptedCiphertext {
-    /// `c1 ‖ c2 ‖ encrypted_x ‖ type_len ‖ type ‖ delegatee_len ‖ delegatee`.
-    fn encode(&self, w: &mut Writer) {
-        self.c1.encode(w);
-        self.c2.encode(w);
-        self.encrypted_x.encode(w);
-        w.put_bytes(self.type_tag.as_bytes());
-        w.put_bytes(self.delegatee.as_bytes());
-    }
-}
-
-impl WireDecode for ReEncryptedCiphertext {
-    type Ctx = DecodeCtx;
-
-    /// Validates `c1` against the curve and the prime-order subgroup
-    /// (slightly stricter than the legacy parser, which skipped the
-    /// subgroup check here); `c2` is range/torus-validated only; `c'3` is
-    /// only framed — the delegatee validates it on a mask-cache miss.
-    fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
-        let c1 =
-            pairing_wire::decode_g1_in_subgroup(r, ctx, "c1 outside the prime-order subgroup")?;
-        let c2 = Gt::decode(r, ctx.fp_ctx())?;
-        let encrypted_x = EncodedIbeCiphertext::decode(r, ctx)?;
-        let type_tag = TypeTag::from_bytes(r.bytes()?.to_vec());
-        let delegatee = Identity::from_bytes(r.bytes()?.to_vec());
-        Ok(ReEncryptedCiphertext {
-            c1,
-            c2,
-            encrypted_x,
-            type_tag,
-            delegatee,
-        })
+tibpre_wire::message! {
+    /// A re-encrypted ciphertext `(c1, c2·ê(c1, rk₂), Encrypt2(X, id_j))`.
+    ///
+    /// After `Preenc` the mask has collapsed to `ê(g^r, H1(X))`: the
+    /// ciphertext no longer depends on the delegator's key at all, only on
+    /// the random `X` that is itself encrypted to the delegatee.  Decoding
+    /// validates `c1` against the curve and the prime-order subgroup; `c2` is
+    /// range/torus-validated only; `c'3` is only framed — the delegatee
+    /// validates it on a mask-cache miss.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ReEncryptedCiphertext: DecodeCtx {
+        /// `c'1 = c1 = g^r`.
+        pub c1: G1Affine,
+        /// `c'2 = m · ê(g^r, H1(X))`.
+        pub c2: Gt,
+        /// `c'3 = Encrypt2(X, id_j)`: the key's bytes, validated on first use.
+        pub encrypted_x: EncodedIbeCiphertext,
+        /// The message type, carried along for bookkeeping (the delegatee
+        /// does not need it for decryption).
+        pub type_tag: TypeTag,
+        /// The intended delegatee (bookkeeping; the ciphertext only opens
+        /// under this identity's key anyway).
+        pub delegatee: Identity,
     }
 }
 
@@ -239,6 +208,7 @@ mod tests {
     use std::sync::Arc;
     use tibpre_ibe::Kgc;
     use tibpre_pairing::PairingParams;
+    use tibpre_wire::{WireDecode, WireEncode};
 
     struct Fixture {
         params: Arc<PairingParams>,

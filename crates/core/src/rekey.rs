@@ -3,8 +3,9 @@
 use crate::types::TypeTag;
 use std::sync::{Arc, OnceLock};
 use tibpre_ibe::{EncodedIbeCiphertext, IbeCiphertext, Identity};
-use tibpre_pairing::{wire as pairing_wire, DecodeCtx, G1Affine, PairingParams, PreparedPairing};
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, Writer};
+use tibpre_pairing::wire::FromCtx;
+use tibpre_pairing::{DecodeCtx, G1Affine, PairingParams, PreparedPairing};
+use tibpre_wire::{Codec, DecodeError, Field, Reader, Unsent, WireDecode, Writer};
 
 /// Lazily-built pairing precomputation for one re-encryption key, shared
 /// across clones (a proxy clones keys freely; the Miller-loop table must not
@@ -14,27 +15,48 @@ struct RekeyCache {
     prepared_rk: OnceLock<Arc<PreparedPairing>>,
 }
 
-/// A re-encryption key `rk_{i→j} = (t, sk_i^{−H2(sk_i‖t)}·H1(X), Encrypt2(X, id_j))`.
-///
-/// The key is bound to one (delegator, delegatee, type) triple.  Holding it,
-/// the proxy can convert the delegator's ciphertexts *of that type only*; by
-/// Theorem 1 of the paper it learns nothing that helps with any other type.
-#[derive(Clone)]
-pub struct ReEncryptionKey {
-    delegator: Identity,
-    delegatee: Identity,
-    type_tag: TypeTag,
-    /// `rk₂ = sk_i^{−H2(sk_i ‖ t)} · H1(X)`.
-    rk_point: G1Affine,
-    /// `rk₃ = Encrypt2(X, id_j)` — the random element `X` encrypted to the
-    /// delegatee under the delegatee's KGC; validated, encoded once.
-    encrypted_x: EncodedIbeCiphertext,
-    /// The shared pairing parameters, carried so the proxy can re-encrypt
-    /// without a separate parameter handle.
-    params: Arc<PairingParams>,
-    /// Pairing precomputation for `rk₂` (not part of the key material; never
-    /// serialized or compared).
-    cache: Arc<RekeyCache>,
+tibpre_wire::message! {
+    /// A re-encryption key `rk_{i→j} = (t, sk_i^{−H2(sk_i‖t)}·H1(X), Encrypt2(X, id_j))`.
+    ///
+    /// The key is bound to one (delegator, delegatee, type) triple.  Holding
+    /// it, the proxy can convert the delegator's ciphertexts *of that type
+    /// only*; by Theorem 1 of the paper it learns nothing that helps with any
+    /// other type.  Decoding validates `rk₂` against the curve and the
+    /// prime-order subgroup (an out-of-subgroup key point could leak
+    /// information through the proxy's pairings), and `rk₃` fully.
+    #[derive(Clone)]
+    pub struct ReEncryptionKey: DecodeCtx {
+        delegator: Identity,
+        delegatee: Identity,
+        type_tag: TypeTag,
+        /// `rk₂ = sk_i^{−H2(sk_i ‖ t)} · H1(X)`.
+        rk_point: G1Affine,
+        /// `rk₃ = Encrypt2(X, id_j)` — the random element `X` encrypted to
+        /// the delegatee under the delegatee's KGC; validated, encoded once.
+        encrypted_x: EncodedIbeCiphertext as Validated,
+        /// The shared pairing parameters, carried so the proxy can
+        /// re-encrypt without a separate parameter handle.
+        params: Arc<PairingParams> as FromCtx,
+        /// Pairing precomputation for `rk₂` (not part of the key material;
+        /// never serialized or compared).
+        cache: Arc<RekeyCache> as Unsent,
+    }
+}
+
+/// The codec of `rk₃`: decoded with [`IbeCiphertext`]'s full validation,
+/// then kept as its canonical bytes.
+struct Validated;
+
+impl Codec<EncodedIbeCiphertext, DecodeCtx> for Validated {
+    fn put(value: &EncodedIbeCiphertext, w: &mut Writer) {
+        value.put(w);
+    }
+    fn read(r: &mut Reader<'_>, ctx: &DecodeCtx) -> Result<EncodedIbeCiphertext, DecodeError> {
+        Ok(EncodedIbeCiphertext::new(
+            &IbeCiphertext::decode(r, ctx)?,
+            ctx,
+        ))
+    }
 }
 
 impl PartialEq for ReEncryptionKey {
@@ -141,43 +163,6 @@ impl ReEncryptionKey {
     }
 }
 
-impl WireEncode for ReEncryptionKey {
-    /// `delegator ‖ delegatee ‖ type ‖ rk_point ‖ encrypted_x` (strings
-    /// length-prefixed).
-    fn encode(&self, w: &mut Writer) {
-        w.put_bytes(self.delegator.as_bytes());
-        w.put_bytes(self.delegatee.as_bytes());
-        w.put_bytes(self.type_tag.as_bytes());
-        self.rk_point.encode(w);
-        self.encrypted_x.encode(w);
-    }
-}
-
-impl WireDecode for ReEncryptionKey {
-    type Ctx = DecodeCtx;
-
-    /// Validates `rk₂` against the curve and the prime-order subgroup
-    /// (an out-of-subgroup key point could leak information through the
-    /// proxy's pairings), and `rk₃` fully.
-    fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
-        let delegator = Identity::from_bytes(r.bytes()?.to_vec());
-        let delegatee = Identity::from_bytes(r.bytes()?.to_vec());
-        let type_tag = TypeTag::from_bytes(r.bytes()?.to_vec());
-        let rk_point =
-            pairing_wire::decode_g1_in_subgroup(r, ctx, "rk point outside the subgroup")?;
-        let encrypted_x = EncodedIbeCiphertext::new(&IbeCiphertext::decode(r, ctx)?, ctx);
-        Ok(ReEncryptionKey {
-            delegator,
-            delegatee,
-            type_tag,
-            rk_point,
-            encrypted_x,
-            params: Arc::clone(ctx.params()),
-            cache: Arc::default(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +171,7 @@ mod tests {
     use rand::SeedableRng;
     use tibpre_ibe::Kgc;
     use tibpre_pairing::PairingParams;
+    use tibpre_wire::{WireDecode, WireEncode};
 
     fn make_rekey() -> (ReEncryptionKey, Arc<PairingParams>) {
         let mut rng = StdRng::seed_from_u64(61);

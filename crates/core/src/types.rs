@@ -40,6 +40,12 @@ impl TypeTag {
     }
 }
 
+tibpre_wire::message! {
+    fields {
+        TypeTag: |w, v| w.put_bytes(v.as_bytes()), |r| Ok(TypeTag::from_bytes(r.bytes()?));
+    }
+}
+
 impl fmt::Debug for TypeTag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "TypeTag({})", self.display())

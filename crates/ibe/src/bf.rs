@@ -19,16 +19,22 @@ use rand::{CryptoRng, RngCore};
 use std::sync::Arc;
 use tibpre_pairing::{wire, DecodeCtx, G1Affine, Gt, PairingParams};
 use tibpre_wire::{
-    decode_bare, encode_bare, DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writer,
+    decode_bare, encode_bare, DecodeError, Field, Reader, WireDecode, WireEncode, WireVersion,
+    Writer,
 };
 
-/// A Boneh–Franklin ciphertext `(c1, c2) = (g^r, m · ê(pk_id, pk)^r)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IbeCiphertext {
-    /// `c1 = g^r`.
-    pub c1: G1Affine,
-    /// `c2 = m · ê(pk_id, pk)^r`.
-    pub c2: Gt,
+tibpre_wire::message! {
+    /// A Boneh–Franklin ciphertext `(c1, c2) = (g^r, m · ê(pk_id, pk)^r)`.
+    /// Decoding validates `c1` against the curve *and* the prime-order
+    /// subgroup; `c2` is range/torus-validated only (see the pairing crate's
+    /// wire docs for why the full `Gt` subgroup check is skipped).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct IbeCiphertext: DecodeCtx {
+        /// `c1 = g^r`.
+        pub c1: G1Affine,
+        /// `c2 = m · ê(pk_id, pk)^r`.
+        pub c2: Gt,
+    }
 }
 
 impl IbeCiphertext {
@@ -114,23 +120,13 @@ impl WireDecode for EncodedIbeCiphertext {
     }
 }
 
-impl WireEncode for IbeCiphertext {
-    fn encode(&self, w: &mut Writer) {
-        self.c1.encode(w);
-        self.c2.encode(w);
+/// A declared `c'₃` field: framed only, like the bare decode.
+impl Field<DecodeCtx> for EncodedIbeCiphertext {
+    fn put(&self, w: &mut Writer) {
+        self.encode(w);
     }
-}
-
-impl WireDecode for IbeCiphertext {
-    type Ctx = DecodeCtx;
-
-    /// Validates `c1` against the curve *and* the prime-order subgroup;
-    /// `c2` is range/torus-validated only (see the pairing crate's wire
-    /// docs for why the full `Gt` subgroup check is skipped).
-    fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
-        let c1 = wire::decode_g1_in_subgroup(r, ctx, "c1 outside the prime-order subgroup")?;
-        let c2 = Gt::decode(r, ctx.fp_ctx())?;
-        Ok(IbeCiphertext { c1, c2 })
+    fn read(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
+        Self::decode(r, ctx)
     }
 }
 

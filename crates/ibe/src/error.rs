@@ -13,8 +13,6 @@ pub enum IbeError {
     Decode(DecodeError),
     /// A ciphertext failed to decode or decrypt.
     InvalidCiphertext(&'static str),
-    /// A key or parameter encoding was malformed.
-    InvalidEncoding(&'static str),
     /// Elements from different parameter sets / domains were mixed.
     DomainMismatch,
 }
@@ -25,7 +23,6 @@ impl fmt::Display for IbeError {
             IbeError::Pairing(e) => write!(f, "pairing error: {e}"),
             IbeError::Decode(e) => write!(f, "decode error: {e}"),
             IbeError::InvalidCiphertext(why) => write!(f, "invalid ciphertext: {why}"),
-            IbeError::InvalidEncoding(why) => write!(f, "invalid encoding: {why}"),
             IbeError::DomainMismatch => write!(f, "elements belong to different IBE domains"),
         }
     }

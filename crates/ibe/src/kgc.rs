@@ -6,10 +6,12 @@
 //! independent master keys `α₁`, `α₂`; both are instances of this type.
 
 use crate::identity::Identity;
-use crate::{IbeError, Result, H1_DOMAIN};
+use crate::H1_DOMAIN;
 use rand::{CryptoRng, RngCore};
 use std::sync::{Arc, OnceLock};
-use tibpre_pairing::{wire, DecodeCtx, G1Affine, PairingParams, PreparedPairing, Scalar};
+use tibpre_pairing::wire::FromCtx;
+use tibpre_pairing::{DecodeCtx, G1Affine, PairingParams, PreparedPairing, Scalar};
+use tibpre_wire::Unsent;
 
 /// Lazily-built pairing precomputation for one KGC domain, shared by every
 /// clone of the public parameters (the `Arc` makes the cache survive the
@@ -21,14 +23,22 @@ struct DomainCache {
     prepared_pk: OnceLock<Arc<PreparedPairing>>,
 }
 
-/// Public parameters of one KGC domain: the shared pairing parameters plus the
-/// KGC public key `pk = g^α`.
-#[derive(Clone, Debug)]
-pub struct IbePublicParams {
-    pairing: Arc<PairingParams>,
-    kgc_public_key: G1Affine,
-    label: String,
-    cache: Arc<DomainCache>,
+tibpre_wire::message! {
+    /// Public parameters of one KGC domain: the shared pairing parameters
+    /// plus the KGC public key `pk = g^α`.
+    ///
+    /// Transport form: `label ‖ pk` (the point compressed under `v1`).  The
+    /// pairing parameters are *not* encoded — peers reconstruct them from a
+    /// shared security level, and the decode context supplies them.  A
+    /// public key outside the prime-order subgroup is refused: these
+    /// parameters decide which KGC every encryption trusts.
+    #[derive(Clone, Debug)]
+    pub struct IbePublicParams: DecodeCtx {
+        label: String,
+        kgc_public_key: G1Affine,
+        pairing: Arc<PairingParams> as FromCtx,
+        cache: Arc<DomainCache> as Unsent,
+    }
 }
 
 impl IbePublicParams {
@@ -73,61 +83,6 @@ impl IbePublicParams {
                 .get_or_init(|| Arc::new(self.pairing.prepare(&self.kgc_public_key))),
         )
     }
-
-    /// Reassembles public parameters from transported parts — the receiving
-    /// half of a KGC node's `PublicParams` response, where the pairing
-    /// parameters themselves travel as a [`tibpre_pairing::SecurityLevel`]
-    /// name rather than as group-element bytes.
-    ///
-    /// Rejects a public key outside the prime-order subgroup: these
-    /// parameters decide which KGC every encryption trusts, so the boundary
-    /// validates like any other decode.
-    pub fn from_parts(
-        pairing: Arc<PairingParams>,
-        kgc_public_key: G1Affine,
-        label: String,
-    ) -> Result<Self> {
-        if !kgc_public_key.is_in_subgroup(pairing.q()) {
-            return Err(IbeError::InvalidEncoding(
-                "KGC public key is not in the prime-order subgroup",
-            ));
-        }
-        Ok(IbePublicParams {
-            pairing,
-            kgc_public_key,
-            label,
-            cache: Arc::default(),
-        })
-    }
-}
-
-impl tibpre_wire::WireEncode for IbePublicParams {
-    /// Transport form: `label ‖ pk` (the point compressed under `v1`).  The
-    /// pairing parameters are *not* encoded — peers reconstruct them from a
-    /// shared security level, and the decode context supplies them.
-    fn encode(&self, w: &mut tibpre_wire::Writer) {
-        w.put_bytes(self.label.as_bytes());
-        self.kgc_public_key.encode(w);
-    }
-}
-
-impl tibpre_wire::WireDecode for IbePublicParams {
-    type Ctx = DecodeCtx;
-
-    fn decode(
-        r: &mut tibpre_wire::Reader<'_>,
-        ctx: &DecodeCtx,
-    ) -> core::result::Result<Self, tibpre_wire::DecodeError> {
-        let label = r.string()?;
-        let kgc_public_key =
-            wire::decode_g1_in_subgroup(r, ctx, "KGC public key outside the subgroup")?;
-        Ok(IbePublicParams {
-            pairing: Arc::clone(ctx.params()),
-            kgc_public_key,
-            label,
-            cache: Arc::default(),
-        })
-    }
 }
 
 /// Lazily-built precomputation for one private key, shared across clones.
@@ -138,17 +93,24 @@ struct KeyCache {
     prepared: OnceLock<Arc<PreparedPairing>>,
 }
 
-/// The private key extracted for an identity: `sk_id = pk_id^α = H1(id)^α`.
-#[derive(Clone)]
-pub struct IbePrivateKey {
-    identity: Identity,
-    key: G1Affine,
-    /// The label of the KGC that extracted this key (for diagnostics only).
-    kgc_label: String,
-    /// The shared pairing parameters, kept so decryption does not need a
-    /// separate parameter handle.
-    params: Arc<PairingParams>,
-    cache: Arc<KeyCache>,
+tibpre_wire::message! {
+    /// The private key extracted for an identity: `sk_id = pk_id^α = H1(id)^α`.
+    ///
+    /// Transport form of the full key material:
+    /// `identity ‖ kgc_label ‖ key point` (length-prefixed strings, the
+    /// point compressed under `v1`, subgroup-checked on decode).  The
+    /// hashing-preimage form is [`IbePrivateKey::to_bytes`].
+    #[derive(Clone)]
+    pub struct IbePrivateKey: DecodeCtx {
+        identity: Identity,
+        /// The label of the KGC that extracted this key (for diagnostics only).
+        kgc_label: String,
+        key: G1Affine,
+        /// The shared pairing parameters, kept so decryption does not need a
+        /// separate parameter handle.
+        params: Arc<PairingParams> as FromCtx,
+        cache: Arc<KeyCache> as Unsent,
+    }
 }
 
 impl IbePrivateKey {
@@ -191,31 +153,9 @@ impl IbePrivateKey {
     /// they must stay byte-stable across wire-format generations —
     /// re-encoding the key compressed would silently change every derived
     /// virtual key and orphan all previously encrypted data.  Use the
-    /// [`WireEncode`](tibpre_wire::WireEncode) impl for transport instead.
+    /// declared wire codec for transport instead.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.key.to_bytes()
-    }
-
-    /// Reconstructs a private key from its serialized group element.
-    pub fn from_bytes(
-        params: &Arc<PairingParams>,
-        identity: Identity,
-        kgc_label: &str,
-        bytes: &[u8],
-    ) -> Result<Self> {
-        let key = G1Affine::from_bytes(params.fp_ctx(), bytes).map_err(IbeError::Pairing)?;
-        if !key.is_in_subgroup(params.q()) {
-            return Err(IbeError::InvalidEncoding(
-                "private key is not in the prime-order subgroup",
-            ));
-        }
-        Ok(IbePrivateKey {
-            identity,
-            key,
-            kgc_label: kgc_label.to_string(),
-            params: Arc::clone(params),
-            cache: Arc::default(),
-        })
     }
 }
 
@@ -242,38 +182,6 @@ impl core::fmt::Debug for IbePrivateKey {
     }
 }
 
-impl tibpre_wire::WireEncode for IbePrivateKey {
-    /// Transport form of the full key material:
-    /// `identity ‖ kgc_label ‖ key point` (length-prefixed strings, the
-    /// point compressed under `v1`).  The hashing-preimage form is
-    /// [`IbePrivateKey::to_bytes`].
-    fn encode(&self, w: &mut tibpre_wire::Writer) {
-        w.put_bytes(self.identity.as_bytes());
-        w.put_bytes(self.kgc_label.as_bytes());
-        self.key.encode(w);
-    }
-}
-
-impl tibpre_wire::WireDecode for IbePrivateKey {
-    type Ctx = DecodeCtx;
-
-    fn decode(
-        r: &mut tibpre_wire::Reader<'_>,
-        ctx: &DecodeCtx,
-    ) -> core::result::Result<Self, tibpre_wire::DecodeError> {
-        let identity = Identity::from_bytes(r.bytes()?.to_vec());
-        let kgc_label = r.string()?;
-        let key = wire::decode_g1_in_subgroup(r, ctx, "private key outside the subgroup")?;
-        Ok(IbePrivateKey {
-            identity,
-            key,
-            kgc_label,
-            params: Arc::clone(ctx.params()),
-            cache: Arc::default(),
-        })
-    }
-}
-
 /// A Key Generation Centre: holds the master key `α` and answers `Extract` queries.
 pub struct Kgc {
     master_key: Scalar,
@@ -288,21 +196,6 @@ impl Kgc {
         rng: &mut R,
     ) -> Self {
         let master_key = pairing.random_nonzero_scalar(rng);
-        let kgc_public_key = pairing.mul_generator(&master_key);
-        Kgc {
-            master_key,
-            public: IbePublicParams {
-                pairing,
-                kgc_public_key,
-                label: label.to_string(),
-                cache: Arc::default(),
-            },
-        }
-    }
-
-    /// Reconstructs a KGC from an existing master key (e.g. loaded from secure
-    /// storage).  The public key is re-derived.
-    pub fn from_master_key(pairing: Arc<PairingParams>, label: &str, master_key: Scalar) -> Self {
         let kgc_public_key = pairing.mul_generator(&master_key);
         Kgc {
             master_key,
@@ -352,6 +245,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tibpre_pairing::PairingParams;
+    use tibpre_wire::{WireDecode, WireEncode};
 
     fn setup() -> (Kgc, StdRng) {
         let mut rng = StdRng::seed_from_u64(11);
@@ -428,36 +322,24 @@ mod tests {
     }
 
     #[test]
-    fn from_master_key_round_trip() {
-        let (kgc, _) = setup();
-        let rebuilt = Kgc::from_master_key(
-            kgc.public_params().pairing().clone(),
-            "rebuilt",
-            kgc.master_key().clone(),
-        );
-        assert_eq!(
-            rebuilt.public_params().kgc_public_key(),
-            kgc.public_params().kgc_public_key()
-        );
-        let id = Identity::new("dave");
-        assert_eq!(rebuilt.extract(&id).key(), kgc.extract(&id).key());
-    }
-
-    #[test]
     fn private_key_serialization_round_trip() {
         let (kgc, _) = setup();
         let id = Identity::new("erin");
         let sk = kgc.extract(&id);
-        let bytes = sk.to_bytes();
-        let params = kgc.public_params().pairing();
-        let restored = IbePrivateKey::from_bytes(params, id.clone(), "test-kgc", &bytes).unwrap();
-        assert_eq!(restored.key(), sk.key());
-        assert!(IbePrivateKey::from_bytes(params, id, "test-kgc", &bytes[1..]).is_err());
+        // The hash preimage is the uncompressed point, whatever the wire says.
+        assert_eq!(sk.to_bytes(), sk.key().to_bytes());
+        let ctx = DecodeCtx::from(kgc.public_params().pairing());
+        let bytes = sk.to_wire_bytes();
+        let restored = IbePrivateKey::from_wire_bytes(&bytes, &ctx).unwrap();
+        assert_eq!(restored, sk);
+        assert_eq!(restored.kgc_label(), "test-kgc");
+        for cut in 0..bytes.len() {
+            assert!(IbePrivateKey::from_wire_bytes(&bytes[..cut], &ctx).is_err());
+        }
     }
 
     #[test]
-    fn public_params_wire_round_trip_and_from_parts() {
-        use tibpre_wire::{WireDecode, WireEncode};
+    fn public_params_wire_round_trip() {
         let (kgc, _) = setup();
         let pp = kgc.public_params();
         let ctx = DecodeCtx::from(pp.pairing());
@@ -480,15 +362,6 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(IbePublicParams::from_wire_bytes(&bytes[..cut], &ctx).is_err());
         }
-
-        let rebuilt = IbePublicParams::from_parts(
-            pp.pairing().clone(),
-            pp.kgc_public_key().clone(),
-            "renamed".into(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.label(), "renamed");
-        assert_eq!(rebuilt.kgc_public_key(), pp.kgc_public_key());
     }
 
     #[test]

@@ -10,6 +10,14 @@
 //! domains (`KGC1` for the delegator, `KGC2` for the delegatee) instantiate
 //! over *shared* pairing parameters but independent master keys.
 //!
+//! Ciphertexts, public parameters and private keys are each declared once
+//! with [`tibpre_wire::message!`], in wire order.  Their `G1` fields are
+//! subgroup-checked on decode (the field codec in `tibpre_pairing::wire`),
+//! the pairing parameters never travel (the decode context supplies them),
+//! and the lazily built pairing tables are never written.
+//! [`EncodedIbeCiphertext`] keeps a hand-written codec: it only frames its
+//! two elements, and validates them on first use.
+//!
 //! # Example
 //!
 //! ```

@@ -1,10 +1,10 @@
-//! Hash-to-field, hash-to-scalar and hash-to-curve random oracles.
+//! Hash-to-scalar and hash-to-curve random oracles.
 //!
 //! These instantiate the paper's `H1 : {0,1}* → G` and `H2 : {0,1}* → Z_q^*`
 //! (and the auxiliary oracles the scheme layers need) from the SHAKE-256 based
 //! domain-separated hasher of `tibpre-hash`:
 //!
-//! * **hash-to-field / hash-to-scalar** — squeeze `len(p) + 16` bytes and
+//! * **hash-to-scalar** — squeeze `len(q) + 16` bytes and
 //!   reduce; the 128 extra bits make the reduction bias negligible.
 //! * **hash-to-curve** — try-and-increment: derive candidate x-coordinates
 //!   from `(domain, message, counter)`, pick the first one on the curve, fix
@@ -14,7 +14,7 @@
 
 use crate::curve::G1Affine;
 use crate::error::PairingError;
-use crate::fp::{Fp, FpCtx};
+use crate::fp::Fp;
 use crate::params::PairingParams;
 use crate::scalar::{Scalar, ScalarCtx};
 use crate::Result;
@@ -24,15 +24,6 @@ use tibpre_hash::DomainSeparatedHasher;
 
 /// Iteration budget for the try-and-increment loops.
 const HASH_TO_CURVE_BUDGET: u64 = 1000;
-
-/// Hashes the given fields into `F_p` (uniform up to negligible bias).
-pub fn hash_to_fp(ctx: &Arc<FpCtx>, domain: &str, fields: &[&[u8]]) -> Fp {
-    let out_len = ctx.byte_len() + 16;
-    let bytes = DomainSeparatedHasher::hash(domain, fields, out_len);
-    let wide = Uint::from_be_bytes(&bytes).expect("output fits the Uint capacity");
-    let reduced = wide.rem(ctx.modulus()).expect("modulus is non-zero");
-    Fp::from_uint(ctx, &reduced)
-}
 
 /// Hashes the given fields into `Z_q^*` (never returns zero).
 ///
@@ -101,24 +92,8 @@ mod tests {
     use super::*;
     use tibpre_bigint::Uint;
 
-    fn fp_ctx() -> Arc<FpCtx> {
-        FpCtx::new(&Uint::from_u128((1u128 << 127) - 1)).unwrap()
-    }
-
     fn scalar_ctx() -> Arc<ScalarCtx> {
         ScalarCtx::new(&Uint::from_u64((1u64 << 61) - 1)).unwrap()
-    }
-
-    #[test]
-    fn hash_to_fp_is_deterministic_and_domain_separated() {
-        let c = fp_ctx();
-        let a = hash_to_fp(&c, "D1", &[b"input"]);
-        let b = hash_to_fp(&c, "D1", &[b"input"]);
-        let d = hash_to_fp(&c, "D2", &[b"input"]);
-        let e = hash_to_fp(&c, "D1", &[b"other"]);
-        assert_eq!(a, b);
-        assert_ne!(a, d);
-        assert_ne!(a, e);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! [`WireEncode`] / [`WireDecode`] implementations for the pairing
-//! primitives, plus the [`DecodeCtx`] the scheme layers decode under.
+//! primitives, the [`DecodeCtx`] the scheme layers decode under, and the
+//! [`Field`] codecs a declared scheme value's elements travel by.
 //!
 //! # Layouts
 //!
@@ -20,17 +21,18 @@
 //! Decoding validates **canonical range** (every field element `< p`) and
 //! **curve membership** for `G1` points — compressed points are
 //! additionally canonical by construction, since only `x` and a sign bit
-//! are transmitted.  A re-encrypted ciphertext's `c'₃` is only framed
-//! ([`skip_g1`], [`skip_gt`]) and decoded on a delegatee's mask-cache miss.
-//! Two checks are deliberately *not* performed here and are documented per
-//! call site:
+//! are transmitted.  The scheme values (ciphertexts, keys, parameters) are
+//! declared with [`tibpre_wire::message!`], and their elements travel by
+//! the [`Field`] codecs here:
 //!
-//! * `G1` **subgroup** membership (`q·P = O`) costs a scalar
-//!   multiplication; the scheme types that accept attacker-controlled
-//!   points (`c1`, `rk₂`, private keys) perform it in their own `decode`,
-//!   exactly once, where the order `q` is in scope.
-//! * `Gt` **subgroup** membership (`v^q = 1`) costs a full exponentiation
-//!   per element.  The scheme layers never needed it: a mask or message
+//! * A declared [`G1Affine`] field is **always subgroup-checked**
+//!   (`q·P = O`, [`decode_g1_in_subgroup`]): an attacker-controlled `c₁`,
+//!   `rk₂`, KGC key or private key outside the prime-order subgroup would
+//!   leak key bits through the pairings the proxy and the holders compute.
+//!   A bare [`G1Affine::decode`] checks only the curve.
+//! * A declared [`Gt`] field is range/torus-validated only.  `Gt`
+//!   **subgroup** membership (`v^q = 1`) costs a full exponentiation per
+//!   element, and the scheme layers never needed it: a mask or message
 //!   outside the subgroup decrypts to garbage but breaks nothing, which is
 //!   why the legacy code used `Gt::from_bytes_unchecked` everywhere.  The
 //!   `v1` layout does not change that acceptance policy (off-torus values
@@ -39,6 +41,12 @@
 //!   norm 1 by construction, the fallback tag rejects torus members, so
 //!   every value has exactly one accepted encoding and the tag never lies.
 //!   Callers that do need the full subgroup check use [`Gt::from_bytes`].
+//! * The pairing parameters never travel: a declared
+//!   `Arc<PairingParams>` field is filled from the decode context
+//!   ([`FromCtx`]).
+//!
+//! A re-encrypted ciphertext's `c'₃` is only framed ([`skip_g1`],
+//! [`skip_gt`]) and decoded on a delegatee's mask-cache miss.
 
 use crate::curve::G1Affine;
 use crate::fp::{Fp, FpCtx};
@@ -48,7 +56,7 @@ use crate::params::PairingParams;
 use crate::scalar::{Scalar, ScalarCtx};
 use std::sync::Arc;
 use tibpre_bigint::Uint;
-use tibpre_wire::{DecodeError, Reader, WireDecode, WireEncode, WireVersion, Writer};
+use tibpre_wire::{Codec, DecodeError, Field, Reader, WireDecode, WireEncode, WireVersion, Writer};
 
 /// The decode-time context of the scheme layers: the pairing parameters
 /// every group element is validated against, exactly once, at the wire
@@ -98,8 +106,8 @@ fn invalid_at(r: &Reader<'_>, what: &'static str) -> DecodeError {
 }
 
 /// Decodes a `G1` point and checks prime-order subgroup membership
-/// (`q·P = O`) — the boundary validation for attacker-controlled points
-/// (`c1`, `rk₂`, private keys).  `what` names the field in the error.
+/// (`q·P = O`) — the decode of every declared `G1` field.  `what` names the
+/// failure in the error.
 pub fn decode_g1_in_subgroup(
     r: &mut Reader<'_>,
     ctx: &DecodeCtx,
@@ -121,6 +129,37 @@ pub fn decode_g1_in_subgroup(
     }
     ctx.params().g1_subgroup_memo_insert(encoded);
     Ok(point)
+}
+
+/// A declared `G1` field: subgroup-checked on decode.
+impl Field<DecodeCtx> for G1Affine {
+    fn put(&self, w: &mut Writer) {
+        self.encode(w);
+    }
+    fn read(r: &mut Reader<'_>, ctx: &DecodeCtx) -> Result<Self, DecodeError> {
+        decode_g1_in_subgroup(r, ctx, "G1 point outside the prime-order subgroup")
+    }
+}
+
+/// A declared `Gt` field: range/torus-validated on decode.
+impl Field<DecodeCtx> for Gt {
+    fn put(&self, w: &mut Writer) {
+        self.encode(w);
+    }
+    fn read(r: &mut Reader<'_>, ctx: &DecodeCtx) -> Result<Self, DecodeError> {
+        Gt::decode(r, ctx.fp_ctx())
+    }
+}
+
+/// The codec of a declared `Arc<PairingParams>` field: nothing is written,
+/// and a decode takes the parameters of its context.
+pub struct FromCtx;
+
+impl Codec<Arc<PairingParams>, DecodeCtx> for FromCtx {
+    fn put(_: &Arc<PairingParams>, _: &mut Writer) {}
+    fn read(_: &mut Reader<'_>, ctx: &DecodeCtx) -> Result<Arc<PairingParams>, DecodeError> {
+        Ok(Arc::clone(ctx.params()))
+    }
 }
 
 /// Advances `r` over one encoded `G1` point, checking only its tag.
@@ -208,8 +247,8 @@ impl WireDecode for G1Affine {
     /// The point tags are self-describing, so the decoder accepts both the
     /// compressed and the uncompressed form under either version; the
     /// version only governs what the *writer* emits.  Curve membership is
-    /// validated here; subgroup membership is the caller's (documented)
-    /// responsibility.
+    /// validated here; a declared field adds the subgroup check (see the
+    /// [module docs](self)).
     fn decode(r: &mut Reader<'_>, ctx: &Self::Ctx) -> Result<Self, DecodeError> {
         let start = r.offset();
         let tag = r.u8()?;

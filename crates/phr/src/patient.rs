@@ -28,14 +28,6 @@ impl Patient {
         }
     }
 
-    /// Wraps an existing delegator (e.g. reconstructed from stored key material).
-    pub fn from_delegator(delegator: Delegator) -> Self {
-        Patient {
-            delegator,
-            policy: DisclosurePolicy::new(),
-        }
-    }
-
     /// The patient's identity.
     pub fn identity(&self) -> &Identity {
         self.delegator.identity()
@@ -295,20 +287,5 @@ mod tests {
         assert!(alice
             .revoke_access(&Category::LabResults, &doctor, &mut proxy)
             .is_err());
-    }
-
-    #[test]
-    fn from_delegator_preserves_identity_and_debug_hides_keys() {
-        let mut f = fixture();
-        let id = Identity::new("carol");
-        let delegator = Delegator::new(
-            f.patient_kgc.public_params().clone(),
-            f.patient_kgc.extract(&id),
-        );
-        let carol = Patient::from_delegator(delegator);
-        assert_eq!(carol.identity(), &id);
-        let dbg = format!("{carol:?}");
-        assert!(dbg.contains("carol"));
-        let _ = &mut f.rng;
     }
 }

@@ -77,14 +77,6 @@ impl DisclosurePolicy {
             .collect()
     }
 
-    /// The grantees of one category.
-    pub fn grantees_of(&self, category: &Category) -> Vec<Identity> {
-        self.grants
-            .get(category)
-            .map(|set| set.iter().map(|(g, _)| g.clone()).collect())
-            .unwrap_or_default()
-    }
-
     /// Total number of active grants.
     pub fn grant_count(&self) -> usize {
         self.grants.values().map(|s| s.len()).sum()
@@ -113,10 +105,6 @@ mod tests {
         assert!(!policy.is_granted(&Category::IllnessHistory, &dietician));
         assert!(!policy.is_granted(&Category::Emergency, &doctor));
         assert_eq!(policy.grant_count(), 2);
-        assert_eq!(
-            policy.grantees_of(&Category::FoodStatistics),
-            vec![dietician.clone()]
-        );
 
         assert!(policy.remove_grant(&Category::IllnessHistory, &doctor, "hospital-proxy"));
         assert!(!policy.remove_grant(&Category::IllnessHistory, &doctor, "hospital-proxy"));
@@ -133,10 +121,6 @@ mod tests {
         assert!(!policy.add_grant(Category::IllnessHistory, doctor.clone(), "proxy"));
         assert!(!policy.add_grant(Category::IllnessHistory, doctor.clone(), "proxy"));
         assert_eq!(policy.grant_count(), 1);
-        assert_eq!(
-            policy.grantees_of(&Category::IllnessHistory),
-            vec![doctor.clone()]
-        );
         // One revoke removes it entirely — the duplicates were never stored.
         assert!(policy.remove_grant(&Category::IllnessHistory, &doctor, "proxy"));
         assert_eq!(policy.grant_count(), 0);
@@ -157,28 +141,6 @@ mod tests {
         // The real grant survived every failed revocation.
         assert!(policy.is_granted(&Category::Emergency, &doctor));
         assert_eq!(policy.grant_count(), 1);
-    }
-
-    #[test]
-    fn grantees_of_reflects_revocations() {
-        let mut policy = DisclosurePolicy::new();
-        let doctor = Identity::new("doctor");
-        let nurse = Identity::new("nurse");
-        policy.add_grant(Category::IllnessHistory, doctor.clone(), "proxy");
-        policy.add_grant(Category::IllnessHistory, nurse.clone(), "proxy");
-        assert_eq!(policy.grantees_of(&Category::IllnessHistory).len(), 2);
-
-        assert!(policy.remove_grant(&Category::IllnessHistory, &doctor, "proxy"));
-        assert_eq!(
-            policy.grantees_of(&Category::IllnessHistory),
-            vec![nurse.clone()]
-        );
-
-        // Removing the last grantee empties the category completely…
-        assert!(policy.remove_grant(&Category::IllnessHistory, &nurse, "proxy"));
-        assert!(policy.grantees_of(&Category::IllnessHistory).is_empty());
-        // …and a category that never had grants reads the same way.
-        assert!(policy.grantees_of(&Category::Emergency).is_empty());
     }
 
     #[test]

@@ -388,9 +388,16 @@ impl ProxyService {
         #[allow(clippy::type_complexity)]
         let mut groups: Vec<(&ReEncryptionKey, Vec<(usize, Arc<StoredRecord>)>)> = Vec::new();
 
-        for (i, ((patient, _, requester), fetched)) in items.iter().zip(fetched).enumerate() {
+        for (i, ((patient, id, requester), fetched)) in items.iter().zip(fetched).enumerate() {
             let stored = match fetched {
-                Ok(stored) => stored,
+                Ok(stored) if stored.id == *id => stored,
+                // A source that answers with another record has failed the
+                // fetch: nothing was disclosed, so nothing is logged.
+                Ok(stored) => {
+                    let e = format!("asked the record source for {id}, got {}", stored.id);
+                    resolved[i] = Some((Mark::Silent, Err(PhrError::Storage(e))));
+                    continue;
+                }
                 Err(e) => {
                     resolved[i] = Some((Mark::Silent, Err(e)));
                     continue;

@@ -10,6 +10,7 @@ use crate::error::SymmetricError;
 use crate::Result;
 use rand::{CryptoRng, RngCore};
 use tibpre_hash::{Hkdf, HmacSha256};
+use tibpre_wire::{Codec, DecodeError, Reader, WireDecode, WireEncode, Writer};
 
 /// Authentication tag length in bytes.
 pub const TAG_LEN: usize = 32;
@@ -116,47 +117,46 @@ impl core::fmt::Debug for AeadKey {
     }
 }
 
-/// An authenticated ciphertext: nonce, encrypted body and tag.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AeadCiphertext {
-    /// The per-message nonce.
-    pub nonce: [u8; NONCE_LEN],
-    /// The ChaCha20-encrypted payload.
-    pub body: Vec<u8>,
-    /// The HMAC-SHA-256 tag over nonce, associated data and body.
-    pub tag: [u8; TAG_LEN],
+tibpre_wire::message! {
+    /// An authenticated ciphertext: nonce, encrypted body and tag, written
+    /// in that order in every wire version (nothing here is a group
+    /// element).
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct AeadCiphertext: () {
+        /// The per-message nonce.
+        pub nonce: [u8; NONCE_LEN],
+        /// The ChaCha20-encrypted payload.
+        pub body: Vec<u8> as LongBlob,
+        /// The HMAC-SHA-256 tag over nonce, associated data and body.
+        pub tag: [u8; TAG_LEN],
+    }
+}
+
+tibpre_wire::message! {
+    fields {
+        // Inside another value, written in place.
+        AeadCiphertext: |w, v| v.encode(w), |r| Self::decode(r, &());
+    }
+}
+
+/// The codec of the AEAD body: a blob with a `u64` length.
+struct LongBlob;
+
+impl Codec<Vec<u8>, ()> for LongBlob {
+    fn put(body: &Vec<u8>, w: &mut Writer) {
+        w.put_u64(body.len() as u64);
+        w.put_slice(body);
+    }
+    fn read(r: &mut Reader<'_>, _: &()) -> core::result::Result<Vec<u8>, DecodeError> {
+        let len = r.u64()? as usize;
+        Ok(r.take(len)?.to_vec())
+    }
 }
 
 impl AeadCiphertext {
     /// Total serialized length in bytes.
     pub fn serialized_len(&self) -> usize {
         NONCE_LEN + 8 + self.body.len() + TAG_LEN
-    }
-}
-
-impl tibpre_wire::WireEncode for AeadCiphertext {
-    /// `nonce ‖ body_len(u64 BE) ‖ body ‖ tag` — identical in every wire
-    /// version (nothing here is a group element).
-    fn encode(&self, w: &mut tibpre_wire::Writer) {
-        w.put_slice(&self.nonce);
-        w.put_u64(self.body.len() as u64);
-        w.put_slice(&self.body);
-        w.put_slice(&self.tag);
-    }
-}
-
-impl tibpre_wire::WireDecode for AeadCiphertext {
-    type Ctx = ();
-
-    fn decode(
-        r: &mut tibpre_wire::Reader<'_>,
-        _ctx: &(),
-    ) -> core::result::Result<Self, tibpre_wire::DecodeError> {
-        let nonce: [u8; NONCE_LEN] = r.take(NONCE_LEN)?.try_into().expect("fixed length");
-        let body_len = r.u64()? as usize;
-        let body = r.take(body_len)?.to_vec();
-        let tag: [u8; TAG_LEN] = r.take(TAG_LEN)?.try_into().expect("fixed length");
-        Ok(AeadCiphertext { nonce, body, tag })
     }
 }
 

@@ -11,6 +11,10 @@
 //! * [`aead`] — encrypt-then-MAC authenticated encryption combining ChaCha20
 //!   with HMAC-SHA-256, with associated data support.
 //!
+//! [`AeadCiphertext`] is declared with [`tibpre_wire::message!`]: the nonce
+//! and tag as fixed byte arrays, the body as a blob with a `u64` length, in
+//! that order in every wire version.
+//!
 //! As with the rest of the workspace, implementations favour clarity; the DEM
 //! is never the bottleneck next to pairing operations, yet still processes
 //! megabytes per second, which is plenty for the PHR workloads.

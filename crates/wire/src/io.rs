@@ -125,20 +125,6 @@ impl<'a> Reader<'a> {
         self.take(n).map(|_| ())
     }
 
-    /// Skips one length-prefixed byte string (`u32 BE` length, then the
-    /// bytes) without materialising it.
-    pub fn skip_bytes(&mut self) -> Result<(), DecodeError> {
-        let len = self.u32()? as usize;
-        self.skip(len)
-    }
-
-    /// The next byte without consuming it (`None` at the end of input).
-    /// Used by version-sniffing containers to dispatch on an envelope tag
-    /// before committing to a decode path.
-    pub fn peek_u8(&self) -> Option<u8> {
-        self.bytes.get(self.offset).copied()
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, DecodeError> {
         let start = self.offset;
@@ -301,25 +287,18 @@ mod tests {
     }
 
     #[test]
-    fn skip_and_peek_track_the_cursor_without_copying() {
+    fn skip_tracks_the_cursor_without_copying() {
         let mut w = Writer::new();
         w.put_u64(7);
-        w.put_bytes(b"skipped");
         w.put_bytes(b"kept");
         let out = w.into_bytes();
         let mut r = Reader::new(&out);
-        assert_eq!(r.peek_u8(), Some(0));
         r.skip(8).unwrap();
-        r.skip_bytes().unwrap();
         assert_eq!(r.bytes().unwrap(), b"kept");
-        assert_eq!(r.peek_u8(), None);
         r.finish().unwrap();
         // Skips past the end fail like takes do.
         let mut r = Reader::new(&out);
         assert!(r.skip(out.len() + 1).is_err());
-        let mut huge = Vec::new();
-        put_u32(&mut huge, u32::MAX);
-        assert!(Reader::new(&huge).skip_bytes().is_err());
     }
 
     #[test]

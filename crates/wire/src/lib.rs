@@ -41,7 +41,7 @@ mod version;
 pub use error::{DecodeError, DecodeErrorKind};
 pub use framing::{read_frame, write_frame, write_frames, FrameError, DEFAULT_MAX_FRAME};
 pub use io::{put_bytes, put_u32, put_u64, Reader, Writer};
-pub use message::{Codec, Elem, Field, Inline, Nested};
+pub use message::{Codec, Elem, Field, Inline, Nested, Unsent};
 pub use version::WireVersion;
 
 /// A type with a canonical, version-aware wire encoding.

@@ -4,11 +4,14 @@
 //!
 //! A body is the fields in order, each written by its type's [`Field`]
 //! codec, or by the [`Codec`] named after `as` in the declaration: scalars
-//! fixed-width, strings and byte blobs length-prefixed, a `Box`ed scheme
-//! value [`Nested`] (a `u32` length, then its bare body at the container's
-//! version), and any other `Vec` as a `u64` count checked against the bytes
-//! left before anything is reserved.  Each field type's codec is written
-//! once, in the crate that owns the type.
+//! and byte arrays fixed-width, strings and byte blobs length-prefixed, a
+//! `Box`ed scheme value [`Nested`] (a `u32` length, then its bare body at
+//! the container's version), any other `Vec` as a `u64` count checked
+//! against the bytes left before anything is reserved, and a field that
+//! does not travel (a lazily built cache) [`Unsent`].  Each field type's
+//! codec is written once, in the crate that owns the type.  A type that
+//! must be validated where it enters (a group element) has that validation
+//! as its field codec, so no declared field can skip it.
 
 use crate::{decode_bare, DecodeError, Reader, WireDecode, WireEncode, Writer};
 
@@ -54,6 +57,17 @@ impl<T: WireEncode + WireDecode> Codec<Box<T>, T::Ctx> for Inline {
     }
     fn read(r: &mut Reader<'_>, ctx: &T::Ctx) -> Result<Box<T>, DecodeError> {
         Ok(Box::new(T::decode(r, ctx)?))
+    }
+}
+
+/// A field that does not travel: nothing is written, and a decode starts
+/// it at its `Default` (a cache that refills on first use).
+pub struct Unsent;
+
+impl<T: Default, C> Codec<T, C> for Unsent {
+    fn put(_: &T, _: &mut Writer) {}
+    fn read(_: &mut Reader<'_>, _: &C) -> Result<T, DecodeError> {
+        Ok(T::default())
     }
 }
 
@@ -141,8 +155,8 @@ macro_rules! message {
 
         impl $name {
             /// Writes the fields from borrowed values, in declaration order
-            /// (what `encode` does with `self`'s).
-            #[allow(dead_code)]
+            /// (what `encode` does with `self`'s): one argument per field.
+            #[allow(dead_code, clippy::too_many_arguments)]
             pub(crate) fn put_fields(w: &mut $crate::Writer, $($field: &$fty),*) {
                 $($crate::message!(@put w, $field, $fty, $ctx $(, $via)?);)*
             }
@@ -203,6 +217,16 @@ message! {
             for x in &mut values { *x = r.u64()?; }
             Ok(values)
         };
+    }
+}
+
+/// A fixed-size byte array travels as its bytes, with no length.
+impl<C, const N: usize> Field<C> for [u8; N] {
+    fn put(&self, w: &mut Writer) {
+        w.put_slice(self);
+    }
+    fn read(r: &mut Reader<'_>, _: &C) -> Result<Self, DecodeError> {
+        Ok(r.take(N)?.try_into().expect("N bytes"))
     }
 }
 

@@ -17,6 +17,11 @@
 //! - **No over-allocation.**  No decode may make an allocation larger than
 //!   its input plus `protocol_frames`' allowance; an over-allocation aborts
 //!   the test binary.
+//! - **The same legacy rejections.**  Every golden v0 `WalOp` and
+//!   `ProxyWalOp` frame goes through the same mutation set and is decoded
+//!   as its type, which is what `legacy::read_frame` does with a `0xE0`
+//!   frame; the SHA-256 of that verdict stream is pinned too, captured at
+//!   `07a5f1b`, before the scheme values derived their codecs.
 //! - **Replica apply.**  Every mutated `WalOp` frame is fed to
 //!   `EncryptedPhrStore::apply_replication_frame` on an in-memory store,
 //!   under the same allocation cap: each call returns `Ok` or `Err`.
@@ -455,6 +460,41 @@ fn hostile_mutations_of_every_wal_frame_draw_the_pinned_verdicts() {
     assert_eq!(
         hex(&Sha256::digest(&stream)),
         PINNED_VERDICTS,
+        "{count} mutations"
+    );
+}
+
+/// SHA-256 of the verdict stream over every mutation of every golden v0
+/// `WalOp` and `ProxyWalOp` frame, captured at `07a5f1b`.
+const PINNED_V0_VERDICTS: &str = "84c1d1adf31b17693f045f3642fb20ef385268bb6ac7c7b2be5cc5f731c95244";
+
+#[test]
+fn hostile_mutations_of_every_v0_wal_frame_draw_the_pinned_verdicts() {
+    let (w, ctx) = (world(), ctx());
+    let mut stream = Vec::new();
+    let mut count = 0;
+    let ops = golden(&w)
+        .into_iter()
+        .filter(|value| !matches!(value, Persisted::Event(_)));
+    for value in ops {
+        let frame = value.frame(WireVersion::V0);
+        let mut own = Vec::new();
+        value.judge(&frame, &ctx, &mut own);
+        assert_eq!(
+            own[0],
+            0,
+            "the golden v0 {} frame decodes",
+            kind_name(&value)
+        );
+        stream.extend(own);
+        for mutated in mutations(&frame) {
+            value.judge(&mutated, &ctx, &mut stream);
+            count += 1;
+        }
+    }
+    assert_eq!(
+        hex(&Sha256::digest(&stream)),
+        PINNED_V0_VERDICTS,
         "{count} mutations"
     );
 }

@@ -4,7 +4,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tibpre_bigint::Uint;
 use tibpre_core::{
     proxy, Delegatee, Delegator, PreError, ReEncryptionKey, TypeTag, TypedCiphertext,
@@ -17,8 +17,9 @@ use tibpre_phr::{
     patient::Patient,
     provider::HealthcareProvider,
     proxy_service::{DisclosureBundle, ProxyService},
-    record::HealthRecord,
-    store::EncryptedPhrStore,
+    record::{HealthRecord, RecordId},
+    source::RecordSource,
+    store::{EncryptedPhrStore, StoredRecord},
     FsyncPolicy, PhrError,
 };
 use tibpre_storage::{snapshot, TempDir};
@@ -619,4 +620,84 @@ fn phr_store_cross_patient_and_revocation_failures() {
         proxy_service.disclose(alice.identity(), tibpre_phr::RecordId(999), &doctor),
         Err(PhrError::RecordNotFound)
     ));
+}
+
+/// A record source that answers every fetch with the one record it holds,
+/// whatever id was asked for, and keeps the disclosures it is told to log.
+struct Misaddressed {
+    record: Arc<StoredRecord>,
+    logged: Mutex<Vec<(RecordId, Identity, bool)>>,
+}
+
+impl RecordSource for Misaddressed {
+    fn get_many(&self, ids: &[RecordId]) -> Vec<tibpre_phr::Result<Arc<StoredRecord>>> {
+        ids.iter().map(|_| Ok(Arc::clone(&self.record))).collect()
+    }
+
+    fn list_for_patient(&self, _: &Identity) -> tibpre_phr::Result<Vec<RecordId>> {
+        Ok(vec![self.record.id])
+    }
+
+    fn list_for_patient_category(
+        &self,
+        _: &Identity,
+        _: &Category,
+    ) -> tibpre_phr::Result<Vec<RecordId>> {
+        Ok(vec![self.record.id])
+    }
+
+    fn log_disclosures(&self, entries: &[(RecordId, Identity, bool)]) {
+        self.logged.lock().unwrap().extend_from_slice(entries);
+    }
+
+    fn log_policy_change(&self, _: &Identity, _: &Category, _: &Identity, _: bool) {}
+}
+
+#[test]
+fn a_proxy_refuses_a_record_fetched_under_another_id() {
+    let mut rng = StdRng::seed_from_u64(0xFA13);
+    let params = PairingParams::insecure_toy();
+    let patient_kgc = Kgc::setup(params.clone(), "patients", &mut rng);
+    let provider_kgc = Kgc::setup(params.clone(), "providers", &mut rng);
+    let store = EncryptedPhrStore::in_memory_with_params("db", params.clone());
+    let mut alice = Patient::new("alice", &patient_kgc);
+    let doctor = Identity::new("doctor");
+    let record = HealthRecord::new(
+        alice.identity().clone(),
+        Category::LabResults,
+        "cholesterol",
+        b"LDL 95 mg/dL".to_vec(),
+    );
+    let b = alice.store_record(&store, &record, &mut rng).unwrap();
+    let source = Arc::new(Misaddressed {
+        record: store.get(b).unwrap(),
+        logged: Mutex::new(Vec::new()),
+    });
+    let mut proxy_service = ProxyService::new("proxy", source.clone());
+    alice
+        .grant_access(
+            Category::LabResults,
+            &doctor,
+            provider_kgc.public_params(),
+            &mut proxy_service,
+            &mut rng,
+        )
+        .unwrap();
+
+    // Asked for `a`, handed `b`: a failed fetch, which logs nothing.
+    let a = RecordId(b.0 + 1);
+    let before = proxy_service.audit_snapshot();
+    assert!(matches!(
+        proxy_service.disclose(alice.identity(), a, &doctor),
+        Err(PhrError::Storage(_))
+    ));
+    assert_eq!(proxy_service.audit_snapshot(), before);
+    assert!(source.logged.lock().unwrap().is_empty());
+
+    // Asked for `b`, handed `b`: disclosed and logged under `b`.
+    let bundle = proxy_service
+        .disclose(alice.identity(), b, &doctor)
+        .unwrap();
+    assert_eq!(bundle.id, b);
+    assert_eq!(*source.logged.lock().unwrap(), vec![(b, doctor, true)]);
 }

@@ -6,18 +6,20 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use tibpre_client::{
     params_for_level, ClientConfig, ClientError, Connection, KgcClient, NodeRole, ProxyClient,
-    RemoteError, Request, Response, StoreClient,
+    RemoteError, RemoteStore, Request, Response, StoreClient,
 };
 use tibpre_core::Delegator;
 use tibpre_ibe::Identity;
 use tibpre_pairing::{DecodeCtx, PairingParams, SecurityLevel};
-use tibpre_phr::{Category, Durability, EncryptedPhrStore, HealthRecord};
+use tibpre_phr::store::StoredRecord;
+use tibpre_phr::{Category, Durability, EncryptedPhrStore, HealthRecord, RecordId, RecordSource};
 use tibpre_server::{node, NodeConfig, NodeHandle};
-use tibpre_wire::{read_frame, WireDecode, WireEncode, DEFAULT_MAX_FRAME};
+use tibpre_tests::fixture::World;
+use tibpre_wire::{read_frame, write_frame, WireDecode, WireEncode, DEFAULT_MAX_FRAME};
 
 fn toy_params() -> Arc<PairingParams> {
     params_for_level(SecurityLevel::Toy)
@@ -269,4 +271,50 @@ fn store_reopens_cleanly_after_surviving_the_fault_suite() {
         EncryptedPhrStore::open(tmp.path(), Durability::new(Arc::clone(&params))).unwrap();
     assert_eq!(reopened.record_count(), 1);
     assert_eq!(reopened.get(record_id).unwrap().title, "mmr");
+}
+
+/// A fake store node answers the first request it ever reads with an
+/// undecodable payload and every other `GetRecord` with a record under the
+/// requested id.  The first pipelined run fails on that payload; the rest
+/// of its responses are still in flight, and the next run on the same
+/// one-connection pool must not be answered with them.
+#[test]
+fn a_pooled_store_connection_that_failed_is_never_reused() {
+    let params = toy_params();
+    let record = World::new(params.clone()).record;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let ctx = DecodeCtx::from(&params);
+    std::thread::spawn(move || {
+        let mut first = true;
+        for mut stream in listener.incoming().take(2).flatten() {
+            while let Ok(Some(payload)) = read_frame(&mut stream, DEFAULT_MAX_FRAME) {
+                let Ok(Request::GetRecord { id }) = Request::from_wire_bytes(&payload, &ctx) else {
+                    return;
+                };
+                let response = match std::mem::take(&mut first) {
+                    true => vec![0xE1, 0xFF],
+                    false => Response::Record(Box::new(StoredRecord {
+                        id,
+                        ..record.clone()
+                    }))
+                    .to_wire_bytes(),
+                };
+                if write_frame(&mut stream, &response, DEFAULT_MAX_FRAME).is_err() {
+                    break;
+                }
+            }
+        }
+    });
+
+    let store = RemoteStore::connect(addr, &params, &ClientConfig::default(), 1).unwrap();
+    let run = store.get_many(&[RecordId(1), RecordId(2), RecordId(3)]);
+    assert!(run.iter().all(Result::is_err));
+    let next = store.get(RecordId(4));
+    assert!(
+        !matches!(&next, Ok(got) if got.id != RecordId(4)),
+        "a stale response answered the next request: {:?}",
+        next.map(|got| got.id)
+    );
+    assert_eq!(next.unwrap().id, RecordId(4));
 }
