@@ -6,7 +6,6 @@ use crate::conn::{ClientConfig, ClientError, Connection, Result};
 use crate::protocol::{RemoteError, Request, Response, SchedStatsReport};
 use parking_lot::Mutex;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tibpre_core::{HybridCiphertext, ReEncryptionKey};
 use tibpre_ibe::{IbePrivateKey, IbePublicParams, Identity};
@@ -314,56 +313,49 @@ impl ProxyClient {
 /// A store node viewed through [`RecordSource`]: the piece that lets a
 /// *proxy node* serve disclosures for records held on a *store node*.
 ///
-/// Holds a small connection pool (requests are strictly serial per
-/// connection) handed out round-robin, so concurrent disclosure handlers on
-/// the proxy don't serialize on one socket.  A connection whose call failed
-/// short of a decoded response may have responses still in flight, so it is
-/// dropped, and its slot reconnects on next use; a [`ClientError::Remote`]
-/// leaves the stream in step and keeps it.
+/// Requests are strictly serial per connection, so it keeps a pool of idle
+/// connections: a call takes one, or connects if none is idle, and puts it
+/// back afterwards — the pool grows to the most calls ever in flight at
+/// once.  A connection whose call failed short of a decoded response may
+/// have responses still in flight, so it is dropped rather than put back; a
+/// [`ClientError::Remote`] leaves the stream in step and keeps it.
 pub struct RemoteStore {
-    pool: Vec<Mutex<Option<Connection>>>,
-    next: AtomicUsize,
+    idle: Mutex<Vec<Connection>>,
     addrs: Vec<SocketAddr>,
     params: Arc<PairingParams>,
     config: ClientConfig,
 }
 
 impl RemoteStore {
-    /// Connects `connections` sockets to the store node.
+    /// Connects to the store node.  One connection opens here, so an
+    /// unreachable store fails now rather than on first use.
     pub fn connect(
-        addr: impl ToSocketAddrs + Copy,
+        addr: impl ToSocketAddrs,
         params: &Arc<PairingParams>,
         config: &ClientConfig,
-        connections: usize,
     ) -> Result<Self> {
-        let pool = (0..connections.max(1))
-            .map(|_| Ok(Mutex::new(Some(Connection::connect(addr, params, config)?))))
-            .collect::<Result<Vec<_>>>()?;
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        let first = Connection::connect(&addrs[..], params, config)?;
         Ok(RemoteStore {
-            pool,
-            next: AtomicUsize::new(0),
-            addrs: addr.to_socket_addrs()?.collect(),
+            idle: Mutex::new(vec![first]),
+            addrs,
             params: Arc::clone(params),
             config: config.clone(),
         })
     }
 
-    /// Runs `f` on the next pooled connection, reconnecting a dropped one
-    /// first and dropping it again if `f` leaves it out of step.
+    /// Runs `f` on an idle connection, or on a new one if none is idle,
+    /// and returns the connection to the pool unless `f` left it out of
+    /// step.  The pool's lock is never held across `f`.
     fn with_connection<T>(&self, f: impl FnOnce(&mut Connection) -> Result<T>) -> Result<T> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.len();
-        let mut slot = self.pool[i].lock();
-        let conn = match &mut *slot {
+        let idle = self.idle.lock().pop();
+        let mut conn = match idle {
             Some(conn) => conn,
-            None => slot.insert(Connection::connect(
-                &self.addrs[..],
-                &self.params,
-                &self.config,
-            )?),
+            None => Connection::connect(&self.addrs[..], &self.params, &self.config)?,
         };
-        let result = f(conn);
-        if matches!(&result, Err(e) if !matches!(e, ClientError::Remote(_))) {
-            *slot = None;
+        let result = f(&mut conn);
+        if matches!(result, Ok(_) | Err(ClientError::Remote(_))) {
+            self.idle.lock().push(conn);
         }
         result
     }
@@ -479,6 +471,6 @@ impl RecordSource for RemoteStore {
 
 impl core::fmt::Debug for RemoteStore {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "RemoteStore(pool={})", self.pool.len())
+        write!(f, "RemoteStore(idle={})", self.idle.lock().len())
     }
 }

@@ -1,14 +1,18 @@
-//! # tibpre-engine — the multi-threaded proxy re-encryption engine
+//! # tibpre-engine — the scoped worker pool
 //!
-//! The paper's deployment story is a semi-trusted proxy serving many patients
-//! and delegatees at once.  Independent `Preenc` conversions share no mutable
-//! state — after a re-encryption key's one-time pairing preparation, each
-//! ciphertext conversion only *reads* the key's stored line coefficients — so
-//! a burst of conversions is embarrassingly parallel.  This crate exploits
-//! that: [`ReEncryptEngine::re_encrypt_hybrid_batch`] fans
+//! Independent `Preenc` conversions share no mutable state — after a
+//! re-encryption key's one-time pairing preparation, each ciphertext
+//! conversion only *reads* the key's stored line coefficients — so a burst
+//! of conversions is embarrassingly parallel.
+//! [`ReEncryptEngine::re_encrypt_hybrid_batch`] fans
 //! [`tibpre_core::hybrid::re_encrypt_hybrid_batch`] out over a pool of
 //! `std::thread` workers, each claiming the next chunk of the run from one
 //! shared cursor whenever it finishes one.
+//!
+//! A proxy node holds none: it converts on each connection's thread, and its
+//! connections are its parallelism.  The callers are the store's shard
+//! recovery ([`ReEncryptEngine::try_par_map_indices`]) and the benchmark's
+//! `engine.*` rows.
 //!
 //! Three properties of the core function are preserved exactly, and the
 //! oracle tests assert them:

@@ -21,8 +21,11 @@ const MAX_WORKERS: usize = 256;
 /// spawning is lost in the noise for every batch size worth parallelising;
 /// batches below two items per worker run sequentially anyway.
 ///
-/// An engine is cheap to construct and freely shareable (`Sync`); a proxy
-/// typically holds one in an `Arc` and uses it for every request.
+/// An engine is cheap to construct and freely shareable (`Sync`).  A store
+/// opens its shards on one sized by [`ReEncryptEngine::from_env`]; a proxy
+/// node holds none — it converts on each connection's thread, and the
+/// benchmark's `engine.*` rows are the engine's remaining conversion
+/// callers.
 #[derive(Clone, Debug)]
 pub struct ReEncryptEngine {
     workers: usize,
@@ -50,21 +53,9 @@ impl ReEncryptEngine {
     /// like an unset variable — so a typo degrades nothing (it used to drop
     /// a multi-core node to sequential).
     pub fn from_env() -> Self {
-        Self::from_env_reporting().0
-    }
-
-    /// [`Self::from_env`], additionally returning the rejected
-    /// `TIBPRE_WORKERS` value when one was set but did not parse — callers
-    /// with a user interface (the node's startup banner) surface the typo
-    /// instead of silently ignoring it.
-    pub fn from_env_reporting() -> (Self, Option<String>) {
-        let fallback = || Self::new(thread::available_parallelism().map_or(1, |n| n.get()));
-        match std::env::var("TIBPRE_WORKERS") {
-            Ok(spec) => match spec.trim().parse::<usize>() {
-                Ok(n) => (Self::new(n), None),
-                Err(_) => (fallback(), Some(spec)),
-            },
-            Err(_) => (fallback(), None),
+        match std::env::var("TIBPRE_WORKERS").map(|spec| spec.trim().parse::<usize>()) {
+            Ok(Ok(n)) => Self::new(n),
+            _ => Self::new(thread::available_parallelism().map_or(1, |n| n.get())),
         }
     }
 
@@ -205,13 +196,6 @@ impl ReEncryptEngine {
     }
 }
 
-impl Default for ReEncryptEngine {
-    /// Defaults to [`Self::from_env`].
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,23 +219,18 @@ mod tests {
         let saved = std::env::var("TIBPRE_WORKERS").ok();
 
         std::env::remove_var("TIBPRE_WORKERS");
-        let (unset, rejected) = ReEncryptEngine::from_env_reporting();
+        let unset = ReEncryptEngine::from_env();
         assert_eq!(unset.workers(), machine.clamp(1, MAX_WORKERS));
-        assert!(rejected.is_none());
 
         for garbage in ["eight", "4x", "", " ", "-2", "3.5"] {
             std::env::set_var("TIBPRE_WORKERS", garbage);
-            let (engine, rejected) = ReEncryptEngine::from_env_reporting();
+            let engine = ReEncryptEngine::from_env();
             assert_eq!(engine.workers(), unset.workers(), "spec {garbage:?}");
-            assert_eq!(rejected.as_deref(), Some(garbage), "spec {garbage:?}");
         }
 
-        // Parsable values are honoured (with surrounding whitespace), and
-        // nothing is reported as rejected.
+        // Parsable values are honoured, with surrounding whitespace.
         std::env::set_var("TIBPRE_WORKERS", " 3 ");
-        let (engine, rejected) = ReEncryptEngine::from_env_reporting();
-        assert_eq!(engine.workers(), 3);
-        assert!(rejected.is_none());
+        assert_eq!(ReEncryptEngine::from_env().workers(), 3);
 
         match saved {
             Some(v) => std::env::set_var("TIBPRE_WORKERS", v),

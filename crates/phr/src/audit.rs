@@ -125,6 +125,31 @@ impl AuditEvent {
             AuditEvent::AccessGranted { .. } | AuditEvent::AccessRevoked { .. } => None,
         }
     }
+
+    /// The entry of a grant (`granted`) or a revocation.
+    pub(crate) fn policy_change(
+        patient: &Identity,
+        category: &Category,
+        grantee: &Identity,
+        granted: bool,
+        at: u64,
+    ) -> Self {
+        let (patient, category, grantee) = (patient.clone(), category.clone(), grantee.clone());
+        match granted {
+            true => AuditEvent::AccessGranted {
+                patient,
+                category,
+                grantee,
+                at,
+            },
+            false => AuditEvent::AccessRevoked {
+                patient,
+                category,
+                grantee,
+                at,
+            },
+        }
+    }
 }
 
 /// An append-only audit log with a logical clock.

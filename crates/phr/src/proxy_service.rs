@@ -10,8 +10,20 @@
 //! Every disclosure — one record, a node's run, a whole category — is
 //! one run through [`ProxyService::disclose_batch`]'s path: one record fetch,
 //! one conversion per re-encryption key, one audit commit.  The conversions
-//! run on the proxy's [`ReEncryptEngine`] ([`ProxyService::set_engine`]
-//! sizes its worker pool; the output is bit-identical at every size).
+//! run on the calling thread: in a node, each connection's thread is the
+//! only place a disclosure runs, and concurrent connections are the proxy's
+//! parallelism.
+//!
+//! A service does its own locking, so every method but
+//! [`ProxyService::set_engine`] takes `&self`.  Three locks, always taken in
+//! this order: the key table (`keys`, a read–write lock), then the audit
+//! trail (`audit`), then the durable log (`wal`).  A run fetches its records
+//! *before* taking the key lock; key lookup, conversion, the proxy's audit
+//! commit and the store-side log then run under a read guard, and a grant
+//! or revocation holds the write guard from its check to its store-side
+//! log.  So no conversion starts after a revocation returned, and both
+//! audit trails order a revocation and the disclosures around it the same
+//! way.  No other lock is held across a store call.
 //!
 //! A proxy can also be opened *durably* ([`ProxyService::open`]): installed
 //! re-encryption keys and the proxy's own audit log are then written to a
@@ -26,7 +38,8 @@ use crate::record::RecordId;
 use crate::source::RecordSource;
 use crate::store::StoredRecord;
 use crate::{PhrError, Result};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use tibpre_core::{hybrid, Proxy, ReEncryptedHybridCiphertext, ReEncryptionKey};
@@ -86,11 +99,10 @@ enum Mark {
 pub struct ProxyService {
     name: String,
     store: Arc<dyn RecordSource>,
-    proxy: Proxy,
+    keys: RwLock<Proxy>,
     engine: ReEncryptEngine,
     audit: Mutex<AuditLog>,
-    /// The durable proxy log (`None` for in-memory proxies).  Lock order:
-    /// `audit` before `wal`, everywhere.
+    /// The durable proxy log (`None` for in-memory proxies).
     wal: Option<Mutex<WalWriter>>,
     /// Advisory lock excluding concurrent opens of the same proxy log; held
     /// for the proxy's lifetime, released by the OS on exit or crash.
@@ -98,13 +110,12 @@ pub struct ProxyService {
 }
 
 impl ProxyService {
-    /// Creates a proxy service with no keys installed.  Conversions run on
-    /// the calling thread until [`Self::set_engine`] says otherwise.
+    /// Creates a proxy service with no keys installed.
     pub fn new(name: impl AsRef<str>, store: Arc<dyn RecordSource>) -> Self {
         ProxyService {
             name: name.as_ref().to_string(),
             store,
-            proxy: Proxy::new(name.as_ref()),
+            keys: RwLock::new(Proxy::new(name.as_ref())),
             engine: ReEncryptEngine::sequential(),
             audit: Mutex::new(AuditLog::new()),
             wal: None,
@@ -182,7 +193,7 @@ impl ProxyService {
         Ok(ProxyService {
             name: name.as_ref().to_string(),
             store,
-            proxy,
+            keys: RwLock::new(proxy),
             engine: ReEncryptEngine::sequential(),
             audit: Mutex::new(audit),
             wal: Some(Mutex::new(wal)),
@@ -208,7 +219,8 @@ impl ProxyService {
             .expect("proxy WAL append failed; cannot continue without durability (fail-stop)");
     }
 
-    /// Replaces the re-encryption engine (e.g. to resize the worker pool).
+    /// Replaces the re-encryption engine, which otherwise converts on the
+    /// calling thread (kept for the benchmark's engine rows).
     pub fn set_engine(&mut self, engine: ReEncryptEngine) {
         self.engine = engine;
     }
@@ -219,90 +231,74 @@ impl ProxyService {
     }
 
     /// Installs a re-encryption key (called by the patient when granting access).
-    pub fn install_key(&mut self, key: ReEncryptionKey) {
+    pub fn install_key(&self, key: ReEncryptionKey) {
         let patient = key.delegator().clone();
         let grantee = key.delegatee().clone();
         let category = Category::from_label(&key.type_tag().display());
+        let mut keys = self.keys.write();
         // A clone shares the key's pairing table (`Arc`), so logging it
         // copies only the key material.
-        let persisted_key = self.wal.is_some().then(|| {
-            let key = Box::new(key.clone());
-            ProxyWalOp::InstallKey { key }.to_wire_bytes()
-        });
-        self.proxy.install_key(key);
-        let mut audit = self.audit.lock();
-        let at = audit.tick();
-        let event = AuditEvent::AccessGranted {
-            patient: patient.clone(),
-            category: category.clone(),
-            grantee: grantee.clone(),
-            at,
+        let op = || ProxyWalOp::InstallKey {
+            key: Box::new(key.clone()),
         };
-        if let Some(install) = persisted_key {
-            // One group commit covers the key and its audit entry.
-            let audit_frame = ProxyWalOp::Audit {
-                event: event.clone(),
-            }
-            .to_wire_bytes();
-            self.persist(&[install, audit_frame]);
-        }
-        audit.append(event);
-        self.store
-            .log_policy_change(&patient, &category, &grantee, true);
+        self.log_policy_change(&patient, &category, &grantee, true, op);
+        keys.install_key(key);
     }
 
     /// Removes a re-encryption key (revocation).
-    pub fn revoke_key(
-        &mut self,
-        patient: &Identity,
-        category: &Category,
-        grantee: &Identity,
-    ) -> bool {
-        // Check first, mutate after the log write: a crash must never leave
-        // a revocation that took effect in memory but is absent from the
-        // log (the revoked grantee would regain access on restart).
-        if !self.proxy.has_key(patient, &category.type_tag(), grantee) {
+    pub fn revoke_key(&self, patient: &Identity, category: &Category, grantee: &Identity) -> bool {
+        let mut keys = self.keys.write();
+        if !keys.has_key(patient, &category.type_tag(), grantee) {
             return false;
         }
-        let mut audit = self.audit.lock();
-        let at = audit.tick();
-        let event = AuditEvent::AccessRevoked {
+        let op = || ProxyWalOp::RevokeKey {
             patient: patient.clone(),
             category: category.clone(),
             grantee: grantee.clone(),
-            at,
         };
+        self.log_policy_change(patient, category, grantee, false, op);
+        keys.revoke_key(patient, &category.type_tag(), grantee);
+        true
+    }
+
+    /// Logs a grant or revocation: `op` and its audit entry in one proxy-log
+    /// group commit, the audit entry, then the store-side entry.  The caller
+    /// holds the key table's write guard and changes the table afterwards:
+    /// a crash must never leave a change that took effect in memory but is
+    /// absent from the log (a revoked grantee would regain access on
+    /// restart).
+    fn log_policy_change(
+        &self,
+        patient: &Identity,
+        category: &Category,
+        grantee: &Identity,
+        granted: bool,
+        op: impl FnOnce() -> ProxyWalOp,
+    ) {
+        let mut audit = self.audit.lock();
+        let event = AuditEvent::policy_change(patient, category, grantee, granted, audit.tick());
         if self.wal.is_some() {
-            self.persist(&[
-                ProxyWalOp::RevokeKey {
-                    patient: patient.clone(),
-                    category: category.clone(),
-                    grantee: grantee.clone(),
-                }
-                .to_wire_bytes(),
-                ProxyWalOp::Audit {
-                    event: event.clone(),
-                }
-                .to_wire_bytes(),
-            ]);
+            let audit_frame = ProxyWalOp::Audit {
+                event: event.clone(),
+            };
+            self.persist(&[op().to_wire_bytes(), audit_frame.to_wire_bytes()]);
         }
         audit.append(event);
         drop(audit);
-        self.proxy
-            .revoke_key(patient, &category.type_tag(), grantee);
         self.store
-            .log_policy_change(patient, category, grantee, false);
-        true
+            .log_policy_change(patient, category, grantee, granted);
     }
 
     /// Number of re-encryption keys currently installed.
     pub fn key_count(&self) -> usize {
-        self.proxy.key_count()
+        self.keys.read().key_count()
     }
 
     /// Whether a grant is active for the given triple.
     pub fn has_grant(&self, patient: &Identity, category: &Category, grantee: &Identity) -> bool {
-        self.proxy.has_key(patient, &category.type_tag(), grantee)
+        self.keys
+            .read()
+            .has_key(patient, &category.type_tag(), grantee)
     }
 
     /// Handles a disclosure request: looks up the record, re-encrypts its KEM
@@ -327,7 +323,8 @@ impl ProxyService {
     /// buys is amortization:
     ///
     /// * all records are fetched through one [`RecordSource::get_many`]
-    ///   call (a remote store answers the whole run pipelined),
+    ///   call (a remote store answers the whole run pipelined), before the
+    ///   key lock is taken,
     /// * conversions sharing a re-encryption key run as one engine call
     ///   (shared pairing precomputation, batched final exponentiation),
     /// * the audit writes are group-committed: one WAL commit and one
@@ -338,9 +335,7 @@ impl ProxyService {
         &self,
         items: &[(Identity, RecordId, Identity)],
     ) -> Vec<Result<DisclosureBundle>> {
-        let (marks, results) = self.resolve(items);
-        self.log_run(items, &marks);
-        results
+        self.run(items, |marks| 0..marks.len())
     }
 
     /// Discloses every record of one category the requester is entitled to,
@@ -361,26 +356,45 @@ impl ProxyService {
             .into_iter()
             .map(|id| (patient.clone(), id, requester.clone()))
             .collect();
-        let (marks, results) = self.resolve(&items);
-        let logged = match marks.iter().position(|mark| *mark != Mark::Granted) {
-            Some(failed) => failed..failed + 1,
-            None => 0..items.len(),
-        };
-        self.log_run(&items[logged.clone()], &marks[logged]);
-        results.into_iter().collect()
+        self.run(&items, |marks| {
+            match marks.iter().position(|mark| *mark != Mark::Granted) {
+                Some(failed) => failed..failed + 1,
+                None => 0..marks.len(),
+            }
+        })
+        .into_iter()
+        .collect()
     }
 
-    /// Resolves a run of disclosure requests without logging anything: one
-    /// [`RecordSource::get_many`], then per item the patient check and the
-    /// key lookup, then one conversion per key.  Returns, per item in input
-    /// order, what it owes the audit trails and its result.
-    fn resolve(
+    /// One disclosure run: one [`RecordSource::get_many`] with no lock held,
+    /// then, under the key table's read guard, [`Self::resolve`] and
+    /// [`Self::log_run`] over the items `logged` picks from the resolved
+    /// marks.
+    fn run(
         &self,
         items: &[(Identity, RecordId, Identity)],
-    ) -> (Vec<Mark>, Vec<Result<DisclosureBundle>>) {
+        logged: impl FnOnce(&[Mark]) -> Range<usize>,
+    ) -> Vec<Result<DisclosureBundle>> {
         let ids: Vec<RecordId> = items.iter().map(|(_, id, _)| *id).collect();
         let fetched = self.store.get_many(&ids);
+        let keys = self.keys.read();
+        let (marks, results) = self.resolve(&keys, items, fetched);
+        let logged = logged(&marks);
+        self.log_run(&items[logged.clone()], &marks[logged]);
+        drop(keys);
+        results
+    }
 
+    /// Resolves a run of fetched records without logging anything: per item
+    /// the fetch and patient checks and the key lookup, then one conversion
+    /// per key.  Returns, per item in input order, what it owes the audit
+    /// trails and its result.
+    fn resolve(
+        &self,
+        keys: &Proxy,
+        items: &[(Identity, RecordId, Identity)],
+        fetched: Vec<Result<Arc<StoredRecord>>>,
+    ) -> (Vec<Mark>, Vec<Result<DisclosureBundle>>) {
         let mut resolved: Vec<Option<(Mark, Result<DisclosureBundle>)>> = vec![None; items.len()];
         // Items that resolved a key, grouped for batched conversion.  The
         // same (patient, type, requester) triple resolves to the same key
@@ -407,10 +421,7 @@ impl ProxyService {
                 resolved[i] = Some((Mark::StoreOnly, Err(PhrError::RecordNotFound)));
                 continue;
             }
-            match self
-                .proxy
-                .key_for(patient, &stored.category.type_tag(), requester)
-            {
+            match keys.key_for(patient, &stored.category.type_tag(), requester) {
                 Some(key) => match groups.iter_mut().find(|(k, _)| core::ptr::eq(*k, key)) {
                     Some((_, members)) => members.push((i, stored)),
                     None => groups.push((key, vec![(i, stored)])),
@@ -574,7 +585,7 @@ impl ProxyService {
         let mut exposed = Vec::new();
         for id in self.store.list_for_patient(patient).unwrap_or_default() {
             if let Ok(stored) = self.store.get(id) {
-                let converted = self.proxy.installed_keys().any(|key| {
+                let converted = self.keys.read().installed_keys().any(|key| {
                     key.delegatee() == attacker
                         && hybrid::re_encrypt_hybrid(&stored.ciphertext, key).is_ok()
                 });
@@ -598,7 +609,7 @@ impl core::fmt::Debug for ProxyService {
             f,
             "ProxyService(name={}, keys={})",
             self.name,
-            self.proxy.key_count()
+            self.key_count()
         )
     }
 }

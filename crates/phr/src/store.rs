@@ -896,23 +896,7 @@ impl EncryptedPhrStore {
         granted: bool,
     ) {
         let mut shard = self.shard_for_patient(patient).write();
-        let at = self.tick();
-        let (patient, category, grantee) = (patient.clone(), category.clone(), grantee.clone());
-        let event = if granted {
-            AuditEvent::AccessGranted {
-                patient,
-                category,
-                grantee,
-                at,
-            }
-        } else {
-            AuditEvent::AccessRevoked {
-                patient,
-                category,
-                grantee,
-                at,
-            }
-        };
+        let event = AuditEvent::policy_change(patient, category, grantee, granted, self.tick());
         self.commit(&mut shard, WalOp::Audit { event });
     }
 

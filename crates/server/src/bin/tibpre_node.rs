@@ -52,12 +52,6 @@ fn main() {
             config.name,
         ),
     }
-    if let Some(rejected) = handle.engine_note() {
-        eprintln!(
-            "tibpre-node: ignored unparsable TIBPRE_WORKERS={rejected:?}; \
-             using available parallelism"
-        );
-    }
 
     handle.wait();
     eprintln!("tibpre-node: drained and stopped");
@@ -143,10 +137,10 @@ fn print_usage() {
          \x20 --addr <host:port>           listen address (default 127.0.0.1:0)\n\
          \x20 --level <name>               toy|low80|medium112|high128 (default toy)\n\
          \x20 --data-dir <path>            durable state directory (default in-memory)\n\
-         \x20 --store <host:port>          store node a proxy reads from (proxy only, required)\n\
+         \x20 --store <host:port>          store node a proxy reads from (proxy only, required;\n\
+         \x20                              one connection per concurrent store call)\n\
          \x20 --replica-of <host:port>     primary store to replicate from (store only; in-memory\n\
          \x20                              read replica: rejects writes until promoted)\n\
-         \x20 --store-connections <n>      proxy→store connection pool size (default 4)\n\
          \x20 --kgc-label <label>          KGC domain label (default tibpre-kgc)\n\
          \x20 --name <name>                node display/store name\n\
          \x20 --idle-timeout-secs <n>      per-connection idle limit (default 300)\n\

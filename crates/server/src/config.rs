@@ -25,8 +25,6 @@ pub struct NodeConfig {
     /// from the primary's newest snapshot generations, tails WAL segments,
     /// serves reads, and rejects writes until promoted.
     pub replica_of: Option<String>,
-    /// Connection-pool size for the proxy's store client.
-    pub store_connections: usize,
     /// The KGC domain label (KGC role).
     pub kgc_label: String,
     /// The node/store display name.
@@ -57,7 +55,6 @@ impl NodeConfig {
             data_dir: None,
             store_addr: None,
             replica_of: None,
-            store_connections: 4,
             kgc_label: "tibpre-kgc".to_string(),
             name: format!("tibpre-{}", role.name()),
             idle_timeout: Duration::from_secs(300),
@@ -104,11 +101,6 @@ impl NodeConfig {
                 "--data-dir" => config.data_dir = Some(PathBuf::from(value)),
                 "--store" => config.store_addr = Some(value),
                 "--replica-of" => config.replica_of = Some(value),
-                "--store-connections" => {
-                    config.store_connections = value
-                        .parse()
-                        .map_err(|_| format!("bad --store-connections {value}"))?;
-                }
                 "--kgc-label" => config.kgc_label = value,
                 "--name" => config.name = value,
                 "--idle-timeout-secs" => {

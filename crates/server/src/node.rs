@@ -12,8 +12,9 @@
 //! [`ProxyService::disclose_batch`] call; every other request runs alone.
 //! A run never spans another request, so execution order is request order
 //! and a `RevokeKey` takes effect exactly between the disclosures around
-//! it.  Connections run concurrently: one computes while another waits on
-//! the store.
+//! it.  Connections are a node's only parallelism: a proxy converts on the
+//! connection's thread, and one connection computes while another waits
+//! on the store.
 //!
 //! Shutdown — via [`crate::signal`] or a `Shutdown` frame — stops the
 //! accept loop, lets every connection answer the backlog it has read (a
@@ -34,7 +35,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tibpre_client::{params_for_level, ClientConfig, NodeRole, RemoteError, Request, Response};
-use tibpre_engine::ReEncryptEngine;
 use tibpre_ibe::Kgc;
 use tibpre_pairing::DecodeCtx;
 use tibpre_phr::{Durability, EncryptedPhrStore, ProxyService};
@@ -116,19 +116,12 @@ pub struct NodeHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    engine_note: Option<String>,
 }
 
 impl NodeHandle {
     /// The bound listen address (resolves `:0` to the actual port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The `TIBPRE_WORKERS` value the engine rejected at startup, if any
-    /// (surfaced in the `tibpre-node` banner).
-    pub fn engine_note(&self) -> Option<&str> {
-        self.engine_note.as_deref()
     }
 
     /// Requests a graceful shutdown (idempotent).
@@ -148,7 +141,6 @@ impl NodeHandle {
 /// accepting.
 pub fn start(config: NodeConfig) -> Result<NodeHandle, ServerError> {
     let params = params_for_level(config.level);
-    let mut engine_note = None;
     // A replica's bootstrap connection, deferred until `Shared` exists so
     // the tail thread's join handle has somewhere to live.
     let mut replica_boot: Option<(
@@ -213,11 +205,8 @@ pub fn start(config: NodeConfig) -> Result<NodeHandle, ServerError> {
                 store_addr.as_str(),
                 &params,
                 &client_config,
-                config.store_connections,
             )?);
-            let (engine, rejected) = ReEncryptEngine::from_env_reporting();
-            engine_note = rejected;
-            let mut proxy = match &config.data_dir {
+            let proxy = match &config.data_dir {
                 Some(dir) => ProxyService::open(
                     &config.name,
                     store,
@@ -226,8 +215,7 @@ pub fn start(config: NodeConfig) -> Result<NodeHandle, ServerError> {
                 )?,
                 None => ProxyService::new(&config.name, store),
             };
-            proxy.set_engine(engine);
-            RoleService::Proxy(Box::new(parking_lot::RwLock::new(proxy)))
+            RoleService::Proxy(Box::new(proxy))
         }
     };
 
@@ -262,7 +250,6 @@ pub fn start(config: NodeConfig) -> Result<NodeHandle, ServerError> {
         addr,
         shared,
         accept_thread: Some(accept_thread),
-        engine_note,
     })
 }
 

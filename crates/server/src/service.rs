@@ -9,7 +9,6 @@
 
 use crate::metrics;
 use crate::replica::ReplicaControl;
-use parking_lot::RwLock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tibpre_client::{NodeRole, RemoteError, Request, Response};
@@ -29,10 +28,10 @@ pub enum RoleService {
         /// and the per-shard applied offsets.
         replica: Option<Arc<ReplicaControl>>,
     },
-    /// Re-encryption proxy: grant/revoke and disclosure.  Grants mutate the
-    /// key table, so the service sits behind an `RwLock`; disclosures (the
-    /// hot path) take the read side and run concurrently.
-    Proxy(Box<RwLock<ProxyService>>),
+    /// Re-encryption proxy: grant/revoke and disclosure.  The service locks
+    /// its own key table, so disclosures on different connections run
+    /// concurrently.
+    Proxy(Box<ProxyService>),
 }
 
 impl RoleService {
@@ -104,7 +103,7 @@ impl RoleService {
     /// A run of `Disclose` requests is one [`ProxyService::disclose_batch`]
     /// call (one record fetch, batched pairing work, group-committed audit
     /// writes) — the only place a `Disclose` is served.
-    fn disclose_run(proxy: &RwLock<ProxyService>, run: Vec<Request>) -> Vec<Response> {
+    fn disclose_run(proxy: &ProxyService, run: Vec<Request>) -> Vec<Response> {
         metrics::note_run(run.len());
         let items: Vec<(Identity, RecordId, Identity)> = run
             .into_iter()
@@ -117,7 +116,7 @@ impl RoleService {
                 other => unreachable!("a {} request inside a Disclose run", other.kind()),
             })
             .collect();
-        let disclosed = proxy.read().disclose_batch(&items);
+        let disclosed = proxy.disclose_batch(&items);
         // A short answer would desynchronise the connection; inside
         // `handle_run` this panic answers `Internal` for the whole run.
         assert_eq!(disclosed.len(), items.len(), "one result per disclosure");
@@ -256,35 +255,32 @@ impl RoleService {
 
     /// Everything a proxy serves except `Disclose`, which
     /// [`Self::disclose_run`] serves.
-    fn dispatch_proxy(proxy: &RwLock<ProxyService>, request: Request) -> Response {
+    fn dispatch_proxy(proxy: &ProxyService, request: Request) -> Response {
         match request {
             Request::InstallKey { key } => {
-                proxy.write().install_key(*key);
+                proxy.install_key(*key);
                 Response::Ok
             }
             Request::RevokeKey {
                 patient,
                 category,
                 grantee,
-            } => Response::Bool(proxy.write().revoke_key(&patient, &category, &grantee)),
+            } => Response::Bool(proxy.revoke_key(&patient, &category, &grantee)),
             Request::HasGrant {
                 patient,
                 category,
                 grantee,
-            } => Response::Bool(proxy.read().has_grant(&patient, &category, &grantee)),
-            Request::KeyCount => Response::Count(proxy.read().key_count() as u64),
+            } => Response::Bool(proxy.has_grant(&patient, &category, &grantee)),
+            Request::KeyCount => Response::Count(proxy.key_count() as u64),
             Request::DiscloseCategory {
                 patient,
                 category,
                 requester,
-            } => match proxy
-                .read()
-                .disclose_category(&patient, &category, &requester)
-            {
+            } => match proxy.disclose_category(&patient, &category, &requester) {
                 Ok(bundles) => Response::Bundles(bundles),
                 Err(e) => Response::Error(RemoteError::from_phr(&e)),
             },
-            Request::AuditSnapshot => Response::AuditEvents(proxy.read().audit_snapshot()),
+            Request::AuditSnapshot => Response::AuditEvents(proxy.audit_snapshot()),
             other => Self::wrong_role(NodeRole::Proxy, &other),
         }
     }

@@ -101,7 +101,7 @@ fn main() {
     store.delete(ids[2], &alice).unwrap();
 
     // A durable proxy with one active and one revoked grant.
-    let mut proxy = ProxyService::open(
+    let proxy = ProxyService::open(
         "fixture-proxy",
         store.clone(),
         out.join("proxy"),

@@ -109,7 +109,7 @@ impl World {
         ));
         let id = store.put(&alice, &category, TITLE, hybrid.clone());
         let record = StoredRecord::clone(&store.get(id).expect("stored record"));
-        let mut proxy_service = ProxyService::new("fixture", store.clone());
+        let proxy_service = ProxyService::new("fixture", store.clone());
         proxy_service.install_key(rekey.clone());
         let bundle = proxy_service
             .disclose(&alice, id, &doctor)

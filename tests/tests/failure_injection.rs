@@ -4,7 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread;
+use std::time::Duration;
 use tibpre_bigint::Uint;
 use tibpre_core::{
     proxy, Delegatee, Delegator, PreError, ReEncryptionKey, TypeTag, TypedCiphertext,
@@ -12,6 +14,7 @@ use tibpre_core::{
 use tibpre_ibe::{EncodedIbeCiphertext, IbeCiphertext, Identity, Kgc};
 use tibpre_pairing::{DecodeCtx, G1Affine, Gt, PairingParams};
 use tibpre_phr::{
+    audit::AuditEvent,
     category::Category,
     durable::Durability,
     patient::Patient,
@@ -700,4 +703,155 @@ fn a_proxy_refuses_a_record_fetched_under_another_id() {
         .unwrap();
     assert_eq!(bundle.id, b);
     assert_eq!(*source.logged.lock().unwrap(), vec![(b, doctor, true)]);
+}
+
+/// A record source over an in-process store whose first `get_many` after
+/// [`ParkingSource::park_next_fetch`] parks: it reports on the gate's first
+/// channel and waits on its second before fetching.  It keeps the audit
+/// calls it is asked to make, in call order.
+struct ParkingSource {
+    inner: Arc<EncryptedPhrStore>,
+    gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+    logged: Mutex<Vec<&'static str>>,
+}
+
+impl ParkingSource {
+    /// Returns (parked, release): the next fetch signals the first and
+    /// waits for the second.
+    fn park_next_fetch(&self) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (parked_tx, parked) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        *self.gate.lock().unwrap() = Some((parked_tx, release_rx));
+        (parked, release)
+    }
+}
+
+impl RecordSource for ParkingSource {
+    fn get_many(&self, ids: &[RecordId]) -> Vec<tibpre_phr::Result<Arc<StoredRecord>>> {
+        let gate = self.gate.lock().unwrap().take();
+        if let Some((parked, release)) = gate {
+            parked.send(()).unwrap();
+            // A dropped sender (the test failed) releases the fetch too.
+            let _ = release.recv();
+        }
+        RecordSource::get_many(&*self.inner, ids)
+    }
+
+    fn list_for_patient(&self, patient: &Identity) -> tibpre_phr::Result<Vec<RecordId>> {
+        RecordSource::list_for_patient(&*self.inner, patient)
+    }
+
+    fn list_for_patient_category(
+        &self,
+        patient: &Identity,
+        category: &Category,
+    ) -> tibpre_phr::Result<Vec<RecordId>> {
+        RecordSource::list_for_patient_category(&*self.inner, patient, category)
+    }
+
+    fn log_disclosures(&self, entries: &[(RecordId, Identity, bool)]) {
+        let mut logged = self.logged.lock().unwrap();
+        for (_, _, granted) in entries {
+            logged.push(match granted {
+                true => "DisclosurePerformed",
+                false => "DisclosureDenied",
+            });
+        }
+    }
+
+    fn log_policy_change(&self, _: &Identity, _: &Category, _: &Identity, granted: bool) {
+        self.logged.lock().unwrap().push(match granted {
+            true => "AccessGranted",
+            false => "AccessRevoked",
+        });
+    }
+}
+
+/// A run fetches its records before it takes the key lock: a revocation
+/// issued while the run waits on the store returns at once, and the run,
+/// released afterwards, is refused — after the revocation on both trails.
+#[test]
+fn a_revocation_does_not_wait_on_a_run_parked_in_its_fetch() {
+    let mut rng = StdRng::seed_from_u64(0xFA14);
+    let params = PairingParams::insecure_toy();
+    let patient_kgc = Kgc::setup(params.clone(), "patients", &mut rng);
+    let provider_kgc = Kgc::setup(params.clone(), "providers", &mut rng);
+    let store = Arc::new(EncryptedPhrStore::in_memory_with_params("db", params));
+    let mut alice = Patient::new("alice", &patient_kgc);
+    let doctor = Identity::new("doctor");
+    let record = HealthRecord::new(
+        alice.identity().clone(),
+        Category::LabResults,
+        "cholesterol",
+        b"LDL 95 mg/dL".to_vec(),
+    );
+    let id = alice.store_record(&store, &record, &mut rng).unwrap();
+    let source = Arc::new(ParkingSource {
+        inner: store,
+        gate: Mutex::new(None),
+        logged: Mutex::new(Vec::new()),
+    });
+    let mut proxy_service = ProxyService::new("proxy", source.clone());
+    alice
+        .grant_access(
+            Category::LabResults,
+            &doctor,
+            provider_kgc.public_params(),
+            &mut proxy_service,
+            &mut rng,
+        )
+        .unwrap();
+    let proxy_service = Arc::new(proxy_service);
+    let (parked, release) = source.park_next_fetch();
+
+    // A: one disclosure, parked inside its fetch.
+    let a = {
+        let (proxy, item) = (
+            Arc::clone(&proxy_service),
+            (alice.identity().clone(), id, doctor.clone()),
+        );
+        thread::spawn(move || proxy.disclose_batch(&[item]).pop().unwrap())
+    };
+    parked.recv().unwrap();
+
+    // B: the revocation.  Were the fetch under the key lock, B would wait
+    // for a release that only follows B's answer; the deadline turns that
+    // deadlock into a failure instead of a hang.
+    let (revoked_tx, revoked) = mpsc::channel();
+    let b = {
+        let (proxy, patient, doctor) = (
+            Arc::clone(&proxy_service),
+            alice.identity().clone(),
+            doctor.clone(),
+        );
+        thread::spawn(move || {
+            let removed = proxy.revoke_key(&patient, &Category::LabResults, &doctor);
+            revoked_tx.send(removed).unwrap();
+        })
+    };
+    let removed = revoked
+        .recv_timeout(Duration::from_secs(60))
+        .expect("revoke_key waited on a disclosure parked in its record fetch");
+    assert!(removed);
+    b.join().unwrap();
+
+    release.send(()).unwrap();
+    assert!(matches!(
+        a.join().unwrap(),
+        Err(PhrError::AccessDenied { .. })
+    ));
+    let proxy_trail: Vec<&str> = proxy_service
+        .audit_snapshot()
+        .iter()
+        .map(|event| match event {
+            AuditEvent::AccessGranted { .. } => "AccessGranted",
+            AuditEvent::AccessRevoked { .. } => "AccessRevoked",
+            AuditEvent::DisclosurePerformed { .. } => "DisclosurePerformed",
+            AuditEvent::DisclosureDenied { .. } => "DisclosureDenied",
+            other => panic!("unexpected proxy audit event {other:?}"),
+        })
+        .collect();
+    let expected = ["AccessGranted", "AccessRevoked", "DisclosureDenied"];
+    assert_eq!(proxy_trail, expected);
+    assert_eq!(*source.logged.lock().unwrap(), expected);
 }

@@ -7,7 +7,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 use tibpre_client::{
     params_for_level, ClientConfig, ClientError, Connection, KgcClient, NodeRole, ProxyClient,
     RemoteError, RemoteStore, Request, Response, StoreClient,
@@ -307,7 +309,7 @@ fn a_pooled_store_connection_that_failed_is_never_reused() {
         }
     });
 
-    let store = RemoteStore::connect(addr, &params, &ClientConfig::default(), 1).unwrap();
+    let store = RemoteStore::connect(addr, &params, &ClientConfig::default()).unwrap();
     let run = store.get_many(&[RecordId(1), RecordId(2), RecordId(3)]);
     assert!(run.iter().all(Result::is_err));
     let next = store.get(RecordId(4));
@@ -317,4 +319,92 @@ fn a_pooled_store_connection_that_failed_is_never_reused() {
         next.map(|got| got.id)
     );
     assert_eq!(next.unwrap().id, RecordId(4));
+}
+
+/// A fake store node numbers its connections in accept order and parks
+/// every `GetRecord` it reads: it reports the connection's number on
+/// `arrived`, then answers once the test sends a token on `release`.  The
+/// pool must open a connection only when every open one is busy.
+#[test]
+fn the_store_pool_opens_one_connection_per_concurrent_caller() {
+    let params = toy_params();
+    let record = World::new(params.clone()).record;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let ctx = DecodeCtx::from(&params);
+    let accepts = Arc::new(AtomicUsize::new(0));
+    let (arrived_tx, arrived) = mpsc::channel::<usize>();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let release_rx = Arc::new(Mutex::new(release_rx));
+    let counted = Arc::clone(&accepts);
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().flatten() {
+            let conn = counted.fetch_add(1, Ordering::SeqCst);
+            let (arrived_tx, release_rx) = (arrived_tx.clone(), Arc::clone(&release_rx));
+            let (ctx, record) = (ctx.clone(), record.clone());
+            std::thread::spawn(move || {
+                while let Ok(Some(payload)) = read_frame(&mut stream, DEFAULT_MAX_FRAME) {
+                    let Ok(Request::GetRecord { id }) = Request::from_wire_bytes(&payload, &ctx)
+                    else {
+                        return;
+                    };
+                    if arrived_tx.send(conn).is_err() || release_rx.lock().unwrap().recv().is_err()
+                    {
+                        return;
+                    }
+                    let response = Response::Record(Box::new(StoredRecord {
+                        id,
+                        ..record.clone()
+                    }));
+                    if write_frame(&mut stream, &response.to_wire_bytes(), DEFAULT_MAX_FRAME)
+                        .is_err()
+                    {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    let store = Arc::new(RemoteStore::connect(addr, &params, &ClientConfig::default()).unwrap());
+    // One caller at a time: each answer is released before its request.
+    let sequential = |ids: std::ops::Range<u64>| {
+        for n in ids {
+            release.send(()).unwrap();
+            assert_eq!(store.get(RecordId(n)).unwrap().id, RecordId(n));
+            assert!(arrived.recv().unwrap() < 2);
+        }
+    };
+
+    // Sequential calls reuse the connection `connect` opened.
+    sequential(1..4);
+    assert_eq!(accepts.load(Ordering::SeqCst), 1);
+
+    // Two callers parked in a call at once hold two connections.
+    let callers: Vec<_> = [10, 11]
+        .map(|n| {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || store.get(RecordId(n)).map(|got| got.id))
+        })
+        .into_iter()
+        .collect();
+    // A pool that made the second caller wait for the first's connection
+    // would never deliver the second request; the deadline turns that
+    // deadlock into a failure instead of a hang.
+    let mut parked_on = [(); 2].map(|()| {
+        arrived
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a caller waited for another's connection")
+    });
+    parked_on.sort_unstable();
+    assert_eq!(parked_on, [0, 1]);
+    assert_eq!(accepts.load(Ordering::SeqCst), 2);
+    release.send(()).unwrap();
+    release.send(()).unwrap();
+    for (caller, n) in callers.into_iter().zip([10, 11]) {
+        assert_eq!(caller.join().unwrap().unwrap(), RecordId(n));
+    }
+
+    // Both went back to the pool: later calls open no third connection.
+    sequential(20..26);
+    assert_eq!(accepts.load(Ordering::SeqCst), 2);
 }
