@@ -204,6 +204,19 @@ impl Connection {
         }
     }
 
+    /// Whether the connection can carry another call: the peer has not
+    /// closed it and no unread byte waits on it.  A non-blocking `peek`
+    /// tells without consuming anything.
+    pub(crate) fn reusable(&self) -> bool {
+        let stream = self.reader.get_ref();
+        if !self.reader.buffer().is_empty() || stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let quiet =
+            matches!(stream.peek(&mut [0]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+        quiet && stream.set_nonblocking(false).is_ok()
+    }
+
     /// The decode context this connection validates responses under.
     pub fn ctx(&self) -> &DecodeCtx {
         &self.ctx

@@ -318,7 +318,11 @@ impl ProxyClient {
 /// back afterwards — the pool grows to the most calls ever in flight at
 /// once.  A connection whose call failed short of a decoded response may
 /// have responses still in flight, so it is dropped rather than put back; a
-/// [`ClientError::Remote`] leaves the stream in step and keeps it.
+/// [`ClientError::Remote`] leaves the stream in step and keeps it.  An idle
+/// connection the store has since closed (its idle timeout), or one holding
+/// unread bytes, is dropped when taken, before a request goes out on it.  A
+/// call is never retried: `LogDisclosure` and `LogPolicyChange` are not
+/// idempotent.
 pub struct RemoteStore {
     idle: Mutex<Vec<Connection>>,
     addrs: Vec<SocketAddr>,
@@ -344,11 +348,12 @@ impl RemoteStore {
         })
     }
 
-    /// Runs `f` on an idle connection, or on a new one if none is idle,
-    /// and returns the connection to the pool unless `f` left it out of
-    /// step.  The pool's lock is never held across `f`.
+    /// Runs `f` on an idle connection that is still open, or on a new one
+    /// if none is, and returns the connection to the pool unless `f` left
+    /// it out of step.  The pool's lock is never held across `f` or the
+    /// liveness check.
     fn with_connection<T>(&self, f: impl FnOnce(&mut Connection) -> Result<T>) -> Result<T> {
-        let idle = self.idle.lock().pop();
+        let idle = std::iter::from_fn(|| self.idle.lock().pop()).find(Connection::reusable);
         let mut conn = match idle {
             Some(conn) => conn,
             None => Connection::connect(&self.addrs[..], &self.params, &self.config)?,

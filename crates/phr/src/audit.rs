@@ -4,9 +4,10 @@
 //! patient-controlled disclosure) require an account of disclosures; every
 //! store and proxy operation therefore appends an event here.
 //!
-//! Two holders use these types differently: each [`ProxyService`] keeps its
-//! own [`AuditLog`] (one writer, its private logical clock), while the
-//! sharded [`EncryptedPhrStore`] keeps a plain event segment *per shard*
+//! Two holders keep these events differently: each [`ProxyService`] keeps
+//! its own trail in its journal (one writer, its private logical clock,
+//! committed to the proxy's log when it is durable), while the sharded
+//! [`EncryptedPhrStore`] keeps a plain event segment *per shard*
 //! under a store-global atomic clock and merges the segments by timestamp in
 //! `audit_snapshot` — so one store-wide, strictly ordered trail survives the
 //! lock striping.
@@ -149,89 +150,5 @@ impl AuditEvent {
                 at,
             },
         }
-    }
-}
-
-/// An append-only audit log with a logical clock.
-#[derive(Debug, Default, Clone)]
-pub struct AuditLog {
-    events: Vec<AuditEvent>,
-    clock: u64,
-}
-
-impl AuditLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances the logical clock and returns the new timestamp.
-    pub fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
-    /// Appends an event.
-    pub fn append(&mut self, event: AuditEvent) {
-        self.events.push(event);
-    }
-
-    /// Re-appends an event recovered from a durable log, advancing the clock
-    /// to at least the event's timestamp so post-recovery ticks stay strictly
-    /// increasing.
-    pub fn replay(&mut self, event: AuditEvent) {
-        self.clock = self.clock.max(event.at());
-        self.events.push(event);
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns `true` if no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// A snapshot of all events, in order.
-    pub fn events(&self) -> &[AuditEvent] {
-        &self.events
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn log_orders_and_filters_events() {
-        let mut log = AuditLog::new();
-        let alice = Identity::new("alice");
-        let doctor = Identity::new("doctor");
-        let at1 = log.tick();
-        log.append(AuditEvent::RecordStored {
-            id: RecordId(1),
-            patient: alice.clone(),
-            category: Category::Emergency,
-            at: at1,
-        });
-        let at2 = log.tick();
-        log.append(AuditEvent::DisclosurePerformed {
-            id: RecordId(1),
-            requester: doctor.clone(),
-            at: at2,
-        });
-        let at3 = log.tick();
-        log.append(AuditEvent::DisclosureDenied {
-            id: RecordId(2),
-            requester: doctor.clone(),
-            at: at3,
-        });
-
-        assert_eq!(log.len(), 3);
-        assert!(!log.is_empty());
-        assert!(at1 < at2 && at2 < at3);
-        assert_eq!(log.events()[0].at(), at1);
     }
 }

@@ -32,7 +32,7 @@
 //! // Before the trip: Alice mirrors her emergency data to a US store and
 //! // provisions access for the US emergency service through a local proxy.
 //! let us_store = Arc::new(EncryptedPhrStore::in_memory_with_params("us-mirror", params.clone()));
-//! let mut us_proxy = ProxyService::new("us-proxy", us_store.clone());
+//! let us_proxy = ProxyService::new("us-proxy", us_store.clone());
 //! let mut alice = Patient::new("alice@phr.example", &dutch_kgc);
 //! let record = HealthRecord::new(
 //!     alice.identity().clone(),
@@ -48,7 +48,7 @@
 //!     &mut alice,
 //!     &team_id,
 //!     us_kgc.public_params(),
-//!     &mut us_proxy,
+//!     &us_proxy,
 //!     &mut rng,
 //! )
 //! .unwrap();
@@ -60,7 +60,7 @@
 //!
 //! // After the trip: revocation closes the capability again.
 //! alice
-//!     .revoke_access(&Category::Emergency, &team_id, &mut us_proxy)
+//!     .revoke_access(&Category::Emergency, &team_id, &us_proxy)
 //!     .unwrap();
 //! assert!(matches!(
 //!     emergency_disclosure(&us_proxy, alice.identity(), &team),
@@ -94,7 +94,7 @@ pub fn provision_travel_access<R: RngCore + CryptoRng>(
     patient: &mut Patient,
     emergency_team: &Identity,
     team_domain: &IbePublicParams,
-    local_proxy: &mut ProxyService,
+    local_proxy: &ProxyService,
     rng: &mut R,
 ) -> Result<()> {
     patient.grant_access(
@@ -146,7 +146,7 @@ mod tests {
             "us-hospital-db",
             params.clone(),
         ));
-        let mut us_proxy = ProxyService::new("us-proxy", us_store.clone());
+        let us_proxy = ProxyService::new("us-proxy", us_store.clone());
 
         let mut alice = Patient::new("alice@nl.example", &patient_kgc);
         let er_team = Identity::new("er-team@us-hospital.example");
@@ -181,7 +181,7 @@ mod tests {
             &mut alice,
             &er_team,
             us_kgc.public_params(),
-            &mut us_proxy,
+            &us_proxy,
             &mut rng,
         )
         .unwrap();
@@ -205,7 +205,7 @@ mod tests {
 
         // After the trip Alice revokes the grant; further requests fail.
         alice
-            .revoke_access(&Category::Emergency, &er_team, &mut us_proxy)
+            .revoke_access(&Category::Emergency, &er_team, &us_proxy)
             .unwrap();
         assert!(matches!(
             emergency_disclosure(&us_proxy, alice.identity(), &er_provider),
@@ -223,7 +223,7 @@ mod tests {
             "db",
             params.clone(),
         ));
-        let mut proxy = ProxyService::new("proxy", store);
+        let proxy = ProxyService::new("proxy", store);
         let mut alice = Patient::new("alice", &patient_kgc);
         let team = Identity::new("er");
         let provider = HealthcareProvider::new(provider_kgc.extract(&team));
@@ -231,7 +231,7 @@ mod tests {
             &mut alice,
             &team,
             provider_kgc.public_params(),
-            &mut proxy,
+            &proxy,
             &mut rng,
         )
         .unwrap();

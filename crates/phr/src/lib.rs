@@ -57,7 +57,7 @@
 //! // Alice, her encrypted store, and one proxy for her illness history.
 //! let store = Arc::new(EncryptedPhrStore::in_memory_with_params("phr-db", params));
 //! let mut alice = Patient::new("alice@phr.example", &patient_kgc);
-//! let mut proxy = ProxyService::new("hospital-proxy", store.clone());
+//! let proxy = ProxyService::new("hospital-proxy", store.clone());
 //!
 //! // Her cardiologist is a delegatee in the provider domain.
 //! let cardiologist = Identity::new("dr.smith@heart.example");
@@ -76,7 +76,7 @@
 //!         Category::IllnessHistory,
 //!         &cardiologist,
 //!         provider_kgc.public_params(),
-//!         &mut proxy,
+//!         &proxy,
 //!         &mut rng,
 //!     )
 //!     .unwrap();
@@ -108,7 +108,7 @@ pub(crate) mod resident;
 pub mod source;
 pub mod store;
 
-pub use audit::{AuditEvent, AuditLog};
+pub use audit::AuditEvent;
 pub use category::Category;
 pub use durable::Durability;
 pub use error::PhrError;

@@ -102,7 +102,7 @@ impl Patient {
         category: Category,
         grantee: &Identity,
         grantee_domain: &IbePublicParams,
-        proxy: &mut ProxyService,
+        proxy: &ProxyService,
         rng: &mut R,
     ) -> Result<()> {
         if self.policy.is_granted(&category, grantee)
@@ -126,7 +126,7 @@ impl Patient {
         &mut self,
         category: &Category,
         grantee: &Identity,
-        proxy: &mut ProxyService,
+        proxy: &ProxyService,
     ) -> Result<()> {
         let removed_from_proxy = proxy.revoke_key(self.identity(), category, grantee);
         let removed_from_policy = self.policy.remove_grant(category, grantee, proxy.name());
@@ -233,7 +233,7 @@ mod tests {
     fn grant_updates_policy_and_proxy() {
         let mut f = fixture();
         let mut alice = Patient::new("alice", &f.patient_kgc);
-        let mut proxy = ProxyService::new("proxy", f.store.clone());
+        let proxy = ProxyService::new("proxy", f.store.clone());
         let doctor = Identity::new("doctor");
 
         assert_eq!(alice.policy().grant_count(), 0);
@@ -242,7 +242,7 @@ mod tests {
                 Category::Medication,
                 &doctor,
                 f.provider_kgc.public_params(),
-                &mut proxy,
+                &proxy,
                 &mut f.rng,
             )
             .unwrap();
@@ -252,7 +252,7 @@ mod tests {
         assert_eq!(proxy.key_count(), 1);
 
         alice
-            .revoke_access(&Category::Medication, &doctor, &mut proxy)
+            .revoke_access(&Category::Medication, &doctor, &proxy)
             .unwrap();
         assert_eq!(alice.policy().grant_count(), 0);
         assert!(!proxy.has_grant(alice.identity(), &Category::Medication, &doctor));
@@ -263,14 +263,14 @@ mod tests {
     fn duplicate_grant_is_a_conflict_and_missing_revoke_is_an_error() {
         let mut f = fixture();
         let mut alice = Patient::new("alice", &f.patient_kgc);
-        let mut proxy = ProxyService::new("proxy", f.store.clone());
+        let proxy = ProxyService::new("proxy", f.store.clone());
         let doctor = Identity::new("doctor");
         alice
             .grant_access(
                 Category::Emergency,
                 &doctor,
                 f.provider_kgc.public_params(),
-                &mut proxy,
+                &proxy,
                 &mut f.rng,
             )
             .unwrap();
@@ -279,13 +279,13 @@ mod tests {
                 Category::Emergency,
                 &doctor,
                 f.provider_kgc.public_params(),
-                &mut proxy,
+                &proxy,
                 &mut f.rng,
             ),
             Err(PhrError::PolicyConflict(_))
         ));
         assert!(alice
-            .revoke_access(&Category::LabResults, &doctor, &mut proxy)
+            .revoke_access(&Category::LabResults, &doctor, &proxy)
             .is_err());
     }
 }

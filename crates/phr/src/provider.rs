@@ -73,7 +73,7 @@ mod tests {
         let patient_kgc = Kgc::setup(params.clone(), "patients", &mut rng);
         let provider_kgc = Kgc::setup(params.clone(), "providers", &mut rng);
         let store = Arc::new(EncryptedPhrStore::in_memory_with_params("db", params));
-        let mut proxy = ProxyService::new("proxy", store.clone());
+        let proxy = ProxyService::new("proxy", store.clone());
         let mut alice = Patient::new("alice", &patient_kgc);
         let doctor = Identity::new("doctor");
         let provider = HealthcareProvider::new(provider_kgc.extract(&doctor));
@@ -91,7 +91,7 @@ mod tests {
                 Category::Medication,
                 &doctor,
                 provider_kgc.public_params(),
-                &mut proxy,
+                &proxy,
                 &mut rng,
             )
             .unwrap();

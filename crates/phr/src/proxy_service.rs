@@ -15,22 +15,23 @@
 //! parallelism.
 //!
 //! A service does its own locking, so every method but
-//! [`ProxyService::set_engine`] takes `&self`.  Three locks, always taken in
-//! this order: the key table (`keys`, a read–write lock), then the audit
-//! trail (`audit`), then the durable log (`wal`).  A run fetches its records
-//! *before* taking the key lock; key lookup, conversion, the proxy's audit
-//! commit and the store-side log then run under a read guard, and a grant
-//! or revocation holds the write guard from its check to its store-side
-//! log.  So no conversion starts after a revocation returned, and both
-//! audit trails order a revocation and the disclosures around it the same
-//! way.  No other lock is held across a store call.
+//! [`ProxyService::set_engine`] takes `&self`.  Two locks, always taken in
+//! this order: the key table (`keys`, a read–write lock), then the journal
+//! (`journal`: the audit trail, its logical clock and, for a durable proxy,
+//! its write-ahead log).  A run fetches its records *before* taking the key
+//! lock; key lookup, conversion, the proxy's journal commit and the
+//! store-side log then run under a read guard, and a grant or revocation
+//! holds the write guard from its check to its store-side log.  So no
+//! conversion starts after a revocation returned, and both audit trails
+//! order a revocation and the disclosures around it the same way.  No
+//! other lock is held across a store call.
 //!
 //! A proxy can also be opened *durably* ([`ProxyService::open`]): installed
 //! re-encryption keys and the proxy's own audit log are then written to a
 //! CRC-framed WAL and replayed on the next open, so a restart loses neither
 //! the grants nor the disclosure history.
 
-use crate::audit::{AuditEvent, AuditLog};
+use crate::audit::AuditEvent;
 use crate::category::Category;
 use crate::durable::{self, Durability, ProxyWalOp};
 use crate::legacy;
@@ -46,7 +47,7 @@ use tibpre_core::{hybrid, Proxy, ReEncryptedHybridCiphertext, ReEncryptionKey};
 use tibpre_engine::ReEncryptEngine;
 use tibpre_ibe::Identity;
 use tibpre_pairing::DecodeCtx;
-use tibpre_storage::WalWriter;
+use tibpre_storage::{DirLock, WalWriter};
 use tibpre_wire::{Codec, DecodeError, Elem, Field, Nested, Reader, WireEncode, Writer};
 
 tibpre_wire::message! {
@@ -93,6 +94,53 @@ enum Mark {
     Granted,
 }
 
+/// A proxy's audit trail: its events, its logical clock and, for a durable
+/// proxy, the log they are committed to before they are appended.
+#[derive(Default)]
+struct Journal {
+    events: Vec<AuditEvent>,
+    clock: u64,
+    /// The durable proxy log and the advisory lock that excludes concurrent
+    /// opens of it, held for the proxy's lifetime and released by the OS on
+    /// exit or crash (`None` for in-memory proxies).
+    wal: Option<(WalWriter, DirLock)>,
+}
+
+impl Journal {
+    /// Advances the logical clock and returns the new timestamp.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Re-appends an event recovered from the log, advancing the clock to
+    /// at least the event's timestamp so later ticks stay strictly
+    /// increasing.
+    fn replay(&mut self, event: AuditEvent) {
+        self.clock = self.clock.max(event.at());
+        self.events.push(event);
+    }
+
+    /// The one write step: on a durable proxy, the policy op `op` yields
+    /// (if any), then one audit frame per event, as one group commit —
+    /// fail-stop on I/O errors, like the store's WAL (see [`crate::store`]'s
+    /// module docs); then the events join the trail.  A run that owes no
+    /// event writes nothing.
+    fn commit(&mut self, op: impl FnOnce() -> Option<ProxyWalOp>, events: Vec<AuditEvent>) {
+        if let Some((wal, _)) = self.wal.as_mut().filter(|_| !events.is_empty()) {
+            let audit = events.iter().map(|event| ProxyWalOp::Audit {
+                event: event.clone(),
+            });
+            for frame in op().into_iter().chain(audit) {
+                wal.append(&frame.to_wire_bytes());
+            }
+            wal.commit()
+                .expect("proxy WAL append failed; cannot continue without durability (fail-stop)");
+        }
+        self.events.extend(events);
+    }
+}
+
 /// A proxy service bound to one record source — an in-process
 /// [`EncryptedPhrStore`](crate::EncryptedPhrStore) or a client for a remote
 /// store node (any [`RecordSource`]).
@@ -101,12 +149,7 @@ pub struct ProxyService {
     store: Arc<dyn RecordSource>,
     keys: RwLock<Proxy>,
     engine: ReEncryptEngine,
-    audit: Mutex<AuditLog>,
-    /// The durable proxy log (`None` for in-memory proxies).
-    wal: Option<Mutex<WalWriter>>,
-    /// Advisory lock excluding concurrent opens of the same proxy log; held
-    /// for the proxy's lifetime, released by the OS on exit or crash.
-    _wal_lock: Option<tibpre_storage::DirLock>,
+    journal: Mutex<Journal>,
 }
 
 impl ProxyService {
@@ -117,9 +160,7 @@ impl ProxyService {
             store,
             keys: RwLock::new(Proxy::new(name.as_ref())),
             engine: ReEncryptEngine::sequential(),
-            audit: Mutex::new(AuditLog::new()),
-            wal: None,
-            _wal_lock: None,
+            journal: Mutex::default(),
         }
     }
 
@@ -146,12 +187,12 @@ impl ProxyService {
         let path = durable::proxy_wal_path(dir, name.as_ref());
         // Same guard as the store: a second concurrent holder would truncate
         // frames this one is appending and interleave writes.
-        let lock = tibpre_storage::DirLock::acquire(&path.with_extension("wal.lock"))?;
+        let lock = DirLock::acquire(&path.with_extension("wal.lock"))?;
         let scan = WalWriter::recover(&path, 0)?;
         let ctx = DecodeCtx::from(durability.params());
 
         let mut proxy = Proxy::new(name.as_ref());
-        let mut audit = AuditLog::new();
+        let mut journal = Journal::default();
         let mut legacy = false;
         let mut frames = Vec::with_capacity(scan.frames.len());
         for payload in scan.frames {
@@ -167,7 +208,7 @@ impl ProxyService {
             })?;
             frames.push(frame);
             match op {
-                ProxyWalOp::Audit { event } => audit.replay(event),
+                ProxyWalOp::Audit { event } => journal.replay(event),
                 ProxyWalOp::InstallKey { key } => {
                     proxy.install_key(*key);
                 }
@@ -189,34 +230,20 @@ impl ProxyService {
             scan.valid_len
         };
         let wal = WalWriter::open(&path, valid_len, durability.fsync_policy())?;
+        journal.wal = Some((wal, lock));
 
         Ok(ProxyService {
             name: name.as_ref().to_string(),
             store,
             keys: RwLock::new(proxy),
             engine: ReEncryptEngine::sequential(),
-            audit: Mutex::new(audit),
-            wal: Some(Mutex::new(wal)),
-            _wal_lock: Some(lock),
+            journal: Mutex::new(journal),
         })
     }
 
     /// Whether this proxy persists its keys and audit log.
     pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Appends already-encoded frame payloads to the proxy log as one group
-    /// commit.  Fail-stop on I/O errors, like the store's WAL (see
-    /// [`crate::store`]'s module docs).
-    fn persist(&self, payloads: &[Vec<u8>]) {
-        let Some(wal) = &self.wal else { return };
-        let mut wal = wal.lock();
-        for payload in payloads {
-            wal.append(payload);
-        }
-        wal.commit()
-            .expect("proxy WAL append failed; cannot continue without durability (fail-stop)");
+        self.journal.lock().wal.is_some()
     }
 
     /// Replaces the re-encryption engine, which otherwise converts on the
@@ -261,12 +288,11 @@ impl ProxyService {
         true
     }
 
-    /// Logs a grant or revocation: `op` and its audit entry in one proxy-log
-    /// group commit, the audit entry, then the store-side entry.  The caller
-    /// holds the key table's write guard and changes the table afterwards:
-    /// a crash must never leave a change that took effect in memory but is
-    /// absent from the log (a revoked grantee would regain access on
-    /// restart).
+    /// Logs a grant or revocation: `op` and its audit entry in one journal
+    /// commit, then the store-side entry.  The caller holds the key table's
+    /// write guard and changes the table afterwards: a crash must never
+    /// leave a change that took effect in memory but is absent from the log
+    /// (a revoked grantee would regain access on restart).
     fn log_policy_change(
         &self,
         patient: &Identity,
@@ -275,16 +301,11 @@ impl ProxyService {
         granted: bool,
         op: impl FnOnce() -> ProxyWalOp,
     ) {
-        let mut audit = self.audit.lock();
-        let event = AuditEvent::policy_change(patient, category, grantee, granted, audit.tick());
-        if self.wal.is_some() {
-            let audit_frame = ProxyWalOp::Audit {
-                event: event.clone(),
-            };
-            self.persist(&[op().to_wire_bytes(), audit_frame.to_wire_bytes()]);
-        }
-        audit.append(event);
-        drop(audit);
+        let mut journal = self.journal.lock();
+        let at = journal.tick();
+        let event = AuditEvent::policy_change(patient, category, grantee, granted, at);
+        journal.commit(|| Some(op()), vec![event]);
+        drop(journal);
         self.store
             .log_policy_change(patient, category, grantee, granted);
     }
@@ -475,43 +496,28 @@ impl ProxyService {
     }
 
     /// Logs a resolved run — the only place disclosure events are written:
-    /// one pass in input order under a single audit lock, one WAL group
-    /// commit, and one store-side log run.
+    /// one pass in input order and one commit under a single journal lock,
+    /// then one store-side log run.
     fn log_run(&self, items: &[(Identity, RecordId, Identity)], marks: &[Mark]) {
         let mut store_entries: Vec<(RecordId, Identity, bool)> = Vec::new();
-        let mut frames = Vec::new();
         let mut events = Vec::new();
-        let mut audit = self.audit.lock();
+        let mut journal = self.journal.lock();
         for ((_, id, requester), mark) in items.iter().zip(marks) {
             let granted = *mark == Mark::Granted;
             if *mark != Mark::Silent {
                 store_entries.push((*id, requester.clone(), granted));
             }
             if matches!(mark, Mark::Denied | Mark::Granted) {
-                let (id, requester, at) = (*id, requester.clone(), audit.tick());
-                let event = if granted {
+                let (id, requester, at) = (*id, requester.clone(), journal.tick());
+                events.push(if granted {
                     AuditEvent::DisclosurePerformed { id, requester, at }
                 } else {
                     AuditEvent::DisclosureDenied { id, requester, at }
-                };
-                if self.wal.is_some() {
-                    frames.push(
-                        ProxyWalOp::Audit {
-                            event: event.clone(),
-                        }
-                        .to_wire_bytes(),
-                    );
-                }
-                events.push(event);
+                });
             }
         }
-        if !frames.is_empty() {
-            self.persist(&frames);
-        }
-        for event in events {
-            audit.append(event);
-        }
-        drop(audit);
+        journal.commit(|| None, events);
+        drop(journal);
         if !store_entries.is_empty() {
             self.store.log_disclosures(&store_entries);
         }
@@ -545,7 +551,7 @@ impl ProxyService {
     ///
     /// let store = Arc::new(EncryptedPhrStore::in_memory_with_params("db", params));
     /// let mut alice = Patient::new("alice@phr.example", &patient_kgc);
-    /// let mut diet_proxy = ProxyService::new("diet-proxy", store.clone());
+    /// let diet_proxy = ProxyService::new("diet-proxy", store.clone());
     ///
     /// // One record per category; only the diet category is delegated
     /// // through this proxy.
@@ -567,7 +573,7 @@ impl ProxyService {
     ///         Category::FoodStatistics,
     ///         &dietician,
     ///         provider_kgc.public_params(),
-    ///         &mut diet_proxy,
+    ///         &diet_proxy,
     ///         &mut rng,
     ///     )
     ///     .unwrap();
@@ -599,7 +605,7 @@ impl ProxyService {
 
     /// A snapshot of the proxy's own audit trail.
     pub fn audit_snapshot(&self) -> Vec<AuditEvent> {
-        self.audit.lock().events().to_vec()
+        self.journal.lock().events.clone()
     }
 }
 
@@ -611,5 +617,44 @@ impl core::fmt::Debug for ProxyService {
             self.name,
             self.key_count()
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn log_orders_and_filters_events() {
+        let mut journal = Journal::default();
+        let alice = Identity::new("alice");
+        let doctor = Identity::new("doctor");
+        let at1 = journal.tick();
+        let stored = AuditEvent::RecordStored {
+            id: RecordId(1),
+            patient: alice.clone(),
+            category: Category::Emergency,
+            at: at1,
+        };
+        journal.commit(|| None, vec![stored]);
+        let at2 = journal.tick();
+        let performed = AuditEvent::DisclosurePerformed {
+            id: RecordId(1),
+            requester: doctor.clone(),
+            at: at2,
+        };
+        journal.commit(|| None, vec![performed]);
+        let at3 = journal.tick();
+        let denied = AuditEvent::DisclosureDenied {
+            id: RecordId(2),
+            requester: doctor.clone(),
+            at: at3,
+        };
+        journal.commit(|| None, vec![denied]);
+
+        assert_eq!(journal.events.len(), 3);
+        assert!(!journal.events.is_empty());
+        assert!(at1 < at2 && at2 < at3);
+        assert_eq!(journal.events[0].at(), at1);
     }
 }

@@ -281,8 +281,7 @@ impl EncryptedPhrStore {
     /// fresh store uses the shard count from `durability`; an existing store
     /// keeps the count persisted in its `store.meta` file (the id→shard
     /// mapping depends on it).  Shards are recovered in parallel on a
-    /// [`ReEncryptEngine::from_env`] worker pool, which also parallelizes
-    /// the per-shard index rebuild from snapshot trailer metadata.
+    /// [`ReEncryptEngine::from_env`] worker pool, one shard per task.
     ///
     /// Indexed (`TBS2`) snapshots are served through a memory map: the open
     /// validates and parses only the trailer — O(index), not O(data) — and
@@ -315,9 +314,8 @@ impl EncryptedPhrStore {
             .unwrap_or_else(|| "phr-store".to_string());
 
         let engine = ReEncryptEngine::from_env();
-        let recovered: Vec<(Shard, bool)> = engine.try_par_map_indices(shards, |i| {
-            Self::recover_shard(dir, i, &durability, &engine)
-        })?;
+        let recovered: Vec<(Shard, bool)> =
+            engine.try_par_map_indices(shards, |i| Self::recover_shard(dir, i, &durability))?;
         let migrate = recovered.iter().any(|(_, legacy)| *legacy);
         let (next_id, clock) = recovered
             .iter()
@@ -391,12 +389,7 @@ impl EncryptedPhrStore {
     /// behind the chosen snapshot is read from disk — earlier WAL segments
     /// are skipped entirely (and may already have been garbage-collected).
     /// The flag reports whether any legacy artifact was read.
-    fn recover_shard(
-        dir: &Path,
-        index: usize,
-        durability: &Durability,
-        engine: &ReEncryptEngine,
-    ) -> Result<(Shard, bool)> {
+    fn recover_shard(dir: &Path, index: usize, durability: &Durability) -> Result<(Shard, bool)> {
         let ctx = DecodeCtx::from(durability.params());
         let base = durable::shard_base(index);
         let segments = match segment::list_segments(dir, &base) {
@@ -439,7 +432,7 @@ impl EncryptedPhrStore {
             let (offset, state) = match snapshot::load_indexed(dir, &base, candidate) {
                 Ok(snap) => {
                     let offset = snap.wal_offset();
-                    let Ok(state) = Self::state_from_indexed(engine, snap) else {
+                    let Ok(state) = Self::state_from_indexed(snap) else {
                         continue; // trailer decodes, metadata does not
                     };
                     (offset, state)
@@ -508,22 +501,16 @@ impl EncryptedPhrStore {
     /// Turns a mapped indexed snapshot into shard state: the audit trail
     /// from the trailer metadata, and one [`EncodedRecord`] per blob whose
     /// header comes from the blob's trailer-resident index metadata — no
-    /// data page is touched, which is what keeps reopening O(index).  The
-    /// metadata parse fans out over the engine's workers.
-    fn state_from_indexed(
-        engine: &ReEncryptEngine,
-        snap: snapshot::IndexedSnapshot,
-    ) -> Result<RecoveredShardState> {
+    /// data page is touched, which is what keeps reopening O(index).
+    fn state_from_indexed(snap: snapshot::IndexedSnapshot) -> Result<RecoveredShardState> {
         let audit = durable::decode_audit_meta(snap.meta())?;
         let snap = Arc::new(snap);
-        let parsed: Vec<RecordHeader> = engine.try_par_map_indices(snap.blob_count(), |i| {
+        let mut records = BTreeMap::new();
+        for i in 0..snap.blob_count() {
             let meta = snap.index_meta(i).ok_or(PhrError::CorruptedRecord(
                 "snapshot blob index out of range",
             ))?;
-            crate::resident::decode_index_meta(meta)
-        })?;
-        let mut records = BTreeMap::new();
-        for (i, header) in parsed.into_iter().enumerate() {
+            let header = crate::resident::decode_index_meta(meta)?;
             let id = header.id;
             let enc = EncodedRecord::from_mapped(snap.clone(), i, header);
             if records.insert(id, enc).is_some() {
@@ -1056,7 +1043,7 @@ impl EncryptedPhrStore {
             PhrError::CorruptedRecord("shipped snapshot is not a valid TBS2 generation")
         })?;
         let offset = snap.wal_offset();
-        let state = Self::state_from_indexed(&ReEncryptEngine::from_env(), snap)?;
+        let state = Self::state_from_indexed(snap)?;
         let mut shard = shard.write();
         shard.load(state);
         // Resume the id allocator and logical clock above everything the

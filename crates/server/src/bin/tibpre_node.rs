@@ -143,10 +143,6 @@ fn print_usage() {
          \x20                              read replica: rejects writes until promoted)\n\
          \x20 --kgc-label <label>          KGC domain label (default tibpre-kgc)\n\
          \x20 --name <name>                node display/store name\n\
-         \x20 --idle-timeout-secs <n>      per-connection idle limit (default 300)\n\
-         \x20 --read-timeout-secs <n>      in-frame read limit (default 10)\n\
-         \x20 --write-timeout-secs <n>     response write limit (default 10)\n\
-         \x20 --max-frame <bytes>          request frame cap (default 8 MiB)\n\
          \x20 --batch-max <n>              max Disclose requests per run, proxy role\n\
          \x20                              (default 16, at least 1)\n\
          \n\

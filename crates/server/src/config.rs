@@ -1,10 +1,8 @@
 //! Node configuration and its CLI surface.
 
 use std::path::PathBuf;
-use std::time::Duration;
 use tibpre_client::{level_from_name, level_name, NodeRole};
 use tibpre_pairing::SecurityLevel;
-use tibpre_wire::DEFAULT_MAX_FRAME;
 
 /// Everything a node needs to boot, with CLI parsing for `tibpre-node`.
 #[derive(Debug, Clone)]
@@ -29,15 +27,6 @@ pub struct NodeConfig {
     pub kgc_label: String,
     /// The node/store display name.
     pub name: String,
-    /// Maximum time a connection may sit idle between frames.
-    pub idle_timeout: Duration,
-    /// Maximum time reading the rest of a frame may take once its first
-    /// byte has arrived.
-    pub read_timeout: Duration,
-    /// Write timeout per response.
-    pub write_timeout: Duration,
-    /// Maximum accepted frame size, both directions.
-    pub max_frame: usize,
     /// Maximum `Disclose` requests per run: one `disclose_batch` call
     /// (proxy role, at least 1).
     pub batch_max: usize,
@@ -57,10 +46,6 @@ impl NodeConfig {
             replica_of: None,
             kgc_label: "tibpre-kgc".to_string(),
             name: format!("tibpre-{}", role.name()),
-            idle_timeout: Duration::from_secs(300),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            max_frame: DEFAULT_MAX_FRAME,
             batch_max: 16,
         }
     }
@@ -103,32 +88,6 @@ impl NodeConfig {
                 "--replica-of" => config.replica_of = Some(value),
                 "--kgc-label" => config.kgc_label = value,
                 "--name" => config.name = value,
-                "--idle-timeout-secs" => {
-                    config.idle_timeout = Duration::from_secs(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad --idle-timeout-secs {value}"))?,
-                    );
-                }
-                "--read-timeout-secs" => {
-                    config.read_timeout = Duration::from_secs(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad --read-timeout-secs {value}"))?,
-                    );
-                }
-                "--write-timeout-secs" => {
-                    config.write_timeout = Duration::from_secs(
-                        value
-                            .parse()
-                            .map_err(|_| format!("bad --write-timeout-secs {value}"))?,
-                    );
-                }
-                "--max-frame" => {
-                    config.max_frame = value
-                        .parse()
-                        .map_err(|_| format!("bad --max-frame {value}"))?;
-                }
                 "--batch-max" => {
                     config.batch_max = value
                         .parse()
@@ -190,8 +149,6 @@ mod tests {
             "/tmp/phr",
             "--name",
             "hospital-db",
-            "--max-frame",
-            "1048576",
         ])
         .unwrap();
         assert_eq!(config.role, NodeRole::Store);
@@ -202,7 +159,6 @@ mod tests {
             Some(std::path::Path::new("/tmp/phr"))
         );
         assert_eq!(config.name, "hospital-db");
-        assert_eq!(config.max_frame, 1_048_576);
     }
 
     #[test]

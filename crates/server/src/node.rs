@@ -39,11 +39,23 @@ use tibpre_ibe::Kgc;
 use tibpre_pairing::DecodeCtx;
 use tibpre_phr::{Durability, EncryptedPhrStore, ProxyService};
 use tibpre_wire::framing::FRAME_PREFIX_LEN;
-use tibpre_wire::{read_frame, write_frames, FrameError, WireDecode, WireEncode};
+use tibpre_wire::{
+    read_frame, write_frames, FrameError, WireDecode, WireEncode, DEFAULT_MAX_FRAME,
+};
 
 /// How long an idle connection sleeps between shutdown-flag checks while
 /// waiting for the first byte of the next frame.
 const IDLE_POLL: Duration = Duration::from_millis(100);
+
+/// How long a connection may sit idle between frames before it is closed.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+
+/// How long reading the rest of a frame may take once its first byte has
+/// arrived.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long writing one backlog's responses may take.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long the accept loop sleeps when no connection is pending.  Accept
 /// latency is paid on every reconnect — a replica resubscribing after a
@@ -196,15 +208,10 @@ pub fn start(config: NodeConfig) -> Result<NodeHandle, ServerError> {
                 .store_addr
                 .clone()
                 .expect("NodeConfig::parse_args rejects a proxy without --store");
-            let client_config = ClientConfig {
-                read_timeout: Some(config.read_timeout.max(Duration::from_secs(30))),
-                write_timeout: Some(config.write_timeout.max(Duration::from_secs(30))),
-                max_frame: config.max_frame,
-            };
             let store = Arc::new(tibpre_client::RemoteStore::connect(
                 store_addr.as_str(),
                 &params,
-                &client_config,
+                &ClientConfig::default(),
             )?);
             let proxy = match &config.data_dir {
                 Some(dir) => ProxyService::open(
@@ -350,12 +357,12 @@ enum Control {
 
 /// Whether `buffer` opens with a frame that can be read without blocking:
 /// a whole frame, or a length prefix [`read_frame`] rejects at once.
-fn frame_buffered(buffer: &[u8], max_frame: usize) -> bool {
+fn frame_buffered(buffer: &[u8]) -> bool {
     buffer
         .first_chunk::<FRAME_PREFIX_LEN>()
         .is_some_and(|prefix| {
             let len = u32::from_be_bytes(*prefix) as usize;
-            len > max_frame || buffer.len() - FRAME_PREFIX_LEN >= len
+            len > DEFAULT_MAX_FRAME || buffer.len() - FRAME_PREFIX_LEN >= len
         })
 }
 
@@ -366,16 +373,15 @@ fn read_backlog(
     reader: &mut BufReader<TcpStream>,
     shared: &Shared,
 ) -> (Vec<Request>, Option<Control>) {
-    let max_frame = shared.config.max_frame;
     let mut backlog = Vec::new();
     loop {
-        let control = match read_frame(reader, max_frame) {
+        let control = match read_frame(reader, DEFAULT_MAX_FRAME) {
             Ok(Some(payload)) => match Request::from_wire_bytes(&payload, &shared.ctx) {
                 Ok(Request::Shutdown) => Control::Shutdown,
                 Ok(Request::SubscribeReplication { applied }) => Control::Subscribe(applied),
                 Ok(request) => {
                     backlog.push(request);
-                    if frame_buffered(reader.buffer(), max_frame) {
+                    if frame_buffered(reader.buffer()) {
                         continue;
                     }
                     return (backlog, None);
@@ -436,19 +442,13 @@ fn execute(shared: &Shared, backlog: Vec<Request>) -> Vec<Response> {
 /// thread, inside the write.
 fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(shared.config.write_timeout))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let stop = || shared.shutting_down();
     loop {
-        let deadline = Instant::now() + shared.config.idle_timeout;
-        if !wait_readable(
-            &mut reader,
-            IDLE_POLL,
-            shared.config.read_timeout,
-            deadline,
-            &stop,
-        )? {
+        let deadline = Instant::now() + IDLE_TIMEOUT;
+        if !wait_readable(&mut reader, IDLE_POLL, READ_TIMEOUT, deadline, &stop)? {
             return Ok(());
         }
         let (backlog, control) = read_backlog(&mut reader, &shared);

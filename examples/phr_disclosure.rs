@@ -32,8 +32,8 @@ fn main() {
         "outsourced-phr-store",
         params.clone(),
     ));
-    let mut hospital_proxy = ProxyService::new("hospital-proxy", store.clone());
-    let mut wellness_proxy = ProxyService::new("wellness-proxy", store.clone());
+    let hospital_proxy = ProxyService::new("hospital-proxy", store.clone());
+    let wellness_proxy = ProxyService::new("wellness-proxy", store.clone());
     println!("store: {store:?}");
     println!("proxies: {hospital_proxy:?}, {wellness_proxy:?}");
 
@@ -102,7 +102,7 @@ fn main() {
             Category::IllnessHistory,
             &cardiologist,
             provider_kgc.public_params(),
-            &mut hospital_proxy,
+            &hospital_proxy,
             &mut rng,
         )
         .unwrap();
@@ -111,7 +111,7 @@ fn main() {
             Category::Medication,
             &cardiologist,
             provider_kgc.public_params(),
-            &mut hospital_proxy,
+            &hospital_proxy,
             &mut rng,
         )
         .unwrap();
@@ -120,7 +120,7 @@ fn main() {
             Category::FoodStatistics,
             &dietician,
             provider_kgc.public_params(),
-            &mut wellness_proxy,
+            &wellness_proxy,
             &mut rng,
         )
         .unwrap();
@@ -171,7 +171,7 @@ fn main() {
 
     banner("Revocation");
     alice
-        .revoke_access(&Category::Medication, &cardiologist, &mut hospital_proxy)
+        .revoke_access(&Category::Medication, &cardiologist, &hospital_proxy)
         .unwrap();
     let medication_id = stored
         .iter()

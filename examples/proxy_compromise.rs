@@ -59,7 +59,7 @@ fn main() {
     ));
     let mut alice = Patient::new("alice@phr.example", &patient_kgc);
     // One proxy per category, as the paper suggests.
-    let mut proxies: Vec<ProxyService> = categories
+    let proxies: Vec<ProxyService> = categories
         .iter()
         .map(|c| ProxyService::new(format!("proxy-{c}"), store.clone()))
         .collect();
@@ -81,7 +81,7 @@ fn main() {
         .iter()
         .map(|c| Identity::new(format!("provider-for-{c}@example")))
         .collect();
-    for ((category, grantee), proxy) in categories.iter().zip(&grantees).zip(proxies.iter_mut()) {
+    for ((category, grantee), proxy) in categories.iter().zip(&grantees).zip(proxies.iter()) {
         alice
             .grant_access(
                 category.clone(),

@@ -45,7 +45,7 @@ fn main() {
         "us-hospital-store",
         params.clone(),
     ));
-    let mut us_proxy = ProxyService::new("us-hospital-proxy", us_store.clone());
+    let us_proxy = ProxyService::new("us-hospital-proxy", us_store.clone());
     let mut alice = Patient::new("alice@nl-phr.example", &dutch_kgc);
 
     // Alice mirrors the standing emergency data set to the US store.
@@ -75,7 +75,7 @@ fn main() {
         &mut alice,
         &er_team,
         us_kgc.public_params(),
-        &mut us_proxy,
+        &us_proxy,
         &mut rng,
     )
     .unwrap();
@@ -109,7 +109,7 @@ fn main() {
 
     banner("After the trip");
     alice
-        .revoke_access(&Category::Emergency, &er_team, &mut us_proxy)
+        .revoke_access(&Category::Emergency, &er_team, &us_proxy)
         .unwrap();
     match emergency_disclosure(&us_proxy, alice.identity(), &er_provider) {
         Err(PhrError::AccessDenied { .. }) => println!("access revoked; the proxy now refuses ✓"),

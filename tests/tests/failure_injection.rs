@@ -199,7 +199,7 @@ fn disclosed_bundle() -> (DisclosureBundle, Kgc, Identity, DecodeCtx) {
         "db",
         params.clone(),
     ));
-    let mut proxy_service = ProxyService::new("proxy", store.clone());
+    let proxy_service = ProxyService::new("proxy", store.clone());
     let mut alice = Patient::new("alice", &patient_kgc);
     let doctor = Identity::new("doctor");
     let record = HealthRecord::new(
@@ -214,7 +214,7 @@ fn disclosed_bundle() -> (DisclosureBundle, Kgc, Identity, DecodeCtx) {
             Category::LabResults,
             &doctor,
             provider_kgc.public_params(),
-            &mut proxy_service,
+            &proxy_service,
             &mut rng,
         )
         .unwrap();
@@ -547,7 +547,7 @@ fn phr_store_cross_patient_and_revocation_failures() {
         "db",
         params.clone(),
     ));
-    let mut proxy_service = ProxyService::new("proxy", store.clone());
+    let proxy_service = ProxyService::new("proxy", store.clone());
 
     let mut alice = Patient::new("alice", &patient_kgc);
     let mallory = Patient::new("mallory", &patient_kgc);
@@ -588,7 +588,7 @@ fn phr_store_cross_patient_and_revocation_failures() {
             Category::LabResults,
             &doctor,
             provider_kgc.public_params(),
-            &mut proxy_service,
+            &proxy_service,
             &mut rng,
         )
         .unwrap();
@@ -602,13 +602,13 @@ fn phr_store_cross_patient_and_revocation_failures() {
             Category::LabResults,
             &doctor,
             provider_kgc.public_params(),
-            &mut proxy_service,
+            &proxy_service,
             &mut rng,
         ),
         Err(PhrError::PolicyConflict(_))
     ));
     alice
-        .revoke_access(&Category::LabResults, &doctor, &mut proxy_service)
+        .revoke_access(&Category::LabResults, &doctor, &proxy_service)
         .unwrap();
     assert!(matches!(
         proxy_service.disclose(alice.identity(), id, &doctor),
@@ -616,7 +616,7 @@ fn phr_store_cross_patient_and_revocation_failures() {
     ));
     // Revoking a non-existent grant is an error.
     assert!(alice
-        .revoke_access(&Category::Emergency, &doctor, &mut proxy_service)
+        .revoke_access(&Category::Emergency, &doctor, &proxy_service)
         .is_err());
     // Requests for non-existent records are reported as such.
     assert!(matches!(
@@ -676,13 +676,13 @@ fn a_proxy_refuses_a_record_fetched_under_another_id() {
         record: store.get(b).unwrap(),
         logged: Mutex::new(Vec::new()),
     });
-    let mut proxy_service = ProxyService::new("proxy", source.clone());
+    let proxy_service = ProxyService::new("proxy", source.clone());
     alice
         .grant_access(
             Category::LabResults,
             &doctor,
             provider_kgc.public_params(),
-            &mut proxy_service,
+            &proxy_service,
             &mut rng,
         )
         .unwrap();
@@ -791,13 +791,13 @@ fn a_revocation_does_not_wait_on_a_run_parked_in_its_fetch() {
         gate: Mutex::new(None),
         logged: Mutex::new(Vec::new()),
     });
-    let mut proxy_service = ProxyService::new("proxy", source.clone());
+    let proxy_service = ProxyService::new("proxy", source.clone());
     alice
         .grant_access(
             Category::LabResults,
             &doctor,
             provider_kgc.public_params(),
-            &mut proxy_service,
+            &proxy_service,
             &mut rng,
         )
         .unwrap();

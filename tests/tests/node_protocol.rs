@@ -408,3 +408,65 @@ fn the_store_pool_opens_one_connection_per_concurrent_caller() {
     sequential(20..26);
     assert_eq!(accepts.load(Ordering::SeqCst), 2);
 }
+
+/// A fake store node answers one request per connection and then hangs up,
+/// as a store node does with a connection idle past its timeout; it reports
+/// the connection's number and the request on `served` once the connection
+/// is closed.  The pool must send no call down a connection the store has
+/// closed: a read would fail, and a policy change would be lost unseen.
+#[test]
+fn the_store_pool_drops_a_connection_the_store_closed() {
+    let params = toy_params();
+    let record = World::new(params.clone()).record;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let ctx = DecodeCtx::from(&params);
+    let (served_tx, served) = mpsc::channel::<(usize, Request)>();
+    std::thread::spawn(move || {
+        for (conn, mut stream) in listener.incoming().flatten().enumerate() {
+            let Ok(Some(payload)) = read_frame(&mut stream, DEFAULT_MAX_FRAME) else {
+                continue;
+            };
+            let Ok(request) = Request::from_wire_bytes(&payload, &ctx) else {
+                continue;
+            };
+            let response = match &request {
+                Request::GetRecord { id } => Response::Record(Box::new(StoredRecord {
+                    id: *id,
+                    ..record.clone()
+                })),
+                _ => Response::Ok,
+            };
+            let _ = write_frame(&mut stream, &response.to_wire_bytes(), DEFAULT_MAX_FRAME);
+            drop(stream);
+            if served_tx.send((conn, request)).is_err() {
+                return;
+            }
+        }
+    });
+
+    let store = RemoteStore::connect(addr, &params, &ClientConfig::default()).unwrap();
+    for (conn, n) in [(0, 1), (1, 2)] {
+        let got = store.get_many(&[RecordId(n)]).pop().unwrap();
+        assert_eq!(
+            got.expect("a call went to a closed connection").id,
+            RecordId(n)
+        );
+        let (served_on, request) = served.recv().unwrap();
+        assert_eq!(served_on, conn);
+        assert!(matches!(request, Request::GetRecord { id } if id == RecordId(n)));
+    }
+
+    // The store closed connection 1 as well: the policy change must open a
+    // third.  The deadline only turns a lost change into a failure.
+    let (patient, grantee) = (Identity::new("alice"), Identity::new("dr.who"));
+    store.log_policy_change(&patient, &Category::Emergency, &grantee, true);
+    let (served_on, request) = served
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the policy change never reached the store");
+    assert_eq!(served_on, 2);
+    assert!(matches!(
+        request,
+        Request::LogPolicyChange { granted: true, .. }
+    ));
+}

@@ -69,8 +69,8 @@ fn multi_patient_multi_provider_workflow() {
     let cardiologist_provider = HealthcareProvider::new(c.provider_kgc.extract(&cardiologist));
     let dietician_provider = HealthcareProvider::new(c.provider_kgc.extract(&dietician));
 
-    let mut hospital_proxy = ProxyService::new("hospital-proxy", c.store.clone());
-    let mut wellness_proxy = ProxyService::new("wellness-proxy", c.store.clone());
+    let hospital_proxy = ProxyService::new("hospital-proxy", c.store.clone());
+    let wellness_proxy = ProxyService::new("wellness-proxy", c.store.clone());
 
     // Records for both patients across categories.
     let alice_illness = add_record(&mut c, &alice, Category::IllnessHistory, "angina", "stable");
@@ -90,7 +90,7 @@ fn multi_patient_multi_provider_workflow() {
             Category::IllnessHistory,
             &cardiologist,
             &pp,
-            &mut hospital_proxy,
+            &hospital_proxy,
             &mut c.rng,
         )
         .unwrap();
@@ -99,7 +99,7 @@ fn multi_patient_multi_provider_workflow() {
             Category::FoodStatistics,
             &dietician,
             &pp,
-            &mut wellness_proxy,
+            &wellness_proxy,
             &mut c.rng,
         )
         .unwrap();
@@ -148,7 +148,7 @@ fn multi_patient_multi_provider_workflow() {
         Category::IllnessHistory,
         &cardiologist,
         &pp,
-        &mut hospital_proxy,
+        &hospital_proxy,
         &mut c.rng,
     )
     .unwrap();
@@ -170,19 +170,19 @@ fn audit_trail_is_complete_and_ordered() {
     let mut alice = Patient::new("alice", &c.patient_kgc);
     let doctor = Identity::new("doctor");
     let provider = HealthcareProvider::new(c.provider_kgc.extract(&doctor));
-    let mut proxy = ProxyService::new("proxy", c.store.clone());
+    let proxy = ProxyService::new("proxy", c.store.clone());
     let pp = c.provider_kgc.public_params().clone();
 
     let id = add_record(&mut c, &alice, Category::Medication, "rx", "aspirin");
     // Denied request (before grant), then grant, disclose, revoke.
     assert!(proxy.disclose(alice.identity(), id, &doctor).is_err());
     alice
-        .grant_access(Category::Medication, &doctor, &pp, &mut proxy, &mut c.rng)
+        .grant_access(Category::Medication, &doctor, &pp, &proxy, &mut c.rng)
         .unwrap();
     let bundle = proxy.disclose(alice.identity(), id, &doctor).unwrap();
     assert_eq!(provider.open(&bundle).unwrap().body, b"aspirin");
     alice
-        .revoke_access(&Category::Medication, &doctor, &mut proxy)
+        .revoke_access(&Category::Medication, &doctor, &proxy)
         .unwrap();
 
     let audit = c.store.audit_snapshot();
@@ -247,9 +247,9 @@ fn proxy_compromise_is_contained_to_delegated_categories() {
     let mut grantees = Vec::new();
     for category in &categories {
         let grantee = Identity::new(format!("provider-{category}"));
-        let mut proxy = ProxyService::new(format!("proxy-{category}"), c.store.clone());
+        let proxy = ProxyService::new(format!("proxy-{category}"), c.store.clone());
         alice
-            .grant_access(category.clone(), &grantee, &pp, &mut proxy, &mut c.rng)
+            .grant_access(category.clone(), &grantee, &pp, &proxy, &mut c.rng)
             .unwrap();
         proxies.push(proxy);
         grantees.push(grantee);
@@ -277,7 +277,7 @@ fn simulate_compromise_edge_cases() {
     let mut alice = Patient::new("alice", &c.patient_kgc);
     add_record(&mut c, &alice, Category::IllnessHistory, "angio", "2007");
     let pp = c.provider_kgc.public_params().clone();
-    let mut proxy = ProxyService::new("proxy", c.store.clone());
+    let proxy = ProxyService::new("proxy", c.store.clone());
     let dietician = Identity::new("dietician");
 
     // A key-less proxy exposes nothing, whoever the attacker colludes with.
@@ -291,7 +291,7 @@ fn simulate_compromise_edge_cases() {
             Category::FoodStatistics,
             &dietician,
             &pp,
-            &mut proxy,
+            &proxy,
             &mut c.rng,
         )
         .unwrap();
@@ -319,7 +319,7 @@ fn simulate_compromise_edge_cases() {
     // After revocation the same collusion exposes nothing again — the
     // revoked-rekey edge: the key is gone from the proxy, not merely unused.
     alice
-        .revoke_access(&Category::FoodStatistics, &dietician, &mut proxy)
+        .revoke_access(&Category::FoodStatistics, &dietician, &proxy)
         .unwrap();
     assert_eq!(proxy.key_count(), 0);
     assert!(proxy
@@ -336,13 +336,13 @@ fn emergency_disclosure_edge_cases() {
     let team_id = Identity::new("er-team");
     let team = HealthcareProvider::new(c.provider_kgc.extract(&team_id));
     let pp = c.provider_kgc.public_params().clone();
-    let mut proxy = ProxyService::new("er-proxy", c.store.clone());
+    let proxy = ProxyService::new("er-proxy", c.store.clone());
 
     // Empty category: provisioning succeeds, but a disclosure against zero
     // emergency records reports RecordNotFound (records in *other*
     // categories must not leak into the answer).
     add_record(&mut c, &alice, Category::IllnessHistory, "angio", "2007");
-    provision_travel_access(&mut alice, &team_id, &pp, &mut proxy, &mut c.rng).unwrap();
+    provision_travel_access(&mut alice, &team_id, &pp, &proxy, &mut c.rng).unwrap();
     assert!(matches!(
         emergency_disclosure(&proxy, alice.identity(), &team),
         Err(PhrError::RecordNotFound)
@@ -357,7 +357,7 @@ fn emergency_disclosure_edge_cases() {
     // ...and a revoked rekey turns it back into AccessDenied, even though
     // the records are still in the store.
     alice
-        .revoke_access(&Category::Emergency, &team_id, &mut proxy)
+        .revoke_access(&Category::Emergency, &team_id, &proxy)
         .unwrap();
     assert!(matches!(
         emergency_disclosure(&proxy, alice.identity(), &team),
@@ -365,7 +365,7 @@ fn emergency_disclosure_edge_cases() {
     ));
     // Re-provisioning restores access (grant → revoke → grant is a normal
     // travel pattern, not a conflict).
-    provision_travel_access(&mut alice, &team_id, &pp, &mut proxy, &mut c.rng).unwrap();
+    provision_travel_access(&mut alice, &team_id, &pp, &proxy, &mut c.rng).unwrap();
     assert_eq!(
         emergency_disclosure(&proxy, alice.identity(), &team)
             .unwrap()
@@ -380,7 +380,7 @@ fn large_record_bodies_survive_the_full_path() {
     let mut alice = Patient::new("alice", &c.patient_kgc);
     let radiologist = Identity::new("radiologist");
     let provider = HealthcareProvider::new(c.provider_kgc.extract(&radiologist));
-    let mut proxy = ProxyService::new("imaging-proxy", c.store.clone());
+    let proxy = ProxyService::new("imaging-proxy", c.store.clone());
     let pp = c.provider_kgc.public_params().clone();
 
     // A 256 KiB "imaging" payload.
@@ -397,7 +397,7 @@ fn large_record_bodies_survive_the_full_path() {
             Category::Custom("imaging".into()),
             &radiologist,
             &pp,
-            &mut proxy,
+            &proxy,
             &mut c.rng,
         )
         .unwrap();
@@ -444,7 +444,7 @@ fn mixed_clinic(proxy_dir: Option<&Path>) -> (Arc<EncryptedPhrStore>, ProxyServi
     let mut bob = Patient::new("bob", &c.patient_kgc);
     let cardiologist = Identity::new("cardiologist");
     let dietician = Identity::new("dietician");
-    let mut proxy = match proxy_dir {
+    let proxy = match proxy_dir {
         Some(dir) => ProxyService::open(
             "mixed",
             c.store.clone(),
@@ -464,7 +464,7 @@ fn mixed_clinic(proxy_dir: Option<&Path>) -> (Arc<EncryptedPhrStore>, ProxyServi
     let pp = c.provider_kgc.public_params().clone();
     let mut grant = |patient: &mut Patient, category, grantee| {
         patient
-            .grant_access(category, grantee, &pp, &mut proxy, &mut c.rng)
+            .grant_access(category, grantee, &pp, &proxy, &mut c.rng)
             .unwrap();
     };
     grant(&mut alice, Category::IllnessHistory, &cardiologist);
@@ -650,8 +650,7 @@ fn category_disclosure_is_one_fetch_one_commit_one_log_run() {
         proxy_wal_len_at_log: AtomicU64::new(0),
     });
     let durability = Durability::new(PairingParams::insecure_toy());
-    let mut proxy =
-        ProxyService::open("er-proxy", source.clone(), dir.path(), &durability).unwrap();
+    let proxy = ProxyService::open("er-proxy", source.clone(), dir.path(), &durability).unwrap();
     let ids: Vec<_> = (0..4)
         .map(|i| {
             add_record(
@@ -705,7 +704,7 @@ fn category_disclosure_is_one_fetch_one_commit_one_log_run() {
     // one log run; both trails name every record, in order.
     let pp = c.provider_kgc.public_params().clone();
     alice
-        .grant_access(Category::Emergency, &team, &pp, &mut proxy, &mut c.rng)
+        .grant_access(Category::Emergency, &team, &pp, &proxy, &mut c.rng)
         .unwrap();
     let before = wal_len();
     let bundles = proxy

@@ -286,7 +286,7 @@ fn recovered_store_and_proxy_support_emergency_access() {
     // Before the trip: provision the mirror durably, then "crash".
     {
         let store = Arc::new(EncryptedPhrStore::open(&store_dir, durability()).unwrap());
-        let mut proxy =
+        let proxy =
             ProxyService::open("us-proxy", store.clone(), &proxy_dir, &durability()).unwrap();
         assert!(proxy.is_durable());
         // A second concurrent open of the same proxy log is refused (two
@@ -305,7 +305,7 @@ fn recovered_store_and_proxy_support_emergency_access() {
             &mut alice,
             &er_team,
             us_kgc.public_params(),
-            &mut proxy,
+            &proxy,
             &mut rng,
         )
         .unwrap();
@@ -314,12 +314,12 @@ fn recovered_store_and_proxy_support_emergency_access() {
             &mut alice,
             &onlooker,
             us_kgc.public_params(),
-            &mut proxy,
+            &proxy,
             &mut rng,
         )
         .unwrap();
         alice
-            .revoke_access(&Category::Emergency, &onlooker, &mut proxy)
+            .revoke_access(&Category::Emergency, &onlooker, &proxy)
             .unwrap();
         assert_eq!(proxy.key_count(), 1);
     }
