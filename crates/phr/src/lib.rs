@@ -30,8 +30,8 @@
 //!   zero-re-encode put path and lazy-decode read path.
 //!
 //! The store keeps records *wire-resident*: shards hold validated encoded
-//! bytes (shared with the WAL frame that persisted them, or served from a
-//! memory-mapped snapshot) and decode lazily through a small per-shard LRU
+//! bytes (shared with the WAL frame that persisted them, or held in a
+//! loaded snapshot) and decode lazily through a small per-shard LRU
 //! — see the private `resident` module and `ARCHITECTURE.md`.
 //!
 //! # Example

@@ -14,8 +14,8 @@
 //! * [`EncodedRecord`] — what a shard slot holds: the record's v1 encoding
 //!   plus its parsed header.  The bytes are either owned (`Arc<[u8]>`,
 //!   shared with the WAL frame that persisted them — zero re-encode on
-//!   `put`) or a blob of a memory-mapped indexed snapshot (paged in on
-//!   first read, CRC-checked on every read).  Every resident body is v1:
+//!   `put`) or a blob of a loaded indexed snapshot (CRC-checked on its
+//!   first read).  Every resident body is v1:
 //!   legacy bytes are converted once, at open, by `crate::legacy`.
 //! * [`DecodedCache`] — a small per-shard LRU of hot decoded records
 //!   ([`DEFAULT_CACHE_PER_SHARD`] of them), so repeated reads of the same
@@ -41,8 +41,8 @@ tibpre_wire::message! {
     /// without the title or the ciphertext.  `StoredRecord`'s codec writes
     /// and reads its prefix through this declaration, and the header's v1
     /// envelope is a snapshot blob's trailer-resident index metadata — what
-    /// lets a mapped snapshot rebuild every index at open time without
-    /// faulting one data page.
+    /// lets a loaded snapshot rebuild every index at open time without
+    /// reading one blob.
     #[derive(Debug, Clone)]
     pub(crate) struct RecordHeader: () {
         /// Identifier assigned by the store.
@@ -72,8 +72,8 @@ enum BlobBytes {
     /// allocation* the WAL appended, so persisting and retaining a record
     /// costs one encode total.
     Owned(Arc<[u8]>),
-    /// Blob `index` of a memory-mapped indexed snapshot.  Nothing is read
-    /// until the record is; every read is CRC-verified by the snapshot.
+    /// Blob `index` of a loaded indexed snapshot, CRC-verified by the
+    /// snapshot when the record is first read.
     Mapped {
         snap: Arc<IndexedSnapshot>,
         index: usize,
@@ -110,9 +110,9 @@ impl EncodedRecord {
         }
     }
 
-    /// Wraps blob `index` of a mapped snapshot (blobs are bare record
+    /// Wraps blob `index` of a loaded snapshot (blobs are bare record
     /// bodies, so the body starts at 0).
-    pub fn from_mapped(snap: Arc<IndexedSnapshot>, index: usize, header: RecordHeader) -> Self {
+    pub fn from_snapshot(snap: Arc<IndexedSnapshot>, index: usize, header: RecordHeader) -> Self {
         EncodedRecord {
             bytes: BlobBytes::Mapped { snap, index },
             body_start: 0,
@@ -120,8 +120,8 @@ impl EncodedRecord {
         }
     }
 
-    /// The bare encoded record body.  For mapped bytes this faults the pages
-    /// in and verifies the blob CRC — a bit-flip in a snapshot's data region
+    /// The bare encoded record body.  For snapshot bytes this verifies the
+    /// blob CRC on first read — a bit-flip in a snapshot's data region
     /// surfaces here, as an error, never as corrupt bytes.
     pub fn body(&self) -> core::result::Result<&[u8], StorageError> {
         match &self.bytes {
@@ -130,7 +130,7 @@ impl EncodedRecord {
         }
     }
 
-    /// The body's length in bytes, without reading (or faulting) it.
+    /// The body's length in bytes, without reading it.
     ///
     /// Saturating: a blob shorter than `body_start` (or an index a snapshot
     /// no longer covers) reports `0` rather than underflowing — the read

@@ -40,8 +40,8 @@
 //!   on lightweight headers parsed from the encoding's prefix — never a
 //!   full decode,
 //! * records recovered from an indexed (`TBS2`) snapshot stay backed by the
-//!   **memory-mapped** snapshot file: reopening is O(index), and a record's
-//!   pages fault in only when it is first read (CRC-checked at that moment).
+//!   snapshot's bytes, read into memory at open: no record is decoded until
+//!   it is first read (its blob is CRC-checked at that moment).
 //!
 //! Every resident body is the v1 encoding, in-memory and durable stores
 //! alike; every store therefore holds the pairing parameters it decodes
@@ -283,9 +283,10 @@ impl EncryptedPhrStore {
     /// mapping depends on it).  Shards are recovered in parallel on a
     /// [`ReEncryptEngine::from_env`] worker pool, one shard per task.
     ///
-    /// Indexed (`TBS2`) snapshots are served through a memory map: the open
-    /// validates and parses only the trailer — O(index), not O(data) — and
-    /// record bytes fault in when first read.  A store written in an older
+    /// Each shard's newest usable indexed (`TBS2`) generation is read into
+    /// memory and only its trailer is validated and parsed; each older
+    /// generation is read only as far as its trailer.  A record's blob is
+    /// CRC-checked and decoded when first read.  A store written in an older
     /// format (monolithic `TBS1` snapshots, v0 or pre-envelope WAL frames)
     /// is read through the private `legacy` module and migrated before this
     /// returns: two forced snapshots re-persist it as v1 and let segment GC
@@ -498,10 +499,10 @@ impl EncryptedPhrStore {
         Ok((shard, legacy))
     }
 
-    /// Turns a mapped indexed snapshot into shard state: the audit trail
+    /// Turns a loaded indexed snapshot into shard state: the audit trail
     /// from the trailer metadata, and one [`EncodedRecord`] per blob whose
     /// header comes from the blob's trailer-resident index metadata — no
-    /// data page is touched, which is what keeps reopening O(index).
+    /// blob is checksummed or decoded.
     fn state_from_indexed(snap: snapshot::IndexedSnapshot) -> Result<RecoveredShardState> {
         let audit = durable::decode_audit_meta(snap.meta())?;
         let snap = Arc::new(snap);
@@ -512,7 +513,7 @@ impl EncryptedPhrStore {
             ))?;
             let header = crate::resident::decode_index_meta(meta)?;
             let id = header.id;
-            let enc = EncodedRecord::from_mapped(snap.clone(), i, header);
+            let enc = EncodedRecord::from_snapshot(snap.clone(), i, header);
             if records.insert(id, enc).is_some() {
                 return Err(PhrError::CorruptedRecord(
                     "duplicate record id in snapshot index",
@@ -596,7 +597,7 @@ impl EncryptedPhrStore {
             log.gen,
             wal_offset,
             &meta,
-            // A mapped body is read (and CRC-checked) here; a corrupt blob
+            // A snapshot body is read (and CRC-checked) here; a corrupt blob
             // fails the snapshot instead of being re-persisted under a fresh
             // checksum.
             shard.records.values().map(|enc| {
@@ -673,8 +674,8 @@ impl EncryptedPhrStore {
     }
 
     /// Total encoded record-payload bytes resident across all shards — the
-    /// store's record memory footprint (mapped snapshot blobs count at
-    /// their on-disk size).  This is the numerator of the bytes-per-record
+    /// store's record memory footprint (snapshot blobs count at their
+    /// on-disk size).  This is the numerator of the bytes-per-record
     /// gate `codec_gate` checks.
     pub fn encoded_payload_bytes(&self) -> u64 {
         self.shards
@@ -748,8 +749,8 @@ impl EncryptedPhrStore {
     ///
     /// Returns a shared handle, not a copy: a hit in the per-shard LRU of
     /// hot decoded records costs one `Arc` clone.  On a miss the resident
-    /// bytes are decoded (faulting in and CRC-checking mapped snapshot
-    /// pages on first touch) and the result is cached.
+    /// bytes are decoded (CRC-checking a snapshot blob on its first read)
+    /// and the result is cached.
     pub fn get(&self, id: RecordId) -> Result<Arc<StoredRecord>> {
         let shard = self.shard_for_id(id).read();
         let enc = shard.records.get(&id).ok_or(PhrError::RecordNotFound)?;
@@ -1021,11 +1022,9 @@ impl EncryptedPhrStore {
     /// Replaces one shard's state with a shipped snapshot generation (the
     /// raw file bytes a primary's [`Self::replication_snapshot`] produced)
     /// and returns the snapshot's WAL offset — where the replica resumes
-    /// applying chunks.  Works on in-memory replicas: the bytes are
-    /// materialized under the snapshot's canonical name in a scratch
-    /// directory so the memory-mapped `TBS2` loader reads them unchanged;
-    /// the mapping outlives the unlinked scratch file.  Anything but a valid
-    /// `TBS2` generation is refused with [`PhrError::CorruptedRecord`].
+    /// applying chunks.  Works on in-memory replicas: the bytes are parsed
+    /// in memory, with no file written.  Anything but a valid `TBS2`
+    /// generation is refused with [`PhrError::CorruptedRecord`].
     pub fn install_replica_snapshot(
         &self,
         shard_index: usize,
@@ -1036,10 +1035,7 @@ impl EncryptedPhrStore {
             .shards
             .get(shard_index)
             .ok_or(PhrError::CorruptedRecord("shard index out of range"))?;
-        let base = durable::shard_base(shard_index);
-        let scratch = tibpre_storage::TempDir::new("replica-snap")?;
-        std::fs::write(snapshot::snapshot_path(scratch.path(), &base, gen), bytes)?;
-        let snap = snapshot::load_indexed(scratch.path(), &base, gen).map_err(|_| {
+        let snap = snapshot::IndexedSnapshot::from_bytes(bytes.to_vec(), gen).map_err(|_| {
             PhrError::CorruptedRecord("shipped snapshot is not a valid TBS2 generation")
         })?;
         let offset = snap.wal_offset();

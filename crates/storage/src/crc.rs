@@ -17,8 +17,8 @@ const POLY: u32 = 0xEDB8_8320;
 /// byte `i` followed by `k` zero bytes.  Processing eight input bytes per
 /// step breaks the one-lookup-per-byte dependency chain of the bytewise
 /// loop, which matters because this CRC sits on the hot ingest path: every
-/// WAL frame append and every snapshot blob (write *and* each lazy mapped
-/// read) checksums its full payload through here.
+/// WAL frame append and every snapshot blob (write *and* its first read)
+/// checksums its full payload through here.
 const TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;

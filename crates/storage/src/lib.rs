@@ -12,11 +12,9 @@
 //! * [`wal`] — the append-only segment writer with group-commit flushing and
 //!   a configurable [`FsyncPolicy`],
 //! * [`snapshot`] — atomically-written, generational full-state snapshots
-//!   in the indexed `TBS2` layout served through memory maps (plus a loader
-//!   for the legacy monolithic `TBS1` layout), with fallback to older
-//!   generations,
-//! * [`mmap`] — a minimal read-only memory-map shim (the offline build has
-//!   no `memmap2`), so `TBS2` opens are page-fault-driven,
+//!   in the indexed `TBS2` layout, read into memory behind a validated
+//!   trailer (plus a loader for the legacy monolithic `TBS1` layout), with
+//!   fallback to older generations,
 //! * [`crc`] — CRC-32/ISO-HDLC,
 //! * [`TempDir`] — a dependency-free temporary directory for the crash and
 //!   recovery test harnesses (this workspace is built offline and has no
@@ -28,14 +26,11 @@
 //! prefix of operations — no panic, no partial frame applied, no frame after
 //! a corruption ever resurrected.
 
-// `deny` rather than `forbid`: the [`mmap`] module opts back in for its two
-// FFI calls; every other module stays safe-only.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod crc;
 pub mod frame;
-pub mod mmap;
 pub mod replication;
 pub mod segment;
 pub mod snapshot;
@@ -47,7 +42,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use frame::{FrameDefect, FrameScan};
-pub use mmap::Mmap;
 pub use replication::{ChunkOutcome, CommitNotifier, ReplicationLog};
 pub use segment::{SegmentedWal, SegmentedWalScan};
 pub use snapshot::{IndexedSnapshot, Snapshot};
@@ -220,19 +214,11 @@ impl TempDir {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Consumes the guard without deleting the directory (for post-mortem
-    /// inspection of a failing test).
-    pub fn keep(mut self) -> PathBuf {
-        std::mem::take(&mut self.path)
-    }
 }
 
 impl Drop for TempDir {
     fn drop(&mut self) {
-        if !self.path.as_os_str().is_empty() {
-            let _ = std::fs::remove_dir_all(&self.path);
-        }
+        let _ = std::fs::remove_dir_all(&self.path);
     }
 }
 

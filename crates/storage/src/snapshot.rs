@@ -10,15 +10,14 @@
 //! * **`TBS2` (indexed)** — `MAGIC ‖ blob data ‖ frame(trailer) ‖
 //!   trailer_frame_len(u64 BE)`: raw blobs concatenated up front, described by
 //!   a CRC-framed trailer of `(offset, len, crc, index_meta)` entries plus one
-//!   shard-level `meta` blob.  Opening validates only the trailer and serves
-//!   blob bytes through a memory map ([`crate::mmap`]), so open cost is
-//!   O(index) and data pages fault in only when a blob is actually read.
-//!   Each blob carries its own CRC, verified lazily on its first
-//!   [`IndexedSnapshot::blob`] read (and memoized thereafter — the mapped
-//!   region is immutable) — a data-region bit-flip is an error at *read*
-//!   time (never silently served), while trailer damage or truncation fails
-//!   the *open*, triggering the same fall-back-a-generation path as a
-//!   corrupt `TBS1` file.
+//!   shard-level `meta` blob.  [`load_indexed`] reads the whole file into
+//!   memory and validates only the trailer; [`peek_wal_offset`] reads just
+//!   the magic, the trailing pointer and the trailer.  Each blob carries its
+//!   own CRC, verified on its first [`IndexedSnapshot::blob`] read (and
+//!   memoized thereafter — the loaded bytes are immutable) — a data-region
+//!   bit-flip is an error at *read* time (never silently served), while
+//!   trailer damage or truncation fails the *open*, triggering the same
+//!   fall-back-a-generation path as a corrupt `TBS1` file.
 //!
 //! `wal_offset` in both layouts is the WAL frame boundary the snapshot
 //! captures: replay resumes there.
@@ -32,10 +31,9 @@
 //! automatic.
 
 use crate::frame;
-use crate::mmap::Mmap;
 use crate::StorageError;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +42,7 @@ use tibpre_wire::{put_bytes, put_u32, put_u64, Reader};
 /// Magic bytes opening every monolithic snapshot file.
 const MAGIC: &[u8; 4] = b"TBS1";
 
-/// Magic bytes opening every indexed (memory-mappable) snapshot file.
+/// Magic bytes opening every indexed snapshot file.
 const MAGIC_INDEXED: &[u8; 4] = b"TBS2";
 
 /// A decoded snapshot.
@@ -113,8 +111,8 @@ pub struct IndexedBlob<'a> {
     /// by a per-blob CRC in the trailer.
     pub body: &'a [u8],
     /// Opaque caller metadata recorded in the trailer beside the blob's
-    /// offset/len/CRC — available at open time without touching a single
-    /// data page (e.g. a record header used to rebuild indexes).
+    /// offset/len/CRC — available at open time without reading the blob
+    /// (e.g. a record header used to rebuild indexes).
     pub index_meta: Vec<u8>,
 }
 
@@ -123,7 +121,7 @@ pub struct IndexedBlob<'a> {
 ///
 /// `meta` is one shard-level metadata blob stored inside the trailer; `blobs`
 /// yields the data blobs in order.  Blob items are *fallible* so a caller
-/// whose blobs come from another (possibly corrupt) mapped snapshot can
+/// whose blobs come from another (possibly corrupt) loaded snapshot can
 /// propagate the read error instead of re-persisting unverified bytes under
 /// a fresh checksum.  On any error the temporary file is abandoned and the
 /// previous generation set is untouched.
@@ -202,51 +200,47 @@ struct BlobEntry {
     meta: Range<usize>,
 }
 
-/// A loaded indexed (`TBS2`) snapshot: a validated trailer over a
-/// memory-mapped data region.
-///
-/// The constructor checksums only the trailer — O(index).  Blob bytes live in
-/// the map and are CRC-verified on their first [`blob`](Self::blob) read
-/// (memoized per blob afterwards), so a bit-flip in the data region surfaces
-/// as an error at read time rather than as corrupt bytes.
-#[derive(Debug)]
-pub struct IndexedSnapshot {
-    gen: u64,
-    wal_offset: u64,
-    map: Mmap,
-    trailer: Vec<u8>,
-    meta: Range<usize>,
-    entries: Vec<BlobEntry>,
-    /// One bit per blob, set after that blob's first *successful* CRC check.
-    /// The data region is immutable once mapped, so a blob that verified
-    /// once need never be checksummed again — repeated LRU misses on a hot
-    /// mapped record used to pay O(len) checksumming on every read.  A blob
-    /// that *fails* never sets its bit, so corruption keeps surfacing on
-    /// every read attempt.
-    verified: Box<[AtomicU64]>,
+/// The smallest `TBS2` file: magic, an empty trailer frame, the pointer.
+const INDEXED_MIN_LEN: u64 = (MAGIC_INDEXED.len() + frame::FRAME_HEADER_LEN + 8) as u64;
+
+/// Where the trailer frame of a `TBS2` file of `len` bytes lies, given the
+/// file's first four bytes (`head`) and its last eight (`tail`, the trailer
+/// frame's length).
+fn trailer_range(len: u64, head: &[u8], tail: &[u8]) -> Result<Range<u64>, StorageError> {
+    if len < INDEXED_MIN_LEN || head != MAGIC_INDEXED {
+        return Err(StorageError::Corrupt("indexed snapshot magic mismatch"));
+    }
+    let end = len - 8;
+    let frame_len = u64::from_be_bytes(tail.try_into().expect("a checked file ends in 8 bytes"));
+    let start = end
+        .checked_sub(frame_len)
+        .filter(|&start| start >= MAGIC_INDEXED.len() as u64)
+        .ok_or(StorageError::Corrupt(
+            "indexed snapshot trailer out of bounds",
+        ))?;
+    Ok(start..end)
 }
 
-impl IndexedSnapshot {
-    fn from_map(map: Mmap, gen: u64) -> Result<Self, StorageError> {
-        let min_len = MAGIC_INDEXED.len() + frame::FRAME_HEADER_LEN + 8;
-        if map.len() < min_len || &map[..4] != MAGIC_INDEXED {
-            return Err(StorageError::Corrupt("indexed snapshot magic mismatch"));
-        }
-        let trailer_end = map.len() - 8;
-        let frame_len = u64::from_be_bytes(map[trailer_end..].try_into().expect("8 bytes"));
-        let trailer_start = usize::try_from(frame_len)
-            .ok()
-            .and_then(|len| trailer_end.checked_sub(len))
-            .filter(|&start| start >= MAGIC_INDEXED.len())
-            .ok_or(StorageError::Corrupt(
-                "indexed snapshot trailer out of bounds",
-            ))?;
-        let trailer = frame::decode_single_frame(&map[trailer_start..trailer_end]).ok_or(
-            StorageError::Corrupt("indexed snapshot trailer torn or checksum mismatch"),
-        )?;
+/// A validated `TBS2` trailer: everything a generation says about itself
+/// besides its blob bytes.
+#[derive(Debug)]
+struct Trailer {
+    wal_offset: u64,
+    /// The trailer frame's payload; `meta` and every entry's `meta` are
+    /// ranges into it.
+    payload: Vec<u8>,
+    meta: Range<usize>,
+    entries: Vec<BlobEntry>,
+}
 
-        let data_end = trailer_start as u64;
-        let mut r = Reader::new(&trailer);
+impl Trailer {
+    /// Checks the trailer frame's CRC and parses it.  Every blob must lie
+    /// between the magic and `data_end`, where the trailer frame starts.
+    fn parse(framed: &[u8], data_end: u64) -> Result<Self, StorageError> {
+        let payload = frame::decode_single_frame(framed).ok_or(StorageError::Corrupt(
+            "indexed snapshot trailer torn or checksum mismatch",
+        ))?;
+        let mut r = Reader::new(&payload);
         let wal_offset = r.u64()?;
         let meta = {
             let start = r.offset() + 4;
@@ -257,7 +251,7 @@ impl IndexedSnapshot {
         // Each entry occupies ≥ 20 trailer bytes, which bounds a sane count;
         // capping the pre-allocation keeps an absurd count field from
         // turning into an allocation attempt before the parse fails.
-        let cap = usize::try_from(count.min(trailer.len() as u64 / 20)).expect("bounded");
+        let cap = usize::try_from(count.min(payload.len() as u64 / 20)).expect("bounded");
         let mut entries = Vec::with_capacity(cap);
         for _ in 0..count {
             let offset = r.u64()?;
@@ -284,16 +278,52 @@ impl IndexedSnapshot {
             });
         }
         r.finish()?;
-        let verified = (0..entries.len().div_ceil(64))
+        Ok(Trailer {
+            wal_offset,
+            payload,
+            meta,
+            entries,
+        })
+    }
+}
+
+/// A loaded indexed (`TBS2`) snapshot: the whole file in memory behind a
+/// validated trailer.
+///
+/// The constructor checksums only the trailer.  Blob bytes are
+/// CRC-verified on their first [`blob`](Self::blob) read (memoized per blob
+/// afterwards), so a bit-flip in the data region surfaces as an error at
+/// read time rather than as corrupt bytes.
+#[derive(Debug)]
+pub struct IndexedSnapshot {
+    gen: u64,
+    bytes: Vec<u8>,
+    trailer: Trailer,
+    /// One bit per blob, set after that blob's first *successful* CRC check.
+    /// The loaded bytes are immutable, so a blob that verified once need
+    /// never be checksummed again — repeated LRU misses on a hot snapshot
+    /// record used to pay O(len) checksumming on every read.  A blob that
+    /// *fails* never sets its bit, so corruption keeps surfacing on every
+    /// read attempt.
+    verified: Box<[AtomicU64]>,
+}
+
+impl IndexedSnapshot {
+    /// Parses generation `gen` from the bytes of a whole `TBS2` file — one
+    /// read from disk, or one a replication primary shipped — validating
+    /// its trailer.
+    pub fn from_bytes(bytes: Vec<u8>, gen: u64) -> Result<Self, StorageError> {
+        let len = bytes.len();
+        let (head, tail) = (&bytes[..len.min(4)], &bytes[len.saturating_sub(8)..]);
+        let at = trailer_range(len as u64, head, tail)?;
+        let trailer = Trailer::parse(&bytes[at.start as usize..at.end as usize], at.start)?;
+        let verified = (0..trailer.entries.len().div_ceil(64))
             .map(|_| AtomicU64::new(0))
             .collect();
         Ok(IndexedSnapshot {
             gen,
-            wal_offset,
-            map,
+            bytes,
             trailer,
-            meta,
-            entries,
             verified,
         })
     }
@@ -305,28 +335,29 @@ impl IndexedSnapshot {
 
     /// The WAL boundary this snapshot captures; replay resumes here.
     pub fn wal_offset(&self) -> u64 {
-        self.wal_offset
+        self.trailer.wal_offset
     }
 
     /// The shard-level metadata blob from the trailer.
     pub fn meta(&self) -> &[u8] {
-        &self.trailer[self.meta.clone()]
+        &self.trailer.payload[self.trailer.meta.clone()]
     }
 
     /// Number of blobs in the data region.
     pub fn blob_count(&self) -> usize {
-        self.entries.len()
+        self.trailer.entries.len()
     }
 
-    /// Blob `i`'s trailer-resident index metadata (trailer-CRC-protected, no
-    /// data page touched).
+    /// Blob `i`'s trailer-resident index metadata (trailer-CRC-protected,
+    /// available without reading the blob).
     pub fn index_meta(&self, i: usize) -> Option<&[u8]> {
-        self.entries.get(i).map(|e| &self.trailer[e.meta.clone()])
+        let entry = self.trailer.entries.get(i)?;
+        Some(&self.trailer.payload[entry.meta.clone()])
     }
 
     /// Blob `i`'s length in bytes, without reading it.
     pub fn blob_len(&self, i: usize) -> Option<usize> {
-        self.entries.get(i).map(|e| e.len as usize)
+        self.trailer.entries.get(i).map(|e| e.len as usize)
     }
 
     /// Blob `i`'s bytes, CRC-verified on first read and memoized thereafter.
@@ -334,16 +365,17 @@ impl IndexedSnapshot {
     /// This is the lazy half of the corruption contract: the open validated
     /// only the trailer, so a flipped bit in the data region is discovered
     /// here — and surfaces as `Corrupt`, never as silently wrong bytes.  The
-    /// mapped region is immutable, so a successful check is recorded in a
+    /// loaded bytes are immutable, so a successful check is recorded in a
     /// per-blob bitmap and skipped on later reads; a
     /// failed check never records, so corruption surfaces on every attempt.
     pub fn blob(&self, i: usize) -> Result<&[u8], StorageError> {
         let entry = self
+            .trailer
             .entries
             .get(i)
             .ok_or(StorageError::Corrupt("blob index out of range"))?;
         let start = entry.offset as usize;
-        let bytes = &self.map[start..start + entry.len as usize];
+        let bytes = &self.bytes[start..start + entry.len as usize];
         let (word, bit) = (i / 64, 1u64 << (i % 64));
         if self.verified[word].load(Ordering::Acquire) & bit == 0 {
             let mut crc = crate::crc::Crc32::new();
@@ -364,17 +396,30 @@ impl IndexedSnapshot {
     }
 }
 
-/// Loads and validates one indexed snapshot generation (trailer only — the
-/// data region stays untouched until blobs are read).
+/// Loads one indexed snapshot generation: reads the whole file and
+/// validates its trailer (blobs are checked when first read).
 pub fn load_indexed(dir: &Path, base: &str, gen: u64) -> Result<IndexedSnapshot, StorageError> {
-    IndexedSnapshot::from_map(Mmap::map_path(&snapshot_path(dir, base, gen))?, gen)
+    IndexedSnapshot::from_bytes(fs::read(snapshot_path(dir, base, gen))?, gen)
 }
 
 /// Reads an indexed (`TBS2`) generation's `wal_offset`, validating its
-/// trailer CRC.  Used by recovery to bound WAL trimming against *older* kept
-/// generations without decoding their payloads.
+/// trailer exactly as [`load_indexed`] does while reading only the magic,
+/// the trailing pointer and the trailer.  Used by recovery to bound WAL
+/// trimming against *older* kept generations without reading their blobs.
 pub fn peek_wal_offset(dir: &Path, base: &str, gen: u64) -> Result<u64, StorageError> {
-    load_indexed(dir, base, gen).map(|s| s.wal_offset())
+    let mut file = File::open(snapshot_path(dir, base, gen))?;
+    let len = file.metadata()?.len();
+    let (mut head, mut tail) = ([0u8; 4], [0u8; 8]);
+    if len >= INDEXED_MIN_LEN {
+        file.read_exact(&mut head)?;
+        file.seek(SeekFrom::End(-8))?;
+        file.read_exact(&mut tail)?;
+    }
+    let at = trailer_range(len, &head, &tail)?;
+    let mut framed = vec![0u8; (at.end - at.start) as usize];
+    file.seek(SeekFrom::Start(at.start))?;
+    file.read_exact(&mut framed)?;
+    Ok(Trailer::parse(&framed, at.start)?.wal_offset)
 }
 
 /// Removes all but the newest `keep` generations of a series.  Keeping two
@@ -618,6 +663,39 @@ mod tests {
         // corruption, not a broken fixture).
         std::fs::write(&path, &pristine).unwrap();
         load_indexed(dir.path(), "s", 1).unwrap();
+    }
+
+    #[test]
+    fn peek_and_load_agree_on_every_truncation_and_bit_flip() {
+        let dir = test_dir("snap-peek-sweep");
+        let blobs: &[(&[u8], &[u8])] = &[(b"first-blob", b"h0"), (b"second", b"")];
+        write_indexed(dir.path(), "s", 1, 77, b"m", blobs);
+        let path = snapshot_path(dir.path(), "s", 1);
+        let pristine = std::fs::read(&path).unwrap();
+        let data_end = 4 + blobs.iter().map(|(body, _)| body.len()).sum::<usize>();
+
+        // Both readers accept or refuse each file together, and agree on
+        // the offset when they accept.
+        let offset_of = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            let peeked = peek_wal_offset(dir.path(), "s", 1).ok();
+            let loaded = load_indexed(dir.path(), "s", 1).ok();
+            assert_eq!(peeked, loaded.map(|s| s.wal_offset()), "{what}");
+            peeked
+        };
+        assert_eq!(offset_of(&pristine, "pristine"), Some(77));
+        for cut in 0..pristine.len() {
+            offset_of(&pristine[..cut], &format!("cut {cut}"));
+        }
+        for bit in 0..pristine.len() * 8 {
+            let mut bytes = pristine.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let offset = offset_of(&bytes, &format!("bit {bit}"));
+            // A data-region flip is a blob's read error, never the open's.
+            if (4..data_end).contains(&(bit / 8)) {
+                assert_eq!(offset, Some(77), "data-region bit {bit}");
+            }
+        }
     }
 
     #[test]

@@ -474,6 +474,28 @@ fn bit_flipped_snapshot_blob_fails_only_that_record() {
 }
 
 #[test]
+fn a_snapshot_truncated_under_an_open_store_still_serves_every_record() {
+    let f = SnapshotFixture::new("snap-shrunk", 0x5B5);
+    let store = EncryptedPhrStore::open(&f.dir, SnapshotFixture::durability(&f.params)).unwrap();
+    // Shrink the generation the open just loaded to nothing.  The store
+    // holds the snapshot's bytes, not the file, so no read may notice — a
+    // memory-mapped file would end the process with SIGBUS on the first
+    // record read here.
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(snapshot::snapshot_path(&f.dir, "shard-00", 2))
+        .unwrap()
+        .set_len(0)
+        .unwrap();
+    let got: Vec<String> = store
+        .list_for_patient(&f.alice)
+        .iter()
+        .map(|&id| store.get(id).unwrap().title.clone())
+        .collect();
+    assert_eq!(got, f.titles);
+}
+
+#[test]
 fn mid_frame_truncated_snapshot_falls_back_to_previous_generation() {
     let f = SnapshotFixture::new("snap-torn", 0x70A);
     // Tear the newest snapshot mid-frame (half the file is gone).
