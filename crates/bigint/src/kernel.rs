@@ -1,12 +1,14 @@
 //! Limb kernels behind [`MontCtx`](crate::MontCtx) and
 //! [`WideAcc`](crate::WideAcc): every multiply, square, wide reduction and
-//! accumulation exists twice, and one exponentiation walk runs over either.
+//! accumulation exists twice, and each exponentiation walk (the sliding
+//! window, the Lucas ladder) runs over either.
 //!
 //! * A **fixed-width** kernel, generic over `const N: usize`, whose loops
 //!   have compile-time trip counts over `[u64; N]` arrays — the compiler
 //!   unrolls them, keeps the running product in registers and drops every
 //!   bounds check.  Exponentiation calls the same multiply and square
-//!   (`mul_core`, `sqr_core`) on arrays, never widening to a `Uint`.
+//!   (`mul_core`, `sqr_core`) on arrays, never widening to a `Uint`, and
+//!   `Fixed` hands the arrays to any [`Registers`] loop.
 //! * A **runtime-width** loop over the first `n` limbs of the same buffers,
 //!   which serves every other modulus width (the scalar field's one- and
 //!   four-limb orders, custom parameters) and is the oracle the fixed
@@ -25,6 +27,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::limb::{adc, mac};
+use crate::mont::Registers;
 use crate::uint::{Uint, WIDE_LIMBS};
 
 /// Runs `$fixed` with the const `$N` bound to the width when `$n` is one of
@@ -123,35 +126,56 @@ fn widen<const N: usize>(r: [u64; N]) -> Uint {
 }
 
 // ---------------------------------------------------------------------
-// Modular add / sub / neg: one n-limb implementation for every width.
+// Modular add / sub / neg: one implementation over equal-length slices,
+// for `n` limbs of a `Uint` and for the `[u64; N]` registers.
 // ---------------------------------------------------------------------
 
-/// `a + b mod m` over `n` limbs.
-pub(crate) fn mod_add(a: &Uint, b: &Uint, m: &Uint, n: usize) -> Uint {
-    let mut out = Uint::ZERO;
-    let (r, m) = (&mut out.limbs[..n], &m.limbs[..n]);
+/// `r = a + b mod m`.
+#[inline(always)]
+fn add_into(r: &mut [u64], a: &[u64], b: &[u64], m: &[u64]) {
     let mut carry = false;
-    for ((o, &x), &y) in r.iter_mut().zip(&a.limbs[..n]).zip(&b.limbs[..n]) {
+    for ((o, &x), &y) in r.iter_mut().zip(a).zip(b) {
         (*o, carry) = x.carrying_add(y, carry);
     }
     // a + b < 2m: one conditional subtraction.
     if carry || !lt(r, m) {
         sub_assign(r, m);
     }
+}
+
+/// `r = a − b mod m`.
+#[inline(always)]
+fn sub_into(r: &mut [u64], a: &[u64], b: &[u64], m: &[u64]) {
+    let mut borrow = false;
+    for ((o, &x), &y) in r.iter_mut().zip(a).zip(b) {
+        (*o, borrow) = x.borrowing_sub(y, borrow);
+    }
+    if borrow {
+        add_assign(r, m);
+    }
+}
+
+/// `a + b mod m` over `n` limbs.
+pub(crate) fn mod_add(a: &Uint, b: &Uint, m: &Uint, n: usize) -> Uint {
+    let mut out = Uint::ZERO;
+    add_into(
+        &mut out.limbs[..n],
+        &a.limbs[..n],
+        &b.limbs[..n],
+        &m.limbs[..n],
+    );
     out
 }
 
 /// `a − b mod m` over `n` limbs.
 pub(crate) fn mod_sub(a: &Uint, b: &Uint, m: &Uint, n: usize) -> Uint {
     let mut out = Uint::ZERO;
-    let r = &mut out.limbs[..n];
-    let mut borrow = false;
-    for ((o, &x), &y) in r.iter_mut().zip(&a.limbs[..n]).zip(&b.limbs[..n]) {
-        (*o, borrow) = x.borrowing_sub(y, borrow);
-    }
-    if borrow {
-        add_assign(r, &m.limbs[..n]);
-    }
+    sub_into(
+        &mut out.limbs[..n],
+        &a.limbs[..n],
+        &b.limbs[..n],
+        &m.limbs[..n],
+    );
     out
 }
 
@@ -282,16 +306,23 @@ pub(crate) fn reduce_fixed<const N: usize>(acc: &[u64; WIDE_LIMBS], m: &Uint, n0
 
 /// `acc += a·b` (schoolbook, unreduced).
 pub(crate) fn accumulate_fixed<const N: usize>(acc: &mut [u64; WIDE_LIMBS], a: &Uint, b: &Uint) {
-    let (a, b) = (head::<N>(a), head::<N>(b));
+    let carry = mac_into(acc, head::<N>(a), head::<N>(b));
+    ripple(acc, 2 * N, carry);
+}
+
+/// `t += a·b` over the first `2N` limbs of `t`; returns the carry out of
+/// them.
+#[inline(always)]
+fn mac_into<const N: usize>(t: &mut [u64], a: &[u64; N], b: &[u64; N]) -> u64 {
     let mut carry_up = 0;
     for i in 0..N {
         let mut carry = 0;
         for j in 0..N {
-            (acc[i + j], carry) = mac(acc[i + j], a[j], b[i], carry);
+            (t[i + j], carry) = mac(t[i + j], a[j], b[i], carry);
         }
-        (acc[i + N], carry_up) = adc(acc[i + N], carry, carry_up);
+        (t[i + N], carry_up) = adc(t[i + N], carry, carry_up);
     }
-    ripple(acc, 2 * N, carry_up);
+    carry_up
 }
 
 /// Propagates `carry` into `acc[k..]` (the headroom limbs).
@@ -300,6 +331,76 @@ fn ripple(acc: &mut [u64; WIDE_LIMBS], mut k: usize, mut carry: u64) {
     while carry != 0 {
         (acc[k], carry) = adc(acc[k], carry, 0);
         k += 1;
+    }
+}
+
+/// `(a·b + c·d)·R⁻¹ mod m`: both products summed into one `W = 2N`-limb
+/// buffer and a top limb, reduced once (the sum is below `2m²`).
+#[inline(always)]
+fn mul_sum_core<const N: usize, const W: usize>(
+    [a, b, c, d]: [&[u64; N]; 4],
+    m: &[u64; N],
+    n0: u64,
+) -> [u64; N] {
+    const { assert!(W == 2 * N) };
+    let mut t = [0u64; W];
+    let top = mac_into(&mut t, a, b) + mac_into(&mut t, c, d);
+    let (r, carry) = redc(halves::<N>(&t), m, n0);
+    finish(r, top + carry, m)
+}
+
+/// The `[u64; N]` registers of one modulus: what
+/// [`MontCtx::on_registers`](crate::MontCtx::on_registers) hands a
+/// computation at a dispatched width.  `W = 2N` sizes the sum of products.
+#[derive(Clone, Copy)]
+pub(crate) struct Fixed<'m, const N: usize, const W: usize> {
+    m: &'m [u64; N],
+    n0: u64,
+}
+
+impl<'m, const N: usize, const W: usize> Fixed<'m, N, W> {
+    pub(crate) fn new(m: &'m Uint, n0: u64) -> Self {
+        Fixed {
+            m: head::<N>(m),
+            n0,
+        }
+    }
+}
+
+impl<const N: usize, const W: usize> Registers for Fixed<'_, N, W> {
+    type Reg = [u64; N];
+
+    #[inline(always)]
+    fn load(&self, limbs: &[u64]) -> [u64; N] {
+        limbs.try_into().expect("a value of the modulus' width")
+    }
+
+    fn store(&self, a: &[u64; N]) -> Uint {
+        widen(*a)
+    }
+
+    #[inline]
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        mul_core(a, b, self.m, self.n0)
+    }
+
+    #[inline]
+    fn mul_sum(&self, a: &[u64; N], b: &[u64; N], c: &[u64; N], d: &[u64; N]) -> [u64; N] {
+        mul_sum_core::<N, W>([a, b, c, d], self.m, self.n0)
+    }
+
+    #[inline(always)]
+    fn add(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut r = [0; N];
+        add_into(&mut r, a, b, self.m);
+        r
+    }
+
+    #[inline(always)]
+    fn sub(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut r = [0; N];
+        sub_into(&mut r, a, b, self.m);
+        r
     }
 }
 
@@ -356,6 +457,50 @@ pub(crate) fn sliding_window<T: Copy>(
         top = low;
     }
     acc
+}
+
+/// `(V_e, V_{e+1})·R` for a Montgomery-form `v1 = V₁·R`: [`lucas_ladder`]
+/// on arrays.
+pub(crate) fn lucas_fixed<const N: usize, const W: usize>(
+    v1: &Uint,
+    two: &Uint,
+    e: &Uint,
+    m: &Uint,
+    n0: u64,
+) -> (Uint, Uint) {
+    let regs = Fixed::<N, W>::new(m, n0);
+    let sqr = |a: &[u64; N]| sqr_core::<N, W>(a, regs.m, n0);
+    let mul = |a: &[u64; N], b: &[u64; N]| mul_core(a, b, regs.m, n0);
+    let (v, w) = lucas_ladder(*head(v1), *head(two), e, sqr, mul, |a, b| regs.sub(a, b));
+    (widen(v), widen(w))
+}
+
+/// The Lucas sequence `V₀ = 2`, `V_{k+1} = V₁·V_k − V_{k−1}` at `e` and
+/// `e + 1`.  From `(V₀, V₁)`, each bit of `e` from the top takes
+/// `(V_k, V_{k+1})` to `(V_{2k+1}, V_{2k+2})` for a 1, to
+/// `(V_{2k}, V_{2k+1})` for a 0, by `V_{2k} = V_k² − 2` and
+/// `V_{2k+1} = V_k·V_{k+1} − V₁`: one multiplication and one squaring per
+/// bit.  The walk branches on the bits of `e`; the pairing's exponent is
+/// its public cofactor, so that leaks nothing.
+#[inline(always)]
+pub(crate) fn lucas_ladder<T: Copy>(
+    v1: T,
+    two: T,
+    e: &Uint,
+    sqr: impl Fn(&T) -> T,
+    mul: impl Fn(&T, &T) -> T,
+    sub: impl Fn(&T, &T) -> T,
+) -> (T, T) {
+    let (mut v, mut w) = (two, v1);
+    for i in (0..e.bits()).rev() {
+        let odd = sub(&mul(&v, &w), &v1);
+        (v, w) = if e.bit(i) {
+            (odd, sub(&sqr(&w), &two))
+        } else {
+            (sub(&sqr(&v), &two), odd)
+        };
+    }
+    (v, w)
 }
 
 // ---------------------------------------------------------------------

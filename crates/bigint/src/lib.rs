@@ -7,7 +7,8 @@
 //! * plain ring arithmetic (addition, subtraction, schoolbook multiplication,
 //!   binary long division, shifts, bit access),
 //! * [`MontCtx`], a Montgomery-form modular context with CIOS multiplication,
-//!   sliding-window exponentiation and binary-extended-GCD inversion,
+//!   sliding-window exponentiation, a Lucas-sequence ladder,
+//!   binary-extended-GCD inversion and [`Registers`] of the modulus' width,
 //! * [`prime`], Miller–Rabin primality testing and random prime generation,
 //! * hex / big-endian byte encoding and random sampling helpers.
 //!
@@ -43,7 +44,7 @@ pub mod random;
 pub mod uint;
 
 pub use error::BigIntError;
-pub use mont::MontCtx;
+pub use mont::{MontCtx, OnRegisters, Registers};
 pub use uint::{Uint, WideAcc, MAX_BITS, MAX_LIMBS};
 
 /// Crate-wide result alias.

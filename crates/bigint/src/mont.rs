@@ -17,8 +17,11 @@
 //! **What is not.**  Operands and results are [`Uint`]s, and a `Uint` is
 //! always [`MAX_LIMBS`] limbs of storage: each result is
 //! a 224-byte value whose upper limbs are zero-filled, and each move or
-//! copy of it moves all 28 — except inside [`MontCtx::mont_pow`], whose
-//! window walk (every square root) runs on `nlimbs`-wide registers.  Setup
+//! copy of it moves all 28 — except inside the loops that dispatch once
+//! and then run on `nlimbs`-wide registers: [`MontCtx::mont_pow`]'s window
+//! walk (every square root), [`MontCtx::lucas_v`]'s ladder (the pairing's
+//! final exponentiation) and any [`OnRegisters`] computation (the Miller
+//! loop), which works on the [`Registers`] of [`MontCtx::on_registers`].  Setup
 //! ([`MontCtx::new`]), [`MontCtx::reduce`] (one 28-limb comparison, also
 //! the input check of an inversion) and `Uint::is_zero` tests use
 //! full-capacity `Uint` operations; none of them runs per multiplication.
@@ -227,6 +230,32 @@ impl MontCtx {
         .unwrap_or(self.r1)
     }
 
+    /// `(V_e, V_{e+1})` of the Lucas sequence `V₀ = 2`, `V₁ = v1_mont`,
+    /// `V_{k+1} = V₁·V_k − V_{k−1}`, all in Montgomery form; for
+    /// `V₁ = x + x⁻¹`, `V_e = x^e + x^{−e}`.  A ladder: one multiplication
+    /// and one squaring per bit of `e`, on `nlimbs`-wide registers at a
+    /// field-prime width.  It branches on the bits of `e`, so `e` must be
+    /// public, as the pairing's cofactor is.
+    pub fn lucas_v(&self, v1_mont: &Uint, e: &Uint) -> (Uint, Uint) {
+        let (m, n0, two) = (&self.modulus, self.n0, self.double(&self.r1));
+        let sub = |a: &Uint, b: &Uint| self.sub(a, b);
+        by_width!(self.nlimbs,
+            N => kernel::lucas_fixed::<N, { 2 * N }>(v1_mont, &two, e, m, n0),
+            _ => kernel::lucas_ladder(*v1_mont, two, e, |a| self.mont_sqr(a), |a, b| self.mont_mul(a, b), sub),
+        )
+    }
+
+    /// Runs `f` on this modulus' registers, dispatched once: `[u64; N]`
+    /// arrays at a field-prime width, the context's own [`Uint`] operations
+    /// at any other.  A loop generic over [`Registers`] pays one dispatch
+    /// for the whole loop instead of one per operation.
+    pub fn on_registers<F: OnRegisters>(&self, f: F) -> F::Output {
+        by_width!(self.nlimbs,
+            N => f.run(&kernel::Fixed::<N, { 2 * N }>::new(&self.modulus, self.n0)),
+            _ => f.run(self),
+        )
+    }
+
     /// Inversion of a *plain* residue using the binary extended-GCD algorithm
     /// (HAC 14.61 specialised to odd moduli).  Works for any odd modulus as
     /// long as `gcd(a, m) = 1`.
@@ -310,6 +339,67 @@ impl MontCtx {
         }
         let inv = self.inv_plain(a_mont)?; // (a R)^{-1} mod m = a^{-1} R^{-1}
         Ok(self.mont_mul(&inv, &self.r3))
+    }
+}
+
+/// Montgomery arithmetic on the registers of one modulus: every value is a
+/// Montgomery-form residue `< m`, loaded from and stored as `nlimbs` limbs.
+///
+/// [`MontCtx::on_registers`] picks the implementation: `[u64; N]` arrays at
+/// a field-prime width, [`Uint`]s through the [`MontCtx`] at any other.
+pub trait Registers {
+    /// One residue.
+    type Reg: Copy;
+    /// Reads a residue from its `nlimbs` Montgomery limbs.
+    fn load(&self, limbs: &[u64]) -> Self::Reg;
+    /// The residue as a [`Uint`], upper limbs zero.
+    fn store(&self, a: &Self::Reg) -> Uint;
+    /// `a·b·R⁻¹`, as [`MontCtx::mont_mul`].
+    fn mul(&self, a: &Self::Reg, b: &Self::Reg) -> Self::Reg;
+    /// `(a·b + c·d)·R⁻¹` with one reduction, as [`MontCtx::mont_mul_sum`].
+    fn mul_sum(&self, a: &Self::Reg, b: &Self::Reg, c: &Self::Reg, d: &Self::Reg) -> Self::Reg;
+    /// `a + b`.
+    fn add(&self, a: &Self::Reg, b: &Self::Reg) -> Self::Reg;
+    /// `a − b`.
+    fn sub(&self, a: &Self::Reg, b: &Self::Reg) -> Self::Reg;
+}
+
+/// A computation written once over any [`Registers`], run by
+/// [`MontCtx::on_registers`].
+pub trait OnRegisters {
+    /// What the computation returns.
+    type Output;
+    /// Runs the computation on `regs`.
+    fn run<R: Registers>(self, regs: &R) -> Self::Output;
+}
+
+/// The runtime-width registers: full-capacity [`Uint`]s and the context's
+/// own operations, for every width without a fixed kernel.
+impl Registers for MontCtx {
+    type Reg = Uint;
+
+    fn load(&self, limbs: &[u64]) -> Uint {
+        Uint::from_limbs_le(limbs).expect("a value of the modulus' width")
+    }
+
+    fn store(&self, a: &Uint) -> Uint {
+        *a
+    }
+
+    fn mul(&self, a: &Uint, b: &Uint) -> Uint {
+        self.mont_mul(a, b)
+    }
+
+    fn mul_sum(&self, a: &Uint, b: &Uint, c: &Uint, d: &Uint) -> Uint {
+        self.mont_mul_sum(&[(a, b), (c, d)])
+    }
+
+    fn add(&self, a: &Uint, b: &Uint) -> Uint {
+        MontCtx::add(self, a, b)
+    }
+
+    fn sub(&self, a: &Uint, b: &Uint) -> Uint {
+        MontCtx::sub(self, a, b)
     }
 }
 

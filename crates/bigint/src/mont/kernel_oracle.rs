@@ -2,7 +2,8 @@
 //! spread of others: the runtime-width loops (limb for limb) and the plain
 //! `Uint::mul_wide` / `Uint::rem_wide` definition of each operation.  The
 //! windowed exponentiation has a third: the binary square-and-multiply
-//! ladder it replaced.
+//! ladder it replaced.  The Lucas ladder is checked on arrays against the
+//! runtime loops, and against its recurrence.
 
 use super::*;
 use crate::random::{random_below, random_bits};
@@ -230,4 +231,93 @@ fn add_sub_neg_double_match_the_full_capacity_definition() {
             assert_eq!(ctx.double(a), a.mod_double(m));
         }
     });
+}
+
+/// `(V_e, V_{e+1})` by the recurrence `V_{k+1} = V₁·V_k − V_{k−1}` from
+/// `(V₀, V₁) = (2, V₁)`, one dispatched `mont_mul` per step: one step per
+/// unit of `e` while `e` is small, and beyond that as the `e`-th power of
+/// the step's matrix `[[V₁, −1], [1, 0]]`, which maps `(V_k, V_{k−1})` to
+/// `(V_{k+1}, V_k)`, by binary powering.
+fn lucas_by_recurrence(ctx: &MontCtx, v1: &Uint, e: u64) -> (Uint, Uint) {
+    let two = ctx.double(&ctx.r1);
+    if e <= 64 {
+        let (mut v, mut w) = (two, *v1);
+        for _ in 0..e {
+            (v, w) = (w, ctx.sub(&ctx.mont_mul(v1, &w), &v));
+        }
+        return (v, w);
+    }
+    type Matrix = [[Uint; 2]; 2];
+    let product = |x: &Matrix, y: &Matrix| -> Matrix {
+        let entry =
+            |i: usize, j: usize| ctx.mont_mul_sum(&[(&x[i][0], &y[0][j]), (&x[i][1], &y[1][j])]);
+        [[entry(0, 0), entry(0, 1)], [entry(1, 0), entry(1, 1)]]
+    };
+    let step: Matrix = [[*v1, ctx.neg(&ctx.r1)], [ctx.r1, Uint::ZERO]];
+    let mut power: Matrix = [[ctx.r1, Uint::ZERO], [Uint::ZERO, ctx.r1]];
+    for i in (0..64).rev() {
+        power = product(&power, &power);
+        if e >> i & 1 == 1 {
+            power = product(&power, &step);
+        }
+    }
+    // M^e·(V₁, V₀) = (V_{e+1}, V_e).
+    let row = |r: &[Uint; 2]| ctx.mont_mul_sum(&[(&r[0], v1), (&r[1], &two)]);
+    (row(&power[1]), row(&power[0]))
+}
+
+/// The ladder instantiated on `[u64; N]` arrays at `ctx`'s width, whether
+/// or not `by_width!` dispatches it.
+fn lucas_on_arrays(ctx: &MontCtx, v1: &Uint, e: &Uint) -> (Uint, Uint) {
+    let (two, m, n0) = (ctx.double(&ctx.r1), ctx.modulus(), ctx.n0);
+    match ctx.nlimbs() {
+        1 => kernel::lucas_fixed::<1, 2>(v1, &two, e, m, n0),
+        2 => kernel::lucas_fixed::<2, 4>(v1, &two, e, m, n0),
+        3 => kernel::lucas_fixed::<3, 6>(v1, &two, e, m, n0),
+        5 => kernel::lucas_fixed::<5, 10>(v1, &two, e, m, n0),
+        8 => kernel::lucas_fixed::<8, 16>(v1, &two, e, m, n0),
+        9 => kernel::lucas_fixed::<9, 18>(v1, &two, e, m, n0),
+        16 => kernel::lucas_fixed::<16, 32>(v1, &two, e, m, n0),
+        24 => kernel::lucas_fixed::<24, 48>(v1, &two, e, m, n0),
+        n => unreachable!("no array instantiation at {n} limbs"),
+    }
+}
+
+/// The ladder on the runtime-width loops.
+fn lucas_on_runtime_loops(ctx: &MontCtx, v1: &Uint, e: &Uint) -> (Uint, Uint) {
+    let (m, n0, n) = (ctx.modulus(), ctx.n0, ctx.nlimbs());
+    kernel::lucas_ladder(
+        *v1,
+        ctx.double(&ctx.r1),
+        e,
+        |a| kernel::mul_runtime(a, a, m, n0, n),
+        |a, b| kernel::mul_runtime(a, b, m, n0, n),
+        |a, b| kernel::mod_sub(a, b, m, n),
+    )
+}
+
+#[test]
+fn lucas_ladder_matches_the_runtime_walk_and_the_recurrence() {
+    let mut rng = StdRng::seed_from_u64(0x6c75_6361);
+    for n in [3, 8, 16, 24, 1, 2, 5, 9] {
+        let dispatched = [3, 8, 16, 24].contains(&n);
+        for m in moduli(n, &mut rng).into_iter().take(3) {
+            let ctx = MontCtx::new(&m).expect("odd and below capacity");
+            let mut es: Vec<u64> = vec![0, 1, 2, 3];
+            es.extend((0..4).map(|_| random_bits(&mut rng, 64).limbs()[0]));
+            for v1 in operands(&m, &mut rng) {
+                for &e in &es {
+                    let what = format!("n = {n}, m = {m}, e = {e}, V₁ = {v1}");
+                    let exponent = Uint::from_u64(e);
+                    let got = ctx.lucas_v(&v1, &exponent);
+                    assert_eq!(got, lucas_on_runtime_loops(&ctx, &v1, &exponent), "{what}");
+                    assert_eq!(got, lucas_on_arrays(&ctx, &v1, &exponent), "{what}");
+                    if dispatched {
+                        continue;
+                    }
+                    assert_eq!(got, lucas_by_recurrence(&ctx, &v1, e), "{what}");
+                }
+            }
+        }
+    }
 }

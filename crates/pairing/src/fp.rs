@@ -87,6 +87,12 @@ impl FpCtx {
         self.mont.nlimbs()
     }
 
+    /// The Montgomery context, whose [`MontCtx::on_registers`] runs the
+    /// Miller loop at the field's width.
+    pub(crate) fn mont(&self) -> &MontCtx {
+        &self.mont
+    }
+
     fn handle(&self) -> &'static Arc<FpCtx> {
         self.interned
             .get()
@@ -168,7 +174,12 @@ impl Fp {
     /// form precomputed tables keep (see [`crate::precomp`]); the limbs
     /// above `nlimbs` are zero in every reduced element and are not stored.
     pub(crate) fn pack_into(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.mont_repr.limbs()[..self.ctx.nlimbs()]);
+        out.extend_from_slice(self.mont_limbs());
+    }
+
+    /// The element's `nlimbs` Montgomery limbs, as a register loads them.
+    pub(crate) fn mont_limbs(&self) -> &[u64] {
+        &self.mont_repr.limbs()[..self.ctx.nlimbs()]
     }
 
     /// Reads back an element stored by [`Self::pack_into`].
@@ -342,6 +353,14 @@ impl Fp {
     /// Exponentiation by an arbitrary integer exponent.
     pub fn pow(&self, exp: &Uint) -> Fp {
         self.with_repr(self.ctx.mont.mont_pow(&self.mont_repr, exp))
+    }
+
+    /// `(V_e, V_{e+1})` of the Lucas sequence `V₀ = 2`, `V₁ = self`,
+    /// `V_{k+1} = V₁·V_k − V_{k−1}`: [`MontCtx::lucas_v`], so `e` must be
+    /// public.
+    pub(crate) fn lucas_v(&self, e: &Uint) -> (Fp, Fp) {
+        let (v, w) = self.ctx.mont.lucas_v(&self.mont_repr, e);
+        (self.with_repr(v), self.with_repr(w))
     }
 
     /// Euler's quadratic-residue test: `a^((p−1)/2) = 1` (or `a = 0`).

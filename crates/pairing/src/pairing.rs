@@ -1,6 +1,6 @@
 //! The final exponentiation of the modified Tate pairing
 //! `ê(P, Q) = e(P, φ(Q))` on the supersingular curve, and the signed-digit
-//! recodings the pairing runs on.
+//! recoding its Miller loop runs on.
 //!
 //! * `e` is the Tate pairing of order `q` computed with Miller's algorithm in
 //!   the BKLS form: because the embedding degree is 2 and the second argument's
@@ -14,11 +14,14 @@
 //!
 //! The one Miller loop is [`crate::precomp::PreparedPairing`]: it tabulates
 //! the lines of a fixed first argument in Jacobian coordinates (no inversion
-//! per step) and folds them at `φ(Q)`.  Every pairing — a single one, a
-//! batch, a product — then reduces through `final_exponentiation_batch`,
-//! a single pairing being a batch of one.  An independent affine Miller loop
-//! with a plain `Fp2::pow` reduction lives in the test package
-//! (`tibpre_tests::oracle`) as the reference every path is checked against.
+//! per step) and folds them at `φ(Q)` on registers of the field's width.
+//! Every pairing — a single one, a batch, a product — then reduces through
+//! `final_exponentiation_batch`, a single pairing being a batch of one: an
+//! easy part with one shared inversion, and the cofactor power as a Lucas
+//! ladder on the trace, which recovers the full `F_{p²}` element.  An
+//! independent affine Miller loop with a plain `Fp2::pow` reduction lives
+//! in the test package (`tibpre_tests::oracle`) as the reference every path
+//! is checked against.
 
 use crate::error::PairingError;
 use crate::fp::Fp;
@@ -27,124 +30,95 @@ use crate::Result;
 use tibpre_bigint::Uint;
 
 /// The final exponentiation `f ↦ f^{(p² − 1)/q}`, with `(p² − 1)/q` given
-/// by the cofactor `h = (p + 1)/q`.
-///
-/// A batch of one through the crate's batched final exponentiation, which
-/// the prepared pairing paths call directly with the parameter set's cached
-/// recoding of `h`.
+/// by the cofactor `h = (p + 1)/q`: a batch of one through the crate's
+/// batched final exponentiation, which the prepared pairing paths call
+/// directly.
 pub fn final_exponentiation(f: &Fp2, cofactor: &Uint) -> Result<Fp2> {
-    let digits = wnaf_digits(cofactor, WNAF_WINDOW);
-    let mut reduced = final_exponentiation_batch(core::slice::from_ref(f), &digits)?;
+    let mut reduced = final_exponentiation_batch(core::slice::from_ref(f), cofactor)?;
     Ok(reduced.remove(0))
 }
 
-/// The final exponentiation of every element of `fs`, given the cofactor
-/// recoded into wNAF digits (`wnaf_digits(cofactor, WNAF_WINDOW)`), with
-/// one shared field inversion for the whole slice.
+/// The final exponentiation of every element of `fs` by
+/// `(p² − 1)/q = (p − 1)·h`, with one shared field inversion for the whole
+/// slice.
 ///
-/// The easy part `f^{p−1} = conj(f)·f^{−1}` uses that the Frobenius on
-/// `F_{p²}` is conjugation.  It needs `f^{−1} = conj(f)·norm(f)^{−1}`, and the
-/// base-field GCD inversion inside `norm(f)^{−1}` dominates it.  The batch
-/// computes the k norms, inverts them with **one** GCD via
-/// [`Fp::batch_invert`], and finishes each element as
-/// `conj(f)²·norm(f)^{−1}`.
+/// The easy part `f^{p−1} = conj(f)²/N(f) = a + b·i` uses that the
+/// Frobenius on `F_{p²}` is conjugation; for `f = f₀ + f₁·i`,
+/// `a = (f₀² − f₁²)/N` and `b = −2f₀f₁/N` with `N = f₀² + f₁²`.  The
+/// result has norm 1, so its trace `2a` determines its powers: with
+/// `V_k = g^k + g^{−k}`, the hard part `g^h` is
+/// `V_h/2 + ((V_h·a − V_{h+1})/(2b))·i`, and `(V_h, V_{h+1})` is the
+/// Lucas ladder [`Fp::lucas_v`] from `V₁ = 2a` — one base-field
+/// multiplication and one squaring per bit of `h`.
 ///
-/// After the easy part every value lies in the norm-1 ("cyclotomic")
-/// subgroup, where conjugation *is* inversion; the hard part, exponentiation
-/// by the cofactor, therefore uses a signed-digit window (wNAF) whose
-/// negative digits cost only a conjugation — about a third fewer
-/// multiplications than plain square-and-multiply.  It stays per element;
-/// it is all squarings and cheap conjugations.  Each output is exactly
-/// `f^{(p²−1)/q}`, so a batch is element-wise bit-identical to batches of
-/// one.
+/// Both divisions come from one inverse per element, of
+/// `D = N·4f₀f₁`: `1/N = D⁻¹·4f₀f₁` and `1/(2b) = −N²·D⁻¹`.  The batch
+/// inverts every `D` with **one** GCD via [`Fp::batch_invert`].  When
+/// `f₀f₁ = 0`, `D` is `N` alone, the easy part is `±1` and the result
+/// `(±1)^h`.  Each output is exactly `f^{(p²−1)/q}`, so a batch is
+/// element-wise bit-identical to batches of one.
 ///
 /// Fails with [`PairingError::NotInvertible`] if *any* input is zero (a
-/// zero Miller value, impossible for well-formed curve inputs) — see
-/// [`Fp::batch_invert`] for the zero-mid-batch semantics.
-pub(crate) fn final_exponentiation_batch(fs: &[Fp2], cofactor_digits: &[i8]) -> Result<Vec<Fp2>> {
-    if fs.is_empty() {
+/// zero Miller value, impossible for well-formed curve inputs).
+pub(crate) fn final_exponentiation_batch(fs: &[Fp2], cofactor: &Uint) -> Result<Vec<Fp2>> {
+    if fs.iter().any(Fp2::is_zero) {
+        return Err(PairingError::NotInvertible);
+    }
+    let Some(first) = fs.first() else {
         return Ok(Vec::new());
-    }
-    for f in fs {
-        if f.is_zero() {
-            return Err(PairingError::NotInvertible);
-        }
-    }
-    let norms: Vec<Fp> = fs.iter().map(|f| f.norm()).collect();
-    let inv_norms = Fp::batch_invert(&norms)?;
-    Ok(fs
+    };
+    let ctx = first.ctx();
+    let norms: Vec<Fp> = fs.iter().map(Fp2::norm).collect();
+    let cross: Vec<Fp> = fs
         .iter()
-        .zip(&inv_norms)
-        .map(|(f, norm_inv)| {
-            let conj = f.conjugate();
-            let easy = conj.square().mul_fp(norm_inv);
-            debug_assert!(easy.norm().is_one(), "f^(p-1) must have norm 1");
-            cyclotomic_pow_wnaf(&easy, cofactor_digits)
-        })
-        .collect())
-}
-
-/// Width of the signed-digit window used for the cofactor exponentiation.
-pub(crate) const WNAF_WINDOW: u32 = 4;
-
-/// Exponentiation of a *norm-1* element by the exponent recoded as
-/// width-[`WNAF_WINDOW`] wNAF digits.  Negative digits multiply by the
-/// conjugate of a table entry, which is the inverse for norm-1 inputs — so
-/// the whole exponentiation needs no field inversion and roughly `bits/5`
-/// multiplies on top of the unavoidable squarings.
-///
-/// Produces exactly `base^exp` (the algorithm only re-associates the
-/// product), so callers may treat it as a drop-in for [`Fp2::pow`].
-fn cyclotomic_pow_wnaf(base: &Fp2, digits: &[i8]) -> Fp2 {
-    // Odd powers base^1, base^3, …, base^(2^{w−1} − 1): the full wNAF digit
-    // range.
-    let base_sq = base.square();
-    let mut odd_powers = Vec::with_capacity(1 << (WNAF_WINDOW - 2));
-    odd_powers.push(base.clone());
-    for i in 1..(1usize << (WNAF_WINDOW - 2)) {
-        odd_powers.push(odd_powers[i - 1].mul(&base_sq));
-    }
-    let mut acc = Fp2::one(base.ctx());
-    for &digit in digits.iter().rev() {
-        acc = acc.square();
-        if digit > 0 {
-            acc = acc.mul(&odd_powers[digit.unsigned_abs() as usize / 2]);
-        } else if digit < 0 {
-            acc = acc.mul(&odd_powers[digit.unsigned_abs() as usize / 2].conjugate());
+        .map(|f| f.c0.mul(&f.c1).double().double())
+        .collect();
+    let ds: Vec<Fp> = norms
+        .iter()
+        .zip(&cross)
+        .map(|(n, c)| if c.is_zero() { n.clone() } else { n * c })
+        .collect();
+    let d_invs = Fp::batch_invert(&ds)?;
+    let half = Fp::from_uint(ctx, &ctx.modulus().shr1().wrapping_add(&Uint::ONE));
+    let mut out = Vec::with_capacity(fs.len());
+    for (((f, n), c), d_inv) in fs.iter().zip(&norms).zip(&cross).zip(&d_invs) {
+        let real = (&f.c0 + &f.c1).mul(&(&f.c0 - &f.c1)); // f₀² − f₁²
+        if c.is_zero() {
+            let easy = real.mul(d_inv); // ±1
+            out.push(Fp2::from_fp(if cofactor.is_odd() {
+                easy
+            } else {
+                Fp::one(ctx)
+            }));
+            continue;
         }
+        let a = real.mul(&d_inv.mul(c));
+        let (v, w) = a.double().lucas_v(cofactor);
+        let im = (&v.mul(&a) - &w).mul(&n.square().mul(d_inv).neg());
+        out.push(Fp2::new(v.mul(&half), im));
     }
-    acc
+    Ok(out)
 }
 
-/// Width-`window` non-adjacent-form recoding: returns digits (least
-/// significant first) in `{0, ±1, ±3, …, ±(2^{window−1} − 1)}` such that
-/// `exp = Σ digits[i]·2^i`, with every non-zero digit odd and non-zero
-/// digits at least `window − 1` positions apart.
-///
-/// `window = 2` gives the plain NAF (digits `±1`) used by the prepared
-/// Miller loop's addition-subtraction chain; `window = 4` serves the
-/// cofactor exponentiation.
-pub(crate) fn wnaf_digits(exp: &Uint, window: u32) -> Vec<i8> {
-    debug_assert!((2..=7).contains(&window));
+/// The non-adjacent form of `exp`: digits in `{0, ±1}`, least significant
+/// first, with `exp = Σ digits[i]·2^i` and no two adjacent digits non-zero
+/// — the prepared Miller loop's addition-subtraction chain.
+pub(crate) fn naf_digits(exp: &Uint) -> Vec<i8> {
     let mut digits = Vec::with_capacity(exp.bits() + 1);
     let mut e = *exp;
-    let full = 1i16 << window;
     while !e.is_zero() {
-        if e.is_odd() {
-            // Centred remainder mod 2^window in (−2^{window−1}, 2^{window−1}].
-            let rem = (e.limbs()[0] & ((1 << window) - 1)) as i16;
-            let digit = if rem > full / 2 { rem - full } else { rem };
-            digits.push(digit as i8);
-            if digit < 0 {
-                // e -= digit  (digit negative: add its magnitude).
-                let (sum, _) = e.overflowing_add_u64(digit.unsigned_abs() as u64);
-                e = sum;
-            } else {
-                e = e.wrapping_sub(&Uint::from_u64(digit as u64));
-            }
-        } else {
-            digits.push(0);
-        }
+        // The remainder mod 4, centred: 1 → +1, 3 → −1.
+        let digit = match e.limbs()[0] & 3 {
+            1 => 1,
+            3 => -1,
+            _ => 0,
+        };
+        e = match digit {
+            1 => e.wrapping_sub(&Uint::ONE),
+            -1 => e.overflowing_add_u64(1).0,
+            _ => e,
+        };
+        digits.push(digit);
         e = e.shr1();
     }
     digits
@@ -208,7 +182,6 @@ mod tests {
     fn batched_final_exponentiation_matches_per_element() {
         let pp = PairingParams::insecure_toy();
         let mut rng = StdRng::seed_from_u64(0x6B17);
-        let digits = wnaf_digits(pp.cofactor(), WNAF_WINDOW);
         let p_minus_1 = pp.p().wrapping_sub(&Uint::ONE);
         let fs: Vec<Fp2> = (0..7)
             .map(|_| {
@@ -217,7 +190,7 @@ mod tests {
                 pp.prepare(&a).miller_loop(&b)
             })
             .collect();
-        let batched = final_exponentiation_batch(&fs, &digits).unwrap();
+        let batched = final_exponentiation_batch(&fs, pp.cofactor()).unwrap();
         assert_eq!(batched.len(), fs.len());
         for (f, out) in fs.iter().zip(&batched) {
             let individual = f.pow(&p_minus_1).pow(pp.cofactor());
@@ -225,58 +198,85 @@ mod tests {
             assert_eq!(final_exponentiation(f, pp.cofactor()).unwrap(), individual);
         }
         // Empty batch and zero rejection.
-        assert!(final_exponentiation_batch(&[], &digits).unwrap().is_empty());
+        assert!(final_exponentiation_batch(&[], pp.cofactor())
+            .unwrap()
+            .is_empty());
         let with_zero = vec![fs[0].clone(), Fp2::zero(pp.fp_ctx())];
-        assert!(final_exponentiation_batch(&with_zero, &digits).is_err());
+        assert!(final_exponentiation_batch(&with_zero, pp.cofactor()).is_err());
     }
 
-    /// The signed-digit cyclotomic exponentiation must agree with plain
-    /// square-and-multiply on norm-1 bases for arbitrary exponents.
+    /// The inputs whose `f₀f₁` is zero take the `(±1)^h` branch, beside
+    /// ordinary ones in the same batch: `f ∈ F_p*`, `f ∈ i·F_p*` and `±1`,
+    /// for the parameter set's even cofactor and for odd ones.  Each must
+    /// equal its batch of one and `Fp2::pow(f, (p² − 1)/q)`; a zero
+    /// anywhere fails the whole batch.
     #[test]
-    fn cyclotomic_wnaf_pow_matches_plain_pow() {
-        let c = ctx();
-        let mut rng = StdRng::seed_from_u64(0x77AF);
-        for _ in 0..5 {
-            let f = Fp2::random(&c, &mut rng);
-            if f.is_zero() {
-                continue;
-            }
-            // conj(f)/f always has norm 1.
-            let base = f.conjugate().mul(&f.invert().unwrap());
-            assert!(base.norm().is_one());
-            for exp in [
-                Uint::ZERO,
-                Uint::ONE,
-                Uint::from_u64(2),
-                Uint::from_u64(0xDEAD_BEEF),
-                Uint::from_u128(0x0123_4567_89AB_CDEF_0123_4567_89AB_CDEFu128),
-            ] {
+    fn final_exponentiation_batch_handles_edge_inputs() {
+        let pp = PairingParams::insecure_toy();
+        let c = pp.fp_ctx();
+        let mut rng = StdRng::seed_from_u64(0xED6E);
+        let mut ordinary = || Fp2::random(c, &mut rng);
+        let real = Fp::from_u64(c, 12345);
+        let fs = vec![
+            ordinary(),
+            Fp2::new(real.clone(), Fp::zero(c)),
+            ordinary(),
+            Fp2::new(Fp::zero(c), real.neg()),
+            Fp2::one(c),
+            Fp2::one(c).neg(),
+            Fp2::i(c),
+            ordinary(),
+        ];
+        let p_minus_1 = pp.p().wrapping_sub(&Uint::ONE);
+        for h in [*pp.cofactor(), Uint::from_u64(7), Uint::ONE, Uint::ZERO] {
+            let (exponent, overflow) = p_minus_1.mul_wide(&h);
+            assert!(overflow.is_zero());
+            let batched = final_exponentiation_batch(&fs, &h).unwrap();
+            for (f, out) in fs.iter().zip(&batched) {
+                assert_eq!(out, &f.pow(&exponent), "f = {f:?}, h = {h}");
                 assert_eq!(
-                    cyclotomic_pow_wnaf(&base, &wnaf_digits(&exp, WNAF_WINDOW)),
-                    base.pow(&exp)
+                    out,
+                    &final_exponentiation_batch(core::slice::from_ref(f), &h).unwrap()[0]
+                );
+            }
+            for at in [0, 3, fs.len()] {
+                let mut with_zero = fs.clone();
+                with_zero.insert(at, Fp2::zero(c));
+                assert_eq!(
+                    final_exponentiation_batch(&with_zero, &h).unwrap_err(),
+                    PairingError::NotInvertible
                 );
             }
         }
     }
 
-    /// Every wNAF digit sequence must re-encode the original exponent with
-    /// odd digits bounded by the window.
+    /// Every NAF digit sequence must re-encode the original exponent with
+    /// digits in `{0, ±1}`, no two adjacent ones non-zero.
     #[test]
-    fn wnaf_recoding_is_faithful() {
-        for window in [2u32, 4] {
-            for exp in [0u64, 1, 2, 15, 16, 0xF0F0, 0xDEAD_BEEF_CAFE_F00D] {
-                let digits = wnaf_digits(&Uint::from_u64(exp), window);
-                let mut acc: i128 = 0;
-                for (i, &d) in digits.iter().enumerate() {
-                    assert!(d == 0 || (d % 2 != 0 && d.unsigned_abs() < 1 << (window - 1)));
-                    acc += i128::from(d) << i;
-                }
-                assert_eq!(
-                    acc,
-                    i128::from(exp),
-                    "digits must re-encode {exp} (w={window})"
+    fn naf_recoding_is_faithful() {
+        for exp in [
+            0u64,
+            1,
+            2,
+            3,
+            7,
+            15,
+            16,
+            0xF0F0,
+            0xDEAD_BEEF_CAFE_F00D,
+            u64::MAX,
+        ] {
+            let digits = naf_digits(&Uint::from_u64(exp));
+            let mut acc: i128 = 0;
+            for (i, &d) in digits.iter().enumerate() {
+                assert!(d.abs() <= 1, "digit {d} of {exp}");
+                assert!(
+                    d == 0 || i == 0 || digits[i - 1] == 0,
+                    "adjacent digits of {exp}"
                 );
+                acc += i128::from(d) << i;
             }
+            assert_eq!(acc, i128::from(exp), "digits must re-encode {exp}");
         }
     }
 }

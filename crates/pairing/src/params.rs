@@ -13,7 +13,6 @@ use crate::fp::FpCtx;
 use crate::generations::Generations;
 use crate::gt::Gt;
 use crate::hash::{hash_to_curve, hash_to_scalar};
-use crate::pairing::{wnaf_digits, WNAF_WINDOW};
 use crate::precomp::{G1Precomp, PreparedPairing};
 use crate::scalar::{Scalar, ScalarCtx};
 use crate::Result;
@@ -96,9 +95,6 @@ pub struct PairingParams {
     /// Fixed-base table for `g`, built lazily on first use and shared by
     /// every holder of these parameters.
     generator_precomp: OnceLock<Arc<G1Precomp>>,
-    /// The cofactor recoded into wNAF digits for the final exponentiation —
-    /// fixed per parameter set, recoded once.
-    cofactor_digits: Arc<Vec<i8>>,
     /// Canonical encodings of `G1` points already proven to lie in the
     /// prime-order subgroup.  The subgroup check (`q·P = O`) costs a full
     /// scalar multiplication, and real traffic re-presents the same few hot
@@ -152,9 +148,7 @@ impl PairingParams {
         // Target-group generator ê(g, g), from a table dropped right after;
         // non-degeneracy of the distortion-map pairing guarantees it is not
         // 1 — checked anyway.
-        let cofactor_digits = Arc::new(wnaf_digits(&cofactor, WNAF_WINDOW));
-        let gt_generator = PreparedPairing::tabulate(&generator, &q, Arc::clone(&cofactor_digits))
-            .pairing(&generator);
+        let gt_generator = PreparedPairing::tabulate(&generator, &q, &cofactor).pairing(&generator);
         if gt_generator.is_one() {
             return Err(PairingError::ParameterGeneration(
                 "degenerate pairing for the chosen generator",
@@ -171,7 +165,6 @@ impl PairingParams {
             generator,
             gt_generator,
             generator_precomp: OnceLock::new(),
-            cofactor_digits,
             g1_validated: Mutex::default(),
         }))
     }
@@ -277,12 +270,6 @@ impl PairingParams {
     /// [`Self::prepare`] instead.
     pub fn pairing(&self, a: &G1Affine, b: &G1Affine) -> Gt {
         self.prepare(a).pairing(b)
-    }
-
-    /// The cofactor's wNAF recoding, shared by every prepared table of
-    /// this parameter set.
-    pub(crate) fn cofactor_wnaf(&self) -> Arc<Vec<i8>> {
-        Arc::clone(&self.cofactor_digits)
     }
 
     /// Tabulates the Miller loop for a fixed pairing argument; subsequent

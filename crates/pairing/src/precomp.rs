@@ -32,15 +32,17 @@
 //!
 //! # Layout at rest
 //!
-//! Registers ([`Fp`], [`G1Affine`]) are `MAX_LIMBS` wide; anything *kept* is
+//! [`Fp`] and [`G1Affine`] values are `MAX_LIMBS` wide; anything *kept* is
 //! `nlimbs` wide.  Both tables are one `Box<[u64]>` of rows, two field
 //! elements per row (`a ‖ b` for a line, `x ‖ y` for a table point), each
-//! exactly the modulus' `nlimbs` Montgomery limbs and read back into
-//! registers only while used: `lines · 2 · nlimbs · 8 + steps` bytes per
-//! prepared loop (≈ 27 KiB at the 80-bit level, 8 limbs) and
-//! `windows · 15 · 2 · nlimbs · 8` per fixed-base table (75 KiB).  A node
-//! holds one table per grant; the workload that builds, drops and rebuilds
-//! hundreds of them, and whose `peak_rss_mb` is mostly these bytes:
+//! exactly the modulus' `nlimbs` Montgomery limbs: `lines · 2 · nlimbs · 8 +
+//! steps` bytes per prepared loop (≈ 27 KiB at the 80-bit level, 8 limbs)
+//! and `windows · 15 · 2 · nlimbs · 8` per fixed-base table (75 KiB).  The
+//! Miller loop loads each row straight into `nlimbs`-wide registers
+//! (`tibpre_bigint::Registers`); a fixed-base walk reads its rows back into
+//! `Fp`s.  A node holds one table per grant; the workload that builds,
+//! drops and rebuilds hundreds of them, and whose `peak_rss_mb` is mostly
+//! these bytes:
 //!
 //! ```console
 //! cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
@@ -60,12 +62,12 @@ use crate::curve::{batch_to_affine, G1Affine, G1Projective};
 use crate::fp::{Fp, FpCtx};
 use crate::fp2::Fp2;
 use crate::gt::Gt;
-use crate::pairing::{final_exponentiation_batch, wnaf_digits};
+use crate::pairing::{final_exponentiation_batch, naf_digits};
 use crate::params::PairingParams;
 use crate::scalar::Scalar;
 use core::slice::ChunksExact;
 use std::sync::Arc;
-use tibpre_bigint::Uint;
+use tibpre_bigint::{OnRegisters, Registers, Uint};
 
 /// Window width (bits) of the fixed-base tables.
 const WINDOW: usize = 4;
@@ -235,28 +237,27 @@ pub struct PreparedPairing {
     /// One row `a ‖ b` per stored line, in loop order, normalised so the
     /// `y_Q` coefficient is one: `ℓ(φ(Q)) = (a + b·x_Q) + y_Q·i`.
     rows: Box<[u64]>,
-    /// The cofactor's wNAF recoding, shared with the parameter set.
-    cofactor_digits: Arc<Vec<i8>>,
+    /// The cofactor `h`, the final exponentiation's hard part.
+    cofactor: Uint,
 }
 
 impl PreparedPairing {
     /// Runs the Miller loop for `point` (as the fixed argument) once and
     /// stores the per-step line coefficients.
     pub fn new(params: &PairingParams, point: &G1Affine) -> Self {
-        Self::tabulate(point, params.q(), params.cofactor_wnaf())
+        Self::tabulate(point, params.q(), params.cofactor())
     }
 
-    /// [`Self::new`] from the group order `q` and the cofactor's wNAF
-    /// recoding — what parameter generation has before a
-    /// [`PairingParams`] exists.
-    pub(crate) fn tabulate(point: &G1Affine, q: &Uint, cofactor_digits: Arc<Vec<i8>>) -> Self {
+    /// [`Self::new`] from the group order `q` and the cofactor — what
+    /// parameter generation has before a [`PairingParams`] exists.
+    pub(crate) fn tabulate(point: &G1Affine, q: &Uint, cofactor: &Uint) -> Self {
         if point.is_identity() {
             // ê(O, Q) = 1, which an empty step table evaluates to.
             return PreparedPairing {
                 point: point.clone(),
                 steps: Box::default(),
                 rows: Box::default(),
-                cofactor_digits,
+                cofactor: *cofactor,
             };
         }
 
@@ -264,7 +265,7 @@ impl PreparedPairing {
         // raw line coefficients.  The degenerate cases (2-torsion, T = ±P,
         // the identity) are handled as the textbook loop handles them; the
         // test package's affine oracle checks the reduced outputs.
-        let digits = wnaf_digits(q, 2);
+        let digits = naf_digits(q);
         debug_assert_eq!(
             digits.last(),
             Some(&1),
@@ -321,7 +322,7 @@ impl PreparedPairing {
             point: point.clone(),
             steps: steps.into_boxed_slice(),
             rows: rows.into_boxed_slice(),
-            cofactor_digits,
+            cofactor: *cofactor,
         }
     }
 
@@ -340,20 +341,25 @@ impl PreparedPairing {
         self.rows.chunks_exact(2 * self.point.ctx().nlimbs())
     }
 
+    /// This table's walk through the Miller loop at `q`.
+    fn walk<'a>(&'a self, q: &'a G1Affine) -> Walk<'a> {
+        Walk {
+            steps: &self.steps,
+            rows: self.line_rows(),
+            q,
+        }
+    }
+
     /// The unreduced Miller value `f_{q,P}(φ(Q))`, up to the `F_p^*` factors
     /// of the projective scaling and the line normalisation, which the final
-    /// exponentiation kills.
+    /// exponentiation kills: [`multi_pairing`]'s lockstep loop over this
+    /// one table, on registers of the field's width.
     pub fn miller_loop(&self, q: &G1Affine) -> Fp2 {
         let ctx = self.point.ctx();
         if q.is_identity() {
             return Fp2::one(ctx);
         }
-        let mut rows = self.line_rows();
-        let mut f = Fp2::one(ctx);
-        for &flags in self.steps.iter() {
-            f = fold_step(f.square(), flags, &mut rows, q);
-        }
-        f
+        miller(ctx, &mut [self.walk(q)])
     }
 
     /// The reduced pairing `ê(P, Q)` against the fixed argument (in either
@@ -365,17 +371,18 @@ impl PreparedPairing {
     /// Reduced pairings `ê(P, Qᵢ)` for a whole batch of second arguments.
     ///
     /// Runs one stored-line Miller loop per `Qᵢ`, then a *batched* final
-    /// exponentiation: the easy part `f^{p−1} = conj(f)²·N(f)^{−1}` needs one
-    /// base-field inversion per element, and Montgomery's trick collapses all
-    /// `k` of them into a single extended GCD.  The hard (cofactor) part is
-    /// still per-element, so the win is the amortised inversion, not the
-    /// whole final exponentiation.
+    /// exponentiation: each element needs one base-field inversion (of
+    /// `N(f)·4f₀f₁`, which serves both the easy part and the Lucas ladder's
+    /// recovery of the second coordinate), and Montgomery's trick collapses
+    /// all `k` of them into a single extended GCD.  The ladder over the
+    /// cofactor is per element, so the win is the amortised inversion, not
+    /// the whole final exponentiation.
     ///
     /// Element-wise bit-identical to `k` batches of one, [`Self::pairing`]
     /// (canonical representatives of equal field elements are unique).
     pub fn pairing_batch(&self, qs: &[&G1Affine]) -> Vec<Gt> {
         let fs: Vec<Fp2> = qs.iter().map(|q| self.miller_loop(q)).collect();
-        reduce(&fs, &self.cofactor_digits)
+        reduce(&fs, &self.cofactor)
     }
 }
 
@@ -523,26 +530,85 @@ enum Chord {
 
 /// The reduced pairings of Miller values: [`final_exponentiation_batch`],
 /// wrapped in [`Gt`].
-fn reduce(fs: &[Fp2], cofactor_digits: &[i8]) -> Vec<Gt> {
-    final_exponentiation_batch(fs, cofactor_digits)
+fn reduce(fs: &[Fp2], cofactor: &Uint) -> Vec<Gt> {
+    final_exponentiation_batch(fs, cofactor)
         .expect("Miller values are never zero for points on the curve")
         .into_iter()
         .map(Gt::from_fp2_unchecked)
         .collect()
 }
 
-/// Folds the lines one step stores into `f`, advancing the table's cursor:
-/// each is one sparse multiplication `f · ((a + b·x_Q) + y_Q·i)` — evaluating
-/// the line costs a single base-field multiplication (`b·x_Q`), and the
-/// product avoids materialising the line as a temporary `Fp2`.  Tangent and
-/// chord lines fold alike, so only their number is read from the flags.
-fn fold_step(mut f: Fp2, flags: u8, rows: &mut ChunksExact<'_, u64>, q: &G1Affine) -> Fp2 {
-    for _ in 0..flags.count_ones() {
-        let row = rows.next().expect("one row per flagged line");
-        let (a, b) = unpack_row(q.ctx(), row);
-        f = f.mul_by_line(&(&a + &b.mul(q.x())), q.y());
+/// One table's walk through the Miller loop: its step flags, a cursor over
+/// its rows and the second argument `Q` its lines are evaluated at.
+struct Walk<'a> {
+    steps: &'a [u8],
+    rows: ChunksExact<'a, u64>,
+    q: &'a G1Affine,
+}
+
+/// The Miller loop over tables of one field, walked in lockstep: the
+/// product of their Miller values, by [`MillerLoop`] on registers of the
+/// field's width.
+fn miller(ctx: &Arc<FpCtx>, walks: &mut [Walk<'_>]) -> Fp2 {
+    let [c0, c1] = ctx
+        .mont()
+        .on_registers(MillerLoop { ctx, walks })
+        .map(|c| Fp::unpack(ctx, &c.limbs()[..ctx.nlimbs()]));
+    Fp2::new(c0, c1)
+}
+
+/// The one Miller loop body, over any [`Registers`]: the accumulator
+/// `f = f₀ + f₁·i` is two registers and each row `a ‖ b` is loaded straight
+/// from its table.  Per step the accumulator is squared once, then every
+/// walk folds in the lines its table stores for that step.
+///
+/// # Panics
+///
+/// If two walks differ in step count, which only tables of two different
+/// parameter sets can.
+struct MillerLoop<'w, 'a> {
+    ctx: &'w Arc<FpCtx>,
+    walks: &'w mut [Walk<'a>],
+}
+
+impl OnRegisters for MillerLoop<'_, '_> {
+    type Output = [Uint; 2];
+
+    fn run<R: Registers>(self, regs: &R) -> [Uint; 2] {
+        let steps = self.walks.first().map_or(0, |walk| walk.steps.len());
+        assert!(
+            self.walks.iter().all(|walk| walk.steps.len() == steps),
+            "multi_pairing over prepared tables of different parameter sets"
+        );
+        let n = self.ctx.nlimbs();
+        let one = regs.load(Fp::one(self.ctx).mont_limbs());
+        let zero = regs.sub(&one, &one);
+        let mut f = [one, zero];
+        for i in 0..steps {
+            // f ← f² = (f₀ + f₁)(f₀ − f₁) + 2f₀f₁·i.
+            let cross = regs.mul(&f[0], &f[1]);
+            f = [
+                regs.mul(&regs.add(&f[0], &f[1]), &regs.sub(&f[0], &f[1])),
+                regs.add(&cross, &cross),
+            ];
+            for walk in self.walks.iter_mut() {
+                let x = regs.load(walk.q.x().mont_limbs());
+                let y = regs.load(walk.q.y().mont_limbs());
+                for _ in 0..walk.steps[i].count_ones() {
+                    // f ← f·(t + y_Q·i) with t = a + b·x_Q: one product for
+                    // the line, then one reduction per coefficient.
+                    let row = walk.rows.next().expect("one row per flagged line");
+                    let (a, b) = row.split_at(n);
+                    let t = regs.add(&regs.load(a), &regs.mul(&regs.load(b), &x));
+                    f = [
+                        regs.mul_sum(&f[0], &t, &regs.sub(&zero, &f[1]), &y),
+                        regs.mul_sum(&f[0], &y, &f[1], &t),
+                    ];
+                }
+            }
+        }
+        f.map(|c| regs.store(&c))
     }
-    f
 }
 
 /// The product of pairings `∏ᵢ ê(Pᵢ, Qᵢ)` over prepared first arguments, in
@@ -572,24 +638,13 @@ fn fold_step(mut f: Fp2, flags: u8, rows: &mut ChunksExact<'_, u64>, q: &G1Affin
 pub fn multi_pairing(pairs: &[(&PreparedPairing, &G1Affine)]) -> Option<Gt> {
     let (first, _) = pairs.first()?;
     // Degenerate pairs (identity on either side) pair to 1: skip them.
-    let mut cursors: Vec<_> = pairs
+    let mut walks: Vec<Walk<'_>> = pairs
         .iter()
         .filter(|(prep, q)| !prep.steps.is_empty() && !q.is_identity())
-        .map(|(prep, q)| (&prep.steps, prep.line_rows(), *q))
+        .map(|(prep, q)| prep.walk(q))
         .collect();
-    let len = cursors.first().map_or(0, |(steps, _, _)| steps.len());
-    assert!(
-        cursors.iter().all(|(steps, _, _)| steps.len() == len),
-        "multi_pairing over prepared tables of different parameter sets"
-    );
-    let mut f = Fp2::one(first.point.ctx());
-    for i in 0..len {
-        f = f.square();
-        for (steps, rows, q) in &mut cursors {
-            f = fold_step(f, steps[i], rows, q);
-        }
-    }
-    Some(reduce(&[f], &first.cofactor_digits).remove(0))
+    let f = miller(first.point.ctx(), &mut walks);
+    Some(reduce(&[f], &first.cofactor).remove(0))
 }
 
 #[cfg(test)]
@@ -675,7 +730,7 @@ mod tests {
             let prepared = PreparedPairing::new(&pp, &fixed);
             let steps = prepared.steps.len();
             let lines: usize = prepared.steps.iter().map(|f| f.count_ones() as usize).sum();
-            assert_eq!(steps, wnaf_digits(pp.q(), 2).len() - 1);
+            assert_eq!(steps, naf_digits(pp.q()).len() - 1);
             assert_eq!(prepared.line_rows().len(), lines);
             assert_eq!(prepared.resident_bytes(), lines * 2 * nlimbs * 8 + steps);
 

@@ -6,7 +6,7 @@
 //! per step, where production runs inversion-free Jacobian steps over the
 //! NAF of `q` into a stored table), reduced by plain `Fp2::pow` by
 //! `(p² − 1)/q = (p − 1)·h` (where production runs a batched easy part and
-//! a signed-digit cyclotomic exponentiation).  The two agree bit for bit
+//! a Lucas ladder on the trace).  The two agree bit for bit
 //! because the reduced pairing is a well-defined field element: the chains
 //! and scalings only change the unreduced value by `F_p^*` factors, which
 //! the final exponentiation annihilates.

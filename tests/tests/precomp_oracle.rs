@@ -16,10 +16,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tibpre_bigint::Uint;
 use tibpre_core::{hybrid, proxy, Delegatee, Delegator, TypeTag};
 use tibpre_ibe::{bf, Identity, Kgc};
 use tibpre_pairing::curve::random_curve_point;
-use tibpre_pairing::{Fp, G1Affine, G1Precomp};
+use tibpre_pairing::pairing::final_exponentiation;
+use tibpre_pairing::{Fp, Fp2, G1Affine, G1Precomp};
 use tibpre_tests::oracle;
 use tibpre_tests::test_levels as levels;
 
@@ -82,6 +84,29 @@ fn prepared_pairings_match_naive_pairings() {
                 .pairing(params.generator()),
             params.gt_generator()
         );
+    }
+}
+
+#[test]
+fn final_exponentiation_matches_the_plain_power() {
+    // The Lucas-ladder reduction against `f^{(p²−1)/q} = (f^{p−1})^h` by
+    // plain square-and-multiply (`(p − 1)·h` outgrows a `Uint` at 112
+    // bits), for random `f` and for `f` with `f₀f₁ = 0`.
+    for params in levels() {
+        let mut rng = StdRng::seed_from_u64(0xFB0B);
+        let ctx = params.fp_ctx();
+        let p_minus_1 = params.p().wrapping_sub(&Uint::ONE);
+        let real = Fp::random(ctx, &mut rng);
+        let mut fs: Vec<Fp2> = (0..4).map(|_| Fp2::random(ctx, &mut rng)).collect();
+        fs.push(Fp2::new(real.clone(), Fp::zero(ctx)));
+        fs.push(Fp2::new(Fp::zero(ctx), real));
+        for f in &fs {
+            assert_eq!(
+                final_exponentiation(f, params.cofactor()).expect("f is not zero"),
+                f.pow(&p_minus_1).pow(params.cofactor()),
+                "f = {f:?}"
+            );
+        }
     }
 }
 
