@@ -1,6 +1,6 @@
 //! One framed TCP connection to a node, and the client-side errors.
 
-use crate::protocol::{NodeRole, RemoteError, Request, Response};
+use crate::protocol::{NodeRole, RemoteError, Request, Response, StatsReport};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -193,6 +193,15 @@ impl Connection {
         match self.call(&Request::Ping)? {
             Response::Pong { role, level } => Ok((role, level)),
             _ => Err(ClientError::UnexpectedResponse("expected Pong")),
+        }
+    }
+
+    /// What the node reports about itself: its own run and backlog
+    /// counters, and a store's replication positions and write gate.
+    pub fn stats(&mut self) -> Result<StatsReport> {
+        match self.call(&Request::Stats)? {
+            Response::Stats(report) => Ok(report),
+            _ => Err(ClientError::UnexpectedResponse("expected Stats")),
         }
     }
 

@@ -34,6 +34,6 @@ pub mod remote;
 pub use conn::{ClientConfig, ClientError, Connection};
 pub use protocol::{
     level_from_name, level_name, params_for_level, NodeRole, RemoteError, Request, Response,
-    SchedStatsReport,
+    StatsReport,
 };
 pub use remote::{KgcClient, ProxyClient, RemoteStore, StoreClient};

@@ -3,10 +3,10 @@
 //!
 //! One protocol serves all three roles — a KGC node answers the key requests,
 //! a store node the record requests, a proxy node the disclosure requests —
-//! and every role answers [`Request::Ping`] and [`Request::Shutdown`].  A
-//! request outside a node's role draws [`RemoteError::WrongRole`], never a
-//! closed connection, so a misconfigured client gets a diagnosis instead of a
-//! hangup.
+//! and every role answers [`Request::Ping`], [`Request::Stats`] and
+//! [`Request::Shutdown`].  A request outside a node's role draws
+//! [`RemoteError::WrongRole`], never a closed connection, so a misconfigured
+//! client gets a diagnosis instead of a hangup.
 //!
 //! Messages travel as length-prefixed frames ([`tibpre_wire::framing`])
 //! whose payload is the versioned-envelope encoding of one `Request` or
@@ -216,13 +216,13 @@ tibpre_wire::message! {
             /// snapshot when the log prefix was garbage-collected).
             applied: Vec<u64>,
         },
-        /// (Store) One-shot replication status: per-shard positions and
-        /// whether the node accepts writes.
-        41 => ReplicationStatus,
+        // Tag 41 (once `ReplicationStatus`) is retired: never reuse it.
         /// (Store) Promote a replica so it accepts writes (no-op on a primary).
         42 => Promote,
-        /// Disclosure-run counters (every role answers).
-        43 => SchedStats,
+        // Tag 43 (once `SchedStats`) is retired: never reuse it.
+        /// What the node reports about itself; every role answers with
+        /// [`Response::Stats`].
+        44 => Stats,
     }
 }
 
@@ -310,15 +310,15 @@ impl core::fmt::Display for RemoteError {
 }
 
 tibpre_wire::message! {
-    /// Process-global disclosure-run counters, answered by `SchedStats`:
-    /// cumulative since node start.  A proxy cuts each connection's
-    /// pipelined backlog into runs (consecutive `Disclose` requests, at most
-    /// `batch_max` long; a `DiscloseCategory` is a run of one); the run
-    /// counters stay zero on the other roles.  The histogram buckets run
-    /// lengths as `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+` (index 0
-    /// through 7).
+    /// What one node reports about itself, answering `Stats`.  The counters
+    /// are the node's own, cumulative since it started.  A proxy cuts each
+    /// connection's pipelined backlog into runs (consecutive `Disclose`
+    /// requests, at most `batch_max` long; a `DiscloseCategory` is a run of
+    /// one); the run counters stay zero on the other roles.  The histogram
+    /// buckets run lengths as `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+`
+    /// (index 0 through 7).
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
-    pub struct SchedStatsReport: () {
+    pub struct StatsReport: () {
         /// Disclosure runs executed.
         pub batches: u64,
         /// Requests executed inside disclosure runs.
@@ -331,6 +331,13 @@ tibpre_wire::message! {
         pub queue_peak: u64,
         /// Run-length histogram (buckets documented above).
         pub hist: [u64; 8],
+        /// A store's per-shard logical WAL positions: applied offsets on a
+        /// replica, committed offsets on a primary.  Empty on a kgc or
+        /// proxy node.
+        pub positions: Vec<u64>,
+        /// Whether the node accepts writes: anything but an unpromoted
+        /// replica.
+        pub writable: bool,
     }
 }
 
@@ -401,8 +408,9 @@ tibpre_wire::message! {
             /// The raw log bytes (never empty).
             bytes: Vec<u8>,
         },
-        /// Disclosure-run counters, answering `SchedStats`.
-        18 => SchedStats(report: SchedStatsReport),
+        // Tag 18 (once `SchedStats`) is retired: never reuse it.
+        /// The node's own report, answering `Stats`.
+        19 => Stats(report: StatsReport),
     }
 }
 
@@ -414,7 +422,7 @@ tibpre_wire::message! {
             role.ok_or_else(|| DecodeError::invalid_tag(offset, "node role", tag))
         };
         RemoteError: |w, v| v.encode(w), |r| Self::decode(r, &());
-        SchedStatsReport: |w, v| v.encode(w), |r| Self::decode(r, &());
+        StatsReport: |w, v| v.encode(w), |r| Self::decode(r, &());
     }
 }
 
@@ -425,7 +433,7 @@ mod tests {
     use rand::SeedableRng;
     use tibpre_core::{Delegator, TypeTag};
     use tibpre_ibe::Kgc;
-    use tibpre_wire::{WireVersion, Writer};
+    use tibpre_wire::{DecodeErrorKind, WireVersion, Writer};
 
     fn round_trip_request(req: &Request, ctx: &DecodeCtx) -> Request {
         let bytes = req.to_wire_bytes();
@@ -538,9 +546,8 @@ mod tests {
             Request::SubscribeReplication {
                 applied: vec![0, 4096, u64::MAX],
             },
-            Request::ReplicationStatus,
             Request::Promote,
-            Request::SchedStats,
+            Request::Stats,
         ];
         for req in &requests {
             let back = round_trip_request(req, &ctx);
@@ -595,7 +602,7 @@ mod tests {
                 start: 128,
                 bytes: vec![0xCD; 16],
             },
-            Response::SchedStats(SchedStatsReport::default()),
+            Response::Stats(StatsReport::default()),
         ];
         for resp in &responses {
             let back = round_trip_response(resp, &ctx);
@@ -661,16 +668,18 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
-        let report = SchedStatsReport {
+        let report = StatsReport {
             batches: 5,
             batched_requests: 40,
             bypass: 12,
             queue_depth: 3,
             queue_peak: 17,
             hist: [1, 2, 3, 4, 5, 6, 7, 8],
+            positions: vec![64, 0, u64::MAX],
+            writable: true,
         };
-        match round_trip_response(&Response::SchedStats(report.clone()), &ctx) {
-            Response::SchedStats(back) => assert_eq!(back, report),
+        match round_trip_response(&Response::Stats(report.clone()), &ctx) {
+            Response::Stats(back) => assert_eq!(back, report),
             other => panic!("wrong variant: {other:?}"),
         }
     }
@@ -686,6 +695,25 @@ mod tests {
         w.put_u8(6); // Response::RecordIds
         w.put_u64(u64::MAX);
         assert!(Response::from_wire_bytes(&w.into_bytes(), &ctx).is_err());
+    }
+
+    #[test]
+    fn retired_tags_decode_as_invalid_tags() {
+        let ctx = DecodeCtx::from(&tibpre_pairing::PairingParams::insecure_toy());
+        let frame = |tag| vec![WireVersion::V1.tag(), tag];
+        let invalid = |err: DecodeError, tag| {
+            assert!(
+                matches!(err.kind, DecodeErrorKind::InvalidTag { tag: t, .. } if t == tag),
+                "tag {tag}: {err:?}"
+            );
+        };
+        for tag in [41, 43] {
+            invalid(
+                Request::from_wire_bytes(&frame(tag), &ctx).unwrap_err(),
+                tag,
+            );
+        }
+        invalid(Response::from_wire_bytes(&frame(18), &ctx).unwrap_err(), 18);
     }
 
     #[test]

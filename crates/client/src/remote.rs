@@ -3,7 +3,7 @@
 //! serve disclosures from records it does not hold.
 
 use crate::conn::{ClientConfig, ClientError, Connection, Result};
-use crate::protocol::{RemoteError, Request, Response, SchedStatsReport};
+use crate::protocol::{RemoteError, Request, Response};
 use parking_lot::Mutex;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
@@ -267,15 +267,6 @@ impl ProxyClient {
                 _ => Err(ClientError::UnexpectedResponse("expected Bundle")),
             })
             .collect()
-    }
-
-    /// The node's disclosure-run counters (process-global; the run counts
-    /// are zero on a node that is not a proxy).
-    pub fn sched_stats(&mut self) -> Result<SchedStatsReport> {
-        match self.conn.call(&Request::SchedStats)? {
-            Response::SchedStats(report) => Ok(report),
-            _ => Err(ClientError::UnexpectedResponse("expected SchedStats")),
-        }
     }
 
     /// The proxy's audit trail.

@@ -90,10 +90,25 @@ pub fn hash_to_curve(params: &PairingParams, domain: &str, fields: &[&[u8]]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::SecurityLevel;
     use tibpre_bigint::Uint;
 
     fn scalar_ctx() -> Arc<ScalarCtx> {
         ScalarCtx::new(&Uint::from_u64((1u64 << 61) - 1)).unwrap()
+    }
+
+    /// `hash_to_curve` reads `byte_len(p) + 16` squeezed bytes as one
+    /// `Uint`, so `MAX_LIMBS` must hold them at every level: 26 limbs at
+    /// 128 bits, one more than the widest prime's 24 + 1.
+    #[test]
+    fn every_level_squeezes_an_x_candidate_that_fits_a_uint() {
+        for level in SecurityLevel::all() {
+            let bits = (level.p_bits() / 8 + 16) * 8;
+            assert!(
+                bits <= tibpre_bigint::MAX_BITS,
+                "{level:?}: {bits} bits per x-candidate"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! `tibpre-node` — one TIB-PRE node: `--role kgc|proxy|store`.
 //!
-//! Also carries the two replica admin verbs: `--status <addr>` prints a
-//! store node's replication positions and write gate as JSON, and
+//! Also carries two admin verbs: `--status <addr>` prints what any node
+//! reports about itself (its run and backlog counters, and a store's
+//! replication positions and write gate) as one JSON object, and
 //! `--promote <addr>` opens a replica's write gate after its primary is
 //! lost.
 
-use tibpre_client::{params_for_level, ClientConfig, ClientError, Connection, Request, Response};
+use tibpre_client::{params_for_level, ClientConfig, Connection, Request};
 use tibpre_pairing::SecurityLevel;
 use tibpre_server::{config::NodeConfig, node, signal};
 
@@ -78,49 +79,29 @@ fn run_admin(args: &[String]) -> Option<i32> {
             return Some(1);
         }
     };
-    if verb == "--promote" {
-        return Some(match conn.call(&Request::Promote) {
-            Ok(Response::Ok) => {
-                println!("{{\"promoted\":true}}");
-                0
-            }
-            Ok(other) => {
-                eprintln!("tibpre-node: unexpected response {other:?}");
-                1
-            }
-            Err(e) => {
-                eprintln!("tibpre-node: {verb} failed: {e}");
-                1
-            }
-        });
-    }
-    // `--status`: run counters first (every role answers those), then
-    // the store-only replication view.
-    let sched = match conn.call(&Request::SchedStats) {
-        Ok(Response::SchedStats(s)) => format!(
-            "{{\"batches\":{},\"batched_requests\":{},\"bypass\":{},\
-             \"queue_depth\":{},\"queue_peak\":{},\"hist\":{:?}}}",
-            s.batches, s.batched_requests, s.bypass, s.queue_depth, s.queue_peak, s.hist,
-        ),
-        _ => "null".to_string(),
+    let answer = if verb == "--promote" {
+        conn.call_ok(&Request::Promote)
+            .map(|()| "{\"promoted\":true}".to_string())
+    } else {
+        conn.stats().map(|s| {
+            format!(
+                "{{\"writable\":{},\"positions\":{:?},\"batches\":{},\"batched_requests\":{},\
+                 \"bypass\":{},\"queue_depth\":{},\"queue_peak\":{},\"hist\":{:?}}}",
+                s.writable,
+                s.positions,
+                s.batches,
+                s.batched_requests,
+                s.bypass,
+                s.queue_depth,
+                s.queue_peak,
+                s.hist,
+            )
+        })
     };
-    Some(match conn.call(&Request::ReplicationStatus) {
-        Ok(Response::ReplicaStatus {
-            positions,
-            writable,
-        }) => {
-            println!("{{\"writable\":{writable},\"positions\":{positions:?},\"sched\":{sched}}}");
+    Some(match answer {
+        Ok(json) => {
+            println!("{json}");
             0
-        }
-        // A kgc/proxy node has no replication view; its status is the run
-        // counters alone.
-        Err(ClientError::Remote(_)) => {
-            println!("{{\"sched\":{sched}}}");
-            0
-        }
-        Ok(other) => {
-            eprintln!("tibpre-node: unexpected response {other:?}");
-            1
         }
         Err(e) => {
             eprintln!("tibpre-node: {verb} failed: {e}");
@@ -147,8 +128,8 @@ fn print_usage() {
          \x20                              (default 16, at least 1)\n\
          \n\
          admin verbs (connect to a running node and exit):\n\
-         \x20 --status <host:port>         print replication positions, write gate, and\n\
-         \x20                              disclosure-run counters as JSON\n\
+         \x20 --status <host:port>         print the node's run counters and, on a store,\n\
+         \x20                              its replication positions and write gate as JSON\n\
          \x20 --promote <host:port>        open a replica's write gate (primary lost)"
     );
 }

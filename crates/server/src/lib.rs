@@ -24,7 +24,7 @@
 #![deny(missing_docs)]
 
 pub mod config;
-pub mod metrics;
+mod metrics;
 pub mod node;
 pub mod replica;
 pub mod service;

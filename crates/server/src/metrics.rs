@@ -1,82 +1,83 @@
-//! Process-global disclosure-run counters, in the mold of the PHR crate's
-//! engine metrics: relaxed atomics the hot path bumps for free, snapshotted
-//! on demand by the `SchedStats` protocol request.
-//!
-//! A proxy's connection threads feed the run counters (`batches`,
-//! `batched_requests`, the histogram) and `bypass`; every connection
-//! feeds the backlog depth (`queue_depth`, `queue_peak`: requests read and
-//! not yet answered).  The counters are process-global rather than
-//! per-node: a deployment runs one node per process, and the in-process
-//! multi-node test topologies only ever run one proxy, so the aggregate
-//! stays readable.
+//! A node's own run and backlog counters, reported by its `Stats` answer:
+//! relaxed atomics on the node's shared state, never a lock.  A proxy
+//! counts the runs it executes (`batches`, `batched_requests`, the
+//! histogram) and every other request (`bypass`); every node counts the
+//! requests read and not yet answered (`queue_depth`, `queue_peak`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use tibpre_client::SchedStatsReport;
-
-static BATCHES: AtomicU64 = AtomicU64::new(0);
-static BATCHED_REQUESTS: AtomicU64 = AtomicU64::new(0);
-static BYPASS: AtomicU64 = AtomicU64::new(0);
-static QUEUE_DEPTH: AtomicU64 = AtomicU64::new(0);
-static QUEUE_PEAK: AtomicU64 = AtomicU64::new(0);
+use tibpre_client::{Request, StatsReport};
 
 const HIST_BUCKETS: usize = 8;
-static HIST: [AtomicU64; HIST_BUCKETS] = [const { AtomicU64::new(0) }; HIST_BUCKETS];
 
-/// The histogram bucket for a run of `size` requests: buckets cover
-/// `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+` (matching the documentation
-/// on [`SchedStatsReport`]).
+/// The histogram bucket for a run of `size` requests, the bit length of
+/// `size - 1`: `1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+` (as documented on
+/// [`StatsReport`]).
 fn bucket(size: usize) -> usize {
-    if size <= 1 {
-        0
-    } else {
-        (((size - 1).ilog2() as usize) + 1).min(HIST_BUCKETS - 1)
+    (usize::BITS - size.saturating_sub(1).leading_zeros()).min(HIST_BUCKETS as u32 - 1) as usize
+}
+
+/// One node's counters.
+#[derive(Default)]
+pub(crate) struct RunCounters {
+    batches: AtomicU64,
+    batched_requests: AtomicU64,
+    bypass: AtomicU64,
+    queue_depth: AtomicU64,
+    queue_peak: AtomicU64,
+    hist: [AtomicU64; HIST_BUCKETS],
+}
+
+impl RunCounters {
+    /// Records one run a proxy executes: consecutive `Disclose` requests or
+    /// a `DiscloseCategory` are a disclosure run, anything else a bypass.
+    pub(crate) fn note_proxy_run(&self, run: &[Request]) {
+        let size = match run.first() {
+            Some(Request::Disclose { .. }) => run.len(),
+            Some(Request::DiscloseCategory { .. }) => 1,
+            _ => {
+                self.bypass.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+        };
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batched_requests
+            .fetch_add(size as u64, Ordering::Relaxed);
+        self.hist[bucket(size)].fetch_add(1, Ordering::Relaxed);
     }
-}
 
-/// Records one executed run of `size` disclosure requests.
-pub(crate) fn note_run(size: usize) {
-    BATCHES.fetch_add(1, Ordering::Relaxed);
-    BATCHED_REQUESTS.fetch_add(size as u64, Ordering::Relaxed);
-    HIST[bucket(size)].fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one proxy request executed outside a disclosure run.
-pub(crate) fn note_bypass() {
-    BYPASS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records `frames` requests read from a connection, not yet answered.
-pub(crate) fn note_read(frames: usize) {
-    let frames = frames as u64;
-    let depth = QUEUE_DEPTH.fetch_add(frames, Ordering::Relaxed) + frames;
-    QUEUE_PEAK.fetch_max(depth, Ordering::Relaxed);
-}
-
-/// Records `frames` requests answered (or dropped with their connection).
-pub(crate) fn note_answered(frames: usize) {
-    QUEUE_DEPTH.fetch_sub(frames as u64, Ordering::Relaxed);
-}
-
-/// A snapshot of the run counters, in the shape the `SchedStats`
-/// protocol request answers with.
-pub fn sched_snapshot() -> SchedStatsReport {
-    let mut hist = [0u64; HIST_BUCKETS];
-    for (out, bucket) in hist.iter_mut().zip(&HIST) {
-        *out = bucket.load(Ordering::Relaxed);
+    /// Records `frames` requests read from a connection, not yet answered.
+    pub(crate) fn note_read(&self, frames: usize) {
+        let frames = frames as u64;
+        let depth = self.queue_depth.fetch_add(frames, Ordering::Relaxed) + frames;
+        self.queue_peak.fetch_max(depth, Ordering::Relaxed);
     }
-    SchedStatsReport {
-        batches: BATCHES.load(Ordering::Relaxed),
-        batched_requests: BATCHED_REQUESTS.load(Ordering::Relaxed),
-        bypass: BYPASS.load(Ordering::Relaxed),
-        queue_depth: QUEUE_DEPTH.load(Ordering::Relaxed),
-        queue_peak: QUEUE_PEAK.load(Ordering::Relaxed),
-        hist,
+
+    /// Records `frames` requests answered (or dropped with their connection).
+    pub(crate) fn note_answered(&self, frames: usize) {
+        self.queue_depth.fetch_sub(frames as u64, Ordering::Relaxed);
+    }
+
+    /// The counters, reported beside a store's replication view.
+    pub(crate) fn report(&self, positions: Vec<u64>, writable: bool) -> StatsReport {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        StatsReport {
+            batches: load(&self.batches),
+            batched_requests: load(&self.batched_requests),
+            bypass: load(&self.bypass),
+            queue_depth: load(&self.queue_depth),
+            queue_peak: load(&self.queue_peak),
+            hist: self.hist.each_ref().map(load),
+            positions,
+            writable,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tibpre_ibe::Identity;
+    use tibpre_phr::{Category, RecordId};
 
     #[test]
     fn buckets_cover_the_documented_ranges() {
@@ -98,18 +99,40 @@ mod tests {
 
     #[test]
     fn counters_accumulate_into_the_snapshot() {
-        // Process-global state: assert on deltas, not absolutes, so this
-        // test composes with everything else in the binary.
-        let before = sched_snapshot();
-        note_run(4);
-        note_bypass();
-        note_read(9);
-        let after = sched_snapshot();
-        note_answered(9);
-        assert_eq!(after.batches, before.batches + 1);
-        assert_eq!(after.batched_requests, before.batched_requests + 4);
-        assert_eq!(after.bypass, before.bypass + 1);
-        assert!(after.queue_peak >= 9);
-        assert_eq!(after.hist[bucket(4)], before.hist[bucket(4)] + 1);
+        let who = || Identity::new("p");
+        let disclose = Request::Disclose {
+            patient: who(),
+            id: RecordId(7),
+            requester: who(),
+        };
+        let category = Request::DiscloseCategory {
+            patient: who(),
+            category: Category::LabResults,
+            requester: who(),
+        };
+        let counters = RunCounters::default();
+        counters.note_proxy_run(&vec![disclose; 4]);
+        counters.note_proxy_run(&[category]);
+        counters.note_proxy_run(&[Request::KeyCount]);
+        counters.note_read(9);
+        let during = counters.report(vec![3, 5], true);
+        counters.note_answered(9);
+        let mut hist = [0; HIST_BUCKETS];
+        (hist[bucket(4)], hist[bucket(1)]) = (1, 1);
+        assert_eq!(
+            during,
+            StatsReport {
+                batches: 2,
+                batched_requests: 5,
+                bypass: 1,
+                queue_depth: 9,
+                queue_peak: 9,
+                hist,
+                positions: vec![3, 5],
+                writable: true,
+            }
+        );
+        let after = counters.report(Vec::new(), false);
+        assert_eq!((after.queue_depth, after.queue_peak), (0, 9));
     }
 }

@@ -23,7 +23,7 @@
 //! releases the advisory directory lock by dropping it.
 
 use crate::config::NodeConfig;
-use crate::metrics;
+use crate::metrics::RunCounters;
 use crate::replica::{self, ReplicaControl};
 use crate::service::RoleService;
 use crate::signal;
@@ -110,6 +110,7 @@ struct Shared {
     service: RoleService,
     config: NodeConfig,
     ctx: DecodeCtx,
+    counters: RunCounters,
     shutdown: AtomicBool,
     /// Joined by the accept loop on drain (replica nodes only).
     tail_thread: parking_lot::Mutex<Option<JoinHandle<()>>>,
@@ -234,6 +235,7 @@ pub fn start(config: NodeConfig) -> Result<NodeHandle, ServerError> {
         service,
         config,
         ctx: DecodeCtx::from(&params),
+        counters: RunCounters::default(),
         shutdown: AtomicBool::new(false),
         tail_thread: parking_lot::Mutex::new(None),
     });
@@ -412,10 +414,13 @@ fn cut_runs(backlog: &[Request], batch_max: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Answers a backlog in request order, one service call per run.  A backlog
-/// read once shutdown was observed is refused, bar `Ping`.
+/// Answers a backlog in request order, one service call per run, and
+/// counts the runs a proxy executes.  `Ping` and `Stats` are answered here,
+/// as no run, even in a backlog read once shutdown was observed, which is
+/// otherwise refused.
 fn execute(shared: &Shared, backlog: Vec<Request>) -> Vec<Response> {
     let refuse = shared.shutting_down();
+    let role = shared.service.role();
     let runs = cut_runs(&backlog, shared.config.batch_max);
     let mut responses = Vec::with_capacity(backlog.len());
     let mut requests = backlog.into_iter();
@@ -423,14 +428,24 @@ fn execute(shared: &Shared, backlog: Vec<Request>) -> Vec<Response> {
         let run: Vec<Request> = requests.by_ref().take(len).collect();
         match &run[..] {
             [Request::Ping] => responses.push(Response::Pong {
-                role: shared.service.role(),
+                role,
                 level: shared.config.level_name().to_string(),
             }),
+            [Request::Stats] => responses.push(Response::Stats(
+                shared
+                    .counters
+                    .report(shared.service.positions(), shared.service.writable()),
+            )),
             _ if refuse => responses.extend(
                 run.iter()
                     .map(|_| Response::Error(RemoteError::ShuttingDown)),
             ),
-            _ => responses.extend(shared.service.handle_run(run)),
+            _ => {
+                if role == NodeRole::Proxy {
+                    shared.counters.note_proxy_run(&run);
+                }
+                responses.extend(shared.service.handle_run(run));
+            }
         }
     }
     responses
@@ -453,7 +468,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
         }
         let (backlog, control) = read_backlog(&mut reader, &shared);
         let read = backlog.len();
-        metrics::note_read(read);
+        shared.counters.note_read(read);
         let mut responses = execute(&shared, backlog);
         match &control {
             Some(Control::Shutdown) => {
@@ -469,7 +484,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
         // Outbound frames are uncapped: a category disclosure can exceed
         // the request cap, and clients size their own `max_frame`.
         let written = write_frames(&mut writer, &payloads, usize::MAX).is_ok();
-        metrics::note_answered(read);
+        shared.counters.note_answered(read);
         match control {
             None if written => {}
             Some(Control::Subscribe(applied)) if written => {

@@ -7,7 +7,6 @@
 //! maps every failure — including a panic in the handler — onto a
 //! [`Response::Error`], so a connection thread can never poison the node.
 
-use crate::metrics;
 use crate::replica::ReplicaControl;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -69,6 +68,19 @@ impl RoleService {
         self.replica().is_none_or(|control| control.writable())
     }
 
+    /// A store's per-shard logical WAL positions: applied offsets on a
+    /// replica, committed offsets on a primary; empty on the other roles.
+    pub(crate) fn positions(&self) -> Vec<u64> {
+        match self {
+            RoleService::Store {
+                replica: Some(control),
+                ..
+            } => control.positions(),
+            RoleService::Store { store, .. } => store.replication_positions(),
+            _ => Vec::new(),
+        }
+    }
+
     /// Executes one run of a connection's backlog: consecutive `Disclose`
     /// requests (one [`ProxyService::disclose_batch`] call on a proxy), or a
     /// single other request.  Exactly one response per request, in request
@@ -90,12 +102,8 @@ impl RoleService {
     }
 
     fn dispatch_run(&self, run: Vec<Request>) -> Vec<Response> {
-        if let RoleService::Proxy(proxy) = self {
-            match run.first() {
-                Some(Request::Disclose { .. }) => return Self::disclose_run(proxy, run),
-                Some(Request::DiscloseCategory { .. }) => metrics::note_run(1),
-                _ => metrics::note_bypass(),
-            }
+        if let (RoleService::Proxy(proxy), Some(Request::Disclose { .. })) = (self, run.first()) {
+            return Self::disclose_run(proxy, run);
         }
         run.into_iter().map(|r| self.dispatch(r)).collect()
     }
@@ -104,7 +112,6 @@ impl RoleService {
     /// call (one record fetch, batched pairing work, group-committed audit
     /// writes) — the only place a `Disclose` is served.
     fn disclose_run(proxy: &ProxyService, run: Vec<Request>) -> Vec<Response> {
-        metrics::note_run(run.len());
         let items: Vec<(Identity, RecordId, Identity)> = run
             .into_iter()
             .map(|request| match request {
@@ -130,11 +137,6 @@ impl RoleService {
     }
 
     fn dispatch(&self, request: Request) -> Response {
-        // The run counters are answered by every role (only a proxy cuts
-        // runs), so the request is handled before the role match.
-        if matches!(request, Request::SchedStats) {
-            return Response::SchedStats(metrics::sched_snapshot());
-        }
         match self {
             RoleService::Kgc(kgc) => Self::dispatch_kgc(kgc, request),
             RoleService::Store { store, replica } => {
@@ -186,13 +188,6 @@ impl RoleService {
             }
         }
         match request {
-            Request::ReplicationStatus => Response::ReplicaStatus {
-                positions: match replica {
-                    Some(control) => control.positions(),
-                    None => store.replication_positions(),
-                },
-                writable: replica.is_none_or(|control| control.writable()),
-            },
             Request::Promote => match replica {
                 Some(control) => {
                     control.promote();

@@ -20,7 +20,7 @@ use tibpre_pairing::{DecodeCtx, PairingParams, SecurityLevel};
 use tibpre_phr::store::StoredRecord;
 use tibpre_phr::{Category, Durability, EncryptedPhrStore, HealthRecord, RecordId, RecordSource};
 use tibpre_server::{node, NodeConfig, NodeHandle};
-use tibpre_tests::fixture::World;
+use tibpre_tests::fixture::{World, TITLE};
 use tibpre_wire::{read_frame, write_frame, WireDecode, WireEncode, DEFAULT_MAX_FRAME};
 
 fn toy_params() -> Arc<PairingParams> {
@@ -29,6 +29,13 @@ fn toy_params() -> Arc<PairingParams> {
 
 fn boot(role: NodeRole) -> NodeHandle {
     node::start(NodeConfig::new(role)).expect("node boot")
+}
+
+/// A proxy node reading from `store`.
+fn boot_proxy(store: &NodeHandle) -> NodeHandle {
+    let mut config = NodeConfig::new(NodeRole::Proxy);
+    config.store_addr = Some(store.addr().to_string());
+    node::start(config).expect("proxy boot")
 }
 
 /// The node still serves a fresh, well-behaved connection.
@@ -469,4 +476,50 @@ fn the_store_pool_drops_a_connection_the_store_closed() {
         request,
         Request::LogPolicyChange { granted: true, .. }
     ));
+}
+
+#[test]
+fn a_stats_poll_counts_nothing() {
+    let store_node = boot(NodeRole::Store);
+    let proxy_node = boot_proxy(&store_node);
+    let mut conn =
+        Connection::connect(proxy_node.addr(), &toy_params(), &ClientConfig::default()).unwrap();
+    let first = conn.stats().unwrap();
+    assert_eq!(conn.stats().unwrap(), first);
+    for handle in [proxy_node, store_node] {
+        handle.shutdown();
+        handle.wait();
+    }
+}
+
+#[test]
+fn each_node_reports_only_its_own_runs() {
+    let (params, config) = (toy_params(), ClientConfig::default());
+    let w = World::new(Arc::clone(&params));
+    let store_node = boot(NodeRole::Store);
+    let (a, b) = (boot_proxy(&store_node), boot_proxy(&store_node));
+    let mut store = StoreClient::connect(store_node.addr(), &params, &config).unwrap();
+    let id = store
+        .put(&w.alice, &Category::Emergency, TITLE, w.hybrid.clone())
+        .unwrap();
+    let mut proxy = ProxyClient::connect(a.addr(), &params, &config).unwrap();
+    proxy.install_key(w.rekey.clone()).unwrap();
+    for _ in 0..3 {
+        assert_eq!(proxy.disclose(&w.alice, id, &w.doctor).unwrap().id, id);
+    }
+
+    let ran = proxy.connection().stats().unwrap();
+    assert_eq!((ran.batches, ran.batched_requests, ran.hist[0]), (3, 3, 3));
+    let idle = Connection::connect(b.addr(), &params, &config)
+        .unwrap()
+        .stats()
+        .unwrap();
+    assert_eq!(
+        (idle.batches, idle.batched_requests, idle.bypass),
+        (0, 0, 0)
+    );
+    for handle in [a, b, store_node] {
+        handle.shutdown();
+        handle.wait();
+    }
 }

@@ -367,7 +367,7 @@ fn shutdown_answers_queued_scheduler_entries_before_closing() {
     // Warm the proxy→store path once so the backlog below is pure queue.
     let warm = proxy_client.disclose(&patient, ids[0], &provider).unwrap();
     assert_eq!(warm.id, ids[0]);
-    let before = proxy_client.sched_stats().unwrap();
+    let before = proxy_client.connection().stats().unwrap();
 
     // Freeze store→proxy traffic, then pipeline 8 disclosures: the first
     // scheduler batch blocks inside its record fetch and the rest queue.
@@ -386,14 +386,15 @@ fn shutdown_answers_queued_scheduler_entries_before_closing() {
 
     // Give the reader time to submit all 8 — dispatched since `before` plus
     // still queued; a disclosure the reader has not submitted when shutdown
-    // lands is new work and is refused — confirm it (counters are
-    // process-global, so this is a best-effort observation, not the
-    // correctness assertion), then ask the node to shut down while the
-    // backlog is still undispatched.
+    // lands is new work and is refused — confirm it (the proxy's own
+    // counters, sampled while its reader races them, and the depth counts
+    // the poll itself: a best-effort observation, not the correctness
+    // assertion), then ask the node to shut down while the backlog is
+    // still undispatched.
     let observe_until = Instant::now() + Duration::from_secs(2);
     let mut saw_backlog = false;
     while Instant::now() < observe_until {
-        if let Ok(stats) = proxy_client.sched_stats() {
+        if let Ok(stats) = proxy_client.connection().stats() {
             let submitted = stats.batched_requests - before.batched_requests + stats.queue_depth;
             if submitted >= ids.len() as u64 {
                 saw_backlog = true;

@@ -1,7 +1,7 @@
 //! Golden protocol frames and the hostile-frame sweep built on them.
 //!
 //! One value of every `Request`, `Response` and `RemoteError` kind, plus a
-//! non-zero `SchedStatsReport`, is built from the seeded scheme world of
+//! non-zero `StatsReport`, is built from the seeded scheme world of
 //! `tibpre_tests::fixture` at the toy level.  Three properties hold:
 //!
 //! - **Byte identity.**  SHA-256 of each value's frame under both envelopes
@@ -31,7 +31,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 use tibpre_client::{
     params_for_level, ClientConfig, Connection, NodeRole, RemoteError, Request, Response,
-    SchedStatsReport,
+    StatsReport,
 };
 use tibpre_hash::Sha256;
 use tibpre_pairing::{DecodeCtx, SecurityLevel};
@@ -176,20 +176,21 @@ fn requests(w: &World) -> Vec<Request> {
         Request::SubscribeReplication {
             applied: vec![0, 4096, u64::MAX],
         },
-        Request::ReplicationStatus,
         Request::Promote,
-        Request::SchedStats,
+        Request::Stats,
     ]
 }
 
-fn report() -> SchedStatsReport {
-    SchedStatsReport {
+fn report() -> StatsReport {
+    StatsReport {
         batches: 5,
         batched_requests: 40,
         bypass: 12,
         queue_depth: 3,
         queue_peak: 17,
         hist: [1, 2, 3, 4, 5, 6, 7, 8],
+        positions: vec![10, 0, 7],
+        writable: true,
     }
 }
 
@@ -227,7 +228,7 @@ fn responses(w: &World) -> Vec<Response> {
             start: 128,
             bytes: vec![0xCD; 16],
         },
-        Response::SchedStats(report()),
+        Response::Stats(report()),
     ]
 }
 
@@ -271,9 +272,8 @@ fn kind_name(message: &Message) -> &'static str {
             Request::Disclose { .. } => "Disclose",
             Request::DiscloseCategory { .. } => "DiscloseCategory",
             Request::SubscribeReplication { .. } => "SubscribeReplication",
-            Request::ReplicationStatus => "ReplicationStatus",
             Request::Promote => "Promote",
-            Request::SchedStats => "SchedStats",
+            Request::Stats => "Stats",
         },
         Message::Response(r) => match r {
             Response::Pong { .. } => "Pong",
@@ -293,7 +293,7 @@ fn kind_name(message: &Message) -> &'static str {
             Response::ReplicaStatus { .. } => "ReplicaStatus",
             Response::SnapshotGeneration { .. } => "SnapshotGeneration",
             Response::SegmentChunk { .. } => "SegmentChunk",
-            Response::SchedStats(_) => "SchedStats",
+            Response::Stats(_) => "Stats",
         },
         Message::Error(e) => match e {
             RemoteError::NotFound => "NotFound",
@@ -304,7 +304,7 @@ fn kind_name(message: &Message) -> &'static str {
             RemoteError::ShuttingDown => "ShuttingDown",
             RemoteError::Internal(_) => "Internal",
         },
-        Message::Report(_) => "SchedStatsReport",
+        Message::Report(_) => "StatsReport",
     }
 }
 
@@ -313,7 +313,7 @@ enum Message {
     Request(Request),
     Response(Response),
     Error(RemoteError),
-    Report(SchedStatsReport),
+    Report(StatsReport),
 }
 
 impl Message {
@@ -332,7 +332,7 @@ impl Message {
             Message::Request(_) => verdict::<Request>(frame, ctx, out),
             Message::Response(_) => verdict::<Response>(frame, ctx, out),
             Message::Error(_) => verdict::<RemoteError>(frame, &(), out),
-            Message::Report(_) => verdict::<SchedStatsReport>(frame, &(), out),
+            Message::Report(_) => verdict::<StatsReport>(frame, &(), out),
         }
     }
 }
@@ -353,7 +353,8 @@ fn hex(bytes: &[u8]) -> String {
 // Byte identity.
 
 /// `(kind, SHA-256 of the v0 frame, SHA-256 of the v1 frame)` per golden
-/// value, captured at `7bcdd2a`.
+/// value, captured at `7bcdd2a`; the three `Stats` rows were pinned when
+/// that verb replaced `ReplicationStatus` and `SchedStats`.
 const PINNED_FRAMES: &[(&str, &str, &str)] = &[
     (
         "Ping",
@@ -456,19 +457,14 @@ const PINNED_FRAMES: &[(&str, &str, &str)] = &[
         "939a076e01160aa4dd8747339a7f4c7480cbc8389682d922c087171e635472b1",
     ),
     (
-        "ReplicationStatus",
-        "7dac7055266f2598f75cd55f554473a6dc24860e91c33d9356796655b203c4b5",
-        "1bc6f0fcde8e4d8743650eeb60e43cb5282679860c22a381a4790c5d7680c007",
-    ),
-    (
         "Promote",
         "b62c306a16f1069fd1859c1997e6d54eca0ac4a218c5c9dc67697ca594c65208",
         "0da855bdb849afaeab53a6da70c5d2fcb36ba56ea6884b0389749818f151d077",
     ),
     (
-        "SchedStats",
-        "74731963ee24d12ca3d0f62edc3776d60554a652a15c12c9d1c10064a481cc60",
-        "2a9cec634784f526067e671d2cf6d88ca12b11c9b243456a2bb9c7141b0ffe9d",
+        "Stats",
+        "3f9947a251eae52be634fd95f346b7c439ff32cc2bb9682efb12de5f93d071b9",
+        "3a7cba971cb6df3b1fa9493774daca37ee71de70ba888e673d4e76a2ca53a8de",
     ),
     (
         "Pong",
@@ -556,9 +552,9 @@ const PINNED_FRAMES: &[(&str, &str, &str)] = &[
         "f2187df272d44bf2840a5ec10da00c9d34533ee0ffe2773bd48c2890ed364586",
     ),
     (
-        "SchedStats",
-        "1b57790985a48e9e985772888ef2ad6fa4d9574c0a6e8cb3f43f73ef21596aa6",
-        "23b84d58c59c9b0ebf12b381fa888674fc1ccffba1213ca370dccfe226de64fe",
+        "Stats",
+        "7ea023b72d6aaeb3eaa64ab2b659e19c8b95af756c68d5e1acd9295ca5b9c6a1",
+        "591831ebe89c92865562004afd40428ea08dd3733b32f696910c9e713667aade",
     ),
     (
         "NotFound",
@@ -596,9 +592,9 @@ const PINNED_FRAMES: &[(&str, &str, &str)] = &[
         "7212921956adbdc3f2e4b6871d30df3f40ecfe2bcebbc75a9ae6a73d74383260",
     ),
     (
-        "SchedStatsReport",
-        "7d8a496106c85219d10d85ea08cfb0298ea36795fdd462fdb5ed771a4708b3be",
-        "eb7ce9b4b3d8e0fe43b8790aa81f9dab89e85a5ef9d80e55b13188391388b9aa",
+        "StatsReport",
+        "34a1c078c8aec4f8c05ea09eb58d5cd9eee1f4ba2045e1864c360318a8007fc2",
+        "eba3950250a68f52c44c7ceb4ab510269af47911bb9f04e90718302b28e088a3",
     ),
 ];
 
@@ -686,8 +682,12 @@ fn mutations(frame: &[u8]) -> Vec<Vec<u8>> {
 }
 
 /// SHA-256 of the verdict stream over every mutation of every golden v1
-/// frame, captured at `7bcdd2a`.
-const PINNED_VERDICTS: &str = "0965279cf00fe5c34fa884d384009be1e4b7ec28733dbce14d76ae6d0a681347";
+/// frame, captured at `7bcdd2a` and re-pinned when `Stats` replaced
+/// `ReplicationStatus` and `SchedStats`.  Besides the verdicts of the
+/// swapped frames, three verdicts moved, each a tag byte plus one that now
+/// lands on a retired tag: `SubscribeReplication` (40 → 41), `Promote`
+/// (42 → 43) and `SegmentChunk` (17 → 18) now draw `InvalidTag`.
+const PINNED_VERDICTS: &str = "a9b5dd4c7fd6ac4fdc5c49b7eac444fece7c2d1ace5c7bf2754ab63833cf9997";
 
 #[test]
 fn hostile_mutations_of_every_golden_frame_draw_the_pinned_verdicts() {

@@ -107,13 +107,8 @@ fn log_policy(store: &mut StoreClient, patient_index: usize, granted: bool) {
 }
 
 fn replication_status(conn: &mut Connection) -> (Vec<u64>, bool) {
-    match conn.call(&Request::ReplicationStatus).expect("status") {
-        Response::ReplicaStatus {
-            positions,
-            writable,
-        } => (positions, writable),
-        other => panic!("expected ReplicaStatus, got {other:?}"),
-    }
+    let report = conn.stats().expect("status");
+    (report.positions, report.writable)
 }
 
 /// Blocks until the replica's applied offsets equal the primary's committed
