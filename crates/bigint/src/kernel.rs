@@ -1,23 +1,19 @@
 //! Limb kernels behind [`MontCtx`](crate::MontCtx) and
-//! [`WideAcc`](crate::WideAcc): every multiply, square, wide reduction and
-//! accumulation exists twice, and each exponentiation walk (the sliding
-//! window, the Lucas ladder) runs over either.
-//!
-//! * A **fixed-width** kernel, generic over `const N: usize`, whose loops
-//!   have compile-time trip counts over `[u64; N]` arrays — the compiler
-//!   unrolls them, keeps the running product in registers and drops every
-//!   bounds check.  Exponentiation calls the same multiply and square
-//!   (`mul_core`, `sqr_core`) on arrays, never widening to a `Uint`, and
-//!   `Fixed` hands the arrays to any [`Registers`] loop.
-//! * A **runtime-width** loop over the first `n` limbs of the same buffers,
-//!   which serves every other modulus width (the scalar field's one- and
-//!   four-limb orders, custom parameters) and is the oracle the fixed
-//!   kernels are tested against, limb for limb.
+//! [`WideAcc`](crate::WideAcc), one per width: each is generic over
+//! `const N: usize`, and its loops have compile-time trip counts over
+//! `[u64; N]` arrays — the compiler unrolls them, keeps the running product
+//! in registers and drops every bounds check.  Exponentiation (the sliding
+//! window, the Lucas ladder) calls the same multiply and square (`mul_core`,
+//! `sqr_core`) on arrays, never widening to a `Uint`, and `Fixed` hands the
+//! arrays to any [`Registers`] loop.
 //!
 //! [`by_width!`] is the one place that maps a modulus width to a kernel:
-//! the widths listed there are those of the four security levels' field
-//! primes (192, 512, 1024 and 1536 bits).  The width is a property of the
-//! modulus, never a setting.
+//! the widths listed there are the limb counts of the four security levels'
+//! field primes `p` (3, 8, 16 and 24 limbs) and group orders `q` (1, 3 and
+//! 4).  The width is a property of the parameters, never a setting:
+//! [`MontCtx::new`](crate::MontCtx::new) refuses every other one.  The
+//! runtime-width loops the kernels are checked against limb for limb are
+//! test code (`mont/kernel_oracle.rs`).
 //!
 //! All kernels expect operands `< m` (so limbs at and above the width are
 //! zero) and return canonical residues: `< m`, upper limbs zero.
@@ -30,13 +26,25 @@ use crate::limb::{adc, mac};
 use crate::mont::Registers;
 use crate::uint::{Uint, WIDE_LIMBS};
 
-/// Runs `$fixed` with the const `$N` bound to the width when `$n` is one of
-/// the field-prime widths, and `$runtime` for any other width.
+/// Runs `$fixed` with the const `$N` bound to `$n` when `$n` is a width
+/// with a kernel, and `$missing` (by default a panic) at any other width —
+/// which no [`MontCtx`](crate::MontCtx) has.
 macro_rules! by_width {
-    ($n:expr, $N:ident => $fixed:expr, _ => $runtime:expr $(,)?) => {
+    ($n:expr, $N:ident => $fixed:expr $(,)?) => {
+        $crate::kernel::by_width!($n, $N => $fixed, else panic!("no limb kernel at {} limbs: not a MontCtx width", $n))
+    };
+    ($n:expr, $N:ident => $fixed:expr, else $missing:expr) => {
         match $n {
+            1 => {
+                const $N: usize = 1;
+                $fixed
+            }
             3 => {
                 const $N: usize = 3;
+                $fixed
+            }
+            4 => {
+                const $N: usize = 4;
                 $fixed
             }
             8 => {
@@ -51,7 +59,7 @@ macro_rules! by_width {
                 const $N: usize = 24;
                 $fixed
             }
-            _ => $runtime,
+            _ => $missing,
         }
     };
 }
@@ -95,7 +103,7 @@ pub(crate) fn sub_assign(a: &mut [u64], b: &[u64]) -> bool {
 /// caller guarantees the value is a small multiple of `m` (at most
 /// `terms + 1` for a reduced sum of `terms` products, 2 for a product).
 #[inline(always)]
-fn canonicalise(r: &mut [u64], mut top: u64, m: &[u64]) {
+pub(crate) fn canonicalise(r: &mut [u64], mut top: u64, m: &[u64]) {
     while top != 0 || !lt(r, m) {
         top -= u64::from(sub_assign(r, m));
     }
@@ -327,7 +335,7 @@ fn mac_into<const N: usize>(t: &mut [u64], a: &[u64; N], b: &[u64; N]) -> u64 {
 
 /// Propagates `carry` into `acc[k..]` (the headroom limbs).
 #[inline(always)]
-fn ripple(acc: &mut [u64; WIDE_LIMBS], mut k: usize, mut carry: u64) {
+pub(crate) fn ripple(acc: &mut [u64; WIDE_LIMBS], mut k: usize, mut carry: u64) {
     while carry != 0 {
         (acc[k], carry) = adc(acc[k], carry, 0);
         k += 1;
@@ -501,70 +509,4 @@ pub(crate) fn lucas_ladder<T: Copy>(
         };
     }
     (v, w)
-}
-
-// ---------------------------------------------------------------------
-// Runtime-width loops: the same algorithms over `n` limbs of full-capacity
-// buffers.  Squaring at a runtime width is `mul_runtime(a, a)`.
-// ---------------------------------------------------------------------
-
-/// CIOS Montgomery multiplication over `n` limbs.
-pub(crate) fn mul_runtime(a: &Uint, b: &Uint, m: &Uint, n0: u64, n: usize) -> Uint {
-    let (al, bl, ml) = (&a.limbs[..n], &b.limbs[..n], &m.limbs[..n]);
-    // t has n + 2 significant limbs during the loop; n < MAX_LIMBS, so the
-    // top two fit in the capacity of a Uint plus one scalar.
-    let mut out = Uint::ZERO;
-    let t = &mut out.limbs;
-    let mut top = 0u64;
-    for &bi in bl {
-        let mut carry = 0;
-        for j in 0..n {
-            (t[j], carry) = mac(t[j], al[j], bi, carry);
-        }
-        let (t_n, t_n1) = adc(top, carry, 0);
-        let q = t[0].wrapping_mul(n0);
-        let (_, mut carry) = mac(t[0], q, ml[0], 0);
-        for j in 1..n {
-            (t[j - 1], carry) = mac(t[j], q, ml[j], carry);
-        }
-        let (lo, hi) = adc(t_n, carry, 0);
-        t[n - 1] = lo;
-        top = t_n1 + hi;
-    }
-    canonicalise(&mut t[..n], top, ml);
-    out
-}
-
-/// Montgomery reduction of an accumulated sum over `n` limbs.
-pub(crate) fn reduce_runtime(acc: &mut [u64; WIDE_LIMBS], m: &Uint, n0: u64, n: usize) -> Uint {
-    let ml = &m.limbs[..n];
-    let mut carry_up = 0;
-    for i in 0..n {
-        let q = acc[i].wrapping_mul(n0);
-        let mut carry = 0;
-        for j in 0..n {
-            (acc[i + j], carry) = mac(acc[i + j], q, ml[j], carry);
-        }
-        (acc[i + n], carry_up) = adc(acc[i + n], carry, carry_up);
-    }
-    debug_assert!(acc[2 * n + 1..].iter().all(|&l| l == 0));
-    let top = acc[2 * n] + carry_up;
-    let mut out = Uint::ZERO;
-    out.limbs[..n].copy_from_slice(&acc[n..2 * n]);
-    canonicalise(&mut out.limbs[..n], top, ml);
-    out
-}
-
-/// `acc += a·b` over `n` limbs of each operand.
-pub(crate) fn accumulate_runtime(acc: &mut [u64; WIDE_LIMBS], a: &Uint, b: &Uint, n: usize) {
-    let (al, bl) = (&a.limbs[..n], &b.limbs[..n]);
-    let mut carry_up = 0;
-    for i in 0..n {
-        let mut carry = 0;
-        for j in 0..n {
-            (acc[i + j], carry) = mac(acc[i + j], al[j], bl[i], carry);
-        }
-        (acc[i + n], carry_up) = adc(acc[i + n], carry, carry_up);
-    }
-    ripple(acc, 2 * n, carry_up);
 }

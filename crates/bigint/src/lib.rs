@@ -12,9 +12,11 @@
 //! * [`prime`], Miller–Rabin primality testing and random prime generation,
 //! * hex / big-endian byte encoding and random sampling helpers.
 //!
-//! The capacity ([`MAX_LIMBS`] 64-bit limbs, i.e. 1792 bits) is chosen so the
-//! largest field prime used by the pairing crate (1536 bits) plus the headroom
-//! needed for modular addition fits comfortably.  All operations are *not*
+//! The capacity ([`MAX_LIMBS`] 64-bit limbs, i.e. 1664 bits) holds the
+//! largest field prime used by the pairing crate (1536 bits) with a spare limb
+//! for modular addition, and the 208-byte x-candidate `hash_to_curve` reads
+//! at the 128-bit level.  [`MontCtx`] runs one limb kernel per modulus width
+//! the security levels use and refuses any other.  All operations are *not*
 //! constant time; the workspace documents that side-channel resistance is out
 //! of scope for the reproduction.
 //!

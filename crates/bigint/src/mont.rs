@@ -8,28 +8,27 @@
 //! subtraction, negation, the final `>= m` test and conditional
 //! subtraction, the binary GCD — reads and writes exactly `nlimbs` limbs of
 //! its operands (plus the one or two carry limbs the algorithm needs).
-//! Multiply, square, exponentiate and reduce additionally run as
-//! fixed-width kernels when `nlimbs` is one of the field-prime widths (3,
-//! 8, 16 and 24 limbs — the crate-private `kernel` module); every other
-//! width takes the runtime-width loops of the same module, which are also
-//! the oracle the fixed kernels are tested against.
+//! Multiply, square, exponentiate and reduce run as fixed-width kernels
+//! (the crate-private `kernel` module), one per width a modulus can have:
+//! 1, 3, 4, 8, 16 or 24 limbs, the security levels' group orders and field
+//! primes.  [`MontCtx::new`] refuses every other width.
 //!
 //! **What is not.**  Operands and results are [`Uint`]s, and a `Uint` is
-//! always [`MAX_LIMBS`] limbs of storage: each result is
-//! a 224-byte value whose upper limbs are zero-filled, and each move or
-//! copy of it moves all 28 — except inside the loops that dispatch once
+//! always [`MAX_LIMBS`](crate::MAX_LIMBS) limbs of storage: each result is
+//! a 208-byte value whose upper limbs are zero-filled, and each move or
+//! copy of it moves all 26 — except inside the loops that dispatch once
 //! and then run on `nlimbs`-wide registers: [`MontCtx::mont_pow`]'s window
 //! walk (every square root), [`MontCtx::lucas_v`]'s ladder (the pairing's
 //! final exponentiation) and any [`OnRegisters`] computation (the Miller
 //! loop), which works on the [`Registers`] of [`MontCtx::on_registers`].  Setup
-//! ([`MontCtx::new`]), [`MontCtx::reduce`] (one 28-limb comparison, also
+//! ([`MontCtx::new`]), [`MontCtx::reduce`] (one 26-limb comparison, also
 //! the input check of an inversion) and `Uint::is_zero` tests use
 //! full-capacity `Uint` operations; none of them runs per multiplication.
 
 use crate::error::BigIntError;
 use crate::kernel::{self, add_assign, by_width, lt, sub_assign};
 use crate::limb::inv_mod_u64;
-use crate::uint::{Uint, WideAcc, MAX_LIMBS};
+use crate::uint::{Uint, WideAcc};
 use crate::Result;
 
 /// Montgomery reduction context for an odd modulus `m`.
@@ -56,8 +55,11 @@ pub struct MontCtx {
 impl MontCtx {
     /// Creates a context for the odd modulus `m`.
     ///
-    /// The modulus must be odd, greater than one, and leave at least one spare
-    /// limb of capacity (so modular addition cannot wrap).
+    /// The modulus must be odd, greater than one, and as wide as a limb
+    /// kernel: 1, 3, 4, 8, 16 or 24 limbs, the widths of the security
+    /// levels' group orders and field primes.  Every such width leaves at
+    /// least one spare limb of [`Uint`] capacity, so modular addition
+    /// cannot wrap.
     pub fn new(m: &Uint) -> Result<Self> {
         if m.is_zero() || m.is_one() {
             return Err(BigIntError::InvalidModulus("modulus must be > 1"));
@@ -66,11 +68,9 @@ impl MontCtx {
             return Err(BigIntError::InvalidModulus("modulus must be odd"));
         }
         let nlimbs = m.limb_len();
-        if nlimbs > MAX_LIMBS - 1 {
-            return Err(BigIntError::InvalidModulus(
-                "modulus too large for Montgomery context",
-            ));
-        }
+        by_width!(nlimbs, _N => (), else return Err(BigIntError::InvalidModulus(
+            "no limb kernel at the modulus' width",
+        )));
         let n0 = inv_mod_u64(m.limbs()[0]).wrapping_neg();
 
         // x·R mod m via 64·nlimbs modular doublings of x.
@@ -133,19 +133,13 @@ impl MontCtx {
     /// Both inputs must be `< m`.
     pub fn mont_mul(&self, a: &Uint, b: &Uint) -> Uint {
         let (m, n0) = (&self.modulus, self.n0);
-        by_width!(self.nlimbs,
-            N => kernel::mul_fixed::<N>(a, b, m, n0),
-            _ => kernel::mul_runtime(a, b, m, n0, self.nlimbs),
-        )
+        by_width!(self.nlimbs, N => kernel::mul_fixed::<N>(a, b, m, n0))
     }
 
     /// Montgomery squaring: `a²·R^{-1} mod m` for `a < m`.
     pub fn mont_sqr(&self, a: &Uint) -> Uint {
         let (m, n0) = (&self.modulus, self.n0);
-        by_width!(self.nlimbs,
-            N => kernel::sqr_fixed::<N, { 2 * N }>(a, m, n0),
-            _ => kernel::mul_runtime(a, a, m, n0, self.nlimbs),
-        )
+        by_width!(self.nlimbs, N => kernel::sqr_fixed::<N, { 2 * N }>(a, m, n0))
     }
 
     /// Lazy-reduction sum of products: returns `(Σ aᵢ·bᵢ)·R^{-1} mod m`.
@@ -186,10 +180,7 @@ impl MontCtx {
         // terms·m² < terms·R²: the headroom above the product width counts
         // at most `terms`.
         debug_assert!(t[2 * self.nlimbs] <= terms as u64);
-        by_width!(self.nlimbs,
-            N => kernel::reduce_fixed::<N>(t, m, n0),
-            _ => kernel::reduce_runtime(t, m, n0, self.nlimbs),
-        )
+        by_width!(self.nlimbs, N => kernel::reduce_fixed::<N>(t, m, n0))
     }
 
     /// Modular addition of plain or Montgomery residues (both `< m`).
@@ -218,42 +209,31 @@ impl MontCtx {
     /// Montgomery exponentiation: `base^exp · R mod m` for a Montgomery-form
     /// base (`< m`).
     ///
-    /// Sliding windows of up to five bits over 16 odd powers of the base; at
-    /// a field-prime width, one dispatch and `nlimbs`-wide registers.
+    /// Sliding windows of up to five bits over 16 odd powers of the base:
+    /// one dispatch and `nlimbs`-wide registers.
     pub fn mont_pow(&self, base_mont: &Uint, exp: &Uint) -> Uint {
         let (m, n0) = (&self.modulus, self.n0);
-        let sqr = |a: &Uint| self.mont_sqr(a);
-        by_width!(self.nlimbs,
-            N => kernel::pow_fixed::<N, { 2 * N }>(base_mont, exp, m, n0),
-            _ => kernel::sliding_window(*base_mont, exp, sqr, |a, b| self.mont_mul(a, b)),
-        )
-        .unwrap_or(self.r1)
+        by_width!(self.nlimbs, N => kernel::pow_fixed::<N, { 2 * N }>(base_mont, exp, m, n0))
+            .unwrap_or(self.r1)
     }
 
     /// `(V_e, V_{e+1})` of the Lucas sequence `V₀ = 2`, `V₁ = v1_mont`,
     /// `V_{k+1} = V₁·V_k − V_{k−1}`, all in Montgomery form; for
     /// `V₁ = x + x⁻¹`, `V_e = x^e + x^{−e}`.  A ladder: one multiplication
-    /// and one squaring per bit of `e`, on `nlimbs`-wide registers at a
-    /// field-prime width.  It branches on the bits of `e`, so `e` must be
-    /// public, as the pairing's cofactor is.
+    /// and one squaring per bit of `e`, on `nlimbs`-wide registers.  It
+    /// branches on the bits of `e`, so `e` must be public, as the pairing's
+    /// cofactor is.
     pub fn lucas_v(&self, v1_mont: &Uint, e: &Uint) -> (Uint, Uint) {
         let (m, n0, two) = (&self.modulus, self.n0, self.double(&self.r1));
-        let sub = |a: &Uint, b: &Uint| self.sub(a, b);
-        by_width!(self.nlimbs,
-            N => kernel::lucas_fixed::<N, { 2 * N }>(v1_mont, &two, e, m, n0),
-            _ => kernel::lucas_ladder(*v1_mont, two, e, |a| self.mont_sqr(a), |a, b| self.mont_mul(a, b), sub),
-        )
+        by_width!(self.nlimbs, N => kernel::lucas_fixed::<N, { 2 * N }>(v1_mont, &two, e, m, n0))
     }
 
-    /// Runs `f` on this modulus' registers, dispatched once: `[u64; N]`
-    /// arrays at a field-prime width, the context's own [`Uint`] operations
-    /// at any other.  A loop generic over [`Registers`] pays one dispatch
+    /// Runs `f` on this modulus' registers, `[u64; N]` arrays at its width,
+    /// dispatched once.  A loop generic over [`Registers`] pays one dispatch
     /// for the whole loop instead of one per operation.
     pub fn on_registers<F: OnRegisters>(&self, f: F) -> F::Output {
         by_width!(self.nlimbs,
-            N => f.run(&kernel::Fixed::<N, { 2 * N }>::new(&self.modulus, self.n0)),
-            _ => f.run(self),
-        )
+            N => f.run(&kernel::Fixed::<N, { 2 * N }>::new(&self.modulus, self.n0)))
     }
 
     /// Inversion of a *plain* residue using the binary extended-GCD algorithm
@@ -261,7 +241,7 @@ impl MontCtx {
     /// long as `gcd(a, m) = 1`.
     ///
     /// Every intermediate value is bounded by `2m`, so the whole computation
-    /// runs on `nlimbs + 1` limbs instead of the full [`MAX_LIMBS`] capacity
+    /// runs on `nlimbs + 1` limbs instead of the full [`MAX_LIMBS`](crate::MAX_LIMBS) capacity
     /// of [`Uint`] — for a 3-limb field prime that is roughly an order of
     /// magnitude less limb traffic per GCD iteration, and inversion sits on
     /// the pairing's final-exponentiation path.
@@ -345,8 +325,9 @@ impl MontCtx {
 /// Montgomery arithmetic on the registers of one modulus: every value is a
 /// Montgomery-form residue `< m`, loaded from and stored as `nlimbs` limbs.
 ///
-/// [`MontCtx::on_registers`] picks the implementation: `[u64; N]` arrays at
-/// a field-prime width, [`Uint`]s through the [`MontCtx`] at any other.
+/// [`MontCtx::on_registers`] hands a computation the `[u64; N]` arrays of
+/// the modulus' width; the trait keeps the computation independent of
+/// `N`, so it is written once for every width.
 pub trait Registers {
     /// One residue.
     type Reg: Copy;
@@ -371,36 +352,6 @@ pub trait OnRegisters {
     type Output;
     /// Runs the computation on `regs`.
     fn run<R: Registers>(self, regs: &R) -> Self::Output;
-}
-
-/// The runtime-width registers: full-capacity [`Uint`]s and the context's
-/// own operations, for every width without a fixed kernel.
-impl Registers for MontCtx {
-    type Reg = Uint;
-
-    fn load(&self, limbs: &[u64]) -> Uint {
-        Uint::from_limbs_le(limbs).expect("a value of the modulus' width")
-    }
-
-    fn store(&self, a: &Uint) -> Uint {
-        *a
-    }
-
-    fn mul(&self, a: &Uint, b: &Uint) -> Uint {
-        self.mont_mul(a, b)
-    }
-
-    fn mul_sum(&self, a: &Uint, b: &Uint, c: &Uint, d: &Uint) -> Uint {
-        self.mont_mul_sum(&[(a, b), (c, d)])
-    }
-
-    fn add(&self, a: &Uint, b: &Uint) -> Uint {
-        MontCtx::add(self, a, b)
-    }
-
-    fn sub(&self, a: &Uint, b: &Uint) -> Uint {
-        MontCtx::sub(self, a, b)
-    }
 }
 
 #[cfg(test)]
@@ -438,6 +389,18 @@ mod tests {
             *l = u64::MAX;
         }
         assert!(MontCtx::new(&too_big).is_err());
+        // 2^127 − 1 is an odd prime, but 2 limbs wide: no kernel runs there,
+        // nor at any other width than the security levels' p and q.
+        let m127 = Uint::from_u128((1u128 << 127) - 1);
+        assert!(matches!(
+            MontCtx::new(&m127),
+            Err(BigIntError::InvalidModulus(_))
+        ));
+        for n in [2, 5, 9, 23, 25] {
+            let mut m = Uint::ONE.shl(64 * n - 1);
+            m.set_bit(0);
+            assert!(MontCtx::new(&m).is_err(), "{n} limbs");
+        }
     }
 
     #[test]
@@ -470,13 +433,23 @@ mod tests {
         }
     }
 
+    /// P-192's prime `2^192 − 2^64 − 1`: three limbs, `≡ 3 (mod 4)`.
+    fn p192() -> Uint {
+        Uint::ONE
+            .shl(192)
+            .wrapping_sub(&Uint::ONE.shl(64))
+            .wrapping_sub(&Uint::ONE)
+    }
+
     #[test]
     fn multi_limb_mont_mul() {
-        // 2^127 - 1 is a Mersenne prime; two limbs exercise the CIOS carries.
-        let p = Uint::from_u128((1u128 << 127) - 1);
+        // Three limbs exercise the CIOS carries.
+        let p = p192();
         let c = MontCtx::new(&p).unwrap();
-        let a = Uint::from_u128(0x0123_4567_89AB_CDEF_0011_2233_4455_6677u128);
-        let b = Uint::from_u128(0x7FFF_FFFF_FFFF_FFFF_FFFF_FFFF_FFFF_FFFEu128);
+        let a = Uint::from_u128(0x0123_4567_89AB_CDEF_0011_2233_4455_6677u128).shl(60);
+        let b = p.wrapping_sub(&Uint::from_u128(
+            0x8000_0000_0000_0000_0000_0000_0000_0001u128,
+        ));
         let am = c.to_mont(&a);
         let bm = c.to_mont(&b);
         let got = c.from_mont(&c.mont_mul(&am, &bm));
@@ -544,7 +517,7 @@ mod tests {
             );
         }
         // Multi-limb modulus, same contract.
-        let p2 = Uint::from_u128((1u128 << 127) - 1);
+        let p2 = p192();
         let c2 = MontCtx::new(&p2).unwrap();
         let (double, carry) = p2.mul_u64(2);
         assert_eq!(carry, 0);
@@ -559,10 +532,10 @@ mod tests {
         // Σ aᵢ·bᵢ through the lazy path must be bit-identical to the
         // strict mont_mul + add chain, including adversarial near-m and
         // all-ones-limb operands.
-        let p = Uint::from_u128((1u128 << 127) - 1);
+        let p = p192();
         let c = MontCtx::new(&p).unwrap();
         let near_p = p.wrapping_sub(&Uint::ONE);
-        let ones = c.reduce(&Uint::from_u128(u128::MAX));
+        let ones = Uint::ONE.shl(191).wrapping_sub(&Uint::ONE);
         let mid = Uint::from_u128(0x0123_4567_89AB_CDEF_0011_2233_4455_6677u128);
         let operands = [Uint::ZERO, Uint::ONE, mid, ones, near_p];
         for a0 in &operands {
@@ -592,7 +565,7 @@ mod tests {
     fn mont_mul_sum_subtraction_via_negation() {
         // a·b − c·d is expressed as a·b + (−c)·d; the lazy result must
         // match the strict sub of the two strict products.
-        let p = Uint::from_u128((1u128 << 127) - 1);
+        let p = p192();
         let c = MontCtx::new(&p).unwrap();
         let a = Uint::from_u128(0x5EAD_BEEF_0000_0001_1234_5678_9ABC_DEF0u128);
         let b = Uint::from_u128(0x0FED_CBA9_8765_4321_0000_0000_0000_0007u128);

@@ -1,17 +1,123 @@
-//! The kernels against their two oracles, at every dispatched width and a
-//! spread of others: the runtime-width loops (limb for limb) and the plain
+//! The kernels against their two oracles, at every dispatched width: the
+//! runtime-width loops below (limb for limb) and the plain
 //! `Uint::mul_wide` / `Uint::rem_wide` definition of each operation.  The
 //! windowed exponentiation has a third: the binary square-and-multiply
-//! ladder it replaced.  The Lucas ladder is checked on arrays against the
-//! runtime loops, and against its recurrence.
+//! ladder it replaced.  The Lucas ladder is checked against the runtime
+//! loops and against its recurrence, and the `[u64; N]` registers of
+//! `MontCtx::on_registers` against the runtime-width registers.
+//!
+//! The runtime-width loops run the same algorithms over the first `n`
+//! limbs of full-capacity buffers, with `n` a value rather than a
+//! compile-time constant; squaring at a runtime width is
+//! `mul_runtime(a, a)`.  No production path calls them.
+
+// Carry chains index several arrays by the same position, as in `kernel`.
+#![allow(clippy::needless_range_loop)]
 
 use super::*;
+use crate::kernel::{canonicalise, ripple};
+use crate::limb::{adc, mac};
 use crate::random::{random_below, random_bits};
+use crate::uint::{MAX_LIMBS, WIDE_LIMBS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The widths `by_width!` sends to a fixed kernel, then widths it does not.
-const WIDTHS: [usize; 10] = [3, 8, 16, 24, 1, 2, 4, 5, 9, 27];
+/// The widths `by_width!` dispatches: every width a `MontCtx` can have.
+const WIDTHS: [usize; 6] = [3, 8, 16, 24, 1, 4];
+
+/// CIOS Montgomery multiplication over `n` limbs.
+fn mul_runtime(a: &Uint, b: &Uint, m: &Uint, n0: u64, n: usize) -> Uint {
+    let (al, bl, ml) = (&a.limbs[..n], &b.limbs[..n], &m.limbs[..n]);
+    // t has n + 2 significant limbs during the loop; n < MAX_LIMBS, so the
+    // top two fit in the capacity of a Uint plus one scalar.
+    let mut out = Uint::ZERO;
+    let t = &mut out.limbs;
+    let mut top = 0u64;
+    for &bi in bl {
+        let mut carry = 0;
+        for j in 0..n {
+            (t[j], carry) = mac(t[j], al[j], bi, carry);
+        }
+        let (t_n, t_n1) = adc(top, carry, 0);
+        let q = t[0].wrapping_mul(n0);
+        let (_, mut carry) = mac(t[0], q, ml[0], 0);
+        for j in 1..n {
+            (t[j - 1], carry) = mac(t[j], q, ml[j], carry);
+        }
+        let (lo, hi) = adc(t_n, carry, 0);
+        t[n - 1] = lo;
+        top = t_n1 + hi;
+    }
+    canonicalise(&mut t[..n], top, ml);
+    out
+}
+
+/// Montgomery reduction of an accumulated sum over `n` limbs.
+fn reduce_runtime(acc: &mut [u64; WIDE_LIMBS], m: &Uint, n0: u64, n: usize) -> Uint {
+    let ml = &m.limbs[..n];
+    let mut carry_up = 0;
+    for i in 0..n {
+        let q = acc[i].wrapping_mul(n0);
+        let mut carry = 0;
+        for j in 0..n {
+            (acc[i + j], carry) = mac(acc[i + j], q, ml[j], carry);
+        }
+        (acc[i + n], carry_up) = adc(acc[i + n], carry, carry_up);
+    }
+    debug_assert!(acc[2 * n + 1..].iter().all(|&l| l == 0));
+    let top = acc[2 * n] + carry_up;
+    let mut out = Uint::ZERO;
+    out.limbs[..n].copy_from_slice(&acc[n..2 * n]);
+    canonicalise(&mut out.limbs[..n], top, ml);
+    out
+}
+
+/// `acc += a·b` over `n` limbs of each operand.
+fn accumulate_runtime(acc: &mut [u64; WIDE_LIMBS], a: &Uint, b: &Uint, n: usize) {
+    let (al, bl) = (&a.limbs[..n], &b.limbs[..n]);
+    let mut carry_up = 0;
+    for i in 0..n {
+        let mut carry = 0;
+        for j in 0..n {
+            (acc[i + j], carry) = mac(acc[i + j], al[j], bl[i], carry);
+        }
+        (acc[i + n], carry_up) = adc(acc[i + n], carry, carry_up);
+    }
+    ripple(acc, 2 * n, carry_up);
+}
+
+/// The runtime-width registers: full-capacity [`Uint`]s through the
+/// runtime loops, at the context's width.
+impl Registers for MontCtx {
+    type Reg = Uint;
+
+    fn load(&self, limbs: &[u64]) -> Uint {
+        Uint::from_limbs_le(limbs).expect("a value of the modulus' width")
+    }
+
+    fn store(&self, a: &Uint) -> Uint {
+        *a
+    }
+
+    fn mul(&self, a: &Uint, b: &Uint) -> Uint {
+        mul_runtime(a, b, &self.modulus, self.n0, self.nlimbs)
+    }
+
+    fn mul_sum(&self, a: &Uint, b: &Uint, c: &Uint, d: &Uint) -> Uint {
+        let mut acc = WideAcc::zero();
+        accumulate_runtime(acc.limbs_mut(), a, b, self.nlimbs);
+        accumulate_runtime(acc.limbs_mut(), c, d, self.nlimbs);
+        reduce_runtime(acc.limbs_mut(), &self.modulus, self.n0, self.nlimbs)
+    }
+
+    fn add(&self, a: &Uint, b: &Uint) -> Uint {
+        MontCtx::add(self, a, b)
+    }
+
+    fn sub(&self, a: &Uint, b: &Uint) -> Uint {
+        MontCtx::sub(self, a, b)
+    }
+}
 
 /// Moduli of exactly `n` limbs: a random odd one, `2^(64n) − c` (top limb
 /// all ones, so sums carry out of limb `n − 1`) and `2^(64(n−1)) + c`
@@ -86,11 +192,11 @@ fn multiply_and_square_match_the_runtime_loop_and_the_definition() {
         for a in values {
             for b in values {
                 let got = ctx.mont_mul(a, b);
-                assert_eq!(got, kernel::mul_runtime(a, b, m, ctx.n0, n));
+                assert_eq!(got, mul_runtime(a, b, m, ctx.n0, n));
                 assert_is_mont_form_of(ctx, &got, &mul_mod(a, b, m), "mont_mul");
             }
             let got = ctx.mont_sqr(a);
-            assert_eq!(got, kernel::mul_runtime(a, a, m, ctx.n0, n));
+            assert_eq!(got, mul_runtime(a, a, m, ctx.n0, n));
             assert_is_mont_form_of(ctx, &got, &mul_mod(a, a, m), "mont_sqr");
         }
     });
@@ -120,7 +226,7 @@ fn accumulate_and_wide_reduce_match_the_runtime_loop_and_the_definition() {
                 let mut sum = Uint::ZERO;
                 for (a, b) in &list[..terms] {
                     dispatched.accumulate(a, b, n);
-                    kernel::accumulate_runtime(runtime.limbs_mut(), a, b, n);
+                    accumulate_runtime(runtime.limbs_mut(), a, b, n);
                     let (p_lo, p_hi) = a.mul_wide(b);
                     let (s_lo, carry) = lo.overflowing_add(&p_lo);
                     lo = s_lo;
@@ -136,10 +242,7 @@ fn accumulate_and_wide_reduce_match_the_runtime_loop_and_the_definition() {
                 assert_eq!(wide[2 * MAX_LIMBS..], [0, 0]);
 
                 let got = ctx.mont_reduce_wide(dispatched, terms);
-                assert_eq!(
-                    got,
-                    kernel::reduce_runtime(runtime.limbs_mut(), m, ctx.n0, n)
-                );
+                assert_eq!(got, reduce_runtime(runtime.limbs_mut(), m, ctx.n0, n));
                 assert_is_mont_form_of(ctx, &got, &sum, "mont_reduce_wide");
             }
         }
@@ -195,7 +298,7 @@ fn exponents(m: &Uint) -> Vec<Uint> {
 #[test]
 fn windowed_pow_matches_the_binary_ladder_and_the_runtime_walk() {
     let mut rng = StdRng::seed_from_u64(0x7769_6e64);
-    for n in [3, 8, 16, 24, 1, 2, 4, 5, 9] {
+    for n in WIDTHS {
         // A random modulus and one whose top limb is all ones.
         for m in moduli(n, &mut rng).into_iter().take(2) {
             let ctx = MontCtx::new(&m).expect("odd and below capacity");
@@ -208,8 +311,8 @@ fn windowed_pow_matches_the_binary_ladder_and_the_runtime_walk() {
                     let runtime = kernel::sliding_window(
                         *x,
                         &e,
-                        |a| kernel::mul_runtime(a, a, &m, ctx.n0, n),
-                        |a, b| kernel::mul_runtime(a, b, &m, ctx.n0, n),
+                        |a| mul_runtime(a, a, &m, ctx.n0, n),
+                        |a, b| mul_runtime(a, b, &m, ctx.n0, n),
                     );
                     assert_eq!(got, runtime.unwrap_or(ctx.r1), "{what}");
                 }
@@ -266,23 +369,6 @@ fn lucas_by_recurrence(ctx: &MontCtx, v1: &Uint, e: u64) -> (Uint, Uint) {
     (row(&power[1]), row(&power[0]))
 }
 
-/// The ladder instantiated on `[u64; N]` arrays at `ctx`'s width, whether
-/// or not `by_width!` dispatches it.
-fn lucas_on_arrays(ctx: &MontCtx, v1: &Uint, e: &Uint) -> (Uint, Uint) {
-    let (two, m, n0) = (ctx.double(&ctx.r1), ctx.modulus(), ctx.n0);
-    match ctx.nlimbs() {
-        1 => kernel::lucas_fixed::<1, 2>(v1, &two, e, m, n0),
-        2 => kernel::lucas_fixed::<2, 4>(v1, &two, e, m, n0),
-        3 => kernel::lucas_fixed::<3, 6>(v1, &two, e, m, n0),
-        5 => kernel::lucas_fixed::<5, 10>(v1, &two, e, m, n0),
-        8 => kernel::lucas_fixed::<8, 16>(v1, &two, e, m, n0),
-        9 => kernel::lucas_fixed::<9, 18>(v1, &two, e, m, n0),
-        16 => kernel::lucas_fixed::<16, 32>(v1, &two, e, m, n0),
-        24 => kernel::lucas_fixed::<24, 48>(v1, &two, e, m, n0),
-        n => unreachable!("no array instantiation at {n} limbs"),
-    }
-}
-
 /// The ladder on the runtime-width loops.
 fn lucas_on_runtime_loops(ctx: &MontCtx, v1: &Uint, e: &Uint) -> (Uint, Uint) {
     let (m, n0, n) = (ctx.modulus(), ctx.n0, ctx.nlimbs());
@@ -290,8 +376,8 @@ fn lucas_on_runtime_loops(ctx: &MontCtx, v1: &Uint, e: &Uint) -> (Uint, Uint) {
         *v1,
         ctx.double(&ctx.r1),
         e,
-        |a| kernel::mul_runtime(a, a, m, n0, n),
-        |a, b| kernel::mul_runtime(a, b, m, n0, n),
+        |a| mul_runtime(a, a, m, n0, n),
+        |a, b| mul_runtime(a, b, m, n0, n),
         |a, b| kernel::mod_sub(a, b, m, n),
     )
 }
@@ -299,8 +385,7 @@ fn lucas_on_runtime_loops(ctx: &MontCtx, v1: &Uint, e: &Uint) -> (Uint, Uint) {
 #[test]
 fn lucas_ladder_matches_the_runtime_walk_and_the_recurrence() {
     let mut rng = StdRng::seed_from_u64(0x6c75_6361);
-    for n in [3, 8, 16, 24, 1, 2, 5, 9] {
-        let dispatched = [3, 8, 16, 24].contains(&n);
+    for n in WIDTHS {
         for m in moduli(n, &mut rng).into_iter().take(3) {
             let ctx = MontCtx::new(&m).expect("odd and below capacity");
             let mut es: Vec<u64> = vec![0, 1, 2, 3];
@@ -311,13 +396,47 @@ fn lucas_ladder_matches_the_runtime_walk_and_the_recurrence() {
                     let exponent = Uint::from_u64(e);
                     let got = ctx.lucas_v(&v1, &exponent);
                     assert_eq!(got, lucas_on_runtime_loops(&ctx, &v1, &exponent), "{what}");
-                    assert_eq!(got, lucas_on_arrays(&ctx, &v1, &exponent), "{what}");
-                    if dispatched {
-                        continue;
-                    }
                     assert_eq!(got, lucas_by_recurrence(&ctx, &v1, e), "{what}");
                 }
             }
         }
     }
+}
+
+/// Every [`Registers`] step on each pair of `values`, stored back.
+struct EveryStep<'v> {
+    values: &'v [Uint],
+    n: usize,
+}
+
+impl OnRegisters for EveryStep<'_> {
+    type Output = Vec<Uint>;
+
+    fn run<R: Registers>(self, regs: &R) -> Vec<Uint> {
+        let load = |x: &Uint| regs.load(&x.limbs()[..self.n]);
+        let mut out = Vec::new();
+        for a in self.values {
+            for b in self.values {
+                let (a, b) = (load(a), load(b));
+                for r in [
+                    regs.mul(&a, &b),
+                    regs.mul_sum(&a, &b, &b, &a),
+                    regs.add(&a, &b),
+                    regs.sub(&a, &b),
+                ] {
+                    out.push(regs.store(&r));
+                }
+            }
+        }
+        out
+    }
+}
+
+#[test]
+fn the_dispatched_registers_match_the_runtime_registers() {
+    for_each_context(|ctx, values| {
+        let n = ctx.nlimbs();
+        let steps = || EveryStep { values, n };
+        assert_eq!(ctx.on_registers(steps()), steps().run(ctx), "n = {n}");
+    });
 }

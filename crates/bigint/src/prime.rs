@@ -66,20 +66,21 @@ fn trial_division(n: &Uint) -> Option<bool> {
 
 /// Probabilistic primality test: trial division followed by Miller–Rabin with
 /// [`MILLER_RABIN_ROUNDS`] uniformly random bases.
-pub fn is_prime<R: RngCore + CryptoRng>(n: &Uint, rng: &mut R) -> bool {
+///
+/// Miller–Rabin runs in a [`MontCtx`] of `n`, so a candidate that trial
+/// division does not settle must have a width `MontCtx::new` accepts;
+/// any other is a [`BigIntError::InvalidModulus`] error, never an answer.
+pub fn is_prime<R: RngCore + CryptoRng>(n: &Uint, rng: &mut R) -> Result<bool> {
     if n.is_zero() || n.is_one() {
-        return false;
+        return Ok(false);
     }
     if n.is_even() {
-        return n == &Uint::from_u64(2);
+        return Ok(n == &Uint::from_u64(2));
     }
     if let Some(answer) = trial_division(n) {
-        return answer;
+        return Ok(answer);
     }
-    let ctx = match MontCtx::new(n) {
-        Ok(c) => c,
-        Err(_) => return false,
-    };
+    let ctx = MontCtx::new(n)?;
     // Write n - 1 = d * 2^s with d odd.
     let n_minus_1 = n.wrapping_sub(&Uint::ONE);
     let mut d = n_minus_1;
@@ -111,12 +112,15 @@ pub fn is_prime<R: RngCore + CryptoRng>(n: &Uint, rng: &mut R) -> bool {
                 continue 'witness;
             }
         }
-        return false;
+        return Ok(false);
     }
-    true
+    Ok(true)
 }
 
 /// Generates a random prime with exactly `bits` bits (top bit set, odd).
+///
+/// Fails with [`is_prime`]'s error when `bits` gives a width no
+/// [`MontCtx`] runs at.
 pub fn generate_prime<R: RngCore + CryptoRng>(bits: usize, rng: &mut R) -> Result<Uint> {
     if bits < 2 {
         return Err(BigIntError::InvalidParameter(
@@ -127,7 +131,7 @@ pub fn generate_prime<R: RngCore + CryptoRng>(bits: usize, rng: &mut R) -> Resul
         let mut candidate = random_bits(rng, bits);
         candidate.set_bit(bits - 1);
         candidate.set_bit(0);
-        if is_prime(&candidate, rng) {
+        if is_prime(&candidate, rng)? {
             return Ok(candidate);
         }
     }
@@ -141,7 +145,8 @@ pub fn generate_prime<R: RngCore + CryptoRng>(bits: usize, rng: &mut R) -> Resul
 /// supersingular curve `y² = x³ + x` over `F_p` then has order `p + 1 = h·q`,
 /// and the order-`q` subgroup is the pairing group.
 ///
-/// Returns `(p, h)`.
+/// Returns `(p, h)`, or [`is_prime`]'s error when `p` has a width no
+/// [`MontCtx`] runs at.
 pub fn generate_cofactor_prime<R: RngCore + CryptoRng>(
     q: &Uint,
     p_bits: usize,
@@ -169,7 +174,7 @@ pub fn generate_cofactor_prime<R: RngCore + CryptoRng>(
         let p = hq.wrapping_sub(&Uint::ONE);
         // p = h·q - 1 with h ≡ 0 (mod 4) and q odd gives p ≡ 3 (mod 4).
         debug_assert_eq!(p.limbs()[0] & 3, 3);
-        if is_prime(&p, rng) {
+        if is_prime(&p, rng)? {
             return Ok((p, h));
         }
     }
@@ -192,11 +197,14 @@ mod tests {
         let primes = [2u64, 3, 5, 7, 11, 13, 97, 101, 997, 1009, 7919, 104729];
         let composites = [0u64, 1, 4, 6, 9, 15, 21, 91, 1001, 7917, 104730, 561, 41041];
         for p in primes {
-            assert!(is_prime(&Uint::from_u64(p), &mut r), "{p} should be prime");
+            assert!(
+                is_prime(&Uint::from_u64(p), &mut r).unwrap(),
+                "{p} should be prime"
+            );
         }
         for c in composites {
             assert!(
-                !is_prime(&Uint::from_u64(c), &mut r),
+                !is_prime(&Uint::from_u64(c), &mut r).unwrap(),
                 "{c} should be composite"
             );
         }
@@ -207,30 +215,63 @@ mod tests {
         // Carmichael numbers defeat Fermat tests but not Miller–Rabin.
         let mut r = rng();
         for c in [561u64, 1105, 1729, 2465, 2821, 6601, 8911, 825265] {
-            assert!(!is_prime(&Uint::from_u64(c), &mut r), "{c} is Carmichael");
+            assert_eq!(is_prime(&Uint::from_u64(c), &mut r), Ok(false), "{c}");
         }
+    }
+
+    /// `2^bits − k`.
+    fn below_power_of_two(bits: usize, k: u64) -> Uint {
+        Uint::ONE.shl(bits).wrapping_sub(&Uint::from_u64(k))
     }
 
     #[test]
     fn large_known_prime_accepted() {
         let mut r = rng();
-        // 2^127 - 1 (Mersenne) and 2^61 - 1.
-        assert!(is_prime(&Uint::from_u128((1u128 << 127) - 1), &mut r));
-        assert!(is_prime(&Uint::from_u64((1u64 << 61) - 1), &mut r));
-        // 2^128 - 159 is the largest 128-bit prime.
-        assert!(is_prime(&Uint::from_u128(u128::MAX - 158), &mut r));
-        // ... and an even composite neighbour is rejected.
-        assert!(!is_prime(&Uint::from_u128(u128::MAX - 157), &mut r));
+        // P-192's 2^192 − 2^64 − 1 and 2^61 − 1 (Mersenne).
+        let p192 = below_power_of_two(192, 1).wrapping_sub(&Uint::ONE.shl(64));
+        assert_eq!(is_prime(&p192, &mut r), Ok(true));
+        assert_eq!(
+            is_prime(&Uint::from_u64((1u64 << 61) - 1), &mut r),
+            Ok(true)
+        );
+        // 2^192 − 237 is the largest 192-bit prime ...
+        assert_eq!(is_prime(&below_power_of_two(192, 237), &mut r), Ok(true));
+        // ... and 2^192 − 245, odd with no factor below 2000, is composite.
+        assert_eq!(is_prime(&below_power_of_two(192, 245), &mut r), Ok(false));
+    }
+
+    #[test]
+    fn a_width_without_a_kernel_is_an_error_not_an_answer() {
+        let mut r = rng();
+        // 2^127 − 1 is prime, but no MontCtx runs Miller–Rabin at 2 limbs.
+        let m127 = Uint::from_u128((1u128 << 127) - 1);
+        assert!(matches!(
+            is_prime(&m127, &mut r),
+            Err(BigIntError::InvalidModulus(_))
+        ));
+        // Trial division still settles a small factor at any width.
+        let three_times = Uint::from_u128(3 * ((1u128 << 120) + 1));
+        assert_eq!(is_prime(&three_times, &mut r), Ok(false));
+        // The searches hand the error on instead of treating it as "composite".
+        assert!(matches!(
+            generate_prime(128, &mut r),
+            Err(BigIntError::InvalidModulus(_))
+        ));
+        let q = generate_prime(64, &mut r).unwrap();
+        assert!(matches!(
+            generate_cofactor_prime(&q, 128, &mut r),
+            Err(BigIntError::InvalidModulus(_))
+        ));
     }
 
     #[test]
     fn generated_primes_have_requested_size() {
         let mut r = rng();
-        for bits in [32usize, 64, 96, 128] {
+        for bits in [32usize, 64, 160, 192] {
             let p = generate_prime(bits, &mut r).unwrap();
             assert_eq!(p.bits(), bits);
             assert!(p.is_odd());
-            assert!(is_prime(&p, &mut r));
+            assert_eq!(is_prime(&p, &mut r), Ok(true));
         }
     }
 
@@ -244,9 +285,9 @@ mod tests {
     #[test]
     fn cofactor_prime_has_required_structure() {
         let mut r = rng();
-        let q = generate_prime(80, &mut r).unwrap();
+        let q = generate_prime(160, &mut r).unwrap();
         let (p, h) = generate_cofactor_prime(&q, 240, &mut r).unwrap();
-        assert!(is_prime(&p, &mut r));
+        assert_eq!(is_prime(&p, &mut r), Ok(true));
         // p ≡ 3 (mod 4)
         assert_eq!(p.limbs()[0] & 3, 3);
         // q divides p + 1 and the cofactor matches.
@@ -261,7 +302,7 @@ mod tests {
     #[test]
     fn cofactor_prime_rejects_silly_sizes() {
         let mut r = rng();
-        let q = generate_prime(80, &mut r).unwrap();
-        assert!(generate_cofactor_prime(&q, 82, &mut r).is_err());
+        let q = generate_prime(64, &mut r).unwrap();
+        assert!(generate_cofactor_prime(&q, 66, &mut r).is_err());
     }
 }

@@ -9,16 +9,18 @@ use core::fmt;
 
 /// Number of 64-bit limbs held by a [`Uint`].
 ///
-/// 28 limbs = 1792 bits, enough for the largest field prime used by the
-/// pairing crate (1536 bits) plus headroom for carries.
-pub const MAX_LIMBS: usize = 28;
+/// 26 limbs = 1664 bits: the largest field prime (1536 bits, 24 limbs) plus
+/// a spare limb for carries fits in 25, and `hash_to_curve` at the 128-bit
+/// level reads its 208-byte x-candidate (`byte_len(p) + 16` squeezed
+/// bytes) as one `Uint`, which takes 26.
+pub const MAX_LIMBS: usize = 26;
 
 /// Capacity of a [`Uint`] in bits.
 pub const MAX_BITS: usize = MAX_LIMBS * 64;
 
 /// Fixed-capacity unsigned integer stored as little-endian 64-bit limbs.
 ///
-/// `Uint` behaves as an integer in the range `[0, 2^1792)`.  Arithmetic is
+/// `Uint` behaves as an integer in the range `[0, 2^1664)`.  Arithmetic is
 /// provided through explicit, overflow-reporting methods (`overflowing_add`,
 /// `checked_sub`, `mul_wide`, `div_rem`, …) rather than operator overloading so
 /// call sites in the field/curve code always state how overflow is handled.
@@ -465,15 +467,16 @@ impl WideAcc {
     /// each operand, without reducing.  Carries out of the product width
     /// propagate into the headroom limbs.
     ///
-    /// Both operands must fit in `n` limbs (`n ≤ MAX_LIMBS − 1`, the same
-    /// spare-limb bound [`MontCtx`](crate::MontCtx) enforces).
+    /// `n` is the width of a [`MontCtx`](crate::MontCtx) — its
+    /// [`nlimbs`](crate::MontCtx::nlimbs) — and both operands must fit in
+    /// `n` limbs.
+    ///
+    /// # Panics
+    ///
+    /// If `n` is not a width a `MontCtx` can have (1, 3, 4, 8, 16 or 24).
     pub fn accumulate(&mut self, a: &Uint, b: &Uint, n: usize) {
-        debug_assert!(n < MAX_LIMBS);
         debug_assert!(a.limb_len() <= n && b.limb_len() <= n);
-        by_width!(n,
-            N => kernel::accumulate_fixed::<N>(&mut self.limbs, a, b),
-            _ => kernel::accumulate_runtime(&mut self.limbs, a, b, n),
-        )
+        by_width!(n, N => kernel::accumulate_fixed::<N>(&mut self.limbs, a, b))
     }
 
     /// Whether nothing has been accumulated (or the sum is zero).
@@ -736,7 +739,7 @@ mod tests {
         let b = Uint::from_u128(0xFFFF_FFFF_FFFF_FFFF_FFFF_FFFF_FFFF_FFFEu128);
         let mut acc = WideAcc::zero();
         assert!(acc.is_zero());
-        acc.accumulate(&a, &b, 2);
+        acc.accumulate(&a, &b, 3);
         let (lo, _) = a.mul_wide(&b);
         let limbs = acc.limbs_mut();
         assert_eq!(&limbs[..4], &lo.limbs[..4]);
@@ -745,20 +748,27 @@ mod tests {
 
     #[test]
     fn wide_acc_sums_products_without_wrapping() {
-        // Accumulate k copies of the all-ones two-limb square: the sum is
-        // exactly k · (2^128 − 1)², verified against mul_wide + additions.
-        let ones = Uint::from_u128(u128::MAX);
+        // Accumulate k copies of the all-ones three-limb square: the sum is
+        // exactly k · (2^192 − 1)², verified against mul_wide + additions.
+        let ones = Uint::ONE.shl(192).wrapping_sub(&Uint::ONE);
         let k = 5u64;
         let mut acc = WideAcc::zero();
         for _ in 0..k {
-            acc.accumulate(&ones, &ones, 2);
+            acc.accumulate(&ones, &ones, 3);
         }
         let (sq, _) = ones.mul_wide(&ones);
         let (expect, carry) = sq.mul_u64(k);
         assert_eq!(carry, 0);
         let limbs = acc.limbs_mut();
-        assert_eq!(&limbs[..5], &expect.limbs[..5]);
-        assert!(limbs[5..].iter().all(|&l| l == 0));
+        assert_eq!(&limbs[..7], &expect.limbs[..7]);
+        assert!(limbs[7..].iter().all(|&l| l == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "no limb kernel at 2 limbs")]
+    fn wide_acc_refuses_a_width_without_a_kernel() {
+        let ones = Uint::from_u128(u128::MAX);
+        WideAcc::zero().accumulate(&ones, &ones, 2);
     }
 
     #[test]

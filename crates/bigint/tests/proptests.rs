@@ -17,11 +17,12 @@ fn arb_uint_512() -> impl Strategy<Value = Uint> {
         .prop_map(|limbs| Uint::from_limbs_le(&limbs).expect("at most 8 limbs"))
 }
 
-/// A 127-bit odd modulus > 1 (so it always fits comfortably and is valid for MontCtx).
+/// An odd three-limb modulus of 165–192 bits (three limbs is a width
+/// `MontCtx` runs at, and the field width of the toy level).
 fn arb_odd_modulus() -> impl Strategy<Value = Uint> {
-    (any::<u128>()).prop_map(|v| {
-        let v = (v >> 1) | 1 | (1 << 100); // odd, at least 101 bits
-        Uint::from_u128(v)
+    proptest::collection::vec(any::<u64>(), 3..=3).prop_map(|limbs| {
+        // odd, top limb at least 2^36
+        Uint::from_limbs_le(&[limbs[0] | 1, limbs[1], limbs[2] | 1 << 36]).expect("three limbs")
     })
 }
 
@@ -57,7 +58,7 @@ proptest! {
 
     #[test]
     fn multiplication_distributes(a in arb_uint_512(), b in arb_uint_512(), c in arb_uint_512()) {
-        // (a + b) * c == a*c + b*c, all well within the 1792-bit capacity
+        // (a + b) * c == a*c + b*c, all well within the 1664-bit capacity
         // because the operands are at most 512 bits.
         let sum = a.checked_add(&b).unwrap();
         let (lhs, lhs_hi) = sum.mul_wide(&c);
@@ -137,8 +138,8 @@ proptest! {
 
     #[test]
     fn inversion_really_inverts(a in any::<u128>()) {
-        // Fixed 127-bit Mersenne prime modulus: every non-zero residue is invertible.
-        let m = Uint::from_u128((1u128 << 127) - 1);
+        // P-192's prime 2^192 − 2^64 − 1: every non-zero residue is invertible.
+        let m = Uint::ONE.shl(192).wrapping_sub(&Uint::ONE.shl(64)).wrapping_sub(&Uint::ONE);
         let ctx = MontCtx::new(&m).unwrap();
         let a_red = ctx.reduce(&Uint::from_u128(a));
         prop_assume!(!a_red.is_zero());

@@ -532,9 +532,10 @@ mod tests {
     use rand::SeedableRng;
 
     fn ctx() -> Arc<FpCtx> {
-        // p = 2^127 - 1 ≡ 3 (mod 4).  Fine for group-law tests (the pairing
-        // tests use properly generated parameters).
-        FpCtx::new(&Uint::from_u128((1u128 << 127) - 1)).unwrap()
+        // P-192's p = 2^192 − 2^64 − 1 ≡ 3 (mod 4).  Fine for group-law
+        // tests (the pairing tests use properly generated parameters).
+        FpCtx::new(&Uint::from_hex("fffffffffffffffffffffffffffffffeffffffffffffffff").unwrap())
+            .unwrap()
     }
 
     fn rng() -> StdRng {

@@ -464,8 +464,9 @@ mod tests {
     use super::*;
 
     fn ctx() -> Arc<FpCtx> {
-        // 2^127 - 1 ≡ 3 (mod 4), prime.
-        FpCtx::new(&Uint::from_u128((1u128 << 127) - 1)).unwrap()
+        // P-192's 2^192 − 2^64 − 1 ≡ 3 (mod 4), prime, three limbs.
+        FpCtx::new(&Uint::from_hex("fffffffffffffffffffffffffffffffeffffffffffffffff").unwrap())
+            .unwrap()
     }
 
     #[test]
@@ -499,8 +500,8 @@ mod tests {
 
     #[test]
     fn one_prime_is_one_interned_context() {
-        // 2^89 − 1 ≡ 3 (mod 4), prime, and used by no other test.
-        let p = Uint::from_u128((1u128 << 89) - 1);
+        // 2^192 − 237 ≡ 3 (mod 4), prime, and used by no other test.
+        let p = Uint::ONE.shl(192).wrapping_sub(&Uint::from_u64(237));
         let handles: Vec<Arc<FpCtx>> = (0..1_000).map(|_| FpCtx::new(&p).unwrap()).collect();
         let entries = INTERNED
             .lock()

@@ -123,7 +123,9 @@ mod tests {
     use rand::SeedableRng;
 
     fn ctx() -> Arc<FpCtx> {
-        FpCtx::new(&Uint::from_u128((1u128 << 127) - 1)).unwrap()
+        // P-192's 2^192 − 2^64 − 1 ≡ 3 (mod 4), prime, three limbs.
+        FpCtx::new(&Uint::from_hex("fffffffffffffffffffffffffffffffeffffffffffffffff").unwrap())
+            .unwrap()
     }
 
     #[test]

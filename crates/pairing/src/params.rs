@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::{CryptoRng, RngCore, SeedableRng};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use tibpre_bigint::prime::{generate_cofactor_prime, generate_prime};
-use tibpre_bigint::Uint;
+use tibpre_bigint::{MontCtx, Uint};
 
 /// Security levels supported by the parameter generator.
 ///
@@ -106,6 +106,14 @@ pub struct PairingParams {
     g1_validated: Mutex<SubgroupMemo>,
 }
 
+/// Whether a modulus of `bits` bits has a limb kernel, asked of the one
+/// place that knows: [`MontCtx::new`] on an odd value of that size.
+fn has_kernel(bits: usize) -> bool {
+    let mut m = Uint::ONE.shl(bits.saturating_sub(1));
+    m.set_bit(0);
+    MontCtx::new(&m).is_ok()
+}
+
 const MEMO_CAP: usize = 8192; // encodings the subgroup memo holds at most
 
 /// The validated encodings, as a set.
@@ -120,14 +128,26 @@ impl PairingParams {
         Self::generate_custom(level, level.q_bits(), level.p_bits(), rng)
     }
 
-    /// Generates a parameter set with custom bit sizes (exposed for tests and
-    /// for the parameter-sweep benchmarks).
+    /// Generates a parameter set with custom bit sizes (exposed for tests).
+    ///
+    /// `q` takes `q_bits` bits and `p = h·q − 1` takes `p_bits − 1` or
+    /// `p_bits`.  Each of those sizes must give a width a [`MontCtx`] runs
+    /// at (1, 3, 4, 8, 16 or 24 limbs); any other is refused with
+    /// [`PairingError::ParameterGeneration`] before the prime search starts.
     pub fn generate_custom<R: RngCore + CryptoRng>(
         level: SecurityLevel,
         q_bits: usize,
         p_bits: usize,
         rng: &mut R,
     ) -> Result<Arc<Self>> {
+        if ![q_bits, p_bits.saturating_sub(1), p_bits]
+            .into_iter()
+            .all(has_kernel)
+        {
+            return Err(PairingError::ParameterGeneration(
+                "no limb kernel at the width of q or p",
+            ));
+        }
         // Group order q, then field prime p = h·q − 1 ≡ 3 (mod 4).
         let q = generate_prime(q_bits, rng)
             .map_err(|_| PairingError::ParameterGeneration("group-order prime search failed"))?;
@@ -523,5 +543,39 @@ mod tests {
             pp.random_scalar(&mut r).to_bytes().len(),
             pp.scalar_byte_len()
         );
+    }
+
+    #[test]
+    fn every_level_has_a_kernel_at_the_width_of_q_and_p() {
+        // An odd modulus of exactly `bits` bits, through the public API.
+        let odd_of = |bits: usize| {
+            let mut m = Uint::ONE.shl(bits - 1);
+            m.set_bit(0);
+            m
+        };
+        for level in SecurityLevel::all() {
+            // q has q_bits bits; p = h·q − 1 has p_bits − 1 or p_bits.
+            for bits in [level.q_bits(), level.p_bits() - 1, level.p_bits()] {
+                let ctx = MontCtx::new(&odd_of(bits));
+                assert!(ctx.is_ok(), "{}: no kernel at {bits} bits", level.label());
+            }
+        }
+    }
+
+    #[test]
+    fn a_width_without_a_kernel_is_refused_before_the_search() {
+        // A 48-bit q is one limb, but p of 127 or 128 bits would be two.
+        let mut r = rng();
+        let refused = PairingParams::generate_custom(SecurityLevel::Toy, 48, 128, &mut r);
+        assert!(matches!(refused, Err(PairingError::ParameterGeneration(_))));
+        // No prime search drew from the generator.
+        assert_eq!(r.next_u64(), rng().next_u64());
+    }
+
+    #[test]
+    fn element_sizes_are_deliberate() {
+        assert_eq!(core::mem::size_of::<Uint>(), 208);
+        assert_eq!(core::mem::size_of::<crate::fp::Fp>(), 216);
+        assert_eq!(core::mem::size_of::<G1Affine>(), 440);
     }
 }

@@ -740,7 +740,7 @@ mod tests {
 
             if nlimbs == 8 {
                 // Against entries as wide as the registers (two `Fp` per
-                // line or table point; 64 of an `Fp`'s 232 bytes are limbs
+                // line or table point; 64 of an `Fp`'s 216 bytes are limbs
                 // the 8-limb field uses): under 0.3 of them.
                 let fp = core::mem::size_of::<Fp>();
                 assert!(10 * prepared.resident_bytes() <= 3 * lines * 2 * fp);
@@ -878,7 +878,7 @@ mod tests {
     fn multi_pairing_refuses_tables_of_two_parameter_sets() {
         use crate::params::SecurityLevel;
         let toy = PairingParams::insecure_toy();
-        let other = PairingParams::generate_custom(SecurityLevel::Toy, 48, 128, &mut rng())
+        let other = PairingParams::generate_custom(SecurityLevel::Toy, 48, 176, &mut rng())
             .expect("parameter generation");
         let a = toy.prepare(toy.generator());
         let b = other.prepare(other.generator());

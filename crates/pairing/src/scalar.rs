@@ -256,4 +256,32 @@ mod tests {
         let big = q.wrapping_add(&Uint::from_u64(5));
         assert_eq!(Scalar::from_uint(&c, &big), Scalar::from_u64(&c, 5));
     }
+
+    #[test]
+    fn a_four_limb_field_multiplies_and_inverts() {
+        // 2^255 − 19: a prime as wide as the 112- and 128-bit levels' q.
+        let q = Uint::ONE.shl(255).wrapping_sub(&Uint::from_u64(19));
+        let c = ScalarCtx::new(&q).unwrap();
+        let mut r = StdRng::seed_from_u64(4);
+        let mut values: Vec<Scalar> = (0..6).map(|_| Scalar::random_nonzero(&c, &mut r)).collect();
+        values.push(Scalar::one(&c));
+        values.push(Scalar::from_uint(&c, &q.wrapping_sub(&Uint::ONE)));
+        for a in &values {
+            for b in &values {
+                let (lo, hi) = a.to_uint().mul_wide(&b.to_uint());
+                assert_eq!(a.mul(b).to_uint(), Uint::rem_wide(&lo, &hi, &q).unwrap());
+            }
+            // Fermat: a^(q − 2) by square-and-multiply.
+            let e = q.wrapping_sub(&Uint::from_u64(2));
+            let fermat = (0..e.bits()).rev().fold(Scalar::one(&c), |acc, i| {
+                let acc = acc.mul(&acc);
+                if e.bit(i) {
+                    acc.mul(a)
+                } else {
+                    acc
+                }
+            });
+            assert_eq!(a.invert().unwrap(), fermat);
+        }
+    }
 }
