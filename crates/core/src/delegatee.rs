@@ -4,17 +4,21 @@ use crate::proxy::ReEncryptedCiphertext;
 use crate::{PreError, Result};
 use std::sync::{Arc, Mutex, MutexGuard};
 use tibpre_ibe::{bf, IbePrivateKey, Identity, H1_DOMAIN};
-use tibpre_pairing::{Generations, Gt, PairingParams, PreparedPairing};
+use tibpre_pairing::{G1Affine, Generations, Gt, PairingParams, PreparedPairing};
 
 /// The delegatee: holds a private key extracted by *their own* KGC (the
 /// paper's `KGC2`) and can open ciphertexts a proxy re-encrypted for them.
 pub struct Delegatee {
     private_key: IbePrivateKey,
-    mask_cache: Mutex<MaskCache>,
+    mask_cache: Mutex<Masks>,
 }
 
 /// Cached prepared masks per delegatee (distinct re-encryption keys seen).
 const MASK_CACHE_CAP: usize = 256;
+
+/// Cached mask points per delegatee: at most `4096 × (|c'₃| + 1 + 2·|p|)`
+/// bytes of payload, ≈ 1 MiB at 80 bits (every entry has one size).
+const POINT_CACHE_CAP: usize = 4096;
 
 /// `c'₃ ↦ prepared Miller loop for H1(Decrypt2(c'₃))`, keyed by the exact
 /// wire bytes `c'₃` arrives as.  Every ciphertext re-encrypted under one
@@ -29,6 +33,18 @@ const MASK_CACHE_CAP: usize = 256;
 /// arrival of others, however many.
 type MaskCache = Generations<Box<[u8]>, Arc<PreparedPairing>, MASK_CACHE_CAP>;
 
+/// `c'₃ ↦ H1(Decrypt2(c'₃))` as its uncompressed encoding, under the same
+/// keys: a grant whose table was evicted reopens with one `prepare`, not a
+/// decode, an IBE pairing and a hash.
+type PointCache = Generations<Box<[u8]>, Box<[u8]>, POINT_CACHE_CAP>;
+
+/// Both tiers, under one lock that is never held across a pairing.
+#[derive(Default)]
+struct Masks {
+    points: PointCache,
+    tables: MaskCache,
+}
+
 impl Delegatee {
     /// Binds a delegatee to their extracted private key.
     pub fn new(private_key: IbePrivateKey) -> Self {
@@ -38,25 +54,40 @@ impl Delegatee {
         }
     }
 
-    fn mask_cache(&self) -> MutexGuard<'_, MaskCache> {
+    fn mask_cache(&self) -> MutexGuard<'_, Masks> {
         self.mask_cache.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// The prepared Miller loop for `H1(Decrypt2(c'₃))`, served from the
-    /// cache when this exact `c'₃` has been opened before.
+    /// table tier when this exact `c'₃` has been opened before, else built
+    /// from the point tier's `H1(X)` if it still holds one.
     ///
-    /// A hit is not validated again: its bytes equal a validated `c'₃`.
+    /// A hit in either tier is not validated again: its bytes equal a `c'₃`
+    /// that decoded and decrypted, and both tiers are filled only then.
     fn prepared_mask(&self, ciphertext: &ReEncryptedCiphertext) -> Result<Arc<PreparedPairing>> {
         let key = ciphertext.encrypted_x.as_bytes();
-        if let Some(hit) = self.mask_cache().get(key) {
-            return Ok(hit);
-        }
-        let encrypted_x = ciphertext.encrypted_x.to_ciphertext()?;
+        let point = {
+            let mut masks = self.mask_cache();
+            if let Some(hit) = masks.tables.get(key) {
+                return Ok(hit);
+            }
+            masks.points.get(key)
+        };
         let params = self.params();
-        let x = bf::decrypt_gt(&self.private_key, &encrypted_x)?;
-        let h1_of_x = params.hash_to_g1(H1_DOMAIN, &[&x.to_bytes()])?;
+        let h1_of_x = match &point {
+            Some(bytes) => G1Affine::from_bytes(params.fp_ctx(), bytes)?,
+            None => {
+                let encrypted_x = ciphertext.encrypted_x.to_ciphertext()?;
+                let x = bf::decrypt_gt(&self.private_key, &encrypted_x)?;
+                params.hash_to_g1(H1_DOMAIN, &[&x.to_bytes()])?
+            }
+        };
         let prepared = Arc::new(params.prepare(&h1_of_x));
-        self.mask_cache().insert(key.into(), Arc::clone(&prepared));
+        let mut masks = self.mask_cache();
+        if point.is_none() {
+            masks.points.insert(key.into(), h1_of_x.to_bytes().into());
+        }
+        masks.tables.insert(key.into(), Arc::clone(&prepared));
         Ok(prepared)
     }
 
@@ -105,6 +136,14 @@ mod tests {
     use rand::SeedableRng;
     use tibpre_ibe::{EncodedIbeCiphertext, Kgc};
     use tibpre_pairing::DecodeCtx;
+    use tibpre_wire::{decode_bare, WireVersion};
+
+    impl Masks {
+        /// Entries in the table tier, the one the bound test counts.
+        fn len(&self) -> usize {
+            self.tables.len()
+        }
+    }
 
     #[test]
     fn tampered_reencrypted_ciphertexts_do_not_decrypt_to_m() {
@@ -217,6 +256,112 @@ mod tests {
             let served = delegatee.prepared_mask(hot).unwrap();
             assert!(Arc::ptr_eq(&mask, &served), "the hot mask was rebuilt");
         }
+    }
+
+    #[test]
+    fn an_evicted_grant_reopens_from_its_point() {
+        let (delegatee, grants) = distinct_grants(301);
+        let (evicted, others) = grants.split_first().unwrap();
+        let key = evicted.encrypted_x.as_bytes();
+        let first = delegatee.prepared_mask(evicted).unwrap();
+        for other in others {
+            delegatee.prepared_mask(other).unwrap();
+        }
+        {
+            let mut masks = delegatee.mask_cache();
+            assert!(
+                masks.tables.get(key).is_none(),
+                "the table outlived 300 grants"
+            );
+            assert!(masks.points.get(key).is_some(), "the point was evicted");
+        }
+        let reopened = delegatee.prepared_mask(evicted).unwrap();
+        assert!(
+            !Arc::ptr_eq(&first, &reopened),
+            "the table was never evicted"
+        );
+        let cold = Delegatee::new(delegatee.private_key().clone());
+        assert_eq!(
+            delegatee.decrypt_reencrypted(evicted).unwrap().to_bytes(),
+            cold.decrypt_reencrypted(evicted).unwrap().to_bytes()
+        );
+
+        // The reopen read the point tier: a planted point is what it prepares.
+        let params = delegatee.params();
+        let planted = params.generator();
+        {
+            let mut masks = delegatee.mask_cache();
+            masks.tables = MaskCache::default();
+            masks.points.insert(key.into(), planted.to_bytes().into());
+        }
+        let served = delegatee.prepared_mask(evicted).unwrap();
+        assert_eq!(
+            served.pairing(&evicted.c1),
+            params.prepare(planted).pairing(&evicted.c1)
+        );
+    }
+
+    #[test]
+    fn a_failed_open_caches_nothing() {
+        let (_, grants) = distinct_grants(1);
+        let grant = &grants[0];
+        let c3 = grant.encrypted_x.as_bytes();
+        let params = PairingParams::insecure_toy();
+        let flen = params.fp_ctx().byte_len();
+        let ctx = DecodeCtx::from(&params);
+        let flipped = |at: usize| {
+            let mut bytes = c3.to_vec();
+            bytes[at] ^= 0x01;
+            decode_bare::<EncodedIbeCiphertext>(&bytes, WireVersion::DEFAULT, &ctx).unwrap()
+        };
+        // The first body byte of each element whose flip fails validation.
+        for part in [1..1 + flen, 2 + flen..c3.len()] {
+            let at = part
+                .clone()
+                .find(|&at| flipped(at).to_ciphertext().is_err())
+                .unwrap_or_else(|| panic!("no flip in {part:?} fails validation"));
+            let (fresh, _) = distinct_grants(0);
+            let mut tampered = grant.clone();
+            tampered.encrypted_x = flipped(at);
+            assert!(
+                fresh.decrypt_reencrypted(&tampered).is_err(),
+                "flip at {at}"
+            );
+            let masks = fresh.mask_cache();
+            assert!(
+                masks.points.is_empty() && masks.tables.is_empty(),
+                "flip at {at}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_delegatees_caches_serve_only_that_delegatee() {
+        let mut rng = StdRng::seed_from_u64(86);
+        let params = PairingParams::insecure_toy();
+        let kgc1 = Kgc::setup(params.clone(), "kgc1", &mut rng);
+        let kgc2 = Kgc::setup(params.clone(), "kgc2", &mut rng);
+        let alice = Identity::new("alice");
+        let bob = Identity::new("bob");
+        let delegator = Delegator::new(kgc1.public_params().clone(), kgc1.extract(&alice));
+        let t = TypeTag::new("t");
+        let rk = delegator
+            .make_reencryption_key(&bob, kgc2.public_params(), &t, &mut rng)
+            .unwrap();
+        let m = params.random_gt(&mut rng);
+        let ct = re_encrypt(&delegator.encrypt_typed(&m, &t, &mut rng), &rk).unwrap();
+
+        let bob = Delegatee::new(kgc2.extract(&bob));
+        assert_eq!(bob.decrypt_reencrypted(&ct).unwrap(), m);
+        {
+            let masks = bob.mask_cache();
+            assert_eq!((masks.points.len(), masks.tables.len()), (1, 1));
+        }
+        // Same KGC, same c'₃ bytes: Carol decrypts her own X, not Bob's.
+        let carol = Delegatee::new(kgc2.extract(&Identity::new("carol")));
+        assert!(carol
+            .decrypt_reencrypted(&ct)
+            .map_or(true, |opened| opened != m));
     }
 
     #[test]

@@ -16,7 +16,7 @@ tibpre_wire::message! {
     /// the random `X` that is itself encrypted to the delegatee.  Decoding
     /// validates `c1` against the curve and the prime-order subgroup; `c2` is
     /// range/torus-validated only; `c'3` is only framed — the delegatee
-    /// validates it on a mask-cache miss.
+    /// validates it on a miss of both its mask tiers.
     #[derive(Clone, Debug, PartialEq, Eq)]
     pub struct ReEncryptedCiphertext: DecodeCtx {
         /// `c'1 = c1 = g^r`.

@@ -1,5 +1,5 @@
-//! The bounded cache the wire boundary and the delegatee share: two
-//! generations, so an entry in use is never evicted by a flood of others.
+//! The bounded cache the wire boundary and both delegatee mask tiers share:
+//! two generations, so an entry in use is never evicted by a flood of others.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

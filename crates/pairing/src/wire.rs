@@ -46,7 +46,7 @@
 //!   ([`FromCtx`]).
 //!
 //! A re-encrypted ciphertext's `c'₃` is only framed ([`skip_g1`],
-//! [`skip_gt`]) and decoded on a delegatee's mask-cache miss.
+//! [`skip_gt`]) and decoded when both of a delegatee's mask tiers miss.
 
 use crate::curve::G1Affine;
 use crate::fp::{Fp, FpCtx};
