@@ -5,10 +5,13 @@
 //! group of rational points contains a subgroup of prime order `q`; that
 //! subgroup is the pairing group `G` of the paper.
 //!
-//! Two representations are provided: [`G1Affine`] (the canonical, serialisable
-//! form, with simple textbook addition used as the reference implementation)
-//! and [`G1Projective`] (Jacobian coordinates, inversion-free, used for scalar
-//! multiplication).  The test-suite cross-checks the two against each other.
+//! [`G1Affine`] is the public point: the canonical, serialisable form, whose
+//! textbook chord-and-tangent `add`/`double` are the reference the tests
+//! check everything else against.  Inside the crate every curve walk runs on
+//! one Jacobian point, `G1Projective` (inversion-free): the variable-base
+//! window walk, the fixed-base tables of [`crate::precomp`] and the Miller
+//! table build, which asks the same doubling and mixed addition for the
+//! lines of their tangents and chords.
 
 use crate::error::PairingError;
 use crate::fp::{Fp, FpCtx};
@@ -250,10 +253,44 @@ impl core::fmt::Debug for G1Affine {
     }
 }
 
+/// Window width (bits) of both scalar walks: [`G1Projective::mul_uint`]
+/// and the fixed-base tables of [`crate::precomp::G1Precomp`].
+pub(crate) const WINDOW: usize = 4;
+/// Non-zero digits per window: `2^WINDOW − 1`.
+pub(crate) const TABLE_LEN: usize = (1 << WINDOW) - 1;
+
+/// The digit of window `w` of `k`: bits `4w … 4w + 3`, most significant
+/// first (bits past the top of `k` are zero).
+pub(crate) fn window_digit(k: &Uint, w: usize) -> usize {
+    (0..WINDOW).rev().fold(0, |digit, b| {
+        (digit << 1) | usize::from(k.bit(w * WINDOW + b))
+    })
+}
+
+/// A Miller-loop line with the second argument left symbolic:
+/// `ℓ(φ(Q)) = (c0 + cx·x_Q) + (cy·y_Q)·i`.
+///
+/// A step of [`G1Projective`] returns the line of its tangent or chord
+/// scaled by an element of `F_p^*`, which the final exponentiation
+/// annihilates (BKLS/GHS denominator elimination, applied once more to the
+/// projective scaling), so no step inverts.  A step returns a line only when
+/// it leaves a non-identity point, so `cy` is never zero and the Miller
+/// table normalises it to one.
+pub(crate) struct Line {
+    pub(crate) c0: Fp,
+    pub(crate) cx: Fp,
+    pub(crate) cy: Fp,
+}
+
 /// A point in Jacobian projective coordinates `(X : Y : Z)`, representing the
 /// affine point `(X/Z², Y/Z³)`; the identity has `Z = 0`.
+///
+/// The crate's one Jacobian point: both scalar walks (this type's
+/// [`Self::mul_uint`] and the fixed-base tables) and the Miller table build
+/// run its doubling and mixed addition, and the table build asks the same
+/// two steps for their lines.
 #[derive(Clone)]
-pub struct G1Projective {
+pub(crate) struct G1Projective {
     x: Fp,
     y: Fp,
     z: Fp,
@@ -261,7 +298,7 @@ pub struct G1Projective {
 
 impl G1Projective {
     /// The group identity.
-    pub fn identity(ctx: &Arc<FpCtx>) -> Self {
+    pub(crate) fn identity(ctx: &Arc<FpCtx>) -> Self {
         G1Projective {
             x: Fp::one(ctx),
             y: Fp::one(ctx),
@@ -270,7 +307,7 @@ impl G1Projective {
     }
 
     /// Lifts an affine point.
-    pub fn from_affine(p: &G1Affine) -> Self {
+    pub(crate) fn from_affine(p: &G1Affine) -> Self {
         if p.is_identity() {
             return Self::identity(p.ctx());
         }
@@ -282,17 +319,17 @@ impl G1Projective {
     }
 
     /// Returns `true` for the identity.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.z.is_zero()
     }
 
     /// The field context.
-    pub fn ctx(&self) -> &Arc<FpCtx> {
+    pub(crate) fn ctx(&self) -> &Arc<FpCtx> {
         self.x.ctx()
     }
 
     /// Normalises back to affine coordinates (one field inversion).
-    pub fn to_affine(&self) -> G1Affine {
+    pub(crate) fn to_affine(&self) -> G1Affine {
         if self.is_identity() {
             return G1Affine::identity(self.ctx());
         }
@@ -307,11 +344,25 @@ impl G1Projective {
         }
     }
 
-    /// Jacobian doubling (general formula with curve coefficient `a = 1`):
-    /// `S = 4XY²`, `M = 3X² + Z⁴`, `X' = M² − 2S`, `Y' = M(S − X') − 8Y⁴`, `Z' = 2YZ`.
-    pub fn double(&self) -> G1Projective {
+    /// `2·self`: [`Self::double_step`] on a copy.
+    pub(crate) fn double(&self) -> G1Projective {
+        let mut t = self.clone();
+        t.double_step(false);
+        t
+    }
+
+    /// Jacobian doubling in place (general formula with curve coefficient
+    /// `a = 1`): `S = 4XY²`, `M = 3X² + Z⁴`, `X' = M² − 2S`,
+    /// `Y' = M(S − X') − 8Y⁴`, `Z' = 2YZ`.
+    ///
+    /// With `want_line`, also returns the tangent at the old point, scaled
+    /// by `2YZ³`: `c0 = M·X − 2Y²`, `cx = M·Z²`, `cy = Z'·Z²`.  The identity
+    /// and a 2-torsion point (`Y = 0`, a vertical tangent) double to the
+    /// identity with no line.
+    pub(crate) fn double_step(&mut self, want_line: bool) -> Option<Line> {
         if self.is_identity() || self.y.is_zero() {
-            return Self::identity(self.ctx());
+            self.z = Fp::zero(self.x.ctx());
+            return None;
         }
         let y_sq = self.y.square();
         let s = self.x.mul(&y_sq).double().double();
@@ -320,15 +371,19 @@ impl G1Projective {
         let x3 = &m.square() - &s.double();
         let y3 = &m.mul(&(&s - &x3)) - &y_sq.square().double().double().double();
         let z3 = self.y.double().mul(&self.z);
-        G1Projective {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        let line = want_line.then(|| Line {
+            c0: &m.mul(&self.x) - &y_sq.double(),
+            cx: m.mul(&z_sq),
+            cy: z3.mul(&z_sq),
+        });
+        self.x = x3;
+        self.y = y3;
+        self.z = z3;
+        line
     }
 
     /// General Jacobian addition.
-    pub fn add(&self, other: &G1Projective) -> G1Projective {
+    pub(crate) fn add(&self, other: &G1Projective) -> G1Projective {
         if self.is_identity() {
             return other.clone();
         }
@@ -362,28 +417,34 @@ impl G1Projective {
         }
     }
 
-    /// Mixed addition with an affine point (`Z₂ = 1`), which saves the general
-    /// formula's four `Z₂` multiplications: `U₂ = x₂Z₁²`, `S₂ = y₂Z₁³`,
-    /// `H = U₂ − X₁`, `r = S₂ − Y₁`, `X₃ = r² − H³ − 2X₁H²`,
-    /// `Y₃ = r(X₁H² − X₃) − Y₁H³`, `Z₃ = Z₁H`.
+    /// Mixed addition in place with an affine point `P` (`Z₂ = 1`), which
+    /// saves the general formula's four `Z₂` multiplications:
+    /// `U₂ = x_P·Z²`, `S₂ = y_P·Z³`, `H = U₂ − X`, `r = S₂ − Y`,
+    /// `X' = r² − H³ − 2XH²`, `Y' = r(XH² − X') − YH³`, `Z' = ZH`.
     ///
-    /// This is the inner loop of the fixed-base tables in [`crate::precomp`],
-    /// where every table entry is affine.
-    pub fn add_affine(&self, other: &G1Affine) -> G1Projective {
+    /// With `want_line`, also returns the chord through the two points, of
+    /// slope `r/Z'`, scaled by `Z'`: `c0 = r·x_P − Z'·y_P`, `cx = r`,
+    /// `cy = Z'`.  The degenerate cases are the group law's: with either
+    /// point the identity the sum is the other one, and no line; `self = P`
+    /// is a doubling and takes its tangent; `self = −P` gives the identity,
+    /// and its vertical chord no line.
+    pub(crate) fn add_affine_step(&mut self, other: &G1Affine, want_line: bool) -> Option<Line> {
         if self.is_identity() {
-            return G1Projective::from_affine(other);
+            *self = G1Projective::from_affine(other);
+            return None;
         }
         if other.is_identity() {
-            return self.clone();
+            return None;
         }
         let z1_sq = self.z.square();
         let u2 = other.x().mul(&z1_sq);
         let s2 = other.y().mul(&z1_sq.mul(&self.z));
         if u2 == self.x {
             if s2 == self.y {
-                return self.double();
+                return self.double_step(want_line);
             }
-            return Self::identity(self.ctx());
+            self.z = Fp::zero(self.x.ctx());
+            return None;
         }
         let h = &u2 - &self.x;
         let r = &s2 - &self.y;
@@ -393,41 +454,22 @@ impl G1Projective {
         let x3 = &(&r.square() - &h_cu) - &v.double();
         let y3 = &r.mul(&(&v - &x3)) - &self.y.mul(&h_cu);
         let z3 = self.z.mul(&h);
-        G1Projective {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        let line = want_line.then(|| Line {
+            c0: &r.mul(other.x()) - &z3.mul(other.y()),
+            cx: r,
+            cy: z3.clone(),
+        });
+        self.x = x3;
+        self.y = y3;
+        self.z = z3;
+        line
     }
 
-    /// Scalar multiplication by a fixed 4-bit window over the bits of `k`:
-    /// one table of the odd-and-even multiples `1·P … 15·P` up front, then
-    /// four doublings plus at most one table addition per window — roughly
-    /// half the additions of plain double-and-add for the scalar sizes the
-    /// scheme uses.
-    pub fn mul_uint(&self, k: &Uint) -> G1Projective {
-        const WINDOW: usize = 4;
-        const TABLE_LEN: usize = (1 << WINDOW) - 1;
-
-        let bits = k.bits();
-        if bits == 0 || self.is_identity() {
-            return Self::identity(self.ctx());
-        }
-        if bits <= WINDOW {
-            // Tiny scalars: the table would cost more than it saves.
-            let mut acc = Self::identity(self.ctx());
-            for i in (0..bits).rev() {
-                acc = acc.double();
-                if k.bit(i) {
-                    acc = acc.add(self);
-                }
-            }
-            return acc;
-        }
-
-        // table[j] = (j + 1)·P; even multiples come from a doubling, odd ones
-        // from one addition.
-        let mut table: Vec<G1Projective> = Vec::with_capacity(TABLE_LEN);
+    /// The multiples `1·P … 15·P` of this point, in order: even multiples
+    /// from a doubling, odd ones from one addition.  The table of
+    /// [`Self::mul_uint`], and of each window of a fixed-base table.
+    pub(crate) fn multiples(&self) -> Vec<G1Projective> {
+        let mut table = Vec::with_capacity(TABLE_LEN);
         table.push(self.clone());
         for j in 1..TABLE_LEN {
             let next = if (j + 1) % 2 == 0 {
@@ -437,28 +479,30 @@ impl G1Projective {
             };
             table.push(next);
         }
+        table
+    }
 
-        let windows = bits.div_ceil(WINDOW);
+    /// Scalar multiplication by a fixed 4-bit window over the bits of `k`:
+    /// [`Self::multiples`] up front, then four doublings plus at most one
+    /// table addition per window — roughly half the additions of plain
+    /// double-and-add for the scalar sizes the scheme uses.
+    pub(crate) fn mul_uint(&self, k: &Uint) -> G1Projective {
+        let bits = k.bits();
+        if bits == 0 || self.is_identity() {
+            return Self::identity(self.ctx());
+        }
+        let table = self.multiples();
         let mut acc = Self::identity(self.ctx());
-        for w in (0..windows).rev() {
+        for w in (0..bits.div_ceil(WINDOW)).rev() {
             for _ in 0..WINDOW {
-                acc = acc.double();
+                acc.double_step(false);
             }
-            let mut idx = 0usize;
-            for b in (0..WINDOW).rev() {
-                let i = w * WINDOW + b;
-                idx = (idx << 1) | usize::from(i < bits && k.bit(i));
-            }
-            if idx != 0 {
-                acc = acc.add(&table[idx - 1]);
+            let digit = window_digit(k, w);
+            if digit != 0 {
+                acc = acc.add(&table[digit - 1]);
             }
         }
         acc
-    }
-
-    /// Scalar multiplication by an element of `Z_q`.
-    pub fn mul_scalar(&self, k: &Scalar) -> G1Projective {
-        self.mul_uint(&k.to_uint())
     }
 }
 
@@ -483,7 +527,7 @@ impl core::fmt::Debug for G1Projective {
 ///
 /// Used by the fixed-base table builder in [`crate::precomp`], where hundreds
 /// of table entries are normalised at once.
-pub fn batch_to_affine(points: &[G1Projective]) -> Vec<G1Affine> {
+pub(crate) fn batch_to_affine(points: &[G1Projective]) -> Vec<G1Affine> {
     let Some(first) = points.first() else {
         return Vec::new();
     };
@@ -606,6 +650,13 @@ mod tests {
         }
     }
 
+    /// `p + q` by the in-place mixed addition, on a copy.
+    fn add_affine(p: &G1Projective, q: &G1Affine) -> G1Projective {
+        let mut sum = p.clone();
+        sum.add_affine_step(q, false);
+        sum
+    }
+
     #[test]
     fn mixed_addition_matches_general_addition() {
         let c = ctx();
@@ -614,20 +665,20 @@ mod tests {
             let p = random_curve_point(&c, &mut r);
             let q = random_curve_point(&c, &mut r);
             let pp = G1Projective::from_affine(&p);
-            assert_eq!(pp.add_affine(&q), pp.add(&G1Projective::from_affine(&q)));
+            assert_eq!(add_affine(&pp, &q), pp.add(&G1Projective::from_affine(&q)));
             // Degenerate cases: doubling, inverse, and identities.
-            assert_eq!(pp.add_affine(&p), pp.double());
-            assert!(pp.add_affine(&p.neg()).is_identity());
-            assert_eq!(pp.add_affine(&G1Affine::identity(&c)), pp);
+            assert_eq!(add_affine(&pp, &p), pp.double());
+            assert!(add_affine(&pp, &p.neg()).is_identity());
+            assert_eq!(add_affine(&pp, &G1Affine::identity(&c)), pp);
             assert_eq!(
-                G1Projective::identity(&c).add_affine(&p).to_affine(),
+                add_affine(&G1Projective::identity(&c), &p).to_affine(),
                 p.clone()
             );
             // A non-trivial Z₁ (from a prior addition) exercises the real
             // mixed formula rather than the Z₁ = 1 shortcut.
             let shifted = pp.add(&G1Projective::from_affine(&q));
             assert_eq!(
-                shifted.add_affine(&p),
+                add_affine(&shifted, &p),
                 shifted.add(&G1Projective::from_affine(&p))
             );
         }

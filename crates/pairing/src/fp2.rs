@@ -118,7 +118,10 @@ impl Fp2 {
     /// oracle in the test suites keeps that shape.  Results are
     /// bit-identical to the oracle.
     pub fn mul(&self, other: &Fp2) -> Fp2 {
-        self.mul_by_line(&other.c0, &other.c1)
+        Fp2 {
+            c0: Fp::mul_sub(&self.c0, &other.c0, &self.c1, &other.c1),
+            c1: Fp::sum_of_products(&[(&self.c0, &other.c1), (&self.c1, &other.c0)]),
+        }
     }
 
     /// Squaring: `(a0 + a1 i)² = (a0+a1)(a0−a1) + 2 a0 a1 i`.
@@ -127,7 +130,7 @@ impl Fp2 {
     /// square costs three wide products plus two deferred reductions,
     /// which is strictly more limb work than these two reduced products —
     /// the lazy win exists only where the naive form needs ≥ 4 products
-    /// ([`Self::mul`], [`Self::mul_by_line`], the fused line evaluations).
+    /// ([`Self::mul`], the fused line evaluations).
     pub fn square(&self) -> Fp2 {
         let plus = &self.c0 + &self.c1;
         let minus = &self.c0 - &self.c1;
@@ -135,17 +138,6 @@ impl Fp2 {
         Fp2 {
             c0: &plus * &minus,
             c1: cross.double(),
-        }
-    }
-
-    /// Multiplication by a Miller-loop line value `real + y·i` given as its
-    /// two coefficients, without materialising a temporary `Fp2` (the
-    /// prepared-pairing evaluation calls this once per stored line).
-    /// Lazy-reduction schoolbook, exactly like [`Self::mul`].
-    pub fn mul_by_line(&self, real: &Fp, y: &Fp) -> Fp2 {
-        Fp2 {
-            c0: Fp::mul_sub(&self.c0, real, &self.c1, y),
-            c1: Fp::sum_of_products(&[(&self.c0, y), (&self.c1, real)]),
         }
     }
 
@@ -361,24 +353,9 @@ mod tests {
         assert!(Fp2::from_bytes(&c, &bytes[1..]).is_err());
     }
 
-    #[test]
-    fn mul_by_line_matches_general_mul() {
-        let c = ctx();
-        let mut r = rng();
-        for _ in 0..5 {
-            let f = Fp2::random(&c, &mut r);
-            let real = Fp::random(&c, &mut r);
-            let y = Fp::random(&c, &mut r);
-            assert_eq!(
-                f.mul_by_line(&real, &y),
-                f.mul(&Fp2::new(real.clone(), y.clone()))
-            );
-        }
-    }
-
     /// Strict-reduction Karatsuba multiplication (3 base-field
     /// multiplications, every product reduced immediately): the oracle the
-    /// lazy [`Fp2::mul`] / [`Fp2::mul_by_line`] are bit-identical to.
+    /// lazy [`Fp2::mul`] is bit-identical to.
     fn mul_strict(a: &Fp2, b: &Fp2) -> Fp2 {
         let a0b0 = &a.c0 * &b.c0;
         let a1b1 = &a.c1 * &b.c1;
@@ -408,7 +385,6 @@ mod tests {
             for b in &cases {
                 let strict = mul_strict(a, b);
                 assert_eq!(a.mul(b).to_bytes(), strict.to_bytes());
-                assert_eq!(a.mul_by_line(&b.c0, &b.c1).to_bytes(), strict.to_bytes());
             }
         }
     }

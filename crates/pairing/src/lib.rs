@@ -12,7 +12,9 @@
 //! * **Curve** — the supersingular curve `E : y² = x³ + x` over `F_p`, which
 //!   has exactly `p + 1` points.  Parameters are generated so that
 //!   `p + 1 = h·q` for a large prime `q`; the order-`q` subgroup is the
-//!   pairing group `G` ([`G1Affine`] / [`G1Projective`]).
+//!   pairing group `G` ([`G1Affine`]).  Inside the crate one Jacobian point
+//!   runs every curve walk — scalar multiplication, the fixed-base tables
+//!   and the Miller table build — with one doubling and one mixed addition.
 //! * **Distortion map** — `φ(x, y) = (−x, i·y)` maps `E(F_p)` into
 //!   `E(F_{p²}) \ E(F_p)`, making the modified Tate pairing
 //!   `ê(P, Q) = e(P, φ(Q))` non-degenerate on `G × G` (a "Type 1" /
@@ -52,7 +54,7 @@ pub mod precomp;
 pub mod scalar;
 pub mod wire;
 
-pub use curve::{G1Affine, G1Projective};
+pub use curve::G1Affine;
 pub use error::PairingError;
 pub use fp::{Fp, FpCtx};
 pub use fp2::Fp2;

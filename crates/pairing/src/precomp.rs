@@ -30,6 +30,13 @@
 //! affine Miller loop in the test package (`tibpre_tests::oracle`) as the
 //! prepared pairing's.
 //!
+//! Both builds walk the curve on the crate's one Jacobian point
+//! ([`crate::curve`]): a fixed-base table is that point's window chain of
+//! `1·P … 15·P` once per window, the chain the variable-base walk uses, and
+//! the Miller table runs its doubling and mixed addition, asking each step
+//! for the line of its tangent or chord.  A unit test pins the SHA-256 of
+//! what these walks produce.
+//!
 //! # Layout at rest
 //!
 //! [`Fp`] and [`G1Affine`] values are `MAX_LIMBS` wide; anything *kept* is
@@ -58,7 +65,9 @@
 //! on: it forces a key's lazy preparation *once*, on the dispatching thread,
 //! then lets every worker evaluate the shared table concurrently.
 
-use crate::curve::{batch_to_affine, G1Affine, G1Projective};
+use crate::curve::{
+    batch_to_affine, window_digit, G1Affine, G1Projective, Line, TABLE_LEN, WINDOW,
+};
 use crate::fp::{Fp, FpCtx};
 use crate::fp2::Fp2;
 use crate::gt::Gt;
@@ -68,11 +77,6 @@ use crate::scalar::Scalar;
 use core::slice::ChunksExact;
 use std::sync::Arc;
 use tibpre_bigint::{OnRegisters, Registers, Uint};
-
-/// Window width (bits) of the fixed-base tables.
-const WINDOW: usize = 4;
-/// Non-zero digits per window: `2^WINDOW − 1`.
-const TABLE_LEN: usize = (1 << WINDOW) - 1;
 
 /// Splits a packed row into its two `nlimbs`-wide field elements.
 fn unpack_row(ctx: &Arc<FpCtx>, row: &[u64]) -> (Fp, Fp) {
@@ -110,20 +114,10 @@ impl G1Precomp {
         let mut entries: Vec<G1Projective> = Vec::with_capacity(windows * TABLE_LEN);
         let mut base = G1Projective::from_affine(point);
         for _ in 0..windows {
-            let start = entries.len();
-            entries.push(base.clone());
-            for j in 1..TABLE_LEN {
-                // (j + 1)·base: even multiples from a doubling, odd ones from
-                // one addition — the same chain the generic ladder uses.
-                let next = if (j + 1) % 2 == 0 {
-                    entries[start + j.div_ceil(2) - 1].double()
-                } else {
-                    entries[start + j - 1].add(&base)
-                };
-                entries.push(next);
-            }
+            let multiples = base.multiples();
             // Next window's base is 2^WINDOW·base = 2 · (8·base).
-            base = entries[start + 7].double();
+            base = multiples[7].double();
+            entries.extend(multiples);
         }
         let mut rows = Vec::new();
         if !entries.iter().any(G1Projective::is_identity) {
@@ -171,13 +165,10 @@ impl G1Precomp {
         let row_len = 2 * ctx.nlimbs();
         let mut acc = G1Projective::identity(ctx);
         for (w, window) in self.rows.chunks_exact(TABLE_LEN * row_len).enumerate() {
-            let mut digit = 0usize;
-            for b in (0..WINDOW).rev() {
-                digit = (digit << 1) | usize::from(k.bit(w * WINDOW + b));
-            }
+            let digit = window_digit(k, w);
             if digit != 0 {
                 let (x, y) = unpack_row(ctx, &window[(digit - 1) * row_len..digit * row_len]);
-                acc = acc.add_affine(&G1Affine::new_unchecked(x, y));
+                acc.add_affine_step(&G1Affine::new_unchecked(x, y), false);
             }
         }
         acc.to_affine()
@@ -261,10 +252,12 @@ impl PreparedPairing {
             };
         }
 
-        // Run the Miller loop over the NAF digits of the order, collecting
-        // raw line coefficients.  The degenerate cases (2-torsion, T = ±P,
-        // the identity) are handled as the textbook loop handles them; the
-        // test package's affine oracle checks the reduced outputs.
+        // Run the Miller loop over the NAF digits of the order on the
+        // crate's Jacobian point, whose steps hand back their lines.  The
+        // degenerate cases (2-torsion, T = ±P) are the group law's and give
+        // no line; once T is the identity it stays there, so no later step
+        // stores a line either.  The test package's affine oracle checks the
+        // reduced outputs.
         let digits = naf_digits(q);
         debug_assert_eq!(
             digits.last(),
@@ -272,34 +265,20 @@ impl PreparedPairing {
             "NAF of a positive order starts with +1"
         );
         let neg_point = point.neg();
-        let mut t = MillerPoint::from_affine(point);
+        let mut t = G1Projective::from_affine(point);
         let mut steps: Vec<u8> = Vec::with_capacity(digits.len());
-        let mut raw: Vec<RawLine> = Vec::with_capacity(2 * digits.len());
+        let mut raw: Vec<Line> = Vec::with_capacity(2 * digits.len());
         for &digit in digits.iter().rev().skip(1) {
             let mut flags = 0;
-            if !t.is_identity() {
-                if t.y.is_zero() {
-                    // Vertical tangent (2-torsion): no line to store.
-                    t = MillerPoint::identity(point);
-                } else {
-                    raw.push(t.double_step_coeffs());
-                    flags |= HAS_DBL;
-                }
+            if let Some(tangent) = t.double_step(true) {
+                raw.push(tangent);
+                flags |= HAS_DBL;
             }
             if digit != 0 && !t.is_identity() {
                 let addend = if digit > 0 { point } else { &neg_point };
-                let line = match t.add_step_coeffs(addend) {
-                    Chord::Line(line) => Some(*line),
-                    Chord::Tangent if t.y.is_zero() => None,
-                    Chord::Tangent => Some(t.double_step_coeffs()),
-                    Chord::Vertical => None,
-                };
-                match line {
-                    Some(line) => {
-                        raw.push(line);
-                        flags |= HAS_ADD;
-                    }
-                    None => t = MillerPoint::identity(point),
+                if let Some(chord) = t.add_affine_step(addend, true) {
+                    raw.push(chord);
+                    flags |= HAS_ADD;
                 }
             }
             steps.push(flags);
@@ -396,136 +375,6 @@ impl core::fmt::Debug for PreparedPairing {
             .field("resident_bytes", &self.resident_bytes())
             .finish_non_exhaustive()
     }
-}
-
-/// The running Miller-loop point `T` in Jacobian coordinates: the affine
-/// point is `(X/Z², Y/Z³)`, and `Z = 0` encodes the group identity.
-///
-/// Both steps return their line as *coefficients* in the second argument,
-/// `ℓ(φ(Q)) = (c0 + cx·x_Q) + (cy·y_Q)·i`, so the loop runs once per fixed
-/// argument, in [`PreparedPairing::tabulate`].  No step inverts: each line
-/// is the affine one scaled by an element of `F_p^*`, which the final
-/// exponentiation annihilates (BKLS/GHS denominator elimination, applied
-/// once more to the projective scaling).
-struct MillerPoint {
-    x: Fp,
-    y: Fp,
-    z: Fp,
-}
-
-impl MillerPoint {
-    fn from_affine(p: &G1Affine) -> Self {
-        MillerPoint {
-            x: p.x().clone(),
-            y: p.y().clone(),
-            z: Fp::one(p.ctx()),
-        }
-    }
-
-    fn identity(template: &G1Affine) -> Self {
-        let ctx = template.ctx();
-        MillerPoint {
-            x: Fp::one(ctx),
-            y: Fp::one(ctx),
-            z: Fp::zero(ctx),
-        }
-    }
-
-    fn is_identity(&self) -> bool {
-        self.z.is_zero()
-    }
-
-    /// Doubling (curve coefficient `a = 1`): `S = 4XY²`, `M = 3X² + Z⁴`,
-    /// `X' = M² − 2S`, `Y' = M(S − X') − 8Y⁴`, `Z' = 2YZ`.  The tangent at
-    /// `T` at `φ(Q)`, scaled by `2YZ³ ∈ F_p^*`, has the coefficients
-    /// `c0 = M·X − 2Y²`, `cx = M·Z²`, `cy = Z'·Z²`.
-    ///
-    /// The caller must ensure `Y ≠ 0` (no 2-torsion).
-    fn double_step_coeffs(&mut self) -> RawLine {
-        debug_assert!(!self.is_identity() && !self.y.is_zero());
-        let yy = self.y.square();
-        let zz = self.z.square();
-        let s = self.x.mul(&yy).double().double();
-        let m = &self.x.square().triple() + &zz.square();
-        let x3 = &m.square() - &s.double();
-        let y3 = &m.mul(&(&s - &x3)) - &yy.square().double().double().double();
-        let z3 = self.y.double().mul(&self.z);
-
-        let c0 = &m.mul(&self.x) - &yy.double();
-        let cx = m.mul(&zz);
-        let cy = z3.mul(&zz);
-
-        self.x = x3;
-        self.y = y3;
-        self.z = z3;
-        RawLine { c0, cx, cy }
-    }
-
-    /// Mixed addition `T ← T + P` (`P` affine): `U₂ = x_P·Z²`, `S₂ = y_P·Z³`,
-    /// `H = U₂ − X`, `r = S₂ − Y`, `X' = r² − H³ − 2XH²`,
-    /// `Y' = r(XH² − X') − YH³`, `Z' = ZH`.  The chord through `T` and `P`
-    /// has slope `r/Z'`; at `φ(Q)`, scaled by `Z' ∈ F_p^*`, its coefficients
-    /// are `c0 = r·x_P − Z'·y_P`, `cx = r`, `cy = Z'`.
-    ///
-    /// The degenerate cases fall out of the intermediates (`H = 0 ⇔
-    /// x_T = x_P`, and then `r = 0 ⇔ T = P`): they are reported instead of a
-    /// line, and `T` is left untouched.
-    fn add_step_coeffs(&mut self, p: &G1Affine) -> Chord {
-        debug_assert!(!self.is_identity());
-        let zz = self.z.square();
-        let u2 = p.x().mul(&zz);
-        let s2 = p.y().mul(&zz.mul(&self.z));
-        let h = &u2 - &self.x;
-        let r = &s2 - &self.y;
-        if h.is_zero() {
-            return if r.is_zero() {
-                Chord::Tangent
-            } else {
-                Chord::Vertical
-            };
-        }
-        let hh = h.square();
-        let hhh = hh.mul(&h);
-        let v = self.x.mul(&hh);
-        let x3 = &(&r.square() - &hhh) - &v.double();
-        let y3 = &r.mul(&(&v - &x3)) - &self.y.mul(&hhh);
-        let z3 = self.z.mul(&h);
-
-        let c0 = &r.mul(p.x()) - &z3.mul(p.y());
-        let cy = z3.clone();
-
-        self.x = x3;
-        self.y = y3;
-        self.z = z3;
-        Chord::Line(Box::new(RawLine { c0, cx: r, cy }))
-    }
-}
-
-/// A Miller-loop line with the second argument left symbolic:
-/// `ℓ(φ(Q)) = (c0 + cx·x_Q) + (cy·y_Q)·i`.
-///
-/// All three coefficients depend only on the first pairing argument, which is
-/// what makes fixed-argument precomputation possible.  On the non-degenerate
-/// path `cy = Z'·Z²` (doubling) or `cy = Z'` (addition) is never zero, so the
-/// table normalises the line to `cy = 1` — a division by an `F_p^*` constant
-/// that the final exponentiation annihilates.
-struct RawLine {
-    c0: Fp,
-    cx: Fp,
-    cy: Fp,
-}
-
-/// Outcome of [`MillerPoint::add_step_coeffs`].
-enum Chord {
-    /// Generic case: `T` was updated and the chord coefficients are returned
-    /// (boxed — clippy's `large_enum_variant`).
-    Line(Box<RawLine>),
-    /// `T = P`: the chord degenerates to the tangent at `T` (the caller
-    /// doubles instead).  Unreachable for prime-order inputs.
-    Tangent,
-    /// `T = −P`: the chord is the vertical `X − x_P ∈ F_p`, eliminated by the
-    /// final exponentiation (the caller sets `T` to the identity).
-    Vertical,
 }
 
 /// The reduced pairings of Miller values: [`final_exponentiation_batch`],
@@ -946,6 +795,54 @@ mod tests {
                 multi_pairing(&[(&full, &q2), (&prepared, &q)]).expect("non-empty batch"),
                 full.pairing(&q2).mul(&prepared.pairing(&q))
             );
+        }
+    }
+
+    /// What every curve walk of this crate produces, pinned: the steps and
+    /// rows of prepared tables for eight seeded points (six of the
+    /// subgroup, one of the full curve, the 2-torsion point), the
+    /// generator's fixed-base rows, two variable-base products (a full-size
+    /// scalar and a 3-bit one) and a hashed point, at the toy level and at
+    /// the 80-bit shape.  A change to a doubling, an addition or a window
+    /// chain moves one of these SHA-256 digests.
+    #[test]
+    fn curve_walks_are_pinned() {
+        use crate::curve::random_curve_point;
+        use tibpre_hash::Sha256;
+        const PINNED: [&str; 2] = [
+            "8f04c658557c6e5e42e19f6dc71c07291fe16476427851b30c95c145774920c3",
+            "9df26260db8d03b7a1e19bafd8d9574cfb0e50b96b7250851d41a01db08afda3",
+        ];
+        for (pp, want) in toy_and_eight_limb_params().iter().zip(PINNED) {
+            let mut r = StdRng::seed_from_u64(0x7AB1E);
+            let ctx = pp.fp_ctx();
+            let mut points: Vec<G1Affine> = (0..6).map(|_| pp.random_g1(&mut r)).collect();
+            points.push(random_curve_point(ctx, &mut r));
+            points.push(G1Affine::new(Fp::zero(ctx), Fp::zero(ctx)).unwrap());
+            let mut h = Sha256::new();
+            let mut absorb = |limbs: &[u64]| limbs.iter().for_each(|l| h.update(&l.to_le_bytes()));
+            for point in &points {
+                let prepared = PreparedPairing::new(pp, point);
+                absorb(&prepared.rows);
+                absorb(
+                    &prepared
+                        .steps
+                        .iter()
+                        .map(|&f| u64::from(f))
+                        .collect::<Vec<_>>(),
+                );
+            }
+            absorb(&pp.generator_precomp().rows);
+            let k = pp.random_scalar(&mut r).to_uint();
+            for product in [
+                points[0].mul_uint(&k),
+                points[1].mul_uint(&Uint::from_u64(5)),
+            ] {
+                h.update(&product.to_bytes());
+            }
+            h.update(&pp.hash_to_g1("PIN", &[b"walks"]).unwrap().to_bytes());
+            let got: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, want, "level {:?}", pp.level());
         }
     }
 }

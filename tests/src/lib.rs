@@ -59,6 +59,8 @@ struct ProxyState {
     /// ([`UNLIMITED`] = pass-through).  Shared across connections, so one
     /// armed cut fires exactly once on whichever connection is live.
     downstream_budget: AtomicU64,
+    /// What a fired cut re-arms the budget to ([`UNLIMITED`] = one-shot).
+    rearm: AtomicU64,
     /// Cuts fired so far — lets a test assert the fault actually happened.
     cuts: AtomicU64,
     /// Live stream clones, so `drop_connections` can sever them all.
@@ -91,6 +93,7 @@ impl FaultProxy {
             stop: AtomicBool::new(false),
             paused: AtomicBool::new(false),
             downstream_budget: AtomicU64::new(UNLIMITED),
+            rearm: AtomicU64::new(UNLIMITED),
             cuts: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
         });
@@ -114,6 +117,14 @@ impl FaultProxy {
     /// connection is severed (mid-frame if that is where byte `n` lands).
     /// After firing, the proxy passes traffic again until re-armed.
     pub fn cut_downstream_after(&self, n: u64) {
+        self.state.rearm.store(UNLIMITED, Ordering::SeqCst);
+        self.state.downstream_budget.store(n, Ordering::SeqCst);
+    }
+
+    /// Like [`Self::cut_downstream_after`], but each cut re-arms the next
+    /// `n` bytes on, so no connection that follows a cut streams uncut.
+    pub fn cut_downstream_every(&self, n: u64) {
+        self.state.rearm.store(n, Ordering::SeqCst);
         self.state.downstream_budget.store(n, Ordering::SeqCst);
     }
 
@@ -220,7 +231,8 @@ fn pump(mut from: TcpStream, mut to: TcpStream, state: Arc<ProxyState>, directio
                             // forward exactly the allowed prefix, then cut.
                             allowed = budget as usize;
                             cut = true;
-                            state.downstream_budget.store(UNLIMITED, Ordering::SeqCst);
+                            let rearm = state.rearm.load(Ordering::SeqCst);
+                            state.downstream_budget.store(rearm, Ordering::SeqCst);
                             state.cuts.fetch_add(1, Ordering::SeqCst);
                         } else {
                             state

@@ -32,17 +32,12 @@ use tibpre_tests::test_levels as levels;
 
 /// Strict-reduction Karatsuba multiplication (3 base-field multiplications,
 /// every product reduced immediately) — the historical shape of the hot
-/// path and the oracle for the lazy `Fp2::mul` / `Fp2::mul_by_line`.
+/// path and the oracle for the lazy `Fp2::mul`.
 fn mul_strict(a: &Fp2, b: &Fp2) -> Fp2 {
     let a0b0 = &a.c0 * &b.c0;
     let a1b1 = &a.c1 * &b.c1;
     let cross = &(&(&a.c0 + &a.c1) * &(&b.c0 + &b.c1)) - &(&a0b0 + &a1b1);
     Fp2::new(&a0b0 - &a1b1, cross)
-}
-
-/// [`mul_strict`] by a line value `real + y·i`.
-fn mul_by_line_strict(a: &Fp2, real: &Fp, y: &Fp) -> Fp2 {
-    mul_strict(a, &Fp2::new(real.clone(), y.clone()))
 }
 
 /// Adversarial `Fp` operands for a given context: the reduction-boundary
@@ -144,14 +139,12 @@ fn fp2_lazy_mul_matches_strict_on_corners_and_random() {
             // Squaring stays strict internally but must agree with lazy mul.
             assert_eq!(a.square().to_bytes(), a.mul(a).to_bytes());
         }
-        // Line folding: the fused path against its strict oracle, with the
-        // line coefficients also drawn from the corner set.
+        // Line values `real + y·i` with both coefficients drawn from the
+        // corner set, against the same strict oracle.
         for a in &elements {
             for (real, y) in corners.iter().zip(corners.iter().rev()) {
-                assert_eq!(
-                    a.mul_by_line(real, y).to_bytes(),
-                    mul_by_line_strict(a, real, y).to_bytes()
-                );
+                let line = Fp2::new(real.clone(), y.clone());
+                assert_eq!(a.mul(&line).to_bytes(), mul_strict(a, &line).to_bytes());
             }
         }
     }
@@ -222,8 +215,8 @@ proptest! {
         );
     }
 
-    /// Random-operand property: lazy `Fp2` multiplication and line folding
-    /// equal their strict oracles.
+    /// Random-operand property: lazy `Fp2` multiplication equals its strict
+    /// oracle, on a random element and on a random line value.
     #[test]
     fn prop_fp2_lazy_matches_strict(seed in any::<u64>()) {
         let params = PairingParams::cached(SecurityLevel::Toy);
@@ -234,9 +227,7 @@ proptest! {
         prop_assert_eq!(a.mul(&b).to_bytes(), mul_strict(&a, &b).to_bytes());
         let real = Fp::random(ctx, &mut rng);
         let y = Fp::random(ctx, &mut rng);
-        prop_assert_eq!(
-            a.mul_by_line(&real, &y).to_bytes(),
-            mul_by_line_strict(&a, &real, &y).to_bytes()
-        );
+        let line = Fp2::new(real, y);
+        prop_assert_eq!(a.mul(&line).to_bytes(), mul_strict(&a, &line).to_bytes());
     }
 }

@@ -476,8 +476,26 @@ fn replication_never_resurrects_a_revoked_grant_or_deleted_record() {
     let primary_audit = primary.audit_snapshot().unwrap();
 
     // Replicate through the fault proxy with repeated tiny cuts, and
-    // sample the replica's state at every step of its catch-up.
+    // sample the replica's state at every step of its catch-up.  Every
+    // connection, the first one included, is cut `budget` bytes into its
+    // stream, past the subscription handshake (the primary's status frame,
+    // which the replica's boot must read whole); the proxy re-arms each cut
+    // itself.  A cut after which the replica applied nothing widens the
+    // next one by 61 bytes, until a connection carries a whole frame;
+    // progress narrows it back to 61.  A fixed 61-byte cut is shorter than
+    // a frame: a replica whose reconnects back off after fruitless
+    // connections would meet one on every connection and never catch up.
     let fault = FaultProxy::start(primary_node.addr().to_string()).unwrap();
+    let (committed, writable) = replication_status(primary.connection());
+    let mut handshake = Vec::new();
+    let status = Response::ReplicaStatus {
+        positions: committed,
+        writable,
+    };
+    write_frame(&mut handshake, &status.to_wire_bytes(), usize::MAX).unwrap();
+    let arm = |budget: u64| fault.cut_downstream_every(handshake.len() as u64 + budget);
+    let mut budget = 61;
+    arm(budget);
     let replica_node = boot_replica(&fault.addr().to_string());
     let mut replica = connect(&replica_node);
 
@@ -501,10 +519,11 @@ fn replication_never_resurrects_a_revoked_grant_or_deleted_record() {
     };
     let primary_policy = policy_order(&primary_audit);
 
+    let mut cuts_seen = 0;
+    let mut applied_at_last_cut = replication_status(replica.connection()).0;
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut saw_deleted = false;
     loop {
-        fault.cut_downstream_after(61);
         let sample = replica.audit_snapshot().unwrap();
         // The replica never invents events.
         for event in &sample {
@@ -549,9 +568,29 @@ fn replication_never_resurrects_a_revoked_grant_or_deleted_record() {
         if want == have {
             break;
         }
-        assert!(Instant::now() < deadline, "replica never caught up");
+        assert!(
+            Instant::now() < deadline,
+            "replica never caught up: {} cuts, applied {have:?}, committed {want:?}",
+            fault.cuts()
+        );
+        let cuts = fault.cuts();
+        if cuts > cuts_seen {
+            budget = if have == applied_at_last_cut {
+                budget + 61 * (cuts - cuts_seen)
+            } else {
+                61
+            };
+            arm(budget);
+            cuts_seen = cuts;
+            applied_at_last_cut = have;
+        }
         std::thread::sleep(Duration::from_millis(10));
     }
+    assert!(
+        fault.cuts() >= 2,
+        "the catch-up was cut {} times",
+        fault.cuts()
+    );
     assert!(saw_deleted, "the delete never reached the replica");
     assert_identical(&mut primary, &mut replica);
 
