@@ -17,7 +17,7 @@ pub struct Delegatee {
 const MASK_CACHE_CAP: usize = 256;
 
 /// Cached mask points per delegatee: at most `4096 × (|c'₃| + 1 + 2·|p|)`
-/// bytes of payload, ≈ 1 MiB at 80 bits (every entry has one size).
+/// bytes of payload, ≈ 1.3 MiB at 80 bits (every entry has one size).
 const POINT_CACHE_CAP: usize = 4096;
 
 /// `c'₃ ↦ prepared Miller loop for H1(Decrypt2(c'₃))`, keyed by the exact
@@ -314,8 +314,9 @@ mod tests {
             bytes[at] ^= 0x01;
             decode_bare::<EncodedIbeCiphertext>(&bytes, WireVersion::DEFAULT, &ctx).unwrap()
         };
-        // The first body byte of each element whose flip fails validation.
-        for part in [1..1 + flen, 2 + flen..c3.len()] {
+        // The first byte of each coordinate of the point whose flip fails
+        // validation (a flipped torus coordinate names another element).
+        for part in [1..1 + flen, 1 + flen..1 + 2 * flen] {
             let at = part
                 .clone()
                 .find(|&at| flipped(at).to_ciphertext().is_err())

@@ -32,7 +32,7 @@ impl TypedCiphertext {
     /// Total standalone serialized length (envelope byte included) under the
     /// default wire version.
     pub fn serialized_len(params: &PairingParams, type_len: usize) -> usize {
-        1 + params.g1_compressed_byte_len() + params.gt_compressed_byte_len() + 4 + type_len
+        1 + params.g1_byte_len() + params.gt_byte_len() + 4 + type_len
     }
 }
 

@@ -159,7 +159,7 @@ impl ReEncryptionKey {
             + self.delegator.as_bytes().len()
             + self.delegatee.as_bytes().len()
             + self.type_tag.as_bytes().len();
-        1 + strings + params.g1_compressed_byte_len() + self.encrypted_x.as_bytes().len()
+        1 + strings + params.g1_byte_len() + self.encrypted_x.as_bytes().len()
     }
 }
 

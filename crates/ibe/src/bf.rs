@@ -41,7 +41,7 @@ impl IbeCiphertext {
     /// Total standalone serialized length (envelope byte included) under the
     /// default wire version.
     pub fn serialized_len(params: &PairingParams) -> usize {
-        1 + params.g1_compressed_byte_len() + params.gt_compressed_byte_len()
+        1 + params.g1_byte_len() + params.gt_byte_len()
     }
 }
 
@@ -275,7 +275,7 @@ mod tests {
             assert!(decode_bare::<EncodedIbeCiphertext>(prefix, WireVersion::V1, &ctx).is_err());
         }
 
-        // An x with no curve point is framed like any other, and refused
+        // A point off the curve is framed like any other, and refused
         // when opened.
         let mut off_curve = encoded.as_bytes().to_vec();
         let flen = pp.pairing().fp_ctx().byte_len();

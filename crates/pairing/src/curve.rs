@@ -186,18 +186,6 @@ impl G1Affine {
         out
     }
 
-    /// Compressed encoding: `0x00` for the identity or `0x02/0x03 || x` with
-    /// the tag carrying the parity of `y`.
-    pub fn to_bytes_compressed(&self) -> Vec<u8> {
-        if self.infinity {
-            return vec![0x00];
-        }
-        let mut out = Vec::with_capacity(1 + self.ctx().byte_len());
-        out.push(if self.y.is_odd_repr() { 0x03 } else { 0x02 });
-        out.extend(self.x.to_bytes());
-        out
-    }
-
     /// Decodes an uncompressed coordinate pair, re-validating the curve
     /// equation.  Shared by [`Self::from_bytes`] and the wire codec.
     pub(crate) fn decode_uncompressed(
@@ -210,9 +198,10 @@ impl G1Affine {
         G1Affine::new(x, y)
     }
 
-    /// Decompresses an x-coordinate plus a y-parity bit, re-validating the
-    /// curve equation (an x with no square root on the right-hand side is
-    /// rejected).  Shared by [`Self::from_bytes`] and the wire codec.
+    /// Decompresses an x-coordinate plus a y-parity bit (the form older
+    /// writers emitted), re-validating the curve equation (an x with no
+    /// square root on the right-hand side is rejected).  Shared by
+    /// [`Self::from_bytes`] and the wire codec.
     pub(crate) fn decode_compressed(
         ctx: &Arc<FpCtx>,
         want_odd_y: bool,
@@ -227,7 +216,8 @@ impl G1Affine {
         G1Affine::new(x, y)
     }
 
-    /// Decodes either encoding, re-validating the curve equation.
+    /// Decodes either encoding (`0x04 ‖ x ‖ y` or the compressed form older
+    /// writers emitted), re-validating the curve equation.
     pub fn from_bytes(ctx: &Arc<FpCtx>, bytes: &[u8]) -> Result<G1Affine> {
         let field_len = ctx.byte_len();
         match bytes.first() {
@@ -586,6 +576,16 @@ mod tests {
         StdRng::seed_from_u64(2024)
     }
 
+    /// The compressed form older writers emitted: `0x00` for the identity
+    /// or `0x02/0x03 ‖ x`, the tag carrying the parity of `y`.
+    fn to_bytes_compressed(p: &G1Affine) -> Vec<u8> {
+        if p.is_identity() {
+            return vec![0x00];
+        }
+        let tag = if p.y().is_odd_repr() { 0x03 } else { 0x02 };
+        [vec![tag], p.x().to_bytes()].concat()
+    }
+
     #[test]
     fn random_points_are_on_curve() {
         let c = ctx();
@@ -762,14 +762,14 @@ mod tests {
         assert_eq!(bytes.len(), 1 + 2 * c.byte_len());
         assert_eq!(G1Affine::from_bytes(&c, &bytes).unwrap(), p);
         // Compressed.
-        let compressed = p.to_bytes_compressed();
+        let compressed = to_bytes_compressed(&p);
         assert_eq!(compressed.len(), 1 + c.byte_len());
         assert_eq!(G1Affine::from_bytes(&c, &compressed).unwrap(), p);
         // Identity.
         let id = G1Affine::identity(&c);
         assert_eq!(G1Affine::from_bytes(&c, &id.to_bytes()).unwrap(), id);
         assert_eq!(
-            G1Affine::from_bytes(&c, &id.to_bytes_compressed()).unwrap(),
+            G1Affine::from_bytes(&c, &to_bytes_compressed(&id)).unwrap(),
             id
         );
     }

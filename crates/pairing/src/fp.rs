@@ -371,6 +371,7 @@ impl Fp {
     /// Square root for `p ≡ 3 (mod 4)`: `a^((p+1)/4)`, checked by squaring
     /// back.  Returns `None` for non-residues.
     pub fn sqrt(&self) -> Option<Fp> {
+        crate::counts::note_sqrt();
         let candidate = self.pow(&self.ctx.sqrt_exp);
         (candidate.square() == *self).then_some(candidate)
     }

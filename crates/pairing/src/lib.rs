@@ -41,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod counts;
 pub mod curve;
 pub mod error;
 pub mod fp;
@@ -54,6 +55,7 @@ pub mod precomp;
 pub mod scalar;
 pub mod wire;
 
+pub use counts::OpCounts;
 pub use curve::G1Affine;
 pub use error::PairingError;
 pub use fp::{Fp, FpCtx};

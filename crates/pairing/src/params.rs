@@ -95,14 +95,16 @@ pub struct PairingParams {
     /// Fixed-base table for `g`, built lazily on first use and shared by
     /// every holder of these parameters.
     generator_precomp: OnceLock<Arc<G1Precomp>>,
-    /// Canonical encodings of `G1` points already proven to lie in the
-    /// prime-order subgroup.  The subgroup check (`q·P = O`) costs a full
-    /// scalar multiplication, and real traffic re-presents the same few hot
-    /// points over and over (a record's `c1` on every disclosure, at the
-    /// proxy and again in the bundle), so the wire boundary memoises
-    /// *successful* checks by their exact canonical bytes.  Identical bytes
-    /// decode to the identical point, so a hit can never admit a point a
-    /// fresh check would reject; failures are never inserted.
+    /// Encodings of `G1` points already proven to lie in the prime-order
+    /// subgroup.  The subgroup check (`q·P = O`) costs a full scalar
+    /// multiplication, and real traffic re-presents the same few hot points
+    /// over and over (a record's `c1` on every disclosure, at the proxy and
+    /// again in the bundle), so the wire boundary memoises *successful*
+    /// checks by their exact bytes.  Identical bytes decode to the
+    /// identical point, so a hit can never admit a point a fresh check
+    /// would reject; failures are never inserted.  A point read in both its
+    /// `0x04 ‖ x ‖ y` form and the compressed form older writers emitted is
+    /// two entries, each inserted after its own check.
     g1_validated: Mutex<SubgroupMemo>,
 }
 
@@ -232,16 +234,16 @@ impl PairingParams {
         &self.q
     }
 
-    /// Whether a `G1` point with this exact canonical encoding has already
-    /// passed the subgroup check.  See the `g1_validated` field docs.
-    pub fn g1_subgroup_memo_contains(&self, encoded: &[u8]) -> bool {
+    /// Whether a `G1` point with this exact encoding has already passed the
+    /// subgroup check.  See the `g1_validated` field docs.
+    pub(crate) fn g1_subgroup_memo_contains(&self, encoded: &[u8]) -> bool {
         self.g1_memo().get(encoded).is_some()
     }
 
-    /// Records a canonical encoding that passed the subgroup check.  The memo
+    /// Records an encoding that passed the subgroup check.  The memo
     /// is bounded at `MEMO_CAP` (8 192) encodings in two generations; see
     /// the `g1_validated` field docs.
-    pub fn g1_subgroup_memo_insert(&self, encoded: &[u8]) {
+    pub(crate) fn g1_subgroup_memo_insert(&self, encoded: &[u8]) {
         self.g1_memo().insert(encoded.into(), ());
     }
 
@@ -347,13 +349,15 @@ impl PairingParams {
         hash_to_scalar(&self.scalar_ctx, domain, fields)
     }
 
-    /// Byte length of a compressed (`v1`) non-identity curve point.
-    pub fn g1_compressed_byte_len(&self) -> usize {
-        1 + self.fp_ctx.byte_len()
+    /// Byte length of a non-identity curve point under `v1`: a tag and both
+    /// coordinates.
+    pub fn g1_byte_len(&self) -> usize {
+        1 + 2 * self.fp_ctx.byte_len()
     }
 
-    /// Byte length of a compressed (`v1`) target-group subgroup element.
-    pub fn gt_compressed_byte_len(&self) -> usize {
+    /// Byte length of a target-group subgroup element under `v1`: a tag and
+    /// its torus coordinate.
+    pub fn gt_byte_len(&self) -> usize {
         1 + self.fp_ctx.byte_len()
     }
 
@@ -536,9 +540,10 @@ mod tests {
         let pp = params();
         let mut r = rng();
         let g1 = pp.random_g1(&mut r);
-        assert_eq!(g1.to_bytes_compressed().len(), pp.g1_compressed_byte_len());
+        let g1 = tibpre_wire::encode_bare(&g1, tibpre_wire::WireVersion::V1);
+        assert_eq!(g1.len(), pp.g1_byte_len());
         let gt = tibpre_wire::encode_bare(&pp.random_gt(&mut r), tibpre_wire::WireVersion::V1);
-        assert_eq!(gt.len(), pp.gt_compressed_byte_len());
+        assert_eq!(gt.len(), pp.gt_byte_len());
         assert_eq!(
             pp.random_scalar(&mut r).to_bytes().len(),
             pp.scalar_byte_len()

@@ -9,21 +9,26 @@
 //! | [`Fp`] | fixed `len(p)` bytes BE | same |
 //! | [`Fp2`] | `c0 ‖ c1` | same |
 //! | [`Scalar`] | fixed `len(q)` bytes BE | same |
-//! | [`G1Affine`] | `0x04 ‖ x ‖ y` (`0x00` = identity) | `0x02/0x03 ‖ x` (`0x00` = identity) |
-//! | [`Gt`] | raw `c0 ‖ c1` | `0x02/0x03 ‖ c0` (`0x04 ‖ c0 ‖ c1` fallback) |
+//! | [`G1Affine`] | `0x04 ‖ x ‖ y` (`0x00` = identity) | same |
+//! | [`Gt`] | raw `c0 ‖ c1` | `0x05 ‖ t` on the norm-1 torus, `0x04 ‖ c0 ‖ c1` off it (and `−1`) |
 //!
 //! The `v0` layouts are byte-identical to the pre-`tibpre-wire` encodings,
 //! which is what lets durable data written before this crate existed decode
-//! through the same code path.
+//! through the same code path.  No `v1` decode solves a square root in
+//! `Fp`: a `G1` point travels with both coordinates, so its decode *checks*
+//! `y² = x³ + x`, and a torus element travels as its torus coordinate
+//! `t = c1 / (1 + c0)`, so its decode *computes* `c0 = (1 − t²)/(1 + t²)`
+//! and `c1 = 2t/(1 + t²)` with one inversion.  The compressed `v1` forms
+//! older writers emitted, `0x02/0x03 ‖ x` and `0x02/0x03 ‖ c0` (the tag is
+//! the parity of `y` or `c1`), are still read, so stored data is read as it
+//! was written.
 //!
 //! # Validation at the boundary
 //!
 //! Decoding validates **canonical range** (every field element `< p`) and
-//! **curve membership** for `G1` points — compressed points are
-//! additionally canonical by construction, since only `x` and a sign bit
-//! are transmitted.  The scheme values (ciphertexts, keys, parameters) are
-//! declared with [`tibpre_wire::message!`], and their elements travel by
-//! the [`Field`] codecs here:
+//! **curve membership** for `G1` points.  The scheme values (ciphertexts,
+//! keys, parameters) are declared with [`tibpre_wire::message!`], and their
+//! elements travel by the [`Field`] codecs here:
 //!
 //! * A declared [`G1Affine`] field is **always subgroup-checked**
 //!   (`q·P = O`, [`decode_g1_in_subgroup`]): an attacker-controlled `c₁`,
@@ -36,11 +41,11 @@
 //!   outside the subgroup decrypts to garbage but breaks nothing, which is
 //!   why the legacy code used `Gt::from_bytes_unchecked` everywhere.  The
 //!   `v1` layout does not change that acceptance policy (off-torus values
-//!   still decode, through the explicit `0x04` fallback tag), but it makes
-//!   torus membership *explicit and canonical*: a compressed tag proves
-//!   norm 1 by construction, the fallback tag rejects torus members, so
-//!   every value has exactly one accepted encoding and the tag never lies.
-//!   Callers that do need the full subgroup check use [`Gt::from_bytes`].
+//!   still decode, under the `0x04` tag), but it makes torus membership
+//!   *explicit*: the torus tag names norm-1 elements only, and the `0x04`
+//!   tag refuses every element the torus tag names, so the tag never lies
+//!   and a writer emits exactly one encoding per value.  Callers that do
+//!   need the full subgroup check use [`Gt::from_bytes`].
 //! * The pairing parameters never travel: a declared
 //!   `Arc<PairingParams>` field is filled from the decode context
 //!   ([`FromCtx`]).
@@ -178,7 +183,7 @@ pub fn skip_g1(r: &mut Reader<'_>, ctx: &FpCtx) -> Result<(), DecodeError> {
 pub fn skip_gt(r: &mut Reader<'_>, ctx: &FpCtx) -> Result<(), DecodeError> {
     let start = r.offset();
     let len = match r.u8()? {
-        gt_tag::EVEN | gt_tag::ODD => ctx.byte_len(),
+        gt_tag::EVEN | gt_tag::ODD | gt_tag::TORUS => ctx.byte_len(),
         gt_tag::FULL => 2 * ctx.byte_len(),
         other => return Err(DecodeError::invalid_tag(start, "Gt element", other)),
     };
@@ -233,11 +238,9 @@ impl WireDecode for Scalar {
 }
 
 impl WireEncode for G1Affine {
+    /// `0x04 ‖ x ‖ y` (`0x00` = identity) under either version.
     fn encode(&self, w: &mut Writer) {
-        match w.version() {
-            WireVersion::V0 => w.put_slice(&self.to_bytes()),
-            WireVersion::V1 => w.put_slice(&self.to_bytes_compressed()),
-        }
+        w.put_slice(&self.to_bytes());
     }
 }
 
@@ -245,8 +248,8 @@ impl WireDecode for G1Affine {
     type Ctx = Arc<FpCtx>;
 
     /// The point tags are self-describing, so the decoder accepts both the
-    /// compressed and the uncompressed form under either version; the
-    /// version only governs what the *writer* emits.  Curve membership is
+    /// uncompressed form and the compressed one older writers emitted,
+    /// under either version.  Curve membership is
     /// validated here; a declared field adds the subgroup check (see the
     /// [module docs](self)).
     fn decode(r: &mut Reader<'_>, ctx: &Self::Ctx) -> Result<Self, DecodeError> {
@@ -270,43 +273,43 @@ impl WireDecode for G1Affine {
     }
 }
 
-/// `Gt` compression tags (v1 only; v0 is the raw two-coordinate layout).
+/// `Gt` tags (v1 only; v0 is the raw two-coordinate layout).
 mod gt_tag {
-    /// Compressed, `c1` has an even canonical representative.
+    /// Compressed (read only), `c1` has an even canonical representative.
     pub const EVEN: u8 = 0x02;
-    /// Compressed, `c1` has an odd canonical representative.
+    /// Compressed (read only), `c1` has an odd canonical representative.
     pub const ODD: u8 = 0x03;
-    /// Uncompressed fallback for values off the norm-1 torus (only
-    /// produced for values that never appear in honest protocol runs).
+    /// Both coordinates: values off the norm-1 torus (which never appear
+    /// in honest protocol runs) and `−1`, the one torus member with no
+    /// torus coordinate.
     pub const FULL: u8 = 0x04;
+    /// The torus coordinate `t`: every other norm-1 element, every honest
+    /// element among them.
+    pub const TORUS: u8 = 0x05;
+}
+
+/// The torus coordinate `t = c1 / (1 + c0)` of a norm-1 element `v ≠ −1`
+/// (`c0² + c1² = 1`), from which `v = (1 − t² + 2t·i) / (1 + t²)`.
+/// Genuine subgroup elements have one (`q | p + 1`, so `v·v̄ = v^{p+1} = 1`,
+/// and `q` is odd); others exist only through `from_fp2_unchecked`.
+fn torus_coordinate(v: &Fp2) -> Option<Fp> {
+    if !(&v.c0.square() + &v.c1.square()).is_one() {
+        return None;
+    }
+    let denominator = (&v.c0 + &Fp::one(v.c0.ctx())).invert().ok()?;
+    Some(v.c1.mul(&denominator))
 }
 
 impl WireEncode for Gt {
+    /// Under v1, the torus tag and the torus coordinate, or `0x04` and
+    /// both coordinates for a value without one.
     fn encode(&self, w: &mut Writer) {
-        let v = self.as_fp2();
         match w.version() {
             WireVersion::V0 => w.put_slice(&self.to_bytes()),
-            WireVersion::V1 => {
-                // Genuine subgroup elements live on the norm-1 torus
-                // (q | p + 1, so v·v̄ = v^{p+1} = 1): c1 is determined by
-                // c0 up to sign, and one coordinate plus a parity bit
-                // suffice.  Anything else (possible only through
-                // `from_fp2_unchecked`) falls back to the full layout so
-                // encoding stays total and lossless.
-                let norm = &v.c0.square() + &v.c1.square();
-                if norm.is_one() {
-                    w.put_u8(if v.c1.is_odd_repr() {
-                        gt_tag::ODD
-                    } else {
-                        gt_tag::EVEN
-                    });
-                    v.c0.encode(w);
-                } else {
-                    w.put_u8(gt_tag::FULL);
-                    v.c0.encode(w);
-                    v.c1.encode(w);
-                }
-            }
+            WireVersion::V1 => match torus_coordinate(self.as_fp2()) {
+                Some(t) => w.put_slice(&[&[gt_tag::TORUS][..], &t.to_bytes()].concat()),
+                None => w.put_slice(&[&[gt_tag::FULL][..], &self.to_bytes()].concat()),
+            },
         }
     }
 }
@@ -314,15 +317,13 @@ impl WireEncode for Gt {
 impl WireDecode for Gt {
     type Ctx = Arc<FpCtx>;
 
-    /// Validates canonical range always.  Under v1 the encoding is also
-    /// **canonical**: a compressed tag (`0x02`/`0x03`) proves norm-1 torus
-    /// membership by construction (decompression solves `c1² = 1 − c0²`),
-    /// and the `0x04` fallback *rejects* torus members — every value has
-    /// exactly one accepted encoding, and the tag truthfully reports
-    /// whether the element lies on the torus.  Off-torus values are still
-    /// accepted (matching v0 and legacy semantics: a bad mask decrypts to
-    /// garbage, nothing more); the full `v^q = 1` subgroup check remains
-    /// opt-in via [`Gt::from_bytes`] (see the [module docs](self)).
+    /// Validates canonical range always.  Under v1 the tag truthfully
+    /// reports torus membership: every `t < p` under the torus tag names one
+    /// torus member, the `0x04` tag *rejects* those members, and a
+    /// compressed tag (read only) proves norm 1 by construction
+    /// (decompression solves `c1² = 1 − c0²`).  Off-torus values are still
+    /// accepted (a bad mask decrypts to garbage, nothing more); the full
+    /// `v^q = 1` subgroup check is [`Gt::from_bytes`].
     fn decode(r: &mut Reader<'_>, ctx: &Self::Ctx) -> Result<Self, DecodeError> {
         match r.version() {
             WireVersion::V0 => {
@@ -333,6 +334,19 @@ impl WireDecode for Gt {
                 let start = r.offset();
                 let tag = r.u8()?;
                 match tag {
+                    gt_tag::TORUS => {
+                        let t = Fp::decode(r, ctx)?;
+                        let (one, t2) = (Fp::one(ctx), t.square());
+                        // Never zero: −1 is no square when p ≡ 3 (mod 4).
+                        let inverse = (&one + &t2)
+                            .invert()
+                            .map_err(|_| invalid_at(r, "Gt torus coordinate with 1 + t² = 0"))?;
+                        let c0 = (&one - &t2).mul(&inverse);
+                        Ok(Gt::from_fp2_unchecked(Fp2::new(
+                            c0,
+                            t.double().mul(&inverse),
+                        )))
+                    }
                     gt_tag::EVEN | gt_tag::ODD => {
                         let c0 = Fp::decode(r, ctx)?;
                         // c1² = 1 − c0²; an x off the torus has no root.
@@ -357,13 +371,10 @@ impl WireDecode for Gt {
                     }
                     gt_tag::FULL => {
                         let value = Fp2::decode(r, ctx)?;
-                        // Reject torus members smuggled through the
-                        // fallback tag: they must use the compressed form,
-                        // otherwise one value would have two accepted
-                        // encodings (breaking dedup/hashing of serialized
-                        // ciphertexts) and the tag would lie about torus
-                        // membership.
-                        if (&value.c0.square() + &value.c1.square()).is_one() {
+                        // A value the torus tag names must travel under it:
+                        // otherwise one value would have two encodings and
+                        // the tag would lie about torus membership.
+                        if torus_coordinate(&value).is_some() {
                             return Err(DecodeError::invalid(
                                 start,
                                 "non-canonical Gt encoding (torus member in full layout)",
@@ -393,6 +404,26 @@ mod tests {
         StdRng::seed_from_u64(0x31173)
     }
 
+    /// The compressed `G1` form older writers emitted: `0x02/0x03 ‖ x`.
+    fn g1_compressed(p: &G1Affine) -> Vec<u8> {
+        let tag = if p.y().is_odd_repr() { 0x03 } else { 0x02 };
+        [vec![tag], p.x().to_bytes()].concat()
+    }
+
+    /// The compressed `Gt` form older writers emitted for a torus member:
+    /// the parity of `c1` as the tag, then `c0`.
+    fn gt_compressed(g: &Gt) -> Vec<u8> {
+        let v = g.as_fp2();
+        let norm = &v.c0.square() + &v.c1.square();
+        assert!(norm.is_one(), "only torus members were compressed");
+        let tag = if v.c1.is_odd_repr() {
+            gt_tag::ODD
+        } else {
+            gt_tag::EVEN
+        };
+        [vec![tag], v.c0.to_bytes()].concat()
+    }
+
     #[test]
     fn g1_round_trips_both_versions() {
         let pp = params();
@@ -403,21 +434,15 @@ mod tests {
             let v0 = encode_bare(&p, WireVersion::V0);
             let v1 = encode_bare(&p, WireVersion::V1);
             assert_eq!(v0, p.to_bytes(), "v0 must match the legacy layout");
-            assert_eq!(v1.len(), 1 + ctx.byte_len());
-            assert!(v1.len() < v0.len());
-            assert_eq!(
-                decode_bare::<G1Affine>(&v0, WireVersion::V0, &ctx).unwrap(),
-                p
-            );
-            assert_eq!(
-                decode_bare::<G1Affine>(&v1, WireVersion::V1, &ctx).unwrap(),
-                p
-            );
-            // Tags are self-describing: cross-version decode works too.
-            assert_eq!(
-                decode_bare::<G1Affine>(&v1, WireVersion::V0, &ctx).unwrap(),
-                p
-            );
+            assert_eq!(v1, v0, "both versions carry both coordinates");
+            assert_eq!(v1.len(), 1 + 2 * ctx.byte_len());
+            // Tags are self-describing: the compressed form older writers
+            // emitted still decodes, under either version.
+            let old = g1_compressed(&p);
+            for (bytes, v) in [(&v0, WireVersion::V0), (&v1, WireVersion::V1)] {
+                assert_eq!(decode_bare::<G1Affine>(bytes, v, &ctx).unwrap(), p);
+                assert_eq!(decode_bare::<G1Affine>(&old, v, &ctx).unwrap(), p);
+            }
         }
         // Identity round-trips in both versions.
         let id = pp.g1_identity();
@@ -452,11 +477,37 @@ mod tests {
             }
         };
         let bad_bytes = encode_bare(&bad, WireVersion::V1);
-        for _ in 0..2 {
-            let mut rd = Reader::with_version(&bad_bytes, WireVersion::V1);
-            assert!(decode_g1_in_subgroup(&mut rd, &ctx, "p").is_err());
-            assert!(!pp.g1_subgroup_memo_contains(&bad_bytes));
+        for bytes in [bad_bytes, g1_compressed(&bad)] {
+            for _ in 0..2 {
+                let mut rd = Reader::with_version(&bytes, WireVersion::V1);
+                assert!(decode_g1_in_subgroup(&mut rd, &ctx, "p").is_err());
+                assert!(!pp.g1_subgroup_memo_contains(&bytes));
+            }
         }
+
+        // Old and new bytes of one point are two keys, each inserted only
+        // after its own check, and both decode to the same point.  The
+        // memo never serves a key for other bytes: `(x, −y)` is `−P`, and
+        // an `x` shared with a memoised point is refused off the curve.
+        let q = pp.random_g1(&mut r);
+        let (new, old) = (encode_bare(&q, WireVersion::V1), g1_compressed(&q));
+        for bytes in [&old, &new, &old, &new] {
+            let mut rd = Reader::with_version(bytes, WireVersion::V1);
+            assert_eq!(decode_g1_in_subgroup(&mut rd, &ctx, "p").unwrap(), q);
+            assert!(pp.g1_subgroup_memo_contains(bytes));
+        }
+        let minus = encode_bare(&q.neg(), WireVersion::V1);
+        assert_eq!(
+            minus[..1 + pp.fp_ctx().byte_len()],
+            new[..1 + pp.fp_ctx().byte_len()]
+        );
+        assert!(!pp.g1_subgroup_memo_contains(&minus));
+        let mut rd = Reader::with_version(&minus, WireVersion::V1);
+        assert_eq!(decode_g1_in_subgroup(&mut rd, &ctx, "p").unwrap(), q.neg());
+        let mut off_curve = new.clone();
+        *off_curve.last_mut().unwrap() ^= 1;
+        let mut rd = Reader::with_version(&off_curve, WireVersion::V1);
+        assert!(decode_g1_in_subgroup(&mut rd, &ctx, "p").is_err());
 
         // The memo is bounded: flooding it with distinct encodings evicts
         // old entries (two generations, see `params.rs`) instead of growing
@@ -479,9 +530,15 @@ mod tests {
             let v0 = encode_bare(&g, WireVersion::V0);
             let v1 = encode_bare(&g, WireVersion::V1);
             assert_eq!(v0, g.to_bytes(), "v0 must match the legacy layout");
-            assert_eq!(v1.len(), 1 + ctx.byte_len(), "subgroup elements compress");
+            let v = g.as_fp2();
+            let t = v.c1.mul(&(&v.c0 + &Fp::one(&ctx)).invert().unwrap());
+            assert_eq!(v1, [vec![gt_tag::TORUS], t.to_bytes()].concat());
+            assert_eq!(v1.len(), 1 + ctx.byte_len());
             assert_eq!(decode_bare::<Gt>(&v0, WireVersion::V0, &ctx).unwrap(), g);
             assert_eq!(decode_bare::<Gt>(&v1, WireVersion::V1, &ctx).unwrap(), g);
+            // The compressed form older writers emitted still decodes.
+            let old = gt_compressed(&g);
+            assert_eq!(decode_bare::<Gt>(&old, WireVersion::V1, &ctx).unwrap(), g);
         }
     }
 
@@ -515,17 +572,40 @@ mod tests {
             err,
             DecodeError::invalid(0, "non-canonical Gt encoding (torus member in full layout)")
         );
-        // The canonical (compressed) form still round-trips, of course.
+        // The canonical (torus-tagged) form still round-trips, of course.
         let canonical = encode_bare(&g, WireVersion::V1);
         assert_eq!(
             decode_bare::<Gt>(&canonical, WireVersion::V1, &ctx).unwrap(),
             g
         );
+        // Every canonical torus coordinate names one norm-1 element, which
+        // travels under exactly those bytes; `t ≥ p` is refused.
+        for _ in 0..8 {
+            let t = encode_bare(&Fp::random(&ctx, &mut r), WireVersion::V1);
+            let named = [vec![gt_tag::TORUS], t].concat();
+            let v = decode_bare::<Gt>(&named, WireVersion::V1, &ctx).unwrap();
+            let norm = &v.as_fp2().c0.square() + &v.as_fp2().c1.square();
+            assert!(norm.is_one());
+            assert_eq!(encode_bare(&v, WireVersion::V1), named);
+        }
+        let p = ctx.modulus().to_be_bytes(ctx.byte_len()).unwrap();
+        let too_big = [vec![gt_tag::TORUS], p].concat();
+        assert!(decode_bare::<Gt>(&too_big, WireVersion::V1, &ctx).is_err());
+        // −1 is the torus member without a torus coordinate: it keeps both
+        // coordinates under `0x04`, and is that tag's only torus member.
+        let minus_one = Gt::from_fp2_unchecked(Fp2::new(Fp::one(&ctx).neg(), Fp::zero(&ctx)));
+        let full = encode_bare(&minus_one, WireVersion::V1);
+        assert_eq!(full[0], gt_tag::FULL);
+        assert_eq!(
+            decode_bare::<Gt>(&full, WireVersion::V1, &ctx).unwrap(),
+            minus_one
+        );
 
-        // The c1 = 0 corner (identity, c0 = ±1): only the even-parity tag
-        // is accepted, so those elements too have exactly one encoding.
+        // The c1 = 0 corner (identity, c0 = ±1) of the compressed form:
+        // only the even-parity tag is accepted, so those elements too have
+        // one compressed encoding.
         let one = Gt::one(&ctx);
-        let canonical = encode_bare(&one, WireVersion::V1);
+        let canonical = gt_compressed(&one);
         assert_eq!(canonical[0], gt_tag::EVEN);
         assert_eq!(
             decode_bare::<Gt>(&canonical, WireVersion::V1, &ctx).unwrap(),
@@ -556,6 +636,16 @@ mod tests {
         for v in &corners {
             let gt = Gt::from_fp2_unchecked(v.clone());
             let enc = encode_bare(&gt, WireVersion::V1);
+            let minus_one = v.c1.is_zero() && !v.c0.is_one();
+            let tag = if minus_one {
+                gt_tag::FULL
+            } else {
+                gt_tag::TORUS
+            };
+            assert_eq!(enc[0], tag, "corner {v:?}");
+            let dec = decode_bare::<Gt>(&enc, WireVersion::V1, &ctx).unwrap();
+            assert_eq!(dec.to_bytes(), gt.to_bytes(), "corner {v:?}");
+            let enc = gt_compressed(&gt);
             let expected_tag = if v.c1.is_odd_repr() {
                 gt_tag::ODD
             } else {
@@ -571,7 +661,7 @@ mod tests {
         // parity tag encodes nothing and must be rejected.
         for c0 in [one, minus_one] {
             let gt = Gt::from_fp2_unchecked(Fp2::new(c0, zero.clone()));
-            let mut enc = encode_bare(&gt, WireVersion::V1);
+            let mut enc = gt_compressed(&gt);
             assert_eq!(enc[0], gt_tag::EVEN);
             enc[0] = gt_tag::ODD;
             assert!(decode_bare::<Gt>(&enc, WireVersion::V1, &ctx).is_err());
@@ -584,7 +674,7 @@ mod tests {
         let mut g = pp.gt_generator().clone();
         for _ in 0..16 {
             if !g.as_fp2().c1.is_zero() {
-                let enc = encode_bare(&g, WireVersion::V1);
+                let enc = gt_compressed(&g);
                 match enc[0] {
                     gt_tag::ODD => seen_odd = true,
                     gt_tag::EVEN => seen_even = true,
@@ -629,14 +719,18 @@ mod tests {
         let mut longer = v1.clone();
         longer.push(0);
         assert!(decode_bare::<G1Affine>(&longer, WireVersion::V1, &ctx).is_err());
-        // An x-coordinate with no curve point: flip parity tag bits until
-        // the x decodes but the decompression fails, or the range check
-        // fires — either way, an error, never a panic.
+        // A flipped bit of a torus coordinate names another torus member
+        // (no check can tell); a flipped bit of `0x04 ‖ x ‖ y` leaves the
+        // curve.  Neither panics.
         let gt = pp.random_gt(&mut r);
         let mut enc = encode_bare(&gt, WireVersion::V1);
         let last = enc.len() - 1;
         enc[last] ^= 1;
-        let _ = decode_bare::<Gt>(&enc, WireVersion::V1, &ctx); // must not panic
+        assert_ne!(decode_bare::<Gt>(&enc, WireVersion::V1, &ctx).unwrap(), gt);
+        let mut enc = v1.clone();
+        enc[last] ^= 1;
+        let err = decode_bare::<G1Affine>(&enc, WireVersion::V1, &ctx).unwrap_err();
+        assert_eq!(err, DecodeError::invalid(0, "uncompressed G1 point"));
     }
 
     #[test]
@@ -645,12 +739,26 @@ mod tests {
         let mut r = rng();
         let ctx = pp.fp_ctx().clone();
         // G1 tags are self-describing, so both versions frame alike; Gt is
-        // framed in the v1 layout only.
-        let g1s = [WireVersion::V0, WireVersion::V1]
-            .map(|v| [pp.random_g1(&mut r), pp.g1_identity()].map(|p| encode_bare(&p, v)));
-        let off_torus = Gt::from_fp2_unchecked(Fp2::random(&ctx, &mut r));
-        let gts = [pp.random_gt(&mut r), off_torus].map(|g| encode_bare(&g, WireVersion::V1));
-        let framed = g1s.concat().into_iter().map(|b| (b, true));
+        // framed in the v1 layout only.  Every tag a reader accepts is
+        // framed: both coordinates, the identity, the torus and `0x04` tags,
+        // and the compressed forms older writers emitted.
+        let p = pp.random_g1(&mut r);
+        let g1s = [
+            encode_bare(&p, WireVersion::V1),
+            encode_bare(&pp.g1_identity(), WireVersion::V1),
+            g1_compressed(&p),
+        ];
+        let (g, off_torus) = (
+            pp.random_gt(&mut r),
+            Gt::from_fp2_unchecked(Fp2::random(&ctx, &mut r)),
+        );
+        let gts = [
+            encode_bare(&g, WireVersion::V1),
+            encode_bare(&off_torus, WireVersion::V1),
+            gt_compressed(&g),
+        ];
+        assert_eq!([gts[0][0], gts[1][0]], [gt_tag::TORUS, gt_tag::FULL]);
+        let framed = g1s.into_iter().map(|b| (b, true));
         for (bytes, is_g1) in framed.chain(gts.into_iter().map(|b| (b, false))) {
             let skip = |bytes: &[u8]| {
                 let mut rd = Reader::new(bytes);
@@ -661,6 +769,11 @@ mod tests {
                 .and_then(|()| rd.finish())
             };
             skip(&bytes).unwrap();
+            match is_g1 {
+                true => decode_bare::<G1Affine>(&bytes, WireVersion::V1, &ctx).map(drop),
+                false => decode_bare::<Gt>(&bytes, WireVersion::V1, &ctx).map(drop),
+            }
+            .unwrap();
             for cut in 0..bytes.len() {
                 assert!(skip(&bytes[..cut]).is_err());
             }

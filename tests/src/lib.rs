@@ -3,7 +3,8 @@
 //! The actual tests live in the sibling `tests/` directory of this package and
 //! exercise scenarios that span several crates (multi-domain delegation,
 //! healthcare workflows, serialization, failure injection, security games).
-//! This library target carries the shared harnesses: [`FaultProxy`], the
+//! This library target carries the shared harnesses: [`compressed`], the
+//! element encodings older writers emitted; [`FaultProxy`], the
 //! deterministic TCP fault injector the replication suite interposes
 //! between a primary store node and its read replicas; [`fixture`], one
 //! seeded world of scheme artifacts for the digest suites; [`game`], the
@@ -12,6 +13,7 @@
 //! [`oracle`], the reference pairing; and [`test_levels`], the one switch
 //! that widens the oracle suites beyond the toy level.
 
+pub mod compressed;
 pub mod fixture;
 pub mod game;
 pub mod model;

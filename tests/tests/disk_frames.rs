@@ -243,12 +243,14 @@ fn hex(bytes: &[u8]) -> String {
 // Byte identity.
 
 /// `(kind, SHA-256 of the v0 frame, SHA-256 of the v1 frame)` per golden
-/// value, captured at `3f0cab4`.
+/// value, captured at `3f0cab4`.  The v1 digests of `WalOp::Put` and
+/// `ProxyWalOp::InstallKey`, the two frames that carry a `G1` or `Gt`
+/// element, were re-pinned when the writers stopped compressing them.
 const PINNED_FRAMES: &[(&str, &str, &str)] = &[
     (
         "WalOp::Put",
         "2f1f272a2c8039d608d0766f5ffe2c2c36e6f6bf1bbb833397f98f3fdd0aec7d",
-        "1d262a79451a648053817cdd0c70c5632dac1755ebfde5af47e6bee57bccbd9d",
+        "d7124b0f4c4e3e2d26c6f48a527fd6eee8db558fc40b866887f18cb408f9ab93",
     ),
     (
         "WalOp::Delete",
@@ -268,7 +270,7 @@ const PINNED_FRAMES: &[(&str, &str, &str)] = &[
     (
         "ProxyWalOp::InstallKey",
         "992478888cc066aa7b1785572beb3c908ac261d08ae61b8f75fbaa4a1d6e9cd1",
-        "5c930516461410e8fca4c1a6bfdc436fe4c554e488d405fb5b20746e77e535e4",
+        "da226c7bd351b1aa9f62efd355bd990dd0e38600528cb30af3ca130a2c9edb39",
     ),
     (
         "ProxyWalOp::RevokeKey",
@@ -435,8 +437,9 @@ fn mutations(frame: &[u8]) -> Vec<Vec<u8>> {
 }
 
 /// SHA-256 of the verdict stream over every mutation of every golden v1
-/// `WalOp` and `ProxyWalOp` frame, captured at `3f0cab4`.
-const PINNED_VERDICTS: &str = "c48c0449274d5a28f9f9853e288c58c9c1ad8aae34587d4b52ea3b6ce91fa990";
+/// `WalOp` and `ProxyWalOp` frame, captured at `3f0cab4`, re-pinned with
+/// the two frames above.
+const PINNED_VERDICTS: &str = "b7a764ab3cd275f8e797dddafbe78721c983c07d4470b711406b1287e44a63d5";
 
 #[test]
 fn hostile_mutations_of_every_wal_frame_draw_the_pinned_verdicts() {
@@ -500,8 +503,11 @@ fn hostile_mutations_of_every_v0_wal_frame_draw_the_pinned_verdicts() {
 }
 
 /// How many mutated `WalOp` frames a replica applies and refuses, captured
-/// at `3f0cab4`.
-const PINNED_APPLY: (usize, usize) = (787, 847);
+/// at `3f0cab4`, re-pinned with the `WalOp::Put` frame: it is longer by
+/// `|p|` bytes (`c₁`'s `y`), and a mutated torus coordinate decodes (to
+/// another element) where a mutated compressed `c0` often had no square
+/// root.
+const PINNED_APPLY: (usize, usize) = (847, 955);
 
 #[test]
 fn a_replica_applies_or_refuses_every_mutated_wal_frame() {

@@ -252,6 +252,7 @@ fn a_malformed_c3_decodes_but_never_opens() {
     let honest_g1 = encode_bare(&honest.c1, WireVersion::V1);
     let honest_gt = encode_bare(&honest.c2, WireVersion::V1);
     let flen = params.fp_ctx().byte_len();
+    // The compressed form older writers emitted, with no point at `x`.
     let off_curve = (1u64..)
         .map(|x| {
             let mut enc = vec![0x02; 1 + flen];
@@ -267,15 +268,28 @@ fn a_malformed_c3_decodes_but_never_opens() {
             break encode_bare(&candidate, WireVersion::V1);
         }
     };
-    // A torus member in the uncompressed fallback layout.
+    // A torus member in the two-coordinate layout.
     let mut full_gt = vec![0x04];
     full_gt.extend(honest.c2.as_fp2().c0.to_bytes());
     full_gt.extend(honest.c2.as_fp2().c1.to_bytes());
+    // `0x04 ‖ x ‖ y` off the curve, and with `y = p`.
+    let mut off_curve_xy = honest_g1.clone();
+    *off_curve_xy.last_mut().unwrap() ^= 0x01;
+    let p = params.p().to_be_bytes(flen).unwrap();
+    let y_is_p = [&honest_g1[..1 + flen], &p].concat();
+    // The torus tag on a coordinate `t = p`.
+    let t_is_p = [&[0x05][..], &p].concat();
 
     for (what, c3) in [
         ("off-curve x", [off_curve, honest_gt.clone()]),
-        ("point outside the subgroup", [outside_subgroup, honest_gt]),
-        ("non-canonical Gt tag", [honest_g1, full_gt]),
+        (
+            "point outside the subgroup",
+            [outside_subgroup, honest_gt.clone()],
+        ),
+        ("non-canonical Gt tag", [honest_g1.clone(), full_gt]),
+        ("off-curve (x, y)", [off_curve_xy, honest_gt.clone()]),
+        ("y = p", [y_is_p, honest_gt]),
+        ("torus coordinate t = p", [honest_g1, t_is_p]),
     ]
     .map(|(what, parts)| (what, parts.concat()))
     {
@@ -296,10 +310,11 @@ fn a_malformed_c3_decodes_but_never_opens() {
         }
     }
 
-    // One flipped byte is another cache key: a warm provider misses,
-    // validates, and gets no plaintext either.
+    // One flipped coordinate byte is another cache key: a warm provider
+    // misses, validates, and gets no plaintext either (a flipped torus
+    // coordinate decodes, to another `X`, whose mask fails the AEAD).
     let c3 = bundle.ciphertext.header.encrypted_x.as_bytes();
-    for at in [0, 1, flen, 1 + flen, 2 + flen, c3.len() - 1] {
+    for at in [1, 1 + flen, 2 * flen, 2 + 2 * flen, c3.len() - 1] {
         let mut flipped = c3.to_vec();
         flipped[at] ^= 0x01;
         let mut tampered = bundle.clone();
@@ -350,6 +365,63 @@ fn g1_deserialization_validates_the_curve_equation() {
     bytes[len - 1] ^= 0x01;
     bytes[len - 2] ^= 0x80;
     assert!(G1Affine::from_bytes(params.fp_ctx(), &bytes).is_err());
+}
+
+/// The element forms the writers emit, made hostile: each is a typed
+/// `DecodeError` inside the element (or a truncation), never a panic.
+#[test]
+fn hostile_element_encodings_are_typed_decode_errors() {
+    let (params, _kgc1, _kgc2, mut rng) = setup();
+    let fp = params.fp_ctx();
+    let flen = fp.byte_len();
+    let p = params.p().to_be_bytes(flen).unwrap();
+    let point = encode_bare(&params.random_g1(&mut rng), WireVersion::V1);
+    let g = params.random_gt(&mut rng);
+    let torus = encode_bare(&g, WireVersion::V1);
+    let raw = Gt::from_fp2_unchecked(tibpre_pairing::Fp2::random(fp, &mut rng));
+    let full = encode_bare(&raw, WireVersion::V1);
+    assert_eq!((point[0], torus[0], full[0]), (0x04, 0x05, 0x04));
+    let mut off_curve = point.clone();
+    *off_curve.last_mut().unwrap() ^= 0x01;
+
+    let g1_cases = [
+        ("off-curve (x, y)", off_curve, false),
+        ("y = p", [&point[..1 + flen], &p].concat(), false),
+        (
+            "x = p",
+            [&point[..1], &p, &point[1 + flen..]].concat(),
+            false,
+        ),
+        ("truncated y", point[..point.len() - 1].to_vec(), true),
+    ];
+    for (what, bytes, truncated) in g1_cases {
+        let err = decode_bare::<G1Affine>(&bytes, WireVersion::V1, fp).unwrap_err();
+        check(what, err, bytes.len(), truncated);
+    }
+    let gt_cases = [
+        ("torus coordinate t = p", [&[0x05][..], &p].concat(), false),
+        ("truncated t", torus[..torus.len() - 1].to_vec(), true),
+        (
+            "torus member under 0x04",
+            [&[0x04][..], &g.to_bytes()].concat(),
+            false,
+        ),
+        ("c1 = p under 0x04", [&full[..1 + flen], &p].concat(), false),
+        ("truncated c1", full[..full.len() - 1].to_vec(), true),
+    ];
+    for (what, bytes, truncated) in gt_cases {
+        let err = decode_bare::<Gt>(&bytes, WireVersion::V1, fp).unwrap_err();
+        check(what, err, bytes.len(), truncated);
+    }
+
+    fn check(what: &str, err: tibpre_wire::DecodeError, len: usize, truncated: bool) {
+        use tibpre_wire::DecodeErrorKind::{Invalid, Truncated};
+        match err.kind {
+            Truncated { .. } if truncated => {}
+            Invalid { .. } if !truncated && err.offset < len => {}
+            _ => panic!("{what}: {err}"),
+        }
+    }
 }
 
 /// A populated single-shard durable store with two snapshot generations on

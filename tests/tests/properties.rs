@@ -9,6 +9,7 @@ use rand::SeedableRng;
 use tibpre_core::{proxy, Delegatee, Delegator, TypeTag};
 use tibpre_ibe::{bf, Identity, Kgc};
 use tibpre_pairing::{PairingParams, Scalar};
+use tibpre_tests::compressed;
 
 fn rng_from(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -159,15 +160,15 @@ proptest! {
             Scalar::from_bytes(params.scalar_ctx(), &s.to_bytes()).unwrap(),
             s
         );
-        // Curve points, both encodings.
+        // Curve points, both encodings (the compressed one older writers
+        // emitted).
         let p = params.random_g1(&mut rng);
         prop_assert_eq!(
             tibpre_pairing::G1Affine::from_bytes(params.fp_ctx(), &p.to_bytes()).unwrap(),
             p.clone()
         );
         prop_assert_eq!(
-            tibpre_pairing::G1Affine::from_bytes(params.fp_ctx(), &p.to_bytes_compressed())
-                .unwrap(),
+            tibpre_pairing::G1Affine::from_bytes(params.fp_ctx(), &compressed::g1(&p)).unwrap(),
             p
         );
         // Target-group elements, with subgroup validation.

@@ -37,6 +37,7 @@ use tibpre_hash::Sha256;
 use tibpre_pairing::{DecodeCtx, SecurityLevel};
 use tibpre_phr::{Category, RecordId};
 use tibpre_server::{node, NodeConfig};
+use tibpre_tests::compressed;
 use tibpre_tests::fixture::{World, TITLE};
 use tibpre_wire::{
     read_frame, DecodeErrorKind, WireDecode, WireEncode, WireVersion, DEFAULT_MAX_FRAME,
@@ -354,7 +355,10 @@ fn hex(bytes: &[u8]) -> String {
 
 /// `(kind, SHA-256 of the v0 frame, SHA-256 of the v1 frame)` per golden
 /// value, captured at `7bcdd2a`; the three `Stats` rows were pinned when
-/// that verb replaced `ReplicationStatus` and `SchedStats`.
+/// that verb replaced `ReplicationStatus` and `SchedStats`.  The v1 digests
+/// of the seven frames that carry a `G1` or `Gt` element were re-pinned
+/// when the writers stopped compressing them (a `G1` point carries `y`, a
+/// `Gt` element its torus coordinate).
 const PINNED_FRAMES: &[(&str, &str, &str)] = &[
     (
         "Ping",
@@ -379,7 +383,7 @@ const PINNED_FRAMES: &[(&str, &str, &str)] = &[
     (
         "PutRecord",
         "6f65448efed5399b010767793871b5930d7abfbc8b445be3e939a8581e5d1866",
-        "9231c290551c12d843eb7a2649031114d072e9b6e9c09ccfa223da5086e2c3d8",
+        "f50979a748c454e0f644d3fe3fd4f0e16dc38e19daf61ba1f43618e42715e288",
     ),
     (
         "GetRecord",
@@ -424,7 +428,7 @@ const PINNED_FRAMES: &[(&str, &str, &str)] = &[
     (
         "InstallKey",
         "a1b00cf47c793cb624858d78bab15151da732d7b79d0de22c6c66b0665890ad9",
-        "d4f8e7ec38ee5d1e3f06a711c52fffabe1722719fc0603bbb10c63cee3cd1816",
+        "5b0de8cd69207b9f9c95b28644a8636d8e03d04ba35a3f235fcdee50c4dc1fc3",
     ),
     (
         "RevokeKey",
@@ -499,27 +503,27 @@ const PINNED_FRAMES: &[(&str, &str, &str)] = &[
     (
         "Record",
         "664210a38766d8058f91e660c486efd690466784852d8e09571d07d411689218",
-        "32942b5b3778cea873a43ffb6d4c8bdcc61f2b43c34c5790299bc1a6f5b8c6b8",
+        "4cddacc1a6cc3415349c1fc80922af54ecb0aad59770eb011187932c98412d3f",
     ),
     (
         "PublicParams",
         "985d20e3f0e2323b1ba12cf1020ae6c8bdb0fc1ab3f14b6fc43e22b6307ce1bf",
-        "cc25179ff7504b3041090717fe4e6156ac087c385e5443da4ec65374b1e925d2",
+        "659c19064535b7158f8f278484f29ac12bf4f319ba797c3b5b8cfe061f3fb733",
     ),
     (
         "PrivateKey",
         "ec86bc09d2b1bf2d9059a0aa8f1798575842d81eb3c82a2b0dca6597705bda04",
-        "2df9f5024e7e1fd7daa96c27c7e517bd47ead7b5e61e2f0cd1baa36651f6db1d",
+        "f5c3ee35f1a54fb5c06ed09d55ae1098ad2e5306621532f10227cfd7173e39bc",
     ),
     (
         "Bundle",
         "af57f42495b13a720280b4311d54a41a8ea2a7d7efd710b324741b96ed7a21d1",
-        "8706436597ddd4f607417b713e6606156eea13e21b58b47825834c8a6e351ec3",
+        "bd5fa2cdfdb9f4320cdf2faf509a03ffdeccca880154fe58f5b164a8f9571d95",
     ),
     (
         "Bundles",
         "f5243e3fc5550a75aa6402f39926ede169b032f4a95c88a08cb8391a3ea0c0fd",
-        "d5be0ee0211db9a534b1cf534e98c59934d2f390949677ea46956ae7bae4baf4",
+        "e871aa4a543abe9436248e9e22a0379cb1a2698d91eed40def80629b7250dda1",
     ),
     (
         "AuditEvents",
@@ -687,7 +691,9 @@ fn mutations(frame: &[u8]) -> Vec<Vec<u8>> {
 /// swapped frames, three verdicts moved, each a tag byte plus one that now
 /// lands on a retired tag: `SubscribeReplication` (40 → 41), `Promote`
 /// (42 → 43) and `SegmentChunk` (17 → 18) now draw `InvalidTag`.
-const PINNED_VERDICTS: &str = "a9b5dd4c7fd6ac4fdc5c49b7eac444fece7c2d1ace5c7bf2754ab63833cf9997";
+/// Re-pinned again with those seven frames: their elements' bytes and
+/// offsets moved.
+const PINNED_VERDICTS: &str = "810c8a782c2390260a3b592e2edf6eb25d8bff8adc08f5decfe86aefd68aa492";
 
 #[test]
 fn hostile_mutations_of_every_golden_frame_draw_the_pinned_verdicts() {
@@ -772,12 +778,51 @@ fn hostile_request_frames_draw_one_bad_request_then_close() {
             expect_bad_request_then_close(handle.addr(), &max, name);
         }
     }
-    let mut conn = Connection::connect(
-        handle.addr(),
-        &params_for_level(SecurityLevel::Toy),
-        &ClientConfig::default(),
-    )
-    .unwrap();
+    // The element forms the writers emit, made hostile inside an upload:
+    // the header is `0x04 ‖ x ‖ y` (`c₁`), then `0x05 ‖ t` (`c₂`).
+    let params = params_for_level(SecurityLevel::Toy);
+    let flen = params.fp_ctx().byte_len();
+    let p = params.p().to_be_bytes(flen).unwrap();
+    let header = &w.hybrid.header;
+    let put = Request::PutRecord {
+        patient: w.alice.clone(),
+        category: Category::Emergency,
+        title: TITLE.into(),
+        ciphertext: Box::new(w.hybrid.clone()),
+    }
+    .to_wire_bytes();
+    let bare = tibpre_wire::encode_bare(header, WireVersion::V1);
+    let edited = |edit: &dyn Fn(&mut Vec<u8>)| {
+        let mut bare = bare.clone();
+        edit(&mut bare);
+        bare
+    };
+    let torus_member = [&[0x04][..], &header.c2.to_bytes()].concat();
+    let cases = [
+        ("off-curve (x, y)", edited(&|h| h[2 * flen] ^= 0x01)),
+        (
+            "y = p",
+            edited(&|h| h[1 + flen..1 + 2 * flen].copy_from_slice(&p)),
+        ),
+        (
+            "t = p",
+            edited(&|h| h[2 + 2 * flen..2 + 3 * flen].copy_from_slice(&p)),
+        ),
+        (
+            "torus member under 0x04",
+            edited(&|h| drop(h.splice(1 + 2 * flen..2 + 3 * flen, torus_member.clone()))),
+        ),
+    ];
+    for (what, hostile) in cases {
+        let frame = compressed::edit_header(&put, &w.hybrid, header, |_| hostile);
+        expect_bad_request_then_close(handle.addr(), &frame, what);
+    }
+    let c1 = tibpre_wire::encode_bare(&header.c1, WireVersion::V1);
+    let at = put.windows(c1.len()).position(|x| x == c1).unwrap();
+    let inside_y = &put[..at + 2 * flen];
+    expect_bad_request_then_close(handle.addr(), inside_y, "a truncated y");
+
+    let mut conn = Connection::connect(handle.addr(), &params, &ClientConfig::default()).unwrap();
     assert_eq!(conn.ping().unwrap().0, NodeRole::Store);
     handle.shutdown();
     handle.wait();

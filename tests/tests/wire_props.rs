@@ -296,15 +296,19 @@ fn v0_bodies_match_legacy_layouts() {
     assert_eq!(typed.to_wire_bytes_versioned(WireVersion::V0), enveloped);
 }
 
-/// A compressed (v1) hybrid ciphertext is measurably smaller, and the
-/// writer's version threads through nested fields (header inside hybrid
-/// inside WAL op).
+/// The writer's version threads through nested fields (header inside
+/// hybrid inside WAL op): the header's `Gt` element travels as the v1
+/// torus tag and its torus coordinate under v1, and as its two raw
+/// coordinates under v0.
 #[test]
 fn nested_fields_inherit_the_container_version() {
     let mut w = world(0xbeef);
     let ct = w
         .delegator
         .encrypt_bytes(b"payload", b"", &TypeTag::new("t"), &mut w.rng);
+    let raw = ct.header.c2.to_bytes();
+    let torus = tibpre_wire::encode_bare(&ct.header.c2, WireVersion::V1);
+    assert_eq!(torus[0], 0x05, "the torus tag");
     let record = StoredRecord {
         id: RecordId(1),
         patient: Identity::new("alice"),
@@ -318,16 +322,20 @@ fn nested_fields_inherit_the_container_version() {
     };
     let v0 = op.to_wire_bytes_versioned(WireVersion::V0);
     let v1 = op.to_wire_bytes_versioned(WireVersion::V1);
-    // The nested G1/Gt elements dominate the size difference; if the
-    // version failed to propagate into the record's ciphertext the two
-    // encodings would be equal up to the envelope byte.  Compressing one
-    // point and one target-group element saves 2·field_len − 1 bytes.
+    // If the version failed to propagate into the record's ciphertext, the
+    // nested element would carry the same layout in both encodings.
+    let holds = |frame: &[u8], part: &[u8]| frame.windows(part.len()).any(|x| x == part);
     assert!(
-        v1.len() + 2 * w.params.fp_ctx().byte_len() - 1 <= v0.len(),
-        "v1 {} vs v0 {}",
-        v1.len(),
-        v0.len()
+        holds(&v1, &torus) && !holds(&v1, &raw),
+        "v1 nests the torus form"
     );
+    assert!(
+        holds(&v0, &raw) && !holds(&v0, &torus),
+        "v0 nests the raw form"
+    );
+    // Nothing else differs in length: `2·|p|` raw bytes against `1 + |p|`.
+    let flen = w.params.fp_ctx().byte_len();
+    assert_eq!(v0.len() - v1.len(), flen - 1);
     // Both decode back to the same op.
     let a = WalOp::from_wire_bytes(&v0, &DecodeCtx::from(&w.params)).unwrap();
     let b = WalOp::from_wire_bytes(&v1, &DecodeCtx::from(&w.params)).unwrap();
@@ -349,4 +357,71 @@ fn nested_fields_inherit_the_container_version() {
         WireVersion::V0,
     ));
     assert_eq!(legacy_equivalent, expected);
+}
+
+/// Old (compressed) and new bytes of one value meet wherever the workspace
+/// keys on element bytes, and each place stays right.
+#[test]
+fn compressed_and_current_bytes_of_one_value_agree_everywhere_they_meet() {
+    use tibpre_core::ReEncryptionKey;
+    use tibpre_ibe::EncodedIbeCiphertext;
+    use tibpre_pairing::OpCounts;
+    use tibpre_phr::proxy_service::DisclosureBundle;
+    use tibpre_phr::HealthcareProvider;
+    use tibpre_tests::compressed;
+    use tibpre_tests::fixture::{World as Fixture, PLAINTEXT};
+
+    let w = Fixture::new(PairingParams::insecure_toy());
+    let ctx = DecodeCtx::from(&PairingParams::insecure_toy());
+
+    // Digests: a value read from either form is the same value, so its
+    // hash preimages (`to_bytes`, the v0 layout) are the same, and it is
+    // written back in the one form the writers emit.
+    let old = StoredRecord::from_wire_bytes(&compressed::record_frame(&w.record), &ctx).unwrap();
+    assert_eq!(old, w.record);
+    assert_eq!(old.to_wire_bytes(), w.record.to_wire_bytes());
+    let v0 = |r: &StoredRecord| r.to_wire_bytes_versioned(WireVersion::V0);
+    assert_eq!(v0(&old), v0(&w.record));
+
+    // `rk₃` is decoded with full validation and kept as the bytes the
+    // writers emit: a key from an old proxy log equals the current key,
+    // so a reloaded proxy sends one `c'₃` per grant.
+    let old_key = ReEncryptionKey::from_wire_bytes(&compressed::rekey_frame(&w.rekey), &ctx);
+    let old_key = old_key.unwrap();
+    assert_eq!(old_key, w.rekey);
+    assert_eq!(
+        old_key.encrypted_x().as_bytes(),
+        w.rekey.encrypted_x().as_bytes()
+    );
+
+    // `c'₃` in a bundle is only framed, so its bytes stay as they came: the
+    // old bytes are another value of `EncodedIbeCiphertext` (equality is of
+    // bytes) that opens to the same ciphertext.
+    let old_bundle = DisclosureBundle::from_wire_bytes(&compressed::bundle_frame(&w.bundle), &ctx);
+    let old_bundle = old_bundle.unwrap();
+    let (old_c3, c3) = (
+        &old_bundle.ciphertext.header.encrypted_x,
+        &w.bundle.ciphertext.header.encrypted_x,
+    );
+    assert_ne!(old_c3, c3);
+    assert_eq!(old_c3.to_ciphertext().unwrap(), c3.to_ciphertext().unwrap());
+    let reframed: EncodedIbeCiphertext =
+        tibpre_wire::decode_bare(old_c3.as_bytes(), WireVersion::V1, &ctx).unwrap();
+    assert_eq!(&reframed, old_c3);
+
+    // The delegatee's mask tiers key on those bytes: each form misses once
+    // (validating and decoding its own `c'₃`), then hits, and both open to
+    // the same plaintext.  The square roots say which: a hit solves none,
+    // a miss on the compressed `c'₃` solves the same as one on the new
+    // bytes (the hash to `G1`) plus its two.
+    let provider = HealthcareProvider::new(w.doctor_key.clone());
+    let open = |bundle: &DisclosureBundle| {
+        let before = OpCounts::now();
+        assert_eq!(provider.open(bundle).unwrap().body, PLAINTEXT);
+        OpCounts::now().sqrt - before.sqrt
+    };
+    let first_new = open(&w.bundle);
+    assert_eq!(open(&old_bundle), first_new + 2, "a miss on the old bytes");
+    assert_eq!(open(&w.bundle), 0, "a hit on the new bytes");
+    assert_eq!(open(&old_bundle), 0, "a hit on the old bytes");
 }
