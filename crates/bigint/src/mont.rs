@@ -158,7 +158,11 @@ impl MontCtx {
     /// first ([`neg`](Self::neg) is a cheap n-limb subtraction), which
     /// keeps the accumulator unsigned.  All operands must be `< m`; the
     /// term count must stay below `2^64` (field code uses a handful).
-    pub fn mont_mul_sum(&self, pairs: &[(&Uint, &Uint)]) -> Uint {
+    /// Field code accumulates its own terms and calls
+    /// [`mont_reduce_wide`](Self::mont_reduce_wide); this is the tests'
+    /// definition of the pair.
+    #[cfg(test)]
+    pub(crate) fn mont_mul_sum(&self, pairs: &[(&Uint, &Uint)]) -> Uint {
         let mut acc = WideAcc::zero();
         for (a, b) in pairs {
             debug_assert!(*a < &self.modulus && *b < &self.modulus);
@@ -337,7 +341,7 @@ pub trait Registers {
     fn store(&self, a: &Self::Reg) -> Uint;
     /// `a·b·R⁻¹`, as [`MontCtx::mont_mul`].
     fn mul(&self, a: &Self::Reg, b: &Self::Reg) -> Self::Reg;
-    /// `(a·b + c·d)·R⁻¹` with one reduction, as [`MontCtx::mont_mul_sum`].
+    /// `(a·b + c·d)·R⁻¹` with one reduction, as [`MontCtx::mont_reduce_wide`].
     fn mul_sum(&self, a: &Self::Reg, b: &Self::Reg, c: &Self::Reg, d: &Self::Reg) -> Self::Reg;
     /// `a + b`.
     fn add(&self, a: &Self::Reg, b: &Self::Reg) -> Self::Reg;

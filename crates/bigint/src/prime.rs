@@ -13,7 +13,7 @@ use crate::uint::Uint;
 use crate::{BigIntError, Result};
 use rand::{CryptoRng, RngCore};
 
-/// Number of Miller–Rabin rounds used by [`is_prime`].
+/// Number of Miller–Rabin rounds used by `is_prime`.
 pub const MILLER_RABIN_ROUNDS: usize = 40;
 
 /// Iteration budget for [`generate_prime`] before giving up.
@@ -70,7 +70,7 @@ fn trial_division(n: &Uint) -> Option<bool> {
 /// Miller–Rabin runs in a [`MontCtx`] of `n`, so a candidate that trial
 /// division does not settle must have a width `MontCtx::new` accepts;
 /// any other is a [`BigIntError::InvalidModulus`] error, never an answer.
-pub fn is_prime<R: RngCore + CryptoRng>(n: &Uint, rng: &mut R) -> Result<bool> {
+pub(crate) fn is_prime<R: RngCore + CryptoRng>(n: &Uint, rng: &mut R) -> Result<bool> {
     if n.is_zero() || n.is_one() {
         return Ok(false);
     }
@@ -119,7 +119,7 @@ pub fn is_prime<R: RngCore + CryptoRng>(n: &Uint, rng: &mut R) -> Result<bool> {
 
 /// Generates a random prime with exactly `bits` bits (top bit set, odd).
 ///
-/// Fails with [`is_prime`]'s error when `bits` gives a width no
+/// Fails with `is_prime`'s error when `bits` gives a width no
 /// [`MontCtx`] runs at.
 pub fn generate_prime<R: RngCore + CryptoRng>(bits: usize, rng: &mut R) -> Result<Uint> {
     if bits < 2 {
@@ -145,7 +145,7 @@ pub fn generate_prime<R: RngCore + CryptoRng>(bits: usize, rng: &mut R) -> Resul
 /// supersingular curve `y² = x³ + x` over `F_p` then has order `p + 1 = h·q`,
 /// and the order-`q` subgroup is the pairing group.
 ///
-/// Returns `(p, h)`, or [`is_prime`]'s error when `p` has a width no
+/// Returns `(p, h)`, or `is_prime`'s error when `p` has a width no
 /// [`MontCtx`] runs at.
 pub fn generate_cofactor_prime<R: RngCore + CryptoRng>(
     q: &Uint,

@@ -7,7 +7,7 @@ use rand::{CryptoRng, RngCore};
 ///
 /// # Panics
 /// Panics if `bits > MAX_BITS`.
-pub fn random_bits<R: RngCore + CryptoRng>(rng: &mut R, bits: usize) -> Uint {
+pub(crate) fn random_bits<R: RngCore + CryptoRng>(rng: &mut R, bits: usize) -> Uint {
     assert!(bits <= MAX_BITS, "requested more bits than capacity");
     if bits == 0 {
         return Uint::ZERO;

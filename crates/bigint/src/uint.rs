@@ -139,7 +139,7 @@ impl Uint {
     }
 
     /// Addition returning the wrapped result and whether an overflow occurred.
-    pub fn overflowing_add(&self, rhs: &Uint) -> (Uint, bool) {
+    pub(crate) fn overflowing_add(&self, rhs: &Uint) -> (Uint, bool) {
         let mut out = Uint::ZERO;
         let mut carry = 0u64;
         for i in 0..MAX_LIMBS {
@@ -164,7 +164,7 @@ impl Uint {
     }
 
     /// Subtraction returning the wrapped result and whether a borrow occurred.
-    pub fn overflowing_sub(&self, rhs: &Uint) -> (Uint, bool) {
+    pub(crate) fn overflowing_sub(&self, rhs: &Uint) -> (Uint, bool) {
         let mut out = Uint::ZERO;
         let mut borrow = 0u64;
         for i in 0..MAX_LIMBS {
@@ -226,7 +226,8 @@ impl Uint {
     }
 
     /// Multiplies by a single 64-bit value, reporting overflow via the returned carry limb.
-    pub fn mul_u64(&self, rhs: u64) -> (Uint, u64) {
+    #[cfg(test)]
+    pub(crate) fn mul_u64(&self, rhs: u64) -> (Uint, u64) {
         let mut out = Uint::ZERO;
         let mut carry = 0u64;
         for i in 0..MAX_LIMBS {
@@ -341,7 +342,7 @@ impl Uint {
     ///
     /// Requires `m` to occupy at most `MAX_BITS - 1` bits so the intermediate
     /// sum cannot wrap.
-    pub fn mod_add(&self, rhs: &Uint, m: &Uint) -> Uint {
+    pub(crate) fn mod_add(&self, rhs: &Uint, m: &Uint) -> Uint {
         debug_assert!(self < m && rhs < m);
         let (sum, carry) = self.overflowing_add(rhs);
         debug_assert!(!carry, "modulus too close to capacity for mod_add");
@@ -353,7 +354,8 @@ impl Uint {
     }
 
     /// Modular subtraction of two values already reduced modulo `m`.
-    pub fn mod_sub(&self, rhs: &Uint, m: &Uint) -> Uint {
+    #[cfg(test)]
+    pub(crate) fn mod_sub(&self, rhs: &Uint, m: &Uint) -> Uint {
         debug_assert!(self < m && rhs < m);
         match self.overflowing_sub(rhs) {
             (v, false) => v,
@@ -362,12 +364,13 @@ impl Uint {
     }
 
     /// Modular doubling of a value already reduced modulo `m`.
-    pub fn mod_double(&self, m: &Uint) -> Uint {
+    pub(crate) fn mod_double(&self, m: &Uint) -> Uint {
         self.mod_add(self, m)
     }
 
     /// Modular negation of a value already reduced modulo `m`.
-    pub fn mod_neg(&self, m: &Uint) -> Uint {
+    #[cfg(test)]
+    pub(crate) fn mod_neg(&self, m: &Uint) -> Uint {
         if self.is_zero() {
             Uint::ZERO
         } else {
@@ -382,7 +385,7 @@ impl Uint {
     ///
     /// # Panics
     /// Panics if `d` is zero.
-    pub fn rem_u64(&self, d: u64) -> u64 {
+    pub(crate) fn rem_u64(&self, d: u64) -> u64 {
         assert!(d != 0, "division by zero");
         let mut rem = 0u128;
         for i in (0..MAX_LIMBS).rev() {
@@ -437,7 +440,7 @@ pub const WIDE_LIMBS: usize = 2 * MAX_LIMBS + 2;
 /// accumulated limb-by-limb with carries flowing into the headroom limbs
 /// instead of being folded back by a modular reduction after every
 /// product.  The accumulated value is reduced exactly once, by
-/// [`MontCtx::mont_mul_sum`](crate::MontCtx::mont_mul_sum), so a k-term
+/// [`MontCtx::mont_reduce_wide`](crate::MontCtx::mont_reduce_wide), so a k-term
 /// product pays one Montgomery reduction instead of k.
 ///
 /// The two headroom limbs above the `2·MAX_LIMBS` product width admit up

@@ -277,7 +277,7 @@ impl RemoteError {
     /// of [`Self::from_phr`].  Variants `PhrError` cannot carry verbatim
     /// (its `PolicyConflict` holds a `&'static str`) land in
     /// `PhrError::Storage` with the message preserved.
-    pub fn into_phr(self) -> PhrError {
+    pub(crate) fn into_phr(self) -> PhrError {
         match self {
             RemoteError::NotFound => PhrError::RecordNotFound,
             RemoteError::AccessDenied {

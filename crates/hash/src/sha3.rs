@@ -70,7 +70,7 @@ fn rho_offsets() -> &'static [u32; STATE_LANES] {
 }
 
 /// Applies the Keccak-f\[1600\] permutation in place.
-pub fn keccak_f1600(state: &mut [u64; STATE_LANES]) {
+pub(crate) fn keccak_f1600(state: &mut [u64; STATE_LANES]) {
     let rc = round_constants();
     let rho = rho_offsets();
     for &round_constant in rc.iter() {
@@ -183,7 +183,7 @@ impl Shake256 {
     }
 
     /// Squeezes `len` bytes into a fresh vector.
-    pub fn squeeze_vec(&mut self, len: usize) -> Vec<u8> {
+    pub(crate) fn squeeze_vec(&mut self, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
         self.squeeze(&mut out);
         out

@@ -213,12 +213,6 @@ impl Kgc {
         &self.public
     }
 
-    /// The master secret `α`.  Exposed for the security-game harness and for
-    /// tests; production code never needs it outside the KGC.
-    pub fn master_key(&self) -> &Scalar {
-        &self.master_key
-    }
-
     /// `Extract`: computes `sk_id = H1(id)^α`.
     pub fn extract(&self, id: &Identity) -> IbePrivateKey {
         let pk_id = self.public.identity_public_key(id);
@@ -258,7 +252,7 @@ mod tests {
     fn setup_produces_consistent_public_key() {
         let (kgc, _) = setup();
         let pp = kgc.public_params();
-        let expect = pp.pairing().generator().mul_scalar(kgc.master_key());
+        let expect = pp.pairing().generator().mul_scalar(&kgc.master_key);
         assert_eq!(pp.kgc_public_key(), &expect);
         assert_eq!(pp.label(), "test-kgc");
     }
@@ -369,6 +363,6 @@ mod tests {
         let (kgc, _) = setup();
         let dbg = format!("{kgc:?}");
         assert!(dbg.contains("test-kgc"));
-        assert!(!dbg.contains(&kgc.master_key().to_uint().to_hex()));
+        assert!(!dbg.contains(&kgc.master_key.to_uint().to_hex()));
     }
 }

@@ -164,7 +164,7 @@ impl G1Affine {
     }
 
     /// Scalar multiplication by an arbitrary integer (via Jacobian coordinates).
-    pub fn mul_uint(&self, k: &Uint) -> G1Affine {
+    pub(crate) fn mul_uint(&self, k: &Uint) -> G1Affine {
         G1Projective::from_affine(self).mul_uint(k).to_affine()
     }
 

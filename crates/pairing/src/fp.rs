@@ -328,7 +328,7 @@ impl Fp {
     /// Miller-loop line coefficients and Jacobian points in one shot, and
     /// the batched final exponentiation uses it to share one GCD inversion
     /// across a multi-pairing chunk.
-    pub fn batch_invert(values: &[Fp]) -> Result<Vec<Fp>> {
+    pub(crate) fn batch_invert(values: &[Fp]) -> Result<Vec<Fp>> {
         let Some(first) = values.first() else {
             return Ok(Vec::new());
         };

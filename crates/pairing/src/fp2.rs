@@ -44,7 +44,7 @@ impl Fp2 {
     }
 
     /// Embeds a base-field element.
-    pub fn from_fp(value: Fp) -> Self {
+    pub(crate) fn from_fp(value: Fp) -> Self {
         let zero = Fp::zero(value.ctx());
         Fp2 {
             c0: value,
@@ -142,7 +142,7 @@ impl Fp2 {
     }
 
     /// Complex conjugation `a0 − a1 i`, which equals the Frobenius map `z ↦ z^p`.
-    pub fn conjugate(&self) -> Fp2 {
+    pub(crate) fn conjugate(&self) -> Fp2 {
         Fp2 {
             c0: self.c0.clone(),
             c1: self.c1.neg(),
@@ -164,14 +164,6 @@ impl Fp2 {
             c0: &self.c0 * &norm_inv,
             c1: &self.c1.neg() * &norm_inv,
         })
-    }
-
-    /// Multiplication by a base-field scalar.
-    pub fn mul_fp(&self, k: &Fp) -> Fp2 {
-        Fp2 {
-            c0: &self.c0 * k,
-            c1: &self.c1 * k,
-        }
     }
 
     /// Exponentiation by an arbitrary integer exponent (square-and-multiply).
@@ -395,6 +387,10 @@ mod tests {
         let mut r = rng();
         let a = Fp2::random(&c, &mut r);
         let k = Fp::from_u64(&c, 12345);
-        assert_eq!(a.mul_fp(&k), a.mul(&Fp2::from_fp(k)));
+        let scaled = Fp2 {
+            c0: &a.c0 * &k,
+            c1: &a.c1 * &k,
+        };
+        assert_eq!(a.mul(&Fp2::from_fp(k)), scaled);
     }
 }

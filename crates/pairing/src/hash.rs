@@ -28,7 +28,7 @@ const HASH_TO_CURVE_BUDGET: u64 = 1000;
 /// Hashes the given fields into `Z_q^*` (never returns zero).
 ///
 /// This is the paper's `H2` when invoked with the `"TIBPRE-H2"` domain.
-pub fn hash_to_scalar(ctx: &Arc<ScalarCtx>, domain: &str, fields: &[&[u8]]) -> Scalar {
+pub(crate) fn hash_to_scalar(ctx: &Arc<ScalarCtx>, domain: &str, fields: &[&[u8]]) -> Scalar {
     let out_len = ctx.byte_len() + 16;
     for counter in 0..HASH_TO_CURVE_BUDGET {
         let mut hasher = DomainSeparatedHasher::new(domain);

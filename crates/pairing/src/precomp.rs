@@ -88,7 +88,7 @@ fn unpack_row(ctx: &Arc<FpCtx>, row: &[u64]) -> (Fp, Fp) {
 ///
 /// Row `w·15 + j − 1` holds `j · 2^{4w} · P` in affine coordinates (`x ‖ y`,
 /// packed), for every non-zero digit `j` of every 4-bit window `w` of a
-/// scalar up to [`Self::max_bits`] bits.  A scalar multiplication then
+/// scalar up to `max_bits` bits.  A scalar multiplication then
 /// reduces to at most one mixed addition per window — no doublings — which
 /// is several times faster than the generic windowed ladder for the scalar
 /// sizes the scheme uses.
@@ -139,12 +139,6 @@ impl G1Precomp {
         &self.point
     }
 
-    /// Largest scalar bit-length the table covers; bigger scalars fall back
-    /// to the generic ladder.
-    pub fn max_bits(&self) -> usize {
-        self.max_bits
-    }
-
     /// Bytes the table keeps on the heap.
     fn resident_bytes(&self) -> usize {
         core::mem::size_of_val(&*self.rows)
@@ -155,7 +149,7 @@ impl G1Precomp {
     /// Produces the exact same group element as the naive
     /// [`G1Affine::mul_uint`] (the oracle-equivalence suite asserts
     /// bit-identical encodings).
-    pub fn mul_uint(&self, k: &Uint) -> G1Affine {
+    pub(crate) fn mul_uint(&self, k: &Uint) -> G1Affine {
         if self.rows.is_empty() || k.bits() > self.max_bits {
             // No table, or an out-of-range scalar (never produced by Z_q
             // arithmetic): take the generic ladder rather than mis-computing.
@@ -529,7 +523,7 @@ mod tests {
         );
         // Out-of-range scalars take the generic fallback.
         let huge = pp.q().shl(7);
-        assert!(huge.bits() > table.max_bits());
+        assert!(huge.bits() > table.max_bits);
         assert_eq!(table.mul_uint(&huge), pp.generator().mul_uint(&huge));
     }
 
@@ -542,7 +536,7 @@ mod tests {
         assert!(table.mul_uint(&Uint::ZERO).is_identity());
         assert!(table.mul_uint(&Uint::from_u64(12345)).is_identity());
         let huge = pp.q().shl(7);
-        assert!(huge.bits() > table.max_bits());
+        assert!(huge.bits() > table.max_bits);
         assert!(table.mul_uint(&huge).is_identity());
     }
 

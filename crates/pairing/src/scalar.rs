@@ -84,7 +84,10 @@ impl Scalar {
 
     /// Samples a uniformly random *non-zero* scalar, as required for
     /// encryption randomness and master keys (`r, α ∈ Z_q^*`).
-    pub fn random_nonzero<R: RngCore + CryptoRng>(ctx: &Arc<ScalarCtx>, rng: &mut R) -> Self {
+    pub(crate) fn random_nonzero<R: RngCore + CryptoRng>(
+        ctx: &Arc<ScalarCtx>,
+        rng: &mut R,
+    ) -> Self {
         Self::from_uint(ctx, &random_nonzero_below(rng, ctx.order()))
     }
 

@@ -56,7 +56,7 @@ impl Category {
     }
 
     /// Parses a label back into a category.
-    pub fn from_label(label: &str) -> Self {
+    pub(crate) fn from_label(label: &str) -> Self {
         match label {
             "illness-history" => Category::IllnessHistory,
             "food-statistics" => Category::FoodStatistics,

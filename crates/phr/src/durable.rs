@@ -111,12 +111,12 @@ impl Durability {
     }
 
     /// The configured fsync policy.
-    pub fn fsync_policy(&self) -> FsyncPolicy {
+    pub(crate) fn fsync_policy(&self) -> FsyncPolicy {
         self.fsync
     }
 
     /// The configured snapshot cadence.
-    pub fn snapshot_cadence(&self) -> u64 {
+    pub(crate) fn snapshot_cadence(&self) -> u64 {
         self.snapshot_every
     }
 }

@@ -34,7 +34,7 @@ impl DisclosurePolicy {
     }
 
     /// Records a grant.  Returns `false` if the identical grant already existed.
-    pub fn add_grant(&mut self, category: Category, grantee: Identity, proxy: &str) -> bool {
+    pub(crate) fn add_grant(&mut self, category: Category, grantee: Identity, proxy: &str) -> bool {
         self.grants
             .entry(category)
             .or_default()
@@ -42,7 +42,12 @@ impl DisclosurePolicy {
     }
 
     /// Removes a grant.  Returns `true` if it existed.
-    pub fn remove_grant(&mut self, category: &Category, grantee: &Identity, proxy: &str) -> bool {
+    pub(crate) fn remove_grant(
+        &mut self,
+        category: &Category,
+        grantee: &Identity,
+        proxy: &str,
+    ) -> bool {
         if let Some(set) = self.grants.get_mut(category) {
             let removed = set.remove(&(grantee.clone(), proxy.to_string()));
             if set.is_empty() {
@@ -56,7 +61,7 @@ impl DisclosurePolicy {
 
     /// Returns `true` if the grantee currently has access to the category
     /// (through any proxy).
-    pub fn is_granted(&self, category: &Category, grantee: &Identity) -> bool {
+    pub(crate) fn is_granted(&self, category: &Category, grantee: &Identity) -> bool {
         self.grants
             .get(category)
             .map(|set| set.iter().any(|(g, _)| g == grantee))

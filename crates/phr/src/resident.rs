@@ -94,7 +94,7 @@ pub(crate) struct EncodedRecord {
 
 impl EncodedRecord {
     /// Wraps owned bytes whose v1 record body starts at `body_start`.
-    pub fn from_owned(bytes: Arc<[u8]>, body_start: usize, header: RecordHeader) -> Self {
+    pub(crate) fn from_owned(bytes: Arc<[u8]>, body_start: usize, header: RecordHeader) -> Self {
         // The handed header must be the one the body's prefix encodes —
         // everything that never decodes the body (indexes, ownership
         // checks, snapshot index metadata) trusts this.
@@ -112,7 +112,11 @@ impl EncodedRecord {
 
     /// Wraps blob `index` of a loaded snapshot (blobs are bare record
     /// bodies, so the body starts at 0).
-    pub fn from_snapshot(snap: Arc<IndexedSnapshot>, index: usize, header: RecordHeader) -> Self {
+    pub(crate) fn from_snapshot(
+        snap: Arc<IndexedSnapshot>,
+        index: usize,
+        header: RecordHeader,
+    ) -> Self {
         EncodedRecord {
             bytes: BlobBytes::Mapped { snap, index },
             body_start: 0,
@@ -136,7 +140,7 @@ impl EncodedRecord {
     /// no longer covers) reports `0` rather than underflowing — the read
     /// path ([`body`](Self::body)) is where such damage surfaces as an
     /// error.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         match &self.bytes {
             BlobBytes::Owned(bytes) => bytes.len().saturating_sub(self.body_start),
             BlobBytes::Mapped { snap, index } => snap

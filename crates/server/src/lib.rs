@@ -6,7 +6,8 @@
 //!
 //! * **kgc** — the key generation centre ([`tibpre_ibe::Kgc`]),
 //! * **store** — the durable encrypted record store
-//!   ([`tibpre_phr::EncryptedPhrStore`]),
+//!   ([`tibpre_phr::EncryptedPhrStore`]), optionally a read replica of a
+//!   durable primary,
 //! * **proxy** — the semi-trusted re-encryption proxy
 //!   ([`tibpre_phr::ProxyService`]), reading records from a store node via
 //!   [`tibpre_client::RemoteStore`].
@@ -16,9 +17,9 @@
 //! lives in `tibpre-client`; this crate adds the listener, one thread per
 //! connection that executes the connection's pipelined requests in request
 //! order (a proxy serves each run of consecutive `Disclose` requests as one
-//! batch; see [`node`]), per-role dispatch and graceful shutdown.  A second
-//! binary, `tibpre-load`, smokes a running node set end to end; it exports
-//! nothing.
+//! batch; see [`node`]), per-role dispatch and graceful shutdown.  Callers
+//! boot a node in process with [`start`]; `tests/real_binaries.rs` drives
+//! the shipped binary.
 
 #![deny(unsafe_code)] // signal.rs carves out its own file-scoped allow
 #![deny(missing_docs)]
@@ -26,11 +27,9 @@
 pub mod config;
 mod metrics;
 pub mod node;
-pub mod replica;
-pub mod service;
+mod replica;
+mod service;
 pub mod signal;
 
 pub use config::NodeConfig;
 pub use node::{start, NodeHandle, ServerError};
-pub use replica::ReplicaControl;
-pub use service::RoleService;

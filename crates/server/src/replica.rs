@@ -45,7 +45,7 @@ use tibpre_wire::{read_frame, write_frame, WireDecode, WireEncode};
 /// Upper bound on a replication frame the replica will accept.  Snapshot
 /// generations ship as one frame, so this is deliberately far above the
 /// request-path default.
-pub const MAX_REPLICATION_FRAME: usize = 1 << 30;
+pub(crate) const MAX_REPLICATION_FRAME: usize = 1 << 30;
 
 /// How long the tail thread waits for the next pushed frame before
 /// re-checking the stop flag.
@@ -89,52 +89,45 @@ fn reconnect_delay(fruitless: u32) -> Duration {
 /// stated against: every policy event at an offset below `applied` is
 /// visible, nothing at or above it is.
 #[derive(Debug)]
-pub struct ReplicaControl {
+pub(crate) struct ReplicaControl {
     promoted: AtomicBool,
     stopping: AtomicBool,
-    connected: AtomicBool,
     applied: parking_lot::Mutex<Vec<u64>>,
 }
 
 impl ReplicaControl {
     /// Fresh control state with `shards` offsets at the given start.
-    pub fn new(applied: Vec<u64>) -> Self {
+    pub(crate) fn new(applied: Vec<u64>) -> Self {
         ReplicaControl {
             promoted: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
-            connected: AtomicBool::new(false),
             applied: parking_lot::Mutex::new(applied),
         }
     }
 
     /// Whether this replica accepts writes (only after [`Self::promote`]).
-    pub fn writable(&self) -> bool {
+    pub(crate) fn writable(&self) -> bool {
         self.promoted.load(Ordering::SeqCst)
     }
 
     /// Flips the write gate open and stops the tail thread: the replica
     /// stops following its former primary and serves writes from now on.
-    pub fn promote(&self) {
+    pub(crate) fn promote(&self) {
         self.promoted.store(true, Ordering::SeqCst);
     }
 
     /// Asks the tail thread to exit (node shutdown).
-    pub fn request_stop(&self) {
+    pub(crate) fn request_stop(&self) {
         self.stopping.store(true, Ordering::SeqCst);
     }
 
     /// Whether the tail thread should exit.
-    pub fn stopping(&self) -> bool {
+    pub(crate) fn stopping(&self) -> bool {
         self.stopping.load(Ordering::SeqCst) || self.promoted.load(Ordering::SeqCst)
     }
 
-    /// Whether the tail is currently subscribed to the primary.
-    pub fn connected(&self) -> bool {
-        self.connected.load(Ordering::SeqCst)
-    }
-
     /// The per-shard applied offsets (a snapshot; the tail keeps moving).
-    pub fn positions(&self) -> Vec<u64> {
+    pub(crate) fn positions(&self) -> Vec<u64> {
         self.applied.lock().clone()
     }
 
@@ -180,7 +173,7 @@ fn send_frame(stream: &mut TcpStream, message: &impl WireEncode) -> io::Result<(
 /// Connects to the primary and subscribes from the given applied offsets.
 /// Returns the live stream (with whatever the primary pushed behind its
 /// first status frame already buffered) plus that status frame's positions.
-pub fn subscribe(
+pub(crate) fn subscribe(
     addr: &str,
     ctx: &DecodeCtx,
     applied: Vec<u64>,
@@ -203,7 +196,7 @@ pub fn subscribe(
 
 /// Connects and subscribes, retrying until `deadline` (boot path: the
 /// primary may still be coming up).
-pub fn subscribe_with_retry(
+pub(crate) fn subscribe_with_retry(
     addr: &str,
     ctx: &DecodeCtx,
     applied: Vec<u64>,
@@ -327,7 +320,7 @@ fn drain_stream(
 
 /// The tail thread body: follow the primary until stopped or promoted,
 /// reconnecting (and resuming from the applied offsets) on any defect.
-pub fn run_tail(
+pub(crate) fn run_tail(
     primary: String,
     store: Arc<EncryptedPhrStore>,
     control: Arc<ReplicaControl>,
@@ -354,11 +347,8 @@ pub fn run_tail(
                 }
             }
         };
-        control.connected.store(true, Ordering::SeqCst);
         let before = control.positions();
-        let end = drain_stream(live, &store, &control, &ctx);
-        control.connected.store(false, Ordering::SeqCst);
-        match end {
+        match drain_stream(live, &store, &control, &ctx) {
             TailEnd::Stopped => break,
             TailEnd::Resync(_defect) => {
                 // Partial buffers died with drain_stream; the next

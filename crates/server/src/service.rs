@@ -15,7 +15,7 @@ use tibpre_ibe::{Identity, Kgc};
 use tibpre_phr::{EncryptedPhrStore, ProxyService, RecordId};
 
 /// The role-specific state behind a node's listener.
-pub enum RoleService {
+pub(crate) enum RoleService {
     /// Key generation centre: answers `PublicParams` and `Extract`.
     /// Boxed: the KGC's cached parameter tables dwarf the other variants.
     Kgc(Box<Kgc>),
@@ -35,7 +35,7 @@ pub enum RoleService {
 
 impl RoleService {
     /// The role this service answers for.
-    pub fn role(&self) -> NodeRole {
+    pub(crate) fn role(&self) -> NodeRole {
         match self {
             RoleService::Kgc(_) => NodeRole::Kgc,
             RoleService::Store { .. } => NodeRole::Store,
@@ -44,7 +44,7 @@ impl RoleService {
     }
 
     /// The store, if this node holds one (used by the drain path to sync).
-    pub fn store(&self) -> Option<&Arc<EncryptedPhrStore>> {
+    pub(crate) fn store(&self) -> Option<&Arc<EncryptedPhrStore>> {
         match self {
             RoleService::Store { store, .. } => Some(store),
             _ => None,
@@ -52,7 +52,7 @@ impl RoleService {
     }
 
     /// The replica control state, if this node is a read replica.
-    pub fn replica(&self) -> Option<&Arc<ReplicaControl>> {
+    pub(crate) fn replica(&self) -> Option<&Arc<ReplicaControl>> {
         match self {
             RoleService::Store {
                 replica: Some(control),
@@ -64,7 +64,7 @@ impl RoleService {
 
     /// Whether this node currently accepts writes: anything but an
     /// unpromoted replica.
-    pub fn writable(&self) -> bool {
+    pub(crate) fn writable(&self) -> bool {
         self.replica().is_none_or(|control| control.writable())
     }
 
@@ -87,7 +87,7 @@ impl RoleService {
     /// order.  Never panics: a panicking handler is reported as
     /// [`RemoteError::Internal`] on every request of the run and the
     /// connection stays usable.
-    pub fn handle_run(&self, run: Vec<Request>) -> Vec<Response> {
+    pub(crate) fn handle_run(&self, run: Vec<Request>) -> Vec<Response> {
         let role = self.role();
         let len = run.len();
         catch_unwind(AssertUnwindSafe(|| self.dispatch_run(run))).unwrap_or_else(|_| {

@@ -1,6 +1,6 @@
 //! SIGINT/SIGTERM → a process-wide shutdown flag.
 //!
-//! The node's accept loop polls [`interrupted`] between accepts; a signal
+//! The node's accept loop polls `interrupted` between accepts; a signal
 //! therefore triggers the same graceful drain as a `Shutdown` frame.  The
 //! handler itself only stores into an `AtomicBool` — the one thing that is
 //! unconditionally async-signal-safe.
@@ -43,13 +43,13 @@ pub fn install() {
 }
 
 /// Whether a shutdown signal has arrived.
-pub fn interrupted() -> bool {
+pub(crate) fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::SeqCst)
 }
 
 /// Resets the flag (tests only — a real node exits after one interrupt).
 #[cfg(test)]
-pub fn reset() {
+fn reset() {
     INTERRUPTED.store(false, Ordering::SeqCst);
 }
 

@@ -95,16 +95,16 @@ impl Default for Crc32 {
     }
 }
 
-/// One-shot CRC-32 of a byte string.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = Crc32::new();
-    crc.update(bytes);
-    crc.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-shot CRC-32 of a byte string.
+    fn crc32(bytes: &[u8]) -> u32 {
+        let mut crc = Crc32::new();
+        crc.update(bytes);
+        crc.finish()
+    }
 
     #[test]
     fn known_vectors() {

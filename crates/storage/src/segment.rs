@@ -60,7 +60,7 @@ pub fn first_segment_path(dir: &Path, base: &str) -> PathBuf {
 }
 
 /// The path of the segment starting at logical offset `start`.
-pub fn segment_path(dir: &Path, base: &str, start: u64) -> PathBuf {
+pub(crate) fn segment_path(dir: &Path, base: &str, start: u64) -> PathBuf {
     if start == 0 {
         first_segment_path(dir, base)
     } else {

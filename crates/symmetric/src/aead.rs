@@ -69,8 +69,8 @@ impl AeadKey {
         self.seal_with_nonce(nonce, plaintext, aad)
     }
 
-    /// Encrypts with an explicit nonce (exposed for deterministic tests).
-    pub fn seal_with_nonce(
+    /// Encrypts with an explicit nonce: `seal` draws it, the tests fix it.
+    pub(crate) fn seal_with_nonce(
         &self,
         nonce: [u8; NONCE_LEN],
         plaintext: &[u8],

@@ -44,7 +44,7 @@ impl ChaCha20 {
     }
 
     /// Generates the 64-byte keystream block for the given counter value.
-    pub fn keystream_block(&self, counter: u32) -> [u8; BLOCK_LEN] {
+    pub(crate) fn keystream_block(&self, counter: u32) -> [u8; BLOCK_LEN] {
         let mut state = [0u32; 16];
         state[0..4].copy_from_slice(&SIGMA);
         state[4..12].copy_from_slice(&self.key_words);
@@ -76,7 +76,7 @@ impl ChaCha20 {
     /// XORs the keystream (starting at block `initial_counter`) into `data` in place.
     ///
     /// Applying the same operation twice recovers the original data.
-    pub fn apply_keystream(&self, initial_counter: u32, data: &mut [u8]) {
+    pub(crate) fn apply_keystream(&self, initial_counter: u32, data: &mut [u8]) {
         for (block_index, chunk) in data.chunks_mut(BLOCK_LEN).enumerate() {
             let counter = initial_counter.wrapping_add(block_index as u32);
             let keystream = self.keystream_block(counter);

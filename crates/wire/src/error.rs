@@ -77,7 +77,7 @@ impl DecodeError {
     }
 
     /// The envelope named an unknown version.
-    pub fn unknown_version(offset: usize, tag: u8) -> Self {
+    pub(crate) fn unknown_version(offset: usize, tag: u8) -> Self {
         DecodeError {
             offset,
             kind: DecodeErrorKind::UnknownVersion { tag },

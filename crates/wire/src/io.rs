@@ -62,7 +62,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Switches the decode version (called after reading an envelope byte).
-    pub fn set_version(&mut self, version: WireVersion) {
+    pub(crate) fn set_version(&mut self, version: WireVersion) {
         self.version = version;
     }
 
