@@ -10,9 +10,8 @@
 //! shared cursor whenever it finishes one.
 //!
 //! A proxy node holds none: it converts on each connection's thread, and its
-//! connections are its parallelism.  The callers are the store's shard
-//! recovery ([`ReEncryptEngine::try_par_map_indices`]) and the benchmark's
-//! `engine.*` rows.
+//! connections are its parallelism.  The benchmark's `engine.*` rows are the
+//! callers.
 //!
 //! Three properties of the core function are preserved exactly, and the
 //! oracle tests assert them:

@@ -81,9 +81,11 @@ impl Durability {
     }
 
     /// Sets the shard count used when *creating* a store (an existing store
-    /// keeps the count persisted in its meta file).
+    /// keeps the count persisted in its meta file), clamped to
+    /// `1..=`[`MAX_SHARDS`](crate::store::MAX_SHARDS) so a fresh store never
+    /// persists a count it would refuse to reopen.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+        self.shards = shards.clamp(1, crate::store::MAX_SHARDS);
         self
     }
 
@@ -640,6 +642,10 @@ pub(crate) mod tests {
             .fsync(FsyncPolicy::Never)
             .snapshot_every(9);
         assert_eq!(d.shard_count(), 1);
+        assert_eq!(
+            d.clone().shards(4096).shard_count(),
+            crate::store::MAX_SHARDS
+        );
         assert_eq!(d.fsync_policy(), FsyncPolicy::Never);
         assert_eq!(d.snapshot_cadence(), 9);
     }

@@ -31,8 +31,8 @@
 //!
 //! The store keeps records *wire-resident*: shards hold validated encoded
 //! bytes (shared with the WAL frame that persisted them, or held in a
-//! loaded snapshot) and decode lazily through a small per-shard LRU
-//! — see the private `resident` module and `ARCHITECTURE.md`.
+//! loaded snapshot) and decode lazily through a small per-shard cache of
+//! hot records — see the private `resident` module and `ARCHITECTURE.md`.
 //!
 //! # Example
 //!

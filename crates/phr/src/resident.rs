@@ -17,23 +17,20 @@
 //!   `put`) or a blob of a loaded indexed snapshot (CRC-checked on its
 //!   first read).  Every resident body is v1:
 //!   legacy bytes are converted once, at open, by `crate::legacy`.
-//! * [`DecodedCache`] — a small per-shard LRU of hot decoded records
-//!   ([`DEFAULT_CACHE_PER_SHARD`] of them), so repeated reads of the same
-//!   record cost one pointer clone instead of a ciphertext decode.
+//!
+//! The store keeps hot decoded records beside these bodies, in a small
+//! per-shard [`tibpre_pairing::Generations`], so repeated reads of the same
+//! record cost one pointer clone instead of a ciphertext decode.
 
 use crate::category::Category;
 use crate::record::RecordId;
 use crate::store::StoredRecord;
 use crate::{PhrError, Result};
-use std::collections::HashMap;
 use std::sync::Arc;
 use tibpre_ibe::Identity;
 use tibpre_pairing::DecodeCtx;
 use tibpre_storage::{IndexedSnapshot, StorageError};
 use tibpre_wire::{DecodeError, Reader, WireDecode, WireVersion};
-
-/// Decoded-record LRU capacity per shard.
-pub(crate) const DEFAULT_CACHE_PER_SHARD: usize = 64;
 
 tibpre_wire::message! {
     /// The index-bearing prefix of a record's wire encoding: everything the
@@ -156,59 +153,6 @@ impl EncodedRecord {
         let record = StoredRecord::decode(&mut r, ctx)?;
         r.finish()?;
         Ok(record)
-    }
-}
-
-/// A small LRU of hot decoded records, one per shard, sitting behind the
-/// shard's read lock (in a `Mutex`, since `get` must update recency).
-///
-/// Capacity is per shard and small by design — the cache exists to make
-/// *repeated* reads of a hot record cost an `Arc` clone, not to hold the
-/// working set; [`DEFAULT_CACHE_PER_SHARD`] × shards records is the store's
-/// decoded-memory ceiling.  Eviction scans for the least-recent entry,
-/// O(capacity), which at 64 is noise next to one ciphertext decode.
-#[derive(Debug, Default)]
-pub(crate) struct DecodedCache {
-    tick: u64,
-    map: HashMap<RecordId, (u64, Arc<StoredRecord>)>,
-}
-
-impl DecodedCache {
-    /// The cached record, freshened to most-recently-used.
-    pub fn get(&mut self, id: RecordId) -> Option<Arc<StoredRecord>> {
-        let (at, record) = self.map.get_mut(&id)?;
-        self.tick += 1;
-        *at = self.tick;
-        Some(record.clone())
-    }
-
-    /// Inserts (or freshens) a record, evicting the least-recently-used
-    /// entry when full.
-    pub fn insert(&mut self, id: RecordId, record: Arc<StoredRecord>) {
-        if self.map.len() >= DEFAULT_CACHE_PER_SHARD && !self.map.contains_key(&id) {
-            if let Some(&victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (at, _))| *at)
-                .map(|(id, _)| id)
-            {
-                self.map.remove(&victim);
-            }
-        }
-        self.tick += 1;
-        self.map.insert(id, (self.tick, record));
-    }
-
-    /// Drops a record (called on delete, so a re-used id can never serve a
-    /// stale cached body).
-    pub fn remove(&mut self, id: RecordId) {
-        self.map.remove(&id);
-    }
-
-    /// Number of resident decoded records.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -365,28 +309,5 @@ mod tests {
         };
         assert_eq!(stale.encoded_len(), 0);
         assert!(stale.body().is_err());
-    }
-
-    #[test]
-    fn lru_cache_evicts_the_least_recent() {
-        let mut cache = DecodedCache::default();
-        let (_, record) = sample_record(1);
-        let record = Arc::new(record);
-        for id in 1..=DEFAULT_CACHE_PER_SHARD as u64 {
-            cache.insert(RecordId(id), record.clone());
-        }
-        // Touch 1, making 2 the eviction victim.
-        assert!(Arc::ptr_eq(&cache.get(RecordId(1)).unwrap(), &record));
-        cache.insert(RecordId(1000), record.clone());
-        assert_eq!(cache.len(), DEFAULT_CACHE_PER_SHARD);
-        assert!(cache.get(RecordId(2)).is_none());
-        assert!(cache.get(RecordId(1)).is_some());
-        assert!(cache.get(RecordId(1000)).is_some());
-        // Re-inserting a resident id freshens without evicting.
-        cache.insert(RecordId(1), record.clone());
-        assert_eq!(cache.len(), DEFAULT_CACHE_PER_SHARD);
-        cache.remove(RecordId(1));
-        assert!(cache.get(RecordId(1)).is_none());
-        assert_eq!(cache.len(), DEFAULT_CACHE_PER_SHARD - 1);
     }
 }

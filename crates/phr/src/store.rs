@@ -35,7 +35,7 @@
 //!   validate + memcpy + CRC and zero extra codec round trips
 //!   ([`crate::metrics`] counts them),
 //! * `get` decodes lazily, returning `Arc<StoredRecord>`s through a small
-//!   per-shard LRU of hot records,
+//!   per-shard [`Generations`] cache of hot records,
 //! * the `by_patient` / category indexes and delete's ownership check run
 //!   on lightweight headers parsed from the encoding's prefix — never a
 //!   full decode,
@@ -59,8 +59,8 @@
 //! under the same shard write lock the in-memory path already takes, so
 //! durability introduces no extra synchronization and no cross-shard locks.
 //! `open` replays `newest valid snapshot + WAL tail` per shard — in parallel
-//! across shards on a [`ReEncryptEngine`] — truncating each log at the first
-//! torn or corrupt frame.  Bytes in an older format are read there, once, by
+//! across shards on scoped threads — truncating each log at the first torn
+//! or corrupt frame.  Bytes in an older format are read there, once, by
 //! the private `legacy` module, and `open` re-persists the store as v1
 //! before returning.
 //!
@@ -76,17 +76,16 @@ use crate::durable::{
 };
 use crate::legacy;
 use crate::record::RecordId;
-use crate::resident::{DecodedCache, EncodedRecord, RecordHeader};
+use crate::resident::{EncodedRecord, RecordHeader};
 use crate::{PhrError, Result};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tibpre_core::HybridCiphertext;
-use tibpre_engine::ReEncryptEngine;
 use tibpre_ibe::Identity;
-use tibpre_pairing::{DecodeCtx, PairingParams};
+use tibpre_pairing::{DecodeCtx, Generations, PairingParams};
 use tibpre_storage::{
     frame, segment, snapshot, ChunkOutcome, CommitNotifier, FsyncPolicy, ReplicationLog,
     SegmentedWal,
@@ -94,9 +93,14 @@ use tibpre_storage::{
 use tibpre_wire::{put_u32, Reader, WireDecode, WireEncode, WireVersion};
 
 /// Default shard count.  Sixteen stripes keep the per-shard contention
-/// negligible for any worker count this workspace's engine will realistically
-/// run, while the merge-style reads stay cheap.
+/// negligible for the thread counts a node realistically runs, while the
+/// merge-style reads stay cheap.
 pub const DEFAULT_SHARDS: usize = 16;
+
+/// The most shards a store is opened or replicated with.  A count read from
+/// a `store.meta` file or a primary's status frame above this is refused
+/// rather than allocated (one WAL segment per shard).
+pub const MAX_SHARDS: usize = 1024;
 
 /// One encrypted record at rest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,7 +124,7 @@ pub(crate) type RecoveredShardState = (BTreeMap<RecordId, EncodedRecord>, Vec<Ar
 
 /// One lock stripe: the records whose id hashes here (as wire-resident
 /// bodies), the per-patient index restricted to those records, this stripe's
-/// audit segment, the LRU of hot decoded records, and — on a durable store —
+/// audit segment, a cache of hot decoded records, and — on a durable store —
 /// its write-ahead log handle.
 #[derive(Default)]
 struct Shard {
@@ -128,9 +132,12 @@ struct Shard {
     by_patient: HashMap<Vec<u8>, BTreeSet<RecordId>>,
     audit: Vec<Arc<AuditEvent>>,
     log: Option<ShardLog>,
-    /// Hot decoded records.  A `Mutex` inside the shard because `get` must
-    /// update LRU recency while holding only the shard *read* lock.
-    cache: Mutex<DecodedCache>,
+    /// Hot decoded records, at most 64: a record read again before 32 fresh
+    /// ones arrive survives any flood.  A `Mutex` inside the shard because a
+    /// `get` hit promotes while holding only the shard *read* lock.  A
+    /// deleted record's copy is never served (`get` checks `records` first,
+    /// and ids are never reissued); it ages out.
+    cache: Mutex<Generations<RecordId, Arc<StoredRecord>, 64>>,
 }
 
 impl Shard {
@@ -140,7 +147,7 @@ impl Shard {
     fn load(&mut self, (records, audit): RecoveredShardState) {
         self.records = records;
         self.audit = audit;
-        *self.cache.get_mut() = DecodedCache::default();
+        *self.cache.get_mut() = Generations::default();
         self.by_patient.clear();
         for (&id, enc) in &self.records {
             self.by_patient
@@ -160,14 +167,13 @@ impl Shard {
         self.records.insert(id, enc);
     }
 
-    /// Removes a record from the map, the index and the read cache.
+    /// Removes a record from the map and the index.
     fn remove(&mut self, id: RecordId) {
         if let Some(enc) = self.records.remove(&id) {
             if let Some(set) = self.by_patient.get_mut(enc.header.patient.as_bytes()) {
                 set.remove(&id);
             }
         }
-        self.cache.get_mut().remove(id);
     }
 
     /// Applies one WAL op — the one step a live write, crash recovery and
@@ -250,7 +256,7 @@ const META_VERSION: u32 = 1;
 impl EncryptedPhrStore {
     /// Creates an empty in-memory store with [`DEFAULT_SHARDS`] lock
     /// stripes, keeping records *wire-resident* (encoded bytes, decoded
-    /// lazily with `params` through the per-shard LRU).
+    /// lazily with `params` through the per-shard cache).
     pub fn in_memory_with_params(name: impl AsRef<str>, params: Arc<PairingParams>) -> Self {
         Self::with_shards_and_params(name, DEFAULT_SHARDS, params)
     }
@@ -280,8 +286,10 @@ impl EncryptedPhrStore {
     /// The store's display name is the directory's final path component.  A
     /// fresh store uses the shard count from `durability`; an existing store
     /// keeps the count persisted in its `store.meta` file (the id→shard
-    /// mapping depends on it).  Shards are recovered in parallel on a
-    /// [`ReEncryptEngine::from_env`] worker pool, one shard per task.
+    /// mapping depends on it), and a persisted count above [`MAX_SHARDS`]
+    /// fails the open with [`PhrError::CorruptedRecord`] before any log is
+    /// touched.  Shards are recovered in parallel on scoped threads, and the
+    /// lowest failing shard's error fails the open.
     ///
     /// Each shard's newest usable indexed (`TBS2`) generation is read into
     /// memory and only its trailer is validated and parsed; each older
@@ -314,9 +322,7 @@ impl EncryptedPhrStore {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "phr-store".to_string());
 
-        let engine = ReEncryptEngine::from_env();
-        let recovered: Vec<(Shard, bool)> =
-            engine.try_par_map_indices(shards, |i| Self::recover_shard(dir, i, &durability))?;
+        let recovered = Self::recover_shards(dir, shards, &durability)?;
         let migrate = recovered.iter().any(|(_, legacy)| *legacy);
         let (next_id, clock) = recovered
             .iter()
@@ -366,6 +372,11 @@ impl EncryptedPhrStore {
                 }
                 let shards = r.u32()? as usize;
                 r.finish()?;
+                if shards > MAX_SHARDS {
+                    return Err(PhrError::CorruptedRecord(
+                        "store meta shard count too large",
+                    ));
+                }
                 Ok(shards.max(1))
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -382,6 +393,34 @@ impl EncryptedPhrStore {
             }
             Err(e) => Err(e.into()),
         }
+    }
+
+    /// Recovers shards `0..count` on `min(count, available_parallelism)`
+    /// scoped threads, each claiming the next index from one cursor.  There
+    /// is no early abort: every shard is recovered, then the results are put
+    /// in index order and the first error in that order is returned — the
+    /// error a sequential loop would have surfaced.
+    fn recover_shards(
+        dir: &Path,
+        count: usize,
+        durability: &Durability,
+    ) -> Result<Vec<(Shard, bool)>> {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cursor = AtomicUsize::new(0);
+        let next = || Some(cursor.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < count);
+        let recover =
+            || std::iter::from_fn(next).map(|i| (i, Self::recover_shard(dir, i, durability)));
+        let mut recovered: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers.min(count))
+                .map(|_| scope.spawn(|| recover().collect::<Vec<_>>()))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        recovered.sort_unstable_by_key(|(i, _)| *i);
+        recovered.into_iter().map(|(_, shard)| shard).collect()
     }
 
     /// Recovers one shard: newest valid snapshot (falling back through the
@@ -747,7 +786,7 @@ impl EncryptedPhrStore {
     /// Fetches one record by identifier.  Takes only the owning shard's read
     /// lock, so lookups on different shards run fully in parallel.
     ///
-    /// Returns a shared handle, not a copy: a hit in the per-shard LRU of
+    /// Returns a shared handle, not a copy: a hit in the per-shard cache of
     /// hot decoded records costs one `Arc` clone.  On a miss the resident
     /// bytes are decoded (CRC-checking a snapshot blob on its first read)
     /// and the result is cached.
@@ -755,7 +794,7 @@ impl EncryptedPhrStore {
         let shard = self.shard_for_id(id).read();
         let enc = shard.records.get(&id).ok_or(PhrError::RecordNotFound)?;
         let mut cache = shard.cache.lock();
-        if let Some(hit) = cache.get(id) {
+        if let Some(hit) = cache.get(&id) {
             return Ok(hit);
         }
         let record = Arc::new(enc.decode(&self.ctx)?);
@@ -1196,19 +1235,45 @@ mod tests {
     }
 
     #[test]
-    fn encoded_stores_serve_hot_gets_from_the_lru() {
+    fn encoded_stores_serve_hot_gets_from_the_cache() {
         let mut rng = StdRng::seed_from_u64(150);
         let store = EncryptedPhrStore::in_memory_with_params("ram-enc", toy_params());
         let alice = Identity::new("alice");
         let ct = sample_ciphertext(&mut rng);
-        let id = store.put(&alice, &Category::Emergency, "r", ct);
+        let id = store.put(&alice, &Category::Emergency, "r", ct.clone());
         // Wire-resident: the record is held encoded...
         assert!(store.encoded_payload_bytes() > 0);
-        // ...and repeated reads share one decoded instance through the LRU.
+        // ...and repeated reads share one decoded instance through the cache.
         let a = store.get(id).unwrap();
         let b = store.get(id).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second read must hit the cache");
         assert_eq!(a.title, "r");
+
+        // At its bounds, on one shard: every `put` primes the cache, yet the
+        // shard never holds more than 64 decoded records; a record read
+        // between floods of fresh ones keeps its decoded instance, and one
+        // nobody reads is evicted and decoded anew.
+        let store = EncryptedPhrStore::with_shards_and_params("one", 1, toy_params());
+        let hot = store.put(&alice, &Category::Emergency, "hot", ct.clone());
+        let cold = store.put(&alice, &Category::Emergency, "cold", ct.clone());
+        let (hot_first, cold_first) = (store.get(hot).unwrap(), store.get(cold).unwrap());
+        for flood in 0..20 {
+            for i in 0..16 {
+                store.put(
+                    &alice,
+                    &Category::LabResults,
+                    &format!("f{flood}-{i}"),
+                    ct.clone(),
+                );
+                assert!(store.shards[0].read().cache.lock().len() <= 64);
+            }
+            assert!(
+                Arc::ptr_eq(&store.get(hot).unwrap(), &hot_first),
+                "flood {flood}"
+            );
+        }
+        assert!(!Arc::ptr_eq(&store.get(cold).unwrap(), &cold_first));
+        assert_eq!(store.get(cold).unwrap(), cold_first);
     }
 
     #[test]
@@ -1241,7 +1306,7 @@ mod tests {
         oracle.remove(&RecordId(3));
         // Drop the caches `put` primed, so every read decodes resident bytes.
         for shard in encoded.shards.iter() {
-            *shard.write().cache.get_mut() = DecodedCache::default();
+            *shard.write().cache.get_mut() = Generations::default();
         }
         assert_eq!(encoded.record_count(), oracle.len());
         for patient in [&alice, &bob] {
@@ -1535,6 +1600,64 @@ mod tests {
         // Nothing was truncated by the failed open.
         assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), after);
         let _ = before;
+    }
+
+    #[test]
+    fn undecodable_frames_in_two_shards_fail_every_parallel_open() {
+        let mut rng = StdRng::seed_from_u64(144);
+        let params = toy_params();
+        let tmp = tibpre_storage::TempDir::new("store-undecodable-fanout").unwrap();
+        let dir = tmp.path().join("db");
+        let alice = Identity::new("alice");
+        let ct = sample_ciphertext(&mut rng);
+        let durability = || {
+            Durability::new(params.clone())
+                .shards(4)
+                .fsync(FsyncPolicy::Never)
+        };
+        {
+            let store = EncryptedPhrStore::open(&dir, durability()).unwrap();
+            for i in 0..12 {
+                store.put(&alice, &Category::Emergency, &format!("r{i}"), ct.clone());
+            }
+        }
+        // Shards 1 and 3 each gain a checksummed frame with an unknown op
+        // tag; shards 0 and 2 recover cleanly beside them.
+        let damage = |shard: usize| {
+            let path = crate::durable::shard_wal_path(&dir, shard);
+            let intact = std::fs::read(&path).unwrap();
+            let mut wal = tibpre_storage::WalWriter::open(
+                &path,
+                intact.len() as u64,
+                tibpre_storage::FsyncPolicy::Never,
+            )
+            .unwrap();
+            wal.append(&[0xEE, shard as u8]);
+            wal.sync().unwrap();
+            let written = std::fs::read(&path).unwrap();
+            (path, intact, written)
+        };
+        let damaged = [damage(1), damage(3)];
+
+        // Whichever worker reaches a damaged shard first, every open is
+        // refused and neither damaged log loses a byte.
+        for _ in 0..8 {
+            assert!(matches!(
+                EncryptedPhrStore::open(&dir, durability()),
+                Err(PhrError::CorruptedRecord(_))
+            ));
+            for (path, _, written) in &damaged {
+                assert_eq!(&std::fs::read(path).unwrap(), written);
+            }
+        }
+        // With shard 1's log restored, shard 3 alone still fails the open;
+        // with both restored, every record is back.
+        let [(path1, intact1, _), (path3, intact3, _)] = &damaged;
+        std::fs::write(path1, intact1).unwrap();
+        assert!(EncryptedPhrStore::open(&dir, durability()).is_err());
+        std::fs::write(path3, intact3).unwrap();
+        let store = EncryptedPhrStore::open(&dir, durability()).unwrap();
+        assert_eq!(store.record_count(), 12);
     }
 
     #[test]

@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 use tibpre_client::{params_for_level, ClientConfig, NodeRole, RemoteError, Request, Response};
 use tibpre_ibe::Kgc;
 use tibpre_pairing::DecodeCtx;
+use tibpre_phr::store::MAX_SHARDS;
 use tibpre_phr::{Durability, EncryptedPhrStore, ProxyService};
 use tibpre_wire::framing::FRAME_PREFIX_LEN;
 use tibpre_wire::{
@@ -171,12 +172,20 @@ pub fn start(config: NodeConfig) -> Result<NodeHandle, ServerError> {
         NodeRole::Store => match &config.replica_of {
             Some(primary) => {
                 // Handshake first: the primary's initial status frame tells
-                // us its shard count, which sizes the replica store.  The
+                // us its shard count, which sizes the replica store — so a
+                // count no store could have is refused, not allocated.  The
                 // primary may still be booting, so retry for a while.
                 let ctx = DecodeCtx::from(&params);
                 let deadline = Instant::now() + Duration::from_secs(30);
                 let (stream, positions) =
                     replica::subscribe_with_retry(primary, &ctx, Vec::new(), deadline)?;
+                if !(1..=MAX_SHARDS).contains(&positions.len()) {
+                    let why = format!(
+                        "primary reports {} shards, not 1..={MAX_SHARDS}",
+                        positions.len()
+                    );
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, why).into());
+                }
                 let store = Arc::new(EncryptedPhrStore::with_shards_and_params(
                     &config.name,
                     positions.len(),

@@ -301,8 +301,8 @@ pub struct IndexedSnapshot {
     trailer: Trailer,
     /// One bit per blob, set after that blob's first *successful* CRC check.
     /// The loaded bytes are immutable, so a blob that verified once need
-    /// never be checksummed again — repeated LRU misses on a hot snapshot
-    /// record used to pay O(len) checksumming on every read.  A blob that
+    /// never be checksummed again — repeated decoded-cache misses on a hot
+    /// snapshot record used to pay O(len) checksumming on every read.  A blob that
     /// *fails* never sets its bit, so corruption keeps surfacing on every
     /// read attempt.
     verified: Box<[AtomicU64]>,

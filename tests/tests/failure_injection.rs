@@ -25,7 +25,7 @@ use tibpre_phr::{
     store::{EncryptedPhrStore, StoredRecord},
     FsyncPolicy, PhrError,
 };
-use tibpre_storage::{snapshot, TempDir};
+use tibpre_storage::{frame, snapshot, TempDir};
 use tibpre_wire::{decode_bare, encode_bare, WireDecode, WireEncode, WireVersion};
 
 fn setup() -> (Arc<PairingParams>, Kgc, Kgc, StdRng) {
@@ -629,6 +629,50 @@ fn all_snapshots_corrupt_refuses_to_open_without_destroying_the_log() {
     })
     .unwrap();
     f.assert_fully_recovered();
+}
+
+#[test]
+fn a_store_meta_claiming_too_many_shards_is_refused_before_any_log() {
+    let params = PairingParams::insecure_toy();
+    let tmp = TempDir::new("meta-shards").unwrap();
+    let durability = || Durability::new(params.clone()).fsync(FsyncPolicy::Never);
+    let with_meta = |name: &str, shards: u32| {
+        let dir = tmp.path().join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut payload = Vec::new();
+        tibpre_wire::put_u32(&mut payload, 1);
+        tibpre_wire::put_u32(&mut payload, shards);
+        std::fs::write(dir.join("store.meta"), frame::encode_frame(&payload)).unwrap();
+        dir
+    };
+    let wal_files = |dir: &std::path::Path| {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .file_name()
+                    .to_string_lossy()
+                    .ends_with(".wal")
+            })
+            .count()
+    };
+    // The same meta frame with a count a store may have opens as written...
+    let dir = with_meta("two", 2);
+    assert_eq!(
+        EncryptedPhrStore::open(&dir, durability())
+            .unwrap()
+            .shard_count(),
+        2
+    );
+    assert!(wal_files(&dir) > 0);
+    // ...but 4 096 shards is refused before one shard's log is created.
+    let dir = with_meta("many", 4096);
+    assert!(matches!(
+        EncryptedPhrStore::open(&dir, durability()),
+        Err(PhrError::CorruptedRecord(_))
+    ));
+    assert_eq!(wal_files(&dir), 0);
 }
 
 #[test]

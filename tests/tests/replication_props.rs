@@ -456,6 +456,45 @@ fn a_chain_gap_is_refused_and_resumed_from_the_applied_offset() {
     server.join().expect("fake primary panicked");
 }
 
+/// A replica sizes its store from the primary's first status frame, so a
+/// shard count no store could have — none, or 65 536 when a store opens at
+/// most 1 024 — fails the boot instead of being allocated.
+#[test]
+fn a_primary_reporting_no_or_too_many_shards_fails_replica_boot() {
+    let params = toy_params();
+    for shards in [0, 65_536] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server_params = Arc::clone(&params);
+        let server = std::thread::spawn(move || {
+            let ctx = DecodeCtx::from(&server_params);
+            let mut conn = accept_within(&listener, Duration::from_secs(10));
+            let request = read_request(&mut conn, &ctx);
+            assert!(matches!(request, Request::SubscribeReplication { .. }));
+            send_response(
+                &mut conn,
+                &Response::ReplicaStatus {
+                    positions: vec![0; shards],
+                    writable: true,
+                },
+            );
+            conn
+        });
+        let mut config = NodeConfig::new(NodeRole::Store);
+        config.replica_of = Some(addr.to_string());
+        let booted = node::start(config);
+        let _conn = server.join().expect("fake primary panicked");
+        match booted {
+            Err(e) => assert!(e.to_string().contains(&format!("{shards} shards")), "{e}"),
+            Ok(handle) => {
+                shut_down(handle);
+                panic!("a replica booted beside a primary reporting {shards} shards");
+            }
+        }
+    }
+}
+
 #[test]
 fn replication_never_resurrects_a_revoked_grant_or_deleted_record() {
     let tmp = TempDir::new("repl-revoke").unwrap();
