@@ -1235,7 +1235,7 @@ mod tests {
     }
 
     #[test]
-    fn encoded_stores_serve_hot_gets_from_the_cache() {
+    fn encoded_stores_serve_hot_gets_from_the_lru() {
         let mut rng = StdRng::seed_from_u64(150);
         let store = EncryptedPhrStore::in_memory_with_params("ram-enc", toy_params());
         let alice = Identity::new("alice");
