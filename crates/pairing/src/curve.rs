@@ -799,6 +799,33 @@ mod tests {
         }
     }
 
+    /// `(0, 0)` has order 2 and `(±1, √(x³ + x))` order 4, for the one
+    /// sign whose `x³ + x = ±2` is a square (`p ≡ 3 (mod 4)`, so −1 is not):
+    /// `x = −1` at toy, `x = 1` at 80 bits.  Both are on the curve and
+    /// outside the subgroup; a walk that stops adding once its accumulator
+    /// returns to the identity would admit them.
+    #[test]
+    fn small_order_points_are_outside_the_subgroup() {
+        use crate::{PairingParams, SecurityLevel};
+        for (level, x_is_one) in [(SecurityLevel::Toy, false), (SecurityLevel::Low80, true)] {
+            let params = PairingParams::cached(level);
+            let c = params.fp_ctx();
+            let two = G1Affine::new(Fp::zero(c), Fp::zero(c)).unwrap();
+            let four: Vec<G1Affine> = [Fp::one(c), Fp::one(c).neg()]
+                .into_iter()
+                .filter_map(|x| {
+                    let y = (&x.square().mul(&x) + &x).sqrt()?;
+                    Some(G1Affine::new(x, y).unwrap())
+                })
+                .collect();
+            assert_eq!(four.len(), 1, "{level:?}");
+            assert_eq!(four[0].x().is_one(), x_is_one, "{level:?}");
+            assert_eq!(four[0].double(), two, "{level:?}");
+            assert!(!two.is_in_subgroup(params.q()), "{level:?}");
+            assert!(!four[0].is_in_subgroup(params.q()), "{level:?}");
+        }
+    }
+
     #[test]
     fn mul_by_zero_and_one() {
         let c = ctx();

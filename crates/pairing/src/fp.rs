@@ -297,6 +297,7 @@ impl Fp {
 
     /// Multiplicative inverse.  Fails for zero.
     pub fn invert(&self) -> Result<Fp> {
+        crate::OpCounts::note(|c| c.inv += 1);
         let inv = self
             .ctx
             .mont
@@ -371,7 +372,7 @@ impl Fp {
     /// Square root for `p ≡ 3 (mod 4)`: `a^((p+1)/4)`, checked by squaring
     /// back.  Returns `None` for non-residues.
     pub fn sqrt(&self) -> Option<Fp> {
-        crate::counts::note_sqrt();
+        crate::OpCounts::note(|c| c.sqrt += 1);
         let candidate = self.pow(&self.ctx.sqrt_exp);
         (candidate.square() == *self).then_some(candidate)
     }

@@ -39,7 +39,7 @@ use std::path::Path;
 use std::sync::Arc;
 use tibpre_core::ReEncryptionKey;
 use tibpre_ibe::Identity;
-use tibpre_pairing::{DecodeCtx, PairingParams};
+use tibpre_pairing::{DecodeCtx, OpCounts, PairingParams};
 use tibpre_storage::{segment, FsyncPolicy, SegmentedWal};
 use tibpre_wire::{
     Codec, DecodeError, Field, Inline, Nested, Reader, WireDecode, WireEncode, WireVersion, Writer,
@@ -157,10 +157,10 @@ impl WireEncode for StoredRecord {
     ///
     /// The index fields come *first*, before the title and the (dominant)
     /// ciphertext, so a header parse of the prefix rebuilds indexes without
-    /// decoding records.  This codec is hand-written only to count: it is
-    /// the choke point of [`crate::metrics`].
+    /// decoding records.  This codec is hand-written only to count: it bumps
+    /// [`OpCounts`]' `record_encode` and `record_decode` cells.
     fn encode(&self, w: &mut Writer) {
-        crate::metrics::note_record_encode();
+        OpCounts::note(|c| c.record_encode += 1);
         RecordHeader::put_fields(w, &self.id, &self.patient, &self.category);
         w.put_bytes(self.title.as_bytes());
         Nested::put(&self.ciphertext, w);
@@ -171,7 +171,7 @@ impl WireDecode for StoredRecord {
     type Ctx = DecodeCtx;
 
     fn decode(r: &mut Reader<'_>, ctx: &DecodeCtx) -> core::result::Result<Self, DecodeError> {
-        crate::metrics::note_record_decode();
+        OpCounts::note(|c| c.record_decode += 1);
         let RecordHeader {
             id,
             patient,

@@ -25,9 +25,7 @@
 //! * [`emergency`] — the paper's travelling / emergency-access scenario,
 //! * [`durable`] — the optional write-ahead-log + snapshot backend that
 //!   makes stores and proxies survive restarts and crashes
-//!   ([`EncryptedPhrStore::open`], [`ProxyService::open`]),
-//! * [`metrics`] — process-wide codec counters pinning the store's
-//!   zero-re-encode put path and lazy-decode read path.
+//!   ([`EncryptedPhrStore::open`], [`ProxyService::open`]).
 //!
 //! The store keeps records *wire-resident*: shards hold validated encoded
 //! bytes (shared with the WAL frame that persisted them, or held in a
@@ -98,7 +96,6 @@ pub mod durable;
 pub mod emergency;
 pub mod error;
 pub(crate) mod legacy;
-pub mod metrics;
 pub mod patient;
 pub mod policy;
 pub mod provider;

@@ -33,7 +33,7 @@
 //! * `put` encodes the record exactly once; on a durable store the shard
 //!   retains *the same buffer* the WAL appended, so persisting costs
 //!   validate + memcpy + CRC and zero extra codec round trips
-//!   ([`crate::metrics`] counts them),
+//!   ([`OpCounts`] counts them),
 //! * `get` decodes lazily, returning `Arc<StoredRecord>`s through a small
 //!   per-shard [`Generations`] cache of hot records,
 //! * the `by_patient` / category indexes and delete's ownership check run
@@ -85,7 +85,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tibpre_core::HybridCiphertext;
 use tibpre_ibe::Identity;
-use tibpre_pairing::{DecodeCtx, Generations, PairingParams};
+use tibpre_pairing::{DecodeCtx, Generations, OpCounts, PairingParams};
 use tibpre_storage::{
     frame, segment, snapshot, ChunkOutcome, CommitNotifier, FsyncPolicy, ReplicationLog,
     SegmentedWal,
@@ -145,16 +145,11 @@ impl Shard {
     /// rebuilds the per-patient index (derived state, never persisted) from
     /// the record headers — no record is decoded.
     fn load(&mut self, (records, audit): RecoveredShardState) {
-        self.records = records;
         self.audit = audit;
         *self.cache.get_mut() = Generations::default();
+        self.records.clear();
         self.by_patient.clear();
-        for (&id, enc) in &self.records {
-            self.by_patient
-                .entry(enc.header.patient.as_bytes().to_vec())
-                .or_default()
-                .insert(id);
-        }
+        records.into_values().for_each(|enc| self.insert(enc));
     }
 
     /// Inserts a resident record and indexes it under its patient.
@@ -167,11 +162,13 @@ impl Shard {
         self.records.insert(id, enc);
     }
 
-    /// Removes a record from the map and the index.
+    /// Removes a record from the map and the index, dropping an emptied entry.
     fn remove(&mut self, id: RecordId) {
         if let Some(enc) = self.records.remove(&id) {
-            if let Some(set) = self.by_patient.get_mut(enc.header.patient.as_bytes()) {
-                set.remove(&id);
+            let patient = enc.header.patient.as_bytes();
+            let set = self.by_patient.get_mut(patient);
+            if set.is_some_and(|set| set.remove(&id) && set.is_empty()) {
+                self.by_patient.remove(patient);
             }
         }
     }
@@ -396,10 +393,11 @@ impl EncryptedPhrStore {
     }
 
     /// Recovers shards `0..count` on `min(count, available_parallelism)`
-    /// scoped threads, each claiming the next index from one cursor.  There
-    /// is no early abort: every shard is recovered, then the results are put
-    /// in index order and the first error in that order is returned — the
-    /// error a sequential loop would have surfaced.
+    /// scoped threads, each claiming the next index from one cursor and
+    /// charging its [`OpCounts`] to the caller.  There is no early abort:
+    /// every shard is recovered, then the results are put in index order
+    /// and the first error in that order is returned — the error a
+    /// sequential loop would have surfaced.
     fn recover_shards(
         dir: &Path,
         count: usize,
@@ -408,15 +406,23 @@ impl EncryptedPhrStore {
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         let cursor = AtomicUsize::new(0);
         let next = || Some(cursor.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < count);
-        let recover =
-            || std::iter::from_fn(next).map(|i| (i, Self::recover_shard(dir, i, durability)));
+        let recover = || {
+            let before = OpCounts::now();
+            let shards =
+                std::iter::from_fn(next).map(|i| (i, Self::recover_shard(dir, i, durability)));
+            (shards.collect::<Vec<_>>(), OpCounts::now() - before)
+        };
         let mut recovered: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers.min(count))
-                .map(|_| scope.spawn(|| recover().collect::<Vec<_>>()))
+                .map(|_| scope.spawn(recover))
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .flat_map(|(shards, counts)| {
+                    OpCounts::note(|c| *c += counts);
+                    shards
+                })
                 .collect()
         });
         recovered.sort_unstable_by_key(|(i, _)| *i);
@@ -1163,6 +1169,24 @@ mod tests {
             Err(PhrError::RecordNotFound)
         ));
         let _ = id3;
+    }
+
+    #[test]
+    fn deleting_a_patients_last_record_drops_their_index_entry() {
+        let mut rng = StdRng::seed_from_u64(133);
+        let store = EncryptedPhrStore::in_memory_with_params("db", toy_params());
+        let alice = Identity::new("alice");
+        let id = store.put(
+            &alice,
+            &Category::Emergency,
+            "r",
+            sample_ciphertext(&mut rng),
+        );
+        store.delete(id, &alice).unwrap();
+        assert!(store
+            .shards
+            .iter()
+            .all(|shard| !shard.read().by_patient.contains_key(alice.as_bytes())));
     }
 
     #[test]

@@ -5,23 +5,22 @@
 //!   by the WAL frame and the shard's resident bytes) and **zero** decodes;
 //! * snapshotting copies resident bytes — zero codec round trips;
 //! * reopening from an indexed snapshot decodes **zero** records (O(index));
-//!   reads decode lazily, once, and then hit the per-shard LRU;
+//!   reads decode lazily, once, and then hit the per-shard cache;
 //! * resident bytes per record stay within 1.05× of the record's v1 encoded
 //!   size (they are in fact identical — the shard shares the WAL frame's
 //!   buffer or the snapshot blob).
 //!
-//! The counters ([`tibpre_phr::metrics`]) are process-global, so this test
-//! must not share a process with other record traffic: it lives alone in
-//! its own integration-test binary, as a single `#[test]`.
+//! The counters are [`OpCounts`]' `record_encode` / `record_decode` cells,
+//! which count on the calling thread; a reopen charges its recovery
+//! workers' counts to the thread that opens the store.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tibpre_core::{Delegator, TypeTag};
 use tibpre_ibe::{Identity, Kgc};
-use tibpre_pairing::PairingParams;
+use tibpre_pairing::{OpCounts, PairingParams};
 use tibpre_phr::category::Category;
 use tibpre_phr::durable::Durability;
-use tibpre_phr::metrics;
 use tibpre_phr::store::EncryptedPhrStore;
 use tibpre_phr::FsyncPolicy;
 use tibpre_storage::TempDir;
@@ -51,7 +50,7 @@ fn put_path_is_zero_round_trip_and_resident_bytes_stay_at_wire_size() {
 
     // --- Gate 1: the put path is one encode, zero decodes, per record. ---
     let store = EncryptedPhrStore::open(&dir, durability()).unwrap();
-    let (enc0, dec0) = (metrics::record_encodes(), metrics::record_decodes());
+    let (enc0, dec0) = (OpCounts::now().record_encode, OpCounts::now().record_decode);
     let ids: Vec<_> = (0..RECORDS)
         .map(|i| {
             store.put(
@@ -63,18 +62,22 @@ fn put_path_is_zero_round_trip_and_resident_bytes_stay_at_wire_size() {
         })
         .collect();
     assert_eq!(
-        metrics::record_encodes() - enc0,
+        OpCounts::now().record_encode - enc0,
         RECORDS,
         "put must encode exactly once per record (WAL frame == resident bytes)"
     );
-    assert_eq!(metrics::record_decodes() - dec0, 0, "put must never decode");
+    assert_eq!(
+        OpCounts::now().record_decode - dec0,
+        0,
+        "put must never decode"
+    );
 
     // Read-after-write hits the cache primed by put: still zero decodes.
     for &id in &ids {
         assert_eq!(store.get(id).unwrap().patient, alice);
     }
     assert_eq!(
-        metrics::record_decodes() - dec0,
+        OpCounts::now().record_decode - dec0,
         0,
         "primed reads must not decode"
     );
@@ -95,18 +98,18 @@ fn put_path_is_zero_round_trip_and_resident_bytes_stay_at_wire_size() {
 
     // --- Gate 3: snapshot + reopen decode nothing; reads decode lazily. ---
     store.force_snapshot().unwrap();
-    let enc_snap = metrics::record_encodes();
+    let enc_snap = OpCounts::now().record_encode;
     drop(store);
-    let dec1 = metrics::record_decodes();
+    let dec1 = OpCounts::now().record_decode;
     let reopened = EncryptedPhrStore::open(&dir, durability()).unwrap();
     assert_eq!(reopened.record_count(), RECORDS as usize);
     assert_eq!(
-        metrics::record_decodes() - dec1,
+        OpCounts::now().record_decode - dec1,
         0,
         "reopening from an indexed snapshot must decode zero records"
     );
     assert_eq!(
-        metrics::record_encodes() - enc_snap,
+        OpCounts::now().record_encode - enc_snap,
         0,
         "snapshot and reopen must not re-encode resident records"
     );
@@ -116,7 +119,7 @@ fn put_path_is_zero_round_trip_and_resident_bytes_stay_at_wire_size() {
         assert_eq!(reopened.get(id).unwrap().title, format!("r{}", id.0 - 1));
     }
     assert_eq!(
-        metrics::record_decodes() - dec1,
+        OpCounts::now().record_decode - dec1,
         RECORDS,
         "cold reads decode lazily, once per record"
     );
@@ -125,7 +128,7 @@ fn put_path_is_zero_round_trip_and_resident_bytes_stay_at_wire_size() {
         reopened.get(id).unwrap();
     }
     assert_eq!(
-        metrics::record_decodes() - dec1,
+        OpCounts::now().record_decode - dec1,
         RECORDS,
         "hot reads must hit the per-shard LRU"
     );

@@ -12,7 +12,7 @@ use tibpre_core::{
     proxy, Delegatee, Delegator, PreError, ReEncryptionKey, TypeTag, TypedCiphertext,
 };
 use tibpre_ibe::{EncodedIbeCiphertext, IbeCiphertext, Identity, Kgc};
-use tibpre_pairing::{DecodeCtx, G1Affine, Gt, PairingParams};
+use tibpre_pairing::{DecodeCtx, Fp, G1Affine, Gt, PairingParams};
 use tibpre_phr::{
     audit::AuditEvent,
     category::Category,
@@ -365,6 +365,84 @@ fn g1_deserialization_validates_the_curve_equation() {
     bytes[len - 1] ^= 0x01;
     bytes[len - 2] ^= 0x80;
     assert!(G1Affine::from_bytes(params.fp_ctx(), &bytes).is_err());
+}
+
+/// The curve's rational points of order 2 and 4: `(0, 0)` and
+/// `(±1, √(x³ + x))`, for the one sign that has a root.
+fn small_order_points(params: &PairingParams) -> [G1Affine; 2] {
+    let c = params.fp_ctx();
+    let four = [Fp::one(c), Fp::one(c).neg()]
+        .into_iter()
+        .find_map(|x| {
+            let y = (&x.square().mul(&x) + &x).sqrt()?;
+            G1Affine::new(x, y).ok()
+        })
+        .expect("one of ±2 is a square, as p ≡ 3 (mod 4)");
+    [G1Affine::new(Fp::zero(c), Fp::zero(c)).unwrap(), four]
+}
+
+/// A small-order point in a declared `G1` field is refused at decode: a
+/// `PutRecord`'s `c₁`, a bundle's `c'₁` and an `InstallKey`'s `rk₂`.  Each
+/// frame is decoded twice, so a refusal cannot have been memoised as a
+/// pass.
+#[test]
+fn small_order_points_are_refused_at_decode() {
+    use tibpre_client::Request;
+    use tibpre_tests::fixture::{World, TITLE};
+
+    let params = PairingParams::insecure_toy();
+    let w = World::new(params.clone());
+    let ctx = DecodeCtx::from(&params);
+    let put = Request::PutRecord {
+        patient: w.alice.clone(),
+        category: Category::Emergency,
+        title: TITLE.into(),
+        ciphertext: Box::new(w.hybrid.clone()),
+    };
+    let install = Request::InstallKey {
+        key: Box::new(w.rekey.clone()),
+    };
+    /// Whether a frame decodes.
+    type Decodes = fn(&[u8], &DecodeCtx) -> bool;
+    let request: Decodes = |bytes, ctx| Request::from_wire_bytes(bytes, ctx).is_ok();
+    let bundle: Decodes = |bytes, ctx| DisclosureBundle::from_wire_bytes(bytes, ctx).is_ok();
+    let cases: [(&str, &G1Affine, Vec<u8>, Decodes); 3] = [
+        (
+            "PutRecord c₁",
+            &w.hybrid.header.c1,
+            put.to_wire_bytes(),
+            request,
+        ),
+        (
+            "InstallKey rk₂",
+            w.rekey.rk_point(),
+            install.to_wire_bytes(),
+            request,
+        ),
+        (
+            "bundle c'₁",
+            &w.bundle.ciphertext.header.c1,
+            w.bundle.to_wire_bytes(),
+            bundle,
+        ),
+    ];
+    for point in small_order_points(&params) {
+        assert!(point.is_on_curve());
+        let rogue = encode_bare(&point, WireVersion::V1);
+        for (what, honest, frame, decodes) in &cases {
+            assert!(decodes(frame, &ctx), "{what}: the honest frame");
+            let honest = encode_bare(*honest, WireVersion::V1);
+            let at = frame
+                .windows(honest.len())
+                .position(|window| window == honest)
+                .expect("the frame carries the point");
+            let mut hostile = frame.clone();
+            hostile[at..at + rogue.len()].copy_from_slice(&rogue);
+            for _ in 0..2 {
+                assert!(!decodes(&hostile, &ctx), "{what}: {point:?}");
+            }
+        }
+    }
 }
 
 /// The element forms the writers emit, made hostile: each is a typed

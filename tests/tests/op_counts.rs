@@ -2,11 +2,12 @@
 //!
 //! A count, unlike a time, is the same on every run, in debug and release,
 //! so it moves only with the algorithm.  Counts are per thread
-//! ([`OpCounts`]); every step here runs on the test's own thread.  Today's
-//! one cell is `Fp::sqrt`: the frames the writers emit travel with every
-//! coordinate a decode needs, so a hot disclosure solves no square root,
-//! while the compressed frames older writers emitted (still read, since
-//! stored data is read as it was written) solve one per group element.
+//! ([`OpCounts`]); every step here runs on the test's own thread.  The
+//! frames the writers emit travel with every coordinate a decode needs, so
+//! a hot disclosure solves no square root, while the compressed frames
+//! older writers emitted (still read, since stored data is read as it was
+//! written) solve one per group element.  Every torus `Gt` element costs
+//! one `F_p` inversion to encode and one to decode.
 
 use std::sync::Arc;
 use tibpre_client::{params_for_level, Request, Response};
@@ -18,25 +19,45 @@ use tibpre_tests::compressed;
 use tibpre_tests::fixture::{World, PLAINTEXT, TITLE};
 use tibpre_wire::{encode_bare, WireDecode, WireEncode, WireVersion};
 
-/// `f`'s result and the square roots it solved on this thread.
-fn roots<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// `f`'s result and the operations it did on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, OpCounts) {
     let before = OpCounts::now();
     let out = f();
-    (out, OpCounts::now().sqrt - before.sqrt)
+    (out, OpCounts::now() - before)
 }
 
-/// Square roots per step of one disclosure, in the order the steps run.
+/// `sqrt` square roots and `inv` inversions, no record codec.
+fn ops(sqrt: u64, inv: u64) -> OpCounts {
+    OpCounts {
+        sqrt,
+        inv,
+        ..OpCounts::default()
+    }
+}
+
+/// Operations per step of one disclosure, in the order the steps run.
 #[derive(Debug, PartialEq, Eq)]
-struct Roots {
+struct Steps {
     /// The store node's decode of an uploaded record (`PutRecord`).
-    put: u64,
+    put_decode: OpCounts,
+    /// The store's `put` of the decoded record.
+    put: OpCounts,
+    /// The store node's answer to `GetRecord` for a hot record: `get`,
+    /// then the `Response::Record` frame.
+    get_record: OpCounts,
     /// The proxy's decode of the record the store sends
     /// (`Response::Record`).
-    record: u64,
+    record_decode: OpCounts,
+    /// `ProxyService::disclose_batch` of one request, in process.
+    disclose_1: OpCounts,
     /// `ProxyService::disclose_batch` of 16 requests, in process.
-    disclose_batch: u64,
-    /// The client's decode of the bundle, then its open on a mask hit.
-    bundle: u64,
+    disclose_16: OpCounts,
+    /// The proxy node's `Response::Bundle` frame.
+    bundle_encode: OpCounts,
+    /// The client's decode of the bundle.
+    bundle_decode: OpCounts,
+    /// The client's open of the decoded bundle on a mask hit.
+    open: OpCounts,
 }
 
 /// The frames of one disclosure at `level`: as the writers emit them, or
@@ -65,66 +86,99 @@ fn frames(w: &World, old: bool) -> [Vec<u8>; 3] {
 }
 
 /// Counts every step at `level` over the frames [`frames`] builds.
-fn count(level: SecurityLevel, old: bool) -> Roots {
+fn count(level: SecurityLevel, old: bool) -> Steps {
     let params = params_for_level(level);
     let w = World::new(Arc::clone(&params));
     let ctx = DecodeCtx::from(&params);
     let [put, record, bundle] = frames(&w, old);
 
-    let (request, put) = roots(|| Request::from_wire_bytes(&put, &ctx).unwrap());
+    let (request, put_decode) = counted(|| Request::from_wire_bytes(&put, &ctx).unwrap());
     let Request::PutRecord { ciphertext, .. } = request else {
         panic!("a PutRecord frame");
     };
     assert_eq!(*ciphertext, w.hybrid);
+    let store = Arc::new(EncryptedPhrStore::in_memory_with_params(
+        "counts",
+        params.clone(),
+    ));
+    let (id, put) = counted(|| store.put(&w.alice, &Category::Emergency, TITLE, *ciphertext));
+    // `put` primed the read cache: the record is hot.
+    let (served, get_record) = counted(|| {
+        let record = store.get(id).unwrap();
+        Response::Record(Box::new((*record).clone())).to_wire_bytes()
+    });
+    assert!(!served.is_empty());
+
     // A fresh record is encoded by the store (the compressed frames were
     // written beforehand), then decoded by the proxy.
     let fresh = || match old {
         true => record.clone(),
         false => Response::Record(Box::new(w.record.clone())).to_wire_bytes(),
     };
-    let (response, record) = roots(|| Response::from_wire_bytes(&fresh(), &ctx).unwrap());
+    let frame = fresh();
+    let (response, record_decode) = counted(|| Response::from_wire_bytes(&frame, &ctx).unwrap());
     assert!(matches!(response, Response::Record(r) if *r == w.record));
 
-    let store = Arc::new(EncryptedPhrStore::in_memory_with_params(
-        "counts",
-        params.clone(),
-    ));
-    let id = store.put(&w.alice, &Category::Emergency, TITLE, w.hybrid.clone());
     let proxy = ProxyService::new("counts", store);
     proxy.install_key(w.rekey.clone());
-    let items = vec![(w.alice.clone(), id, w.doctor.clone()); 16];
-    let (bundles, disclose_batch) = roots(|| proxy.disclose_batch(&items));
+    let item = (w.alice.clone(), id, w.doctor.clone());
+    let (mut one, disclose_1) = counted(|| proxy.disclose_batch(std::slice::from_ref(&item)));
+    let (bundles, disclose_16) = counted(|| proxy.disclose_batch(&vec![item; 16]));
     assert!(bundles.iter().all(Result::is_ok));
+    let disclosed = one.pop().unwrap().unwrap();
+    let (_, bundle_encode) = counted(|| Response::Bundle(Box::new(disclosed)).to_wire_bytes());
 
     // The provider has opened this bundle's `c'₃` before: a mask hit.
     let provider = HealthcareProvider::new(w.doctor_key.clone());
     let warm = DisclosureBundle::from_wire_bytes(&bundle, &ctx).unwrap();
     assert_eq!(provider.open(&warm).unwrap().body, PLAINTEXT);
-    let fresh = || match old {
-        true => bundle.clone(),
+    let frame = match old {
+        true => bundle,
         false => w.bundle.to_wire_bytes(),
     };
-    let (opened, bundle) = roots(|| {
-        let decoded = DisclosureBundle::from_wire_bytes(&fresh(), &ctx).unwrap();
-        provider.open(&decoded).unwrap()
-    });
+    let (decoded, bundle_decode) =
+        counted(|| DisclosureBundle::from_wire_bytes(&frame, &ctx).unwrap());
+    let (opened, open) = counted(|| provider.open(&decoded).unwrap());
     assert_eq!(opened.body, PLAINTEXT);
-    Roots {
+    Steps {
+        put_decode,
         put,
-        record,
-        disclose_batch,
-        bundle,
+        get_record,
+        record_decode,
+        disclose_1,
+        disclose_16,
+        bundle_encode,
+        bundle_decode,
+        open,
     }
 }
 
+/// What the writers' frames cost: no square root, and one inversion per
+/// step.  The upload pays two (decode, `put`); a hot disclosure pays five
+/// per record (serve, proxy decode, bundle encode, bundle decode, open)
+/// plus one per `disclose_batch` run, so 5 + 1/16 in runs of 16.
 #[test]
 fn a_hot_disclosure_solves_no_square_root() {
     for level in [SecurityLevel::Toy, SecurityLevel::Low80] {
-        let want = Roots {
-            put: 0,
-            record: 0,
-            disclose_batch: 0,
-            bundle: 0,
+        let want = Steps {
+            put_decode: ops(0, 1),
+            put: OpCounts {
+                record_encode: 1,
+                ..ops(0, 1)
+            },
+            get_record: OpCounts {
+                record_encode: 1,
+                ..ops(0, 1)
+            },
+            record_decode: OpCounts {
+                record_decode: 1,
+                ..ops(0, 1)
+            },
+            disclose_1: ops(0, 1),
+            disclose_16: ops(0, 1),
+            bundle_encode: ops(0, 1),
+            bundle_decode: ops(0, 1),
+            open: ops(0, 1),
         };
         assert_eq!(count(level, false), want, "{level:?}");
     }
@@ -148,8 +202,9 @@ const COMPRESSED_FRAMES: [[&str; 3]; 2] = [
 
 /// What the compressed frames cost: one root per group element decoded,
 /// four per hot disclosure (`c₁`, `c₂` at the proxy, `c'₁`, `c'₂` at the
-/// client; `c'₃` is only framed on a mask hit).  The frames are byte for
-/// byte those the compressed writers emitted.
+/// client; `c'₃` is only framed on a mask hit), each in place of the
+/// torus inversion; the steps that encode still write the torus form.
+/// The frames are byte for byte those the compressed writers emitted.
 #[test]
 fn compressed_frames_still_cost_a_root_per_element() {
     for (level, pins) in [SecurityLevel::Toy, SecurityLevel::Low80]
@@ -169,11 +224,25 @@ fn compressed_frames_still_cost_a_root_per_element() {
                 .collect();
             assert_eq!(digest, pin, "{level:?}");
         }
-        let want = Roots {
-            put: 2,
-            record: 2,
-            disclose_batch: 0,
-            bundle: 2,
+        let want = Steps {
+            put_decode: ops(2, 0),
+            put: OpCounts {
+                record_encode: 1,
+                ..ops(0, 1)
+            },
+            get_record: OpCounts {
+                record_encode: 1,
+                ..ops(0, 1)
+            },
+            record_decode: OpCounts {
+                record_decode: 1,
+                ..ops(2, 0)
+            },
+            disclose_1: ops(0, 1),
+            disclose_16: ops(0, 1),
+            bundle_encode: ops(0, 1),
+            bundle_decode: ops(2, 0),
+            open: ops(0, 1),
         };
         assert_eq!(count(level, true), want, "{level:?}");
     }
